@@ -12,7 +12,7 @@ from .classify import (
     classification_report,
     solve_extensions,
 )
-from .exact import Rational, RatMatrix, rat, rat_str
+from .exact import RatMatrix, rat, rat_str
 from .family import (
     ModuleParams,
     build_family_module,
@@ -41,7 +41,6 @@ __all__ = [
     "LieAlgebra",
     "ModuleParams",
     "RatMatrix",
-    "Rational",
     "Representation",
     "adjoint_grading",
     "adjoint_representation",

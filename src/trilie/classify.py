@@ -24,16 +24,19 @@ from fractions import Fraction
 
 from .exact import (
     ONE,
-    ZERO,
     RatMatrix,
-    commutator,
+    columns_matrix,
     nullspace_basis,
     rat_str,
     solve,
+    sylvester_system,
 )
-from .family import ModuleParams, build_family_module
-from .graded import GradedSpace
-from .liealg import build_sl2_lambda
+from .family import (
+    ModuleParams,
+    build_family_module,
+    enumerate_params,
+    two_block_representation,
+)
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import build_irreducible, tensor_multiplicity
 
@@ -74,18 +77,13 @@ class SolutionSpace:
             return True, Fraction(0)
         if not self.basis:
             return False, None
-        cols = len(self.basis)
-        data = []
-        for r in range(block.rows * block.cols):
-            i, j = divmod(r, block.cols)
-            data.extend(b[i, j] for b in self.basis)
-        stacked = RatMatrix(block.rows * block.cols, cols, data)
-        rhs = [block[i, j] for i in range(block.rows) for j in range(block.cols)]
-        coeffs = solve(stacked, rhs)
+        stacked = columns_matrix(
+            [b.data for b in self.basis], block.rows * block.cols
+        )
+        coeffs = solve(stacked, block.data)
         if coeffs is None:
             return False, None
-        scalar = coeffs[0] if cols == 1 else None
-        return True, scalar
+        return True, coeffs[0] if len(coeffs) == 1 else None
 
 
 def _residual(p: ExtensionProblem, z0: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
@@ -100,33 +98,18 @@ def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     """Exact basis of the highest-weight-Λ intertwiner space."""
     u = build_irreducible(p.n)
     w = build_irreducible(p.m)
-    rows_u, rows_w = p.n + 1, p.m + 1
-    unknowns = rows_w * rows_u
-
-    def vec_index(r: int, c: int) -> int:
-        return r * rows_u + c
-
-    data: list[Fraction] = []
-    for r in range(rows_w):
-        for c in range(rows_u):
-            row = [ZERO] * unknowns
-            for t in range(rows_w):
-                row[vec_index(t, c)] += w.h_mat[r, t]
-            for t in range(rows_u):
-                row[vec_index(r, t)] -= u.h_mat[t, c]
-            row[vec_index(r, c)] -= p.lam
-            data.extend(row)
-    for r in range(rows_w):
-        for c in range(rows_u):
-            row = [ZERO] * unknowns
-            for t in range(rows_w):
-                row[vec_index(t, c)] += w.e_mat[r, t]
-            for t in range(rows_u):
-                row[vec_index(r, t)] -= u.e_mat[t, c]
-            data.extend(row)
-    system = RatMatrix(2 * rows_w * rows_u, unknowns, data)
+    unknowns = (p.n + 1) * (p.m + 1)
+    shifted_h = w.h_mat - RatMatrix.identity(p.m + 1).scale(p.lam)
+    system = RatMatrix.from_blocks(
+        2 * unknowns,
+        unknowns,
+        [
+            (0, 0, sylvester_system(shifted_h, u.h_mat)),
+            (unknowns, 0, sylvester_system(w.e_mat, u.e_mat)),
+        ],
+    )
     basis = [
-        RatMatrix(rows_w, rows_u, list(v)) for v in nullspace_basis(system)
+        RatMatrix(p.m + 1, p.n + 1, list(v)) for v in nullspace_basis(system)
     ]
     return SolutionSpace(p, tuple(basis))
 
@@ -152,36 +135,14 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
         raise RuntimeError(
             "tower does not terminate: Z_{Λ+1} != 0 for a constraint solution"
         )
-    algebra, levi = build_sl2_lambda(p.lam)
-    space = GradedSpace((p.n + 1, p.m + 1))
-    total = space.total_dim
     u = build_irreducible(p.n)
     w = build_irreducible(p.m)
-
-    def two_blocks(u_mat: RatMatrix, w_mat: RatMatrix) -> RatMatrix:
-        data = [ZERO] * (total * total)
-        for i in range(p.n + 1):
-            for j in range(p.n + 1):
-                data[i * total + j] = u_mat[i, j]
-        off = p.n + 1
-        for i in range(p.m + 1):
-            for j in range(p.m + 1):
-                data[(off + i) * total + (off + j)] = w_mat[i, j]
-        return RatMatrix(total, total, data)
-
-    images = [
-        two_blocks(u.f_mat, w.f_mat),
-        two_blocks(u.h_mat, w.h_mat),
-        two_blocks(u.e_mat, w.e_mat),
-    ]
-    for j in range(p.lam + 1):
-        data = [ZERO] * (total * total)
-        zj = tower[j]
-        for r in range(p.m + 1):
-            for c in range(p.n + 1):
-                data[(p.n + 1 + r) * total + c] = zj[r, c]
-        images.append(RatMatrix(total, total, data))
-    rho = Representation(algebra, levi, space, tuple(images))
+    rho = two_block_representation(
+        p.lam,
+        (u.f_mat, u.h_mat, u.e_mat),
+        (w.f_mat, w.h_mat, w.e_mat),
+        tower[: p.lam + 1],
+    )
 
     hom_ok, hom_witness = verify_homomorphism(rho)
     if not hom_ok:
@@ -194,12 +155,11 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
 
 def valid_sn_tuples(lam: int, n: int, m: int) -> list[tuple[int, int]]:
     """(s, N) pairs making (m, n, s, N) satisfy the parameter constraint."""
-    out = []
-    for s in range(n + 1):
-        for big_n in range(m + 1):
-            if m + 2 * s == lam + n + 2 * big_n:
-                out.append((s, big_n))
-    return out
+    return [
+        (s, big_n)
+        for m2, n2, s, big_n in enumerate_params(lam, m, n)
+        if (m2, n2) == (m, n)
+    ]
 
 
 def match_family(

@@ -66,7 +66,7 @@ def _parse_scalars(raw: str) -> tuple:
         return ()
     try:
         return tuple(rat(part.strip()) for part in raw.split(","))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"bad scalar list {raw!r}: {exc}")
 
 
@@ -122,7 +122,7 @@ def _cmd_check(args) -> int:
 def _family_params_from_doc(doc: dict) -> ModuleParams:
     try:
         fp = doc["family_params"]
-        return ModuleParams(
+        params = ModuleParams(
             int(fp["lambda"]),
             int(fp["m"]),
             int(fp["n"]),
@@ -132,6 +132,10 @@ def _family_params_from_doc(doc: dict) -> ModuleParams:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"document carries no usable family_params: {exc}")
+    ok, problems = validate_params(params)
+    if not ok:
+        raise InputError("invalid family_params: " + "; ".join(problems))
+    return params
 
 
 def _cmd_verify(args) -> int:
@@ -140,28 +144,15 @@ def _cmd_verify(args) -> int:
         # re-derive the module from its parameters under the printed
         # e-action coefficient, rather than trusting the serialized
         # matrices (which may come from either reading)
-        params = _family_params_from_doc(doc)
-        report = verify_family(params, paper_literal=True)
-        out = jsonable(report)
-        _write(dumps(out), args.output)
-        return 0 if report["all_pass"] else 1
-    try:
-        rho = representation_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad representation document: {exc}")
-    report = verify_representation(rho)
-    irr = report["irreducible_components"]
-    gate = (
-        report["homomorphism"]
-        and report["triangular_all"]
-        and report["condition_i"]
-        and report["condition_ii"]
-        and (irr is None or all(irr))
-    )
-    out = jsonable(report)
-    out["all_pass"] = gate
-    _write(dumps(out), args.output)
-    return 0 if gate else 1
+        report = verify_family(_family_params_from_doc(doc), paper_literal=True)
+    else:
+        try:
+            rho = representation_from_json(doc)
+        except (KeyError, TypeError, ValueError, OSError) as exc:
+            raise InputError(f"bad representation document: {exc}")
+        report = verify_representation(rho)
+    _write(dumps(jsonable(report)), args.output)
+    return 0 if report["all_pass"] else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -269,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--lambda", dest="lam", type=int, required=True)
     k.add_argument("--max-n", dest="max_n", type=int, required=True)
     k.add_argument("--max-m", dest="max_m", type=int, required=True)
-    fmt = k.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--table", action="store_true")
+    k.add_argument("--table", action="store_true")
     k.add_argument("-o", "--output", default="-")
 
     d = sub.add_parser("decompose", help="degree stripes of a triangular map")

@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -29,7 +27,10 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not a rational: {value!r}")
 
 
@@ -77,12 +78,6 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     if len(x) != len(y):
         raise ShapeError("vector length mismatch")
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise ShapeError("vector length mismatch")
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def vec_scale(x: Vector, c) -> Vector:
@@ -144,6 +139,24 @@ class RatMatrix:
         for i, x in enumerate(entries):
             data[i * n + i] = rat(x)
         return cls(n, n, data)
+
+    @classmethod
+    def from_blocks(cls, rows: int, cols: int, blocks) -> "RatMatrix":
+        """rows x cols matrix, zero except for each (r0, c0, block) placed
+        with its top-left entry at (r0, c0); later blocks overwrite."""
+        data = [ZERO] * (rows * cols)
+        for r0, c0, block in blocks:
+            if min(r0, c0) < 0 or r0 + block.rows > rows or c0 + block.cols > cols:
+                raise ShapeError(
+                    f"{block.rows}x{block.cols} block at ({r0}, {c0}) "
+                    f"overflows {rows}x{cols}"
+                )
+            for i in range(block.rows):
+                start = (r0 + i) * cols + c0
+                data[start : start + block.cols] = block.data[
+                    i * block.cols : (i + 1) * block.cols
+                ]
+        return cls(rows, cols, data)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
@@ -261,6 +274,24 @@ def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
         raise ShapeError("commutator needs square matrices of equal size")
     return a @ b - b @ a
+
+
+def sylvester_system(a: RatMatrix, c: RatMatrix) -> RatMatrix:
+    """Matrix of X -> AX - XC acting on row-major vec(X), for square A
+    (r x r) and C (k x k); X is r x k, entry (p, q) at index p*k + q."""
+    if a.rows != a.cols or c.rows != c.cols:
+        raise ShapeError("Sylvester system needs square matrices")
+    r, k = a.rows, c.rows
+    n = r * k
+    data = [ZERO] * (n * n)
+    for p in range(r):
+        for q in range(k):
+            base = (p * k + q) * n
+            for t in range(r):
+                data[base + t * k + q] += a.data[p * r + t]
+            for t in range(k):
+                data[base + p * k + t] -= c.data[t * k + q]
+    return RatMatrix(n, n, data)
 
 
 def mat_power(a: RatMatrix, k: int) -> RatMatrix:
@@ -444,10 +475,6 @@ def span_contains(basis: Sequence[Vector], v: Vector, dim: int) -> bool:
     if not basis:
         return False
     return solve(columns_matrix(basis, dim), v) is not None
-
-
-def spans_equal(a: Sequence[Vector], b: Sequence[Vector], dim: int) -> bool:
-    return span_basis(a, dim) == span_basis(b, dim)
 
 
 def extend_independent(

@@ -140,17 +140,11 @@ def is_triangular(f: GradedMap) -> tuple[bool, tuple[int, int] | None]:
 def _stripe(f: GradedMap, j: int) -> RatMatrix:
     # keep exactly the blocks (k -> k+j), zero everything else
     space = f.space
-    n = space.total_dim
-    out = RatMatrix.zeros(n, n)
-    data = out.data
-    for k_from in range(space.num_components):
-        k_to = k_from + j
-        if k_to >= space.num_components:
-            break
-        for i in space.component_range(k_to):
-            for c in space.component_range(k_from):
-                data[i * n + c] = f.matrix[i, c]
-    return out
+    blocks = [
+        (space.offsets[k + j], space.offsets[k], f.block(k, k + j))
+        for k in range(space.num_components - j)
+    ]
+    return RatMatrix.from_blocks(space.total_dim, space.total_dim, blocks)
 
 
 def degree_components(f: GradedMap) -> dict[int, GradedMap]:

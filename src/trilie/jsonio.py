@@ -59,12 +59,14 @@ def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
         i, j, coeffs = entry
         structure[(int(i), int(j))] = {int(k): rat(c) for k, c in coeffs}
     L = LieAlgebra(int(doc["dim"]), [str(x) for x in doc["labels"]], structure)
-    D = LeviData(
-        tuple(int(x) for x in doc["levi"]),
-        tuple(int(x) for x in doc["radical"]),
-        tuple(int(x) for x in doc["nilradical"]),
-    )
-    return L, D
+    index_lists = []
+    for key in ("levi", "radical", "nilradical"):
+        indices = tuple(int(x) for x in doc[key])
+        for x in indices:
+            if not 0 <= x < L.dim:
+                raise ValueError(f"{key} index {x} out of range for dim {L.dim}")
+        index_lists.append(indices)
+    return L, LeviData(*index_lists)
 
 
 def graded_map_to_json(g: GradedMap) -> dict:

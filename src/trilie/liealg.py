@@ -32,6 +32,7 @@ from .exact import (
     solve,
     span_basis,
     span_contains,
+    sylvester_system,
     unit_vector,
     vec_add,
     vec_is_zero,
@@ -243,9 +244,9 @@ def _is_ideal_indices(L: LieAlgebra, indices: Sequence[int]) -> tuple[bool, tupl
     return True, None
 
 
-def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
-    """Rank of the Killing form of the subalgebra spanned by the given
-    basis indices (computed intrinsically, not by ambient restriction)."""
+def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix] | None:
+    """ad(b_g) restricted to span{b_g : g in indices}, one matrix per
+    index in the local basis order; None when the span is not closed."""
     idx = list(indices)
     m = len(idx)
     pos = {g: p for p, g in enumerate(idx)}
@@ -253,11 +254,21 @@ def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
     for g in idx:
         data = [ZERO] * (m * m)
         for q, g2 in enumerate(idx):
-            br = L.bracket_basis(g, g2)
-            for k, c in enumerate(br):
+            for k, c in enumerate(L.bracket_basis(g, g2)):
                 if c != 0:
+                    if k not in pos:
+                        return None
                     data[pos[k] * m + q] = c
         ads.append(RatMatrix(m, m, data))
+    return ads
+
+
+def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
+    """Rank of the Killing form of the subalgebra spanned by the given
+    basis indices (computed intrinsically, not by ambient restriction);
+    the span must be closed."""
+    ads = restricted_ad_matrices(L, indices)
+    m = len(ads)
     killing = RatMatrix(
         m, m, [(ads[p] @ ads[q]).trace() for p in range(m) for q in range(m)]
     )
@@ -392,7 +403,7 @@ def _levi_invariant_section(
         return []
     adapted = sub + ext
     r, c = len(sub), len(ext)
-    blocks = []
+    systems, rhs = [], []
     for s in levi:
         s_vec = unit_vector(L.dim, s)
         coords = [
@@ -403,25 +414,15 @@ def _levi_invariant_section(
             for p in range(r, r + c):
                 assert m[p, q] == 0, "ad(levi) must preserve the deeper layer"
         a = m.submatrix(range(r), range(r))
-        b = m.submatrix(range(r), range(r, r + c))
         cc = m.submatrix(range(r, r + c), range(r, r + c))
-        blocks.append((a, b, cc))
+        systems.append(sylvester_system(a, cc))
+        rhs.extend(m.submatrix(range(r), range(r, r + c)).data)
     if r == 0:
         return list(ext)
-    n_unknown = r * c
-    rows: list[Fraction] = []
-    rhs: list[Fraction] = []
-    for a, b, cc in blocks:
-        for p in range(r):
-            for q in range(c):
-                row = [ZERO] * n_unknown
-                for t in range(r):
-                    row[t * c + q] += a[p, t]
-                for t in range(c):
-                    row[p * c + t] -= cc[t, q]
-                rows.extend(row)
-                rhs.append(b[p, q])
-    system = RatMatrix(len(rhs), n_unknown, rows)
+    n = r * c
+    system = RatMatrix.from_blocks(
+        len(systems) * n, n, [(i * n, 0, sy) for i, sy in enumerate(systems)]
+    )
     x = solve(system, rhs)
     if x is None:
         raise RuntimeError(

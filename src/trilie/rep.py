@@ -21,6 +21,7 @@ from .exact import (
     RatMatrix,
     Vector,
     ZERO,
+    columns_matrix,
     exp_nilpotent,
     nullspace_basis,
     unit_vector,
@@ -33,7 +34,7 @@ from .graded import (
     is_homogeneous,
     is_triangular,
 )
-from .liealg import LeviData, LieAlgebra, ad_matrix, bracket
+from .liealg import LeviData, LieAlgebra, ad_matrix, bracket, restricted_ad_matrices
 from .sl2theory import weight_decomposition
 
 
@@ -84,12 +85,19 @@ def verify_homomorphism(rho: Representation) -> tuple[bool, tuple[int, int] | No
     return True, None
 
 
-def verify_triangular_conditions(rho: Representation) -> dict:
-    """Triangularity of all images plus the two structural conditions."""
+def _structure_conditions(
+    images: Sequence[GradedMap],
+    levi_pairs: Sequence[tuple[int, GradedMap]],
+    nilrad_pairs: Sequence[tuple[int, GradedMap]],
+) -> tuple[dict, dict]:
+    """The one gate on graded images: every image triangular, (i) each
+    Levi image homogeneous of degree 0, (ii) each nilradical image
+    triangular with a zero degree-0 stripe. The pairs carry the basis
+    index that a failure's witness names. Returns (flags, witnesses)."""
     witnesses: dict = {}
 
     triangular_all = True
-    for i, im in enumerate(rho.images):
+    for i, im in enumerate(images):
         ok, w = is_triangular(im)
         if not ok:
             triangular_all = False
@@ -97,16 +105,14 @@ def verify_triangular_conditions(rho: Representation) -> dict:
             break
 
     condition_i = True
-    for s in rho.levi.levi_indices:
-        im = rho.images[s]
+    for s, im in levi_pairs:
         if not (is_triangular(im)[0] and is_homogeneous(im, 0)):
             condition_i = False
             witnesses["condition_i"] = {"levi_index": s}
             break
 
     condition_ii = True
-    for z in rho.levi.nilrad_indices:
-        im = rho.images[z]
+    for z, im in nilrad_pairs:
         ok, w = is_triangular(im)
         if not ok:
             condition_ii = False
@@ -120,11 +126,21 @@ def verify_triangular_conditions(rho: Representation) -> dict:
             }
             break
 
-    report = {
+    flags = {
         "triangular_all": triangular_all,
         "condition_i": condition_i,
         "condition_ii": condition_ii,
     }
+    return flags, witnesses
+
+
+def verify_triangular_conditions(rho: Representation) -> dict:
+    """Triangularity of all images plus the two structural conditions."""
+    report, witnesses = _structure_conditions(
+        rho.images,
+        [(s, rho.images[s]) for s in rho.levi.levi_indices],
+        [(z, rho.images[z]) for z in rho.levi.nilrad_indices],
+    )
     report["all_pass"] = all(report.values())
     report["witnesses"] = witnesses
     return report
@@ -133,12 +149,7 @@ def verify_triangular_conditions(rho: Representation) -> dict:
 def kernel(rho: Representation) -> list[Vector]:
     """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty."""
     n = rho.space.total_dim
-    dim = rho.algebra.dim
-    data = []
-    for r in range(n * n):
-        i, j = divmod(r, n)
-        data.extend(rho.images[k].matrix[i, j] for k in range(dim))
-    stacked = RatMatrix(n * n, dim, data)
+    stacked = columns_matrix([im.matrix.data for im in rho.images], n * n)
     return nullspace_basis(stacked)
 
 
@@ -151,22 +162,12 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
         raise UnsupportedLeviError(
             f"irreducibility test supports only 3-dimensional Levi factors, got {len(idx)}"
         )
-    pos = {g: p for p, g in enumerate(idx)}
-    ads = {}
-    for g in idx:
-        data = [ZERO] * 9
-        for q, g2 in enumerate(idx):
-            br = L.bracket_basis(g, g2)
-            for k, c in enumerate(br):
-                if c != 0:
-                    if k not in pos:
-                        raise UnsupportedLeviError("Levi span not closed")
-                    data[pos[k] * 3 + q] = c
-        ads[g] = RatMatrix(3, 3, data)
+    ads = restricted_ad_matrices(L, idx)
+    if ads is None:
+        raise UnsupportedLeviError("Levi span not closed")
 
     ident = RatMatrix.identity(3)
-    for g in idx:
-        m = ads[g]
+    for h_pos, m in enumerate(ads):
         if m.is_zero():
             continue
         annihilator = m @ (m - ident.scale(2)) @ (m + ident.scale(2))
@@ -176,7 +177,7 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
         minus = nullspace_basis(m + ident.scale(2))
         if len(plus) != 1 or len(minus) != 1:
             continue
-        h_local = unit_vector(3, pos[g])
+        h_local = unit_vector(3, h_pos)
         e_local, f_local = plus[0], minus[0]
 
         def to_ambient(v: Vector) -> Vector:
@@ -234,9 +235,14 @@ def is_k_irreducible(rho: Representation) -> list[bool]:
     return out
 
 
-def verify_representation(rho: Representation, irreducibility: bool = True) -> dict:
+def verify_representation(rho: Representation) -> dict:
     """Full report: homomorphism, triangular conditions, faithfulness,
-    and (optionally) per-component irreducibility."""
+    per-component irreducibility, and the gate `all_pass`.
+
+    `all_pass` requires the homomorphism, triangularity and conditions
+    (i)/(ii), plus irreducibility of every component when the Levi
+    factor is a recognized sl2 (`irreducible_components` is None
+    otherwise). Faithfulness is informational."""
     hom_ok, hom_witness = verify_homomorphism(rho)
     tri = verify_triangular_conditions(rho)
     ker = kernel(rho)
@@ -252,12 +258,15 @@ def verify_representation(rho: Representation, irreducibility: bool = True) -> d
         report["witnesses"]["homomorphism"] = hom_witness
     if ker:
         report["witnesses"]["faithful"] = ker[0]
-    if irreducibility:
-        try:
-            report["irreducible_components"] = is_k_irreducible(rho)
-        except UnsupportedLeviError as exc:
-            report["irreducible_components"] = None
-            report["witnesses"]["irreducibility"] = str(exc)
+    try:
+        irr = is_k_irreducible(rho)
+    except UnsupportedLeviError as exc:
+        irr = None
+        report["witnesses"]["irreducibility"] = str(exc)
+    report["irreducible_components"] = irr
+    report["all_pass"] = (
+        hom_ok and tri["all_pass"] and (irr is None or all(irr))
+    )
     return report
 
 
@@ -284,42 +293,22 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
     conjugated = [
         GradedMap(rho.space, p_inv @ im.matrix @ p) for im in rho.images
     ]
-
-    triangular_all = True
-    witness = None
-    for i, im in enumerate(conjugated):
-        ok, w = is_triangular(im)
-        if not ok:
-            triangular_all = False
-            witness = {"basis_index": i, "block": w}
-            break
-
     new_levi_vectors = [
         exp_ad.apply(unit_vector(L.dim, s)) for s in rho.levi.levi_indices
     ]
-    condition_i = True
-    for s_vec in new_levi_vectors:
-        im_mat = p_inv @ rho.image_of(s_vec).matrix @ p
-        im = GradedMap(rho.space, im_mat)
-        if not (is_triangular(im)[0] and is_homogeneous(im, 0)):
-            condition_i = False
-            break
-
-    condition_ii = True
-    for zi in rho.levi.nilrad_indices:
-        im = conjugated[zi]
-        ok, _ = is_triangular(im)
-        if not ok or not degree_components(im)[0].is_zero():
-            condition_ii = False
-            break
-
-    report = {
-        "triangular_all": triangular_all,
-        "condition_i": condition_i,
-        "condition_ii": condition_ii,
-        "conjugated_levi_basis": tuple(new_levi_vectors),
-    }
-    report["all_pass"] = triangular_all and condition_i and condition_ii
-    if witness:
-        report["witness"] = witness
+    levi_pairs = [
+        (s, GradedMap(rho.space, p_inv @ rho.image_of(v).matrix @ p))
+        for s, v in zip(rho.levi.levi_indices, new_levi_vectors)
+    ]
+    report, witnesses = _structure_conditions(
+        conjugated,
+        levi_pairs,
+        [(zi, conjugated[zi]) for zi in rho.levi.nilrad_indices],
+    )
+    report["conjugated_levi_basis"] = tuple(new_levi_vectors)
+    report["all_pass"] = (
+        report["triangular_all"] and report["condition_i"] and report["condition_ii"]
+    )
+    if witnesses:
+        report["witnesses"] = witnesses
     return report

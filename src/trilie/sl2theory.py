@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import RatMatrix, ZERO, commutator, nullspace_basis, rank
+from .exact import ONE, RatMatrix, ZERO, commutator, nullspace_basis, rank
 
 
 @dataclass(frozen=True)
@@ -27,22 +27,26 @@ class Sl2Module:
         return self.highest_weight + 1
 
 
+def string_action(d: int, e_top: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
+    """Unchecked (f, h, e) on a string x_0 … x_d: h·x_i = (d-2i)x_i,
+    f·x_i = x_{i+1}, e·x_i = i(e_top-i+1)x_{i-1}. Only e_top = d gives
+    an sl2 module; other values serve fidelity experiments."""
+    n = d + 1
+    f_data = [ZERO] * (n * n)
+    e_data = [ZERO] * (n * n)
+    for i in range(1, n):
+        f_data[i * n + i - 1] = ONE
+        e_data[(i - 1) * n + i] = i * (e_top - i + 1)
+    h = RatMatrix.diagonal([d - 2 * i for i in range(n)])
+    return RatMatrix(n, n, f_data), h, RatMatrix(n, n, e_data)
+
+
 def build_irreducible(d: int) -> Sl2Module:
     """The (d+1)-dimensional irreducible on basis (x_0 … x_d):
     h·x_i = (d-2i)x_i, f·x_i = x_{i+1}, e·x_i = i(d-i+1)x_{i-1}."""
     if d < 0:
         raise ValueError(f"highest weight must be nonnegative, got {d}")
-    n = d + 1
-    h = RatMatrix.diagonal([d - 2 * i for i in range(n)])
-    f_data = [ZERO] * (n * n)
-    e_data = [ZERO] * (n * n)
-    for i in range(n):
-        if i + 1 < n:
-            f_data[(i + 1) * n + i] = ZERO + 1
-        if i >= 1:
-            e_data[(i - 1) * n + i] = ZERO + i * (d - i + 1)
-    f = RatMatrix(n, n, f_data)
-    e = RatMatrix(n, n, e_data)
+    f, h, e = string_action(d, d)
     _require_sl2_relations(f, h, e)
     return Sl2Module(d, f, h, e)
 

@@ -62,3 +62,25 @@ def brute_matrix_bracket(a: list[list[Fraction]], b: list[list[Fraction]]) -> li
     ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+
+
+def brute_sylvester(a: list[list[Fraction]], c: list[list[Fraction]],
+                    x: list[list[Fraction]]) -> list[Fraction]:
+    """Plain-list AX - XC, flattened row-major."""
+    r, k = len(a), len(c)
+    return [
+        sum(a[p][t] * x[t][q] for t in range(r))
+        - sum(x[p][t] * c[t][q] for t in range(k))
+        for p in range(r)
+        for q in range(k)
+    ]
+
+
+def brute_fill_blocks(rows: int, cols: int, blocks) -> list[list[Fraction]]:
+    """Plain-list matrix filled entry by entry from (r0, c0, block rows)."""
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for r0, c0, block in blocks:
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                out[r0 + i][c0 + j] = x
+    return out

@@ -10,6 +10,8 @@ import json
 import pytest
 
 from trilie.cli import run
+from trilie.jsonio import representation_from_json
+from trilie.rep import verify_representation
 
 
 def _run(capsys, argv, stdin=None, monkeypatch=None):
@@ -221,3 +223,57 @@ def test_gen_output_is_deterministic(capsys):
     _, second, _ = _run(capsys, argv)
     assert first == second
     assert first.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        ("gen family --lambda 1 --m 2 --n 1 --s 0 --bigN 0 --a 1", 0),
+        ("gen family --lambda 1 --m 2 --n 1 --s 1 --bigN 1", 1),
+    ],
+)
+def test_library_gate_matches_cli(capsys, monkeypatch, argv, expected_code):
+    _, doc, _ = _run(capsys, argv.split())
+    code, out, _ = _run(capsys, ["verify", "-"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == expected_code
+    library = verify_representation(representation_from_json(json.loads(doc)))
+    assert library["all_pass"] is json.loads(out)["all_pass"]
+
+
+def _sl2l_doc(capsys):
+    _, out, _ = _run(capsys, ["gen", "sl2l", "--lambda", "1"])
+    return json.loads(out)
+
+
+def _assert_input_error(capsys, monkeypatch, argv, doc):
+    code, out, err = _run(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_check_rejects_zero_denominator(capsys, monkeypatch):
+    doc = _sl2l_doc(capsys)
+    doc["brackets"][0][2] = [[0, "1/0"]]
+    _assert_input_error(capsys, monkeypatch, ["check", "-"], doc)
+
+
+def test_check_rejects_out_of_range_levi_index(capsys, monkeypatch):
+    doc = _sl2l_doc(capsys)
+    doc["levi"] = [0, 1, 9]
+    _assert_input_error(capsys, monkeypatch, ["check", "-"], doc)
+
+
+def test_verify_rejects_missing_algebra_file(capsys, monkeypatch, tmp_path):
+    _, out, _ = _run(capsys, "gen family --lambda 1 --m 2 --n 1 --s 0 --bigN 0 --a 1".split())
+    doc = json.loads(out)
+    doc["algebra"] = str(tmp_path / "missing.json")
+    _assert_input_error(capsys, monkeypatch, ["verify", "-"], doc)
+
+
+def test_verify_paper_literal_rejects_broken_constraint(capsys, monkeypatch):
+    _, out, _ = _run(capsys, "gen family --lambda 1 --m 2 --n 1 --s 0 --bigN 0 --a 1".split())
+    doc = json.loads(out)
+    doc["family_params"]["m"] = 3
+    _assert_input_error(capsys, monkeypatch, ["verify", "-", "--paper-literal"], doc)

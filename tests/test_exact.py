@@ -21,8 +21,11 @@ from trilie.exact import (
     rat_str,
     rref,
     solve,
+    sylvester_system,
     vector,
 )
+
+from helpers import brute_fill_blocks, brute_sylvester
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -51,6 +54,10 @@ class TestScalars:
     def test_rat_rejects_float(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+    def test_rat_rejects_zero_denominator(self):
+        with pytest.raises(ValueError):
+            rat("1/0")
 
     def test_rat_str_canonical(self):
         assert rat_str(F(1, 2)) == "1/2"
@@ -220,3 +227,46 @@ class TestProperties:
         for _ in range(k):
             expected = expected @ a
         assert mat_power(a, k) == expected
+
+
+def placed_blocks(rows, cols):
+    """(r0, c0, block) triples that fit inside a rows x cols matrix."""
+    def one(draw):
+        r0 = draw(st.integers(0, rows))
+        c0 = draw(st.integers(0, cols))
+        h = draw(st.integers(0, rows - r0))
+        w = draw(st.integers(0, cols - c0))
+        return r0, c0, draw(matrices(h, w))
+
+    return st.lists(st.composite(one)(), max_size=3)
+
+
+class TestKernels:
+    @given(
+        st.integers(0, 3).flatmap(square),
+        st.integers(0, 3).flatmap(square),
+        st.data(),
+    )
+    @settings(max_examples=50)
+    def test_sylvester_system_matches_oracle(self, a, c, data):
+        x = data.draw(matrices(a.rows, c.rows))
+        got = sylvester_system(a, c).apply(x.data)
+        assert list(got) == brute_sylvester(a.to_lists(), c.to_lists(), x.to_lists())
+
+    def test_sylvester_system_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            sylvester_system(RatMatrix.zeros(2, 3), RatMatrix.identity(2))
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=50)
+    def test_from_blocks_matches_oracle(self, rows, cols, data):
+        blocks = data.draw(placed_blocks(rows, cols))
+        expected = brute_fill_blocks(
+            rows, cols, [(r0, c0, b.to_lists()) for r0, c0, b in blocks]
+        )
+        assert RatMatrix.from_blocks(rows, cols, blocks).to_lists() == expected
+
+    @pytest.mark.parametrize("r0,c0", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_from_blocks_rejects_overflow(self, r0, c0):
+        with pytest.raises(ShapeError):
+            RatMatrix.from_blocks(3, 3, [(r0, c0, RatMatrix.identity(2))])

@@ -235,6 +235,27 @@ class TestConjugation:
         assert report["condition_i"] == base["condition_i"]
         assert report["condition_ii"] == base["condition_ii"]
 
+    def test_failure_witnesses_match_direct_check(self):
+        rho = adjoint_of_sl2_lambda(1)
+        images = list(rho.images)
+        images[3] = images[3].matrix + RatMatrix.identity(5)
+        bad = Representation(rho.algebra, rho.levi, rho.space, tuple(images))
+        report = conjugate_levi_check(bad, tuple(F(0) for _ in range(5)))
+        assert not report["all_pass"]
+        base = verify_triangular_conditions(bad)
+        assert report["witnesses"]["condition_ii"] == base["witnesses"]["condition_ii"]
+
+    def test_passing_report_keys(self):
+        rho = adjoint_of_sl2_lambda(1)
+        report = conjugate_levi_check(rho, unit_vector(5, 3))
+        assert list(report) == [
+            "triangular_all",
+            "condition_i",
+            "condition_ii",
+            "conjugated_levi_basis",
+            "all_pass",
+        ]
+
     def test_non_nilpotent_element_rejected(self):
         rho = adjoint_of_sl2_lambda(1)
         with pytest.raises(ValueError):
