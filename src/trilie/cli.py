@@ -43,13 +43,19 @@ class InputError(Exception):
     """Malformed input or arguments (exit code 2)."""
 
 
+# what parsing a malformed document raises: a missing key, a wrong type,
+# a bad value, or int() of a float too large for it (JSON's 1e400)
+_BAD_DOCUMENT = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _read_json(path: str) -> dict:
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals
         raise InputError(f"cannot read JSON from {path}: {exc}")
 
 
@@ -106,7 +112,7 @@ def _cmd_check(args) -> int:
     doc = _read_json(args.input)
     try:
         L, D = algebra_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DOCUMENT as exc:
         raise InputError(f"bad algebra document: {exc}")
     axioms = check_axioms(L)
     levi = verify_levi_data(L, D)
@@ -130,7 +136,7 @@ def _family_params_from_doc(doc: dict) -> ModuleParams:
             int(fp["N"]),
             tuple(rat(x) for x in fp["a"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DOCUMENT as exc:
         raise InputError(f"document carries no usable family_params: {exc}")
     ok, problems = validate_params(params)
     if not ok:
@@ -148,7 +154,7 @@ def _cmd_verify(args) -> int:
     else:
         try:
             rho = representation_from_json(doc)
-        except (KeyError, TypeError, ValueError, OSError) as exc:
+        except (*_BAD_DOCUMENT, OSError, RecursionError) as exc:
             raise InputError(f"bad representation document: {exc}")
         report = verify_representation(rho)
     _write(dumps(jsonable(report)), args.output)
@@ -199,7 +205,7 @@ def _cmd_decompose(args) -> int:
     doc = _read_json(args.input)
     try:
         g = graded_map_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DOCUMENT as exc:
         raise InputError(f"bad graded-map document: {exc}")
     ok, witness = is_triangular(g)
     if not ok:

@@ -21,12 +21,16 @@ class ShapeError(ValueError):
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to a canonical Fraction."""
+    """Coerce an int, Fraction, or "p/q" string to a canonical Fraction.
+    Strings in exponent notation are rejected: their size is unbounded."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            # "1e999999999" would take a dozen bytes to ask for gigabytes
+            raise ValueError(f"exponent notation in {value!r}; write p/q")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -252,13 +256,6 @@ class RatMatrix:
                     out[i] += aij * xj
         return tuple(out)
 
-    def transpose(self) -> "RatMatrix":
-        out = [ZERO] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.data[i * self.cols + j]
-        return RatMatrix(self.cols, self.rows, out)
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeError("trace of a non-square matrix")
@@ -480,15 +477,13 @@ def span_contains(basis: Sequence[Vector], v: Vector, dim: int) -> bool:
 def extend_independent(
     base: Sequence[Vector], candidates: Sequence[Vector], dim: int
 ) -> list[Vector]:
-    """Greedily pick candidates (in order) that grow the span of `base`."""
-    current = list(base)
-    r = rank(RatMatrix.from_rows([list(v) for v in current])) if current else 0
-    chosen = []
-    for c in candidates:
-        trial = current + [c]
-        tr = rank(RatMatrix.from_rows([list(v) for v in trial]))
-        if tr > r:
-            chosen.append(c)
-            current = trial
-            r = tr
-    return chosen
+    """Greedily pick candidates (in order) that grow the span of `base`:
+    the candidates that are pivot columns of [base | candidates], since
+    a column is a pivot iff it lies outside the span of those before it."""
+    if not candidates:
+        return []
+    columns = list(base) + list(candidates)
+    pivots = _forward_eliminate(
+        _integer_rows(columns_matrix(columns, dim)), len(columns)
+    )
+    return [columns[p] for p in pivots if p >= len(base)]

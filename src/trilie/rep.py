@@ -35,7 +35,7 @@ from .graded import (
     is_triangular,
 )
 from .liealg import LeviData, LieAlgebra, ad_matrix, bracket, restricted_ad_matrices
-from .sl2theory import weight_decomposition
+from .sl2theory import is_weight_string
 
 
 class UnsupportedLeviError(ValueError):
@@ -118,7 +118,8 @@ def _structure_conditions(
             condition_ii = False
             witnesses["condition_ii"] = {"nilrad_index": z, "block": w}
             break
-        if not degree_components(im)[0].is_zero():
+        stripes = degree_components(im)  # none when the space has no components
+        if stripes and not stripes[0].is_zero():
             condition_ii = False
             witnesses["condition_ii"] = {
                 "nilrad_index": z,
@@ -148,6 +149,8 @@ def verify_triangular_conditions(rho: Representation) -> dict:
 
 def kernel(rho: Representation) -> list[Vector]:
     """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty."""
+    if not rho.images:
+        return []  # the zero algebra, whose n^2 x 0 system would still be swept
     n = rho.space.total_dim
     stacked = columns_matrix([im.matrix.data for im in rho.images], n * n)
     return nullspace_basis(stacked)
@@ -213,26 +216,13 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
 def is_k_irreducible(rho: Representation) -> list[bool]:
     """Per grading component: is it an irreducible module under the
     Levi action? Zero-dimensional components are vacuously fine."""
-    f_amb, h_amb, e_amb = recognize_sl2(rho.algebra, rho.levi.levi_indices)
+    _, h_amb, e_amb = recognize_sl2(rho.algebra, rho.levi.levi_indices)
     h_map = rho.image_of(h_amb)
     e_map = rho.image_of(e_amb)
-    out = []
-    for k, d in enumerate(rho.space.component_dims):
-        if d == 0:
-            out.append(True)
-            continue
-        h_block = h_map.block(k, k)
-        e_block = e_map.block(k, k)
-        try:
-            weights = weight_decomposition(h_block)
-        except ValueError:
-            out.append(False)
-            continue
-        top = d - 1
-        expected = {top - 2 * i: 1 for i in range(d)}
-        ok = weights == expected and len(nullspace_basis(e_block)) == 1
-        out.append(ok)
-    return out
+    return [
+        d == 0 or is_weight_string(h_map.block(k, k), e_map.block(k, k))
+        for k, d in enumerate(rho.space.component_dims)
+    ]
 
 
 def verify_representation(rho: Representation) -> dict:

@@ -3,16 +3,16 @@
 Irreducible modules in the lowering-operator basis convention
 (f walks down the weight string, e walks back up with integer
 coefficients), exact weight decompositions, the multiplicity-free
-irreducibility test, and Clebsch-Gordan multiplicities by character
-counting. The latter serves as an oracle that is independent of any
-matrix construction elsewhere in the package.
+irreducibility test at the d expected weights, and Clebsch-Gordan
+multiplicities by character counting. The latter serves as an oracle
+that is independent of any matrix construction elsewhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ONE, RatMatrix, ZERO, commutator, nullspace_basis, rank
+from .exact import ONE, RatMatrix, ZERO, commutator, rank
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,26 @@ def weight_decomposition(h: RatMatrix) -> dict[int, int]:
     return out
 
 
+def is_weight_string(h: RatMatrix, e: RatMatrix) -> bool:
+    """One sl2 weight string on a d-dimensional space: rank(h - wI) = d-1
+    at each weight w = d-1, d-3, …, 1-d, and a 1-dimensional e-kernel.
+
+    d distinct weights, each on a line, fill the space, so the answer is
+    that of `weight_decomposition(h) == {d-1: 1, d-3: 1, …}` (False where
+    that call raises), from d + 1 ranks whatever the size of the entries.
+    """
+    d = h.rows
+    ident = RatMatrix.identity(d)
+    return all(
+        rank(h - ident.scale(d - 1 - 2 * i)) == d - 1 for i in range(d)
+    ) and rank(e) == d - 1
+
+
 def is_irreducible(f: RatMatrix, h: RatMatrix, e: RatMatrix) -> bool:
     """Multiplicity-free weight string {d, d-2, …, -d} plus a single
     highest-weight line (1-dimensional e-kernel)."""
     _require_sl2_relations(f, h, e)
-    n = h.rows
-    if n == 0:
-        return False
-    weights = weight_decomposition(h)
-    d = n - 1
-    expected = {d - 2 * i: 1 for i in range(n)}
-    if weights != expected:
-        return False
-    return len(nullspace_basis(e)) == 1
+    return is_weight_string(h, e)
 
 
 def tensor_multiplicity(a: int, b: int, c: int) -> int:

@@ -84,3 +84,33 @@ def brute_fill_blocks(rows: int, cols: int, blocks) -> list[list[Fraction]]:
             for j, x in enumerate(row):
                 out[r0 + i][c0 + j] = x
     return out
+
+
+def brute_rank(rows: list[list[Fraction]]) -> int:
+    """Plain-list Gauss-Jordan rank over Fractions."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def brute_extend_independent(base: list, candidates: list) -> list:
+    """Keep each candidate, in order, that raises the rank of everything
+    kept so far (base included): one rank per candidate."""
+    kept = list(base)
+    chosen = []
+    for c in candidates:
+        if brute_rank(kept + [c]) > brute_rank(kept):
+            kept.append(c)
+            chosen.append(c)
+    return chosen

@@ -9,9 +9,13 @@ import json
 
 import pytest
 
+import trilie.rep as rep
+import trilie.sl2theory as sl2theory
 from trilie.cli import run
-from trilie.jsonio import representation_from_json
+from trilie.jsonio import algebra_to_json, matrix_to_json, representation_from_json
+from trilie.liealg import build_sl2
 from trilie.rep import verify_representation
+from trilie.sl2theory import build_irreducible
 
 
 def _run(capsys, argv, stdin=None, monkeypatch=None):
@@ -277,3 +281,95 @@ def test_verify_paper_literal_rejects_broken_constraint(capsys, monkeypatch):
     doc = json.loads(out)
     doc["family_params"]["m"] = 3
     _assert_input_error(capsys, monkeypatch, ["verify", "-", "--paper-literal"], doc)
+
+
+def test_verify_huge_weight_decided_in_dimension_many_ranks(capsys, monkeypatch):
+    # sl2 on its 4-dimensional irreducible with h[0][0] = 2,000,000: a
+    # weight scan would take one rank per integer up to that bound
+    calls = []
+    real_rank = sl2theory.rank
+
+    def bounded(a):
+        calls.append(1)
+        if len(calls) > 4:
+            raise AssertionError("more than dim ranks for a 4x4 component")
+        return real_rank(a)
+
+    monkeypatch.setattr(sl2theory, "rank", bounded)
+    m = build_irreducible(3)
+    images = {"f": matrix_to_json(m.f_mat), "h": matrix_to_json(m.h_mat),
+              "e": matrix_to_json(m.e_mat)}
+    images["h"][0][0] = "2000000"
+    doc = {"algebra": algebra_to_json(*build_sl2()), "dims": [4], "images": images}
+    code, out, err = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+                          monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["irreducible_components"] == [False]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "verb,text",
+    [
+        # a 5000-digit integer literal: json raises a bare ValueError
+        ("check", '{"dim": ' + "1" * 5000 + "}"),
+        # nesting deeper than the JSON decoder's recursion limit
+        ("check", "[" * 100000 + "]" * 100000),
+        # JSON's Infinity and 1e400 are floats that int() cannot convert
+        ("decompose", '{"dims": [Infinity], "matrix": []}'),
+        ("decompose", '{"dims": [1e400], "matrix": []}'),
+        ("verify", '{"algebra": {"dim": 1e400, "labels": [], "brackets": []}, '
+                   '"dims": [], "images": {}}'),
+        # exponent notation would let a short coefficient ask for any size
+        ("check", json.dumps({
+            "dim": 2, "labels": ["a", "b"], "brackets": [[0, 1, [[0, "1e400"]]]],
+            "levi": [], "radical": [0, 1], "nilradical": [1],
+        })),
+    ],
+    ids=["long-int", "deep-nesting", "infinity-dims", "1e400-dims",
+         "1e400-algebra-dim", "exponent-coefficient"],
+)
+def test_malformed_documents_exit_2(capsys, monkeypatch, verb, text):
+    code, out, err = _run(capsys, [verb, "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_zero_algebra_on_large_space_returns_at_once(capsys, monkeypatch):
+    # no images means nothing to solve; the 10^12 x 0 kernel system of
+    # a 10^6-dimensional space must not be swept
+    swept = []
+
+    def record(a):
+        swept.append((a.rows, a.cols))
+        return []
+
+    monkeypatch.setattr(rep, "nullspace_basis", record)
+    doc = {
+        "algebra": {"dim": 0, "labels": [], "brackets": [], "levi": [],
+                    "radical": [], "nilradical": []},
+        "dims": [1_000_000],
+        "images": {},
+    }
+    code, out, _ = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+                        monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["faithful"] is True
+    assert swept == []
+
+
+def test_verify_nilradical_on_space_without_components(capsys, monkeypatch):
+    # "dims": [] has no degree-0 stripe to inspect; condition (ii) holds
+    doc = {
+        "algebra": {"dim": 2, "labels": ["b0", "b1"], "brackets": [],
+                    "levi": [], "radical": [], "nilradical": [0]},
+        "dims": [],
+        "images": {"b0": [], "b1": []},
+    }
+    code, out, _ = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+                        monkeypatch=monkeypatch)
+    assert code == 0
+    report = json.loads(out)
+    assert report["condition_ii"] is True
+    assert report["irreducible_components"] is None

@@ -12,6 +12,7 @@ from trilie.exact import (
     binomial,
     commutator,
     exp_nilpotent,
+    extend_independent,
     factorial,
     invert,
     mat_power,
@@ -25,7 +26,7 @@ from trilie.exact import (
     vector,
 )
 
-from helpers import brute_fill_blocks, brute_sylvester
+from helpers import brute_extend_independent, brute_fill_blocks, brute_sylvester
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -54,6 +55,12 @@ class TestScalars:
     def test_rat_rejects_float(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+    @pytest.mark.parametrize("text", ["1e400", "2E-3", "-3e99999"])
+    def test_rat_rejects_exponent_notation(self, text):
+        # a few more exponent digits ask for any size of integer
+        with pytest.raises(ValueError):
+            rat(text)
 
     def test_rat_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -270,3 +277,36 @@ class TestKernels:
     def test_from_blocks_rejects_overflow(self, r0, c0):
         with pytest.raises(ShapeError):
             RatMatrix.from_blocks(3, 3, [(r0, c0, RatMatrix.identity(2))])
+
+
+def candidate_lists(dim):
+    """(base, candidates) drawn from a small pool plus the zero vector, so
+    repeats, zeros and dependent vectors are common; base may be empty."""
+    vectors = st.lists(rationals, min_size=dim, max_size=dim).map(tuple)
+    pool = st.lists(vectors, min_size=1, max_size=3).map(
+        lambda vs: vs + [(ZERO,) * dim]
+    )
+    return pool.flatmap(
+        lambda vs: st.tuples(
+            st.lists(st.sampled_from(vs), max_size=3),
+            st.lists(st.sampled_from(vs), max_size=6),
+        )
+    )
+
+
+class TestExtendIndependent:
+    @given(st.integers(0, 4).flatmap(
+        lambda dim: st.tuples(st.just(dim), candidate_lists(dim))))
+    @settings(max_examples=60)
+    def test_matches_greedy_oracle(self, case):
+        dim, (base, candidates) = case
+        got = extend_independent(base, candidates, dim)
+        assert got == brute_extend_independent(base, candidates)
+
+    def test_repeats_zeros_and_empty_base(self):
+        x, y, zero = (ONE, ZERO), (ONE, ONE), (ZERO, ZERO)
+        assert extend_independent([], [zero, x, x, zero, y, y], 2) == [x, y]
+        two = (F(2), F(2))
+        assert extend_independent([x], [x, zero, two, y], 2) == [two]
+        assert extend_independent([x, y], [x, y, zero], 2) == []
+        assert extend_independent([], [], 0) == []

@@ -100,6 +100,13 @@ class TestAxioms:
         assert not report["jacobi"]
         assert report["witnesses"]["jacobi"] == (0, 2, 3)
 
+    def test_antisymmetry_holds_by_construction(self):
+        L, _ = sl2_lambda_with_corrupted_e_z1()
+        report = check_axioms(L)
+        assert report["antisymmetry"] is True
+        assert report["witnesses"]["antisymmetry"] is None
+        assert list(report) == ["antisymmetry", "jacobi", "witnesses", "all_pass"]
+
     def test_builder_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
             build_sl2_lambda(0)
@@ -154,6 +161,17 @@ class TestSeries:
         L, _ = build_sl2()
         with pytest.raises(ValueError):
             lower_central_series(L, [unit_vector(3, 2)])  # e-span
+
+    def test_non_ideal_names_first_escape(self):
+        # [b2, b3] = b0 on span{b1, b2}: v = b1 is central, and for v = b2
+        # the brackets with b0, b1, b2 vanish, so the first escape is (3, b2)
+        L = LieAlgebra(4, ("b0", "b1", "b2", "b3"), {(2, 3): {0: 1}})
+        first = [unit_vector(4, 1), unit_vector(4, 2)]
+        with pytest.raises(ValueError) as exc:
+            lower_central_series(L, first)
+        assert str(exc.value) == (
+            f"input span is not an ideal: [b_3, v] escapes for v={first[1]}"
+        )
 
     def test_derived_series_of_solvable_span(self):
         L, levi = build_sl2_lambda(2)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trilie.exact import RatMatrix
+from trilie.exact import RatMatrix, invert, nullspace_basis
 from trilie.sl2theory import (
     build_irreducible,
     is_irreducible,
+    is_weight_string,
     tensor_multiplicity,
     weight_decomposition,
 )
@@ -109,6 +112,87 @@ class TestIrreducibility:
         m = build_irreducible(1)
         with pytest.raises(ValueError):
             is_irreducible(m.f_mat, m.h_mat.scale(2), m.e_mat)
+
+
+def scanned_weight_string(h, e):
+    """The predicate is_weight_string replaces: a full Gershgorin weight
+    scan compared with the expected string, then the e-kernel."""
+    d = h.rows
+    try:
+        weights = weight_decomposition(h)
+    except ValueError:
+        return False
+    expected = {d - 1 - 2 * i: 1 for i in range(d)}
+    return weights == expected and len(nullspace_basis(e)) == 1
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=2)
+
+
+def square(n):
+    return st.lists(small, min_size=n * n, max_size=n * n).map(
+        lambda d: RatMatrix(n, n, d)
+    )
+
+
+@st.composite
+def sums_of_irreducibles(draw):
+    """(h, e) of V_a, or of V_a + V_b, with dims a+1, b+1 <= 4; optionally
+    moved to a non-diagonal basis by P = I + c E_ij, or with e replaced by
+    a random matrix."""
+    mods = [build_irreducible(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        mods.append(build_irreducible(draw(st.integers(0, 3))))
+    _, h, e = direct_sum(*mods)
+    n = h.rows
+    if n > 1 and draw(st.booleans()):
+        # an elementary P keeps the Gershgorin bound, and the scan, small
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        p = RatMatrix.from_blocks(n, n, [
+            (0, 0, RatMatrix.identity(n)),
+            (i, j, RatMatrix(1, 1, [draw(st.sampled_from((-1, 1, 2)))])),
+        ])
+        p_inv = invert(p)
+        h, e = p_inv @ h @ p, p_inv @ e @ p
+    if draw(st.booleans()):
+        e = draw(square(n))
+    return h, e
+
+
+@st.composite
+def random_actions(draw):
+    """Small random (h, e): h diagonal with integer or half-integer
+    entries, or a full random matrix; e random or an sl2 string's e."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        h = RatMatrix.diagonal(draw(st.lists(small, min_size=n, max_size=n)))
+    else:
+        h = draw(square(n))
+    if n and draw(st.booleans()):
+        e = build_irreducible(n - 1).e_mat
+    else:
+        e = draw(square(n))
+    return h, e
+
+
+class TestWeightString:
+    @given(sums_of_irreducibles())
+    @settings(max_examples=60, deadline=None)
+    def test_sums_of_irreducibles_match_weight_scan(self, he):
+        h, e = he
+        assert is_weight_string(h, e) == scanned_weight_string(h, e)
+
+    @given(random_actions())
+    @settings(max_examples=60, deadline=None)
+    def test_random_actions_match_weight_scan(self, he):
+        h, e = he
+        assert is_weight_string(h, e) == scanned_weight_string(h, e)
+
+    def test_zero_space_is_no_string(self):
+        zero = RatMatrix.zeros(0, 0)
+        assert not is_weight_string(zero, zero)
+        assert not scanned_weight_string(zero, zero)
 
 
 class TestTensorMultiplicity:
