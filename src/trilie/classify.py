@@ -11,10 +11,14 @@ makes the constraints on it linear:
 Every remaining generator is forced: Z_{j+1} = F_m Z_j - Z_j F_n, and
 Z_{Λ+1} = 0 comes out of the computation rather than being imposed.
 Solving one exact nullspace per (n, m) cell therefore classifies all
-candidate modules independently of the family formulas; the two are
-compared by testing the family's z_0 block for membership in the
-solution span. Tensor-product multiplicities provide a second,
-character-theoretic prediction of each cell's dimension.
+candidate modules independently of the family formulas. h acts
+diagonally, so the first equation confines Z_0 to the weight-matched
+cells (t, i) with m - 2t = Λ + n - 2i, and the solve runs on those
+cells only: at most min(n, m) + 1 unknowns in place of (n+1)(m+1).
+The family is compared by testing its z_0 block, read straight from
+the z-rules, for membership in the solution span. Tensor-product
+multiplicities provide a second, character-theoretic prediction of
+each cell's dimension.
 """
 
 from __future__ import annotations
@@ -24,18 +28,18 @@ from fractions import Fraction
 
 from .exact import (
     ONE,
+    ZERO,
     RatMatrix,
     columns_matrix,
     nullspace_basis,
     rat_str,
     solve,
-    sylvester_system,
 )
 from .family import (
     ModuleParams,
-    build_family_module,
     enumerate_params,
     two_block_representation,
+    z_blocks,
 )
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import build_irreducible, tensor_multiplicity
@@ -77,10 +81,16 @@ class SolutionSpace:
             return True, Fraction(0)
         if not self.basis:
             return False, None
+        # entries zero in the block and in every basis matrix give 0 = 0
+        rows = [
+            q
+            for q, x in enumerate(block.data)
+            if x != 0 or any(b.data[q] != 0 for b in self.basis)
+        ]
         stacked = columns_matrix(
-            [b.data for b in self.basis], block.rows * block.cols
+            [[b.data[q] for q in rows] for b in self.basis], len(rows)
         )
-        coeffs = solve(stacked, block.data)
+        coeffs = solve(stacked, [block.data[q] for q in rows])
         if coeffs is None:
             return False, None
         return True, coeffs[0] if len(coeffs) == 1 else None
@@ -95,22 +105,41 @@ def _residual(p: ExtensionProblem, z0: RatMatrix) -> tuple[RatMatrix, RatMatrix]
 
 
 def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
-    """Exact basis of the highest-weight-Λ intertwiner space."""
-    u = build_irreducible(p.n)
-    w = build_irreducible(p.m)
-    unknowns = (p.n + 1) * (p.m + 1)
-    shifted_h = w.h_mat - RatMatrix.identity(p.m + 1).scale(p.lam)
-    system = RatMatrix.from_blocks(
-        2 * unknowns,
-        unknowns,
-        [
-            (0, 0, sylvester_system(shifted_h, u.h_mat)),
-            (unknowns, 0, sylvester_system(w.e_mat, u.e_mat)),
-        ],
-    )
-    basis = [
-        RatMatrix(p.m + 1, p.n + 1, list(v)) for v in nullspace_basis(system)
+    """Exact basis of the highest-weight-Λ intertwiner space.
+
+    h is diagonal, so the h-equation leaves Z_0 free only on the
+    weight-matched cells (t, i), m - 2t = Λ + n - 2i, and the e-equation
+
+        (E_m Z - Z E_n)[a][b] = (a+1)(m-a) Z[a+1][b] - b(n-b+1) Z[a][b-1]
+
+    is written on those cells alone. The kernel of the small system,
+    embedded back, is the dense system's kernel with its columns in the
+    same (row-major) order, so the rref basis is the dense one."""
+    lam, n, m = p.lam, p.n, p.m
+    cells = [
+        (t, i)
+        for t in range(m + 1)
+        for i in range(n + 1)
+        if (m - 2 * t) - (n - 2 * i) == lam
     ]
+    column = {cell: k for k, cell in enumerate(cells)}
+    # the e-equation rows that touch a matched cell (t, i): (t-1, i), (t, i+1)
+    rows = sorted(
+        {(t - 1, i) for t, i in cells if t >= 1}
+        | {(t, i + 1) for t, i in cells if i < n}
+    )
+    data = [ZERO] * (len(rows) * len(cells))
+    for r, (a, b) in enumerate(rows):
+        if (a + 1, b) in column:
+            data[r * len(cells) + column[a + 1, b]] = (a + 1) * (m - a)
+        if (a, b - 1) in column:
+            data[r * len(cells) + column[a, b - 1]] = -b * (n - b + 1)
+    basis = []
+    for v in nullspace_basis(RatMatrix(len(rows), len(cells), data)):
+        block = [ZERO] * ((m + 1) * (n + 1))
+        for (t, i), x in zip(cells, v):
+            block[t * (n + 1) + i] = x
+        basis.append(RatMatrix(m + 1, n + 1, block))
     return SolutionSpace(p, tuple(basis))
 
 
@@ -171,8 +200,7 @@ def match_family(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    module = build_family_module(params)
-    block = module.z_block(0)
+    block = z_blocks(params)[0][0]
     member, scalar = space.contains(block)
     return {"member": member, "scalar": scalar, "block_is_zero": block.is_zero()}
 

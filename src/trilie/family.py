@@ -144,17 +144,14 @@ def _z_rule_assignments(p: ModuleParams) -> dict[tuple[int, int], list]:
                 record(j, i, _RULE_MIDDLE, {})
                 continue
             coeff = ZERO
-            for k in range(theta + 1):
-                sign = -ONE if (j - k) % 2 else ONE
-                coeff += (
-                    sign
+            # binomial(j, k) vanishes past k = j
+            for k in range(min(theta, j) + 1):
+                coeff += Fraction(
+                    (-1) ** (j - k)
                     * binomial(j, k)
-                    * Fraction(
-                        factorial(m - big_n - theta + k),
-                        factorial(big_n + theta - k) * factorial(m),
-                    )
-                    * p.a_scalar(theta - k)
-                )
+                    * factorial(m - big_n - theta + k),
+                    factorial(big_n + theta - k) * factorial(m),
+                ) * p.a_scalar(theta - k)
             record(j, i, _RULE_MIDDLE, {target: coeff} if coeff != 0 else {})
 
     for theta in range(1, lam + 1):
@@ -171,16 +168,12 @@ def _z_rule_assignments(p: ModuleParams) -> dict[tuple[int, int], list]:
                 a_idx = n - s - k
                 if a_idx < 0:
                     continue
-                sign = -ONE if (j - theta - k) % 2 else ONE
-                coeff += (
-                    sign
+                coeff += Fraction(
+                    (-1) ** (j - theta - k)
                     * binomial(j, theta + k)
-                    * Fraction(
-                        factorial(m - big_n - n + s + k),
-                        factorial(big_n + n - s - k) * factorial(m),
-                    )
-                    * p.a_scalar(a_idx)
-                )
+                    * factorial(m - big_n - n + s + k),
+                    factorial(big_n + n - s - k) * factorial(m),
+                ) * p.a_scalar(a_idx)
             record(j, i, _RULE_TAIL, {target: coeff} if coeff != 0 else {})
 
     return cells
@@ -203,10 +196,10 @@ def two_block_representation(
     lam: int,
     u_triple: tuple[RatMatrix, RatMatrix, RatMatrix],
     w_triple: tuple[RatMatrix, RatMatrix, RatMatrix],
-    z_blocks: Sequence[RatMatrix],
+    z_mats: Sequence[RatMatrix],
 ) -> Representation:
     """sl2^Λ on V_0 ⊕ V_1 with the (f, h, e) triples acting on each
-    component and z_j acting by the block z_blocks[j]: V_0 → V_1."""
+    component and z_j acting by the block z_mats[j]: V_0 → V_1."""
     algebra, levi = build_sl2_lambda(lam)
     n1, m1 = u_triple[0].rows, w_triple[0].rows
     total = n1 + m1
@@ -214,11 +207,14 @@ def two_block_representation(
         RatMatrix.from_blocks(total, total, [(0, 0, u_mat), (n1, n1, w_mat)])
         for u_mat, w_mat in zip(u_triple, w_triple)
     ]
-    images += [RatMatrix.from_blocks(total, total, [(n1, 0, z)]) for z in z_blocks]
+    images += [RatMatrix.from_blocks(total, total, [(n1, 0, z)]) for z in z_mats]
     return Representation(algebra, levi, GradedSpace((n1, m1)), tuple(images))
 
 
-def build_family_module(p: ModuleParams, paper_literal: bool = False) -> FamilyModule:
+def z_blocks(p: ModuleParams) -> tuple[list[RatMatrix], tuple, tuple]:
+    """The (m+1) x (n+1) blocks z_0 … z_Λ read off the z-rule table,
+    with the rule conflicts and the uncovered (j, i) cells. Where rules
+    conflict the first recorded value is kept; the conflict is reported."""
     ok, problems = validate_params(p)
     if not ok:
         raise ValueError("; ".join(problems))
@@ -249,16 +245,19 @@ def build_family_module(p: ModuleParams, paper_literal: bool = False) -> FamilyM
                     break
             for w_idx, c in first.items():
                 z_data[j][w_idx * (n + 1) + i] = c
+    blocks = [RatMatrix(m + 1, n + 1, data) for data in z_data]
+    return blocks, tuple(conflicts), tuple(uncovered)
 
+
+def build_family_module(p: ModuleParams, paper_literal: bool = False) -> FamilyModule:
+    blocks, conflicts, uncovered = z_blocks(p)
     rho = two_block_representation(
-        lam,
-        string_action(n, n),
-        string_action(m, n if paper_literal else m),
-        [RatMatrix(m + 1, n + 1, data) for data in z_data],
+        p.lam,
+        string_action(p.n, p.n),
+        string_action(p.m, p.n if paper_literal else p.m),
+        blocks,
     )
-    return FamilyModule(
-        p, rho, tuple(conflicts), tuple(uncovered), paper_literal
-    )
+    return FamilyModule(p, rho, conflicts, uncovered, paper_literal)
 
 
 def weight_compatibility(module: FamilyModule) -> tuple[bool, tuple | None]:

@@ -9,6 +9,8 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from fractions import Fraction
 from typing import Any
 
@@ -99,6 +101,9 @@ def representation_to_json(rho: Representation, extra: dict | None = None) -> di
 def representation_from_json(doc: dict) -> Representation:
     algebra_doc = doc["algebra"]
     if isinstance(algebra_doc, str):
+        # a device or a pipe (/dev/zero) could be read without end
+        if not stat.S_ISREG(os.stat(algebra_doc).st_mode):
+            raise ValueError(f"algebra path {algebra_doc!r} is not a regular file")
         with open(algebra_doc) as fh:
             algebra_doc = json.load(fh)
     L, D = algebra_from_json(algebra_doc)

@@ -29,6 +29,7 @@ from .exact import (
     extend_independent,
     rank,
     rat,
+    rref,
     solve,
     span_basis,
     sylvester_system,
@@ -54,6 +55,9 @@ class LieAlgebra:
     ):
         if len(basis_labels) != dim:
             raise ValueError("label count does not match dim")
+        if len(set(basis_labels)) != dim:
+            # representations key their images by label
+            raise ValueError(f"duplicate basis labels in {list(basis_labels)}")
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -371,13 +375,6 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
     return report
 
 
-def _coords_in(vectors: Sequence[Vector], v: Vector, dim: int) -> Vector:
-    c = solve(columns_matrix(vectors, dim), v)
-    if c is None:
-        raise RuntimeError("vector not in claimed span")
-    return c
-
-
 def _levi_invariant_section(
     L: LieAlgebra, levi: Sequence[int], cur: list[Vector], sub: list[Vector]
 ) -> list[Vector]:
@@ -396,13 +393,19 @@ def _levi_invariant_section(
         return []
     adapted = sub + ext
     r, c = len(sub), len(ext)
+    k = r + c
+    # one elimination of [adapted | ad(s)(adapted) for every s]: adapted
+    # is independent, so its columns are the first k pivots and each
+    # image's reduced column holds its coordinates
+    images = [
+        bracket(L, unit_vector(L.dim, s), v) for s in levi for v in adapted
+    ]
+    reduced, pivots = rref(columns_matrix(adapted + images, L.dim))
+    if len(pivots) > k:
+        raise RuntimeError("vector not in claimed span")
     systems, rhs = [], []
-    for s in levi:
-        s_vec = unit_vector(L.dim, s)
-        coords = [
-            _coords_in(adapted, bracket(L, s_vec, v), L.dim) for v in adapted
-        ]
-        m = columns_matrix(coords, len(adapted))
+    for idx in range(len(levi)):
+        m = reduced.submatrix(range(k), range(k * (idx + 1), k * (idx + 2)))
         for q in range(r):
             for p in range(r, r + c):
                 assert m[p, q] == 0, "ad(levi) must preserve the deeper layer"

@@ -7,6 +7,7 @@ cannot silently agree with itself.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,54 @@ def brute_sylvester(a: list[list[Fraction]], c: list[list[Fraction]],
     ]
 
 
+def brute_z_blocks(lam: int, m: int, n: int, s: int, big_n: int,
+                   a: tuple) -> list[list[list[Fraction]]]:
+    """z_0 … z_Λ as plain (m+1) x (n+1) lists from the three printed
+    rules, each sum taken over its whole printed range; where two rules
+    cover one (j, i) the first (zero range, middle, tail) is kept."""
+
+    def a_(idx):
+        if idx == 0:
+            return Fraction(1)
+        return a[idx - 1] if 1 <= idx <= n - s else Fraction(0)
+
+    def term(sign_exp, binom, top, bottom, scalar):
+        return Fraction(
+            (-1 if sign_exp % 2 else 1) * binom * math.factorial(top),
+            math.factorial(bottom) * math.factorial(m),
+        ) * scalar
+
+    z = [[[Fraction(0)] * (n + 1) for _ in range(m + 1)] for _ in range(lam + 1)]
+    covered = {(j, i) for j in range(lam + 1) for i in range(n + 1) if s - 1 >= i + j}
+    for theta in range(n - s + 1):
+        for j in range(min(s + theta, lam) + 1):
+            i = s - j + theta
+            if (j, i) in covered or not 0 <= i <= n:
+                continue
+            covered.add((j, i))
+            if theta + big_n <= m:
+                z[j][theta + big_n][i] = sum(
+                    term(j - k, math.comb(j, k), m - big_n - theta + k,
+                         big_n + theta - k, a_(theta - k))
+                    for k in range(theta + 1)
+                )
+    for theta in range(1, lam + 1):
+        for j in range(theta, lam + 1):
+            i = n - j + theta
+            if (j, i) in covered or not 0 <= i <= n:
+                continue
+            covered.add((j, i))
+            if n - s + theta + big_n <= m:
+                z[j][n - s + theta + big_n][i] = sum(
+                    term(j - theta - k, math.comb(j, theta + k),
+                         m - big_n - n + s + k, big_n + n - s - k,
+                         a_(n - s - k))
+                    for k in range(j - theta + 1)
+                    if n - s - k >= 0
+                )
+    return z
+
+
 def brute_fill_blocks(rows: int, cols: int, blocks) -> list[list[Fraction]]:
     """Plain-list matrix filled entry by entry from (r0, c0, block rows)."""
     out = [[Fraction(0)] * cols for _ in range(rows)]
@@ -86,12 +135,12 @@ def brute_fill_blocks(rows: int, cols: int, blocks) -> list[list[Fraction]]:
     return out
 
 
-def brute_rank(rows: list[list[Fraction]]) -> int:
-    """Plain-list Gauss-Jordan rank over Fractions."""
+def _brute_reduce(rows: list[list[Fraction]], ncols: int):
+    """Plain-list Gauss-Jordan over Fractions: (reduced rows, pivot columns)."""
     rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
@@ -100,8 +149,58 @@ def brute_rank(rows: list[list[Fraction]]) -> int:
             if i != r and rows[i][c] != 0:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def brute_rank(rows: list[list[Fraction]]) -> int:
+    """Plain-list Gauss-Jordan rank over Fractions."""
+    return len(_brute_reduce(rows, len(rows[0]) if rows else 0)[1])
+
+
+def brute_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Kernel basis, one vector per free column in ascending order, with
+    a 1 at its free column and 0 at the other free columns."""
+    reduced, pivots = _brute_reduce(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][free] / reduced[r][pc]
+        basis.append(v)
+    return basis
+
+
+def brute_extension_basis(lam: int, n: int, m: int) -> list[list[Fraction]]:
+    """Kernel of the dense extension system H_m Z - Z H_n = lam Z,
+    E_m Z - Z E_n = 0 on all (m+1)(n+1) entries of Z, row-major, with
+    h·x_i = (d-2i)x_i and e·x_i = i(d-i+1)x_{i-1} on a string x_0 … x_d."""
+
+    def h(d):
+        return [[Fraction(d - 2 * i if i == j else 0) for j in range(d + 1)]
+                for i in range(d + 1)]
+
+    def e(d):
+        return [[Fraction(j * (d - j + 1) if i == j - 1 else 0)
+                 for j in range(d + 1)] for i in range(d + 1)]
+
+    def sylvester_rows(a, c, shift):
+        # row (p, q) of Z -> AZ - ZC - shift·Z over unknowns (t, r)
+        rows = []
+        for p in range(m + 1):
+            for q in range(n + 1):
+                row = [Fraction(0)] * ((m + 1) * (n + 1))
+                for t in range(m + 1):
+                    row[t * (n + 1) + q] += a[p][t]
+                for r in range(n + 1):
+                    row[p * (n + 1) + r] -= c[r][q]
+                row[p * (n + 1) + q] -= shift
+                rows.append(row)
+        return rows
+
+    rows = sylvester_rows(h(m), h(n), lam) + sylvester_rows(e(m), e(n), 0)
+    return brute_nullspace(rows, (m + 1) * (n + 1))
 
 
 def brute_extend_independent(base: list, candidates: list) -> list:

@@ -1,7 +1,12 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trilie.classify as classify
+import trilie.family as family
 from trilie.classify import (
     ExtensionProblem,
     ModuleParams,
@@ -12,12 +17,13 @@ from trilie.classify import (
     valid_sn_tuples,
     z_tower,
 )
+from trilie.cli import run
 from trilie.exact import RatMatrix
 from trilie.family import build_family_module
 from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import tensor_multiplicity
 
-from helpers import clebsch_gordan_count
+from helpers import brute_extension_basis, clebsch_gordan_count
 
 F = Fraction
 
@@ -52,6 +58,68 @@ class TestSolutionSpaces:
         for n in range(4):
             for m in range(4):
                 assert solve_extensions(ExtensionProblem(1, n, m)).dimension <= 1
+
+
+class TestWeightBlockedSolver:
+    @pytest.mark.parametrize("lam", (1, 2, 3, 4))
+    def test_basis_matches_dense_oracle_on_acceptance_grid(self, lam):
+        for n in range(5):
+            for m in range(5):
+                basis = solve_extensions(ExtensionProblem(lam, n, m)).basis
+                assert all((b.rows, b.cols) == (m + 1, n + 1) for b in basis)
+                assert [b.data for b in basis] == brute_extension_basis(lam, n, m)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=0, max_value=14),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_basis_matches_dense_oracle(self, lam, n, m):
+        basis = solve_extensions(ExtensionProblem(lam, n, m)).basis
+        assert [b.data for b in basis] == brute_extension_basis(lam, n, m)
+
+    def test_solves_only_the_weight_matched_cells(self, monkeypatch):
+        lam, n, m = 1, 24, 25
+        real_nullspace = classify.nullspace_basis
+        widths = []
+
+        def bounded(a):
+            assert a.cols <= min(n, m) + 1, f"{a.rows}x{a.cols} system"
+            widths.append(a.cols)
+            return real_nullspace(a)
+
+        def forbidden(d):
+            raise AssertionError("solver built an sl2 module")
+
+        monkeypatch.setattr(classify, "nullspace_basis", bounded)
+        monkeypatch.setattr(classify, "build_irreducible", forbidden)
+        assert solve_extensions(ExtensionProblem(lam, n, m)).dimension == 1
+        assert widths
+
+
+class TestContains:
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.fractions(max_denominator=5),
+        st.integers(min_value=0, max_value=48),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_membership_and_scalar(self, lam, n, m, c, spot):
+        space = solve_extensions(ExtensionProblem(lam, n, m))
+        if space.dimension != 1:
+            return
+        base = space.basis[0]
+        assert space.contains(base.scale(c)) == (True, c)
+        zeros = [q for q, x in enumerate(base.data) if x == 0]
+        if not zeros:
+            return
+        data = list(base.data)
+        data[zeros[spot % len(zeros)]] = F(1)
+        outside = RatMatrix(base.rows, base.cols, data)
+        assert space.contains(outside) == (False, None)
 
 
 class TestTower:
@@ -133,6 +201,35 @@ class TestFamilyMatching:
         space = solve_extensions(problem)
         with pytest.raises(ValueError):
             match_family(problem, space, ModuleParams(1, 1, 0, 0, 0))
+
+
+class TestMatchFamilyReadsZRules:
+    def test_no_module_or_algebra_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("match_family built a module")
+
+        monkeypatch.setattr(family, "build_sl2_lambda", forbidden)
+        monkeypatch.setattr(family, "two_block_representation", forbidden)
+        problem = ExtensionProblem(1, 1, 2)
+        verdict = match_family(
+            problem, solve_extensions(problem), ModuleParams(1, 2, 1, 0, 0, (F(1),))
+        )
+        assert verdict["member"]
+
+
+# sha256 of `trilie classify` stdout before the solver was weight-blocked
+@pytest.mark.parametrize(
+    "lam,box,digest",
+    [
+        ("2", "12", "9b4cd4c9470e07a267076e093f85b1408ddc0168a693a320bda15df8764b80e3"),
+        ("4", "10", "2081dd72c040d2110130f74c3d5292bd310178a8b8553aa4010ea1ada8aae737"),
+    ],
+)
+def test_classify_output_matches_golden_digest(capsys, lam, box, digest):
+    code = run(["classify", "--lambda", lam, "--max-n", box, "--max-m", box])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReport:

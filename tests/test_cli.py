@@ -4,8 +4,11 @@ Each test drives `run()` directly with an argv list; stdin is swapped
 via monkeypatch for the `-` input paths so pipes behave like the shell.
 """
 
+import builtins
 import io
 import json
+import os
+import time
 
 import pytest
 
@@ -274,6 +277,35 @@ def test_verify_rejects_missing_algebra_file(capsys, monkeypatch, tmp_path):
     doc = json.loads(out)
     doc["algebra"] = str(tmp_path / "missing.json")
     _assert_input_error(capsys, monkeypatch, ["verify", "-"], doc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_verify_rejects_algebra_path_to_a_device(capsys, monkeypatch):
+    # /dev/zero never ends: only a regular file may be read
+    real_open = builtins.open
+
+    def guarded(path, *args, **kwargs):
+        assert path != "/dev/zero", "opened /dev/zero"
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded)
+    _, out, _ = _run(capsys, "gen family --lambda 1 --m 2 --n 1 --s 0 --bigN 0 --a 1".split())
+    doc = json.loads(out)
+    doc["algebra"] = "/dev/zero"
+    t0 = time.monotonic()
+    _assert_input_error(capsys, monkeypatch, ["verify", "-"], doc)
+    assert time.monotonic() - t0 < 2
+
+
+@pytest.mark.parametrize("verb", ["check", "verify"])
+def test_duplicate_basis_labels_exit_2(capsys, monkeypatch, verb):
+    # images are keyed by label, so ["a", "a"] would give both basis
+    # elements the one image
+    algebra = {"dim": 2, "labels": ["a", "a"], "brackets": [], "levi": [],
+               "radical": [], "nilradical": []}
+    doc = algebra if verb == "check" else {
+        "algebra": algebra, "dims": [1], "images": {"a": [["0"]]}}
+    _assert_input_error(capsys, monkeypatch, [verb, "-"], doc)
 
 
 def test_verify_paper_literal_rejects_broken_constraint(capsys, monkeypatch):

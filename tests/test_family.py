@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trilie.exact import RatMatrix, commutator, unit_vector
 from trilie.family import (
@@ -11,8 +13,11 @@ from trilie.family import (
     validate_params,
     verify_family,
     weight_compatibility,
+    z_blocks,
 )
 from trilie.rep import conjugate_levi_check, verify_homomorphism
+
+from helpers import brute_z_blocks
 
 F = Fraction
 
@@ -110,6 +115,35 @@ class TestActionCoefficients:
     def test_rules_cover_every_cell_without_conflict(self, module):
         assert module.conflicts == ()
         assert module.uncovered == ()
+
+
+class TestZBlocks:
+    @given(
+        st.sampled_from(
+            [(lam,) + t for lam in (1, 2, 3) for t in enumerate_params(lam, 7, 6)]
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_printed_rules(self, tpl, data):
+        lam, m, n, s, big_n = tpl
+        a = tuple(
+            data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+            for _ in range(n - s)
+        )
+        blocks, _, _ = z_blocks(params(lam, m, n, s, big_n, a))
+        assert [b.to_lists() for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
+
+    def test_module_is_built_from_the_blocks(self):
+        p = params(2, 3, 3, 2, 1, (F(2, 3),))
+        blocks, conflicts, uncovered = z_blocks(p)
+        module = build_family_module(p)
+        assert [module.z_block(j) for j in range(p.lam + 1)] == blocks
+        assert (module.conflicts, module.uncovered) == (conflicts, uncovered)
+
+    def test_rejects_invalid_params(self):
+        with pytest.raises(ValueError):
+            z_blocks(params(1, 0, 0, 0, 0))
 
 
 class TestStraightModule:

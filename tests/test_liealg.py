@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import trilie.liealg as liealg
 from trilie.exact import unit_vector, vec_is_zero
 from trilie.liealg import (
     LeviData,
@@ -33,6 +34,18 @@ def central_extension_of_sl2():
     structure = dict(L_sl2.structure)
     L = LieAlgebra(4, ("f", "h", "e", "c"), structure)
     return L, LeviData((0, 1, 2), (3,), (3,))
+
+
+def sl2_heisenberg_skewed():
+    """sl2 ⋉ Heisenberg: x0, x1 a doublet with [x0, x1] = c central, in
+    the basis f, h, e, x0 + c, x1, c, where x0 + c spans no invariant line."""
+    structure = {
+        (0, 1): {0: 2}, (0, 2): {1: -1}, (1, 2): {2: 2},
+        (0, 3): {4: 1}, (1, 3): {3: 1, 5: -1}, (1, 4): {4: -1},
+        (2, 4): {3: 1, 5: -1}, (3, 4): {5: 1},
+    }
+    L = LieAlgebra(6, ("f", "h", "e", "b3", "b4", "c"), structure)
+    return L, LeviData((0, 1, 2), (3, 4, 5), (3, 4, 5))
 
 
 class TestBracket:
@@ -106,6 +119,10 @@ class TestAxioms:
         assert report["antisymmetry"] is True
         assert report["witnesses"]["antisymmetry"] is None
         assert list(report) == ["antisymmetry", "jacobi", "witnesses", "all_pass"]
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            LieAlgebra(2, ("a", "a"), {})
 
     def test_builder_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -200,6 +217,28 @@ class TestAdjointGrading:
         g = adjoint_grading(L, levi)
         assert g.degree_of_basis[3] == 1
         assert len(g.component_bases) == 2
+
+    def test_two_step_nilradical_section_in_one_solve(self, monkeypatch):
+        L, levi = sl2_heisenberg_skewed()
+        assert check_axioms(L)["all_pass"] and verify_levi_data(L, levi)["all_pass"]
+        solves = []
+        real_solve = liealg.solve
+
+        def counted(a, b):
+            solves.append((a.rows, a.cols))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(liealg, "solve", counted)
+        g = adjoint_grading(L, levi)
+        assert [g.degree_of_basis[i] for i in range(L.dim)] == [0, 0, 0, 1, 1, 2]
+        # the invariant section of N / [N, N] is x0 = b3 - c and x1 = b4
+        assert g.component_bases[1] == (
+            tuple(F(x) for x in (0, 0, 0, 1, 0, -1)),
+            unit_vector(L.dim, 4),
+        )
+        # coordinates come from one elimination; the one solve is the
+        # stacked Sylvester system of that section
+        assert solves == [(3 * 2, 2)]
 
     @pytest.mark.parametrize("lam", (1, 2, 3))
     def test_levi_invariance_of_sections(self, lam):
