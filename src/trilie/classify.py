@@ -28,9 +28,7 @@ from fractions import Fraction
 
 from .exact import (
     ONE,
-    ZERO,
     RatMatrix,
-    columns_matrix,
     nullspace_basis,
     rat_str,
     solve,
@@ -38,8 +36,8 @@ from .exact import (
 from .family import (
     ModuleParams,
     enumerate_params,
+    _z_blocks,
     two_block_representation,
-    z_blocks,
 )
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import build_irreducible, tensor_multiplicity
@@ -82,15 +80,14 @@ class SolutionSpace:
         if not self.basis:
             return False, None
         # entries zero in the block and in every basis matrix give 0 = 0
-        rows = [
-            q
-            for q, x in enumerate(block.data)
-            if x != 0 or any(b.data[q] != 0 for b in self.basis)
-        ]
-        stacked = columns_matrix(
-            [[b.data[q] for q in rows] for b in self.basis], len(rows)
+        cells = sorted(
+            {(t, i) for z in (block, *self.basis) for t, row in enumerate(z.maps) for i in row}
         )
-        coeffs = solve(stacked, [block.data[q] for q in rows])
+        stacked = RatMatrix._from_maps(len(cells), len(self.basis), [
+            {k: b.maps[t][i] for k, b in enumerate(self.basis) if i in b.maps[t]}
+            for t, i in cells
+        ])
+        coeffs = solve(stacked, [block[t, i] for t, i in cells])
         if coeffs is None:
             return False, None
         return True, coeffs[0] if len(coeffs) == 1 else None
@@ -128,18 +125,23 @@ def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
         {(t - 1, i) for t, i in cells if t >= 1}
         | {(t, i + 1) for t, i in cells if i < n}
     )
-    data = [ZERO] * (len(rows) * len(cells))
-    for r, (a, b) in enumerate(rows):
+    # on these rows 0 <= a < m and 1 <= b <= n wherever a term is written,
+    # so no coefficient is zero
+    system = []
+    for a, b in rows:
+        row = {}
         if (a + 1, b) in column:
-            data[r * len(cells) + column[a + 1, b]] = (a + 1) * (m - a)
+            row[column[a + 1, b]] = Fraction((a + 1) * (m - a))
         if (a, b - 1) in column:
-            data[r * len(cells) + column[a, b - 1]] = -b * (n - b + 1)
+            row[column[a, b - 1]] = Fraction(-b * (n - b + 1))
+        system.append(row)
     basis = []
-    for v in nullspace_basis(RatMatrix(len(rows), len(cells), data)):
-        block = [ZERO] * ((m + 1) * (n + 1))
+    for v in nullspace_basis(RatMatrix._from_maps(len(rows), len(cells), system)):
+        block: list[dict] = [{} for _ in range(m + 1)]
         for (t, i), x in zip(cells, v):
-            block[t * (n + 1) + i] = x
-        basis.append(RatMatrix(m + 1, n + 1, block))
+            if x:
+                block[t][i] = x
+        basis.append(RatMatrix._from_maps(m + 1, n + 1, block))
     return SolutionSpace(p, tuple(basis))
 
 
@@ -200,7 +202,7 @@ def match_family(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    block = z_blocks(params)[0][0]
+    block = _z_blocks(params, 0)[0][0]
     member, scalar = space.contains(block)
     return {"member": member, "scalar": scalar, "block_is_zero": block.is_zero()}
 

@@ -12,6 +12,7 @@ pass, 1 a verification check failed (the report is still written),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,7 +226,10 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on first use, since parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trilie",
         description="exact graded Lie representation toolkit",

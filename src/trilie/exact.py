@@ -1,9 +1,11 @@
-"""Exact rational scalars and dense exact linear algebra.
+"""Exact rational scalars and sparse exact linear algebra.
 
 Everything downstream runs on `fractions.Fraction`: results are exact,
 equality tests are exact, and there is deliberately no floating-point
-path. Matrices are small and dense; elimination is fraction-free over
-integer-cleared rows, with pivots normalized to 1 only at the end.
+path. Matrices store one {column: nonzero entry} map per row, since
+triangular representations are mostly zero; arithmetic touches only
+the nonzero entries. Elimination is fraction-free over integer-cleared
+rows, with pivots normalized to 1 only at the end.
 """
 
 from __future__ import annotations
@@ -94,13 +96,18 @@ def vec_is_zero(x: Vector) -> bool:
 
 
 class RatMatrix:
-    """Dense matrix of Fractions, stored row-major.
+    """Sparse matrix of Fractions: one {column: nonzero Fraction} map per
+    row, in `maps`.
 
-    Instances are treated as immutable; all operations return new
-    matrices. Zero-row and zero-column shapes are allowed.
+    The maps never hold a zero, so equality is map equality and every
+    operation costs time in the number of nonzero entries, not in the
+    shape. Instances are treated as immutable (row maps are never
+    changed after construction); all operations return new matrices.
+    Zero-row and zero-column shapes are allowed. `data` is a dense
+    row-major copy, for callers that want plain entries.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "maps")
 
     def __init__(self, rows: int, cols: int, data: Sequence):
         if rows < 0 or cols < 0:
@@ -112,67 +119,101 @@ class RatMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.maps = [
+            {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x}
+            for i in range(rows)
+        ]
+
+    @classmethod
+    def _from_maps(cls, rows: int, cols: int, maps: list[dict]) -> "RatMatrix":
+        """Trusted constructor: `maps` must be `rows` dicts whose keys lie
+        in range(cols) and whose values are nonzero Fractions; nothing is
+        coerced or checked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.maps = maps
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
+        """Matrix from a list of rows, each entry coerced by rat(); the
+        literal "0" that fills JSON artifacts is skipped unparsed."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        flat = []
+        if any(len(r) != ncols for r in rows):
+            raise ShapeError("ragged rows")
+        maps = []
         for r in rows:
-            if len(r) != ncols:
-                raise ShapeError("ragged rows")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
+            row = {}
+            for j, x in enumerate(r):
+                if x != "0":
+                    x = rat(x)
+                    if x:
+                        row[j] = x
+            maps.append(row)
+        return cls._from_maps(nrows, ncols, maps)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative matrix shape {rows}x{cols}")
+        return cls._from_maps(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        data = [ZERO] * (n * n)
-        for i in range(n):
-            data[i * n + i] = ONE
-        return cls(n, n, data)
+        if n < 0:
+            raise ShapeError(f"negative matrix shape {n}x{n}")
+        return cls._from_maps(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RatMatrix":
         n = len(entries)
-        data = [ZERO] * (n * n)
-        for i, x in enumerate(entries):
-            data[i * n + i] = rat(x)
-        return cls(n, n, data)
+        diag = [rat(x) for x in entries]
+        return cls._from_maps(n, n, [{i: x} if x else {} for i, x in enumerate(diag)])
 
     @classmethod
     def from_blocks(cls, rows: int, cols: int, blocks) -> "RatMatrix":
         """rows x cols matrix, zero except for each (r0, c0, block) placed
         with its top-left entry at (r0, c0); later blocks overwrite."""
-        data = [ZERO] * (rows * cols)
+        maps: list[dict] = [{} for _ in range(rows)]
         for r0, c0, block in blocks:
             if min(r0, c0) < 0 or r0 + block.rows > rows or c0 + block.cols > cols:
                 raise ShapeError(
                     f"{block.rows}x{block.cols} block at ({r0}, {c0}) "
                     f"overflows {rows}x{cols}"
                 )
-            for i in range(block.rows):
-                start = (r0 + i) * cols + c0
-                data[start : start + block.cols] = block.data[
-                    i * block.cols : (i + 1) * block.cols
-                ]
-        return cls(rows, cols, data)
+            c1 = c0 + block.cols
+            for i, src in enumerate(block.maps):
+                old = maps[r0 + i]
+                row = {j: x for j, x in old.items() if not c0 <= j < c1} if old else {}
+                for j, x in src.items():
+                    row[c0 + j] = x
+                maps[r0 + i] = row
+        return cls._from_maps(rows, cols, maps)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
-        return self.data[i * self.cols + j]
+        return self.maps[i].get(j, ZERO)
+
+    @property
+    def data(self) -> list[Fraction]:
+        """Dense row-major copy of the entries."""
+        out = [ZERO] * (self.rows * self.cols)
+        for i, row in enumerate(self.maps):
+            base = i * self.cols
+            for j, x in row.items():
+                out[base + j] = x
+        return out
 
     def row(self, i: int) -> Vector:
-        return tuple(self.data[i * self.cols : (i + 1) * self.cols])
+        row = self.maps[i]
+        return tuple(row.get(j, ZERO) for j in range(self.cols))
 
     def col(self, j: int) -> Vector:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        return tuple(row.get(j, ZERO) for row in self.maps)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -183,7 +224,7 @@ class RatMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.maps == other.maps
         )
 
     __hash__ = None
@@ -195,75 +236,92 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self.maps)
+
+    def _combine(self, other: "RatMatrix", sign: int, op: str) -> "RatMatrix":
+        # self + sign * other, row map by row map; rows that other leaves
+        # empty are shared, not copied
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ShapeError(
+                f"{op} shape mismatch {self.rows}x{self.cols} vs "
+                f"{other.rows}x{other.cols}"
+            )
+        maps = []
+        for a, b in zip(self.maps, other.maps):
+            if not b:
+                maps.append(a)
+                continue
+            row = dict(a)
+            for j, x in b.items():
+                y = row.pop(j, ZERO) + x if sign > 0 else row.pop(j, ZERO) - x
+                if y:
+                    row[j] = y
+            maps.append(row)
+        return RatMatrix._from_maps(self.rows, self.cols, maps)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"add shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return RatMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)]
-        )
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"sub shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-        return RatMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)]
-        )
+        return self._combine(other, -1, "sub")
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [-a for a in self.data])
+        return RatMatrix._from_maps(
+            self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self.maps]
+        )
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix(self.rows, self.cols, [c * a for a in self.data])
+        if not c:
+            return RatMatrix.zeros(self.rows, self.cols)
+        return RatMatrix._from_maps(
+            self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self.maps]
+        )
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeError(
                 f"matmul shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        n, m, p = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * p)
-        a, b = self.data, other.data
-        for i in range(n):
-            for k in range(m):
-                aik = a[i * m + k]
-                if aik == 0:
-                    continue
-                off = k * p
-                base = i * p
-                for j in range(p):
-                    bkj = b[off + j]
-                    if bkj != 0:
-                        out[base + j] += aik * bkj
-        return RatMatrix(n, p, out)
+        b = other.maps
+        maps = []
+        for arow in self.maps:
+            acc: dict[int, Fraction] = {}
+            for k, x in arow.items():
+                for j, y in b[k].items():
+                    acc[j] = acc.get(j, ZERO) + x * y
+            maps.append({j: v for j, v in acc.items() if v})
+        return RatMatrix._from_maps(self.rows, other.cols, maps)
 
     def apply(self, x: Vector) -> Vector:
         if len(x) != self.cols:
             raise ShapeError("vector length does not match matrix columns")
-        out = [ZERO] * self.rows
-        for j, xj in enumerate(x):
-            if xj == 0:
-                continue
-            for i in range(self.rows):
-                aij = self.data[i * self.cols + j]
-                if aij != 0:
-                    out[i] += aij * xj
-        return tuple(out)
+        return tuple(
+            sum((a * x[j] for j, a in row.items()), ZERO) for row in self.maps
+        )
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ShapeError("trace of a non-square matrix")
-        return sum((self[i, i] for i in range(self.rows)), ZERO)
+        return sum((row.get(i, ZERO) for i, row in enumerate(self.maps)), ZERO)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "RatMatrix":
-        data = [self[i, j] for i in row_indices for j in col_indices]
-        return RatMatrix(len(row_indices), len(col_indices), data)
+        for i in row_indices:
+            if not 0 <= i < self.rows:
+                raise IndexError(f"row {i} out of range")
+        for j in col_indices:
+            if not 0 <= j < self.cols:
+                raise IndexError(f"column {j} out of range")
+        rows = [self.maps[i] for i in row_indices]
+        if isinstance(col_indices, range) and col_indices.step == 1:
+            c0, c1 = col_indices.start, col_indices.stop
+            maps = [{j - c0: x for j, x in row.items() if c0 <= j < c1} for row in rows]
+        else:
+            maps = [
+                {q: row[j] for q, j in enumerate(col_indices) if j in row}
+                for row in rows
+            ]
+        return RatMatrix._from_maps(len(rows), len(col_indices), maps)
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -279,16 +337,20 @@ def sylvester_system(a: RatMatrix, c: RatMatrix) -> RatMatrix:
     if a.rows != a.cols or c.rows != c.cols:
         raise ShapeError("Sylvester system needs square matrices")
     r, k = a.rows, c.rows
-    n = r * k
-    data = [ZERO] * (n * n)
+    c_cols: list[list] = [[] for _ in range(k)]
+    for t, row in enumerate(c.maps):
+        for q, x in row.items():
+            c_cols[q].append((t, x))
+    maps = []
     for p in range(r):
         for q in range(k):
-            base = (p * k + q) * n
-            for t in range(r):
-                data[base + t * k + q] += a.data[p * r + t]
-            for t in range(k):
-                data[base + p * k + t] -= c.data[t * k + q]
-    return RatMatrix(n, n, data)
+            row = {t * k + q: x for t, x in a.maps[p].items()}
+            for t, x in c_cols[q]:
+                y = row.pop(p * k + t, ZERO) - x
+                if y:
+                    row[p * k + t] = y
+            maps.append(row)
+    return RatMatrix._from_maps(r * k, r * k, maps)
 
 
 def mat_power(a: RatMatrix, k: int) -> RatMatrix:
@@ -323,17 +385,20 @@ def _integer_rows(a: RatMatrix) -> list[list[int]]:
     # scale each row to a primitive integer vector (row scaling is a
     # legal row operation, so rank / rref / nullspace are unaffected)
     out = []
-    for i in range(a.rows):
-        row = a.row(i)
-        denom_lcm = 1
-        for x in row:
-            denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-        ints = [x.numerator * (denom_lcm // x.denominator) for x in row]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
+    for row in a.maps:
+        ints = [0] * a.cols
+        if row:
+            denom_lcm = 1
+            for x in row.values():
+                denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
+            g = 0
+            for j, x in row.items():
+                v = x.numerator * (denom_lcm // x.denominator)
+                ints[j] = v
+                g = math.gcd(g, v)
+            if g > 1:
+                for j in row:
+                    ints[j] //= g
         out.append(ints)
     return out
 
@@ -386,11 +451,9 @@ def rref(a: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             f = frows[r2][pc]
             if f != 0:
                 frows[r2] = [x - f * y for x, y in zip(frows[r2], frows[idx])]
-    data: list[Fraction] = []
-    for fr in frows:
-        data.extend(fr)
-    data.extend([ZERO] * ((a.rows - len(frows)) * a.cols))
-    return RatMatrix(a.rows, a.cols, data), tuple(pivots)
+    maps = [{j: x for j, x in enumerate(fr) if x} for fr in frows]
+    maps.extend({} for _ in range(a.rows - len(frows)))
+    return RatMatrix._from_maps(a.rows, a.cols, maps), tuple(pivots)
 
 
 def rank(a: RatMatrix) -> int:
@@ -419,12 +482,8 @@ def solve(a: RatMatrix, b: Sequence) -> Vector | None:
     b = vector(b)
     if len(b) != a.rows:
         raise ShapeError("right-hand side length does not match matrix rows")
-    data = []
-    for i in range(a.rows):
-        data.extend(a.row(i))
-        data.append(b[i])
-    aug = RatMatrix(a.rows, a.cols + 1, data)
-    reduced, pivots = rref(aug)
+    maps = [{**row, a.cols: x} if x else row for row, x in zip(a.maps, b)]
+    reduced, pivots = rref(RatMatrix._from_maps(a.rows, a.cols + 1, maps))
     if a.cols in pivots:
         return None
     x = [ZERO] * a.cols
@@ -437,11 +496,8 @@ def invert(a: RatMatrix) -> RatMatrix:
     if a.rows != a.cols:
         raise ShapeError("inverse of a non-square matrix")
     n = a.rows
-    data = []
-    for i in range(n):
-        data.extend(a.row(i))
-        data.extend(ONE if j == i else ZERO for j in range(n))
-    reduced, pivots = rref(RatMatrix(n, 2 * n, data))
+    maps = [{**row, n + i: ONE} for i, row in enumerate(a.maps)]
+    reduced, pivots = rref(RatMatrix._from_maps(n, 2 * n, maps))
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
     return reduced.submatrix(range(n), range(n, 2 * n))
@@ -449,13 +505,15 @@ def invert(a: RatMatrix) -> RatMatrix:
 
 def columns_matrix(vectors: Sequence[Vector], dim: int) -> RatMatrix:
     """dim x len(vectors) matrix whose columns are the given vectors."""
-    data = [ZERO] * (dim * len(vectors))
+    maps: list[dict] = [{} for _ in range(dim)]
     for j, v in enumerate(vectors):
         if len(v) != dim:
             raise ShapeError("vector length does not match dim")
         for i, x in enumerate(v):
-            data[i * len(vectors) + j] = x
-    return RatMatrix(dim, len(vectors), data)
+            x = rat(x)
+            if x:
+                maps[i][j] = x
+    return RatMatrix._from_maps(dim, len(vectors), maps)
 
 
 def span_basis(vectors: Sequence[Vector], dim: int) -> list[Vector]:

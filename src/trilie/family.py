@@ -116,8 +116,9 @@ _RULE_MIDDLE = "middle-sum"
 _RULE_TAIL = "tail-sum"
 
 
-def _z_rule_assignments(p: ModuleParams) -> dict[tuple[int, int], list]:
-    """Evaluate each displayed z-action rule on its own index range.
+def _z_rule_assignments(p: ModuleParams, last_j: int) -> dict[tuple[int, int], list]:
+    """Evaluate each displayed z-action rule on its own index range,
+    for z_0 … z_{last_j}.
 
     Returns (j, i) → list of (rule name, {w index: coefficient}); the
     basis conventions u_i = 0 outside 0..n and w_k = 0 outside 0..m are
@@ -129,13 +130,13 @@ def _z_rule_assignments(p: ModuleParams) -> dict[tuple[int, int], list]:
     def record(j: int, i: int, rule: str, value: dict[int, Fraction]):
         cells.setdefault((j, i), []).append((rule, value))
 
-    for j in range(lam + 1):
+    for j in range(last_j + 1):
         for i in range(n + 1):
             if s - 1 >= i + j:
                 record(j, i, _RULE_ZERO, {})
 
     for theta in range(n - s + 1):
-        for j in range(min(s + theta, lam) + 1):
+        for j in range(min(s + theta, last_j) + 1):
             i = s - j + theta
             if not 0 <= i <= n:
                 continue
@@ -155,7 +156,7 @@ def _z_rule_assignments(p: ModuleParams) -> dict[tuple[int, int], list]:
             record(j, i, _RULE_MIDDLE, {target: coeff} if coeff != 0 else {})
 
     for theta in range(1, lam + 1):
-        for j in range(theta, lam + 1):
+        for j in range(theta, last_j + 1):
             i = n - j + theta
             if not 0 <= i <= n:
                 continue
@@ -215,16 +216,21 @@ def z_blocks(p: ModuleParams) -> tuple[list[RatMatrix], tuple, tuple]:
     """The (m+1) x (n+1) blocks z_0 … z_Λ read off the z-rule table,
     with the rule conflicts and the uncovered (j, i) cells. Where rules
     conflict the first recorded value is kept; the conflict is reported."""
+    return _z_blocks(p, p.lam)
+
+
+def _z_blocks(p: ModuleParams, last_j: int) -> tuple[list[RatMatrix], tuple, tuple]:
+    # z_blocks restricted to z_0 … z_{last_j}
     ok, problems = validate_params(p)
     if not ok:
         raise ValueError("; ".join(problems))
-    lam, m, n = p.lam, p.m, p.n
+    m, n = p.m, p.n
 
-    cells = _z_rule_assignments(p)
+    cells = _z_rule_assignments(p, last_j)
     conflicts = []
     uncovered = []
-    z_data = [[ZERO] * ((m + 1) * (n + 1)) for _ in range(lam + 1)]
-    for j in range(lam + 1):
+    z_maps = [[{} for _ in range(m + 1)] for _ in range(last_j + 1)]
+    for j in range(last_j + 1):
         for i in range(n + 1):
             assigned = cells.get((j, i), [])
             if not assigned:
@@ -244,8 +250,8 @@ def z_blocks(p: ModuleParams) -> tuple[list[RatMatrix], tuple, tuple]:
                     )
                     break
             for w_idx, c in first.items():
-                z_data[j][w_idx * (n + 1) + i] = c
-    blocks = [RatMatrix(m + 1, n + 1, data) for data in z_data]
+                z_maps[j][w_idx][i] = c
+    blocks = [RatMatrix._from_maps(m + 1, n + 1, maps) for maps in z_maps]
     return blocks, tuple(conflicts), tuple(uncovered)
 
 

@@ -32,7 +32,7 @@ def matrix_from_json(rows: list[list[str]], shape: tuple[int, int] | None = None
     if not rows and shape is not None and shape[0] == 0:
         # a 0-row listing carries no column count; only `shape` does
         return RatMatrix.zeros(*shape)
-    m = RatMatrix.from_rows([[rat(x) for x in r] for r in rows])
+    m = RatMatrix.from_rows(rows)
     if shape is not None and (m.rows, m.cols) != shape:
         raise ValueError(f"matrix shape {m.rows}x{m.cols}, expected {shape}")
     return m

@@ -117,50 +117,76 @@ class GradingAssignment:
         return [v for comp in self.component_bases for v in comp]
 
 
+def _signed_table(L: LieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """[b_i, b_j] for every ordered pair with a nonzero bracket: the
+    stored i < j entries plus their negatives at (j, i)."""
+    table = dict(L.structure)
+    for (i, j), coeffs in L.structure.items():
+        table[j, i] = {k: -c for k, c in coeffs.items()}
+    return table
+
+
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the structure constants."""
     x = vector(x)
     y = vector(y)
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length does not match algebra dim")
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    structure = L.structure
     out = [ZERO] * L.dim
     for i, xi in enumerate(x):
-        if xi == 0:
+        if not xi:
             continue
-        for j, yj in enumerate(y):
-            if yj == 0 or i == j:
+        for j, yj in ys:
+            if i < j:
+                coeffs, w = structure.get((i, j)), xi * yj
+            elif i > j:
+                coeffs, w = structure.get((j, i)), -xi * yj
+            else:
                 continue
-            for k, c in enumerate(L.bracket_basis(i, j)):
-                if c != 0:
-                    out[k] += xi * yj * c
+            if coeffs:
+                for k, c in coeffs.items():
+                    out[k] += w * c
     return tuple(out)
 
 
 def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
-    """Matrix of ad(x): y ↦ [x, y] in the algebra's own basis."""
+    """Matrix of ad(x): y ↦ [x, y] in the algebra's own basis; column j
+    holds [x, b_j] = sum_i x_i [b_i, b_j]."""
     x = vector(x)
-    cols = [bracket(L, x, unit_vector(L.dim, j)) for j in range(L.dim)]
-    return columns_matrix(cols, L.dim)
+    if len(x) != L.dim:
+        raise ValueError("vector length does not match algebra dim")
+    table = _signed_table(L)
+    acc: list[dict] = [{} for _ in range(L.dim)]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j in range(L.dim):
+            for k, c in table.get((i, j), {}).items():
+                acc[k][j] = acc[k].get(j, ZERO) + xi * c
+    maps = [{j: v for j, v in row.items() if v} for row in acc]
+    return RatMatrix._from_maps(L.dim, L.dim, maps)
 
 
 def check_axioms(L: LieAlgebra) -> dict:
-    """Jacobi over all basis triples; the witness is the lexicographically
-    first violation. Antisymmetry is reported true with a None witness
-    without a check: brackets are stored for i < j only and [b_j, b_i]
-    is read back as -[b_i, b_j], so it holds by construction."""
+    """Jacobi over all basis triples, read off the structure constants:
+    [[b_a, b_b], b_c] = sum_p c_ab^p [b_p, b_c]. The witness is the
+    lexicographically first violation. Antisymmetry is reported true
+    with a None witness without a check: brackets are stored for i < j
+    only and [b_j, b_i] is read back as -[b_i, b_j], so it holds by
+    construction."""
+    table = _signed_table(L)
     jacobi_witness = None
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            bij = L.bracket_basis(i, j)
             for k in range(j + 1, L.dim):
-                total = vec_add(
-                    vec_add(
-                        bracket(L, bij, unit_vector(L.dim, k)),
-                        bracket(L, L.bracket_basis(j, k), unit_vector(L.dim, i)),
-                    ),
-                    bracket(L, L.bracket_basis(k, i), unit_vector(L.dim, j)),
-                )
-                if not vec_is_zero(total):
+                total: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for p, x in table.get((a, b), {}).items():
+                        for q, y in table.get((p, c), {}).items():
+                            total[q] = total.get(q, ZERO) + x * y
+                if any(total.values()):
                     jacobi_witness = (i, j, k)
                     break
             if jacobi_witness:
@@ -223,8 +249,8 @@ def _index_span_closed(L: LieAlgebra, indices: Sequence[int],
         for j in indices:
             if i >= j:
                 continue
-            for k, c in enumerate(L.bracket_basis(i, j)):
-                if c != 0 and k not in ambient_set:
+            for k in sorted(L.structure.get((i, j), {})):
+                if k not in ambient_set:
                     return False, (i, j, k)
     return True, None
 
@@ -233,8 +259,9 @@ def _is_ideal_indices(L: LieAlgebra, indices: Sequence[int]) -> tuple[bool, tupl
     idx_set = set(indices)
     for i in range(L.dim):
         for j in indices:
-            for k, c in enumerate(L.bracket_basis(i, j)):
-                if c != 0 and k not in idx_set:
+            pair = (min(i, j), max(i, j))
+            for k in sorted(L.structure.get(pair, {})):
+                if k not in idx_set:
                     return False, (i, j, k)
     return True, None
 
@@ -245,16 +272,16 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
     idx = list(indices)
     m = len(idx)
     pos = {g: p for p, g in enumerate(idx)}
+    table = _signed_table(L)
     ads = []
     for g in idx:
-        data = [ZERO] * (m * m)
+        maps: list[dict] = [{} for _ in range(m)]
         for q, g2 in enumerate(idx):
-            for k, c in enumerate(L.bracket_basis(g, g2)):
-                if c != 0:
-                    if k not in pos:
-                        return None
-                    data[pos[k] * m + q] = c
-        ads.append(RatMatrix(m, m, data))
+            for k, c in table.get((g, g2), {}).items():
+                if k not in pos:
+                    return None
+                maps[pos[k]][q] = c
+        ads.append(RatMatrix._from_maps(m, m, maps))
     return ads
 
 
@@ -412,7 +439,7 @@ def _levi_invariant_section(
         a = m.submatrix(range(r), range(r))
         cc = m.submatrix(range(r, r + c), range(r, r + c))
         systems.append(sylvester_system(a, cc))
-        rhs.extend(m.submatrix(range(r), range(r, r + c)).data)
+        rhs.extend(m[p, q] for p in range(r) for q in range(r, r + c))
     if r == 0:
         return list(ext)
     n = r * c

@@ -15,13 +15,13 @@ structure does not depend on the particular Levi factor chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
     RatMatrix,
     Vector,
     ZERO,
-    columns_matrix,
     exp_nilpotent,
     nullspace_basis,
     unit_vector,
@@ -66,10 +66,13 @@ class Representation:
         x = vector(x)
         if len(x) != self.algebra.dim:
             raise ValueError("coordinate length does not match algebra dim")
+        return self._combination({i: c for i, c in enumerate(x) if c})
+
+    def _combination(self, coeffs: dict[int, Fraction]) -> GradedMap:
+        # sum of coeffs[i] * rho(b_i) over the nonzero coefficients
         total = RatMatrix.zeros(self.space.total_dim, self.space.total_dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                total = total + self.images[i].matrix.scale(c)
+        for i, c in coeffs.items():
+            total = total + self.images[i].matrix.scale(c)
         return GradedMap(self.space, total)
 
 
@@ -78,7 +81,7 @@ def verify_homomorphism(rho: Representation) -> tuple[bool, tuple[int, int] | No
     L = rho.algebra
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            expected = rho.image_of(L.bracket_basis(i, j))
+            expected = rho._combination(L.structure.get((i, j), {}))
             actual = rho.images[i].bracket(rho.images[j])
             if expected != actual:
                 return False, (i, j)
@@ -151,9 +154,15 @@ def kernel(rho: Representation) -> list[Vector]:
     """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty."""
     if not rho.images:
         return []  # the zero algebra, whose n^2 x 0 system would still be swept
-    n = rho.space.total_dim
-    stacked = columns_matrix([im.matrix.data for im in rho.images], n * n)
-    return nullspace_basis(stacked)
+    # one equation per entry (r, c) that some image touches; the other
+    # entries give 0 = 0, and the rref kernel basis ignores row order
+    equations: dict[tuple[int, int], dict] = {}
+    for k, im in enumerate(rho.images):
+        for r, row in enumerate(im.matrix.maps):
+            for c, x in row.items():
+                equations.setdefault((r, c), {})[k] = x
+    stacked = list(equations.values())
+    return nullspace_basis(RatMatrix._from_maps(len(stacked), len(rho.images), stacked))
 
 
 def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:

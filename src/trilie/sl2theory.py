@@ -11,8 +11,9 @@ that is independent of any matrix construction elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exact import ONE, RatMatrix, ZERO, commutator, rank
+from .exact import ONE, RatMatrix, commutator, rank
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,13 @@ def string_action(d: int, e_top: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     f·x_i = x_{i+1}, e·x_i = i(e_top-i+1)x_{i-1}. Only e_top = d gives
     an sl2 module; other values serve fidelity experiments."""
     n = d + 1
-    f_data = [ZERO] * (n * n)
-    e_data = [ZERO] * (n * n)
+    f = [{i - 1: ONE} if i else {} for i in range(n)]
+    e = [{} for _ in range(n)]
     for i in range(1, n):
-        f_data[i * n + i - 1] = ONE
-        e_data[(i - 1) * n + i] = i * (e_top - i + 1)
+        if i * (e_top - i + 1):
+            e[i - 1] = {i: Fraction(i * (e_top - i + 1))}
     h = RatMatrix.diagonal([d - 2 * i for i in range(n)])
-    return RatMatrix(n, n, f_data), h, RatMatrix(n, n, e_data)
+    return RatMatrix._from_maps(n, n, f), h, RatMatrix._from_maps(n, n, e)
 
 
 def build_irreducible(d: int) -> Sl2Module:

@@ -27,13 +27,13 @@ def clebsch_gordan_count(a: int, b: int, c: int) -> int:
 def mask_triangular(space: GradedSpace, matrix: RatMatrix) -> GradedMap:
     """Zero out every degree-lowering block of `matrix`."""
     n = space.total_dim
-    data = list(matrix.data)
-    for k_from in range(space.num_components):
-        for k_to in range(k_from):
-            for i in space.component_range(k_to):
-                for c in space.component_range(k_from):
-                    data[i * n + c] = Fraction(0)
-    return GradedMap(space, RatMatrix(n, n, data))
+    dims, offsets = space.component_dims, space.offsets
+    zero_blocks = [
+        (offsets[k_to], offsets[k_from], RatMatrix.zeros(dims[k_to], dims[k_from]))
+        for k_from in range(space.num_components)
+        for k_to in range(k_from)
+    ]
+    return GradedMap(space, RatMatrix.from_blocks(n, n, [(0, 0, matrix)] + zero_blocks))
 
 
 def seeded_rational_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:
@@ -213,3 +213,38 @@ def brute_extend_independent(base: list, candidates: list) -> list:
             kept.append(c)
             chosen.append(c)
     return chosen
+
+
+def brute_bracket(dim: int, structure: dict, x: list, y: list) -> list[Fraction]:
+    """Plain-list bilinear bracket from a table {(i, j): {k: c}} stored
+    for i < j, with [b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0."""
+    out = [Fraction(0)] * dim
+    for i in range(dim):
+        for j in range(dim):
+            if i == j:
+                continue
+            sign = 1 if i < j else -1
+            for k, c in structure.get((min(i, j), max(i, j)), {}).items():
+                out[k] += sign * Fraction(c) * x[i] * y[j]
+    return out
+
+
+def brute_jacobi_witness(dim: int, structure: dict):
+    """First basis triple i < j < k, in lexicographic order, where
+    [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j] != 0,
+    computed with plain lists; None when Jacobi holds."""
+
+    def unit(i):
+        return [Fraction(int(p == i)) for p in range(dim)]
+
+    def br(x, y):
+        return brute_bracket(dim, structure, x, y)
+
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                bi, bj, bk = unit(i), unit(j), unit(k)
+                terms = (br(br(bi, bj), bk), br(br(bj, bk), bi), br(br(bk, bi), bj))
+                if any(sum(t[q] for t in terms) != 0 for q in range(dim)):
+                    return (i, j, k)
+    return None

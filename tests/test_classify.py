@@ -10,6 +10,7 @@ import trilie.family as family
 from trilie.classify import (
     ExtensionProblem,
     ModuleParams,
+    SolutionSpace,
     assemble_representation,
     classification_report,
     match_family,
@@ -23,7 +24,7 @@ from trilie.family import build_family_module
 from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import tensor_multiplicity
 
-from helpers import brute_extension_basis, clebsch_gordan_count
+from helpers import brute_extension_basis, brute_z_blocks, clebsch_gordan_count
 
 F = Fraction
 
@@ -215,6 +216,30 @@ class TestMatchFamilyReadsZRules:
             problem, solve_extensions(problem), ModuleParams(1, 2, 1, 0, 0, (F(1),))
         )
         assert verdict["member"]
+
+    def test_evaluates_only_the_z0_rules(self, monkeypatch):
+        evaluated, tested = set(), []
+        rules = family._z_rule_assignments
+
+        def recording(*args):
+            cells = rules(*args)
+            evaluated.update(j for j, _ in cells)
+            return cells
+
+        def membership(self, block):
+            tested.append(block.to_lists())
+            return True, None
+
+        monkeypatch.setattr(family, "_z_rule_assignments", recording)
+        monkeypatch.setattr(SolutionSpace, "contains", membership)
+        for lam in (1, 2, 3):
+            for m, n, s, big_n in family.enumerate_params(lam, 6, 5):
+                a = tuple(F(k + 2, 3) for k in range(n - s))
+                problem = ExtensionProblem(lam, n, m)
+                match_family(problem, SolutionSpace(problem, ()),
+                             ModuleParams(lam, m, n, s, big_n, a))
+                assert tested.pop() == brute_z_blocks(lam, m, n, s, big_n, a)[0]
+        assert evaluated == {0}
 
 
 # sha256 of `trilie classify` stdout before the solver was weight-blocked

@@ -405,3 +405,57 @@ def test_verify_nilradical_on_space_without_components(capsys, monkeypatch):
     report = json.loads(out)
     assert report["condition_ii"] is True
     assert report["irreducible_components"] is None
+
+
+def _family_doc(capsys):
+    _, out, _ = _run(capsys, "gen family --lambda 1 --m 2 --n 1 --s 0 --bigN 0 --a 1".split())
+    return json.loads(out)
+
+
+def _replace_zeros(rows, value):
+    return [[value if x == "0" else x for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("value", [0.0, 1.5])
+def test_verify_rejects_float_image_entry(capsys, monkeypatch, value):
+    doc = _family_doc(capsys)
+    doc["images"]["z0"][0][0] = value
+    code, out, err = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+                          monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert f"not a rational: {value}" in err
+
+
+@pytest.mark.parametrize("value", [0.0, 1.5])
+def test_decompose_rejects_float_entry(capsys, monkeypatch, value):
+    doc = {"dims": [1, 2], "matrix": [["1", "0", "0"], ["2", "1", value], ["0", "0", "1"]]}
+    code, out, err = _run(capsys, ["decompose", "-"], stdin=json.dumps(doc),
+                          monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert f"not a rational: {value}" in err
+
+
+def test_verify_accepts_integer_and_string_zeros(capsys, monkeypatch):
+    doc = _family_doc(capsys)
+    code, expected, _ = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+                             monkeypatch=monkeypatch)
+    assert code == 0
+    doc["images"] = {k: _replace_zeros(m, 0) for k, m in doc["images"].items()}
+    code, out, _ = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+                        monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == expected
+
+
+def test_decompose_accepts_integer_and_string_zeros(capsys, monkeypatch):
+    rows = [["1", "0", "0"], ["2", "1", "0"], ["0", "0", "1"]]
+    outputs = []
+    for matrix in (rows, _replace_zeros(rows, 0), _replace_zeros(rows, "0/7")):
+        code, out, _ = _run(capsys, ["decompose", "-"],
+                            stdin=json.dumps({"dims": [1, 2], "matrix": matrix}),
+                            monkeypatch=monkeypatch)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -10,6 +10,7 @@ from trilie.exact import (
     RatMatrix,
     ShapeError,
     binomial,
+    columns_matrix,
     commutator,
     exp_nilpotent,
     extend_independent,
@@ -26,7 +27,14 @@ from trilie.exact import (
     vector,
 )
 
-from helpers import brute_extend_independent, brute_fill_blocks, brute_sylvester
+from helpers import (
+    brute_extend_independent,
+    brute_fill_blocks,
+    brute_matrix_bracket,
+    brute_nullspace,
+    brute_rank,
+    brute_sylvester,
+)
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -310,3 +318,169 @@ class TestExtendIndependent:
         assert extend_independent([x], [x, zero, two, y], 2) == [two]
         assert extend_independent([x, y], [x, y, zero], 2) == []
         assert extend_independent([], [], 0) == []
+
+
+# entries drawn so that about half are zero, as in the representation
+# matrices the package works on
+sparse_entries = st.one_of(st.just(ZERO), st.just(ZERO), rationals)
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(
+        sparse_entries, min_size=rows * cols, max_size=rows * cols
+    ).map(lambda d: RatMatrix(rows, cols, d))
+
+
+def assert_clean(m):
+    """Row maps hold only in-range columns and nonzero Fractions."""
+    assert len(m.maps) == m.rows
+    for row in m.maps:
+        for j, x in row.items():
+            assert 0 <= j < m.cols
+            assert type(x) is Fraction and x != 0
+
+
+def plain_product(a, b, cols):
+    inner = len(b)
+    return [
+        [sum((r[k] * b[k][j] for k in range(inner)), F(0)) for j in range(cols)]
+        for r in a
+    ]
+
+
+class TestSparseStorage:
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=80)
+    def test_ops_match_plain_lists(self, r, c, k, data):
+        a = data.draw(sparse_matrices(r, c))
+        b = data.draw(sparse_matrices(r, c))
+        d = data.draw(sparse_matrices(c, k))
+        s = data.draw(sparse_entries)
+        x = tuple(data.draw(st.lists(sparse_entries, min_size=c, max_size=c)))
+        al, bl, dl = a.to_lists(), b.to_lists(), d.to_lists()
+        assert a.data == [v for row in al for v in row]
+        assert a.is_zero() == all(v == 0 for row in al for v in row)
+        assert (a == b) == (al == bl)
+        assert [list(a.row(i)) for i in range(r)] == al
+        assert [list(a.col(j)) for j in range(c)] == [[row[j] for row in al] for j in range(c)]
+        assert all(a[i, j] == al[i][j] for i in range(r) for j in range(c))
+        results = {
+            "add": (a + b, [[p + q for p, q in zip(u, v)] for u, v in zip(al, bl)]),
+            "sub": (a - b, [[p - q for p, q in zip(u, v)] for u, v in zip(al, bl)]),
+            "neg": (-a, [[-p for p in u] for u in al]),
+            "scale": (a.scale(s), [[s * p for p in u] for u in al]),
+            "matmul": (a @ d, plain_product(al, dl, k)),
+        }
+        for name, (got, expected) in results.items():
+            assert got.to_lists() == expected, name
+            assert_clean(got)
+        assert list(a.apply(x)) == [sum((p * q for p, q in zip(u, x)), F(0)) for u in al]
+        if r == c:
+            assert a.trace() == sum((al[i][i] for i in range(r)), F(0))
+            assert commutator(a, b).to_lists() == brute_matrix_bracket(al, bl)
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_submatrix_matches_plain_lists(self, r, c, data):
+        a = data.draw(sparse_matrices(r, c))
+        al = a.to_lists()
+        rows = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+        if c and data.draw(st.booleans()):
+            lo = data.draw(st.integers(0, c))
+            cols = range(lo, data.draw(st.integers(lo, c)))
+        else:
+            # arbitrary order, repeats allowed
+            cols = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
+        got = a.submatrix(rows, cols)
+        assert got.to_lists() == [[al[i][j] for j in cols] for i in rows]
+        assert_clean(got)
+
+    def test_submatrix_rejects_out_of_range(self):
+        a = RatMatrix.identity(2)
+        with pytest.raises(IndexError):
+            a.submatrix([0], range(1, 3))
+        with pytest.raises(IndexError):
+            a.submatrix([2], [0])
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_cancellation_stores_no_zero(self, r, c, data):
+        a = data.draw(sparse_matrices(r, c))
+        zero = RatMatrix.zeros(r, c)
+        for got in (a - a, a + (-a), a.scale(0), -a + a):
+            assert got.maps == [{} for _ in range(r)]
+            assert got == zero and got.is_zero()
+        # a times a basis of its kernel: every product term cancels
+        kernel = nullspace_basis(a)
+        if kernel:
+            product = a @ columns_matrix(kernel, c)
+            assert product.maps == [{} for _ in range(r)]
+
+    def test_product_with_cancelling_terms_stores_no_zero(self):
+        a = RatMatrix.from_rows([[1, 1], [2, 0]])
+        b = RatMatrix.from_rows([[1, 0], [-1, 3]])
+        product = a @ b
+        assert product.maps == [{1: F(3)}, {0: F(2)}]
+        assert product == RatMatrix.from_rows([[0, 3], [2, 0]])
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_dense_data_with_zeros_equals_ops(self, r, c, data):
+        a = data.draw(sparse_matrices(r, c))
+        b = data.draw(sparse_matrices(r, c))
+        dense = [p + q for p, q in zip(a.data, b.data)]
+        assert RatMatrix(r, c, dense) == a + b
+        assert RatMatrix(r, c, [0] * (r * c)) == a - a
+        spelled = ["0", 0, F(0), "0/5", "-0"]
+        assert RatMatrix(r, c, [spelled[q % 5] for q in range(r * c)]) == a.scale(0)
+
+    def test_from_blocks_later_blocks_overwrite(self):
+        base = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        got = RatMatrix.from_blocks(3, 3, [
+            (0, 0, base),
+            (1, 1, RatMatrix.zeros(2, 1)),  # zeros over nonzeros
+            (0, 2, RatMatrix.from_rows([[0], [F(1, 2)]])),
+        ])
+        assert got.to_lists() == [[1, 2, 0], [4, 0, F(1, 2)], [7, 0, 9]]
+        assert_clean(got)
+        assert got == RatMatrix.from_rows([[1, 2, 0], [4, 0, F(1, 2)], [7, 0, 9]])
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_elimination_matches_plain_lists(self, r, c, data):
+        a = data.draw(sparse_matrices(r, c))
+        al = a.to_lists()
+        assert rank(a) == brute_rank(al)
+        assert [list(v) for v in nullspace_basis(a)] == brute_nullspace(al, c)
+        reduced, pivots = rref(a)
+        assert_clean(reduced)
+        assert len(pivots) == brute_rank(al)
+        b = data.draw(st.lists(sparse_entries, min_size=r, max_size=r))
+        x = solve(a, b)
+        consistent = brute_rank([row + [v] for row, v in zip(al, b)]) == brute_rank(al)
+        assert (x is not None) == (consistent or r == 0)
+        if x is not None:
+            assert list(a.apply(x)) == b
+
+    @given(st.integers(0, 4).flatmap(lambda n: sparse_matrices(n, n)))
+    @settings(max_examples=60)
+    def test_invert_matches_rank(self, a):
+        n = a.rows
+        if brute_rank(a.to_lists()) < n:
+            with pytest.raises(ValueError):
+                invert(a)
+        else:
+            inv = invert(a)
+            assert_clean(inv)
+            assert inv @ a == RatMatrix.identity(n) == a @ inv
+
+    def test_public_constructor_keeps_coercion_and_errors(self):
+        assert RatMatrix(1, 2, ["1/2", 3]).maps == [{0: F(1, 2), 1: F(3)}]
+        with pytest.raises(ShapeError):
+            RatMatrix(2, 2, [1, 2, 3])
+        with pytest.raises(ShapeError):
+            RatMatrix(-1, 0, [])
+        with pytest.raises(TypeError):
+            RatMatrix(1, 1, [0.0])
+        with pytest.raises(ValueError):
+            RatMatrix(1, 1, ["1/0"])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trilie.liealg as liealg
 from trilie.exact import unit_vector, vec_is_zero
@@ -17,6 +19,8 @@ from trilie.liealg import (
     lower_central_series,
     verify_levi_data,
 )
+
+from helpers import brute_bracket, brute_jacobi_witness
 
 F = Fraction
 
@@ -288,3 +292,47 @@ class TestAdjointHomomorphism:
                     ad_matrix(L, unit_vector(L.dim, j)),
                 )
                 assert lhs == rhs
+
+
+small_coeffs = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """The sl2^Λ table (Λ <= 3) with a few brackets overwritten by random
+    ones, removed, or added where the table had none."""
+    lam = draw(st.integers(1, 3))
+    L, _ = build_sl2_lambda(lam)
+    table = {key: dict(v) for key, v in L.structure.items()}
+    pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
+    for key in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+        table[key] = draw(st.dictionaries(
+            st.integers(0, L.dim - 1), small_coeffs, max_size=2))
+    return L.dim, table
+
+
+class TestStructureConstantOracles:
+    @given(corrupted_tables())
+    @settings(max_examples=80)
+    def test_jacobi_witness_matches_plain_oracle(self, case):
+        dim, table = case
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        report = check_axioms(L)
+        witness = brute_jacobi_witness(dim, table)
+        assert report["witnesses"]["jacobi"] == witness
+        assert report["jacobi"] is (witness is None)
+
+    @given(corrupted_tables(), st.data())
+    @settings(max_examples=60)
+    def test_bracket_and_ad_match_plain_oracle(self, case, data):
+        dim, table = case
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        vectors = st.lists(st.one_of(st.just(F(0)), small_coeffs),
+                           min_size=dim, max_size=dim)
+        x, y = data.draw(vectors), data.draw(vectors)
+        assert list(bracket(L, x, y)) == brute_bracket(dim, table, x, y)
+        units = [[F(int(p == j)) for p in range(dim)] for j in range(dim)]
+        assert ad_matrix(L, x).to_lists() == [
+            [brute_bracket(dim, table, x, units[j])[k] for j in range(dim)]
+            for k in range(dim)
+        ]
