@@ -35,7 +35,6 @@ from .exact import (
 )
 from .family import (
     ModuleParams,
-    enumerate_params,
     _z_blocks,
     two_block_representation,
 )
@@ -185,11 +184,17 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
 
 
 def valid_sn_tuples(lam: int, n: int, m: int) -> list[tuple[int, int]]:
-    """(s, N) pairs making (m, n, s, N) satisfy the parameter constraint."""
+    """(s, N) pairs making (m, n, s, N) satisfy the parameter constraint
+    m + 2s = lam + n + 2N with 0 <= N <= m, ordered by s: for each s the
+    constraint fixes N."""
+    if lam < 1:
+        raise ValueError(f"lam must be >= 1, got {lam}")
+    if m < 0 or n < 0:
+        raise ValueError("bounds must be nonnegative")
     return [
-        (s, big_n)
-        for m2, n2, s, big_n in enumerate_params(lam, m, n)
-        if (m2, n2) == (m, n)
+        (s, (m + 2 * s - lam - n) // 2)
+        for s in range(n + 1)
+        if m + 2 * s - lam - n in range(0, 2 * m + 1, 2)
     ]
 
 

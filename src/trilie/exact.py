@@ -70,29 +70,10 @@ def vector(entries: Sequence) -> Vector:
     return tuple(rat(x) for x in entries)
 
 
-def zero_vector(dim: int) -> Vector:
-    return (ZERO,) * dim
-
-
 def unit_vector(dim: int, i: int) -> Vector:
     if not 0 <= i < dim:
         raise IndexError(f"unit vector index {i} out of range for dim {dim}")
     return tuple(ONE if j == i else ZERO for j in range(dim))
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise ShapeError("vector length mismatch")
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(x: Vector, c) -> Vector:
-    c = rat(c)
-    return tuple(c * a for a in x)
-
-
-def vec_is_zero(x: Vector) -> bool:
-    return all(a == 0 for a in x)
 
 
 class RatMatrix:
@@ -299,6 +280,13 @@ class RatMatrix:
         return tuple(
             sum((a * x[j] for j, a in row.items()), ZERO) for row in self.maps
         )
+
+    def transpose(self) -> "RatMatrix":
+        maps: list[dict] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.maps):
+            for j, x in row.items():
+                maps[j][i] = x
+        return RatMatrix._from_maps(self.cols, self.rows, maps)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -514,22 +502,6 @@ def columns_matrix(vectors: Sequence[Vector], dim: int) -> RatMatrix:
             if x:
                 maps[i][j] = x
     return RatMatrix._from_maps(dim, len(vectors), maps)
-
-
-def span_basis(vectors: Sequence[Vector], dim: int) -> list[Vector]:
-    """Canonical (rref-row) basis of the span; equal spans give equal lists."""
-    if not vectors:
-        return []
-    reduced, pivots = rref(RatMatrix.from_rows([list(v) for v in vectors]))
-    return [reduced.row(r) for r in range(len(pivots))]
-
-
-def span_contains(basis: Sequence[Vector], v: Vector, dim: int) -> bool:
-    if vec_is_zero(v):
-        return True
-    if not basis:
-        return False
-    return solve(columns_matrix(basis, dim), v) is not None
 
 
 def extend_independent(

@@ -12,13 +12,21 @@ lower central series: degree 0 holds the Levi part plus a complement of
 the nilradical inside the radical, and each positive degree holds a
 section of N^k/N^{k+1} made invariant under the Levi action by solving
 a commuting-projector system.
+
+Spans (the terms of both series, and the layers a section is cut from)
+are kept as the rref row maps of a RatMatrix. With R_i the matrix whose
+row j is [b_i, b_j], read off the bracket table once per call, [b_i, S]
+is spanned by the rows of the one sparse product S @ R_i; dense tuples
+appear only in the public return values.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     ONE,
@@ -31,14 +39,9 @@ from .exact import (
     rat,
     rref,
     solve,
-    span_basis,
     sylvester_system,
     unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
     vector,
-    zero_vector,
 )
 
 
@@ -76,21 +79,6 @@ class LieAlgebra:
                 table[(i, j)] = cleaned
         self.structure = table
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[b_i, b_j] as a coordinate vector."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexError(f"basis indices ({i}, {j}) out of range")
-        if i == j:
-            return zero_vector(self.dim)
-        sign = ONE
-        if i > j:
-            i, j, sign = j, i, -ONE
-        coeffs = self.structure.get((i, j), {})
-        out = [ZERO] * self.dim
-        for k, c in coeffs.items():
-            out[k] = sign * c
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.basis_labels})"
 
@@ -117,13 +105,23 @@ class GradingAssignment:
         return [v for comp in self.component_bases for v in comp]
 
 
-def _signed_table(L: LieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """[b_i, b_j] for every ordered pair with a nonzero bracket: the
-    stored i < j entries plus their negatives at (j, i)."""
-    table = dict(L.structure)
+def _structure_rows(L: LieAlgebra) -> list[RatMatrix]:
+    """R_i for every basis index i, whose row j is [b_i, b_j]: for a span
+    S kept as row maps, the rows of S @ R_i span [b_i, S]. Built per
+    call, since callers may replace entries of L.structure."""
+    n = L.dim
+    maps: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for (i, j), coeffs in L.structure.items():
-        table[j, i] = {k: -c for k, c in coeffs.items()}
-    return table
+        maps[i][j] = coeffs
+        maps[j][i] = {k: -c for k, c in coeffs.items()}
+    return [RatMatrix._from_maps(n, n, rows) for rows in maps]
+
+
+def _ad_rows(R: list[RatMatrix], coeffs: Iterable[tuple[int, Fraction]]) -> RatMatrix:
+    """sum_i a_i R_i over the pairs (i, a_i): its row j is [a, b_j]."""
+    n = len(R)
+    terms = (R[i].scale(a) for i, a in coeffs if a)
+    return reduce(operator.add, terms, RatMatrix.zeros(n, n))
 
 
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
@@ -157,16 +155,7 @@ def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
     x = vector(x)
     if len(x) != L.dim:
         raise ValueError("vector length does not match algebra dim")
-    table = _signed_table(L)
-    acc: list[dict] = [{} for _ in range(L.dim)]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j in range(L.dim):
-            for k, c in table.get((i, j), {}).items():
-                acc[k][j] = acc[k].get(j, ZERO) + xi * c
-    maps = [{j: v for j, v in row.items() if v} for row in acc]
-    return RatMatrix._from_maps(L.dim, L.dim, maps)
+    return _ad_rows(_structure_rows(L), enumerate(x)).transpose()
 
 
 def check_axioms(L: LieAlgebra) -> dict:
@@ -176,15 +165,15 @@ def check_axioms(L: LieAlgebra) -> dict:
     with a None witness without a check: brackets are stored for i < j
     only and [b_j, b_i] is read back as -[b_i, b_j], so it holds by
     construction."""
-    table = _signed_table(L)
+    table = [r.maps for r in _structure_rows(L)]
     jacobi_witness = None
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k in range(j + 1, L.dim):
                 total: dict[int, Fraction] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p, x in table.get((a, b), {}).items():
-                        for q, y in table.get((p, c), {}).items():
+                    for p, x in table[a][b].items():
+                        for q, y in table[p][c].items():
                             total[q] = total.get(q, ZERO) + x * y
                 if any(total.values()):
                     jacobi_witness = (i, j, k)
@@ -272,12 +261,12 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
     idx = list(indices)
     m = len(idx)
     pos = {g: p for p, g in enumerate(idx)}
-    table = _signed_table(L)
+    R = _structure_rows(L)
     ads = []
     for g in idx:
         maps: list[dict] = [{} for _ in range(m)]
         for q, g2 in enumerate(idx):
-            for k, c in table.get((g, g2), {}).items():
+            for k, c in R[g].maps[g2].items():
                 if k not in pos:
                     return None
                 maps[pos[k]][q] = c
@@ -297,43 +286,78 @@ def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
     return rank(killing)
 
 
-def _bracket_span(L: LieAlgebra, left: Sequence[Vector],
-                  right: Sequence[Vector]) -> list[Vector]:
-    products = [bracket(L, a, b) for a in left for b in right]
-    return span_basis([p for p in products if not vec_is_zero(p)], L.dim)
+def _row_span(m: RatMatrix) -> RatMatrix:
+    """The nonzero rows of rref(m): equal row spans give equal matrices."""
+    reduced, pivots = rref(m)
+    return RatMatrix._from_maps(len(pivots), m.cols, reduced.maps[: len(pivots)])
 
 
-def derived_series(L: LieAlgebra, basis: Sequence[Vector]) -> list[list[Vector]]:
-    """D¹ = span, D^{k+1} = [D^k, D^k], until 0 or stabilization."""
-    series = [span_basis(list(basis), L.dim)]
-    while series[-1]:
-        nxt = _bracket_span(L, series[-1], series[-1])
+def _index_span(L: LieAlgebra, indices: Sequence[int]) -> RatMatrix:
+    for i in indices:
+        if not 0 <= i < L.dim:
+            raise IndexError(f"unit vector index {i} out of range for dim {L.dim}")
+    # distinct unit rows in ascending order are already in rref
+    units = [{i: ONE} for i in sorted(set(indices))]
+    return RatMatrix._from_maps(len(units), L.dim, units)
+
+
+def _bracket_span(R: list[RatMatrix], left: RatMatrix, right: RatMatrix) -> RatMatrix:
+    """[left, right] in rref: for each row a of left, the rows of
+    right @ R_a span [a, right]."""
+    products = []
+    for a in left.maps:
+        products.extend(row for row in (right @ _ad_rows(R, a.items())).maps if row)
+    return _row_span(RatMatrix._from_maps(len(products), right.cols, products))
+
+
+def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix]:
+    """The derived series of span(first), or its lower central series
+    when `lower` (first must then span an ideal), as rref row maps."""
+    if lower:
+        # first is in rref, so w lies in its span iff w @ (I - P) = 0,
+        # where P sends b_pc to the row of first with pivot column pc
+        n = first.cols
+        lift = {min(row): row for row in first.maps}
+        outside = RatMatrix.identity(n) - RatMatrix._from_maps(
+            n, n, [lift.get(j, {}) for j in range(n)]
+        )
+        escapes = [
+            (p, i)
+            for i, r_i in enumerate(R)
+            for p, row in enumerate((first @ r_i @ outside).maps)
+            if row
+        ]
+        if escapes:
+            p, i = min(escapes)
+            raise ValueError(
+                f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
+            )
+    series = [first]
+    while series[-1].rows:
+        nxt = _bracket_span(R, first if lower else series[-1], series[-1])
         if nxt == series[-1]:
             break
         series.append(nxt)
     return series
+
+
+def _dense_series(L: LieAlgebra, vectors: Sequence[Vector], lower: bool) -> list[list[Vector]]:
+    if any(len(v) != L.dim for v in vectors):
+        raise ValueError("vector length does not match algebra dim")
+    first = _row_span(columns_matrix(vectors, L.dim).transpose())
+    series = _series(_structure_rows(L), first, lower)
+    return [[s.row(t) for t in range(s.rows)] for s in series]
+
+
+def derived_series(L: LieAlgebra, basis: Sequence[Vector]) -> list[list[Vector]]:
+    """D¹ = span, D^{k+1} = [D^k, D^k], until 0 or stabilization."""
+    return _dense_series(L, basis, lower=False)
 
 
 def lower_central_series(L: LieAlgebra, ideal_basis: Sequence[Vector]) -> list[list[Vector]]:
     """N¹ ⊇ N² ⊇ … with N^{k+1} = [N¹, N^k]; stops at 0 (nilpotent, the
     final entry is the empty basis) or at stabilization (not nilpotent)."""
-    first = span_basis(list(ideal_basis), L.dim)
-    images = [
-        bracket(L, unit_vector(L.dim, i), v) for v in first for i in range(L.dim)
-    ]
-    escaped = extend_independent(first, images, L.dim)
-    if escaped:
-        p, i = divmod(images.index(escaped[0]), L.dim)
-        raise ValueError(
-            f"input span is not an ideal: [b_{i}, v] escapes for v={first[p]}"
-        )
-    series = [first]
-    while series[-1]:
-        nxt = _bracket_span(L, first, series[-1])
-        if nxt == series[-1]:
-            break
-        series.append(nxt)
-    return series
+    return _dense_series(L, ideal_basis, lower=True)
 
 
 def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
@@ -365,11 +389,10 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
     if not killing_ok:
         witnesses["levi_killing_nondegenerate"] = "rank deficient"
 
+    R = _structure_rows(L)
     rad_ideal, w = _is_ideal_indices(L, radical)
     if rad_ideal:
-        rad_units = [unit_vector(L.dim, i) for i in radical]
-        dseries = derived_series(L, rad_units)
-        rad_solvable = not dseries[-1]
+        rad_solvable = not _series(R, _index_span(L, radical), lower=False)[-1].rows
         if not rad_solvable:
             witnesses["radical_solvable_ideal"] = "derived series stabilizes nonzero"
     else:
@@ -378,10 +401,9 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
 
     nil_ideal, w = _is_ideal_indices(L, nilrad)
     if nil_ideal:
-        nil_units = [unit_vector(L.dim, i) for i in nilrad]
         try:
-            lcs = lower_central_series(L, nil_units)
-            nil_nilpotent = not lcs[-1]
+            lcs = _series(R, _index_span(L, nilrad), lower=True)
+            nil_nilpotent = not lcs[-1].rows
         except ValueError:
             nil_nilpotent = False
         if not nil_nilpotent:
@@ -403,7 +425,7 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
 
 
 def _levi_invariant_section(
-    L: LieAlgebra, levi: Sequence[int], cur: list[Vector], sub: list[Vector]
+    R: list[RatMatrix], levi: Sequence[int], cur: RatMatrix, sub: RatMatrix
 ) -> list[Vector]:
     """Complement of span(sub) inside span(cur), invariant under ad of
     every Levi basis element.
@@ -415,24 +437,27 @@ def _levi_invariant_section(
     system is always consistent (complete reducibility); inconsistency
     is reported, not papered over.
     """
-    ext = extend_independent(sub, cur, L.dim)
+    r, width = sub.rows, sub.rows + cur.rows
+    # one elimination of the columns [sub | cur | ad(s)(sub) | ad(s)(cur)
+    # for every s]: sub is independent, so the pivots are sub followed by
+    # the rows ext of cur that extend it (sub + ext is the adapted basis),
+    # and each image's reduced column holds its adapted coordinates
+    vectors = RatMatrix._from_maps(width, cur.cols, sub.maps + cur.maps)
+    rows = vectors.maps + [row for s in levi for row in (vectors @ R[s]).maps]
+    columns = RatMatrix._from_maps(len(rows), cur.cols, rows).transpose()
+    reduced, pivots = rref(columns)
+    ext = [p - r for p in pivots if r <= p < width]
     if not ext:
         return []
-    adapted = sub + ext
-    r, c = len(sub), len(ext)
+    c = len(ext)
     k = r + c
-    # one elimination of [adapted | ad(s)(adapted) for every s]: adapted
-    # is independent, so its columns are the first k pivots and each
-    # image's reduced column holds its coordinates
-    images = [
-        bracket(L, unit_vector(L.dim, s), v) for s in levi for v in adapted
-    ]
-    reduced, pivots = rref(columns_matrix(adapted + images, L.dim))
     if len(pivots) > k:
         raise RuntimeError("vector not in claimed span")
+    adapted = list(range(r)) + [r + q for q in ext]
     systems, rhs = [], []
     for idx in range(len(levi)):
-        m = reduced.submatrix(range(k), range(k * (idx + 1), k * (idx + 2)))
+        base = width * (idx + 1)
+        m = reduced.submatrix(range(k), [base + j for j in adapted])
         for q in range(r):
             for p in range(r, r + c):
                 assert m[p, q] == 0, "ad(levi) must preserve the deeper layer"
@@ -440,8 +465,9 @@ def _levi_invariant_section(
         cc = m.submatrix(range(r, r + c), range(r, r + c))
         systems.append(sylvester_system(a, cc))
         rhs.extend(m[p, q] for p in range(r) for q in range(r, r + c))
+    ext_rows = RatMatrix._from_maps(c, cur.cols, [cur.maps[q] for q in ext])
     if r == 0:
-        return list(ext)
+        return [ext_rows.row(q) for q in range(c)]
     n = r * c
     system = RatMatrix.from_blocks(
         len(systems) * n, n, [(i * n, 0, sy) for i, sy in enumerate(systems)]
@@ -451,15 +477,9 @@ def _levi_invariant_section(
         raise RuntimeError(
             "invariant-section system inconsistent; no commuting projector"
         )
-    section = []
-    for q in range(c):
-        w = ext[q]
-        for p in range(r):
-            coeff = x[p * c + q]
-            if coeff != 0:
-                w = vec_add(w, vec_scale(sub[p], -coeff))
-        section.append(w)
-    return section
+    # section vector q is ext_q - sum_p X[p, q] sub_p, X = x as r x c
+    section = ext_rows - RatMatrix(r, c, x).transpose() @ sub
+    return [section.row(q) for q in range(c)]
 
 
 def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
@@ -474,12 +494,12 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     complement = extend_independent(nilrad_units, rad_units, L.dim)
     v0 = [unit_vector(L.dim, i) for i in D.levi_indices] + complement
 
-    series = lower_central_series(L, nilrad_units)
-    components: list[list[Vector]] = [v0]
-    for k in range(len(series) - 1):
-        cur, sub = series[k], series[k + 1]
-        section = _levi_invariant_section(L, D.levi_indices, cur, sub)
-        components.append(section)
+    R = _structure_rows(L)
+    series = _series(R, _index_span(L, D.nilrad_indices), lower=True)
+    components: list[list[Vector]] = [v0] + [
+        _levi_invariant_section(R, D.levi_indices, series[k], series[k + 1])
+        for k in range(len(series) - 1)
+    ]
     if len(components) == 1 and not components[0]:
         raise ValueError("empty grading")
 
@@ -507,8 +527,6 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
     basis = G.graded_basis()
     p = columns_matrix(basis, L.dim)
     p_inv = invert(p)
-    images = [
-        p_inv @ ad_matrix(L, unit_vector(L.dim, i)) @ p for i in range(L.dim)
-    ]
+    images = [p_inv @ r_i.transpose() @ p for r_i in _structure_rows(L)]
     space = GradedSpace(tuple(len(c) for c in G.component_bases))
     return Representation(L, G.levi, space, tuple(images))

@@ -30,7 +30,6 @@ from .exact import (
 from .graded import (
     GradedMap,
     GradedSpace,
-    degree_components,
     is_homogeneous,
     is_triangular,
 )
@@ -109,7 +108,7 @@ def _structure_conditions(
 
     condition_i = True
     for s, im in levi_pairs:
-        if not (is_triangular(im)[0] and is_homogeneous(im, 0)):
+        if not is_homogeneous(im, 0):  # degree 0 implies triangular
             condition_i = False
             witnesses["condition_i"] = {"levi_index": s}
             break
@@ -121,8 +120,7 @@ def _structure_conditions(
             condition_ii = False
             witnesses["condition_ii"] = {"nilrad_index": z, "block": w}
             break
-        stripes = degree_components(im)  # none when the space has no components
-        if stripes and not stripes[0].is_zero():
+        if any(not im.block(k, k).is_zero() for k in range(im.space.num_components)):
             condition_ii = False
             witnesses["condition_ii"] = {
                 "nilrad_index": z,

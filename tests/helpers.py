@@ -158,6 +158,13 @@ def brute_rank(rows: list[list[Fraction]]) -> int:
     return len(_brute_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
+def brute_in_span(basis: list, v: list) -> bool:
+    """v lies in the span of the basis vectors (the zero vector always does)."""
+    return brute_rank([list(b) for b in basis] + [list(v)]) == brute_rank(
+        [list(b) for b in basis]
+    )
+
+
 def brute_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Kernel basis, one vector per free column in ascending order, with
     a 1 at its free column and 0 at the other free columns."""
@@ -248,3 +255,38 @@ def brute_jacobi_witness(dim: int, structure: dict):
                 if any(sum(t[q] for t in terms) != 0 for q in range(dim)):
                     return (i, j, k)
     return None
+
+
+def brute_span(vectors: list, dim: int) -> list[list[Fraction]]:
+    """Rows of the reduced row echelon form of the vectors (pivots scaled
+    to 1, zero rows dropped): a canonical basis of their span."""
+    reduced, pivots = _brute_reduce([[Fraction(x) for x in v] for v in vectors], dim)
+    return [[x / reduced[r][pc] for x in reduced[r]] for r, pc in enumerate(pivots)]
+
+
+def brute_derived_series(dim: int, structure: dict, basis: list) -> list:
+    """D^1 = span(basis), D^{k+1} = [D^k, D^k], until 0 or until a term
+    repeats, each term a brute_span; brackets from brute_bracket."""
+    series = [brute_span(basis, dim)]
+    while series[-1]:
+        cur = series[-1]
+        nxt = brute_span([brute_bracket(dim, structure, a, b) for a in cur for b in cur], dim)
+        if nxt == cur:
+            break
+        series.append(nxt)
+    return series
+
+
+def brute_lower_central_series(dim: int, structure: dict, basis: list) -> list:
+    """N^1 = span(basis), N^{k+1} = [N^1, N^k], until 0 or until a term
+    repeats, each term a brute_span; brackets from brute_bracket."""
+    first = brute_span(basis, dim)
+    series = [first]
+    while series[-1]:
+        nxt = brute_span(
+            [brute_bracket(dim, structure, a, b) for a in first for b in series[-1]], dim
+        )
+        if nxt == series[-1]:
+            break
+        series.append(nxt)
+    return series

@@ -280,6 +280,24 @@ class TestReport:
                     from_cells.add((m, n, s, big_n))
         assert from_cells == set(enumerate_params(lam, box, box))
 
+    def test_sn_tuples_equal_filtered_enumeration(self):
+        for lam in range(1, 5):
+            for n in range(13):
+                for m in range(13):
+                    listed = [
+                        (s, big_n)
+                        for m2, n2, s, big_n in family.enumerate_params(lam, m, n)
+                        if (m2, n2) == (m, n)
+                    ]
+                    assert valid_sn_tuples(lam, n, m) == listed, (lam, n, m)
+
+    @pytest.mark.parametrize("lam,n,m", [(0, 2, 2), (1, -1, 2), (1, 2, -1)])
+    def test_sn_tuples_reject_what_enumeration_rejects(self, lam, n, m):
+        with pytest.raises(ValueError) as expected:
+            family.enumerate_params(lam, m, n)
+        with pytest.raises(ValueError, match=str(expected.value)):
+            valid_sn_tuples(lam, n, m)
+
     def test_notes_flag_free_scalars(self):
         report = classification_report(1, 1, 1)
         assert any("free scalars" in note for note in report["notes"])

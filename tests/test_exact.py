@@ -370,6 +370,7 @@ class TestSparseStorage:
             "neg": (-a, [[-p for p in u] for u in al]),
             "scale": (a.scale(s), [[s * p for p in u] for u in al]),
             "matmul": (a @ d, plain_product(al, dl, k)),
+            "transpose": (a.transpose(), [[u[j] for u in al] for j in range(c)]),
         }
         for name, (got, expected) in results.items():
             assert got.to_lists() == expected, name

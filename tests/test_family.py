@@ -17,7 +17,7 @@ from trilie.family import (
 )
 from trilie.rep import conjugate_levi_check, verify_homomorphism
 
-from helpers import brute_z_blocks
+from helpers import brute_bracket, brute_z_blocks
 
 F = Fraction
 
@@ -183,7 +183,9 @@ class TestHomOracle:
         failures = []
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
-                expected = rho.image_of(L.bracket_basis(i, j)).matrix
+                b_ij = brute_bracket(L.dim, L.structure, unit_vector(L.dim, i),
+                                     unit_vector(L.dim, j))
+                expected = rho.image_of(b_ij).matrix
                 actual = commutator(rho.images[i].matrix, rho.images[j].matrix)
                 if expected != actual:
                     failures.append((i, j))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.liealg as liealg
-from trilie.exact import unit_vector, vec_is_zero
+from trilie.exact import unit_vector
 from trilie.liealg import (
     LeviData,
     LieAlgebra,
@@ -20,7 +21,13 @@ from trilie.liealg import (
     verify_levi_data,
 )
 
-from helpers import brute_bracket, brute_jacobi_witness
+from helpers import (
+    brute_bracket,
+    brute_derived_series,
+    brute_in_span,
+    brute_jacobi_witness,
+    brute_lower_central_series,
+)
 
 F = Fraction
 
@@ -52,6 +59,42 @@ def sl2_heisenberg_skewed():
     return L, LeviData((0, 1, 2), (3, 4, 5), (3, 4, 5))
 
 
+def shuffled(L, levi, perm):
+    """The same algebra with b_i renamed b_perm[i]."""
+    structure = {}
+    for (i, j), coeffs in L.structure.items():
+        a, b = perm[i], perm[j]
+        sign = 1 if a < b else -1
+        structure[min(a, b), max(a, b)] = {perm[k]: sign * c for k, c in coeffs.items()}
+    labels = [None] * L.dim
+    for i, label in enumerate(L.basis_labels):
+        labels[perm[i]] = label
+    move = lambda idx: tuple(perm[i] for i in idx)  # noqa: E731
+    return LieAlgebra(L.dim, labels, structure), LeviData(
+        move(levi.levi_indices), move(levi.radical_indices), move(levi.nilrad_indices)
+    )
+
+
+def strictly_upper_triangular(k):
+    """n_k: strictly upper triangular k x k matrices on the basis E_ab
+    (a < b), with [E_ab, E_cd] = [b = c] E_ad - [d = a] E_cb."""
+    basis = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    index = {e: i for i, e in enumerate(basis)}
+    structure = {}
+    for i, (a, b) in enumerate(basis):
+        for j, (c, d) in enumerate(basis):
+            if i < j:
+                coeffs = {}
+                if b == c:
+                    coeffs[index[a, d]] = 1
+                if d == a:
+                    coeffs[index[c, b]] = -1
+                if coeffs:
+                    structure[i, j] = coeffs
+    labels = [f"E{a}{b}" for a, b in basis]
+    return LieAlgebra(len(basis), labels, structure), basis
+
+
 class TestBracket:
     def test_h_e_gives_2e(self):
         L, _ = build_sl2()
@@ -69,7 +112,7 @@ class TestBracket:
     def test_bracket_with_itself_vanishes(self):
         L, _ = build_sl2()
         x = (F(1, 2), F(-3), F(7, 5))
-        assert vec_is_zero(bracket(L, x, x))
+        assert not any(bracket(L, x, x))
 
     def test_e_z2_in_lambda_2(self):
         # [e, z_j] = j(lam - j + 1) z_{j-1} with j = lam = 2
@@ -80,12 +123,12 @@ class TestBracket:
 
     def test_h_z1_in_lambda_2_vanishes(self):
         L, _ = build_sl2_lambda(2)
-        assert vec_is_zero(bracket(L, unit_vector(6, 1), unit_vector(6, 4)))
+        assert not any(bracket(L, unit_vector(6, 1), unit_vector(6, 4)))
 
     def test_f_z_top_vanishes(self):
         # z_j := 0 outside 0..lam
         L, _ = build_sl2_lambda(2)
-        assert vec_is_zero(bracket(L, unit_vector(6, 0), unit_vector(6, 5)))
+        assert not any(bracket(L, unit_vector(6, 0), unit_vector(6, 5)))
 
     def test_bilinearity(self):
         L, _ = build_sl2_lambda(1)
@@ -150,6 +193,14 @@ class TestLeviData:
         assert not report["levi_killing_nondegenerate"]
         assert not report["all_pass"]
 
+    @pytest.mark.parametrize("bad", (9, -1))
+    def test_out_of_range_nilradical_index_raises(self, bad):
+        # the index check passes (nothing is stored for it), so the
+        # series must still refuse the index rather than wrap around
+        L, _ = build_sl2_lambda(1)
+        with pytest.raises(IndexError, match=f"unit vector index {bad} out of range for dim 5"):
+            verify_levi_data(L, LeviData((0, 1, 2), (3, 4), (bad,)))
+
     def test_sl2_span_as_radical_fails(self):
         L, _ = build_sl2_lambda(1)
         bad = LeviData((4,), (0, 1, 2, 3), (3,))
@@ -194,11 +245,82 @@ class TestSeries:
             f"input span is not an ideal: [b_3, v] escapes for v={first[1]}"
         )
 
+    @pytest.mark.parametrize("series", (derived_series, lower_central_series))
+    def test_wrong_length_vector_rejected(self, series):
+        L, _ = build_sl2()
+        with pytest.raises(ValueError, match="vector length does not match algebra dim"):
+            series(L, [(F(1), F(2))])
+
     def test_derived_series_of_solvable_span(self):
         L, levi = build_sl2_lambda(2)
         units = [unit_vector(L.dim, i) for i in levi.radical_indices]
         series = derived_series(L, units)
         assert series[-1] == []
+
+
+def series_cases():
+    """(name, algebra, ideals as index tuples): sl2^lam in shuffled bases,
+    the skewed sl2 ⋉ Heisenberg, and n_k for k <= 5."""
+    cases = []
+    for lam in range(1, 5):
+        L, levi = build_sl2_lambda(lam)
+        perm = list(range(L.dim))
+        random.Random(lam).shuffle(perm)
+        L, levi = shuffled(L, levi, perm)
+        cases.append((f"sl2^{lam}", L, [levi.nilrad_indices, tuple(range(L.dim))]))
+    L, levi = sl2_heisenberg_skewed()
+    cases.append(("sl2+heis", L, [levi.nilrad_indices, (5,), tuple(range(L.dim))]))
+    for k in range(2, 6):
+        L, basis = strictly_upper_triangular(k)
+        deep = tuple(i for i, (a, b) in enumerate(basis) if b - a >= 2)
+        cases.append((f"n_{k}", L, [tuple(range(L.dim)), deep]))
+    return cases
+
+
+class TestSeriesOracles:
+    """Both series against plain-list oracles built from brute_bracket."""
+
+    @staticmethod
+    def as_lists(series):
+        return [[list(v) for v in term] for term in series]
+
+    @pytest.mark.parametrize("case", series_cases(), ids=lambda case: case[0])
+    def test_series_match_plain_oracles(self, case):
+        name, L, ideals = case
+        rng = random.Random(name)
+        for ideal in ideals:
+            # the ideal from its unit vectors, and from random combinations
+            # of them (one more than its dimension)
+            units = [[F(int(p == i)) for p in range(L.dim)] for i in ideal]
+            mixes = [
+                [F(rng.randint(-2, 2)) if p in ideal else F(0) for p in range(L.dim)]
+                for _ in range(len(ideal) + 1)
+            ]
+            for basis in (units, mixes):
+                assert self.as_lists(lower_central_series(L, basis)) == (
+                    brute_lower_central_series(L.dim, L.structure, basis)
+                )
+                assert self.as_lists(derived_series(L, basis)) == (
+                    brute_derived_series(L.dim, L.structure, basis)
+                )
+
+    def test_cases_reach_deeper_terms(self):
+        # the comparison above is not only over series that stop at once
+        lengths = {
+            name: max(len(lower_central_series(L, [unit_vector(L.dim, i) for i in ideal]))
+                      for ideal in ideals)
+            for name, L, ideals in series_cases()
+        }
+        assert lengths["sl2+heis"] == 3 and lengths["n_5"] == 5
+
+    def test_levi_checks_and_grading_make_no_bracket_call(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("liealg.bracket called")
+
+        monkeypatch.setattr(liealg, "bracket", forbidden)
+        for L, levi in (build_sl2_lambda(8), sl2_heisenberg_skewed()):
+            assert verify_levi_data(L, levi)["all_pass"]
+            adjoint_grading(L, levi)
 
 
 class TestAdjointGrading:
@@ -248,20 +370,16 @@ class TestAdjointGrading:
     def test_levi_invariance_of_sections(self, lam):
         L, levi = build_sl2_lambda(lam)
         g = adjoint_grading(L, levi)
-        from trilie.exact import span_contains
-
         for k, comp in enumerate(g.component_bases):
             for s in levi.levi_indices:
                 for v in comp:
                     img = bracket(L, unit_vector(L.dim, s), v)
-                    assert span_contains(list(comp), img, L.dim)
+                    assert brute_in_span(comp, img)
 
     @pytest.mark.parametrize("lam", (1, 2))
     def test_nilradical_raises_degree(self, lam):
         L, levi = build_sl2_lambda(lam)
         g = adjoint_grading(L, levi)
-        from trilie.exact import span_contains
-
         for z in levi.nilrad_indices:
             for k, comp in enumerate(g.component_bases):
                 higher = [
@@ -272,9 +390,7 @@ class TestAdjointGrading:
                 ]
                 for v in comp:
                     img = bracket(L, unit_vector(L.dim, z), v)
-                    assert vec_is_zero(img) or span_contains(
-                        higher, img, L.dim
-                    )
+                    assert brute_in_span(higher, img)
 
 
 class TestAdjointHomomorphism:
@@ -286,7 +402,9 @@ class TestAdjointHomomorphism:
         L, _ = build_sl2_lambda(lam)
         for i in range(L.dim):
             for j in range(i + 1, L.dim):
-                lhs = ad_matrix(L, L.bracket_basis(i, j))
+                b_ij = brute_bracket(L.dim, L.structure, unit_vector(L.dim, i),
+                                     unit_vector(L.dim, j))
+                lhs = ad_matrix(L, b_ij)
                 rhs = commutator(
                     ad_matrix(L, unit_vector(L.dim, i)),
                     ad_matrix(L, unit_vector(L.dim, j)),

@@ -1,9 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from trilie.exact import RatMatrix, exp_nilpotent, mat_power, unit_vector
-from trilie.graded import GradedSpace
+from trilie.graded import (
+    GradedMap,
+    GradedSpace,
+    degree_components,
+    is_homogeneous,
+    is_triangular,
+)
 from trilie.liealg import (
     LeviData,
     LieAlgebra,
@@ -15,6 +22,7 @@ from trilie.liealg import (
 from trilie.rep import (
     Representation,
     UnsupportedLeviError,
+    _structure_conditions,
     conjugate_levi_check,
     is_k_irreducible,
     kernel,
@@ -24,6 +32,8 @@ from trilie.rep import (
     verify_triangular_conditions,
 )
 from trilie.sl2theory import build_irreducible
+
+from helpers import seeded_rational_matrix, seeded_triangular_map
 
 F = Fraction
 
@@ -120,6 +130,32 @@ class TestTriangularConditions:
         report = verify_triangular_conditions(bad)
         assert not report["condition_ii"]
         assert report["witnesses"]["condition_ii"]["nilrad_index"] == 3
+
+    def test_gate_matches_stripe_reference(self):
+        # conditions (i) and (ii) as first written: (i) triangular and
+        # homogeneous of degree 0, (ii) triangular with a zero degree-0
+        # stripe from degree_components; flags and witnesses must agree
+        def reference(m):
+            ok, w = is_triangular(m)
+            cond_i = ok and is_homogeneous(m, 0)
+            if not ok:
+                return cond_i, False, {"nilrad_index": 9, "block": w}
+            stripes = degree_components(m)
+            if stripes and not stripes[0].is_zero():
+                return cond_i, False, {"nilrad_index": 9, "block": "nonzero degree-0 stripe"}
+            return cond_i, True, None
+
+        rng = random.Random(11)
+        for _ in range(300):
+            f = seeded_triangular_map(rng)
+            n = f.space.total_dim
+            g = GradedMap(f.space, seeded_rational_matrix(rng, n, n))
+            for m in (f, g, degree_components(f)[0], f - degree_components(f)[0]):
+                flags, witnesses = _structure_conditions([m], [(9, m)], [(9, m)])
+                cond_i, cond_ii, w_ii = reference(m)
+                assert (flags["condition_i"], flags["condition_ii"]) == (cond_i, cond_ii)
+                assert witnesses.get("condition_i") == (None if cond_i else {"levi_index": 9})
+                assert witnesses.get("condition_ii") == w_ii
 
     def test_single_component_grading_cannot_hide_nilradical(self):
         L, levi = build_sl2_lambda(1)
