@@ -4,8 +4,10 @@ Everything downstream runs on `fractions.Fraction`: results are exact,
 equality tests are exact, and there is deliberately no floating-point
 path. Matrices store one {column: nonzero entry} map per row, since
 triangular representations are mostly zero; arithmetic touches only
-the nonzero entries. Elimination is fraction-free over integer-cleared
-rows, with pivots normalized to 1 only at the end.
+the nonzero entries. Elimination runs row by row on the same sparse
+maps, cleared to primitive integer rows: it is fraction-free, and its
+pivots do not depend on the row order. Fractions appear only in rref's
+reduced rows, one per stored entry.
 """
 
 from __future__ import annotations
@@ -369,84 +371,79 @@ def exp_nilpotent(a: RatMatrix) -> RatMatrix:
     raise ValueError("matrix is not nilpotent")
 
 
-def _integer_rows(a: RatMatrix) -> list[list[int]]:
-    # scale each row to a primitive integer vector (row scaling is a
-    # legal row operation, so rank / rref / nullspace are unaffected)
-    out = []
-    for row in a.maps:
-        ints = [0] * a.cols
-        if row:
-            denom_lcm = 1
-            for x in row.values():
-                denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-            g = 0
-            for j, x in row.items():
-                v = x.numerator * (denom_lcm // x.denominator)
-                ints[j] = v
-                g = math.gcd(g, v)
-            if g > 1:
-                for j in row:
-                    ints[j] //= g
-        out.append(ints)
+def _primitive(row: dict) -> dict[int, int]:
+    """The row map scaled to integers with content 1 (row scaling leaves
+    the row space, hence rank, rref and pivots, unchanged). Entries p/q
+    in lowest terms have content gcd(p) / lcm(q)."""
+    # plain loops: most rows are short, and a comprehension costs a call
+    g, d = 0, 1
+    for x in row.values():
+        g = math.gcd(g, x.numerator)
+        d = math.lcm(d, x.denominator)
+    ints = {}
+    for j, x in row.items():
+        ints[j] = x.numerator // g * (d // x.denominator)
+    return ints
+
+
+def _cancel(v: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """p[c]·v − v[c]·p with its content divided out; column c cancels."""
+    a, b = p[c], v[c]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = {}
+    for j, x in v.items():
+        out[j] = a * x
+    for j, y in p.items():
+        z = out.pop(j, 0) - b * y
+        if z:
+            out[j] = z
+    g = math.gcd(*out.values())
+    if g > 1:
+        for j in out:
+            out[j] //= g
     return out
 
 
-def _forward_eliminate(rows: list[list[int]], cols: int) -> list[int]:
-    # fraction-free forward pass: cross-multiplied row updates with gcd
-    # renormalization to bound entry growth; pivot = first row holding a
-    # nonzero entry in column order (deterministic)
-    pivots: list[int] = []
-    pr = 0
-    nrows = len(rows)
-    for pc in range(cols):
-        pivot = None
-        for r in range(pr, nrows):
-            if rows[r][pc] != 0:
-                pivot = r
+def _echelon(a: RatMatrix) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form of the row space: pivot column -> a
+    primitive integer row map with that leading column. Each row of `a`
+    is reduced against the stored row of its leading column until that
+    column is new. The pivot columns are rref's whatever the row order:
+    they are the leading columns of the row space's vectors."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in a.maps:
+        v = _primitive(row)
+        while v:
+            pc = min(v)
+            p = echelon.get(pc)
+            if p is None:
+                echelon[pc] = v
                 break
-        if pivot is None:
-            continue
-        if pivot != pr:
-            rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        pv = rows[pr][pc]
-        for r in range(pr + 1, nrows):
-            x = rows[r][pc]
-            if x == 0:
-                continue
-            new = [pv * a - x * b for a, b in zip(rows[r], rows[pr])]
-            g = 0
-            for v in new:
-                g = math.gcd(g, v)
-            rows[r] = [v // g for v in new] if g > 1 else new
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
+            v = _cancel(v, p, pc)
+    return echelon
 
 
 def rref(a: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
-    rows = _integer_rows(a)
-    pivots = _forward_eliminate(rows, a.cols)
-    frows = []
-    for r, pc in enumerate(pivots):
-        pv = rows[r][pc]
-        frows.append([Fraction(v, pv) for v in rows[r]])
-    for idx in range(len(pivots) - 1, -1, -1):
-        pc = pivots[idx]
-        for r2 in range(idx):
-            f = frows[r2][pc]
-            if f != 0:
-                frows[r2] = [x - f * y for x, y in zip(frows[r2], frows[idx])]
-    maps = [{j: x for j, x in enumerate(fr) if x} for fr in frows]
-    maps.extend({} for _ in range(a.rows - len(frows)))
+    echelon = _echelon(a)
+    pivots = sorted(echelon)
+    # clear the other pivot columns from each pivot row, last pivot
+    # first, so every row it is cleared with is already reduced
+    maps = []
+    for pc in reversed(pivots):
+        v = echelon[pc]
+        for q in [q for q in v if q != pc and q in echelon]:
+            v = _cancel(v, echelon[q], q)
+        echelon[pc] = v
+        maps.append({j: Fraction(x, v[pc]) for j, x in v.items()})
+    maps.reverse()
+    maps.extend({} for _ in range(a.rows - len(pivots)))
     return RatMatrix._from_maps(a.rows, a.cols, maps), tuple(pivots)
 
 
 def rank(a: RatMatrix) -> int:
-    rows = _integer_rows(a)
-    return len(_forward_eliminate(rows, a.cols))
+    return len(_echelon(a))
 
 
 def nullspace_basis(a: RatMatrix) -> list[Vector]:
@@ -513,7 +510,5 @@ def extend_independent(
     if not candidates:
         return []
     columns = list(base) + list(candidates)
-    pivots = _forward_eliminate(
-        _integer_rows(columns_matrix(columns, dim)), len(columns)
-    )
+    pivots = sorted(_echelon(columns_matrix(columns, dim)))
     return [columns[p] for p in pivots if p >= len(base)]

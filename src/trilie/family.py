@@ -271,12 +271,10 @@ def weight_compatibility(module: FamilyModule) -> tuple[bool, tuple | None]:
     m - 2t = (Λ - 2j) + (n - 2i)."""
     p = module.params
     for j in range(p.lam + 1):
-        block = module.z_block(j)
-        for t in range(p.m + 1):
-            for i in range(p.n + 1):
-                if block[t, i] != 0:
-                    if p.m - 2 * t != (p.lam - 2 * j) + (p.n - 2 * i):
-                        return False, (j, i, t)
+        for t, row in enumerate(module.z_block(j).maps):
+            for i in sorted(row):
+                if p.m - 2 * t != (p.lam - 2 * j) + (p.n - 2 * i):
+                    return False, (j, i, t)
     return True, None
 
 

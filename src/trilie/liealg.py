@@ -301,43 +301,52 @@ def _index_span(L: LieAlgebra, indices: Sequence[int]) -> RatMatrix:
     return RatMatrix._from_maps(len(units), L.dim, units)
 
 
-def _bracket_span(R: list[RatMatrix], left: RatMatrix, right: RatMatrix) -> RatMatrix:
-    """[left, right] in rref: for each row a of left, the rows of
-    right @ R_a span [a, right]."""
-    products = []
-    for a in left.maps:
-        products.extend(row for row in (right @ _ad_rows(R, a.items())).maps if row)
-    return _row_span(RatMatrix._from_maps(len(products), right.cols, products))
+def _first_escape(first: RatMatrix, products: Sequence[RatMatrix]) -> tuple[int, int] | None:
+    """The least (p, i) for which row p of products[i] leaves
+    span(first), or None."""
+    # first is in rref, so w lies in its span iff w @ (I - P) = 0,
+    # where P sends b_pc to the row of first with pivot column pc
+    n = first.cols
+    lift = {min(row): row for row in first.maps}
+    outside = RatMatrix.identity(n) - RatMatrix._from_maps(
+        n, n, [lift.get(j, {}) for j in range(n)]
+    )
+    index = [(p, i) for i, m in enumerate(products) for p, row in enumerate(m.maps) if row]
+    rows = [row for m in products for row in m.maps if row]
+    rest = RatMatrix._from_maps(len(rows), n, rows) @ outside
+    return min((pi for pi, row in zip(index, rest.maps) if row), default=None)
 
 
 def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix]:
     """The derived series of span(first), or its lower central series
-    when `lower` (first must then span an ideal), as rref row maps."""
-    if lower:
-        # first is in rref, so w lies in its span iff w @ (I - P) = 0,
-        # where P sends b_pc to the row of first with pivot column pc
-        n = first.cols
-        lift = {min(row): row for row in first.maps}
-        outside = RatMatrix.identity(n) - RatMatrix._from_maps(
-            n, n, [lift.get(j, {}) for j in range(n)]
-        )
-        escapes = [
-            (p, i)
-            for i, r_i in enumerate(R)
-            for p, row in enumerate((first @ r_i @ outside).maps)
-            if row
-        ]
-        if escapes:
-            p, i = min(escapes)
+    when `lower`, as rref row maps. span(first) must be a subalgebra, or
+    an ideal when `lower`; then each term lies in the one before, so the
+    series ends within dim steps."""
+    ads = [_ad_rows(R, a.items()) for a in first.maps]
+    # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
+    # term and a_i of first (lower) or of the last term (derived)
+    brackets = [first @ ad for ad in ads]
+    escape = _first_escape(first, [first @ r_i for r_i in R] if lower else brackets)
+    if escape:
+        p, i = escape
+        if lower:
             raise ValueError(
                 f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
             )
+        raise ValueError(
+            f"input span is not a subalgebra: [u, v] escapes for "
+            f"u={first.row(i)}, v={first.row(p)}"
+        )
     series = [first]
     while series[-1].rows:
-        nxt = _bracket_span(R, first if lower else series[-1], series[-1])
+        rows = [row for m in brackets for row in m.maps if row]
+        nxt = _row_span(RatMatrix._from_maps(len(rows), first.cols, rows))
         if nxt == series[-1]:
             break
         series.append(nxt)
+        if not lower:
+            ads = [_ad_rows(R, a.items()) for a in nxt.maps]
+        brackets = [nxt @ ad for ad in ads]
     return series
 
 
@@ -401,11 +410,7 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
 
     nil_ideal, w = _is_ideal_indices(L, nilrad)
     if nil_ideal:
-        try:
-            lcs = _series(R, _index_span(L, nilrad), lower=True)
-            nil_nilpotent = not lcs[-1].rows
-        except ValueError:
-            nil_nilpotent = False
+        nil_nilpotent = not _series(R, _index_span(L, nilrad), lower=True)[-1].rows
         if not nil_nilpotent:
             witnesses["nilradical_nilpotent_ideal"] = "lower central series stabilizes nonzero"
     else:

@@ -125,6 +125,18 @@ def brute_z_blocks(lam: int, m: int, n: int, s: int, big_n: int,
     return z
 
 
+def brute_weight_witness(lam: int, m: int, n: int, blocks: list) -> tuple | None:
+    """First (j, i, t), with j, then t, then i ascending over the plain
+    (m+1) x (n+1) lists blocks[j], where z_j·u_i has a nonzero w_t
+    coefficient though m - 2t != (lam - 2j) + (n - 2i); None if none."""
+    for j, block in enumerate(blocks):
+        for t in range(m + 1):
+            for i in range(n + 1):
+                if block[t][i] != 0 and m - 2 * t != (lam - 2 * j) + (n - 2 * i):
+                    return (j, i, t)
+    return None
+
+
 def brute_fill_blocks(rows: int, cols: int, blocks) -> list[list[Fraction]]:
     """Plain-list matrix filled entry by entry from (r0, c0, block rows)."""
     out = [[Fraction(0)] * cols for _ in range(rows)]

@@ -26,6 +26,7 @@ from trilie.exact import (
     sylvester_system,
     vector,
 )
+from trilie.sl2theory import string_action
 
 from helpers import (
     brute_extend_independent,
@@ -33,6 +34,7 @@ from helpers import (
     brute_matrix_bracket,
     brute_nullspace,
     brute_rank,
+    brute_span,
     brute_sylvester,
 )
 
@@ -485,3 +487,84 @@ class TestSparseStorage:
             RatMatrix(1, 1, [0.0])
         with pytest.raises(ValueError):
             RatMatrix(1, 1, ["1/0"])
+
+
+# zeros, small rationals, and fractions whose numerator or denominator
+# (or both) lies near 2^64
+near_2_64 = st.integers(2**64 - 2**16, 2**64 + 2**16)
+wide_entries = st.one_of(
+    st.just(ZERO),
+    rationals,
+    st.builds(Fraction, near_2_64, st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-6, 6), near_2_64),
+    st.builds(lambda p, q, sign: sign * Fraction(p, q),
+              near_2_64, near_2_64, st.sampled_from((1, -1))),
+)
+
+
+def wide_matrices():
+    """Matrices up to 8x8 of wide_entries, with rows drawn from a small
+    pool so that repeated rows are common."""
+    def build(shape):
+        r, c = shape
+        row = st.lists(wide_entries, min_size=c, max_size=c)
+        rows = st.lists(row, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool) | row, min_size=r, max_size=r)
+        )
+        return rows.map(lambda rs: RatMatrix(r, c, [x for each in rs for x in each]))
+
+    return st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(build)
+
+
+class TestSparseElimination:
+    @given(wide_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_rows_match_brute_span(self, a):
+        reduced, pivots = rref(a)
+        expected = brute_span(a.to_lists(), a.cols)
+        k = len(expected)
+        assert [list(reduced.row(r)) for r in range(k)] == expected
+        assert reduced.maps[k:] == [{} for _ in range(a.rows - k)]
+        assert list(pivots) == [next(j for j, x in enumerate(row) if x) for row in expected]
+        assert rank(a) == k
+        assert_clean(reduced)
+
+    @given(wide_matrices(), st.randoms(use_true_random=False), st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_row_order_and_repeats_change_nothing(self, a, rnd, split):
+        repeats = [rnd.randrange(a.rows) for _ in range(3)] if a.rows else []
+        order = list(range(a.rows)) + repeats
+        rnd.shuffle(order)
+        b = a.submatrix(order, range(a.cols))
+        reduced_a, pivots_a = rref(a)
+        reduced_b, pivots_b = rref(b)
+        assert rank(b) == rank(a) == len(pivots_a)
+        assert pivots_b == pivots_a
+        k = len(pivots_a)
+        assert reduced_b.maps[:k] == reduced_a.maps[:k]
+        # extend_independent eliminates the matrix whose columns are the
+        # vectors: permuting and repeating coordinates keeps its row space
+        vectors = [a.col(j) for j in range(a.cols)]
+        base, candidates = vectors[:split], vectors[split:]
+
+        def moved(vs):
+            return [tuple(v[q] for q in order) for v in vs]
+
+        chosen = extend_independent(base, candidates, a.rows)
+        assert extend_independent(moved(base), moved(candidates), len(order)) == moved(chosen)
+        assert chosen == brute_extend_independent(base, candidates)
+
+    def test_rank_of_long_weight_strings(self):
+        # a 2000-dimensional string: h - wI is diagonal, e has one entry
+        # per row, and e + h - wI is bidiagonal; the ranks are known
+        d = 2000
+        _, h, e = string_action(d - 1, d - 1)
+        ident = RatMatrix.identity(d)
+        weights = set(range(1 - d, d, 2))
+        for w in (d - 1, 1, -1, 1 - d, 0, 2, d, -d - 1):
+            expected = d - 1 if w in weights else d
+            assert rank(h - ident.scale(w)) == expected, w
+            # the diagonal of e + h - wI is zero at most once, where
+            # w is a weight; the superdiagonal of e is nonzero
+            assert rank(e + h - ident.scale(w)) == expected, w
+        assert rank(e) == d - 1

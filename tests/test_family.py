@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,16 @@ from trilie.family import (
     ModuleParams,
     build_family_module,
     enumerate_params,
+    two_block_representation,
     validate_params,
     verify_family,
     weight_compatibility,
     z_blocks,
 )
 from trilie.rep import conjugate_levi_check, verify_homomorphism
+from trilie.sl2theory import string_action
 
-from helpers import brute_bracket, brute_z_blocks
+from helpers import brute_bracket, brute_weight_witness, brute_z_blocks
 
 F = Fraction
 
@@ -248,6 +251,38 @@ class TestWeightCompatibility:
         module = build_family_module(params(lam, m, n, s, big_n, a))
         ok, witness = weight_compatibility(module)
         assert ok, witness
+
+    def test_witness_matches_dense_scan(self):
+        # every tuple of `trilie gen family` up to 5 x 5 for lam <= 3, as
+        # built and as printed, then with one planted off-weight entry
+        rng = random.Random(11)
+        for lam in (1, 2, 3):
+            for m, n, s, big_n in enumerate_params(lam, 5, 5):
+                a = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n - s))
+                p = params(lam, m, n, s, big_n, a)
+                for paper_literal in (False, True):
+                    module = build_family_module(p, paper_literal=paper_literal)
+                    blocks = [module.z_block(j).to_lists() for j in range(lam + 1)]
+                    expected = brute_weight_witness(lam, m, n, blocks)
+                    assert weight_compatibility(module) == (expected is None, expected)
+                off_weight = [
+                    (j, t, i)
+                    for j in range(lam + 1)
+                    for t in range(m + 1)
+                    for i in range(n + 1)
+                    if m - 2 * t != (lam - 2 * j) + (n - 2 * i)
+                ]
+                if not off_weight:
+                    continue
+                j, t, i = rng.choice(off_weight)
+                blocks[j][t][i] = F(rng.choice((1, -1)), rng.randint(1, 3))
+                rho = two_block_representation(
+                    lam, string_action(n, n), string_action(m, m),
+                    [RatMatrix.from_rows(b) for b in blocks],
+                )
+                expected = brute_weight_witness(lam, m, n, blocks)
+                assert expected is not None
+                assert weight_compatibility(FamilyModule(p, rho)) == (False, expected)
 
 
 class TestScalarDependence:

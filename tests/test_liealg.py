@@ -245,6 +245,16 @@ class TestSeries:
             f"input span is not an ideal: [b_3, v] escapes for v={first[1]}"
         )
 
+    def test_non_subalgebra_names_first_escape(self):
+        # [f, e] = -h leaves span{f, e}; rows (p, i) = (0, 1) give [e, f] first
+        L, _ = build_sl2()
+        f, e = unit_vector(3, 0), unit_vector(3, 2)
+        with pytest.raises(ValueError) as exc:
+            derived_series(L, [f, e])
+        assert str(exc.value) == (
+            f"input span is not a subalgebra: [u, v] escapes for u={e}, v={f}"
+        )
+
     @pytest.mark.parametrize("series", (derived_series, lower_central_series))
     def test_wrong_length_vector_rejected(self, series):
         L, _ = build_sl2()
@@ -277,6 +287,22 @@ def series_cases():
     return cases
 
 
+@st.composite
+def sl2_lambda_spans(draw):
+    """sl2^lam (lam <= 3) with one to four vectors on a random set of at
+    least two basis indices, each a unit vector or a small random
+    combination."""
+    L, _ = build_sl2_lambda(draw(st.integers(1, 3)))
+    support = sorted(draw(st.sets(st.integers(0, L.dim - 1), min_size=2)))
+    unit = st.sampled_from(support).map(
+        lambda i: [F(int(p == i)) for p in range(L.dim)]
+    )
+    mix = st.lists(st.integers(-2, 2), min_size=len(support), max_size=len(support)).map(
+        lambda cs: [F(cs[support.index(p)]) if p in support else F(0) for p in range(L.dim)]
+    )
+    return L, draw(st.lists(unit | mix, min_size=1, max_size=4))
+
+
 class TestSeriesOracles:
     """Both series against plain-list oracles built from brute_bracket."""
 
@@ -303,6 +329,23 @@ class TestSeriesOracles:
                 assert self.as_lists(derived_series(L, basis)) == (
                     brute_derived_series(L.dim, L.structure, basis)
                 )
+
+    @given(sl2_lambda_spans())
+    @settings(max_examples=100, deadline=None)
+    def test_derived_series_raises_exactly_off_subalgebras(self, case):
+        L, vectors = case
+        closed = all(
+            brute_in_span(vectors, brute_bracket(L.dim, L.structure, a, b))
+            for a in vectors
+            for b in vectors
+        )
+        if closed:
+            assert self.as_lists(derived_series(L, vectors)) == (
+                brute_derived_series(L.dim, L.structure, vectors)
+            )
+        else:
+            with pytest.raises(ValueError, match="not a subalgebra"):
+                derived_series(L, vectors)
 
     def test_cases_reach_deeper_terms(self):
         # the comparison above is not only over series that stop at once
