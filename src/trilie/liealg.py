@@ -231,28 +231,17 @@ def build_sl2_lambda(lam: int) -> tuple[LieAlgebra, LeviData]:
     return L, levi
 
 
-def _index_span_closed(L: LieAlgebra, indices: Sequence[int],
-                       ambient: Sequence[int]) -> tuple[bool, tuple | None]:
-    ambient_set = set(ambient)
-    for i in indices:
-        for j in indices:
-            if i >= j:
-                continue
-            for k in sorted(L.structure.get((i, j), {})):
-                if k not in ambient_set:
-                    return False, (i, j, k)
-    return True, None
-
-
-def _is_ideal_indices(L: LieAlgebra, indices: Sequence[int]) -> tuple[bool, tuple | None]:
-    idx_set = set(indices)
-    for i in range(L.dim):
-        for j in indices:
-            pair = (min(i, j), max(i, j))
-            for k in sorted(L.structure.get(pair, {})):
-                if k not in idx_set:
-                    return False, (i, j, k)
-    return True, None
+def _index_escape(L: LieAlgebra, pairs: Iterable[tuple[int, int]],
+                  span: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first (i, j, k), over the pairs in order and k ascending, for
+    which [b_i, b_j] has a b_k term with k outside `span`; None if none.
+    Read off the table, so indices it does not store pass."""
+    inside = set(span)
+    for i, j in pairs:
+        for k in sorted(L.structure.get((min(i, j), max(i, j)), ())):
+            if k not in inside:
+                return i, j, k
+    return None
 
 
 def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix] | None:
@@ -319,24 +308,25 @@ def _first_escape(first: RatMatrix, products: Sequence[RatMatrix]) -> tuple[int,
 
 def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix]:
     """The derived series of span(first), or its lower central series
-    when `lower`, as rref row maps. span(first) must be a subalgebra, or
-    an ideal when `lower`; then each term lies in the one before, so the
-    series ends within dim steps."""
+    when `lower`, as rref row maps.
+
+    Precondition for `lower`: span(first) is an ideal, which callers
+    check (`_lower_central`, or the index scan of an index span). Then
+    each term lies in the one before, so the series ends within dim
+    steps. For the derived series the subalgebra check runs here, on
+    the first step's own brackets, so it ends on every input."""
     ads = [_ad_rows(R, a.items()) for a in first.maps]
     # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
     # term and a_i of first (lower) or of the last term (derived)
     brackets = [first @ ad for ad in ads]
-    escape = _first_escape(first, [first @ r_i for r_i in R] if lower else brackets)
-    if escape:
-        p, i = escape
-        if lower:
+    if not lower:
+        escape = _first_escape(first, brackets)
+        if escape:
+            p, i = escape
             raise ValueError(
-                f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
+                f"input span is not a subalgebra: [u, v] escapes for "
+                f"u={first.row(i)}, v={first.row(p)}"
             )
-        raise ValueError(
-            f"input span is not a subalgebra: [u, v] escapes for "
-            f"u={first.row(i)}, v={first.row(p)}"
-        )
     series = [first]
     while series[-1].rows:
         rows = [row for m in brackets for row in m.maps if row]
@@ -350,11 +340,24 @@ def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix
     return series
 
 
+def _lower_central(R: list[RatMatrix], first: RatMatrix) -> list[RatMatrix]:
+    """_series(lower=True) for a span not yet known to be an ideal:
+    raises ValueError naming the first [b_i, v] outside it."""
+    escape = _first_escape(first, [first @ r_i for r_i in R])
+    if escape:
+        p, i = escape
+        raise ValueError(
+            f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
+        )
+    return _series(R, first, lower=True)
+
+
 def _dense_series(L: LieAlgebra, vectors: Sequence[Vector], lower: bool) -> list[list[Vector]]:
     if any(len(v) != L.dim for v in vectors):
         raise ValueError("vector length does not match algebra dim")
     first = _row_span(columns_matrix(vectors, L.dim).transpose())
-    series = _series(_structure_rows(L), first, lower)
+    R = _structure_rows(L)
+    series = _lower_central(R, first) if lower else _series(R, first, lower=False)
     return [[s.row(t) for t in range(s.rows)] for s in series]
 
 
@@ -387,7 +390,8 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
             "levi": levi, "radical": radical, "nilradical": nilrad
         }
 
-    levi_closed, w = _index_span_closed(L, levi, levi)
+    w = _index_escape(L, ((i, j) for i in levi for j in levi if i < j), levi)
+    levi_closed = w is None
     if not levi_closed:
         witnesses["levi_closed"] = w
 
@@ -398,9 +402,11 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
     if not killing_ok:
         witnesses["levi_killing_nondegenerate"] = "rank deficient"
 
+    # an index span is an ideal iff every [b_i, b_j], j in it, stays in
+    # it, so the series below run with their ideal precondition met
     R = _structure_rows(L)
-    rad_ideal, w = _is_ideal_indices(L, radical)
-    if rad_ideal:
+    w = _index_escape(L, ((i, j) for i in range(L.dim) for j in radical), radical)
+    if w is None:
         rad_solvable = not _series(R, _index_span(L, radical), lower=False)[-1].rows
         if not rad_solvable:
             witnesses["radical_solvable_ideal"] = "derived series stabilizes nonzero"
@@ -408,8 +414,8 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
         rad_solvable = False
         witnesses["radical_solvable_ideal"] = w
 
-    nil_ideal, w = _is_ideal_indices(L, nilrad)
-    if nil_ideal:
+    w = _index_escape(L, ((i, j) for i in range(L.dim) for j in nilrad), nilrad)
+    if w is None:
         nil_nilpotent = not _series(R, _index_span(L, nilrad), lower=True)[-1].rows
         if not nil_nilpotent:
             witnesses["nilradical_nilpotent_ideal"] = "lower central series stabilizes nonzero"
@@ -500,7 +506,7 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     v0 = [unit_vector(L.dim, i) for i in D.levi_indices] + complement
 
     R = _structure_rows(L)
-    series = _series(R, _index_span(L, D.nilrad_indices), lower=True)
+    series = _lower_central(R, _index_span(L, D.nilrad_indices))
     components: list[list[Vector]] = [v0] + [
         _levi_invariant_section(R, D.levi_indices, series[k], series[k + 1])
         for k in range(len(series) - 1)

@@ -166,7 +166,16 @@ def kernel(rho: Representation) -> list[Vector]:
 def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:
     """Normalize a 3-dimensional Levi factor to an (F, H, E) triple with
     [H,E] = 2E, [H,F] = -2F, [E,F] = H; raises UnsupportedLeviError when
-    no basis element acts with eigenvalues {2, 0, -2}."""
+    no basis element acts with eigenvalues {2, 0, -2}.
+
+    Candidates h = b_g are tried in Levi order; m is ad(h) on the Levi
+    span, which must be closed. Column g of m is [h, h] = 0, so when the
+    eigenspaces of m - 2I and m + 2I are both lines, m has the three
+    distinct eigenvalues 2, 0, -2 and needs no other test. Their vectors
+    e and f satisfy [h, e] = 2e and [h, f] = -2f in the ambient algebra,
+    and so does e / c for any c. Only [e, f] = c h is left: it follows
+    from Jacobi, which is not assumed, so it is the one bracket computed
+    (c is the h-coordinate of [e, f])."""
     idx = list(levi_indices)
     if len(idx) != 3:
         raise UnsupportedLeviError(
@@ -176,45 +185,27 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
     if ads is None:
         raise UnsupportedLeviError("Levi span not closed")
 
-    ident = RatMatrix.identity(3)
-    for h_pos, m in enumerate(ads):
-        if m.is_zero():
-            continue
-        annihilator = m @ (m - ident.scale(2)) @ (m + ident.scale(2))
-        if not annihilator.is_zero():
-            continue
-        plus = nullspace_basis(m - ident.scale(2))
-        minus = nullspace_basis(m + ident.scale(2))
+    def to_ambient(v: Vector) -> Vector:
+        out = [ZERO] * L.dim
+        for p, c in enumerate(v):
+            out[idx[p]] += c
+        return tuple(out)
+
+    two = RatMatrix.diagonal((2, 2, 2))
+    for g, m in zip(idx, ads):
+        plus = nullspace_basis(m - two)
+        minus = nullspace_basis(m + two)
         if len(plus) != 1 or len(minus) != 1:
             continue
-        h_local = unit_vector(3, h_pos)
-        e_local, f_local = plus[0], minus[0]
-
-        def to_ambient(v: Vector) -> Vector:
-            out = [ZERO] * L.dim
-            for p, c in enumerate(v):
-                out[idx[p]] += c
-            return tuple(out)
-
-        h_amb = to_ambient(h_local)
-        e_amb = to_ambient(e_local)
-        f_amb = to_ambient(f_local)
+        e_amb, f_amb = to_ambient(plus[0]), to_ambient(minus[0])
         ef = bracket(L, e_amb, f_amb)
-        scal = None
-        for k, c in enumerate(h_amb):
-            if c != 0:
-                scal = ef[k] / c
-                break
-        if scal is None or scal == 0:
+        scal = ef[g]
+        if scal == 0:
             continue
-        e_amb = tuple(c / scal for c in e_amb)
-        if bracket(L, e_amb, f_amb) != h_amb:
+        h_amb = unit_vector(L.dim, g)
+        if tuple(c / scal for c in ef) != h_amb:
             continue
-        if bracket(L, h_amb, e_amb) != tuple(2 * c for c in e_amb):
-            continue
-        if bracket(L, h_amb, f_amb) != tuple(-2 * c for c in f_amb):
-            continue
-        return f_amb, h_amb, e_amb
+        return f_amb, h_amb, tuple(c / scal for c in e_amb)
     raise UnsupportedLeviError(
         "no Levi basis element acts with eigenvalues {2, 0, -2}"
     )

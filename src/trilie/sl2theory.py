@@ -105,9 +105,9 @@ def is_weight_string(h: RatMatrix, e: RatMatrix) -> bool:
     that call raises), from d + 1 ranks whatever the size of the entries.
     """
     d = h.rows
-    ident = RatMatrix.identity(d)
     return all(
-        rank(h - ident.scale(d - 1 - 2 * i)) == d - 1 for i in range(d)
+        rank(h - RatMatrix.diagonal([Fraction(d - 1 - 2 * i)] * d)) == d - 1
+        for i in range(d)
     ) and rank(e) == d - 1
 
 

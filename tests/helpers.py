@@ -240,7 +240,7 @@ def brute_bracket(dim: int, structure: dict, x: list, y: list) -> list[Fraction]
     out = [Fraction(0)] * dim
     for i in range(dim):
         for j in range(dim):
-            if i == j:
+            if i == j or x[i] == 0 or y[j] == 0:
                 continue
             sign = 1 if i < j else -1
             for k, c in structure.get((min(i, j), max(i, j)), {}).items():
@@ -302,3 +302,125 @@ def brute_lower_central_series(dim: int, structure: dict, basis: list) -> list:
             break
         series.append(nxt)
     return series
+
+
+def corrupt_bracket(rng: random.Random, structure: dict, dim: int) -> dict:
+    """A copy of a table {(i, j): {k: c}} (i < j) with the bracket of one
+    random pair replaced by zero or by one or two random terms."""
+    out = {pair: dict(coeffs) for pair, coeffs in structure.items()}
+    i, j = sorted(rng.sample(range(dim), 2))
+    out[i, j] = {
+        rng.randrange(dim): Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+        for _ in range(rng.randint(0, 2))
+    }
+    return out
+
+
+def rebased(structure: dict, perm, scales) -> dict:
+    """The table of the basis b'_p = scales[p] b_perm[p], from a table of
+    the b_i: [b'_p, b'_q] = s_p s_q [b_perm[p], b_perm[q]], with each b_k
+    written as b'_p' / s_p' where perm[p'] = k."""
+    where = {old: p for p, old in enumerate(perm)}
+    out = {}
+    for (a, b), coeffs in structure.items():
+        p, q = where[a], where[b]
+        sign = 1 if p < q else -1
+        out[min(p, q), max(p, q)] = {
+            where[k]: sign * scales[p] * scales[q] * c / scales[where[k]]
+            for k, c in coeffs.items()
+        }
+    return out
+
+
+def _unit(dim: int, i: int) -> list[Fraction]:
+    return [Fraction(int(p == i)) for p in range(dim)]
+
+
+def brute_index_escape(dim: int, structure: dict, pairs, span) -> tuple | None:
+    """First (i, j, k), over the pairs in order and then k ascending,
+    where [b_i, b_j] has a nonzero b_k coefficient with k not in span."""
+    for i, j in pairs:
+        v = brute_bracket(dim, structure, _unit(dim, i), _unit(dim, j))
+        for k in range(dim):
+            if v[k] != 0 and k not in span:
+                return (i, j, k)
+    return None
+
+
+def brute_levi_witnesses(dim: int, structure: dict, levi, radical, nilrad) -> dict:
+    """The witness, or None when the check passes, of the three index
+    checks of a Levi declaration, from plain lists:
+    - levi_closed: the index escape over pairs i < j, both taken from
+      the Levi list in its order;
+    - radical_solvable_ideal and nilradical_nilpotent_ideal: the index
+      escape over i in range(dim) and j in the list, then the derived
+      (lower central) series of the span of the listed unit vectors,
+      which must end at 0."""
+    units = lambda idx: [_unit(dim, i) for i in idx]  # noqa: E731
+    ideal = lambda idx: [(i, j) for i in range(dim) for j in idx]  # noqa: E731
+    rad = brute_index_escape(dim, structure, ideal(radical), radical)
+    if rad is None and brute_derived_series(dim, structure, units(radical))[-1]:
+        rad = "derived series stabilizes nonzero"
+    nil = brute_index_escape(dim, structure, ideal(nilrad), nilrad)
+    if nil is None and brute_lower_central_series(dim, structure, units(nilrad))[-1]:
+        nil = "lower central series stabilizes nonzero"
+    return {
+        "levi_closed": brute_index_escape(
+            dim, structure, [(i, j) for i in levi for j in levi if i < j], levi
+        ),
+        "radical_solvable_ideal": rad,
+        "nilradical_nilpotent_ideal": nil,
+    }
+
+
+def brute_sl2_triple(dim: int, structure: dict, levi) -> tuple | str:
+    """(f, h, e) for a Levi list, or the text of the error that rejects
+    it, from the definition with plain lists:
+    - the Levi list has three entries, and its span is closed;
+    - candidates h = b_g are tried in Levi order; m is ad(h) on the
+      span, in local coordinates that put b_k at the last position of k
+      in the list;
+    - m has the eigenvalues 2, 0, -2, each on a line, with eigenvectors
+      e and f for 2 and -2;
+    - e is divided by the h-coordinate c != 0 of [e, f], and the triple
+      is kept when [h, e] = 2e, [h, f] = -2f and [e, f] = h all hold."""
+    if len(levi) != 3:
+        return f"irreducibility test supports only 3-dimensional Levi factors, got {len(levi)}"
+    pos = {g: p for p, g in enumerate(levi)}
+
+    def br(x, y):
+        return brute_bracket(dim, structure, x, y)
+
+    def ambient(v):
+        out = [Fraction(0)] * dim
+        for p, c in enumerate(v):
+            out[levi[p]] += c
+        return out
+
+    ads = []
+    for g in levi:
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        for q, g2 in enumerate(levi):
+            for k, c in enumerate(br(_unit(dim, g), _unit(dim, g2))):
+                if c != 0:
+                    if k not in pos:
+                        return "Levi span not closed"
+                    m[pos[k]][q] = c
+        ads.append(m)
+    for g, m in zip(levi, ads):
+        lines = []
+        for w in (2, -2, 0):
+            shifted = [[m[r][c] - (w if r == c else 0) for c in range(3)] for r in range(3)]
+            lines.append(brute_nullspace(shifted, 3))
+            if len(lines[-1]) != 1:
+                break
+        else:
+            e, f, h = ambient(lines[0][0]), ambient(lines[1][0]), _unit(dim, g)
+            c = br(e, f)[g]
+            if c == 0:
+                continue
+            e = [x / c for x in e]
+            if (br(h, e) == [2 * x for x in e] and br(h, f) == [-2 * x for x in f]
+                    and br(e, f) == h):
+                return tuple(f), tuple(h), tuple(e)
+    return "no Levi basis element acts with eigenvalues {2, 0, -2}"

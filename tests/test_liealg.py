@@ -26,7 +26,9 @@ from helpers import (
     brute_derived_series,
     brute_in_span,
     brute_jacobi_witness,
+    brute_levi_witnesses,
     brute_lower_central_series,
+    corrupt_bracket,
 )
 
 F = Fraction
@@ -207,6 +209,69 @@ class TestLeviData:
         report = verify_levi_data(L, bad)
         assert not report["radical_solvable_ideal"]
         assert not report["all_pass"]
+
+    def test_each_ideal_is_checked_once(self, monkeypatch):
+        # the index scans decide both ideal checks; the one product check
+        # left is the radical's derived series testing its first step
+        calls = []
+        real = liealg._first_escape
+        monkeypatch.setattr(
+            liealg, "_first_escape", lambda *args: calls.append(args) or real(*args)
+        )
+        assert verify_levi_data(*build_sl2_lambda(8))["all_pass"]
+        assert len(calls) <= 1
+
+
+def levi_declarations(seed, count):
+    """sl2^lam (lam <= 3), half with one random bracket, declared with
+    lists that are each kept, shuffled with a repeated index, cut short,
+    replaced by every index, or drawn at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        L, levi = build_sl2_lambda(rng.randint(1, 3))
+        table = L.structure
+        if rng.random() < 0.5:
+            table = corrupt_bracket(rng, table, L.dim)
+        lists = []
+        for declared in (levi.levi_indices, levi.radical_indices, levi.nilrad_indices):
+            out = list(declared)
+            kind = rng.randrange(5)
+            if kind == 1:
+                out.append(rng.choice(out))
+                rng.shuffle(out)
+            elif kind == 2:
+                out.pop(rng.randrange(len(out)))
+            elif kind == 3:
+                out = rng.sample(range(L.dim), L.dim)
+            elif kind == 4:
+                out = [rng.randrange(L.dim) for _ in range(rng.randint(0, L.dim))]
+            lists.append(tuple(out))
+        yield LieAlgebra(L.dim, L.basis_labels, table), LeviData(*lists)
+
+
+class TestLeviWitnessOracle:
+    FIELDS = ("levi_closed", "radical_solvable_ideal", "nilradical_nilpotent_ideal")
+
+    def test_witnesses_match_plain_oracle(self):
+        seen = set()
+        for L, D in levi_declarations(seed=7, count=400):
+            report = verify_levi_data(L, D)
+            expected = brute_levi_witnesses(
+                L.dim, L.structure, D.levi_indices, D.radical_indices, D.nilrad_indices
+            )
+            for name in self.FIELDS:
+                assert report[name] is (expected[name] is None), (name, L.structure, D)
+                assert report["witnesses"].get(name) == expected[name], (name, L.structure, D)
+                seen.add((name, type(expected[name]).__name__))
+        # each check both passes and fails, and each series check fails
+        # both at its index scan and at its series
+        assert seen == {
+            ("levi_closed", "NoneType"), ("levi_closed", "tuple"),
+            ("radical_solvable_ideal", "NoneType"), ("radical_solvable_ideal", "tuple"),
+            ("radical_solvable_ideal", "str"),
+            ("nilradical_nilpotent_ideal", "NoneType"),
+            ("nilradical_nilpotent_ideal", "tuple"), ("nilradical_nilpotent_ideal", "str"),
+        }
 
 
 class TestSeries:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import trilie.rep as rep
 from trilie.exact import RatMatrix, exp_nilpotent, mat_power, unit_vector
 from trilie.graded import (
     GradedMap,
@@ -33,7 +34,13 @@ from trilie.rep import (
 )
 from trilie.sl2theory import build_irreducible
 
-from helpers import seeded_rational_matrix, seeded_triangular_map
+from helpers import (
+    brute_sl2_triple,
+    corrupt_bracket,
+    rebased,
+    seeded_rational_matrix,
+    seeded_triangular_map,
+)
 
 F = Fraction
 
@@ -226,6 +233,71 @@ class TestRecognizeSl2:
         L, _ = build_sl2()
         with pytest.raises(UnsupportedLeviError):
             recognize_sl2(L, (0, 1))
+
+    def test_non_jacobi_bracket_rejected(self):
+        # [f, e] = -h + f keeps ad(h) = diag(-2, 0, 2), but [e, f] = h - f
+        # is no multiple of h, and neither f nor e acts semisimply
+        L = LieAlgebra(
+            3, ("f", "h", "e"), {(0, 1): {0: 2}, (0, 2): {0: 1, 1: -1}, (1, 2): {2: 2}}
+        )
+        with pytest.raises(UnsupportedLeviError, match="no Levi basis element"):
+            recognize_sl2(L, (0, 1, 2))
+
+    def test_standard_basis_makes_one_bracket_call(self, monkeypatch):
+        calls = []
+        real = rep.bracket
+        monkeypatch.setattr(rep, "bracket", lambda *args: calls.append(args) or real(*args))
+        L, levi = build_sl2()
+        recognize_sl2(L, levi.levi_indices)
+        assert len(calls) == 1
+
+
+def sl2_tables(seed, count):
+    """(dim, table, Levi list) for sl2, sl2 plus one or two central
+    elements, or sl2 on its 2-dim module (dims 3-5), each in a permuted
+    and rescaled basis b'_p = s_p b_perm[p]; h is scaled by 1 or -1 two
+    times in three, so that it can be recognized. A third of the tables
+    get one random bracket (most break Jacobi); the Levi list is the
+    image of (f, h, e) in random order, or has a repeated index, or is
+    drawn at random, or has the wrong length."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(3, 5)
+        base = build_sl2_lambda(1)[0] if dim == 5 and rng.random() < 0.5 else build_sl2()[0]
+        perm = rng.sample(range(dim), dim)
+        where = {old: p for p, old in enumerate(perm)}
+        scales = [rng.choice([1, -1, 2, F(1, 2), F(-3, 2)]) for _ in range(dim)]
+        scales[where[1]] = rng.choice([1, -1, scales[where[1]]])
+        table = rebased(base.structure, perm, scales)
+        if rng.random() < 1 / 3:
+            table = corrupt_bracket(rng, table, dim)
+        levi = [where[0], where[1], where[2]]
+        rng.shuffle(levi)
+        kind = rng.random()
+        if kind < 0.2:
+            levi[rng.randrange(3)] = rng.choice(levi)
+        elif kind < 0.3:
+            levi = [rng.randrange(dim) for _ in range(3)]
+        elif kind < 0.35:
+            levi = levi[: rng.choice([2, 3])] + [rng.randrange(dim)] * rng.choice([0, 2])
+        yield dim, table, levi
+
+
+class TestRecognizeSl2Oracle:
+    def test_matches_plain_oracle_on_seeded_grid(self):
+        outcomes = {}
+        for dim, table, levi in sl2_tables(seed=8, count=5000):
+            L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+            expected = brute_sl2_triple(dim, L.structure, levi)
+            try:
+                got = recognize_sl2(L, levi)
+            except UnsupportedLeviError as exc:
+                got = str(exc)
+            assert got == expected, (dim, table, levi)
+            key = "triple" if isinstance(got, tuple) else got.split(",")[0]
+            outcomes[key] = outcomes.get(key, 0) + 1
+        # every branch is taken, each many times
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
 
 
 class TestIrreducibility:

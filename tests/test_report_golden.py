@@ -1,0 +1,146 @@
+"""A golden digest over mostly failing `check` and `verify` reports.
+
+The benchmark digests see only passing `check` jobs, and failing
+`verify` jobs in the standard sl2 basis. This seeded deck adds:
+- `check` on sl2^lam (lam <= 3) with random, unsorted or repeated
+  Levi, radical and nilradical lists and altered brackets;
+- `verify` of sl2 on V_d (d <= 4) in permuted and rescaled bases, with
+  altered tables, repeated Levi indices, split gradings and perturbed
+  images.
+
+The sha256 of every exit code and report is pinned, so any change to a
+report byte, passing or failing, fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from fractions import Fraction
+
+from trilie.cli import run
+from trilie.exact import rat_str
+from trilie.jsonio import algebra_to_json, matrix_to_json
+from trilie.liealg import LeviData, LieAlgebra, build_sl2, build_sl2_lambda
+from trilie.sl2theory import build_irreducible
+
+from helpers import rebased
+
+DECK_SHA256 = "154389cfab811e3cc08d48f272dea8b1f41c6df41bb54bd4448b82ecd37cb2e3"
+SCALARS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
+
+
+def _scalar(rng):
+    return rat_str(rng.choice(SCALARS))
+
+
+def _corrupt_brackets(rng, doc):
+    """Change, extend or drop one stored bracket, or add a new one."""
+    dim, brackets = doc["dim"], doc["brackets"]
+    action = rng.choice(["change", "extend", "drop", "add"])
+    if action != "add" and brackets:
+        entry = rng.choice(brackets)
+        if action == "change":
+            term = rng.choice(entry[2])
+            term[1] = _scalar(rng)
+        elif action == "extend":
+            entry[2].append([rng.randrange(dim), _scalar(rng)])
+        else:
+            brackets.remove(entry)
+        return
+    i, j = sorted(rng.sample(range(dim), 2))
+    brackets.append([i, j, [[rng.randrange(dim), _scalar(rng)]]])
+
+
+def _index_list(rng, declared, dim):
+    """The declared list kept, shuffled with a repeat, cut short, replaced
+    by every index, or drawn at random (unsorted, with repeats)."""
+    kind = rng.choice(["keep", "repeat", "cut", "all", "random"])
+    out = list(declared)
+    if kind == "all":
+        out = rng.sample(range(dim), dim)
+    elif kind == "repeat" and out:
+        out.append(rng.choice(out))
+        rng.shuffle(out)
+    elif kind == "cut" and out:
+        out.pop(rng.randrange(len(out)))
+    elif kind == "random":
+        out = [rng.randrange(dim) for _ in range(rng.randint(0, dim))]
+    return out
+
+
+def _check_doc(rng):
+    doc = algebra_to_json(*build_sl2_lambda(rng.randint(1, 3)))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        _corrupt_brackets(rng, doc)
+    for key in ("levi", "radical", "nilradical"):
+        doc[key] = _index_list(rng, doc[key], doc["dim"])
+    return doc
+
+
+def _sl2_in_basis(rng):
+    """sl2 on b'_p = s_p b_perm[p], with the matching scale per image;
+    h is scaled by 1 or -1 two times in three, so that it is recognized."""
+    L, _ = build_sl2()
+    perm = rng.sample(range(3), 3)
+    scales = [rng.choice(SCALARS) for _ in range(3)]
+    h_pos = perm.index(1)
+    scales[h_pos] = rng.choice([1, -1, scales[h_pos]])
+    labels = [L.basis_labels[old] for old in perm]
+    return LieAlgebra(3, labels, rebased(L.structure, perm, scales)), perm, scales
+
+
+def _verify_doc(rng):
+    d = rng.randint(0, 4)
+    module = build_irreducible(d)
+    old_images = (module.f_mat, module.h_mat, module.e_mat)
+    L, perm, scales = _sl2_in_basis(rng)
+    levi = rng.sample(range(3), 3)
+    kind = rng.randrange(4)
+    if kind == 1:
+        levi[rng.randrange(3)] = rng.randrange(3)
+    elif kind == 2:
+        levi = _index_list(rng, levi, 3)
+    nilrad = rng.choice([[], [], [rng.randrange(3)]])
+    algebra = algebra_to_json(L, LeviData(tuple(levi), (), tuple(nilrad)))
+    for _ in range(rng.choice([0, 0, 1])):
+        _corrupt_brackets(rng, algebra)
+    images = {
+        L.basis_labels[p]: matrix_to_json(old_images[perm[p]].scale(scales[p]))
+        for p in range(3)
+    }
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        rows = images[rng.choice(L.basis_labels)]
+        rows[rng.randrange(d + 1)][rng.randrange(d + 1)] = _scalar(rng)
+    cut = rng.choice([0, 0, rng.randint(0, d + 1)])
+    dims = [d + 1] if not cut else [cut, d + 1 - cut]
+    return {"algebra": algebra, "dims": dims, "images": images}
+
+
+def deck(seed=2024, size=1000):
+    rng = random.Random(seed)
+    for t in range(size):
+        if t % 2:
+            yield "verify", _verify_doc(rng)
+        else:
+            yield "check", _check_doc(rng)
+
+
+def _run_document(monkeypatch, verb, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run([verb, "-"])
+    return code, out.getvalue()
+
+
+def test_failing_reports_match_golden(monkeypatch):
+    digest = hashlib.sha256()
+    codes = []
+    for verb, doc in deck():
+        code, out = _run_document(monkeypatch, verb, doc)
+        codes.append(code)
+        digest.update(f"{verb} {code}\n{out}".encode())
+    assert codes.count(1) > codes.count(0) + codes.count(2)
+    assert digest.hexdigest() == DECK_SHA256
