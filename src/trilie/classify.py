@@ -29,6 +29,7 @@ from fractions import Fraction
 from .exact import (
     ONE,
     RatMatrix,
+    entry_system,
     nullspace_basis,
     rat_str,
     solve,
@@ -76,17 +77,11 @@ class SolutionSpace:
             )
         if block.is_zero():
             return True, Fraction(0)
-        if not self.basis:
+        # the block may store only entries that some basis matrix stores
+        cells, system = entry_system(self.basis)
+        if not {(t, i) for t, row in enumerate(block.maps) for i in row} <= set(cells):
             return False, None
-        # entries zero in the block and in every basis matrix give 0 = 0
-        cells = sorted(
-            {(t, i) for z in (block, *self.basis) for t, row in enumerate(z.maps) for i in row}
-        )
-        stacked = RatMatrix._from_maps(len(cells), len(self.basis), [
-            {k: b.maps[t][i] for k, b in enumerate(self.basis) if i in b.maps[t]}
-            for t, i in cells
-        ])
-        coeffs = solve(stacked, [block[t, i] for t, i in cells])
+        coeffs = solve(system, [block[t, i] for t, i in cells])
         if coeffs is None:
             return False, None
         return True, coeffs[0] if len(coeffs) == 1 else None

@@ -197,7 +197,7 @@ def _cmd_classify(args) -> int:
             )
         _write("\n".join(lines) + "\n", args.output)
     else:
-        _write(dumps(jsonable(report)), args.output)
+        _write(dumps(report), args.output)
     agree = all(cell["agree"] for cell in report["cells"])
     return 0 if agree else 1
 

@@ -7,7 +7,9 @@ triangular representations are mostly zero; arithmetic touches only
 the nonzero entries. Elimination runs row by row on the same sparse
 maps, cleared to primitive integer rows: it is fraction-free, and its
 pivots do not depend on the row order. Fractions appear only in rref's
-reduced rows, one per stored entry.
+reduced rows, one per stored entry. For a family of equal-shape
+matrices M_k, `combination` sums c_k M_k and `entry_system` stacks the
+system sum_k x_k M_k = 0.
 """
 
 from __future__ import annotations
@@ -341,6 +343,38 @@ def sylvester_system(a: RatMatrix, c: RatMatrix) -> RatMatrix:
                     row[p * k + t] = y
             maps.append(row)
     return RatMatrix._from_maps(r * k, r * k, maps)
+
+
+def combination(mats: Sequence[RatMatrix], coeffs) -> RatMatrix:
+    """sum c * mats[i] over the (i, c) pairs, in one pass over the stored
+    entries, dropping sums that cancel; an empty family is 0 x 0."""
+    rows, cols = (mats[0].rows, mats[0].cols) if mats else (0, 0)
+    acc: list[dict] = [{} for _ in range(rows)]
+    for i, c in coeffs:
+        if not c:
+            continue
+        m = mats[i]
+        if (m.rows, m.cols) != (rows, cols):
+            raise ShapeError(f"combination of {rows}x{cols} and {m.rows}x{m.cols}")
+        for out, row in zip(acc, m.maps):
+            for j, x in row.items():
+                y = c * x + out.pop(j) if j in out else c * x
+                if y:
+                    out[j] = y
+    return RatMatrix._from_maps(rows, cols, acc)
+
+
+def entry_system(mats: Sequence[RatMatrix]) -> tuple[list[tuple[int, int]], RatMatrix]:
+    """The sorted (r, c) entries stored by some matrix, and the system whose
+    column k holds mats[k] on them; its kernel is {x : sum x_k mats[k] = 0}."""
+    equations: dict[tuple[int, int], dict] = {}
+    for k, m in enumerate(mats):
+        for r, row in enumerate(m.maps):
+            for c, x in row.items():
+                equations.setdefault((r, c), {})[k] = x
+    entries = sorted(equations)
+    system = [equations[e] for e in entries]
+    return entries, RatMatrix._from_maps(len(entries), len(mats), system)
 
 
 def mat_power(a: RatMatrix, k: int) -> RatMatrix:

@@ -1,11 +1,12 @@
 """Lie algebras given by structure constants.
 
 Algebras carry an explicit basis and a sparse bracket table stored for
-index pairs i < j only, so antisymmetry holds by construction. A
-LeviData record *declares* a decomposition into a semisimple part and a
-(solvable) radical with its nilradical; the declaration is verified
-check by check rather than computed, since every algebra handled here
-arrives with its decomposition spelled out.
+index pairs i < j only, so antisymmetry holds by construction; the table
+is read-only, validated once at construction. A LeviData record
+*declares* a decomposition into a semisimple part and a (solvable)
+radical with its nilradical; the declaration is verified check by check
+rather than computed, since every algebra handled here arrives with its
+decomposition spelled out.
 
 The grading construction splits the algebra along the nilradical's
 lower central series: degree 0 holds the Levi part plus a complement of
@@ -14,18 +15,17 @@ section of N^k/N^{k+1} made invariant under the Levi action by solving
 a commuting-projector system.
 
 Spans (the terms of both series, and the layers a section is cut from)
-are kept as the rref row maps of a RatMatrix. With R_i the matrix whose
-row j is [b_i, b_j], read off the bracket table once per call, [b_i, S]
+are kept as the rref row maps of a RatMatrix. With R_i = L.ad_rows[i],
+the matrix whose row j is [b_i, b_j], built once per algebra, [b_i, S]
 is spanned by the rows of the one sparse product S @ R_i; dense tuples
 appear only in the public return values.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
@@ -34,6 +34,7 @@ from .exact import (
     RatMatrix,
     Vector,
     columns_matrix,
+    combination,
     extend_independent,
     rank,
     rat,
@@ -46,9 +47,10 @@ from .exact import (
 
 
 class LieAlgebra:
-    """dim, basis labels, and the sparse bracket table [b_i, b_j] (i < j)."""
+    """dim, basis labels, the sparse bracket table [b_i, b_j] (i < j) as a
+    read-only mapping, and ad_rows: row j of ad_rows[i] is [b_i, b_j]."""
 
-    __slots__ = ("dim", "basis_labels", "structure")
+    __slots__ = ("dim", "basis_labels", "structure", "ad_rows")
 
     def __init__(
         self,
@@ -63,7 +65,10 @@ class LieAlgebra:
             raise ValueError(f"duplicate basis labels in {list(basis_labels)}")
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], Mapping[int, Fraction]] = {}
+        # rows that store nothing share one empty map, never written to
+        empty: dict = {}
+        rows: list[list[dict]] = [[empty] * dim for _ in range(dim)]
         for (i, j), coeffs in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket indices ({i}, {j}) out of range")
@@ -76,8 +81,11 @@ class LieAlgebra:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target index {k} out of range")
             if cleaned:
-                table[(i, j)] = cleaned
-        self.structure = table
+                table[(i, j)] = MappingProxyType(cleaned)
+                rows[i][j] = cleaned
+                rows[j][i] = {k: -c for k, c in cleaned.items()}
+        self.structure = MappingProxyType(table)
+        self.ad_rows = tuple(RatMatrix._from_maps(dim, dim, r) for r in rows)
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.basis_labels})"
@@ -105,25 +113,6 @@ class GradingAssignment:
         return [v for comp in self.component_bases for v in comp]
 
 
-def _structure_rows(L: LieAlgebra) -> list[RatMatrix]:
-    """R_i for every basis index i, whose row j is [b_i, b_j]: for a span
-    S kept as row maps, the rows of S @ R_i span [b_i, S]. Built per
-    call, since callers may replace entries of L.structure."""
-    n = L.dim
-    maps: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j), coeffs in L.structure.items():
-        maps[i][j] = coeffs
-        maps[j][i] = {k: -c for k, c in coeffs.items()}
-    return [RatMatrix._from_maps(n, n, rows) for rows in maps]
-
-
-def _ad_rows(R: list[RatMatrix], coeffs: Iterable[tuple[int, Fraction]]) -> RatMatrix:
-    """sum_i a_i R_i over the pairs (i, a_i): its row j is [a, b_j]."""
-    n = len(R)
-    terms = (R[i].scale(a) for i, a in coeffs if a)
-    return reduce(operator.add, terms, RatMatrix.zeros(n, n))
-
-
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """Bilinear extension of the structure constants."""
     x = vector(x)
@@ -131,19 +120,14 @@ def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length does not match algebra dim")
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    structure = L.structure
     out = [ZERO] * L.dim
-    for i, xi in enumerate(x):
+    for xi, r_i in zip(x, L.ad_rows):
         if not xi:
             continue
         for j, yj in ys:
-            if i < j:
-                coeffs, w = structure.get((i, j)), xi * yj
-            elif i > j:
-                coeffs, w = structure.get((j, i)), -xi * yj
-            else:
-                continue
+            coeffs = r_i.maps[j]
             if coeffs:
+                w = xi * yj
                 for k, c in coeffs.items():
                     out[k] += w * c
     return tuple(out)
@@ -155,7 +139,7 @@ def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
     x = vector(x)
     if len(x) != L.dim:
         raise ValueError("vector length does not match algebra dim")
-    return _ad_rows(_structure_rows(L), enumerate(x)).transpose()
+    return combination(L.ad_rows, enumerate(x)).transpose()
 
 
 def check_axioms(L: LieAlgebra) -> dict:
@@ -165,7 +149,7 @@ def check_axioms(L: LieAlgebra) -> dict:
     with a None witness without a check: brackets are stored for i < j
     only and [b_j, b_i] is read back as -[b_i, b_j], so it holds by
     construction."""
-    table = [r.maps for r in _structure_rows(L)]
+    table = [r.maps for r in L.ad_rows]
     jacobi_witness = None
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
@@ -250,12 +234,12 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
     idx = list(indices)
     m = len(idx)
     pos = {g: p for p, g in enumerate(idx)}
-    R = _structure_rows(L)
     ads = []
     for g in idx:
+        r_g = L.ad_rows[g].maps
         maps: list[dict] = [{} for _ in range(m)]
         for q, g2 in enumerate(idx):
-            for k, c in R[g].maps[g2].items():
+            for k, c in r_g[g2].items():
                 if k not in pos:
                     return None
                 maps[pos[k]][q] = c
@@ -306,7 +290,7 @@ def _first_escape(first: RatMatrix, products: Sequence[RatMatrix]) -> tuple[int,
     return min((pi for pi, row in zip(index, rest.maps) if row), default=None)
 
 
-def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix]:
+def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
     """The derived series of span(first), or its lower central series
     when `lower`, as rref row maps.
 
@@ -315,7 +299,7 @@ def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix
     each term lies in the one before, so the series ends within dim
     steps. For the derived series the subalgebra check runs here, on
     the first step's own brackets, so it ends on every input."""
-    ads = [_ad_rows(R, a.items()) for a in first.maps]
+    ads = [combination(L.ad_rows, a.items()) for a in first.maps]
     # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
     # term and a_i of first (lower) or of the last term (derived)
     brackets = [first @ ad for ad in ads]
@@ -335,29 +319,28 @@ def _series(R: list[RatMatrix], first: RatMatrix, lower: bool) -> list[RatMatrix
             break
         series.append(nxt)
         if not lower:
-            ads = [_ad_rows(R, a.items()) for a in nxt.maps]
+            ads = [combination(L.ad_rows, a.items()) for a in nxt.maps]
         brackets = [nxt @ ad for ad in ads]
     return series
 
 
-def _lower_central(R: list[RatMatrix], first: RatMatrix) -> list[RatMatrix]:
+def _lower_central(L: LieAlgebra, first: RatMatrix) -> list[RatMatrix]:
     """_series(lower=True) for a span not yet known to be an ideal:
     raises ValueError naming the first [b_i, v] outside it."""
-    escape = _first_escape(first, [first @ r_i for r_i in R])
+    escape = _first_escape(first, [first @ r_i for r_i in L.ad_rows])
     if escape:
         p, i = escape
         raise ValueError(
             f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
         )
-    return _series(R, first, lower=True)
+    return _series(L, first, lower=True)
 
 
 def _dense_series(L: LieAlgebra, vectors: Sequence[Vector], lower: bool) -> list[list[Vector]]:
     if any(len(v) != L.dim for v in vectors):
         raise ValueError("vector length does not match algebra dim")
     first = _row_span(columns_matrix(vectors, L.dim).transpose())
-    R = _structure_rows(L)
-    series = _lower_central(R, first) if lower else _series(R, first, lower=False)
+    series = _lower_central(L, first) if lower else _series(L, first, lower=False)
     return [[s.row(t) for t in range(s.rows)] for s in series]
 
 
@@ -404,10 +387,9 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
 
     # an index span is an ideal iff every [b_i, b_j], j in it, stays in
     # it, so the series below run with their ideal precondition met
-    R = _structure_rows(L)
     w = _index_escape(L, ((i, j) for i in range(L.dim) for j in radical), radical)
     if w is None:
-        rad_solvable = not _series(R, _index_span(L, radical), lower=False)[-1].rows
+        rad_solvable = not _series(L, _index_span(L, radical), lower=False)[-1].rows
         if not rad_solvable:
             witnesses["radical_solvable_ideal"] = "derived series stabilizes nonzero"
     else:
@@ -416,7 +398,7 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
 
     w = _index_escape(L, ((i, j) for i in range(L.dim) for j in nilrad), nilrad)
     if w is None:
-        nil_nilpotent = not _series(R, _index_span(L, nilrad), lower=True)[-1].rows
+        nil_nilpotent = not _series(L, _index_span(L, nilrad), lower=True)[-1].rows
         if not nil_nilpotent:
             witnesses["nilradical_nilpotent_ideal"] = "lower central series stabilizes nonzero"
     else:
@@ -436,7 +418,7 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
 
 
 def _levi_invariant_section(
-    R: list[RatMatrix], levi: Sequence[int], cur: RatMatrix, sub: RatMatrix
+    L: LieAlgebra, levi: Sequence[int], cur: RatMatrix, sub: RatMatrix
 ) -> list[Vector]:
     """Complement of span(sub) inside span(cur), invariant under ad of
     every Levi basis element.
@@ -454,7 +436,7 @@ def _levi_invariant_section(
     # the rows ext of cur that extend it (sub + ext is the adapted basis),
     # and each image's reduced column holds its adapted coordinates
     vectors = RatMatrix._from_maps(width, cur.cols, sub.maps + cur.maps)
-    rows = vectors.maps + [row for s in levi for row in (vectors @ R[s]).maps]
+    rows = vectors.maps + [row for s in levi for row in (vectors @ L.ad_rows[s]).maps]
     columns = RatMatrix._from_maps(len(rows), cur.cols, rows).transpose()
     reduced, pivots = rref(columns)
     ext = [p - r for p in pivots if r <= p < width]
@@ -505,10 +487,9 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     complement = extend_independent(nilrad_units, rad_units, L.dim)
     v0 = [unit_vector(L.dim, i) for i in D.levi_indices] + complement
 
-    R = _structure_rows(L)
-    series = _lower_central(R, _index_span(L, D.nilrad_indices))
+    series = _lower_central(L, _index_span(L, D.nilrad_indices))
     components: list[list[Vector]] = [v0] + [
-        _levi_invariant_section(R, D.levi_indices, series[k], series[k + 1])
+        _levi_invariant_section(L, D.levi_indices, series[k], series[k + 1])
         for k in range(len(series) - 1)
     ]
     if len(components) == 1 and not components[0]:
@@ -538,6 +519,6 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
     basis = G.graded_basis()
     p = columns_matrix(basis, L.dim)
     p_inv = invert(p)
-    images = [p_inv @ r_i.transpose() @ p for r_i in _structure_rows(L)]
+    images = [p_inv @ r_i.transpose() @ p for r_i in L.ad_rows]
     space = GradedSpace(tuple(len(c) for c in G.component_bases))
     return Representation(L, G.levi, space, tuple(images))

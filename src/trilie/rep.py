@@ -15,13 +15,14 @@ structure does not depend on the particular Levi factor chosen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
     RatMatrix,
     Vector,
     ZERO,
+    combination,
+    entry_system,
     exp_nilpotent,
     nullspace_basis,
     unit_vector,
@@ -65,24 +66,20 @@ class Representation:
         x = vector(x)
         if len(x) != self.algebra.dim:
             raise ValueError("coordinate length does not match algebra dim")
-        return self._combination({i: c for i, c in enumerate(x) if c})
-
-    def _combination(self, coeffs: dict[int, Fraction]) -> GradedMap:
-        # sum of coeffs[i] * rho(b_i) over the nonzero coefficients
-        total = RatMatrix.zeros(self.space.total_dim, self.space.total_dim)
-        for i, c in coeffs.items():
-            total = total + self.images[i].matrix.scale(c)
-        return GradedMap(self.space, total)
+        mats = [im.matrix for im in self.images]
+        if not mats:
+            return GradedMap.zero(self.space)  # the zero algebra has no images
+        return GradedMap(self.space, combination(mats, enumerate(x)))
 
 
 def verify_homomorphism(rho: Representation) -> tuple[bool, tuple[int, int] | None]:
     """rho([b_i, b_j]) = [rho(b_i), rho(b_j)] over all pairs i < j."""
     L = rho.algebra
+    mats = [im.matrix for im in rho.images]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            expected = rho._combination(L.structure.get((i, j), {}))
-            actual = rho.images[i].bracket(rho.images[j])
-            if expected != actual:
+            expected = combination(mats, L.ad_rows[i].maps[j].items())
+            if expected != rho.images[i].bracket(rho.images[j]).matrix:
                 return False, (i, j)
     return True, None
 
@@ -152,15 +149,7 @@ def kernel(rho: Representation) -> list[Vector]:
     """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty."""
     if not rho.images:
         return []  # the zero algebra, whose n^2 x 0 system would still be swept
-    # one equation per entry (r, c) that some image touches; the other
-    # entries give 0 = 0, and the rref kernel basis ignores row order
-    equations: dict[tuple[int, int], dict] = {}
-    for k, im in enumerate(rho.images):
-        for r, row in enumerate(im.matrix.maps):
-            for c, x in row.items():
-                equations.setdefault((r, c), {})[k] = x
-    stacked = list(equations.values())
-    return nullspace_basis(RatMatrix._from_maps(len(stacked), len(rho.images), stacked))
+    return nullspace_basis(entry_system([im.matrix for im in rho.images])[1])
 
 
 def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:

@@ -11,7 +11,9 @@ from trilie.exact import (
     ShapeError,
     binomial,
     columns_matrix,
+    combination,
     commutator,
+    entry_system,
     exp_nilpotent,
     extend_independent,
     factorial,
@@ -568,3 +570,68 @@ class TestSparseElimination:
             # w is a weight; the superdiagonal of e is nonzero
             assert rank(e + h - ident.scale(w)) == expected, w
         assert rank(e) == d - 1
+
+
+def sparse_family(data, r, c):
+    """0-4 half-zero r x c matrices; when there are two or more, the last
+    may be a combination of the first two, so that kernels are common."""
+    mats = [data.draw(sparse_matrices(r, c)) for _ in range(data.draw(st.integers(0, 4)))]
+    if len(mats) > 1 and data.draw(st.booleans()):
+        mats[-1] = mats[0].scale(2) - mats[1]
+    return mats
+
+
+class TestFamilyHelpers:
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=80)
+    def test_combination_matches_plain_lists(self, r, c, data):
+        mats = sparse_family(data, r, c)
+        k = len(mats)
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, k - 1), sparse_entries), max_size=5)
+        ) if k else []
+        if pairs and data.draw(st.booleans()):
+            i, x = pairs[0]
+            pairs.append((i, -x))  # the two terms cancel to an exact 0
+        got = combination(mats, pairs)
+        assert_clean(got)
+        if not mats:
+            assert (got.rows, got.cols) == (0, 0)
+            return
+        lists = [m.to_lists() for m in mats]
+        assert got.to_lists() == [
+            [sum((x * lists[i][p][q] for i, x in pairs), F(0)) for q in range(c)]
+            for p in range(r)
+        ]
+        assert combination(mats, []).maps == [{} for _ in range(r)]
+        assert combination(mats, [(0, F(3)), (0, F(-3))]).maps == [{} for _ in range(r)]
+        if k > 1:
+            # rows that cancel across different matrices store nothing
+            twice = mats + [mats[0].scale(2)]
+            assert combination(twice, [(0, F(2)), (k, F(-1))]).maps == [{} for _ in range(r)]
+
+    def test_combination_of_zero_size_matrices(self):
+        empty = RatMatrix.zeros(0, 0)
+        assert combination([empty, empty], [(1, F(2))]) == empty
+        wide = RatMatrix.zeros(2, 0)
+        assert combination([wide], [(0, F(1))]) == wide
+
+    def test_combination_rejects_mixed_shapes(self):
+        with pytest.raises(ShapeError):
+            combination([RatMatrix.identity(2), RatMatrix.identity(3)], [(1, F(1))])
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=80)
+    def test_entry_system_matches_plain_lists(self, r, c, data):
+        mats = sparse_family(data, r, c)
+        lists = [m.to_lists() for m in mats]
+        entries, system = entry_system(mats)
+        assert entries == [
+            (p, q) for p in range(r) for q in range(c) if any(m[p][q] for m in lists)
+        ]
+        assert (system.rows, system.cols) == (len(entries), len(mats))
+        assert system.to_lists() == [[m[p][q] for m in lists] for p, q in entries]
+        assert_clean(system)
+        # the kernel is that of the dense system, one row per entry
+        dense = [[m[p][q] for m in lists] for p in range(r) for q in range(c)]
+        assert [list(v) for v in nullspace_basis(system)] == brute_nullspace(dense, len(mats))

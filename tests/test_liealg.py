@@ -29,6 +29,7 @@ from helpers import (
     brute_levi_witnesses,
     brute_lower_central_series,
     corrupt_bracket,
+    rebased,
 )
 
 F = Fraction
@@ -37,7 +38,7 @@ F = Fraction
 def sl2_lambda_with_corrupted_e_z1():
     L, levi = build_sl2_lambda(1)
     # overwrite [e, z1] = z0 with 2*z0
-    L.structure[(2, 4)] = {3: F(2)}
+    L = LieAlgebra(L.dim, L.basis_labels, {**L.structure, (2, 4): {3: F(2)}})
     return L, levi
 
 
@@ -562,3 +563,31 @@ class TestStructureConstantOracles:
             [brute_bracket(dim, table, x, units[j])[k] for j in range(dim)]
             for k in range(dim)
         ]
+
+
+class TestReadOnlyAlgebra:
+    def test_structure_rejects_assignment(self):
+        L, _ = build_sl2_lambda(1)
+        with pytest.raises(TypeError):
+            L.structure[(2, 4)] = {3: F(2)}
+        with pytest.raises(TypeError):
+            L.structure[(0, 1)][0] = F(5)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_ad_rows_match_plain_oracle(self, seed):
+        # sl2^lam in a permuted and rescaled basis, every other table
+        # with one random bracket replaced
+        rng = random.Random(seed)
+        base, _ = build_sl2_lambda(rng.randint(1, 4))
+        dim = base.dim
+        perm = rng.sample(range(dim), dim)
+        scales = [rng.choice([1, -1, 2, F(1, 2), F(-3, 2)]) for _ in range(dim)]
+        table = rebased(base.structure, perm, scales)
+        if seed % 2:
+            table = corrupt_bracket(rng, table, dim)
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        units = [[F(int(p == i)) for p in range(dim)] for i in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                want = brute_bracket(dim, table, units[i], units[j])
+                assert L.ad_rows[i].maps[j] == {k: c for k, c in enumerate(want) if c}

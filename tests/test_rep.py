@@ -35,6 +35,7 @@ from trilie.rep import (
 from trilie.sl2theory import build_irreducible
 
 from helpers import (
+    brute_nullspace,
     brute_sl2_triple,
     corrupt_bracket,
     rebased,
@@ -104,6 +105,14 @@ class TestConstruction:
         assert rho.images[0].is_zero()
         assert rho.space.component_dims == (0, 1)
 
+    def test_zero_algebra_images_and_conjugation(self):
+        # no images to combine: the image of () is the zero map of the space
+        L = LieAlgebra(0, (), {})
+        space = GradedSpace((2,))
+        rho = Representation(L, LeviData((), (), ()), space, ())
+        assert rho.image_of(()) == GradedMap.zero(space)
+        assert conjugate_levi_check(rho, ())["all_pass"]
+
 
 class TestHomomorphism:
     def test_adjoint_sl2(self):
@@ -115,7 +124,8 @@ class TestHomomorphism:
 
     def test_corrupted_structure_detected(self):
         L, levi = build_sl2_lambda(1)
-        L.structure[(2, 4)] = {3: F(2)}  # [e, z1] := 2 z0
+        # [e, z1] := 2 z0
+        L = LieAlgebra(L.dim, L.basis_labels, {**L.structure, (2, 4): {3: F(2)}})
         rho = adjoint_representation(L, adjoint_grading(L, levi))
         ok, witness = verify_homomorphism(rho)
         assert not ok
@@ -190,6 +200,25 @@ class TestKernel:
 
     def test_zero_rep_kernel_is_whole_algebra(self):
         assert len(kernel(zero_rep_of_sl2())) == 3
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_kernel_matches_dense_oracle(self, seed):
+        # half-zero images of an abelian algebra; for odd seeds with three
+        # or more images the last is 2 rho(b_0) - rho(b_1), a kernel vector
+        rng = random.Random(seed)
+        n, k = rng.randint(0, 4), rng.randint(1, 4)
+        images = [
+            RatMatrix(n, n, [rng.choice([0, 0, F(rng.randint(-3, 3), rng.randint(1, 3))])
+                             for _ in range(n * n)])
+            for _ in range(k)
+        ]
+        if k > 2 and seed % 2:
+            images[-1] = images[0].scale(2) - images[1]
+        L = LieAlgebra(k, [f"b{i}" for i in range(k)], {})
+        rho = Representation(L, LeviData((), tuple(range(k)), ()), GradedSpace((n,)),
+                             tuple(images))
+        dense = [[m[p, q] for m in images] for p in range(n) for q in range(n)]
+        assert [list(v) for v in kernel(rho)] == brute_nullspace(dense, k)
 
 
 class TestRecognizeSl2:

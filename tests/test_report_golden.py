@@ -9,10 +9,14 @@ The benchmark digests see only passing `check` jobs, and failing
   images.
 
 The sha256 of every exit code and report is pinned, so any change to a
-report byte, passing or failing, fails here.
+report byte, passing or failing, fails here. A second, smaller deck
+pins the same at dimension 68, beyond the benchmark decks: `check` on
+sl2^64 in a permuted and rescaled basis, `verify` of its adjoint
+representation, and one altered-bracket variant of each.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -21,13 +25,21 @@ from fractions import Fraction
 
 from trilie.cli import run
 from trilie.exact import rat_str
-from trilie.jsonio import algebra_to_json, matrix_to_json
-from trilie.liealg import LeviData, LieAlgebra, build_sl2, build_sl2_lambda
+from trilie.jsonio import algebra_to_json, matrix_to_json, representation_to_json
+from trilie.liealg import (
+    LeviData,
+    LieAlgebra,
+    adjoint_grading,
+    adjoint_representation,
+    build_sl2,
+    build_sl2_lambda,
+)
 from trilie.sl2theory import build_irreducible
 
 from helpers import rebased
 
 DECK_SHA256 = "154389cfab811e3cc08d48f272dea8b1f41c6df41bb54bd4448b82ecd37cb2e3"
+LARGE_DECK_SHA256 = "5b7d8a2da7194b26d750cf3234f8505cd8c666ad9c48c3b01425a93a400a3000"
 SCALARS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
 
 
@@ -127,6 +139,32 @@ def deck(seed=2024, size=1000):
             yield "check", _check_doc(rng)
 
 
+def large_deck(seed=64):
+    """check on sl2^64 in a permuted and rescaled basis, verify of the
+    adjoint representation of sl2^64, and each again with one altered
+    bracket."""
+    rng = random.Random(seed)
+    L, D = build_sl2_lambda(64)
+    perm = rng.sample(range(L.dim), L.dim)
+    scales = [rng.choice(SCALARS) for _ in range(L.dim)]
+    where = {old: p for p, old in enumerate(perm)}
+    move = lambda idx: tuple(where[i] for i in idx)  # noqa: E731
+    moved = LieAlgebra(
+        L.dim, [L.basis_labels[old] for old in perm], rebased(L.structure, perm, scales)
+    )
+    check = algebra_to_json(
+        moved, LeviData(move(D.levi_indices), move(D.radical_indices), move(D.nilrad_indices))
+    )
+    verify = representation_to_json(adjoint_representation(L, adjoint_grading(L, D)))
+    yield "check", check
+    yield "verify", verify
+    check, verify = copy.deepcopy(check), copy.deepcopy(verify)
+    _corrupt_brackets(rng, check)
+    _corrupt_brackets(rng, verify["algebra"])
+    yield "check", check
+    yield "verify", verify
+
+
 def _run_document(monkeypatch, verb, doc):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     out = io.StringIO()
@@ -144,3 +182,14 @@ def test_failing_reports_match_golden(monkeypatch):
         digest.update(f"{verb} {code}\n{out}".encode())
     assert codes.count(1) > codes.count(0) + codes.count(2)
     assert digest.hexdigest() == DECK_SHA256
+
+
+def test_large_dimension_reports_match_golden(monkeypatch):
+    digest = hashlib.sha256()
+    codes = []
+    for verb, doc in large_deck():
+        code, out = _run_document(monkeypatch, verb, doc)
+        codes.append(code)
+        digest.update(f"{verb} {code}\n{out}".encode())
+    assert codes == [0, 0, 1, 1]
+    assert digest.hexdigest() == LARGE_DECK_SHA256
