@@ -9,7 +9,9 @@ maps, cleared to primitive integer rows: it is fraction-free, and its
 pivots do not depend on the row order. Fractions appear only in rref's
 reduced rows, one per stored entry. For a family of equal-shape
 matrices M_k, `combination` sums c_k M_k and `entry_system` stacks the
-system sum_k x_k M_k = 0.
+system sum_k x_k M_k = 0. Every sparse sum, products included, adds
+scaled rows with `add_scaled_row`. Checks that only compare products
+read `native_rows`, where integral entries are plain ints.
 """
 
 from __future__ import annotations
@@ -271,11 +273,11 @@ class RatMatrix:
         b = other.maps
         maps = []
         for arow in self.maps:
-            acc: dict[int, Fraction] = {}
+            row: dict[int, Fraction] = {}
+            # an empty left row gives an empty product row at once
             for k, x in arow.items():
-                for j, y in b[k].items():
-                    acc[j] = acc.get(j, ZERO) + x * y
-            maps.append({j: v for j, v in acc.items() if v})
+                add_scaled_row(row, b[k], x)
+            maps.append(row)
         return RatMatrix._from_maps(self.rows, other.cols, maps)
 
     def apply(self, x: Vector) -> Vector:
@@ -345,6 +347,15 @@ def sylvester_system(a: RatMatrix, c: RatMatrix) -> RatMatrix:
     return RatMatrix._from_maps(r * k, r * k, maps)
 
 
+def add_scaled_row(out: dict, row: dict, c) -> None:
+    """out += c * row on {column: entry} maps, in place; a sum that
+    cancels is dropped, so out stores no zero."""
+    for j, x in row.items():
+        y = c * x + out.pop(j) if j in out else c * x
+        if y:
+            out[j] = y
+
+
 def combination(mats: Sequence[RatMatrix], coeffs) -> RatMatrix:
     """sum c * mats[i] over the (i, c) pairs, in one pass over the stored
     entries, dropping sums that cancel; an empty family is 0 x 0."""
@@ -357,11 +368,20 @@ def combination(mats: Sequence[RatMatrix], coeffs) -> RatMatrix:
         if (m.rows, m.cols) != (rows, cols):
             raise ShapeError(f"combination of {rows}x{cols} and {m.rows}x{m.cols}")
         for out, row in zip(acc, m.maps):
-            for j, x in row.items():
-                y = c * x + out.pop(j) if j in out else c * x
-                if y:
-                    out[j] = y
+            add_scaled_row(out, row, c)
     return RatMatrix._from_maps(rows, cols, acc)
+
+
+def native_rows(m: RatMatrix) -> dict[int, dict]:
+    """The nonempty rows of m as {row: {column: entry}}, each entry with
+    denominator 1 as a plain int and every other one as its Fraction.
+    int and Fraction compare and hash by value, so these maps compare as
+    the matrices do, and integral arithmetic on them builds no Fraction."""
+    return {
+        i: {j: x.numerator if x.denominator == 1 else x for j, x in row.items()}
+        for i, row in enumerate(m.maps)
+        if row
+    }
 
 
 def entry_system(mats: Sequence[RatMatrix]) -> tuple[list[tuple[int, int]], RatMatrix]:

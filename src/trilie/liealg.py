@@ -33,9 +33,11 @@ from .exact import (
     ZERO,
     RatMatrix,
     Vector,
+    add_scaled_row,
     columns_matrix,
     combination,
     extend_independent,
+    native_rows,
     rank,
     rat,
     rref,
@@ -66,9 +68,10 @@ class LieAlgebra:
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
         table: dict[tuple[int, int], Mapping[int, Fraction]] = {}
-        # rows that store nothing share one empty map, never written to
+        # maps that store nothing share one empty dict, and indices in no
+        # bracket one zero matrix; neither is ever written to
         empty: dict = {}
-        rows: list[list[dict]] = [[empty] * dim for _ in range(dim)]
+        rows: dict[int, list[dict]] = {}
         for (i, j), coeffs in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket indices ({i}, {j}) out of range")
@@ -82,10 +85,17 @@ class LieAlgebra:
                     raise ValueError(f"bracket target index {k} out of range")
             if cleaned:
                 table[(i, j)] = MappingProxyType(cleaned)
+                for a in (i, j):
+                    if a not in rows:
+                        rows[a] = [empty] * dim
                 rows[i][j] = cleaned
                 rows[j][i] = {k: -c for k, c in cleaned.items()}
         self.structure = MappingProxyType(table)
-        self.ad_rows = tuple(RatMatrix._from_maps(dim, dim, r) for r in rows)
+        zero = RatMatrix._from_maps(dim, dim, [empty] * dim)
+        self.ad_rows = tuple(
+            RatMatrix._from_maps(dim, dim, rows[a]) if a in rows else zero
+            for a in range(dim)
+        )
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, labels={self.basis_labels})"
@@ -144,22 +154,23 @@ def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
 
 def check_axioms(L: LieAlgebra) -> dict:
     """Jacobi over all basis triples, read off the structure constants:
-    [[b_a, b_b], b_c] = sum_p c_ab^p [b_p, b_c]. The witness is the
-    lexicographically first violation. Antisymmetry is reported true
-    with a None witness without a check: brackets are stored for i < j
-    only and [b_j, b_i] is read back as -[b_i, b_j], so it holds by
-    construction."""
-    table = [r.maps for r in L.ad_rows]
+    [[b_a, b_b], b_c] = sum_p c_ab^p [b_p, b_c], summed on the native row
+    maps of the ad rows (`native_rows`), so integral constants build no
+    Fraction. The witness is the lexicographically first violation.
+    Antisymmetry is reported true with a None witness without a check:
+    brackets are stored for i < j only and [b_j, b_i] is read back as
+    -[b_i, b_j], so it holds by construction."""
+    table = [native_rows(r) for r in L.ad_rows]
+    empty: dict = {}
     jacobi_witness = None
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k in range(j + 1, L.dim):
-                total: dict[int, Fraction] = {}
+                total: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p, x in table[a][b].items():
-                        for q, y in table[p][c].items():
-                            total[q] = total.get(q, ZERO) + x * y
-                if any(total.values()):
+                    for p, x in table[a].get(b, empty).items():
+                        add_scaled_row(total, table[p].get(c, empty), x)
+                if total:
                     jacobi_witness = (i, j, k)
                     break
             if jacobi_witness:

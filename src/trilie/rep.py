@@ -10,6 +10,10 @@ Levi action. A separate conjugation check re-runs the structural
 conditions after moving both the Levi factor and the grading by the
 exponential of a nilpotent element, confirming that the triangular
 structure does not depend on the particular Levi factor chosen.
+
+The homomorphism check only compares, so it builds no matrix: it sums
+each pair's defect on the images' native row maps (`exact.native_rows`),
+where integral entries are plain ints, and builds no Fraction for them.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from .exact import (
     RatMatrix,
     Vector,
     ZERO,
+    add_scaled_row,
     combination,
     entry_system,
     exp_nilpotent,
+    native_rows,
     nullspace_basis,
     unit_vector,
     vector,
@@ -73,13 +79,27 @@ class Representation:
 
 
 def verify_homomorphism(rho: Representation) -> tuple[bool, tuple[int, int] | None]:
-    """rho([b_i, b_j]) = [rho(b_i), rho(b_j)] over all pairs i < j."""
+    """rho([b_i, b_j]) = [rho(b_i), rho(b_j)] over all pairs i < j; the
+    witness is the first failing pair. Each pair sums rho_i rho_j -
+    rho_j rho_i - sum_k c_k rho_k on native row maps (`native_rows`),
+    visiting only stored entries; it must cancel entry by entry. No
+    matrix is built, and no Fraction for an integral entry."""
     L = rho.algebra
-    mats = [im.matrix for im in rho.images]
+    images = [native_rows(im.matrix) for im in rho.images]
     for i in range(L.dim):
+        a, coeffs = images[i], native_rows(L.ad_rows[i])
         for j in range(i + 1, L.dim):
-            expected = combination(mats, L.ad_rows[i].maps[j].items())
-            if expected != rho.images[i].bracket(rho.images[j]).matrix:
+            b = images[j]
+            acc: dict = {}
+            for left, right, sign in ((a, b, 1), (b, a, -1)):
+                for r, row in left.items():
+                    for k, x in row.items():
+                        if k in right:
+                            add_scaled_row(acc.setdefault(r, {}), right[k], sign * x)
+            for k, c in coeffs.get(j, {}).items():
+                for r, row in images[k].items():
+                    add_scaled_row(acc.setdefault(r, {}), row, -c)
+            if any(acc.values()):
                 return False, (i, j)
     return True, None
 

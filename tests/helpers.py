@@ -58,10 +58,18 @@ def seeded_triangular_map(rng: random.Random, max_components: int = 5,
 
 
 def brute_matrix_bracket(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Plain-list commutator, used to cross-check RatMatrix arithmetic."""
+    """Plain-list commutator, used to cross-check RatMatrix arithmetic;
+    products with a zero factor are left out of each sum."""
     n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    def product(x, y):
+        return [
+            [sum((x[i][k] * y[k][j] for k in range(n) if x[i][k] and y[k][j]), Fraction(0))
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    ab, ba = product(a, b), product(b, a)
     return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
 
 
@@ -246,6 +254,27 @@ def brute_bracket(dim: int, structure: dict, x: list, y: list) -> list[Fraction]
             for k, c in structure.get((min(i, j), max(i, j)), {}).items():
                 out[k] += sign * Fraction(c) * x[i] * y[j]
     return out
+
+
+def brute_homomorphism_witness(dim: int, structure: dict, images: list) -> tuple:
+    """(True, None) when [rho(b_i), rho(b_j)] = rho([b_i, b_j]) for every
+    pair i < j, else (False, (i, j)) for the first failing pair in
+    lexicographic order. images[i] is rho(b_i) as a plain n x n list;
+    [b_i, b_j] comes from brute_bracket and the commutator from
+    brute_matrix_bracket."""
+    n = len(images[0]) if images else 0
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            coeffs = brute_bracket(dim, structure, _unit(dim, i), _unit(dim, j))
+            terms = [(c, images[k]) for k, c in enumerate(coeffs) if c != 0]
+            want = [
+                [sum((c * m[r][q] for c, m in terms if m[r][q]), Fraction(0))
+                 for q in range(n)]
+                for r in range(n)
+            ]
+            if brute_matrix_bracket(images[i], images[j]) != want:
+                return False, (i, j)
+    return True, None
 
 
 def brute_jacobi_witness(dim: int, structure: dict):

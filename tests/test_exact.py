@@ -19,6 +19,7 @@ from trilie.exact import (
     factorial,
     invert,
     mat_power,
+    native_rows,
     nullspace_basis,
     rank,
     rat,
@@ -427,6 +428,41 @@ class TestSparseStorage:
         product = a @ b
         assert product.maps == [{1: F(3)}, {0: F(2)}]
         assert product == RatMatrix.from_rows([[0, 3], [2, 0]])
+
+    @given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_matmul_with_empty_rows_and_cancelling_terms(self, r, c, k, data):
+        # a = [a0 | a0] with most rows of a0 emptied and b = [d; e - d]:
+        # every term through d cancels exactly, so a @ b = a0 @ e
+        a0 = data.draw(sparse_matrices(r, c)).to_lists()
+        kept = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+        a0 = [row if q == 0 else [F(0)] * c for row, q in zip(a0, kept)]
+        a0 = RatMatrix(r, c, [x for row in a0 for x in row])
+        d = data.draw(sparse_matrices(c, k))
+        e = data.draw(sparse_matrices(c, k))
+        a = RatMatrix.from_blocks(r, 2 * c, [(0, 0, a0), (0, c, a0)])
+        got = a @ RatMatrix.from_blocks(2 * c, k, [(0, 0, d), (c, 0, e - d)])
+        assert got.to_lists() == plain_product(a0.to_lists(), e.to_lists(), k)
+        assert_clean(got)
+        assert all(not p for p, q in zip(got.maps, a0.maps) if not q)
+        zero = a @ RatMatrix.from_blocks(2 * c, k, [(0, 0, d), (c, 0, -d)])
+        assert zero.maps == [{} for _ in range(r)]
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=60)
+    def test_native_rows_compare_as_the_matrices(self, r, c, data):
+        # b is a, with one entry redrawn at most
+        flat = data.draw(st.lists(wide_entries, min_size=r * c, max_size=r * c))
+        other = list(flat)
+        if other and data.draw(st.booleans()):
+            other[data.draw(st.integers(0, len(other) - 1))] = data.draw(wide_entries)
+        a, b = RatMatrix(r, c, flat), RatMatrix(r, c, other)
+        na, nb = native_rows(a), native_rows(b)
+        assert (na == nb) == (a == b)
+        assert na == {i: row for i, row in enumerate(a.maps) if row}
+        for row in na.values():
+            for x in row.values():
+                assert type(x) is (int if x.denominator == 1 else Fraction)
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -549,6 +550,27 @@ class TestStructureConstantOracles:
         assert report["witnesses"]["jacobi"] == witness
         assert report["jacobi"] is (witness is None)
 
+    def test_jacobi_witness_with_fractional_constants(self):
+        # sl2^lam in bases rescaled by fractions, so most structure
+        # constants are not integers; every other table has one bracket
+        # replaced, which breaks Jacobi in most of them
+        witnesses = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            base, _ = build_sl2_lambda(rng.randint(1, 3))
+            dim = base.dim
+            perm = rng.sample(range(dim), dim)
+            scales = [rng.choice([F(1, 2), F(-3, 2), F(2, 3), F(-5, 7), 3]) for _ in range(dim)]
+            table = rebased(base.structure, perm, scales)
+            if seed % 2:
+                table = corrupt_bracket(rng, table, dim)
+            assert any(F(c).denominator > 1 for row in table.values() for c in row.values())
+            report = check_axioms(LieAlgebra(dim, [f"b{i}" for i in range(dim)], table))
+            witness = brute_jacobi_witness(dim, table)
+            assert report["witnesses"]["jacobi"] == witness, seed
+            witnesses.append(witness)
+        assert witnesses.count(None) >= 20 and witnesses.count(None) < 35
+
     @given(corrupted_tables(), st.data())
     @settings(max_examples=60)
     def test_bracket_and_ad_match_plain_oracle(self, case, data):
@@ -572,6 +594,31 @@ class TestReadOnlyAlgebra:
             L.structure[(2, 4)] = {3: F(2)}
         with pytest.raises(TypeError):
             L.structure[(0, 1)][0] = F(5)
+
+    def test_unused_indices_share_one_zero_matrix(self):
+        # one bracket in 1500 dimensions: no row list for the 1498 other
+        # indices (the dense layout peaked at about 18 MB here)
+        dim = 1500
+        labels = [f"b{i}" for i in range(dim)]
+        table = {(3, 1200): {7: F(1, 2)}}
+        tracemalloc.start()
+        try:
+            L = LieAlgebra(dim, labels, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        stored = [
+            (i, j)
+            for i, m in enumerate(L.ad_rows) if any(m.maps)
+            for j, row in enumerate(m.maps) if row
+        ]
+        assert stored == [(3, 1200), (1200, 3)]
+        # each brute bracket scans all dim^2 index pairs
+        for i, j in stored + [(0, 1499)]:
+            units = [[F(int(p == q)) for p in range(dim)] for q in (i, j)]
+            want = brute_bracket(dim, table, *units)
+            assert L.ad_rows[i].maps[j] == {k: c for k, c in enumerate(want) if c}
 
     @pytest.mark.parametrize("seed", range(16))
     def test_ad_rows_match_plain_oracle(self, seed):

@@ -1,7 +1,11 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trilie.rep as rep
 from trilie.exact import RatMatrix, exp_nilpotent, mat_power, unit_vector
@@ -35,6 +39,8 @@ from trilie.rep import (
 from trilie.sl2theory import build_irreducible
 
 from helpers import (
+    brute_bracket,
+    brute_homomorphism_witness,
     brute_nullspace,
     brute_sl2_triple,
     corrupt_bracket,
@@ -130,6 +136,115 @@ class TestHomomorphism:
         ok, witness = verify_homomorphism(rho)
         assert not ok
         assert witness == (0, 2)
+
+
+def adjoint_lists(dim, table, pad=0):
+    """Plain-list ad(b_i) of a table, each followed by `pad` zero rows
+    and columns (a trivial summand): entry (k, j) of image i is the b_k
+    coefficient of [b_i, b_j] by brute_bracket."""
+    units = [[F(int(p == i)) for p in range(dim)] for i in range(dim)]
+    cols = {(i, j): brute_bracket(dim, table, units[i], units[j])
+            for i in range(dim) for j in range(dim)}
+    return [
+        [[cols[i, j][k] if k < dim and j < dim else F(0) for j in range(dim + pad)]
+         for k in range(dim + pad)]
+        for i in range(dim)
+    ]
+
+
+def list_representation(dim, table, images):
+    L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+    n = len(images[0]) if images else 0
+    return Representation(L, LeviData((), (), ()), GradedSpace((n,)),
+                          tuple(RatMatrix.from_rows(m) for m in images))
+
+
+near_2_64 = st.integers(2**64 - 2**16, 2**64 + 2**16)
+signs = st.sampled_from((1, -1))
+scale_entries = st.one_of(
+    st.sampled_from((1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4))),
+    st.builds(lambda p, s: s * p, near_2_64, signs),
+    st.builds(lambda q, s: F(s, q), near_2_64, signs),
+    st.builds(lambda p, q: F(p, q), near_2_64, near_2_64),
+)
+image_entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-3, 3).map(F),
+    st.builds(lambda p, s: F(s * p), near_2_64, signs),
+    st.builds(F, st.integers(-6, 6), near_2_64),
+)
+
+
+@st.composite
+def homomorphism_cases(draw):
+    """(dim, table, images): the adjoint representation of sl2 or sl2^lam
+    (lam <= 2) in a permuted basis rescaled by integers, fractions and
+    numbers near ±2^64, plus up to two trivial dimensions; then, in a
+    third of the cases each, one bracket of the table replaced, or one
+    image entry redrawn."""
+    lam = draw(st.integers(0, 2))
+    base = (build_sl2() if lam == 0 else build_sl2_lambda(lam))[0]
+    dim = base.dim
+    perm = draw(st.permutations(range(dim)))
+    scales = draw(st.lists(scale_entries, min_size=dim, max_size=dim))
+    table = rebased(base.structure, perm, scales)
+    images = adjoint_lists(dim, table, draw(st.integers(0, 2)))
+    kind = draw(st.sampled_from(("plain", "bracket", "image")))
+    if kind == "bracket":
+        table = corrupt_bracket(draw(st.randoms(use_true_random=False)), table, dim)
+    elif kind == "image":
+        n = len(images[0])
+        i, r, c = draw(st.tuples(st.integers(0, dim - 1), st.integers(0, n - 1),
+                                 st.integers(0, n - 1)))
+        images[i][r][c] = draw(image_entries)
+    return dim, table, images
+
+
+class TestHomomorphismOracle:
+    @given(homomorphism_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_oracle(self, case):
+        dim, table, images = case
+        rho = list_representation(dim, table, images)
+        assert verify_homomorphism(rho) == brute_homomorphism_witness(dim, table, images)
+
+    @pytest.mark.parametrize("corrupt", (False, True))
+    def test_huge_coprime_rescaling_matches_plain_oracle(self, corrupt):
+        # sl2^16 (dim 20) rescaled by the 400-digit q_t = M (K + t) + 1,
+        # M = lcm(1..20), K = 10^391. A common divisor of q_t and q_u
+        # divides (K + u) q_t - (K + t) q_u = u - t, whose primes all
+        # divide M, while q_t = 1 mod M: so, as with distinct primes, no
+        # two scales share a factor, and a common denominator of the
+        # images would have about 8000 digits.
+        base, _ = build_sl2_lambda(16)
+        dim = base.dim
+        m = math.lcm(*range(1, dim + 1))
+        scales = [m * (10**391 + t) + 1 for t in range(1, dim + 1)]
+        assert {len(str(q)) for q in scales} == {400}
+        table = rebased(base.structure, range(dim), scales)
+        images = adjoint_lists(dim, table)
+        if corrupt:
+            images[dim - 1][2][3] += 1
+        rho = list_representation(dim, table, images)
+        start = time.perf_counter()
+        got = verify_homomorphism(rho)
+        assert time.perf_counter() - start < 2
+        assert got == brute_homomorphism_witness(dim, table, images)
+        assert got[0] is not corrupt
+
+    def test_builds_no_matrix_product_or_commutator(self, monkeypatch):
+        good = adjoint_of_sl2_lambda(3)
+        L, levi = build_sl2_lambda(1)
+        L = LieAlgebra(L.dim, L.basis_labels, {**L.structure, (2, 4): {3: F(2)}})
+        bad = adjoint_representation(L, adjoint_grading(L, levi))
+
+        def refuse(*args):
+            raise AssertionError("the homomorphism check built a matrix")
+
+        monkeypatch.setattr(RatMatrix, "__matmul__", refuse)
+        monkeypatch.setattr(GradedMap, "bracket", refuse)
+        assert verify_homomorphism(good) == (True, None)
+        assert verify_homomorphism(bad) == (False, (0, 2))
 
 
 class TestTriangularConditions:
