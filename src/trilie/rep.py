@@ -6,10 +6,14 @@ checks: the homomorphism property, triangularity of every image, the
 two structural conditions (Levi images homogeneous of degree 0,
 nilradical images of strictly positive degree), faithfulness via an
 exact kernel computation, and per-component irreducibility under the
-Levi action. A separate conjugation check re-runs the structural
-conditions after moving both the Levi factor and the grading by the
-exponential of a nilpotent element, confirming that the triangular
-structure does not depend on the particular Levi factor chosen.
+Levi action. Irreducibility is decided only for a homomorphism whose
+Levi images are homogeneous of degree 0 (condition (i)), since only
+then is each component a Levi module; there it takes one rank of the
+image of e per component. A separate conjugation check re-runs the
+structural conditions after moving both the Levi factor and the grading
+by the exponential of a nilpotent element, confirming that the
+triangular structure does not depend on the particular Levi factor
+chosen.
 
 The homomorphism check only compares, so it builds no matrix: it sums
 each pair's defect on the images' native row maps (`exact.native_rows`),
@@ -31,6 +35,7 @@ from .exact import (
     exp_nilpotent,
     native_rows,
     nullspace_basis,
+    rank,
     unit_vector,
     vector,
 )
@@ -41,7 +46,6 @@ from .graded import (
     is_triangular,
 )
 from .liealg import LeviData, LieAlgebra, ad_matrix, bracket, restricted_ad_matrices
-from .sl2theory import is_weight_string
 
 
 class UnsupportedLeviError(ValueError):
@@ -220,16 +224,51 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
     )
 
 
-def is_k_irreducible(rho: Representation) -> list[bool]:
+def is_k_irreducible(
+    rho: Representation, e_kernel_dims: list[int] | None = None
+) -> list[bool]:
     """Per grading component: is it an irreducible module under the
-    Levi action? Zero-dimensional components are vacuously fine."""
-    _, h_amb, e_amb = recognize_sl2(rho.algebra, rho.levi.levi_indices)
-    h_map = rho.image_of(h_amb)
+    Levi action? Zero-dimensional components are vacuously fine.
+
+    Requires that rho is a homomorphism and that condition (i) holds, so
+    that each V_k is a module for the triple (f, h, e) of
+    `recognize_sl2`. Over Q such a module is a direct sum of
+    irreducibles (Weyl; Humphreys §6.3), each with a 1-dimensional
+    e-kernel (Humphreys §7.2), so V_k is irreducible iff
+    rank(rho(e)_kk) = d_k - 1: one rank per nonzero component, and the
+    image of h is never needed. When `e_kernel_dims` is a list, d_k -
+    rank(rho(e)_kk), the number of irreducible summands, is appended to
+    it for each component."""
+    _, _, e_amb = recognize_sl2(rho.algebra, rho.levi.levi_indices)
     e_map = rho.image_of(e_amb)
-    return [
-        d == 0 or is_weight_string(h_map.block(k, k), e_map.block(k, k))
+    kernels = [
+        d - rank(e_map.block(k, k)) if d else 0
         for k, d in enumerate(rho.space.component_dims)
     ]
+    if e_kernel_dims is not None:
+        e_kernel_dims.extend(kernels)
+    return [d == 0 or n == 1 for d, n in zip(rho.space.component_dims, kernels)]
+
+
+def _irreducibility(report: dict, rho: Representation) -> tuple[list[bool] | None, object]:
+    """(`is_k_irreducible` where it means something, else None; a witness
+    or None). The witness names the failed precondition, or the
+    unsupported Levi factor, or each reducible component with its
+    e-kernel dimension. Passing reports carry no witness."""
+    for field in ("homomorphism", "condition_i"):
+        if not report[field]:
+            return None, f"{field} fails, so the components are not Levi modules"
+    kernels: list[int] = []
+    try:
+        irr = is_k_irreducible(rho, kernels)
+    except UnsupportedLeviError as exc:
+        return None, str(exc)
+    reducible = [
+        {"component": k, "dim": d, "e_kernel_dim": n}
+        for k, (d, n, ok) in enumerate(zip(rho.space.component_dims, kernels, irr))
+        if not ok
+    ]
+    return irr, reducible or None
 
 
 def verify_representation(rho: Representation) -> dict:
@@ -238,8 +277,10 @@ def verify_representation(rho: Representation) -> dict:
 
     `all_pass` requires the homomorphism, triangularity and conditions
     (i)/(ii), plus irreducibility of every component when the Levi
-    factor is a recognized sl2 (`irreducible_components` is None
-    otherwise). Faithfulness is informational."""
+    factor is a recognized sl2. `irreducible_components` is None when
+    the homomorphism or condition (i) fails (no component is then a
+    Levi module) or when the Levi factor is not a recognized sl2; either
+    way the witness says why. Faithfulness is informational."""
     hom_ok, hom_witness = verify_homomorphism(rho)
     tri = verify_triangular_conditions(rho)
     ker = kernel(rho)
@@ -255,11 +296,9 @@ def verify_representation(rho: Representation) -> dict:
         report["witnesses"]["homomorphism"] = hom_witness
     if ker:
         report["witnesses"]["faithful"] = ker[0]
-    try:
-        irr = is_k_irreducible(rho)
-    except UnsupportedLeviError as exc:
-        irr = None
-        report["witnesses"]["irreducibility"] = str(exc)
+    irr, irr_witness = _irreducibility(report, rho)
+    if irr_witness is not None:
+        report["witnesses"]["irreducibility"] = irr_witness
     report["irreducible_components"] = irr
     report["all_pass"] = (
         hom_ok and tri["all_pass"] and (irr is None or all(irr))

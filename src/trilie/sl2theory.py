@@ -2,10 +2,12 @@
 
 Irreducible modules in the lowering-operator basis convention
 (f walks down the weight string, e walks back up with integer
-coefficients), exact weight decompositions, the multiplicity-free
-irreducibility test at the d expected weights, and Clebsch-Gordan
-multiplicities by character counting. The latter serves as an oracle
-that is independent of any matrix construction elsewhere in the package.
+coefficients), exact weight decompositions, irreducibility of a module
+by one rank of its e-action (a finite-dimensional sl2-module over Q is
+a direct sum of irreducibles, each with a 1-dimensional e-kernel), and
+Clebsch-Gordan multiplicities by character counting. The latter serves
+as an oracle that is independent of any matrix construction elsewhere
+in the package.
 """
 
 from __future__ import annotations
@@ -96,26 +98,12 @@ def weight_decomposition(h: RatMatrix) -> dict[int, int]:
     return out
 
 
-def is_weight_string(h: RatMatrix, e: RatMatrix) -> bool:
-    """One sl2 weight string on a d-dimensional space: rank(h - wI) = d-1
-    at each weight w = d-1, d-3, …, 1-d, and a 1-dimensional e-kernel.
-
-    d distinct weights, each on a line, fill the space, so the answer is
-    that of `weight_decomposition(h) == {d-1: 1, d-3: 1, …}` (False where
-    that call raises), from d + 1 ranks whatever the size of the entries.
-    """
-    d = h.rows
-    return all(
-        rank(h - RatMatrix.diagonal([Fraction(d - 1 - 2 * i)] * d)) == d - 1
-        for i in range(d)
-    ) and rank(e) == d - 1
-
-
 def is_irreducible(f: RatMatrix, h: RatMatrix, e: RatMatrix) -> bool:
-    """Multiplicity-free weight string {d, d-2, …, -d} plus a single
-    highest-weight line (1-dimensional e-kernel)."""
+    """(f, h, e) satisfy the sl2 relations, so the space is a direct sum
+    of irreducibles, each with a 1-dimensional e-kernel: it is
+    irreducible iff rank(e) = d - 1 (d > 0)."""
     _require_sl2_relations(f, h, e)
-    return is_weight_string(h, e)
+    return rank(e) == e.rows - 1
 
 
 def tensor_multiplicity(a: int, b: int, c: int) -> int:

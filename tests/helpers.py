@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from trilie.exact import RatMatrix
+from trilie.exact import RatMatrix, rank
 from trilie.graded import GradedMap, GradedSpace
 
 
@@ -453,3 +453,19 @@ def brute_sl2_triple(dim: int, structure: dict, levi) -> tuple | str:
                     and br(e, f) == h):
                 return tuple(f), tuple(h), tuple(e)
     return "no Levi basis element acts with eigenvalues {2, 0, -2}"
+
+
+def is_weight_string(h: RatMatrix, e: RatMatrix) -> bool:
+    """One sl2 weight string on a d-dimensional space: rank(h - wI) = d-1
+    at each weight w = d-1, d-3, …, 1-d, and a 1-dimensional e-kernel.
+
+    d distinct weights, each on a line, fill the space, so the answer is
+    that of `weight_decomposition(h) == {d-1: 1, d-3: 1, …}` (False where
+    that call raises), from d + 1 ranks whatever the size of the entries.
+    The weight-scanning oracle for the one-rank irreducibility test.
+    """
+    d = h.rows
+    return all(
+        rank(h - RatMatrix.diagonal([Fraction(d - 1 - 2 * i)] * d)) == d - 1
+        for i in range(d)
+    ) and rank(e) == d - 1

@@ -315,28 +315,69 @@ def test_verify_paper_literal_rejects_broken_constraint(capsys, monkeypatch):
     _assert_input_error(capsys, monkeypatch, ["verify", "-", "--paper-literal"], doc)
 
 
-def test_verify_huge_weight_decided_in_dimension_many_ranks(capsys, monkeypatch):
-    # sl2 on its 4-dimensional irreducible with h[0][0] = 2,000,000: a
-    # weight scan would take one rank per integer up to that bound
-    calls = []
-    real_rank = sl2theory.rank
-
-    def bounded(a):
-        calls.append(1)
-        if len(calls) > 4:
-            raise AssertionError("more than dim ranks for a 4x4 component")
-        return real_rank(a)
-
-    monkeypatch.setattr(sl2theory, "rank", bounded)
+def _sl2_on_v3_doc(edit):
+    """verify document of sl2 on its 4-dimensional irreducible, after
+    `edit(images, doc)` has changed it."""
     m = build_irreducible(3)
     images = {"f": matrix_to_json(m.f_mat), "h": matrix_to_json(m.h_mat),
               "e": matrix_to_json(m.e_mat)}
-    images["h"][0][0] = "2000000"
     doc = {"algebra": algebra_to_json(*build_sl2()), "dims": [4], "images": images}
-    code, out, err = _run(capsys, ["verify", "-"], stdin=json.dumps(doc),
+    edit(images, doc)
+    return doc
+
+
+def _bounded_irreducibility(monkeypatch):
+    """At most 4 ranks, in `rep` and `sl2theory`, and no `recognize_sl2`."""
+    calls = []
+
+    def bounded(real):
+        def rank(a):
+            calls.append(1)
+            if len(calls) > 4:
+                raise AssertionError("more than dim ranks for a 4x4 component")
+            return real(a)
+        return rank
+
+    def forbidden(*args):
+        raise AssertionError("recognize_sl2 called on a report that is no Levi module")
+
+    monkeypatch.setattr(sl2theory, "rank", bounded(sl2theory.rank))
+    monkeypatch.setattr(rep, "rank", bounded(rep.rank))
+    monkeypatch.setattr(rep, "recognize_sl2", forbidden)
+
+
+def test_verify_huge_weight_decided_in_dimension_many_ranks(capsys, monkeypatch):
+    # h[0][0] = 2,000,000 breaks [h, e] = 2e: a weight scan would take
+    # one rank per integer up to that bound, and no irreducibility
+    # answer means anything for a map that is no homomorphism
+    def edit(images, doc):
+        images["h"][0][0] = "2000000"
+
+    _bounded_irreducibility(monkeypatch)
+    code, out, err = _run(capsys, ["verify", "-"], stdin=json.dumps(_sl2_on_v3_doc(edit)),
                           monkeypatch=monkeypatch)
     assert code == 1
-    assert json.loads(out)["irreducible_components"] == [False]
+    report = json.loads(out)
+    assert report["homomorphism"] is False
+    assert report["irreducible_components"] is None
+    assert "homomorphism" in report["witnesses"]["irreducibility"]
+    assert "Traceback" not in err
+
+
+def test_verify_condition_i_failure_leaves_irreducibility_undecided(capsys, monkeypatch):
+    # the grading [2, 2] splits the string, so f and e change degree
+    def edit(images, doc):
+        doc["dims"] = [2, 2]
+
+    _bounded_irreducibility(monkeypatch)
+    code, out, err = _run(capsys, ["verify", "-"], stdin=json.dumps(_sl2_on_v3_doc(edit)),
+                          monkeypatch=monkeypatch)
+    assert code == 1
+    report = json.loads(out)
+    assert report["homomorphism"] is True
+    assert report["condition_i"] is False
+    assert report["irreducible_components"] is None
+    assert "condition_i" in report["witnesses"]["irreducibility"]
     assert "Traceback" not in err
 
 

@@ -219,6 +219,14 @@ class TestHomOracle:
         assert report["condition_ii"]
         assert report["weight_compatible"]
 
+    def test_two_irreducible_false_when_irreducibility_undecided(self):
+        # no homomorphism, so the components are no sl2-modules and
+        # irreducibility is not asked; two_irreducible cannot hold
+        report = verify_family(params(1, 2, 1, 1, 1))
+        assert report["irreducible_components"] is None
+        assert report["two_irreducible"] is False
+        assert "homomorphism" in report["witnesses"]["irreducibility"]
+
     def test_corrupted_coefficient_detected(self):
         module = build_family_module(params(2, 2, 0, 0, 0))
         images = list(module.representation.images)

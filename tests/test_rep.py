@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.rep as rep
-from trilie.exact import RatMatrix, exp_nilpotent, mat_power, unit_vector
+from trilie.exact import RatMatrix, exp_nilpotent, invert, mat_power, unit_vector
 from trilie.graded import (
     GradedMap,
     GradedSpace,
@@ -36,7 +36,7 @@ from trilie.rep import (
     verify_representation,
     verify_triangular_conditions,
 )
-from trilie.sl2theory import build_irreducible
+from trilie.sl2theory import build_irreducible, is_irreducible, weight_decomposition
 
 from helpers import (
     brute_bracket,
@@ -44,6 +44,7 @@ from helpers import (
     brute_nullspace,
     brute_sl2_triple,
     corrupt_bracket,
+    is_weight_string,
     rebased,
     seeded_rational_matrix,
     seeded_triangular_map,
@@ -444,6 +445,68 @@ class TestRecognizeSl2Oracle:
         assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
 
 
+def graded_sl2_module(components, moves=(), perm=(0, 1, 2), scales=(1, 1, 1)):
+    """sl2, in the basis b'_p = scales[p] b_perm[p], acting on one graded
+    component per entry of `components`: the direct sum of the
+    irreducibles of the listed highest weights, moved to the basis of
+    P = I + c E_ij for each (k, i, j, c) in `moves` on component k.
+    Every image is block diagonal, so the homomorphism and condition (i)
+    hold. Returns the representation and each component's (f, h, e)."""
+    L, _ = build_sl2()
+    blocks = []
+    for k, weights in enumerate(components):
+        mods = [build_irreducible(d) for d in weights]
+        n = sum(m.dim for m in mods)
+        fhe = []
+        for pick in ("f_mat", "h_mat", "e_mat"):
+            placed, off = [], 0
+            for m in mods:
+                placed.append((off, off, getattr(m, pick)))
+                off += m.dim
+            fhe.append(RatMatrix.from_blocks(n, n, placed))
+        for k2, i, j, c in moves:
+            if k2 == k:
+                p = RatMatrix.from_blocks(n, n, [
+                    (0, 0, RatMatrix.identity(n)), (i, j, RatMatrix(1, 1, [c]))])
+                p_inv = invert(p)
+                fhe = [p_inv @ x @ p for x in fhe]
+        blocks.append(fhe)
+    space = GradedSpace(tuple(b[0].rows for b in blocks))
+    n = space.total_dim
+    images = [
+        RatMatrix.from_blocks(n, n, [(o, o, b[g]) for o, b in zip(space.offsets, blocks)])
+        for g in range(3)
+    ]
+    where = {old: q for q, old in enumerate(perm)}
+    algebra = LieAlgebra(3, [L.basis_labels[old] for old in perm],
+                         rebased(L.structure, perm, scales))
+    levi = LeviData(tuple(where[g] for g in range(3)), (), ())
+    rho = Representation(algebra, levi, space,
+                         tuple(images[perm[q]].scale(scales[q]) for q in range(3)))
+    return rho, blocks
+
+
+@st.composite
+def certified_sl2_modules(draw):
+    """`graded_sl2_module` on up to three components of up to three
+    irreducibles of dim <= 4 (empty components too), some components
+    moved by I + c E_ij so that h is not diagonal, in a permuted and
+    rescaled sl2 basis whose h keeps the scale 1 or -1."""
+    components = draw(st.lists(st.lists(st.integers(0, 3), max_size=3),
+                               min_size=1, max_size=3))
+    moves = []
+    for k, weights in enumerate(components):
+        n = sum(d + 1 for d in weights)
+        for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            moves.append((k, i, j, draw(st.sampled_from((-2, -1, F(1, 2), 1, 3)))))
+    perm = tuple(draw(st.permutations(range(3))))
+    scales = [draw(st.sampled_from((1, -1, 2, F(-1, 2), 3))) for _ in range(3)]
+    scales[perm.index(1)] = draw(st.sampled_from((1, -1)))
+    return components, graded_sl2_module(components, moves, perm, scales)
+
+
 class TestIrreducibility:
     @pytest.mark.parametrize("lam", range(1, 5))
     def test_adjoint_components(self, lam):
@@ -455,6 +518,65 @@ class TestIrreducibility:
 
     def test_trivial_component_accepted(self):
         assert is_k_irreducible(zero_rep_of_sl2()) == [True]
+
+    @pytest.mark.parametrize(
+        "rho",
+        [adjoint_of_sl2_lambda(1), adjoint_of_sl2_lambda(3), glued_v1_v1_rep(),
+         zero_rep_of_sl2(), graded_sl2_module([[], [1], [], [0, 2]])[0]],
+        ids=["adjoint-1", "adjoint-3", "glued", "trivial", "empty-components"],
+    )
+    def test_one_rank_per_nonzero_component(self, monkeypatch, rho):
+        calls = []
+        real_rank = rep.rank
+
+        def counted(a):
+            calls.append((a.rows, a.cols))
+            return real_rank(a)
+
+        monkeypatch.setattr(rep, "rank", counted)
+        is_k_irreducible(rho)
+        dims = [d for d in rho.space.component_dims if d]
+        assert calls == [(d, d) for d in dims]
+
+
+class TestOneRankOracle:
+    """On modules that pass the homomorphism and condition (i), the one
+    rank of e per component agrees with the weight-string scan and with
+    the full weight decomposition of h, and counts the summands."""
+
+    @given(certified_sl2_modules())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_weight_oracles(self, case):
+        components, (rho, blocks) = case
+        report = verify_representation(rho)
+        assert report["homomorphism"] and report["condition_i"]
+        kernels = []
+        irr = is_k_irreducible(rho, kernels)
+        assert report["irreducible_components"] == irr
+        assert kernels == [len(w) for w in components]
+        for k, (f, h, e) in enumerate(blocks):
+            d = h.rows
+            if d == 0:
+                assert irr[k]
+                continue
+            expected = {d - 1 - 2 * i: 1 for i in range(d)}
+            assert irr[k] == is_weight_string(h, e)
+            assert irr[k] == (weight_decomposition(h) == expected)
+            assert irr[k] == is_irreducible(f, h, e)
+
+    @given(certified_sl2_modules())
+    @settings(max_examples=40, deadline=None)
+    def test_every_reducible_component_has_a_witness(self, case):
+        components, (rho, _) = case
+        report = verify_representation(rho)
+        irr = report["irreducible_components"]
+        witness = report["witnesses"].get("irreducibility")
+        expected = [
+            {"component": k, "dim": sum(d + 1 for d in w), "e_kernel_dim": len(w)}
+            for k, (w, ok) in enumerate(zip(components, irr)) if not ok
+        ]
+        assert witness == (expected or None)
+        assert report["all_pass"] == all(irr)
 
 
 class TestFullReport:

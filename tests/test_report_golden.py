@@ -38,8 +38,8 @@ from trilie.sl2theory import build_irreducible
 
 from helpers import rebased
 
-DECK_SHA256 = "154389cfab811e3cc08d48f272dea8b1f41c6df41bb54bd4448b82ecd37cb2e3"
-LARGE_DECK_SHA256 = "5b7d8a2da7194b26d750cf3234f8505cd8c666ad9c48c3b01425a93a400a3000"
+DECK_SHA256 = "26a0fd746597e9d43586e8825fd9cc63d15a248922b546b7f97d6f06ee607b6c"
+LARGE_DECK_SHA256 = "100a8a73ae6bd221ae67a906145011f3f3fdd36b79eb8fb23f8f921e9b905206"
 SCALARS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
 
 

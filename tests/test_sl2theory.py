@@ -8,12 +8,11 @@ from trilie.exact import RatMatrix, invert, nullspace_basis
 from trilie.sl2theory import (
     build_irreducible,
     is_irreducible,
-    is_weight_string,
     tensor_multiplicity,
     weight_decomposition,
 )
 
-from helpers import clebsch_gordan_count
+from helpers import clebsch_gordan_count, is_weight_string
 
 F = Fraction
 
