@@ -54,12 +54,6 @@ def rat_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    return math.factorial(n)
-
-
 def binomial(j: int, k: int) -> int:
     """j over k, extended by 0 outside 0 <= k <= j."""
     if j < 0:
@@ -395,17 +389,6 @@ def entry_system(mats: Sequence[RatMatrix]) -> tuple[list[tuple[int, int]], RatM
     entries = sorted(equations)
     system = [equations[e] for e in entries]
     return entries, RatMatrix._from_maps(len(entries), len(mats), system)
-
-
-def mat_power(a: RatMatrix, k: int) -> RatMatrix:
-    if a.rows != a.cols:
-        raise ShapeError("power of a non-square matrix")
-    if k < 0:
-        raise ValueError("negative matrix power")
-    out = RatMatrix.identity(a.rows)
-    for _ in range(k):
-        out = out @ a
-    return out
 
 
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:

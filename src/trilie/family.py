@@ -25,6 +25,7 @@ experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +35,6 @@ from .exact import (
     ZERO,
     RatMatrix,
     binomial,
-    factorial,
     rat,
     rat_str,
 )
@@ -150,8 +150,8 @@ def _z_rule_assignments(p: ModuleParams, last_j: int) -> dict[tuple[int, int], l
                 coeff += Fraction(
                     (-1) ** (j - k)
                     * binomial(j, k)
-                    * factorial(m - big_n - theta + k),
-                    factorial(big_n + theta - k) * factorial(m),
+                    * math.factorial(m - big_n - theta + k),
+                    math.factorial(big_n + theta - k) * math.factorial(m),
                 ) * p.a_scalar(theta - k)
             record(j, i, _RULE_MIDDLE, {target: coeff} if coeff != 0 else {})
 
@@ -172,8 +172,8 @@ def _z_rule_assignments(p: ModuleParams, last_j: int) -> dict[tuple[int, int], l
                 coeff += Fraction(
                     (-1) ** (j - theta - k)
                     * binomial(j, theta + k)
-                    * factorial(m - big_n - n + s + k),
-                    factorial(big_n + n - s - k) * factorial(m),
+                    * math.factorial(m - big_n - n + s + k),
+                    math.factorial(big_n + n - s - k) * math.factorial(m),
                 ) * p.a_scalar(a_idx)
             record(j, i, _RULE_TAIL, {target: coeff} if coeff != 0 else {})
 

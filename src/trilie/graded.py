@@ -2,9 +2,14 @@
 
 A graded space is a tuple of component dimensions (d_0, d_1, ...); the
 underlying basis is ordered by ascending degree with each component
-contiguous. A map is *triangular* when it never lowers degree, which in
-this basis order reads as block-lower-triangular. Triangular maps split
-uniquely into degree-homogeneous stripes f_j with f_j(V_k) ⊆ V_{k+j}.
+contiguous, and `degrees` holds the degree of each basis index. A map is
+*triangular* when it never lowers degree, which in this basis order
+reads as block-lower-triangular. Triangular maps split uniquely into
+degree-homogeneous stripes f_j with f_j(V_k) ⊆ V_{k+j}.
+
+Which blocks a map touches is decided in one place, `block_support`,
+in one pass over the stored entries; the predicates read it, and no
+predicate copies a block.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ class TriangularityError(ValueError):
 
 
 class GradedSpace:
-    __slots__ = ("component_dims", "offsets", "total_dim")
+    __slots__ = ("component_dims", "offsets", "total_dim", "degrees")
 
     def __init__(self, component_dims: Sequence[int]):
         dims = tuple(int(d) for d in component_dims)
@@ -33,6 +38,7 @@ class GradedSpace:
             pos += d
         self.offsets = tuple(offsets)
         self.total_dim = pos
+        self.degrees = tuple(k for k, d in enumerate(dims) for _ in range(d))
 
     @property
     def num_components(self) -> int:
@@ -45,10 +51,7 @@ class GradedSpace:
     def degree_of_index(self, i: int) -> int:
         if not 0 <= i < self.total_dim:
             raise IndexError(f"basis index {i} out of range")
-        for k in range(self.num_components - 1, -1, -1):
-            if i >= self.offsets[k]:
-                return k
-        raise AssertionError("unreachable")
+        return self.degrees[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSpace):
@@ -127,24 +130,22 @@ class GradedMap:
         return f"GradedMap({self.space}, {self.matrix})"
 
 
+def block_support(f: GradedMap) -> set[tuple[int, int]]:
+    """The (from_degree, to_degree) pairs of the blocks that hold a
+    stored entry, in one pass over the row maps."""
+    degrees = f.space.degrees
+    return {
+        (degrees[c], degrees[r])
+        for r, row in enumerate(f.matrix.maps)
+        for c in row
+    }
+
+
 def is_triangular(f: GradedMap) -> tuple[bool, tuple[int, int] | None]:
-    """True iff no block lowers degree; else False with the first
-    violating (from_degree, to_degree) pair, scanning from-degree first."""
-    for k_from in range(f.space.num_components):
-        for k_to in range(k_from):
-            if not f.block(k_from, k_to).is_zero():
-                return False, (k_from, k_to)
-    return True, None
-
-
-def _stripe(f: GradedMap, j: int) -> RatMatrix:
-    # keep exactly the blocks (k -> k+j), zero everything else
-    space = f.space
-    blocks = [
-        (space.offsets[k + j], space.offsets[k], f.block(k, k + j))
-        for k in range(space.num_components - j)
-    ]
-    return RatMatrix.from_blocks(space.total_dim, space.total_dim, blocks)
+    """True iff no block lowers degree; else False with the least
+    violating (from_degree, to_degree) pair, from-degree first."""
+    witness = min((p for p in block_support(f) if p[1] < p[0]), default=None)
+    return witness is None, witness
 
 
 def degree_components(f: GradedMap) -> dict[int, GradedMap]:
@@ -154,15 +155,18 @@ def degree_components(f: GradedMap) -> dict[int, GradedMap]:
         raise TriangularityError(
             f"map lowers degree at block {witness[0]} -> {witness[1]}"
         )
-    return {
-        j: GradedMap(f.space, _stripe(f, j))
-        for j in range(f.space.num_components)
-    }
+    space, degrees, n = f.space, f.space.degrees, f.space.total_dim
+    stripes = {j: [{} for _ in range(n)] for j in range(space.num_components)}
+    for r, row in enumerate(f.matrix.maps):
+        for c, x in row.items():
+            stripes[degrees[r] - degrees[c]][r][c] = x
+    return {j: GradedMap(space, RatMatrix._from_maps(n, n, m)) for j, m in stripes.items()}
 
 
 def is_homogeneous(f: GradedMap, j: int) -> bool:
-    """True iff f is supported entirely on the stripe (k -> k+j)."""
-    return f.matrix == _stripe(f, j)
+    """True iff f is supported entirely on the stripe (k -> k+j); j may
+    be negative."""
+    return all(k_to - k_from == j for k_from, k_to in block_support(f))
 
 
 def positive_degree_part(f: GradedMap) -> GradedMap:

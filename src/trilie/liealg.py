@@ -306,7 +306,7 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
     when `lower`, as rref row maps.
 
     Precondition for `lower`: span(first) is an ideal, which callers
-    check (`_lower_central`, or the index scan of an index span). Then
+    check (`_dense_series`, or the index scan of an index span). Then
     each term lies in the one before, so the series ends within dim
     steps. For the derived series the subalgebra check runs here, on
     the first step's own brackets, so it ends on every input."""
@@ -335,23 +335,20 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
     return series
 
 
-def _lower_central(L: LieAlgebra, first: RatMatrix) -> list[RatMatrix]:
-    """_series(lower=True) for a span not yet known to be an ideal:
-    raises ValueError naming the first [b_i, v] outside it."""
-    escape = _first_escape(first, [first @ r_i for r_i in L.ad_rows])
-    if escape:
-        p, i = escape
-        raise ValueError(
-            f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
-        )
-    return _series(L, first, lower=True)
-
-
 def _dense_series(L: LieAlgebra, vectors: Sequence[Vector], lower: bool) -> list[list[Vector]]:
+    """_series of span(vectors); for `lower`, a span that is not an
+    ideal raises ValueError naming the first [b_i, v] outside it."""
     if any(len(v) != L.dim for v in vectors):
         raise ValueError("vector length does not match algebra dim")
     first = _row_span(columns_matrix(vectors, L.dim).transpose())
-    series = _lower_central(L, first) if lower else _series(L, first, lower=False)
+    if lower:
+        escape = _first_escape(first, [first @ r_i for r_i in L.ad_rows])
+        if escape:
+            p, i = escape
+            raise ValueError(
+                f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
+            )
+    series = _series(L, first, lower)
     return [[s.row(t) for t in range(s.rows)] for s in series]
 
 
@@ -498,7 +495,15 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     complement = extend_independent(nilrad_units, rad_units, L.dim)
     v0 = [unit_vector(L.dim, i) for i in D.levi_indices] + complement
 
-    series = _lower_central(L, _index_span(L, D.nilrad_indices))
+    # the series' ideal precondition, by _first_escape's (v, b_i) order
+    nilrad = sorted(set(D.nilrad_indices))
+    w = _index_escape(L, ((i, j) for j in nilrad for i in range(L.dim)), nilrad)
+    if w is not None:
+        i, j, _ = w
+        raise ValueError(
+            f"input span is not an ideal: [b_{i}, v] escapes for v={unit_vector(L.dim, j)}"
+        )
+    series = _series(L, _index_span(L, nilrad), lower=True)
     components: list[list[Vector]] = [v0] + [
         _levi_invariant_section(L, D.levi_indices, series[k], series[k + 1])
         for k in range(len(series) - 1)

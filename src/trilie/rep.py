@@ -15,6 +15,9 @@ by the exponential of a nilpotent element, confirming that the
 triangular structure does not depend on the particular Levi factor
 chosen.
 
+Triangularity and conditions (i) and (ii) are one gate that reads only
+each image's `graded.block_support`, computed once per image.
+
 The homomorphism check only compares, so it builds no matrix: it sums
 each pair's defect on the images' native row maps (`exact.native_rows`),
 where integral entries are plain ints, and builds no Fraction for them.
@@ -39,12 +42,7 @@ from .exact import (
     unit_vector,
     vector,
 )
-from .graded import (
-    GradedMap,
-    GradedSpace,
-    is_homogeneous,
-    is_triangular,
-)
+from .graded import GradedMap, GradedSpace, block_support
 from .liealg import LeviData, LieAlgebra, ad_matrix, bracket, restricted_ad_matrices
 
 
@@ -109,39 +107,38 @@ def verify_homomorphism(rho: Representation) -> tuple[bool, tuple[int, int] | No
 
 
 def _structure_conditions(
-    images: Sequence[GradedMap],
-    levi_pairs: Sequence[tuple[int, GradedMap]],
-    nilrad_pairs: Sequence[tuple[int, GradedMap]],
+    supports: Sequence[set[tuple[int, int]]],
+    levi_supports: Sequence[tuple[int, set[tuple[int, int]]]],
+    nilrad_indices: Sequence[int],
 ) -> tuple[dict, dict]:
-    """The one gate on graded images: every image triangular, (i) each
-    Levi image homogeneous of degree 0, (ii) each nilradical image
-    triangular with a zero degree-0 stripe. The pairs carry the basis
-    index that a failure's witness names. Returns (flags, witnesses)."""
+    """The one gate, on each image's `block_support`: every image
+    triangular, (i) each Levi image in degree-0 blocks only, (ii) each
+    nilradical image triangular with no degree-0 block. The Levi pairs
+    carry the index a witness names. Returns (flags, witnesses)."""
     witnesses: dict = {}
+    lowering = [min((p for p in sp if p[1] < p[0]), default=None) for sp in supports]
 
     triangular_all = True
-    for i, im in enumerate(images):
-        ok, w = is_triangular(im)
-        if not ok:
+    for i, w in enumerate(lowering):
+        if w is not None:
             triangular_all = False
             witnesses["triangular_all"] = {"basis_index": i, "block": w}
             break
 
     condition_i = True
-    for s, im in levi_pairs:
-        if not is_homogeneous(im, 0):  # degree 0 implies triangular
+    for s, support in levi_supports:
+        if any(k_from != k_to for k_from, k_to in support):
             condition_i = False
             witnesses["condition_i"] = {"levi_index": s}
             break
 
     condition_ii = True
-    for z, im in nilrad_pairs:
-        ok, w = is_triangular(im)
-        if not ok:
+    for z in nilrad_indices:
+        if lowering[z] is not None:
             condition_ii = False
-            witnesses["condition_ii"] = {"nilrad_index": z, "block": w}
+            witnesses["condition_ii"] = {"nilrad_index": z, "block": lowering[z]}
             break
-        if any(not im.block(k, k).is_zero() for k in range(im.space.num_components)):
+        if any(k_from == k_to for k_from, k_to in supports[z]):
             condition_ii = False
             witnesses["condition_ii"] = {
                 "nilrad_index": z,
@@ -159,10 +156,11 @@ def _structure_conditions(
 
 def verify_triangular_conditions(rho: Representation) -> dict:
     """Triangularity of all images plus the two structural conditions."""
+    supports = [block_support(im) for im in rho.images]
     report, witnesses = _structure_conditions(
-        rho.images,
-        [(s, rho.images[s]) for s in rho.levi.levi_indices],
-        [(z, rho.images[z]) for z in rho.levi.nilrad_indices],
+        supports,
+        [(s, supports[s]) for s in rho.levi.levi_indices],
+        rho.levi.nilrad_indices,
     )
     report["all_pass"] = all(report.values())
     report["witnesses"] = witnesses
@@ -326,20 +324,20 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
     p_inv = exp_nilpotent(rho.image_of(tuple(-c for c in z)).matrix)
     assert p @ p_inv == RatMatrix.identity(rho.space.total_dim)
 
-    conjugated = [
-        GradedMap(rho.space, p_inv @ im.matrix @ p) for im in rho.images
-    ]
+    # exp(rho(-z)) rho(v) exp(rho(z)) is linear in v, so each moved Levi
+    # image is the same combination of the conjugated images
+    conjugated = [p_inv @ im.matrix @ p for im in rho.images]
     new_levi_vectors = [
         exp_ad.apply(unit_vector(L.dim, s)) for s in rho.levi.levi_indices
     ]
-    levi_pairs = [
-        (s, GradedMap(rho.space, p_inv @ rho.image_of(v).matrix @ p))
+    levi_supports = [
+        (s, block_support(GradedMap(rho.space, combination(conjugated, enumerate(v)))))
         for s, v in zip(rho.levi.levi_indices, new_levi_vectors)
     ]
     report, witnesses = _structure_conditions(
-        conjugated,
-        levi_pairs,
-        [(zi, conjugated[zi]) for zi in rho.levi.nilrad_indices],
+        [block_support(GradedMap(rho.space, m)) for m in conjugated],
+        levi_supports,
+        rho.levi.nilrad_indices,
     )
     report["conjugated_levi_basis"] = tuple(new_levi_vectors)
     report["all_pass"] = (

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from trilie.exact import RatMatrix, rank
+from trilie.exact import RatMatrix, ShapeError, rank
 from trilie.graded import GradedMap, GradedSpace
 
 
@@ -34,6 +34,33 @@ def mask_triangular(space: GradedSpace, matrix: RatMatrix) -> GradedMap:
         for k_to in range(k_from)
     ]
     return GradedMap(space, RatMatrix.from_blocks(n, n, [(0, 0, matrix)] + zero_blocks))
+
+
+def mat_power(a: RatMatrix, k: int) -> RatMatrix:
+    """A^k by k products; A^0 = I."""
+    if a.rows != a.cols:
+        raise ShapeError("power of a non-square matrix")
+    if k < 0:
+        raise ValueError("negative matrix power")
+    out = RatMatrix.identity(a.rows)
+    for _ in range(k):
+        out = out @ a
+    return out
+
+
+def brute_block_support(dims: list[int], rows: list[list]) -> set[tuple[int, int]]:
+    """The (from_degree, to_degree) pairs of blocks with a nonzero entry,
+    scanning the dense rows block by block against the component ranges."""
+    ranges, pos = [], 0
+    for d in dims:
+        ranges.append(range(pos, pos + d))
+        pos += d
+    return {
+        (k_from, k_to)
+        for k_to, row_range in enumerate(ranges)
+        for k_from, col_range in enumerate(ranges)
+        if any(rows[r][c] != 0 for r in row_range for c in col_range)
+    }
 
 
 def seeded_rational_matrix(rng: random.Random, rows: int, cols: int) -> RatMatrix:

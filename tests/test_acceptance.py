@@ -18,7 +18,7 @@ from trilie.classify import (
     solve_extensions,
 )
 from trilie.cli import run as cli_run
-from trilie.exact import RatMatrix, exp_nilpotent, mat_power, rat, unit_vector
+from trilie.exact import RatMatrix, exp_nilpotent, rat, unit_vector
 from trilie.family import ModuleParams, build_family_module, enumerate_params, verify_family
 from trilie.graded import degree_components, is_homogeneous, positive_degree_part
 from trilie.jsonio import dumps, graded_map_to_json
@@ -40,7 +40,7 @@ from trilie.rep import (
 )
 from trilie.sl2theory import tensor_multiplicity
 
-from helpers import seeded_triangular_map
+from helpers import mat_power, seeded_triangular_map
 
 
 def _emit(capsys, ok: bool, label: str) -> None:

@@ -10,6 +10,7 @@ from trilie.graded import (
     GradedMap,
     GradedSpace,
     TriangularityError,
+    block_support,
     degree_components,
     is_homogeneous,
     is_triangular,
@@ -18,7 +19,7 @@ from trilie.graded import (
     triangular_closure_check,
 )
 
-from helpers import mask_triangular, seeded_triangular_map
+from helpers import brute_block_support, mask_triangular, seeded_triangular_map
 
 F = Fraction
 
@@ -39,6 +40,10 @@ class TestGradedSpace:
     def test_degree_of_index(self):
         s = GradedSpace((1, 0, 2))
         assert [s.degree_of_index(i) for i in range(3)] == [0, 2, 2]
+        assert s.degrees == (0, 2, 2)
+        for i in (-1, 3):
+            with pytest.raises(IndexError):
+                s.degree_of_index(i)
 
     def test_rejects_negative_dims(self):
         with pytest.raises(ValueError):
@@ -110,6 +115,14 @@ class TestDegreeComponents:
         f = gmap((1, 1, 1), [[1, 0, 0], [2, 3, 0], [4, 5, 6]])
         for j, c in degree_components(f).items():
             assert is_homogeneous(c, j)
+
+    def test_negative_degree_homogeneity(self):
+        # answered by the rule for j >= 0: every entry lowers by exactly 1
+        lowering = gmap((1, 1), [[0, 4], [0, 0]])
+        assert is_homogeneous(lowering, -1)
+        assert not is_homogeneous(lowering, 0)
+        assert not is_homogeneous(gmap((1, 1), [[0, 4], [0, 1]]), -1)
+        assert is_homogeneous(GradedMap.zero(GradedSpace((1, 1))), -2)
 
 
 class TestNilpotency:
@@ -197,3 +210,49 @@ class TestClosureProperties:
         for c in comps.values():
             total = total + c
         assert total == f
+
+
+@st.composite
+def graded_maps(draw):
+    """A random graded space (empty and single components included) and
+    a sparse rational map on it, with its lowering blocks cleared half
+    of the time."""
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    space = GradedSpace(dims)
+    n = space.total_dim
+    entry = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    )
+    m = RatMatrix(n, n, draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    if draw(st.booleans()):
+        return mask_triangular(space, m)
+    return GradedMap(space, m)
+
+
+class TestBlockSupportOracle:
+    @given(graded_maps())
+    @settings(max_examples=150)
+    def test_predicates_match_dense_scan(self, f):
+        dims = list(f.space.component_dims)
+        rows = f.matrix.to_lists()
+        support = brute_block_support(dims, rows)
+        assert block_support(f) == support
+        lowering = sorted(p for p in support if p[1] < p[0])
+        witness = lowering[0] if lowering else None
+        assert is_triangular(f) == (witness is None, witness)
+        c = f.space.num_components
+        for j in range(-c, c + 1):
+            assert is_homogeneous(f, j) == all(t - s == j for s, t in support)
+        if witness is not None:
+            with pytest.raises(TriangularityError, match=f"block {witness[0]} -> {witness[1]}"):
+                degree_components(f)
+            return
+        comps = degree_components(f)
+        assert sorted(comps) == list(range(c))
+        degree = [k for k, d in enumerate(dims) for _ in range(d)]
+        for j, stripe in comps.items():
+            assert stripe.space == f.space
+            assert stripe.matrix.to_lists() == [
+                [x if degree[r] - degree[q] == j else 0 for q, x in enumerate(row)]
+                for r, row in enumerate(rows)
+            ]

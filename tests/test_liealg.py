@@ -434,6 +434,17 @@ class TestSeriesOracles:
 
 
 class TestAdjointGrading:
+    def test_non_ideal_nilradical_names_first_escape(self):
+        # on sl2^2 (z_j = b_{3+j}), span{z1, z2} is no ideal: for v = z1,
+        # [f, z1] = z2 stays and [h, z1] = 0, but [e, z1] = 2 z0 leaves
+        L, levi = build_sl2_lambda(2)
+        declared = LeviData(levi.levi_indices, levi.radical_indices, (5, 4))
+        with pytest.raises(ValueError) as exc:
+            adjoint_grading(L, declared)
+        assert str(exc.value) == (
+            f"input span is not an ideal: [b_2, v] escapes for v={unit_vector(6, 4)}"
+        )
+
     @pytest.mark.parametrize("lam", range(1, 5))
     def test_sl2_lambda_degrees(self, lam):
         L, levi = build_sl2_lambda(lam)

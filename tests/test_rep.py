@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.rep as rep
-from trilie.exact import RatMatrix, exp_nilpotent, invert, mat_power, unit_vector
+from trilie.exact import RatMatrix, exp_nilpotent, invert, unit_vector
 from trilie.graded import (
     GradedMap,
     GradedSpace,
+    block_support,
     degree_components,
     is_homogeneous,
     is_triangular,
@@ -39,12 +40,15 @@ from trilie.rep import (
 from trilie.sl2theory import build_irreducible, is_irreducible, weight_decomposition
 
 from helpers import (
+    brute_block_support,
     brute_bracket,
     brute_homomorphism_witness,
     brute_nullspace,
     brute_sl2_triple,
     corrupt_bracket,
     is_weight_string,
+    mask_triangular,
+    mat_power,
     rebased,
     seeded_rational_matrix,
     seeded_triangular_map,
@@ -56,6 +60,32 @@ F = Fraction
 def adjoint_of_sl2_lambda(lam):
     L, levi = build_sl2_lambda(lam)
     return adjoint_representation(L, adjoint_grading(L, levi))
+
+
+def gate_reference(m):
+    """(flags, witnesses) of the gate on the one image m, at basis index
+    0, Levi index 9 and nilradical index 0, read off the oracle's dense
+    block scan: the least lowering pair is the triangularity witness, (i)
+    keeps to the degree-0 pairs, and (ii) has no lowering and no degree-0
+    pair."""
+    support = brute_block_support(list(m.space.component_dims), m.matrix.to_lists())
+    lowering = sorted(p for p in support if p[1] < p[0])
+    witnesses = {}
+    if lowering:
+        witnesses["triangular_all"] = {"basis_index": 0, "block": lowering[0]}
+    cond_i = all(k_from == k_to for k_from, k_to in support)
+    if not cond_i:
+        witnesses["condition_i"] = {"levi_index": 9}
+    if lowering:
+        witnesses["condition_ii"] = {"nilrad_index": 0, "block": lowering[0]}
+    elif any(k_from == k_to for k_from, k_to in support):
+        witnesses["condition_ii"] = {"nilrad_index": 0, "block": "nonzero degree-0 stripe"}
+    flags = {
+        "triangular_all": not lowering,
+        "condition_i": cond_i,
+        "condition_ii": "condition_ii" not in witnesses,
+    }
+    return flags, witnesses
 
 
 def adjoint_of_sl2():
@@ -265,30 +295,44 @@ class TestTriangularConditions:
         assert report["witnesses"]["condition_ii"]["nilrad_index"] == 3
 
     def test_gate_matches_stripe_reference(self):
-        # conditions (i) and (ii) as first written: (i) triangular and
-        # homogeneous of degree 0, (ii) triangular with a zero degree-0
-        # stripe from degree_components; flags and witnesses must agree
-        def reference(m):
-            ok, w = is_triangular(m)
-            cond_i = ok and is_homogeneous(m, 0)
-            if not ok:
-                return cond_i, False, {"nilrad_index": 9, "block": w}
-            stripes = degree_components(m)
-            if stripes and not stripes[0].is_zero():
-                return cond_i, False, {"nilrad_index": 9, "block": "nonzero degree-0 stripe"}
-            return cond_i, True, None
-
+        # the gate on one image at basis index 0, as both a Levi and a
+        # nilradical image, against the dense block scan of the oracle
         rng = random.Random(11)
         for _ in range(300):
             f = seeded_triangular_map(rng)
             n = f.space.total_dim
             g = GradedMap(f.space, seeded_rational_matrix(rng, n, n))
             for m in (f, g, degree_components(f)[0], f - degree_components(f)[0]):
-                flags, witnesses = _structure_conditions([m], [(9, m)], [(9, m)])
-                cond_i, cond_ii, w_ii = reference(m)
-                assert (flags["condition_i"], flags["condition_ii"]) == (cond_i, cond_ii)
-                assert witnesses.get("condition_i") == (None if cond_i else {"levi_index": 9})
-                assert witnesses.get("condition_ii") == w_ii
+                support = block_support(m)
+                flags, witnesses = _structure_conditions([support], [(9, support)], [0])
+                assert (flags, witnesses) == gate_reference(m)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_gate_matches_oracle_on_random_spaces(self, data):
+        dims = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        space = GradedSpace(dims)
+        n = space.total_dim
+        entry = st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 3)])
+        raw = RatMatrix(n, n, data.draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+        m = mask_triangular(space, raw) if data.draw(st.booleans()) else GradedMap(space, raw)
+        support = block_support(m)
+        assert _structure_conditions([support], [(9, support)], [0]) == gate_reference(m)
+
+    def test_gate_and_predicates_copy_no_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a block was copied")
+
+        rho = adjoint_of_sl2_lambda(2)
+        for owner, name in ((GradedMap, "block"), (RatMatrix, "submatrix"),
+                            (RatMatrix, "from_blocks")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert verify_triangular_conditions(rho)["all_pass"]
+        assert conjugate_levi_check(rho, unit_vector(rho.algebra.dim, 4))["all_pass"]
+        f = rho.images[3]
+        assert is_triangular(f) == (True, None)
+        assert is_homogeneous(f, 1) and not is_homogeneous(f, 0)
+        assert degree_components(f)[1] == f
 
     def test_single_component_grading_cannot_hide_nilradical(self):
         L, levi = build_sl2_lambda(1)

@@ -12,7 +12,9 @@ The sha256 of every exit code and report is pinned, so any change to a
 report byte, passing or failing, fails here. A second, smaller deck
 pins the same at dimension 68, beyond the benchmark decks: `check` on
 sl2^64 in a permuted and rescaled basis, `verify` of its adjoint
-representation, and one altered-bracket variant of each.
+representation, and one altered-bracket variant of each. A third deck
+pins `decompose` on about 300 seeded graded maps, triangular and
+lowering, over graded spaces with empty and single components.
 """
 
 import contextlib
@@ -40,6 +42,7 @@ from helpers import rebased
 
 DECK_SHA256 = "26a0fd746597e9d43586e8825fd9cc63d15a248922b546b7f97d6f06ee607b6c"
 LARGE_DECK_SHA256 = "100a8a73ae6bd221ae67a906145011f3f3fdd36b79eb8fb23f8f921e9b905206"
+DECOMPOSE_DECK_SHA256 = "6f22dcc2a448dadd60a59b8add10add24dc977a37d5eae714ecfcd94bbc686a3"
 SCALARS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
 
 
@@ -193,3 +196,41 @@ def test_large_dimension_reports_match_golden(monkeypatch):
         digest.update(f"{verb} {code}\n{out}".encode())
     assert codes == [0, 0, 1, 1]
     assert digest.hexdigest() == LARGE_DECK_SHA256
+
+
+def decompose_deck(seed=12, size=300):
+    """Graded-map documents: a random space (0-4 components of dim 0-3),
+    entries mostly zero, and either every entry kept, the lowering blocks
+    cleared (triangular), or one lowering entry planted in a triangular
+    map."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        degree = [k for k, d in enumerate(dims) for _ in range(d)]
+        n = len(degree)
+        rows = [
+            [_scalar(rng) if rng.random() < 0.4 else "0" for _ in range(n)]
+            for _ in range(n)
+        ]
+        kind = rng.randrange(3)
+        if kind:
+            for r in range(n):
+                for c in range(n):
+                    if degree[r] < degree[c]:
+                        rows[r][c] = "0"
+            lowering = [(r, c) for r in range(n) for c in range(n) if degree[r] < degree[c]]
+            if kind == 2 and lowering:
+                r, c = rng.choice(lowering)
+                rows[r][c] = _scalar(rng)
+        yield {"dims": dims, "matrix": rows}
+
+
+def test_decompose_reports_match_golden(monkeypatch):
+    digest = hashlib.sha256()
+    codes = []
+    for doc in decompose_deck():
+        code, out = _run_document(monkeypatch, "decompose", doc)
+        codes.append(code)
+        digest.update(f"{code}\n{out}".encode())
+    assert codes.count(0) > 100 and codes.count(1) > 50
+    assert digest.hexdigest() == DECOMPOSE_DECK_SHA256
