@@ -26,21 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    ONE,
-    RatMatrix,
-    entry_system,
-    nullspace_basis,
-    rat_str,
-    solve,
-)
-from .family import (
-    ModuleParams,
-    _z_blocks,
-    two_block_representation,
-)
+from .exact import ONE, RatMatrix, combination, nullspace_basis, rat_str
+from .family import ModuleParams, two_block_representation, z_blocks
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
-from .sl2theory import build_irreducible, tensor_multiplicity
+from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
 
 
 @dataclass(frozen=True)
@@ -58,6 +47,10 @@ class ExtensionProblem:
 
 @dataclass(frozen=True)
 class SolutionSpace:
+    """The span of `basis`, as `solve_extensions` reduces it: basis[k]
+    is 1 on its own free cell, 0 on every other basis matrix's free
+    cell, and stores nothing after its free cell in row-major order."""
+
     problem: ExtensionProblem
     basis: tuple[RatMatrix, ...]
 
@@ -68,7 +61,8 @@ class SolutionSpace:
     def contains(self, block: RatMatrix) -> tuple[bool, Fraction | None]:
         """Membership of an (m+1) x (n+1) block in the span; also the
         proportionality scalar when the span is a line (0 for the zero
-        block)."""
+        block). A member's coordinates are its entries on the free
+        cells, so the block is a member iff it equals that combination."""
         p = self.problem
         if block.rows != p.m + 1 or block.cols != p.n + 1:
             raise ValueError(
@@ -77,22 +71,13 @@ class SolutionSpace:
             )
         if block.is_zero():
             return True, Fraction(0)
-        # the block may store only entries that some basis matrix stores
-        cells, system = entry_system(self.basis)
-        if not {(t, i) for t, row in enumerate(block.maps) for i in row} <= set(cells):
-            return False, None
-        coeffs = solve(system, [block[t, i] for t, i in cells])
-        if coeffs is None:
+        coeffs = []
+        for b in self.basis:
+            t = max(r for r, row in enumerate(b.maps) if row)
+            coeffs.append(block[t, max(b.maps[t])])
+        if combination(self.basis, enumerate(coeffs)) != block:
             return False, None
         return True, coeffs[0] if len(coeffs) == 1 else None
-
-
-def _residual(p: ExtensionProblem, z0: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
-    u = build_irreducible(p.n)
-    w = build_irreducible(p.m)
-    r1 = w.h_mat @ z0 - z0 @ u.h_mat - z0.scale(p.lam)
-    r2 = w.e_mat @ z0 - z0 @ u.e_mat
-    return r1, r2
 
 
 def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
@@ -139,26 +124,30 @@ def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     return SolutionSpace(p, tuple(basis))
 
 
-def z_tower(p: ExtensionProblem, z0: RatMatrix) -> list[RatMatrix]:
-    """Z_0 … Z_Λ plus the trailing Z_{Λ+1}, generated by ad(f)."""
-    u = build_irreducible(p.n)
-    w = build_irreducible(p.m)
+def _f_tower(u: Sl2Module, w: Sl2Module, z0: RatMatrix, length: int) -> list[RatMatrix]:
+    # Z_0 … Z_{length-1}, Z_{j+1} = F_m Z_j - Z_j F_n
     tower = [z0]
-    for _ in range(p.lam + 1):
+    for _ in range(length - 1):
         zj = tower[-1]
         tower.append(w.f_mat @ zj - zj @ u.f_mat)
     return tower
 
 
+def z_tower(p: ExtensionProblem, z0: RatMatrix) -> list[RatMatrix]:
+    """Z_0 … Z_Λ plus the trailing Z_{Λ+1}, generated by ad(f)."""
+    return _f_tower(build_irreducible(p.n), build_irreducible(p.m), z0, p.lam + 2)
+
+
 def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representation:
-    """Full sl2^Λ representation generated by a solution block."""
-    r1, r2 = _residual(p, z0)
-    if not (r1.is_zero() and r2.is_zero()):
-        raise ValueError("z0 block violates the constraint system")
-    tower = z_tower(p, z0)
-    if not tower[p.lam + 1].is_zero():
-        raise RuntimeError(
-            "tower does not terminate: Z_{Λ+1} != 0 for a constraint solution"
+    """Full sl2^Λ representation generated by a solution block.
+
+    The homomorphism check of the assembled module decides whether z0
+    is a solution: its pairs (h, z_0) and (e, z_0) are the two
+    constraint equations, and (f, z_Λ) is Z_{Λ+1} = 0. A block that
+    fails raises ValueError naming the failing pair."""
+    if (z0.rows, z0.cols) != (p.m + 1, p.n + 1):
+        raise ValueError(
+            f"z0 is {z0.rows}x{z0.cols}, expected {p.m + 1}x{p.n + 1}"
         )
     u = build_irreducible(p.n)
     w = build_irreducible(p.m)
@@ -166,12 +155,13 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
         p.lam,
         (u.f_mat, u.h_mat, u.e_mat),
         (w.f_mat, w.h_mat, w.e_mat),
-        tower[: p.lam + 1],
+        _f_tower(u, w, z0, p.lam + 1),
     )
 
     hom_ok, hom_witness = verify_homomorphism(rho)
     if not hom_ok:
-        raise RuntimeError(f"assembled representation fails bracket {hom_witness}")
+        i, j = (rho.algebra.basis_labels[k] for k in hom_witness)
+        raise ValueError(f"z0 is not a constraint solution: pair ({i}, {j}) fails")
     tri = verify_triangular_conditions(rho)
     if not tri["all_pass"]:
         raise RuntimeError(f"assembled representation fails structure: {tri}")
@@ -202,7 +192,7 @@ def match_family(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    block = _z_blocks(params, 0)[0][0]
+    block = z_blocks(params, 0)[0][0]
     member, scalar = space.contains(block)
     return {"member": member, "scalar": scalar, "block_is_zero": block.is_zero()}
 

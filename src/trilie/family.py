@@ -212,15 +212,11 @@ def two_block_representation(
     return Representation(algebra, levi, GradedSpace((n1, m1)), tuple(images))
 
 
-def z_blocks(p: ModuleParams) -> tuple[list[RatMatrix], tuple, tuple]:
-    """The (m+1) x (n+1) blocks z_0 … z_Λ read off the z-rule table,
-    with the rule conflicts and the uncovered (j, i) cells. Where rules
-    conflict the first recorded value is kept; the conflict is reported."""
-    return _z_blocks(p, p.lam)
-
-
-def _z_blocks(p: ModuleParams, last_j: int) -> tuple[list[RatMatrix], tuple, tuple]:
-    # z_blocks restricted to z_0 … z_{last_j}
+def z_blocks(p: ModuleParams, last_j: int) -> tuple[list[RatMatrix], tuple, tuple]:
+    """The (m+1) x (n+1) blocks z_0 … z_{last_j} read off the z-rule
+    table, with the rule conflicts and the uncovered (j, i) cells. Where
+    rules conflict the first recorded value is kept; the conflict is
+    reported."""
     ok, problems = validate_params(p)
     if not ok:
         raise ValueError("; ".join(problems))
@@ -256,7 +252,7 @@ def _z_blocks(p: ModuleParams, last_j: int) -> tuple[list[RatMatrix], tuple, tup
 
 
 def build_family_module(p: ModuleParams, paper_literal: bool = False) -> FamilyModule:
-    blocks, conflicts, uncovered = z_blocks(p)
+    blocks, conflicts, uncovered = z_blocks(p, p.lam)
     rho = two_block_representation(
         p.lam,
         string_action(p.n, p.n),

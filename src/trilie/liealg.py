@@ -46,6 +46,7 @@ from .exact import (
     unit_vector,
     vector,
 )
+from .sl2theory import string_action
 
 
 class LieAlgebra:
@@ -185,14 +186,17 @@ def check_axioms(L: LieAlgebra) -> dict:
     }
 
 
+# the sl2 brackets on basis (f, h, e), stored for i < j
+_SL2_STRUCTURE = {
+    (0, 1): {0: 2},      # [f, h] = 2f
+    (0, 2): {1: -1},     # [f, e] = -h
+    (1, 2): {2: 2},      # [h, e] = 2e
+}
+
+
 def build_sl2() -> tuple[LieAlgebra, LeviData]:
     """The 3-dimensional simple algebra on basis (f, h, e)."""
-    structure = {
-        (0, 1): {0: 2},      # [f, h] = 2f
-        (0, 2): {1: -1},     # [f, e] = -h
-        (1, 2): {2: 2},      # [h, e] = 2e
-    }
-    L = LieAlgebra(3, ("f", "h", "e"), structure)
+    L = LieAlgebra(3, ("f", "h", "e"), _SL2_STRUCTURE)
     return L, LeviData((0, 1, 2), (), ())
 
 
@@ -204,23 +208,18 @@ def build_sl2_lambda(lam: int) -> tuple[LieAlgebra, LeviData]:
         [e, z_j] = j (lam - j + 1) z_{j-1},  [z_j, z_j'] = 0,
 
     with z_j := 0 outside 0..lam. Basis order (f, h, e, z_0, …, z_lam).
+    [b_g, z_j] is column j of b_g's action on the string x_0 … x_lam
+    (`sl2theory.string_action`).
     """
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
     labels = ["f", "h", "e"] + [f"z{j}" for j in range(lam + 1)]
-    structure: dict[tuple[int, int], dict[int, int]] = {
-        (0, 1): {0: 2},
-        (0, 2): {1: -1},
-        (1, 2): {2: 2},
-    }
+    columns = [image.transpose().maps for image in string_action(lam, lam)]
+    structure = dict(_SL2_STRUCTURE)
     for j in range(lam + 1):
-        zj = 3 + j
-        if j + 1 <= lam:
-            structure[(0, zj)] = {3 + j + 1: 1}
-        if lam - 2 * j != 0:
-            structure[(1, zj)] = {zj: lam - 2 * j}
-        if j >= 1:
-            structure[(2, zj)] = {3 + j - 1: j * (lam - j + 1)}
+        for g, cols in enumerate(columns):
+            if cols[j]:
+                structure[(g, 3 + j)] = {3 + k: x for k, x in cols[j].items()}
     L = LieAlgebra(lam + 4, labels, structure)
     levi = LeviData((0, 1, 2), tuple(range(3, lam + 4)), tuple(range(3, lam + 4)))
     return L, levi
@@ -305,23 +304,14 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
     """The derived series of span(first), or its lower central series
     when `lower`, as rref row maps.
 
-    Precondition for `lower`: span(first) is an ideal, which callers
-    check (`_dense_series`, or the index scan of an index span). Then
-    each term lies in the one before, so the series ends within dim
-    steps. For the derived series the subalgebra check runs here, on
-    the first step's own brackets, so it ends on every input."""
+    Precondition: span(first) is a subalgebra (derived) or an ideal
+    (lower), which callers check (`_dense_series`, or the index scan of
+    an index span). Then each term lies in the one before, so the
+    series ends within dim steps."""
     ads = [combination(L.ad_rows, a.items()) for a in first.maps]
     # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
     # term and a_i of first (lower) or of the last term (derived)
     brackets = [first @ ad for ad in ads]
-    if not lower:
-        escape = _first_escape(first, brackets)
-        if escape:
-            p, i = escape
-            raise ValueError(
-                f"input span is not a subalgebra: [u, v] escapes for "
-                f"u={first.row(i)}, v={first.row(p)}"
-            )
     series = [first]
     while series[-1].rows:
         rows = [row for m in brackets for row in m.maps if row]
@@ -336,18 +326,24 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
 
 
 def _dense_series(L: LieAlgebra, vectors: Sequence[Vector], lower: bool) -> list[list[Vector]]:
-    """_series of span(vectors); for `lower`, a span that is not an
-    ideal raises ValueError naming the first [b_i, v] outside it."""
+    """_series of span(vectors). A span that is not a subalgebra (not an
+    ideal, for `lower`) raises ValueError naming the first bracket
+    outside it."""
     if any(len(v) != L.dim for v in vectors):
         raise ValueError("vector length does not match algebra dim")
     first = _row_span(columns_matrix(vectors, L.dim).transpose())
-    if lower:
-        escape = _first_escape(first, [first @ r_i for r_i in L.ad_rows])
-        if escape:
-            p, i = escape
+    ads = L.ad_rows if lower else [combination(L.ad_rows, a.items()) for a in first.maps]
+    escape = _first_escape(first, [first @ ad for ad in ads])
+    if escape:
+        p, i = escape
+        if lower:
             raise ValueError(
                 f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
             )
+        raise ValueError(
+            f"input span is not a subalgebra: [u, v] escapes for "
+            f"u={first.row(i)}, v={first.row(p)}"
+        )
     series = _series(L, first, lower)
     return [[s.row(t) for t in range(s.rows)] for s in series]
 
@@ -394,7 +390,7 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
         witnesses["levi_killing_nondegenerate"] = "rank deficient"
 
     # an index span is an ideal iff every [b_i, b_j], j in it, stays in
-    # it, so the series below run with their ideal precondition met
+    # it, so the series below run with their preconditions met
     w = _index_escape(L, ((i, j) for i in range(L.dim) for j in radical), radical)
     if w is None:
         rad_solvable = not _series(L, _index_span(L, radical), lower=False)[-1].rows

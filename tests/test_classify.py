@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,14 @@ from trilie.cli import run
 from trilie.exact import RatMatrix
 from trilie.family import build_family_module
 from trilie.rep import is_k_irreducible, verify_representation
-from trilie.sl2theory import tensor_multiplicity
+from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
-from helpers import brute_extension_basis, brute_z_blocks, clebsch_gordan_count
+from helpers import (
+    brute_extension_basis,
+    brute_in_span,
+    brute_z_blocks,
+    clebsch_gordan_count,
+)
 
 F = Fraction
 
@@ -41,11 +47,11 @@ class TestSolutionSpaces:
 
     def test_basis_elements_satisfy_constraints(self):
         space = solve_extensions(ExtensionProblem(2, 2, 2))
-        from trilie.classify import _residual
-
+        u = w = build_irreducible(2)
+        assert space.basis
         for b in space.basis:
-            r1, r2 = _residual(space.problem, b)
-            assert r1.is_zero() and r2.is_zero()
+            assert w.h_mat @ b - b @ u.h_mat == b.scale(2)
+            assert (w.e_mat @ b - b @ u.e_mat).is_zero()
 
     @pytest.mark.parametrize("lam", (1, 2, 3, 4))
     def test_dimension_matches_character_count(self, lam):
@@ -122,6 +128,36 @@ class TestContains:
         outside = RatMatrix(base.rows, base.cols, data)
         assert space.contains(outside) == (False, None)
 
+    @pytest.mark.parametrize("lam", (1, 2, 3, 4))
+    def test_matches_rank_oracle_on_grid(self, lam):
+        for n in range(9):
+            for m in range(9):
+                space = solve_extensions(ExtensionProblem(lam, n, m))
+                basis = [[x for row in b.to_lists() for x in row] for b in space.basis]
+                size = (m + 1) * (n + 1)
+                support = [q for q in range(size) if any(v[q] for v in basis)]
+                off = [q for q in range(size) if q not in support]
+                blocks = [[F(0)] * size]
+                blocks += [[F(-7, 3) * x for x in v] for v in basis]
+                for v in blocks[:]:
+                    if off:
+                        # a cell no basis matrix stores
+                        blocks.append([x + (q == off[-1]) for q, x in enumerate(v)])
+                    if len([x for x in v if x]) >= 2:
+                        # a stored cell, moved off the line through v
+                        last = max(q for q, x in enumerate(v) if x)
+                        blocks.append([x + (q == last) for q, x in enumerate(v)])
+                for v in blocks:
+                    member = brute_in_span(basis, v)
+                    scalar = None
+                    if member and not any(v):
+                        scalar = F(0)
+                    elif member and len(basis) == 1:
+                        q = support[0]
+                        scalar = v[q] / basis[0][q]
+                    block = RatMatrix(m + 1, n + 1, v)
+                    assert space.contains(block) == (member, scalar), (lam, n, m, v)
+
 
 class TestTower:
     def test_terminates_exactly_at_lambda_plus_one(self):
@@ -159,8 +195,40 @@ class TestAssembly:
     def test_invalid_block_rejected(self):
         problem = ExtensionProblem(1, 0, 0)
         ones = RatMatrix.from_rows([[1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("pair (h, z0) fails")):
             assemble_representation(problem, ones)
+
+    # the homomorphism check visits (f, z_lam) before (h, z0) and (e, z0);
+    # a weight-lam z0 whose tower ends at Z_lam is a highest-weight
+    # vector, so a non-solution fails at (f, z_lam) or at (h, z0)
+    @pytest.mark.parametrize(
+        "lam,n,m,rows,pair",
+        [
+            (2, 1, 1, [[1, 0], [0, 0]], "(h, z0)"),
+            (1, 1, 2, [[1, 0], [0, 0], [0, 0]], "(f, z1)"),
+            (1, 1, 2, [[1, 1], [1, 1], [1, 1]], "(f, z1)"),
+        ],
+    )
+    def test_non_solution_names_the_failing_pair(self, lam, n, m, rows, pair):
+        problem = ExtensionProblem(lam, n, m)
+        with pytest.raises(ValueError, match=re.escape(pair)):
+            assemble_representation(problem, RatMatrix.from_rows(rows))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="expected 3x2"):
+            assemble_representation(ExtensionProblem(1, 1, 2), RatMatrix.zeros(2, 3))
+
+    def test_builds_each_component_once(self, monkeypatch):
+        real, built = classify.build_irreducible, []
+
+        def counting(d):
+            built.append(d)
+            return real(d)
+
+        monkeypatch.setattr(classify, "build_irreducible", counting)
+        problem = ExtensionProblem(1, 1, 2)
+        assemble_representation(problem, solve_extensions(problem).basis[0])
+        assert built == [1, 2]
 
     @pytest.mark.parametrize("lam,n,m", [(1, 1, 2), (2, 1, 1), (2, 2, 2), (3, 0, 3)])
     def test_assembled_is_2_irreducible(self, lam, n, m):

@@ -134,19 +134,19 @@ class TestZBlocks:
             data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
             for _ in range(n - s)
         )
-        blocks, _, _ = z_blocks(params(lam, m, n, s, big_n, a))
+        blocks, _, _ = z_blocks(params(lam, m, n, s, big_n, a), lam)
         assert [b.to_lists() for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
 
     def test_module_is_built_from_the_blocks(self):
         p = params(2, 3, 3, 2, 1, (F(2, 3),))
-        blocks, conflicts, uncovered = z_blocks(p)
+        blocks, conflicts, uncovered = z_blocks(p, p.lam)
         module = build_family_module(p)
         assert [module.z_block(j) for j in range(p.lam + 1)] == blocks
         assert (module.conflicts, module.uncovered) == (conflicts, uncovered)
 
     def test_rejects_invalid_params(self):
         with pytest.raises(ValueError):
-            z_blocks(params(1, 0, 0, 0, 0))
+            z_blocks(params(1, 0, 0, 0, 0), 1)
 
 
 class TestStraightModule:

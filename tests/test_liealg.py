@@ -179,6 +179,22 @@ class TestAxioms:
         with pytest.raises(ValueError):
             build_sl2_lambda(0)
 
+    @pytest.mark.parametrize("lam", range(1, 11))
+    def test_sl2_lambda_table_is_the_documented_one(self, lam):
+        # [f, h] = 2f, [f, e] = -h, [h, e] = 2e, [h, z_j] = (lam - 2j) z_j,
+        # [f, z_j] = z_{j+1}, [e, z_j] = j (lam - j + 1) z_{j-1}
+        want = {(0, 1): {0: 2}, (0, 2): {1: -1}, (1, 2): {2: 2}}
+        for j in range(lam + 1):
+            z = 3 + j
+            if j < lam:
+                want[(0, z)] = {z + 1: 1}
+            if lam != 2 * j:
+                want[(1, z)] = {z: lam - 2 * j}
+            if j > 0:
+                want[(2, z)] = {z - 1: j * (lam - j + 1)}
+        L, _ = build_sl2_lambda(lam)
+        assert {k: dict(v) for k, v in L.structure.items()} == want
+
 
 class TestLeviData:
     def test_builder_output_verifies(self):
