@@ -10,11 +10,13 @@ makes the constraints on it linear:
 
 Every remaining generator is forced: Z_{j+1} = F_m Z_j - Z_j F_n, and
 Z_{Λ+1} = 0 comes out of the computation rather than being imposed.
-Solving one exact nullspace per (n, m) cell therefore classifies all
+Solving the two equations per (n, m) cell therefore classifies all
 candidate modules independently of the family formulas. h acts
-diagonally, so the first equation confines Z_0 to the weight-matched
-cells (t, i) with m - 2t = Λ + n - 2i, and the solve runs on those
-cells only: at most min(n, m) + 1 unknowns in place of (n+1)(m+1).
+diagonally, so the first equation confines Z_0 to the one weight
+diagonal t - i = (m - n - Λ)/2, and on it the second is a two-term
+recurrence between neighbouring cells. The diagonal is a line unless
+one of its ends is forced to 0 by the row just past it, and no
+elimination runs.
 The family is compared by testing its z_0 block, read straight from
 the z-rules, for membership in the solution span. Tensor-product
 multiplicities provide a second, character-theoretic prediction of
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, RatMatrix, combination, nullspace_basis, rat_str
+from .exact import ONE, RatMatrix, combination, rat_str
 from .family import ModuleParams, two_block_representation, z_blocks
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
@@ -83,45 +85,30 @@ class SolutionSpace:
 def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     """Exact basis of the highest-weight-Λ intertwiner space.
 
-    h is diagonal, so the h-equation leaves Z_0 free only on the
-    weight-matched cells (t, i), m - 2t = Λ + n - 2i, and the e-equation
+    h is diagonal, so the h-equation leaves Z_0 free only on the one
+    weight diagonal t - i = c, c = (m - n - Λ)/2. There the e-equation
+    row (t-1, i) links only two cells of that diagonal:
 
-        (E_m Z - Z E_n)[a][b] = (a+1)(m-a) Z[a+1][b] - b(n-b+1) Z[a][b-1]
+        t(m-t+1) Z[t][i] = i(n-i+1) Z[t-1][i-1],
 
-    is written on those cells alone. The kernel of the small system,
-    embedded back, is the dense system's kernel with its columns in the
-    same (row-major) order, so the rref basis is the dense one."""
+    both coefficients nonzero inside the block. A diagonal starting at
+    i = 0 with t > 0 is forced to 0 by the row (t-1, 0), and one ending
+    at t = m with i < n by the row (m, i+1). So the space is a line
+    exactly when m - n - Λ is even, c <= 0 and 0 <= n + c <= m. Its
+    vector is 1 at (n+c, n), the last cell in row-major order, as in
+    the rref kernel of the dense system."""
     lam, n, m = p.lam, p.n, p.m
-    cells = [
-        (t, i)
-        for t in range(m + 1)
-        for i in range(n + 1)
-        if (m - 2 * t) - (n - 2 * i) == lam
-    ]
-    column = {cell: k for k, cell in enumerate(cells)}
-    # the e-equation rows that touch a matched cell (t, i): (t-1, i), (t, i+1)
-    rows = sorted(
-        {(t - 1, i) for t, i in cells if t >= 1}
-        | {(t, i + 1) for t, i in cells if i < n}
-    )
-    # on these rows 0 <= a < m and 1 <= b <= n wherever a term is written,
-    # so no coefficient is zero
-    system = []
-    for a, b in rows:
-        row = {}
-        if (a + 1, b) in column:
-            row[column[a + 1, b]] = Fraction((a + 1) * (m - a))
-        if (a, b - 1) in column:
-            row[column[a, b - 1]] = Fraction(-b * (n - b + 1))
-        system.append(row)
-    basis = []
-    for v in nullspace_basis(RatMatrix._from_maps(len(rows), len(cells), system)):
-        block: list[dict] = [{} for _ in range(m + 1)]
-        for (t, i), x in zip(cells, v):
-            if x:
-                block[t][i] = x
-        basis.append(RatMatrix._from_maps(m + 1, n + 1, block))
-    return SolutionSpace(p, tuple(basis))
+    c, odd = divmod(m - n - lam, 2)
+    if odd or c > 0 or not 0 <= n + c <= m:
+        return SolutionSpace(p, ())
+    block: list[dict] = [{} for _ in range(m + 1)]
+    t, i, x = n + c, n, ONE
+    block[t][i] = x
+    while t:
+        x *= Fraction(t * (m - t + 1), i * (n - i + 1))
+        t, i = t - 1, i - 1
+        block[t][i] = x
+    return SolutionSpace(p, (RatMatrix._from_maps(m + 1, n + 1, block),))
 
 
 def _f_tower(u: Sl2Module, w: Sl2Module, z0: RatMatrix, length: int) -> list[RatMatrix]:

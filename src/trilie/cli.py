@@ -31,6 +31,7 @@ from .jsonio import (
     algebra_from_json,
     dumps,
     graded_map_from_json,
+    int_field,
     jsonable,
     matrix_to_json,
     representation_from_json,
@@ -45,7 +46,7 @@ class InputError(Exception):
 
 
 # what parsing a malformed document raises: a missing key, a wrong type,
-# a bad value, or int() of a float too large for it (JSON's 1e400)
+# a bad value, or a number too large for the call it reaches
 _BAD_DOCUMENT = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -130,11 +131,11 @@ def _family_params_from_doc(doc: dict) -> ModuleParams:
     try:
         fp = doc["family_params"]
         params = ModuleParams(
-            int(fp["lambda"]),
-            int(fp["m"]),
-            int(fp["n"]),
-            int(fp["s"]),
-            int(fp["N"]),
+            int_field(fp["lambda"]),
+            int_field(fp["m"]),
+            int_field(fp["n"]),
+            int_field(fp["s"]),
+            int_field(fp["N"]),
             tuple(rat(x) for x in fp["a"]),
         )
     except _BAD_DOCUMENT as exc:

@@ -131,9 +131,9 @@ def _z_rule_assignments(p: ModuleParams, last_j: int) -> dict[tuple[int, int], l
         cells.setdefault((j, i), []).append((rule, value))
 
     for j in range(last_j + 1):
-        for i in range(n + 1):
-            if s - 1 >= i + j:
-                record(j, i, _RULE_ZERO, {})
+        # the zero range is i + j <= s - 1
+        for i in range(min(s - j, n + 1)):
+            record(j, i, _RULE_ZERO, {})
 
     for theta in range(n - s + 1):
         for j in range(min(s + theta, last_j) + 1):
@@ -147,12 +147,16 @@ def _z_rule_assignments(p: ModuleParams, last_j: int) -> dict[tuple[int, int], l
             coeff = ZERO
             # binomial(j, k) vanishes past k = j
             for k in range(min(theta, j) + 1):
+                a = p.a_scalar(theta - k)
                 coeff += Fraction(
                     (-1) ** (j - k)
                     * binomial(j, k)
-                    * math.factorial(m - big_n - theta + k),
-                    math.factorial(big_n + theta - k) * math.factorial(m),
-                ) * p.a_scalar(theta - k)
+                    * math.factorial(m - big_n - theta + k)
+                    * a.numerator,
+                    math.factorial(big_n + theta - k)
+                    * math.factorial(m)
+                    * a.denominator,
+                )
             record(j, i, _RULE_MIDDLE, {target: coeff} if coeff != 0 else {})
 
     for theta in range(1, lam + 1):
@@ -169,12 +173,16 @@ def _z_rule_assignments(p: ModuleParams, last_j: int) -> dict[tuple[int, int], l
                 a_idx = n - s - k
                 if a_idx < 0:
                     continue
+                a = p.a_scalar(a_idx)
                 coeff += Fraction(
                     (-1) ** (j - theta - k)
                     * binomial(j, theta + k)
-                    * math.factorial(m - big_n - n + s + k),
-                    math.factorial(big_n + n - s - k) * math.factorial(m),
-                ) * p.a_scalar(a_idx)
+                    * math.factorial(m - big_n - n + s + k)
+                    * a.numerator,
+                    math.factorial(big_n + n - s - k)
+                    * math.factorial(m)
+                    * a.denominator,
+                )
             record(j, i, _RULE_TAIL, {target: coeff} if coeff != 0 else {})
 
     return cells

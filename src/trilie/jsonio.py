@@ -20,6 +20,15 @@ from .liealg import LeviData, LieAlgebra
 from .rep import Representation
 
 
+def int_field(value: Any) -> int:
+    """An integer field of a JSON document, as int(). JSON reads 1.5 as
+    a float and true as a bool, and int() would truncate either; both
+    are refused."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def dumps(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -59,11 +68,13 @@ def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
     structure = {}
     for entry in doc["brackets"]:
         i, j, coeffs = entry
-        structure[(int(i), int(j))] = {int(k): rat(c) for k, c in coeffs}
-    L = LieAlgebra(int(doc["dim"]), [str(x) for x in doc["labels"]], structure)
+        structure[(int_field(i), int_field(j))] = {
+            int_field(k): rat(c) for k, c in coeffs
+        }
+    L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in doc["labels"]], structure)
     index_lists = []
     for key in ("levi", "radical", "nilradical"):
-        indices = tuple(int(x) for x in doc[key])
+        indices = tuple(int_field(x) for x in doc[key])
         for x in indices:
             if not 0 <= x < L.dim:
                 raise ValueError(f"{key} index {x} out of range for dim {L.dim}")
@@ -79,7 +90,7 @@ def graded_map_to_json(g: GradedMap) -> dict:
 
 
 def graded_map_from_json(doc: dict) -> GradedMap:
-    space = GradedSpace(tuple(int(d) for d in doc["dims"]))
+    space = GradedSpace(tuple(int_field(d) for d in doc["dims"]))
     m = matrix_from_json(doc["matrix"], (space.total_dim, space.total_dim))
     return GradedMap(space, m)
 
@@ -107,7 +118,7 @@ def representation_from_json(doc: dict) -> Representation:
         with open(algebra_doc) as fh:
             algebra_doc = json.load(fh)
     L, D = algebra_from_json(algebra_doc)
-    space = GradedSpace(tuple(int(d) for d in doc["dims"]))
+    space = GradedSpace(tuple(int_field(d) for d in doc["dims"]))
     images = []
     seen = set(doc["images"])
     expected = set(L.basis_labels)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.classify as classify
+import trilie.exact as exact
 import trilie.family as family
 from trilie.classify import (
     ExtensionProblem,
@@ -53,13 +54,13 @@ class TestSolutionSpaces:
             assert w.h_mat @ b - b @ u.h_mat == b.scale(2)
             assert (w.e_mat @ b - b @ u.e_mat).is_zero()
 
-    @pytest.mark.parametrize("lam", (1, 2, 3, 4))
+    @pytest.mark.parametrize("lam", (1, 2, 3, 4, 5, 6, 7, 8))
     def test_dimension_matches_character_count(self, lam):
-        for n in range(5):
-            for m in range(5):
+        for n in range(41):
+            for m in range(41):
                 dim = solve_extensions(ExtensionProblem(lam, n, m)).dimension
-                assert dim == tensor_multiplicity(lam, n, m)
-                assert dim == clebsch_gordan_count(lam, n, m)
+                assert dim == tensor_multiplicity(lam, n, m), (n, m)
+                assert dim == clebsch_gordan_count(lam, n, m), (n, m)
 
     def test_dimension_never_exceeds_one(self):
         for n in range(4):
@@ -77,32 +78,27 @@ class TestWeightBlockedSolver:
                 assert [b.data for b in basis] == brute_extension_basis(lam, n, m)
 
     @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=0, max_value=14),
-        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=0, max_value=24),
     )
     @settings(max_examples=20, deadline=None)
     def test_basis_matches_dense_oracle(self, lam, n, m):
         basis = solve_extensions(ExtensionProblem(lam, n, m)).basis
         assert [b.data for b in basis] == brute_extension_basis(lam, n, m)
 
-    def test_solves_only_the_weight_matched_cells(self, monkeypatch):
+    def test_runs_no_elimination(self, monkeypatch):
         lam, n, m = 1, 24, 25
-        real_nullspace = classify.nullspace_basis
-        widths = []
 
-        def bounded(a):
-            assert a.cols <= min(n, m) + 1, f"{a.rows}x{a.cols} system"
-            widths.append(a.cols)
-            return real_nullspace(a)
+        def forbidden(*args):
+            raise AssertionError("solver ran an elimination or built a module")
 
-        def forbidden(d):
-            raise AssertionError("solver built an sl2 module")
-
-        monkeypatch.setattr(classify, "nullspace_basis", bounded)
+        monkeypatch.setattr(exact, "rref", forbidden)
+        monkeypatch.setattr(exact, "nullspace_basis", forbidden)
         monkeypatch.setattr(classify, "build_irreducible", forbidden)
-        assert solve_extensions(ExtensionProblem(lam, n, m)).dimension == 1
-        assert widths
+        space = solve_extensions(ExtensionProblem(lam, n, m))
+        assert space.dimension == 1
+        assert [b.data for b in space.basis] == brute_extension_basis(lam, n, m)
 
 
 class TestContains:
@@ -310,16 +306,21 @@ class TestMatchFamilyReadsZRules:
         assert evaluated == {0}
 
 
-# sha256 of `trilie classify` stdout before the solver was weight-blocked
+# sha256 of `trilie classify` stdout: the first two recorded before the
+# solver was weight-blocked, the last two before it walked the diagonal;
+# a box "N" is N x N, "NxM" is n <= N, m <= M
 @pytest.mark.parametrize(
     "lam,box,digest",
     [
         ("2", "12", "9b4cd4c9470e07a267076e093f85b1408ddc0168a693a320bda15df8764b80e3"),
         ("4", "10", "2081dd72c040d2110130f74c3d5292bd310178a8b8553aa4010ea1ada8aae737"),
+        ("3", "24", "96a4df8900bb00975c3634b741ca23d58eb23e04355e3957c212a66376f957e4"),
+        ("1", "40x41", "d6baab74e50768afd26641b3d632caa0184589608702a798262d647cf724f33c"),
     ],
 )
 def test_classify_output_matches_golden_digest(capsys, lam, box, digest):
-    code = run(["classify", "--lambda", lam, "--max-n", box, "--max-m", box])
+    max_n, _, max_m = box.partition("x")
+    code = run(["classify", "--lambda", lam, "--max-n", max_n, "--max-m", max_m or max_n])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -500,3 +500,40 @@ def test_decompose_accepts_integer_and_string_zeros(capsys, monkeypatch):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+
+# each document is valid but for one JSON float or boolean in an integer
+# field; int() would truncate it to the value the field held
+@pytest.mark.parametrize(
+    "argv,make,path,value",
+    [
+        (["check", "-"], _sl2l_doc, ("dim",), 5.0),
+        (["check", "-"], _sl2l_doc, ("brackets", 0, 0), False),
+        (["check", "-"], _sl2l_doc, ("radical", 0), 3.5),
+        (["verify", "-"], _family_doc, ("dims", 0), 2.9),
+        (["verify", "-"], _family_doc, ("algebra", "nilradical", 0), 3.0),
+        (["verify", "-", "--paper-literal"], _family_doc, ("family_params", "n"), 1.0),
+        (["verify", "-", "--paper-literal"], _family_doc, ("family_params", "s"), False),
+        (["decompose", "-"], lambda capsys: {"dims": [1], "matrix": [["0"]]},
+         ("dims", 0), 1.5),
+        (["decompose", "-"], lambda capsys: {"dims": [1], "matrix": [["0"]]},
+         ("dims", 0), True),
+    ],
+    ids=["check-dim", "check-bracket-index", "check-radical", "verify-dims",
+         "verify-nilradical", "paper-literal-n", "paper-literal-s",
+         "decompose-dims", "decompose-bool-dims"],
+)
+def test_integer_fields_reject_floats_and_booleans(capsys, monkeypatch, argv, make,
+                                                   path, value):
+    doc = make(capsys)
+    *parents, last = path
+    field = doc
+    for key in parents:
+        field = field[key]
+    assert field[last] == int(value)
+    field[last] = value
+    code, out, err = _run(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and f"expected an integer, got {value}" in err
