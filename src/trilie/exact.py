@@ -30,10 +30,11 @@ class ShapeError(ValueError):
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to a canonical Fraction.
-    Strings in exponent notation are rejected: their size is unbounded."""
+    Strings in exponent notation are rejected: their size is unbounded.
+    A bool (JSON's true or false) is no number, though Python's int."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if "e" in value.lower():
@@ -192,9 +193,6 @@ class RatMatrix:
     def row(self, i: int) -> Vector:
         row = self.maps[i]
         return tuple(row.get(j, ZERO) for j in range(self.cols))
-
-    def col(self, j: int) -> Vector:
-        return tuple(row.get(j, ZERO) for row in self.maps)
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]

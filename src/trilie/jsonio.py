@@ -38,6 +38,8 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 
 def matrix_from_json(rows: list[list[str]], shape: tuple[int, int] | None = None) -> RatMatrix:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("a matrix must be a list of rows, each a list of entries")
     if not rows and shape is not None and shape[0] == 0:
         # a 0-row listing carries no column count; only `shape` does
         return RatMatrix.zeros(*shape)
@@ -90,9 +92,10 @@ def graded_map_to_json(g: GradedMap) -> dict:
 
 
 def graded_map_from_json(doc: dict) -> GradedMap:
-    space = GradedSpace(tuple(int_field(d) for d in doc["dims"]))
-    m = matrix_from_json(doc["matrix"], (space.total_dim, space.total_dim))
-    return GradedMap(space, m)
+    # the shape is checked before GradedSpace lists a degree per index
+    dims = tuple(int_field(d) for d in doc["dims"])
+    m = matrix_from_json(doc["matrix"], (sum(dims), sum(dims)))
+    return GradedMap(GradedSpace(dims), m)
 
 
 def representation_to_json(rho: Representation, extra: dict | None = None) -> dict:
@@ -118,21 +121,16 @@ def representation_from_json(doc: dict) -> Representation:
         with open(algebra_doc) as fh:
             algebra_doc = json.load(fh)
     L, D = algebra_from_json(algebra_doc)
-    space = GradedSpace(tuple(int_field(d) for d in doc["dims"]))
-    images = []
+    dims = tuple(int_field(d) for d in doc["dims"])
     seen = set(doc["images"])
     expected = set(L.basis_labels)
     if seen != expected:
         raise ValueError(
             f"images keyed by {sorted(seen)}, algebra has {sorted(expected)}"
         )
-    for label in L.basis_labels:
-        images.append(
-            matrix_from_json(
-                doc["images"][label], (space.total_dim, space.total_dim)
-            )
-        )
-    return Representation(L, D, space, tuple(images))
+    shape = (sum(dims), sum(dims))  # checked before the space is built
+    images = tuple(matrix_from_json(doc["images"][label], shape) for label in L.basis_labels)
+    return Representation(L, D, GradedSpace(dims), images)
 
 
 def jsonable(value: Any) -> Any:

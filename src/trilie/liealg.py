@@ -19,6 +19,9 @@ are kept as the rref row maps of a RatMatrix. With R_i = L.ad_rows[i],
 the matrix whose row j is [b_i, b_j], built once per algebra, [b_i, S]
 is spanned by the rows of the one sparse product S @ R_i; dense tuples
 appear only in the public return values.
+
+One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
+brackets: it checks representations, and Jacobi is its check of ad.
 """
 
 from __future__ import annotations
@@ -153,31 +156,44 @@ def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
     return combination(L.ad_rows, enumerate(x)).transpose()
 
 
-def check_axioms(L: LieAlgebra) -> dict:
-    """Jacobi over all basis triples, read off the structure constants:
-    [[b_a, b_b], b_c] = sum_p c_ab^p [b_p, b_c], summed on the native row
-    maps of the ad rows (`native_rows`), so integral constants build no
-    Fraction. The witness is the lexicographically first violation.
-    Antisymmetry is reported true with a None witness without a check:
-    brackets are stored for i < j only and [b_j, b_i] is read back as
-    -[b_i, b_j], so it holds by construction."""
-    table = [native_rows(r) for r in L.ad_rows]
-    empty: dict = {}
-    jacobi_witness = None
+def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int, int] | None:
+    """The first pair i < j, with the least column k, where images[i]
+    images[j] - images[j] images[i] - sum_p c_ij^p images[p] is nonzero;
+    None when b_i ↦ images[i] respects every bracket. Summed on native
+    row maps (`native_rows`) over stored entries only: no matrix is
+    built, and no Fraction for an integral entry."""
+    rows = [native_rows(m) for m in images]
     for i in range(L.dim):
+        a, coeffs = rows[i], native_rows(L.ad_rows[i])
         for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                total: dict = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p, x in table[a].get(b, empty).items():
-                        add_scaled_row(total, table[p].get(c, empty), x)
-                if total:
-                    jacobi_witness = (i, j, k)
-                    break
-            if jacobi_witness:
-                break
-        if jacobi_witness:
-            break
+            b = rows[j]
+            acc: dict = {}
+            for left, right, sign in ((a, b, 1), (b, a, -1)):
+                for r, row in left.items():
+                    for k, x in row.items():
+                        if k in right:
+                            add_scaled_row(acc.setdefault(r, {}), right[k], sign * x)
+            for p, c in coeffs.get(j, {}).items():
+                for r, row in rows[p].items():
+                    add_scaled_row(acc.setdefault(r, {}), row, -c)
+            if any(acc.values()):
+                return i, j, min(k for row in acc.values() for k in row)
+    return None
+
+
+def check_axioms(L: LieAlgebra) -> dict:
+    """Jacobi as the statement that ad is a representation, by the
+    `bracket_defect` of the ad b_i; the witness is the lexicographically
+    first triple i < j < k whose Jacobi sum J(i, j, k) is nonzero:
+    1. column k of the defect of (ad b_i, ad b_j) is -J(i, j, k);
+    2. J is alternating: brackets are stored for i < j only, and
+       [b_j, b_i] is read back as -[b_i, b_j];
+    3. so the first failing pair is the first failing triple's (i, j);
+    4. any other column of its defect is ±J of an earlier pair or has a
+       repeated index, so all nonzero ones exceed j: the least is its k.
+    Antisymmetry holds by (2); it is reported true with a None witness."""
+    # a generator: each ad b_i is kept only as its nonempty native rows
+    jacobi_witness = bracket_defect(L, (r.transpose() for r in L.ad_rows))
     return {
         "antisymmetry": True,
         "jacobi": jacobi_witness is None,

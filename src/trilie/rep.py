@@ -18,9 +18,8 @@ chosen.
 Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
 
-The homomorphism check only compares, so it builds no matrix: it sums
-each pair's defect on the images' native row maps (`exact.native_rows`),
-where integral entries are plain ints, and builds no Fraction for them.
+The homomorphism check is `liealg.bracket_defect`, the one scan that
+also decides Jacobi (for ρ = ad); it builds no matrix.
 """
 
 from __future__ import annotations
@@ -32,18 +31,23 @@ from .exact import (
     RatMatrix,
     Vector,
     ZERO,
-    add_scaled_row,
     combination,
     entry_system,
     exp_nilpotent,
-    native_rows,
     nullspace_basis,
     rank,
     unit_vector,
     vector,
 )
 from .graded import GradedMap, GradedSpace, block_support
-from .liealg import LeviData, LieAlgebra, ad_matrix, bracket, restricted_ad_matrices
+from .liealg import (
+    LeviData,
+    LieAlgebra,
+    ad_matrix,
+    bracket,
+    bracket_defect,
+    restricted_ad_matrices,
+)
 
 
 class UnsupportedLeviError(ValueError):
@@ -81,29 +85,11 @@ class Representation:
 
 
 def verify_homomorphism(rho: Representation) -> tuple[bool, tuple[int, int] | None]:
-    """rho([b_i, b_j]) = [rho(b_i), rho(b_j)] over all pairs i < j; the
-    witness is the first failing pair. Each pair sums rho_i rho_j -
-    rho_j rho_i - sum_k c_k rho_k on native row maps (`native_rows`),
-    visiting only stored entries; it must cancel entry by entry. No
-    matrix is built, and no Fraction for an integral entry."""
-    L = rho.algebra
-    images = [native_rows(im.matrix) for im in rho.images]
-    for i in range(L.dim):
-        a, coeffs = images[i], native_rows(L.ad_rows[i])
-        for j in range(i + 1, L.dim):
-            b = images[j]
-            acc: dict = {}
-            for left, right, sign in ((a, b, 1), (b, a, -1)):
-                for r, row in left.items():
-                    for k, x in row.items():
-                        if k in right:
-                            add_scaled_row(acc.setdefault(r, {}), right[k], sign * x)
-            for k, c in coeffs.get(j, {}).items():
-                for r, row in images[k].items():
-                    add_scaled_row(acc.setdefault(r, {}), row, -c)
-            if any(acc.values()):
-                return False, (i, j)
-    return True, None
+    """rho([b_i, b_j]) = [rho(b_i), rho(b_j)] over all pairs i < j, by the
+    one defect scan `liealg.bracket_defect`; the witness is the first
+    failing pair."""
+    defect = bracket_defect(rho.algebra, [im.matrix for im in rho.images])
+    return (True, None) if defect is None else (False, defect[:2])
 
 
 def _structure_conditions(

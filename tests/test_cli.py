@@ -8,10 +8,14 @@ import builtins
 import io
 import json
 import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import trilie
 import trilie.rep as rep
 import trilie.sl2theory as sl2theory
 from trilie.cli import run
@@ -537,3 +541,64 @@ def test_integer_fields_reject_floats_and_booleans(capsys, monkeypatch, argv, ma
     assert code == 2
     assert out == ""
     assert "error: " in err and f"expected an integer, got {value}" in err
+
+
+_ONE_DIM_ALGEBRA = {"dim": 1, "labels": ["x"], "brackets": [], "levi": [],
+                    "radical": [0], "nilradical": [0]}
+
+
+# each document was read without complaint: string rows character by
+# character, a string matrix as its characters, and JSON true as 1
+@pytest.mark.parametrize(
+    "verb,doc,message",
+    [
+        ("decompose", {"dims": [2], "matrix": ["00", "10"]}, "list of rows"),
+        ("decompose", {"dims": [1], "matrix": "0"}, "list of rows"),
+        ("verify", {"algebra": _ONE_DIM_ALGEBRA, "dims": [2], "images": {"x": ["00", "10"]}},
+         "list of rows"),
+        ("decompose", {"dims": [1], "matrix": [[True]]}, "not a rational: True"),
+        ("verify", {"algebra": _ONE_DIM_ALGEBRA, "dims": [1], "images": {"x": [[True]]}},
+         "not a rational: True"),
+        ("check", {"dim": 2, "labels": ["a", "b"], "brackets": [[0, 1, [[0, True]]]],
+                   "levi": [], "radical": [0, 1], "nilradical": [1]},
+         "not a rational: True"),
+    ],
+    ids=["string-rows", "string-matrix", "verify-string-rows", "true-entry",
+         "verify-true-entry", "true-coefficient"],
+)
+def test_documents_read_silently_before_exit_2(capsys, monkeypatch, verb, doc, message):
+    code, out, err = _run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and message in err
+    assert "Traceback" not in err
+
+
+def _limit_memory():
+    # a runaway allocation fails here instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "verb,doc",
+    [
+        ("decompose", {"dims": [10**30], "matrix": []}),
+        ("verify", {"algebra": _ONE_DIM_ALGEBRA, "dims": [10**30], "images": {"x": []}}),
+        ("verify", {"algebra": _ONE_DIM_ALGEBRA, "dims": [10**30, -(10**30)],
+                    "images": {"x": []}}),
+    ],
+    ids=["decompose", "verify", "verify-negative"],
+)
+def test_huge_declared_dims_exit_2_without_allocating(verb, doc):
+    # the matrix shape is checked against sum(dims) before the space
+    # lists a degree per basis index; run in a child process under a
+    # memory limit and a timeout, since a regression allocates without end
+    src = os.path.dirname(os.path.dirname(trilie.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trilie", verb, "-"],
+        input=json.dumps(doc), capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr

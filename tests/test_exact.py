@@ -368,7 +368,7 @@ class TestSparseStorage:
         assert a.is_zero() == all(v == 0 for row in al for v in row)
         assert (a == b) == (al == bl)
         assert [list(a.row(i)) for i in range(r)] == al
-        assert [list(a.col(j)) for j in range(c)] == [[row[j] for row in al] for j in range(c)]
+        assert [list(a.transpose().row(j)) for j in range(c)] == [[row[j] for row in al] for j in range(c)]
         assert all(a[i, j] == al[i][j] for i in range(r) for j in range(c))
         results = {
             "add": (a + b, [[p + q for p, q in zip(u, v)] for u, v in zip(al, bl)]),
@@ -583,7 +583,7 @@ class TestSparseElimination:
         assert reduced_b.maps[:k] == reduced_a.maps[:k]
         # extend_independent eliminates the matrix whose columns are the
         # vectors: permuting and repeating coordinates keeps its row space
-        vectors = [a.col(j) for j in range(a.cols)]
+        vectors = [a.transpose().row(j) for j in range(a.cols)]
         base, candidates = vectors[:split], vectors[split:]
 
         def moved(vs):

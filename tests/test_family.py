@@ -98,16 +98,16 @@ class TestActionCoefficients:
 
     def test_zero_range_cell(self, module):
         # i = j = 0 is the only cell with s - 1 >= i + j
-        assert module.z_block(0).col(0) == (F(0), F(0), F(0))
+        assert module.z_block(0).transpose().row(0) == (F(0), F(0), F(0))
 
     def test_middle_sum_cells(self, module):
         # z0·u1 = (1/2) w1,  z1·u0 = -(1/2) w1
-        assert module.z_block(0).col(1) == (F(0), F(1, 2), F(0))
-        assert module.z_block(1).col(0) == (F(0), F(-1, 2), F(0))
+        assert module.z_block(0).transpose().row(1) == (F(0), F(1, 2), F(0))
+        assert module.z_block(1).transpose().row(0) == (F(0), F(-1, 2), F(0))
 
     def test_tail_sum_cell(self, module):
         # z1·u1 = (1/2) w2
-        assert module.z_block(1).col(1) == (F(0), F(0), F(1, 2))
+        assert module.z_block(1).transpose().row(1) == (F(0), F(0), F(1, 2))
 
     def test_z_kills_w(self, module):
         for j in (0, 1):
@@ -156,7 +156,7 @@ class TestStraightModule:
     def test_z_action_is_the_radical_string(self, lam):
         module = build_family_module(params(lam, lam, 0, 0, 0))
         for j in range(lam + 1):
-            col = module.z_block(j).col(0)
+            col = module.z_block(j).transpose().row(0)
             assert col == tuple(
                 F(1) if k == j else F(0) for k in range(lam + 1)
             )

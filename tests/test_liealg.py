@@ -14,6 +14,7 @@ from trilie.liealg import (
     ad_matrix,
     adjoint_grading,
     bracket,
+    bracket_defect,
     build_sl2,
     build_sl2_lambda,
     check_axioms,
@@ -554,9 +555,9 @@ small_coeffs = st.integers(-3, 3).map(Fraction)
 
 @st.composite
 def corrupted_tables(draw):
-    """The sl2^Λ table (Λ <= 3) with a few brackets overwritten by random
+    """The sl2^Λ table (Λ <= 6) with a few brackets overwritten by random
     ones, removed, or added where the table had none."""
-    lam = draw(st.integers(1, 3))
+    lam = draw(st.integers(1, 6))
     L, _ = build_sl2_lambda(lam)
     table = {key: dict(v) for key, v in L.structure.items()}
     pairs = [(i, j) for i in range(L.dim) for j in range(i + 1, L.dim)]
@@ -576,6 +577,27 @@ class TestStructureConstantOracles:
         witness = brute_jacobi_witness(dim, table)
         assert report["witnesses"]["jacobi"] == witness
         assert report["jacobi"] is (witness is None)
+
+    def test_jacobi_witness_is_least_column_of_first_failing_pair(self):
+        # [b0, b1] = b3 + b4, [b3, b4] = b0 and [b2, b4] = b1: J(0, 1, 2)
+        # = -b1, J(0, 1, 3) = -b0 and J(0, 1, 4) = b0, so the defect of
+        # (ad b0, ad b1), the first pair that fails, is nonzero in the
+        # columns 2, 3 and 4; column 2 sits in row 1, the other two in row 0
+        table = {(0, 1): {3: F(1), 4: F(1)}, (3, 4): {0: F(1)}, (2, 4): {1: F(1)}}
+        L = LieAlgebra(5, [f"b{i}" for i in range(5)], table)
+        units = [unit_vector(5, i) for i in range(5)]
+        nonzero = [
+            k for k in range(2, 5)
+            if any(sum(col) for col in zip(
+                brute_bracket(5, table, brute_bracket(5, table, units[0], units[1]), units[k]),
+                brute_bracket(5, table, brute_bracket(5, table, units[1], units[k]), units[0]),
+                brute_bracket(5, table, brute_bracket(5, table, units[k], units[0]), units[1]),
+            ))
+        ]
+        assert nonzero == [2, 3, 4]
+        assert brute_jacobi_witness(5, table) == (0, 1, 2)
+        assert check_axioms(L)["witnesses"]["jacobi"] == (0, 1, 2)
+        assert bracket_defect(L, [r.transpose() for r in L.ad_rows]) == (0, 1, 2)
 
     def test_jacobi_witness_with_fractional_constants(self):
         # sl2^lam in bases rescaled by fractions, so most structure
