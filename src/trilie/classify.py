@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, RatMatrix, combination, rat_str
+from .exact import ONE, RatMatrix, rat_str
 from .family import ModuleParams, two_block_representation, z_blocks
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
@@ -49,9 +49,9 @@ class ExtensionProblem:
 
 @dataclass(frozen=True)
 class SolutionSpace:
-    """The span of `basis`, as `solve_extensions` reduces it: basis[k]
-    is 1 on its own free cell, 0 on every other basis matrix's free
-    cell, and stores nothing after its free cell in row-major order."""
+    """The span of `basis`, as `solve_extensions` reduces it. The span
+    is at most a line: its one basis matrix, when there is one, is 1 on
+    its free cell, the last cell it stores in row-major order."""
 
     problem: ExtensionProblem
     basis: tuple[RatMatrix, ...]
@@ -61,10 +61,10 @@ class SolutionSpace:
         return len(self.basis)
 
     def contains(self, block: RatMatrix) -> tuple[bool, Fraction | None]:
-        """Membership of an (m+1) x (n+1) block in the span; also the
-        proportionality scalar when the span is a line (0 for the zero
-        block). A member's coordinates are its entries on the free
-        cells, so the block is a member iff it equals that combination."""
+        """Membership of an (m+1) x (n+1) block in the span, and the
+        proportionality scalar (0 for the zero block). A member is its
+        free-cell entry times the line, so one pass compares the block
+        with that multiple row by row, up to the first mismatch."""
         p = self.problem
         if block.rows != p.m + 1 or block.cols != p.n + 1:
             raise ValueError(
@@ -73,13 +73,19 @@ class SolutionSpace:
             )
         if block.is_zero():
             return True, Fraction(0)
-        coeffs = []
-        for b in self.basis:
-            t = max(r for r, row in enumerate(b.maps) if row)
-            coeffs.append(block[t, max(b.maps[t])])
-        if combination(self.basis, enumerate(coeffs)) != block:
+        if not self.basis:
             return False, None
-        return True, coeffs[0] if len(coeffs) == 1 else None
+        (line,) = self.basis
+        t = max(r for r, row in enumerate(line.maps) if row)
+        scalar = block.maps[t].get(max(line.maps[t]))
+        if scalar is None:
+            return False, None
+        for want, got in zip(line.maps, block.maps):
+            if len(want) != len(got) or any(
+                got.get(i) != scalar * x for i, x in want.items()
+            ):
+                return False, None
+        return True, scalar
 
 
 def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
@@ -118,11 +124,6 @@ def _f_tower(u: Sl2Module, w: Sl2Module, z0: RatMatrix, length: int) -> list[Rat
         zj = tower[-1]
         tower.append(w.f_mat @ zj - zj @ u.f_mat)
     return tower
-
-
-def z_tower(p: ExtensionProblem, z0: RatMatrix) -> list[RatMatrix]:
-    """Z_0 … Z_Λ plus the trailing Z_{Λ+1}, generated by ad(f)."""
-    return _f_tower(build_irreducible(p.n), build_irreducible(p.m), z0, p.lam + 2)
 
 
 def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representation:
@@ -179,7 +180,7 @@ def match_family(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    block = z_blocks(params, 0)[0][0]
+    (block,) = z_blocks(params, 0)
     member, scalar = space.contains(block)
     return {"member": member, "scalar": scalar, "block_is_zero": block.is_zero()}
 

@@ -70,9 +70,15 @@ def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
     structure = {}
     for entry in doc["brackets"]:
         i, j, coeffs = entry
-        structure[(int_field(i), int_field(j))] = {
-            int_field(k): rat(c) for k, c in coeffs
-        }
+        pair = (int_field(i), int_field(j))
+        if pair in structure:
+            raise ValueError(f"bracket pair {pair} listed twice")
+        terms = structure[pair] = {}
+        for k, c in coeffs:
+            k = int_field(k)
+            if k in terms:
+                raise ValueError(f"bracket pair {pair} lists target {k} twice")
+            terms[k] = rat(c)
     L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in doc["labels"]], structure)
     index_lists = []
     for key in ("levi", "radical", "nilradical"):

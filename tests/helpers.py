@@ -11,8 +11,9 @@ import math
 import random
 from fractions import Fraction
 
-from trilie.exact import RatMatrix, ShapeError, rank
+from trilie.exact import RatMatrix, ShapeError, combination, rank
 from trilie.graded import GradedMap, GradedSpace
+from trilie.sl2theory import build_irreducible
 
 
 def clebsch_gordan_count(a: int, b: int, c: int) -> int:
@@ -112,11 +113,41 @@ def brute_sylvester(a: list[list[Fraction]], c: list[list[Fraction]],
     ]
 
 
+def printed_rule_cells(lam: int, n: int, s: int):
+    """(rule, j, i, θ) for every (j, i) of z_0 … z_Λ that a printed
+    z-rule range covers, rule by rule in print order: the zero range
+    i + j <= s - 1; the middle sum, θ = 0 … n-s, j = 0 … s+θ, i = s-j+θ;
+    the tail sum, θ = 1 … Λ, j = θ … Λ, i = n-j+θ. Cells with i outside
+    0 … n are left out."""
+    for j in range(lam + 1):
+        for i in range(n + 1):
+            if s - 1 >= i + j:
+                yield "zero", j, i, None
+    for theta in range(n - s + 1):
+        for j in range(min(s + theta, lam) + 1):
+            if 0 <= s - j + theta <= n:
+                yield "middle", j, s - j + theta, theta
+    for theta in range(1, lam + 1):
+        for j in range(theta, lam + 1):
+            if 0 <= n - j + theta <= n:
+                yield "tail", j, n - j + theta, theta
+
+
+def z_rule_cover_counts(lam: int, n: int, s: int) -> dict:
+    """(j, i) -> the number of printed rule ranges covering the cell,
+    for every cell of z_0 … z_Λ, uncovered cells included as 0."""
+    counts = {(j, i): 0 for j in range(lam + 1) for i in range(n + 1)}
+    for _, j, i, _ in printed_rule_cells(lam, n, s):
+        counts[j, i] += 1
+    return counts
+
+
 def brute_z_blocks(lam: int, m: int, n: int, s: int, big_n: int,
                    a: tuple) -> list[list[list[Fraction]]]:
     """z_0 … z_Λ as plain (m+1) x (n+1) lists from the three printed
-    rules, each sum taken over its whole printed range; where two rules
-    cover one (j, i) the first (zero range, middle, tail) is kept."""
+    rules over `printed_rule_cells`, each sum taken over its whole
+    printed range; where two rules cover one (j, i) the first (zero
+    range, middle, tail) is kept."""
 
     def a_(idx):
         if idx == 0:
@@ -130,33 +161,25 @@ def brute_z_blocks(lam: int, m: int, n: int, s: int, big_n: int,
         ) * scalar
 
     z = [[[Fraction(0)] * (n + 1) for _ in range(m + 1)] for _ in range(lam + 1)]
-    covered = {(j, i) for j in range(lam + 1) for i in range(n + 1) if s - 1 >= i + j}
-    for theta in range(n - s + 1):
-        for j in range(min(s + theta, lam) + 1):
-            i = s - j + theta
-            if (j, i) in covered or not 0 <= i <= n:
-                continue
-            covered.add((j, i))
-            if theta + big_n <= m:
-                z[j][theta + big_n][i] = sum(
-                    term(j - k, math.comb(j, k), m - big_n - theta + k,
-                         big_n + theta - k, a_(theta - k))
-                    for k in range(theta + 1)
-                )
-    for theta in range(1, lam + 1):
-        for j in range(theta, lam + 1):
-            i = n - j + theta
-            if (j, i) in covered or not 0 <= i <= n:
-                continue
-            covered.add((j, i))
-            if n - s + theta + big_n <= m:
-                z[j][n - s + theta + big_n][i] = sum(
-                    term(j - theta - k, math.comb(j, theta + k),
-                         m - big_n - n + s + k, big_n + n - s - k,
-                         a_(n - s - k))
-                    for k in range(j - theta + 1)
-                    if n - s - k >= 0
-                )
+    covered = set()
+    for rule, j, i, theta in printed_rule_cells(lam, n, s):
+        if (j, i) in covered:
+            continue
+        covered.add((j, i))
+        if rule == "middle" and theta + big_n <= m:
+            z[j][theta + big_n][i] = sum(
+                term(j - k, math.comb(j, k), m - big_n - theta + k,
+                     big_n + theta - k, a_(theta - k))
+                for k in range(theta + 1)
+            )
+        elif rule == "tail" and n - s + theta + big_n <= m:
+            z[j][n - s + theta + big_n][i] = sum(
+                term(j - theta - k, math.comb(j, theta + k),
+                     m - big_n - n + s + k, big_n + n - s - k,
+                     a_(n - s - k))
+                for k in range(j - theta + 1)
+                if n - s - k >= 0
+            )
     return z
 
 
@@ -255,6 +278,33 @@ def brute_extension_basis(lam: int, n: int, m: int) -> list[list[Fraction]]:
 
     rows = sylvester_rows(h(m), h(n), lam) + sylvester_rows(e(m), e(n), 0)
     return brute_nullspace(rows, (m + 1) * (n + 1))
+
+
+def brute_contains(basis, block: RatMatrix) -> tuple:
+    """Membership of a block in the span of a reduced basis (each basis
+    matrix 1 on its free cell, its last stored cell in row-major order,
+    and 0 on the others'), and the scalar when the span is a line (0
+    for the zero block): the block's free-cell entries are its
+    coordinates, and it is a member iff it equals that combination."""
+    if block.is_zero():
+        return True, Fraction(0)
+    coeffs = []
+    for b in basis:
+        t = max(r for r, row in enumerate(b.maps) if row)
+        coeffs.append(block[t, max(b.maps[t])])
+    if combination(basis, enumerate(coeffs)) != block:
+        return False, None
+    return True, coeffs[0] if len(coeffs) == 1 else None
+
+
+def z_tower(p, z0: RatMatrix) -> list[RatMatrix]:
+    """Z_0 … Z_Λ plus the trailing Z_{Λ+1} of an extension problem p,
+    generated by ad(f): Z_{j+1} = F_m Z_j - Z_j F_n."""
+    f_n, f_m = build_irreducible(p.n).f_mat, build_irreducible(p.m).f_mat
+    tower = [z0]
+    for _ in range(p.lam + 1):
+        tower.append(f_m @ tower[-1] - tower[-1] @ f_n)
+    return tower
 
 
 def brute_extend_independent(base: list, candidates: list) -> list:

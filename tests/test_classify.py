@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from trilie.classify import (
     match_family,
     solve_extensions,
     valid_sn_tuples,
-    z_tower,
 )
 from trilie.cli import run
 from trilie.exact import RatMatrix
@@ -27,10 +27,12 @@ from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
 from helpers import (
+    brute_contains,
     brute_extension_basis,
     brute_in_span,
     brute_z_blocks,
     clebsch_gordan_count,
+    z_tower,
 )
 
 F = Fraction
@@ -153,6 +155,51 @@ class TestContains:
                         scalar = v[q] / basis[0][q]
                     block = RatMatrix(m + 1, n + 1, v)
                     assert space.contains(block) == (member, scalar), (lam, n, m, v)
+
+
+class TestContainsAgainstCombination:
+    """`contains` against the membership rule it replaced: the block's
+    free-cell entries as coordinates, then one combination matrix."""
+
+    @pytest.mark.parametrize("sample", ("ones", "random"))
+    def test_family_blocks_on_every_cell(self, sample):
+        rng = random.Random(4)
+        for lam in (1, 2, 3, 4):
+            for n in range(11):
+                for m in range(11):
+                    problem = ExtensionProblem(lam, n, m)
+                    space = solve_extensions(problem)
+                    for s, big_n in valid_sn_tuples(lam, n, m):
+                        a = tuple(
+                            F(1) if sample == "ones"
+                            else F(rng.randint(-5, 5), rng.randint(1, 6))
+                            for _ in range(n - s)
+                        )
+                        (block,) = family.z_blocks(ModuleParams(lam, m, n, s, big_n, a), 0)
+                        assert space.contains(block) == brute_contains(space.basis, block), (
+                            lam, n, m, s, big_n, a)
+
+    def test_edge_blocks(self):
+        line = solve_extensions(ExtensionProblem(1, 1, 2))
+        empty = solve_extensions(ExtensionProblem(1, 0, 0))
+        (base,) = line.basis
+        assert base.to_lists() == [[2, 0], [0, 1], [0, 0]]  # free cell (1, 1)
+        # nonzero, but 0 on the free cell: on the line's support, and off it
+        on_support = RatMatrix.from_rows([[1, 0], [0, 0], [0, 0]])
+        off_support = RatMatrix.from_rows([[0, 0], [0, 0], [5, 0]])
+        cases = [
+            (line, RatMatrix.zeros(3, 2), (True, 0)),
+            (empty, RatMatrix.zeros(1, 1), (True, 0)),
+            (empty, RatMatrix.identity(1), (False, None)),
+            (line, base.scale(F(-2, 3)), (True, F(-2, 3))),
+            (line, on_support, (False, None)),
+            (line, off_support, (False, None)),
+        ]
+        for space, block, want in cases:
+            assert space.contains(block) == brute_contains(space.basis, block) == want
+        for space, shape in ((line, (2, 3)), (empty, (1, 2))):
+            with pytest.raises(ValueError, match="expected"):
+                space.contains(RatMatrix.zeros(*shape))
 
 
 class TestTower:
@@ -283,18 +330,17 @@ class TestMatchFamilyReadsZRules:
 
     def test_evaluates_only_the_z0_rules(self, monkeypatch):
         evaluated, tested = set(), []
-        rules = family._z_rule_assignments
+        builder = classify.z_blocks
 
-        def recording(*args):
-            cells = rules(*args)
-            evaluated.update(j for j, _ in cells)
-            return cells
+        def recording(params, last_j):
+            evaluated.add(last_j)
+            return builder(params, last_j)
 
         def membership(self, block):
             tested.append(block.to_lists())
             return True, None
 
-        monkeypatch.setattr(family, "_z_rule_assignments", recording)
+        monkeypatch.setattr(classify, "z_blocks", recording)
         monkeypatch.setattr(SolutionSpace, "contains", membership)
         for lam in (1, 2, 3):
             for m, n, s, big_n in family.enumerate_params(lam, 6, 5):

@@ -548,7 +548,8 @@ _ONE_DIM_ALGEBRA = {"dim": 1, "labels": ["x"], "brackets": [], "levi": [],
 
 
 # each document was read without complaint: string rows character by
-# character, a string matrix as its characters, and JSON true as 1
+# character, a string matrix as its characters, JSON true as 1, and a
+# bracket pair or target listed twice as its last value
 @pytest.mark.parametrize(
     "verb,doc,message",
     [
@@ -562,9 +563,18 @@ _ONE_DIM_ALGEBRA = {"dim": 1, "labels": ["x"], "brackets": [], "levi": [],
         ("check", {"dim": 2, "labels": ["a", "b"], "brackets": [[0, 1, [[0, True]]]],
                    "levi": [], "radical": [0, 1], "nilradical": [1]},
          "not a rational: True"),
+        ("check", {"dim": 2, "labels": ["a", "b"],
+                   "brackets": [[0, 1, [[1, "1"]]], [0, 1, [[1, "5"]]]],
+                   "levi": [], "radical": [0, 1], "nilradical": [1]},
+         "bracket pair (0, 1) listed twice"),
+        ("verify", {"algebra": {"dim": 2, "labels": ["a", "b"],
+                                "brackets": [[0, 1, [[1, "1"], [1, "2"]]]],
+                                "levi": [], "radical": [0, 1], "nilradical": [1]},
+                    "dims": [1], "images": {"a": [["0"]], "b": [["0"]]}},
+         "bracket pair (0, 1) lists target 1 twice"),
     ],
     ids=["string-rows", "string-matrix", "verify-string-rows", "true-entry",
-         "verify-true-entry", "true-coefficient"],
+         "verify-true-entry", "true-coefficient", "repeated-pair", "verify-repeated-target"],
 )
 def test_documents_read_silently_before_exit_2(capsys, monkeypatch, verb, doc, message):
     code, out, err = _run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)

@@ -20,7 +20,7 @@ from trilie.family import (
 from trilie.rep import conjugate_levi_check, verify_homomorphism
 from trilie.sl2theory import string_action
 
-from helpers import brute_bracket, brute_weight_witness, brute_z_blocks
+from helpers import brute_bracket, brute_weight_witness, brute_z_blocks, z_rule_cover_counts
 
 F = Fraction
 
@@ -116,8 +116,9 @@ class TestActionCoefficients:
             assert img.block(1, 0).is_zero()
 
     def test_rules_cover_every_cell_without_conflict(self, module):
-        assert module.conflicts == ()
-        assert module.uncovered == ()
+        report = verify_family(module.params)
+        assert report["rule_conflicts"] == []
+        assert report["uncovered_cells"] == []
 
 
 class TestZBlocks:
@@ -134,19 +135,43 @@ class TestZBlocks:
             data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
             for _ in range(n - s)
         )
-        blocks, _, _ = z_blocks(params(lam, m, n, s, big_n, a), lam)
+        blocks = z_blocks(params(lam, m, n, s, big_n, a), lam)
         assert [b.to_lists() for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
+
+    GRID = [(lam,) + t for lam in (1, 2, 3, 4) for t in enumerate_params(lam, 10, 10)]
+
+    def test_printed_ranges_partition_the_cells(self):
+        for lam, m, n, s, big_n in self.GRID:
+            counts = z_rule_cover_counts(lam, n, s)
+            assert set(counts.values()) == {1}, (lam, m, n, s, big_n)
+
+    @pytest.mark.parametrize("sample", ("ones", "random"))
+    def test_every_prefix_matches_printed_rules_on_grid(self, sample):
+        rng = random.Random(16)
+        for lam, m, n, s, big_n in self.GRID:
+            if sample == "ones":
+                a = (F(1),) * (n - s)
+            else:
+                a = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n - s))
+            want = brute_z_blocks(lam, m, n, s, big_n, a)
+            p = params(lam, m, n, s, big_n, a)
+            for last_j in range(lam + 1):
+                got = [b.to_lists() for b in z_blocks(p, last_j)]
+                assert got == want[: last_j + 1], (lam, m, n, s, big_n, a, last_j)
 
     def test_module_is_built_from_the_blocks(self):
         p = params(2, 3, 3, 2, 1, (F(2, 3),))
-        blocks, conflicts, uncovered = z_blocks(p, p.lam)
         module = build_family_module(p)
-        assert [module.z_block(j) for j in range(p.lam + 1)] == blocks
-        assert (module.conflicts, module.uncovered) == (conflicts, uncovered)
+        assert [module.z_block(j) for j in range(p.lam + 1)] == z_blocks(p, p.lam)
 
     def test_rejects_invalid_params(self):
         with pytest.raises(ValueError):
             z_blocks(params(1, 0, 0, 0, 0), 1)
+
+    @pytest.mark.parametrize("last_j", (-1, 2))
+    def test_rejects_last_j_outside_zero_to_lambda(self, last_j):
+        with pytest.raises(ValueError, match="last_j"):
+            z_blocks(params(1, 2, 1, 0, 0, (F(1),)), last_j)
 
 
 class TestStraightModule:

@@ -40,7 +40,7 @@ from trilie.sl2theory import build_irreducible
 
 from helpers import rebased
 
-DECK_SHA256 = "26a0fd746597e9d43586e8825fd9cc63d15a248922b546b7f97d6f06ee607b6c"
+DECK_SHA256 = "13ab282c3173a4111f06bf724f8d5ebaf1e072df6ce762937c33361deadf4685"
 LARGE_DECK_SHA256 = "100a8a73ae6bd221ae67a906145011f3f3fdd36b79eb8fb23f8f921e9b905206"
 DECOMPOSE_DECK_SHA256 = "6f22dcc2a448dadd60a59b8add10add24dc977a37d5eae714ecfcd94bbc686a3"
 SCALARS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 2)]
