@@ -2,18 +2,21 @@
 
 A graded space is a tuple of component dimensions (d_0, d_1, ...); the
 underlying basis is ordered by ascending degree with each component
-contiguous, and `degrees` holds the degree of each basis index. A map is
-*triangular* when it never lowers degree, which in this basis order
-reads as block-lower-triangular. Triangular maps split uniquely into
-degree-homogeneous stripes f_j with f_j(V_k) ⊆ V_{k+j}.
+contiguous from its offset, and a space keeps nothing per basis index.
+A map is *triangular* when it never lowers degree, which in this basis
+order reads as block-lower-triangular. Triangular maps split uniquely
+into degree-homogeneous stripes f_j with f_j(V_k) ⊆ V_{k+j}.
 
 Which blocks a map touches is decided in one place, `block_support`,
 in one pass over the stored entries; the predicates read it, and no
-predicate copies a block.
+predicate copies a block. Rows are walked component by component; a
+column's degree is the last component whose offset does not exceed it
+(`bisect_right`), so zero-dimensional components are never chosen.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from .exact import RatMatrix, ShapeError, commutator
@@ -24,7 +27,7 @@ class TriangularityError(ValueError):
 
 
 class GradedSpace:
-    __slots__ = ("component_dims", "offsets", "total_dim", "degrees")
+    __slots__ = ("component_dims", "offsets", "total_dim")
 
     def __init__(self, component_dims: Sequence[int]):
         dims = tuple(int(d) for d in component_dims)
@@ -38,7 +41,6 @@ class GradedSpace:
             pos += d
         self.offsets = tuple(offsets)
         self.total_dim = pos
-        self.degrees = tuple(k for k, d in enumerate(dims) for _ in range(d))
 
     @property
     def num_components(self) -> int:
@@ -47,11 +49,6 @@ class GradedSpace:
     def component_range(self, k: int) -> range:
         """Basis indices belonging to degree-k vectors."""
         return range(self.offsets[k], self.offsets[k] + self.component_dims[k])
-
-    def degree_of_index(self, i: int) -> int:
-        if not 0 <= i < self.total_dim:
-            raise IndexError(f"basis index {i} out of range")
-        return self.degrees[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSpace):
@@ -79,10 +76,6 @@ class GradedMap:
     @classmethod
     def zero(cls, space: GradedSpace) -> "GradedMap":
         return cls(space, RatMatrix.zeros(space.total_dim, space.total_dim))
-
-    @classmethod
-    def identity(cls, space: GradedSpace) -> "GradedMap":
-        return cls(space, RatMatrix.identity(space.total_dim))
 
     def block(self, k_from: int, k_to: int) -> RatMatrix:
         """Submatrix taking component k_from's columns to k_to's rows."""
@@ -133,10 +126,12 @@ class GradedMap:
 def block_support(f: GradedMap) -> set[tuple[int, int]]:
     """The (from_degree, to_degree) pairs of the blocks that hold a
     stored entry, in one pass over the row maps."""
-    degrees = f.space.degrees
+    space, maps = f.space, f.matrix.maps
+    offsets = space.offsets
     return {
-        (degrees[c], degrees[r])
-        for r, row in enumerate(f.matrix.maps)
+        (bisect_right(offsets, c) - 1, k)
+        for k, (start, d) in enumerate(zip(offsets, space.component_dims))
+        for row in maps[start:start + d]
         for c in row
     }
 
@@ -155,11 +150,13 @@ def degree_components(f: GradedMap) -> dict[int, GradedMap]:
         raise TriangularityError(
             f"map lowers degree at block {witness[0]} -> {witness[1]}"
         )
-    space, degrees, n = f.space, f.space.degrees, f.space.total_dim
+    space, maps, n = f.space, f.matrix.maps, f.space.total_dim
+    offsets = space.offsets
     stripes = {j: [{} for _ in range(n)] for j in range(space.num_components)}
-    for r, row in enumerate(f.matrix.maps):
-        for c, x in row.items():
-            stripes[degrees[r] - degrees[c]][r][c] = x
+    for k, (start, d) in enumerate(zip(offsets, space.component_dims)):
+        for r in range(start, start + d):
+            for c, x in maps[r].items():
+                stripes[k + 1 - bisect_right(offsets, c)][r][c] = x
     return {j: GradedMap(space, RatMatrix._from_maps(n, n, m)) for j, m in stripes.items()}
 
 

@@ -98,7 +98,7 @@ def graded_map_to_json(g: GradedMap) -> dict:
 
 
 def graded_map_from_json(doc: dict) -> GradedMap:
-    # the shape is checked before GradedSpace lists a degree per index
+    # the declared dims fix the shape, and name it when the matrix differs
     dims = tuple(int_field(d) for d in doc["dims"])
     m = matrix_from_json(doc["matrix"], (sum(dims), sum(dims)))
     return GradedMap(GradedSpace(dims), m)
@@ -134,7 +134,7 @@ def representation_from_json(doc: dict) -> Representation:
         raise ValueError(
             f"images keyed by {sorted(seen)}, algebra has {sorted(expected)}"
         )
-    shape = (sum(dims), sum(dims))  # checked before the space is built
+    shape = (sum(dims), sum(dims))  # each image is checked against it
     images = tuple(matrix_from_json(doc["images"][label], shape) for label in L.basis_labels)
     return Representation(L, D, GradedSpace(dims), images)
 

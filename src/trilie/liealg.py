@@ -18,7 +18,8 @@ Spans (the terms of both series, and the layers a section is cut from)
 are kept as the rref row maps of a RatMatrix. With R_i = L.ad_rows[i],
 the matrix whose row j is [b_i, b_j], built once per algebra, [b_i, S]
 is spanned by the rows of the one sparse product S @ R_i; dense tuples
-appear only in the public return values.
+appear only in the public return values. Both series start from a span
+of basis indices, shown to be an ideal by one scan of the table.
 
 One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
 brackets: it checks representations, and Jacobi is its check of ad.
@@ -40,6 +41,7 @@ from .exact import (
     columns_matrix,
     combination,
     extend_independent,
+    invert,
     native_rows,
     rank,
     rat,
@@ -300,30 +302,13 @@ def _index_span(L: LieAlgebra, indices: Sequence[int]) -> RatMatrix:
     return RatMatrix._from_maps(len(units), L.dim, units)
 
 
-def _first_escape(first: RatMatrix, products: Sequence[RatMatrix]) -> tuple[int, int] | None:
-    """The least (p, i) for which row p of products[i] leaves
-    span(first), or None."""
-    # first is in rref, so w lies in its span iff w @ (I - P) = 0,
-    # where P sends b_pc to the row of first with pivot column pc
-    n = first.cols
-    lift = {min(row): row for row in first.maps}
-    outside = RatMatrix.identity(n) - RatMatrix._from_maps(
-        n, n, [lift.get(j, {}) for j in range(n)]
-    )
-    index = [(p, i) for i, m in enumerate(products) for p, row in enumerate(m.maps) if row]
-    rows = [row for m in products for row in m.maps if row]
-    rest = RatMatrix._from_maps(len(rows), n, rows) @ outside
-    return min((pi for pi, row in zip(index, rest.maps) if row), default=None)
-
-
 def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
     """The derived series of span(first), or its lower central series
     when `lower`, as rref row maps.
 
-    Precondition: span(first) is a subalgebra (derived) or an ideal
-    (lower), which callers check (`_dense_series`, or the index scan of
-    an index span). Then each term lies in the one before, so the
-    series ends within dim steps."""
+    Precondition: span(first) is an ideal, which callers check by an
+    `_index_escape` scan of an index span. Then each term lies in the
+    one before, so the series ends within dim steps."""
     ads = [combination(L.ad_rows, a.items()) for a in first.maps]
     # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
     # term and a_i of first (lower) or of the last term (derived)
@@ -339,40 +324,6 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
             ads = [combination(L.ad_rows, a.items()) for a in nxt.maps]
         brackets = [nxt @ ad for ad in ads]
     return series
-
-
-def _dense_series(L: LieAlgebra, vectors: Sequence[Vector], lower: bool) -> list[list[Vector]]:
-    """_series of span(vectors). A span that is not a subalgebra (not an
-    ideal, for `lower`) raises ValueError naming the first bracket
-    outside it."""
-    if any(len(v) != L.dim for v in vectors):
-        raise ValueError("vector length does not match algebra dim")
-    first = _row_span(columns_matrix(vectors, L.dim).transpose())
-    ads = L.ad_rows if lower else [combination(L.ad_rows, a.items()) for a in first.maps]
-    escape = _first_escape(first, [first @ ad for ad in ads])
-    if escape:
-        p, i = escape
-        if lower:
-            raise ValueError(
-                f"input span is not an ideal: [b_{i}, v] escapes for v={first.row(p)}"
-            )
-        raise ValueError(
-            f"input span is not a subalgebra: [u, v] escapes for "
-            f"u={first.row(i)}, v={first.row(p)}"
-        )
-    series = _series(L, first, lower)
-    return [[s.row(t) for t in range(s.rows)] for s in series]
-
-
-def derived_series(L: LieAlgebra, basis: Sequence[Vector]) -> list[list[Vector]]:
-    """D¹ = span, D^{k+1} = [D^k, D^k], until 0 or stabilization."""
-    return _dense_series(L, basis, lower=False)
-
-
-def lower_central_series(L: LieAlgebra, ideal_basis: Sequence[Vector]) -> list[list[Vector]]:
-    """N¹ ⊇ N² ⊇ … with N^{k+1} = [N¹, N^k]; stops at 0 (nilpotent, the
-    final entry is the empty basis) or at stabilization (not nilpotent)."""
-    return _dense_series(L, ideal_basis, lower=True)
 
 
 def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
@@ -507,7 +458,9 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     complement = extend_independent(nilrad_units, rad_units, L.dim)
     v0 = [unit_vector(L.dim, i) for i in D.levi_indices] + complement
 
-    # the series' ideal precondition, by _first_escape's (v, b_i) order
+    # the series' ideal precondition, scanned over v = b_j (j ascending),
+    # then b_i (i ascending): the error names the first [b_i, v] that
+    # leaves the span
     nilrad = sorted(set(D.nilrad_indices))
     w = _index_escape(L, ((i, j) for j in nilrad for i in range(L.dim)), nilrad)
     if w is not None:
@@ -541,8 +494,6 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
     """ad in the graded basis order, packaged for the rep checks."""
     from .graded import GradedSpace
     from .rep import Representation
-
-    from .exact import invert
 
     basis = G.graded_basis()
     p = columns_matrix(basis, L.dim)

@@ -2,12 +2,11 @@
 
 Irreducible modules in the lowering-operator basis convention
 (f walks down the weight string, e walks back up with integer
-coefficients), exact weight decompositions, irreducibility of a module
-by one rank of its e-action (a finite-dimensional sl2-module over Q is
-a direct sum of irreducibles, each with a 1-dimensional e-kernel), and
-Clebsch-Gordan multiplicities by character counting. The latter serves
-as an oracle that is independent of any matrix construction elsewhere
-in the package.
+coefficients), exact weight decompositions, and Clebsch-Gordan
+multiplicities by character counting. The latter serves as an oracle
+that is independent of any matrix construction elsewhere in the
+package. Irreducibility of a module is decided by the verification
+gate, `rep.is_k_irreducible`.
 """
 
 from __future__ import annotations
@@ -96,14 +95,6 @@ def weight_decomposition(h: RatMatrix) -> dict[int, int]:
             f"(eigenspace dims sum to {total} of {n})"
         )
     return out
-
-
-def is_irreducible(f: RatMatrix, h: RatMatrix, e: RatMatrix) -> bool:
-    """(f, h, e) satisfy the sl2 relations, so the space is a direct sum
-    of irreducibles, each with a 1-dimensional e-kernel: it is
-    irreducible iff rank(e) = d - 1 (d > 0)."""
-    _require_sl2_relations(f, h, e)
-    return rank(e) == e.rows - 1
 
 
 def tensor_multiplicity(a: int, b: int, c: int) -> int:

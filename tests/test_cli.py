@@ -424,8 +424,7 @@ def test_zero_algebra_on_large_space_returns_at_once(capsys, monkeypatch):
 
     monkeypatch.setattr(rep, "nullspace_basis", record)
     doc = {
-        "algebra": {"dim": 0, "labels": [], "brackets": [], "levi": [],
-                    "radical": [], "nilradical": []},
+        "algebra": _ZERO_DIM_ALGEBRA,
         "dims": [1_000_000],
         "images": {},
     }
@@ -545,6 +544,8 @@ def test_integer_fields_reject_floats_and_booleans(capsys, monkeypatch, argv, ma
 
 _ONE_DIM_ALGEBRA = {"dim": 1, "labels": ["x"], "brackets": [], "levi": [],
                     "radical": [0], "nilradical": [0]}
+_ZERO_DIM_ALGEBRA = {"dim": 0, "labels": [], "brackets": [], "levi": [],
+                     "radical": [], "nilradical": []}
 
 
 # each document was read without complaint: string rows character by
@@ -600,15 +601,29 @@ def _limit_memory():
     ids=["decompose", "verify", "verify-negative"],
 )
 def test_huge_declared_dims_exit_2_without_allocating(verb, doc):
-    # the matrix shape is checked against sum(dims) before the space
-    # lists a degree per basis index; run in a child process under a
-    # memory limit and a timeout, since a regression allocates without end
+    # each matrix is checked against the sum(dims) x sum(dims) shape
+    # before it is read; run in a child process under a memory limit
+    # and a timeout, since a regression allocates without end
+    proc = _run_limited(verb, doc)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_huge_declared_dims_without_images_verify_in_bounded_memory():
+    # a dim-0 algebra has no image to bound the dims by, so the graded
+    # space itself must cost its number of components, not its dimension
+    proc = _run_limited("verify", {"algebra": _ZERO_DIM_ALGEBRA, "dims": [10**30],
+                                   "images": {}})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
+    assert "Traceback" not in proc.stderr
+
+
+def _run_limited(verb, doc):
     src = os.path.dirname(os.path.dirname(trilie.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "trilie", verb, "-"],
         input=json.dumps(doc), capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_memory,
     )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "error: " in proc.stderr and "Traceback" not in proc.stderr

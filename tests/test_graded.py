@@ -38,12 +38,18 @@ class TestGradedSpace:
         assert list(s.component_range(2)) == [2, 3, 4]
 
     def test_degree_of_index(self):
+        # an index's degree, as block_support reads it for rows and
+        # columns: the empty component 1 shares offset 1 with component 2
         s = GradedSpace((1, 0, 2))
-        assert [s.degree_of_index(i) for i in range(3)] == [0, 2, 2]
-        assert s.degrees == (0, 2, 2)
-        for i in (-1, 3):
-            with pytest.raises(IndexError):
-                s.degree_of_index(i)
+        degree = [0, 2, 2]
+        for r in range(3):
+            for c in range(3):
+                m = RatMatrix.from_rows([[int((i, j) == (r, c)) for j in range(3)]
+                                         for i in range(3)])
+                assert block_support(GradedMap(s, m)) == {(degree[c], degree[r])}
+        # the space keeps no per-index table, so a huge one costs nothing
+        huge = GradedSpace((10**30, 0, 1))
+        assert huge.offsets == (0, 10**30, 10**30) and huge.total_dim == 10**30 + 1
 
     def test_rejects_negative_dims(self):
         with pytest.raises(ValueError):
@@ -64,7 +70,7 @@ class TestTriangularity:
         assert is_triangular(f) == (False, (1, 0))
 
     def test_identity_is_triangular(self):
-        f = GradedMap.identity(GradedSpace((2, 1, 3)))
+        f = GradedMap(GradedSpace((2, 1, 3)), RatMatrix.identity(6))
         assert is_triangular(f) == (True, None)
 
     def test_zero_dim_components_are_skipped(self):
@@ -131,7 +137,7 @@ class TestNilpotency:
         assert nilpotency_index(f) == 2
 
     def test_identity_not_nilpotent(self):
-        assert nilpotency_index(GradedMap.identity(GradedSpace((2,)))) is None
+        assert nilpotency_index(GradedMap(GradedSpace((2,)), RatMatrix.identity(2))) is None
 
     def test_zero_map_index_one(self):
         assert nilpotency_index(GradedMap.zero(GradedSpace((3,)))) == 1

@@ -18,8 +18,6 @@ from trilie.liealg import (
     build_sl2,
     build_sl2_lambda,
     check_axioms,
-    derived_series,
-    lower_central_series,
     verify_levi_data,
 )
 
@@ -230,15 +228,20 @@ class TestLeviData:
         assert not report["all_pass"]
 
     def test_each_ideal_is_checked_once(self, monkeypatch):
-        # the index scans decide both ideal checks; the one product check
-        # left is the radical's derived series testing its first step
-        calls = []
-        real = liealg._first_escape
-        monkeypatch.setattr(
-            liealg, "_first_escape", lambda *args: calls.append(args) or real(*args)
-        )
+        # one index scan each decides Levi closure and the two ideal
+        # checks; each series then runs once, with no closure test of its own
+        calls = {"_index_escape": 0, "_series": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(liealg, name, counted(name, getattr(liealg, name)))
         assert verify_levi_data(*build_sl2_lambda(8))["all_pass"]
-        assert len(calls) <= 1
+        assert calls == {"_index_escape": 3, "_series": 2}
 
 
 def levi_declarations(seed, count):
@@ -293,152 +296,112 @@ class TestLeviWitnessOracle:
         }
 
 
+def index_series(L, indices, lower):
+    return liealg._series(L, liealg._index_span(L, indices), lower)
+
+
 class TestSeries:
     def test_abelian_nilradical_terminates_immediately(self):
         for lam in (1, 3):
             L, levi = build_sl2_lambda(lam)
-            units = [unit_vector(L.dim, i) for i in levi.nilrad_indices]
-            series = lower_central_series(L, units)
-            assert len(series) == 2
-            assert series[1] == []
+            series = index_series(L, levi.nilrad_indices, lower=True)
+            assert [term.rows for term in series] == [lam + 1, 0]
 
     def test_zero_ideal(self):
         L, _ = build_sl2()
-        assert lower_central_series(L, []) == [[]]
+        assert [term.rows for term in index_series(L, (), lower=True)] == [0]
 
     def test_full_sl2_stabilizes_nonzero(self):
         L, _ = build_sl2()
-        units = [unit_vector(3, i) for i in range(3)]
-        series = lower_central_series(L, units)
-        assert len(series) == 1
-        assert len(series[0]) == 3  # constant at the whole algebra
+        series = index_series(L, range(3), lower=True)
+        assert [term.rows for term in series] == [3]  # constant at the whole algebra
 
     def test_non_ideal_rejected(self):
         L, _ = build_sl2()
-        with pytest.raises(ValueError):
-            lower_central_series(L, [unit_vector(3, 2)])  # e-span
+        with pytest.raises(ValueError, match="not an ideal"):
+            adjoint_grading(L, LeviData((0, 1), (2,), (2,)))  # e-span
 
     def test_non_ideal_names_first_escape(self):
         # [b2, b3] = b0 on span{b1, b2}: v = b1 is central, and for v = b2
         # the brackets with b0, b1, b2 vanish, so the first escape is (3, b2)
         L = LieAlgebra(4, ("b0", "b1", "b2", "b3"), {(2, 3): {0: 1}})
-        first = [unit_vector(4, 1), unit_vector(4, 2)]
         with pytest.raises(ValueError) as exc:
-            lower_central_series(L, first)
+            adjoint_grading(L, LeviData((), (0, 1, 2, 3), (1, 2)))
         assert str(exc.value) == (
-            f"input span is not an ideal: [b_3, v] escapes for v={first[1]}"
+            f"input span is not an ideal: [b_3, v] escapes for v={unit_vector(4, 2)}"
         )
-
-    def test_non_subalgebra_names_first_escape(self):
-        # [f, e] = -h leaves span{f, e}; rows (p, i) = (0, 1) give [e, f] first
-        L, _ = build_sl2()
-        f, e = unit_vector(3, 0), unit_vector(3, 2)
-        with pytest.raises(ValueError) as exc:
-            derived_series(L, [f, e])
-        assert str(exc.value) == (
-            f"input span is not a subalgebra: [u, v] escapes for u={e}, v={f}"
-        )
-
-    @pytest.mark.parametrize("series", (derived_series, lower_central_series))
-    def test_wrong_length_vector_rejected(self, series):
-        L, _ = build_sl2()
-        with pytest.raises(ValueError, match="vector length does not match algebra dim"):
-            series(L, [(F(1), F(2))])
 
     def test_derived_series_of_solvable_span(self):
         L, levi = build_sl2_lambda(2)
-        units = [unit_vector(L.dim, i) for i in levi.radical_indices]
-        series = derived_series(L, units)
-        assert series[-1] == []
+        assert not index_series(L, levi.radical_indices, lower=False)[-1].rows
 
 
 def series_cases():
-    """(name, algebra, ideals as index tuples): sl2^lam in shuffled bases,
-    the skewed sl2 ⋉ Heisenberg, and n_k for k <= 5."""
+    """(name, algebra, Levi indices, ideals as index tuples): sl2^lam in
+    shuffled bases, the skewed sl2 ⋉ Heisenberg, and n_k for k <= 5."""
     cases = []
     for lam in range(1, 5):
         L, levi = build_sl2_lambda(lam)
         perm = list(range(L.dim))
         random.Random(lam).shuffle(perm)
         L, levi = shuffled(L, levi, perm)
-        cases.append((f"sl2^{lam}", L, [levi.nilrad_indices, tuple(range(L.dim))]))
+        cases.append((f"sl2^{lam}", L, levi.levi_indices,
+                      [levi.nilrad_indices, tuple(range(L.dim))]))
     L, levi = sl2_heisenberg_skewed()
-    cases.append(("sl2+heis", L, [levi.nilrad_indices, (5,), tuple(range(L.dim))]))
+    cases.append(("sl2+heis", L, levi.levi_indices,
+                  [levi.nilrad_indices, (5,), tuple(range(L.dim))]))
     for k in range(2, 6):
         L, basis = strictly_upper_triangular(k)
         deep = tuple(i for i, (a, b) in enumerate(basis) if b - a >= 2)
-        cases.append((f"n_{k}", L, [tuple(range(L.dim)), deep]))
+        cases.append((f"n_{k}", L, (), [tuple(range(L.dim)), deep]))
     return cases
 
 
-@st.composite
-def sl2_lambda_spans(draw):
-    """sl2^lam (lam <= 3) with one to four vectors on a random set of at
-    least two basis indices, each a unit vector or a small random
-    combination."""
-    L, _ = build_sl2_lambda(draw(st.integers(1, 3)))
-    support = sorted(draw(st.sets(st.integers(0, L.dim - 1), min_size=2)))
-    unit = st.sampled_from(support).map(
-        lambda i: [F(int(p == i)) for p in range(L.dim)]
-    )
-    mix = st.lists(st.integers(-2, 2), min_size=len(support), max_size=len(support)).map(
-        lambda cs: [F(cs[support.index(p)]) if p in support else F(0) for p in range(L.dim)]
-    )
-    return L, draw(st.lists(unit | mix, min_size=1, max_size=4))
-
-
 class TestSeriesOracles:
-    """Both series against plain-list oracles built from brute_bracket."""
+    """Both series, as the Levi checks and the grading run them, against
+    plain-list oracles built from brute_bracket."""
 
     @staticmethod
-    def as_lists(series):
-        return [[list(v) for v in term] for term in series]
+    def grading_sizes(L, levi, ideal):
+        """Component sizes of adjoint_grading with `ideal` as nilradical."""
+        radical = tuple(i for i in range(L.dim) if i not in levi)
+        grading = adjoint_grading(L, LeviData(levi, radical, ideal))
+        return [len(comp) for comp in grading.component_bases]
 
     @pytest.mark.parametrize("case", series_cases(), ids=lambda case: case[0])
     def test_series_match_plain_oracles(self, case):
-        name, L, ideals = case
-        rng = random.Random(name)
+        name, L, levi, ideals = case
         for ideal in ideals:
-            # the ideal from its unit vectors, and from random combinations
-            # of them (one more than its dimension)
-            units = [[F(int(p == i)) for p in range(L.dim)] for i in ideal]
-            mixes = [
-                [F(rng.randint(-2, 2)) if p in ideal else F(0) for p in range(L.dim)]
-                for _ in range(len(ideal) + 1)
-            ]
-            for basis in (units, mixes):
-                assert self.as_lists(lower_central_series(L, basis)) == (
-                    brute_lower_central_series(L.dim, L.structure, basis)
-                )
-                assert self.as_lists(derived_series(L, basis)) == (
-                    brute_derived_series(L.dim, L.structure, basis)
-                )
-
-    @given(sl2_lambda_spans())
-    @settings(max_examples=100, deadline=None)
-    def test_derived_series_raises_exactly_off_subalgebras(self, case):
-        L, vectors = case
-        closed = all(
-            brute_in_span(vectors, brute_bracket(L.dim, L.structure, a, b))
-            for a in vectors
-            for b in vectors
-        )
-        if closed:
-            assert self.as_lists(derived_series(L, vectors)) == (
-                brute_derived_series(L.dim, L.structure, vectors)
-            )
-        else:
-            with pytest.raises(ValueError, match="not a subalgebra"):
-                derived_series(L, vectors)
+            units = [unit_vector(L.dim, i) for i in ideal]
+            oracle = {}
+            for lower, brute in ((False, brute_derived_series),
+                                 (True, brute_lower_central_series)):
+                oracle[lower] = brute(L.dim, L.structure, units)
+                terms = [[list(s.row(t)) for t in range(s.rows)]
+                         for s in index_series(L, ideal, lower)]
+                assert terms == oracle[lower], (name, ideal, lower)
+            # the ideal as radical and nilradical runs both series on it
+            report = verify_levi_data(L, LeviData(levi, ideal, ideal))
+            expected = brute_levi_witnesses(L.dim, L.structure, levi, ideal, ideal)
+            for field in ("radical_solvable_ideal", "nilradical_nilpotent_ideal"):
+                assert report[field] is (expected[field] is None), (name, ideal, field)
+                assert report["witnesses"].get(field) == expected[field], (name, ideal, field)
+            if report["nilradical_nilpotent_ideal"]:
+                # degree 0 completes the ideal, degree k holds N^k / N^{k+1}
+                dims = [len(term) for term in oracle[True]]
+                assert self.grading_sizes(L, levi, ideal) == (
+                    [L.dim - dims[0]] + [a - b for a, b in zip(dims, dims[1:])]
+                ), (name, ideal)
 
     def test_cases_reach_deeper_terms(self):
         # the comparison above is not only over series that stop at once
-        lengths = {
-            name: max(len(lower_central_series(L, [unit_vector(L.dim, i) for i in ideal]))
-                      for ideal in ideals)
-            for name, L, ideals in series_cases()
+        depths = {
+            name: max(len(self.grading_sizes(L, levi, ideal)) for ideal in ideals
+                      if verify_levi_data(L, LeviData(levi, ideal, ideal))
+                      ["nilradical_nilpotent_ideal"])
+            for name, L, levi, ideals in series_cases()
         }
-        assert lengths["sl2+heis"] == 3 and lengths["n_5"] == 5
+        assert depths["sl2+heis"] == 3 and depths["n_5"] == 5
 
     def test_levi_checks_and_grading_make_no_bracket_call(self, monkeypatch):
         def forbidden(*args):

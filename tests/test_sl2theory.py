@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trilie.exact import RatMatrix, invert, nullspace_basis
+from trilie.graded import GradedSpace
+from trilie.liealg import build_sl2
+from trilie.rep import Representation, verify_representation
 from trilie.sl2theory import (
+    _require_sl2_relations,
     build_irreducible,
-    is_irreducible,
     tensor_multiplicity,
     weight_decomposition,
 )
@@ -35,6 +38,15 @@ def direct_sum(*mods):
     return glue(lambda m: m.f_mat), glue(lambda m: m.h_mat), glue(lambda m: m.e_mat)
 
 
+def gate_verdict(f, h, e):
+    """The verification gate's irreducibility verdict on the sl2-module
+    (f, h, e), as the one component of a representation of sl2 on basis
+    (f, h, e)."""
+    L, levi = build_sl2()
+    rho = Representation(L, levi, GradedSpace((h.rows,)), (f, h, e))
+    return verify_representation(rho)["irreducible_components"]
+
+
 class TestBuild:
     def test_d1_matrices(self):
         m = build_irreducible(1)
@@ -59,7 +71,7 @@ class TestBuild:
     @pytest.mark.parametrize("d", range(0, 13))
     def test_all_small_modules_are_irreducible(self, d):
         m = build_irreducible(d)
-        assert is_irreducible(m.f_mat, m.h_mat, m.e_mat)
+        assert gate_verdict(m.f_mat, m.h_mat, m.e_mat) == [True]
 
     @pytest.mark.parametrize("d", range(0, 9))
     def test_casimir_scalar(self, d):
@@ -101,16 +113,16 @@ class TestWeights:
 class TestIrreducibility:
     def test_two_highest_weight_lines_rejected(self):
         f, h, e = direct_sum(build_irreducible(1), build_irreducible(1))
-        assert not is_irreducible(f, h, e)
+        assert gate_verdict(f, h, e) == [False]
 
     def test_mixed_sum_rejected(self):
         f, h, e = direct_sum(build_irreducible(1), build_irreducible(3))
-        assert not is_irreducible(f, h, e)
+        assert gate_verdict(f, h, e) == [False]
 
     def test_relation_violation_raises(self):
         m = build_irreducible(1)
         with pytest.raises(ValueError):
-            is_irreducible(m.f_mat, m.h_mat.scale(2), m.e_mat)
+            _require_sl2_relations(m.f_mat, m.h_mat.scale(2), m.e_mat)
 
 
 def scanned_weight_string(h, e):
