@@ -18,7 +18,8 @@ recurrence between neighbouring cells. The diagonal is a line unless
 one of its ends is forced to 0 by the row just past it, and no
 elimination runs.
 The family is compared by testing its z_0 block, read straight from
-the z-rules, for membership in the solution span. Tensor-product
+the z-rules, for membership in the solution span; the parameter tuples
+of a cell are those `family.enumerate_params` lists for it. Tensor-product
 multiplicities provide a second, character-theoretic prediction of
 each cell's dimension.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ONE, RatMatrix, rat_str
-from .family import ModuleParams, two_block_representation, z_blocks
+from .family import ModuleParams, enumerate_params, two_block_representation, z_blocks
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
 
@@ -156,21 +157,6 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
     return rho
 
 
-def valid_sn_tuples(lam: int, n: int, m: int) -> list[tuple[int, int]]:
-    """(s, N) pairs making (m, n, s, N) satisfy the parameter constraint
-    m + 2s = lam + n + 2N with 0 <= N <= m, ordered by s: for each s the
-    constraint fixes N."""
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
-    if m < 0 or n < 0:
-        raise ValueError("bounds must be nonnegative")
-    return [
-        (s, (m + 2 * s - lam - n) // 2)
-        for s in range(n + 1)
-        if m + 2 * s - lam - n in range(0, 2 * m + 1, 2)
-    ]
-
-
 def match_family(
     p: ExtensionProblem, space: SolutionSpace, params: ModuleParams
 ) -> dict:
@@ -189,9 +175,13 @@ def classification_report(lam: int, n_max: int, m_max: int) -> dict:
     """Cell-by-cell survey of the (n, m) grid.
 
     Each cell records the solver dimension, the character-theoretic
-    prediction, the parameter tuples landing on the cell, and the
+    prediction, the parameter tuples landing on the cell (those of
+    `enumerate_params` with that (n, m), in order of s), and the
     membership verdict of the family block at the all-ones scalar
     sample. Mismatches in either direction are flagged per cell."""
+    tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
+        tuples.setdefault((n, m), []).append((s, big_n))
     cells = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
@@ -201,7 +191,7 @@ def classification_report(lam: int, n_max: int, m_max: int) -> dict:
             matches = []
             any_nonzero_member = False
             any_family_outside = False
-            for s, big_n in valid_sn_tuples(lam, n, m):
+            for s, big_n in tuples.get((n, m), ()):
                 a = tuple(ONE for _ in range(n - s))
                 params = ModuleParams(lam, m, n, s, big_n, a)
                 verdict = match_family(problem, space, params)

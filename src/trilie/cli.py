@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import sys
 
 from .classify import classification_report
@@ -91,7 +92,7 @@ def _cmd_gen(args) -> int:
     ok, problems = validate_params(params)
     if not ok:
         raise InputError("invalid parameters: " + "; ".join(problems))
-    module = build_family_module(params, paper_literal=args.paper_literal)
+    rho = build_family_module(params, paper_literal=args.paper_literal)
     extra = {
         "family_params": {
             "lambda": params.lam,
@@ -103,10 +104,7 @@ def _cmd_gen(args) -> int:
             "paper_literal": args.paper_literal,
         }
     }
-    _write(
-        dumps(representation_to_json(module.representation, extra)),
-        args.output,
-    )
+    _write(dumps(representation_to_json(rho, extra)), args.output)
     return 0
 
 
@@ -130,6 +128,8 @@ def _cmd_check(args) -> int:
 def _family_params_from_doc(doc: dict) -> ModuleParams:
     try:
         fp = doc["family_params"]
+        if not isinstance(fp["a"], list):
+            raise ValueError(f"a must be a JSON array, got {reprlib.repr(fp['a'])}")
         params = ModuleParams(
             int_field(fp["lambda"]),
             int_field(fp["m"]),

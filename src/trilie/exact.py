@@ -55,15 +55,6 @@ def rat_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def binomial(j: int, k: int) -> int:
-    """j over k, extended by 0 outside 0 <= k <= j."""
-    if j < 0:
-        raise ValueError(f"binomial with negative upper index {j}")
-    if k < 0 or k > j:
-        return 0
-    return math.comb(j, k)
-
-
 Vector = tuple[Fraction, ...]
 
 
@@ -535,15 +526,3 @@ def columns_matrix(vectors: Sequence[Vector], dim: int) -> RatMatrix:
                 maps[i][j] = x
     return RatMatrix._from_maps(dim, len(vectors), maps)
 
-
-def extend_independent(
-    base: Sequence[Vector], candidates: Sequence[Vector], dim: int
-) -> list[Vector]:
-    """Greedily pick candidates (in order) that grow the span of `base`:
-    the candidates that are pivot columns of [base | candidates], since
-    a column is a pivot iff it lies outside the span of those before it."""
-    if not candidates:
-        return []
-    columns = list(base) + list(candidates)
-    pivots = sorted(_echelon(columns_matrix(columns, dim)))
-    return [columns[p] for p in pivots if p >= len(base)]

@@ -24,23 +24,22 @@ the w-string is printed as k(n-k+1); the default build uses k(m-k+1),
 the unique coefficient satisfying [e, f] = h on an (m+1)-dimensional
 string, and `paper_literal=True` keeps the printed one for fidelity
 experiments.
+
+`build_family_module` returns the module as a plain `Representation`:
+z_j acts by block (0, 1) of images[3 + j], and `weight_compatibility`
+reads its witnesses off those blocks, given the params.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .exact import (
-    ONE,
-    RatMatrix,
-    binomial,
-    rat,
-    rat_str,
-)
+from .exact import ONE, RatMatrix, rat, rat_str
 from .graded import GradedSpace
 from .liealg import build_sl2_lambda
 from .rep import Representation, verify_representation
@@ -106,17 +105,6 @@ def enumerate_params(lam: int, m_max: int, n_max: int) -> list[tuple[int, int, i
     return out
 
 
-@dataclass(frozen=True)
-class FamilyModule:
-    params: ModuleParams
-    representation: Representation
-    paper_literal: bool = False
-
-    def z_block(self, j: int) -> RatMatrix:
-        """(m+1) x (n+1) block of the z_j action, w rows by u columns."""
-        return self.representation.images[3 + j].block(0, 1)
-
-
 def two_block_representation(
     lam: int,
     u_triple: tuple[RatMatrix, RatMatrix, RatMatrix],
@@ -170,7 +158,7 @@ def z_blocks(p: ModuleParams, last_j: int) -> list[RatMatrix]:
             scale = 1  # (t - lo)! / (t - q)!
             for q in range(lo, min(i + j - s, j) + 1):
                 x = a[i + j - s - q]
-                c = (-1) ** (j - q) * binomial(j, q) * fact[m - t + q] * scale
+                c = (-1) ** (j - q) * math.comb(j, q) * fact[m - t + q] * scale
                 num = num * x.denominator + c * x.numerator * den
                 den *= x.denominator
                 scale *= t - q
@@ -179,22 +167,22 @@ def z_blocks(p: ModuleParams, last_j: int) -> list[RatMatrix]:
     return [RatMatrix._from_maps(m + 1, n + 1, maps) for maps in z_maps]
 
 
-def build_family_module(p: ModuleParams, paper_literal: bool = False) -> FamilyModule:
-    rho = two_block_representation(
+def build_family_module(p: ModuleParams, paper_literal: bool = False) -> Representation:
+    """The family module of p: z_j = images[3 + j] acts by its block
+    (0, 1), w rows by u columns."""
+    return two_block_representation(
         p.lam,
         string_action(p.n, p.n),
         string_action(p.m, p.n if paper_literal else p.m),
         z_blocks(p, p.lam),
     )
-    return FamilyModule(p, rho, paper_literal)
 
 
-def weight_compatibility(module: FamilyModule) -> tuple[bool, tuple | None]:
-    """Every nonzero z_j·u_i must land on the w of matching h-weight:
-    m - 2t = (Λ - 2j) + (n - 2i)."""
-    p = module.params
+def weight_compatibility(p: ModuleParams, rho: Representation) -> tuple[bool, tuple | None]:
+    """Every nonzero z_j·u_i of the family module rho of p must land on
+    the w of matching h-weight: m - 2t = (Λ - 2j) + (n - 2i)."""
     for j in range(p.lam + 1):
-        for t, row in enumerate(module.z_block(j).maps):
+        for t, row in enumerate(rho.images[3 + j].block(0, 1).maps):
             for i in sorted(row):
                 if p.m - 2 * t != (p.lam - 2 * j) + (p.n - 2 * i):
                     return False, (j, i, t)
@@ -219,10 +207,9 @@ def verify_family(p: ModuleParams, paper_literal: bool = False) -> dict:
     Faithfulness and a nonzero radical action are informational flags
     (the latter marks the hypothesis under which the classification
     statement applies)."""
-    module = build_family_module(p, paper_literal=paper_literal)
-    rho = module.representation
+    rho = build_family_module(p, paper_literal=paper_literal)
     report = verify_representation(rho)
-    weight_ok, weight_witness = weight_compatibility(module)
+    weight_ok, weight_witness = weight_compatibility(p, rho)
     radical_nonzero = any(
         not rho.images[3 + j].is_zero() for j in range(p.lam + 1)
     )

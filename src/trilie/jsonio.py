@@ -3,13 +3,15 @@
 Rationals serialize as strings "p/q" (or "p" when the denominator is
 1); matrices as row-major arrays of such strings; dictionaries are
 built in a fixed key order and never re-sorted, so identical inputs
-produce byte-identical files.
+produce byte-identical files. Readers take an integer field only as a
+JSON integer and a list field only as a JSON array.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
 import stat
 from fractions import Fraction
 from typing import Any
@@ -21,12 +23,22 @@ from .rep import Representation
 
 
 def int_field(value: Any) -> int:
-    """An integer field of a JSON document, as int(). JSON reads 1.5 as
-    a float and true as a bool, and int() would truncate either; both
-    are refused."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An integer field of a JSON document, which must be a JSON integer:
+    int() would truncate a float and parse a string such as "1_0". A JSON
+    true is a Python bool, itself an int, and is refused too. Error
+    messages quote a value through reprlib, so their length is bounded."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _array(value: Any, name: str) -> list:
+    """A list field of a JSON document, which must be a JSON array: a
+    string would be read character by character, and an object key by
+    key."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {reprlib.repr(value)}")
+    return value
 
 
 def dumps(doc: Any) -> str:
@@ -68,21 +80,21 @@ def algebra_to_json(L: LieAlgebra, D: LeviData) -> dict:
 
 def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
     structure = {}
-    for entry in doc["brackets"]:
+    for entry in _array(doc["brackets"], "brackets"):
         i, j, coeffs = entry
         pair = (int_field(i), int_field(j))
         if pair in structure:
             raise ValueError(f"bracket pair {pair} listed twice")
         terms = structure[pair] = {}
-        for k, c in coeffs:
+        for k, c in _array(coeffs, f"the terms of bracket pair {pair}"):
             k = int_field(k)
             if k in terms:
                 raise ValueError(f"bracket pair {pair} lists target {k} twice")
             terms[k] = rat(c)
-    L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in doc["labels"]], structure)
+    L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in _array(doc["labels"], "labels")], structure)
     index_lists = []
     for key in ("levi", "radical", "nilradical"):
-        indices = tuple(int_field(x) for x in doc[key])
+        indices = tuple(int_field(x) for x in _array(doc[key], key))
         for x in indices:
             if not 0 <= x < L.dim:
                 raise ValueError(f"{key} index {x} out of range for dim {L.dim}")
@@ -90,16 +102,9 @@ def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
     return L, LeviData(*index_lists)
 
 
-def graded_map_to_json(g: GradedMap) -> dict:
-    return {
-        "dims": list(g.space.component_dims),
-        "matrix": matrix_to_json(g.matrix),
-    }
-
-
 def graded_map_from_json(doc: dict) -> GradedMap:
     # the declared dims fix the shape, and name it when the matrix differs
-    dims = tuple(int_field(d) for d in doc["dims"])
+    dims = tuple(int_field(d) for d in _array(doc["dims"], "dims"))
     m = matrix_from_json(doc["matrix"], (sum(dims), sum(dims)))
     return GradedMap(GradedSpace(dims), m)
 
@@ -127,7 +132,7 @@ def representation_from_json(doc: dict) -> Representation:
         with open(algebra_doc) as fh:
             algebra_doc = json.load(fh)
     L, D = algebra_from_json(algebra_doc)
-    dims = tuple(int_field(d) for d in doc["dims"])
+    dims = tuple(int_field(d) for d in _array(doc["dims"], "dims"))
     seen = set(doc["images"])
     expected = set(L.basis_labels)
     if seen != expected:
@@ -144,10 +149,6 @@ def jsonable(value: Any) -> Any:
     keys) into plain JSON-serializable values, preserving key order."""
     if isinstance(value, Fraction):
         return rat_str(value)
-    if isinstance(value, RatMatrix):
-        return matrix_to_json(value)
-    if isinstance(value, GradedMap):
-        return graded_map_to_json(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

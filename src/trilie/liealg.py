@@ -9,10 +9,11 @@ rather than computed, since every algebra handled here arrives with its
 decomposition spelled out.
 
 The grading construction splits the algebra along the nilradical's
-lower central series: degree 0 holds the Levi part plus a complement of
-the nilradical inside the radical, and each positive degree holds a
+lower central series: degree 0 holds the Levi part plus the radical's
+basis elements outside the nilradical, and each positive degree holds a
 section of N^k/N^{k+1} made invariant under the Levi action by solving
-a commuting-projector system.
+a commuting-projector system. A grading is just its per-degree bases:
+the size of a degree's basis is that degree's dimension.
 
 Spans (the terms of both series, and the layers a section is cut from)
 are kept as the rref row maps of a RatMatrix. With R_i = L.ad_rows[i],
@@ -40,7 +41,6 @@ from .exact import (
     add_scaled_row,
     columns_matrix,
     combination,
-    extend_independent,
     invert,
     native_rows,
     rank,
@@ -118,11 +118,10 @@ class LeviData:
 
 @dataclass(frozen=True)
 class GradingAssignment:
-    """Graded basis for an algebra: per-degree bases plus the degree of
-    each position in the concatenated (degree-ascending) basis order."""
+    """Graded basis for an algebra, one basis per degree; the graded
+    basis lists them in ascending degree."""
 
     component_bases: tuple[tuple[Vector, ...], ...]
-    degree_of_basis: Mapping[int, int]
     levi: LeviData | None = field(default=None, compare=False)
 
     def graded_basis(self) -> list[Vector]:
@@ -417,6 +416,10 @@ def _levi_invariant_section(
     k = r + c
     if len(pivots) > k:
         raise RuntimeError("vector not in claimed span")
+    ext_rows = RatMatrix._from_maps(c, cur.cols, [cur.maps[q] for q in ext])
+    if r == 0:
+        # no deeper layer to project away: ext spans the section
+        return [ext_rows.row(q) for q in range(c)]
     adapted = list(range(r)) + [r + q for q in ext]
     systems, rhs = [], []
     for idx in range(len(levi)):
@@ -429,9 +432,6 @@ def _levi_invariant_section(
         cc = m.submatrix(range(r, r + c), range(r, r + c))
         systems.append(sylvester_system(a, cc))
         rhs.extend(m[p, q] for p in range(r) for q in range(r, r + c))
-    ext_rows = RatMatrix._from_maps(c, cur.cols, [cur.maps[q] for q in ext])
-    if r == 0:
-        return [ext_rows.row(q) for q in range(c)]
     n = r * c
     system = RatMatrix.from_blocks(
         len(systems) * n, n, [(i * n, 0, sy) for i, sy in enumerate(systems)]
@@ -450,25 +450,31 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     """Grade the algebra by the nilradical's lower central series.
 
     Degree 0 = Levi span plus a complement of the nilradical inside the
-    radical (basis completion); degree k >= 1 = a Levi-invariant section
+    radical: the radical's unit vectors outside the nilradical, each
+    once, in first-seen order; degree k >= 1 = a Levi-invariant section
     of N^k / N^{k+1}.
     """
-    nilrad_units = [unit_vector(L.dim, i) for i in D.nilrad_indices]
-    rad_units = [unit_vector(L.dim, i) for i in D.radical_indices]
-    complement = extend_independent(nilrad_units, rad_units, L.dim)
+    # _index_span, then unit_vector, refuse an out-of-range index:
+    # nilradical first, then radical, then Levi
+    span = _index_span(L, D.nilrad_indices)
+    nilrad = sorted(set(D.nilrad_indices))
+    complement = [
+        unit_vector(L.dim, i)
+        for i in dict.fromkeys(D.radical_indices)
+        if i not in nilrad
+    ]
     v0 = [unit_vector(L.dim, i) for i in D.levi_indices] + complement
 
     # the series' ideal precondition, scanned over v = b_j (j ascending),
     # then b_i (i ascending): the error names the first [b_i, v] that
     # leaves the span
-    nilrad = sorted(set(D.nilrad_indices))
     w = _index_escape(L, ((i, j) for j in nilrad for i in range(L.dim)), nilrad)
     if w is not None:
         i, j, _ = w
         raise ValueError(
             f"input span is not an ideal: [b_{i}, v] escapes for v={unit_vector(L.dim, j)}"
         )
-    series = _series(L, _index_span(L, nilrad), lower=True)
+    series = _series(L, span, lower=True)
     components: list[list[Vector]] = [v0] + [
         _levi_invariant_section(L, D.levi_indices, series[k], series[k + 1])
         for k in range(len(series) - 1)
@@ -479,15 +485,7 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     flat = [v for comp in components for v in comp]
     if len(flat) != L.dim or rank(RatMatrix.from_rows([list(v) for v in flat])) != L.dim:
         raise RuntimeError("graded components do not form a basis")
-    degree_of_basis = {}
-    pos = 0
-    for k, comp in enumerate(components):
-        for _ in comp:
-            degree_of_basis[pos] = k
-            pos += 1
-    return GradingAssignment(
-        tuple(tuple(comp) for comp in components), degree_of_basis, levi=D
-    )
+    return GradingAssignment(tuple(tuple(comp) for comp in components), levi=D)
 
 
 def adjoint_representation(L: LieAlgebra, G: GradingAssignment):

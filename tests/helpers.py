@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from trilie.exact import RatMatrix, ShapeError, combination, rank
 from trilie.graded import GradedMap, GradedSpace
+from trilie.jsonio import matrix_to_json
 from trilie.sl2theory import build_irreducible
 
 
@@ -35,6 +36,14 @@ def mask_triangular(space: GradedSpace, matrix: RatMatrix) -> GradedMap:
         for k_to in range(k_from)
     ]
     return GradedMap(space, RatMatrix.from_blocks(n, n, [(0, 0, matrix)] + zero_blocks))
+
+
+def graded_map_to_json(g: GradedMap) -> dict:
+    """The document `trilie decompose` reads for g."""
+    return {
+        "dims": list(g.space.component_dims),
+        "matrix": matrix_to_json(g.matrix),
+    }
 
 
 def mat_power(a: RatMatrix, k: int) -> RatMatrix:

@@ -21,7 +21,7 @@ from trilie.cli import run as cli_run
 from trilie.exact import RatMatrix, exp_nilpotent, rat, unit_vector
 from trilie.family import ModuleParams, build_family_module, enumerate_params, verify_family
 from trilie.graded import degree_components, is_homogeneous, positive_degree_part
-from trilie.jsonio import dumps, graded_map_to_json
+from trilie.jsonio import dumps
 from trilie.liealg import (
     ad_matrix,
     adjoint_grading,
@@ -40,7 +40,7 @@ from trilie.rep import (
 )
 from trilie.sl2theory import tensor_multiplicity
 
-from helpers import mat_power, seeded_triangular_map
+from helpers import graded_map_to_json, mat_power, seeded_triangular_map
 
 
 def _emit(capsys, ok: bool, label: str) -> None:
@@ -142,9 +142,7 @@ def test_05_levi_conjugation(capsys):
         L, D = build_sl2_lambda(lam)
         reps = {
             "adjoint": adjoint_representation(L, adjoint_grading(L, D)),
-            "family": build_family_module(
-                ModuleParams(lam, lam, 0, 0, 0, ())
-            ).representation,
+            "family": build_family_module(ModuleParams(lam, lam, 0, 0, 0, ())),
         }
         for name, rho in reps.items():
             for zi in D.nilrad_indices:
@@ -238,12 +236,7 @@ def test_08_family_audit(capsys):
                 audited += 1
                 lit = build_family_module(p, paper_literal=True)
                 cor = build_family_module(p)
-                if any(
-                    x.matrix != y.matrix
-                    for x, y in zip(
-                        lit.representation.images, cor.representation.images
-                    )
-                ):
+                if any(x.matrix != y.matrix for x, y in zip(lit.images, cor.images)):
                     key = (lam, m, n, s, big_n)
                     discrepant[key] = discrepant.get(key, 0) + 1
                 if report["all_pass"]:

@@ -18,7 +18,6 @@ from trilie.classify import (
     classification_report,
     match_family,
     solve_extensions,
-    valid_sn_tuples,
 )
 from trilie.cli import run
 from trilie.exact import RatMatrix
@@ -165,19 +164,16 @@ class TestContainsAgainstCombination:
     def test_family_blocks_on_every_cell(self, sample):
         rng = random.Random(4)
         for lam in (1, 2, 3, 4):
-            for n in range(11):
-                for m in range(11):
-                    problem = ExtensionProblem(lam, n, m)
-                    space = solve_extensions(problem)
-                    for s, big_n in valid_sn_tuples(lam, n, m):
-                        a = tuple(
-                            F(1) if sample == "ones"
-                            else F(rng.randint(-5, 5), rng.randint(1, 6))
-                            for _ in range(n - s)
-                        )
-                        (block,) = family.z_blocks(ModuleParams(lam, m, n, s, big_n, a), 0)
-                        assert space.contains(block) == brute_contains(space.basis, block), (
-                            lam, n, m, s, big_n, a)
+            for m, n, s, big_n in family.enumerate_params(lam, 10, 10):
+                space = solve_extensions(ExtensionProblem(lam, n, m))
+                a = tuple(
+                    F(1) if sample == "ones"
+                    else F(rng.randint(-5, 5), rng.randint(1, 6))
+                    for _ in range(n - s)
+                )
+                (block,) = family.z_blocks(ModuleParams(lam, m, n, s, big_n, a), 0)
+                assert space.contains(block) == brute_contains(space.basis, block), (
+                    lam, n, m, s, big_n, a)
 
     def test_edge_blocks(self):
         line = solve_extensions(ExtensionProblem(1, 1, 2))
@@ -385,33 +381,35 @@ class TestReport:
                 assert cell["dim"] == 0
 
     def test_sn_tuples_match_enumeration(self):
-        from trilie.family import enumerate_params
-
         lam, box = 2, 4
-        from_cells = set()
-        for n in range(box + 1):
-            for m in range(box + 1):
-                for s, big_n in valid_sn_tuples(lam, n, m):
-                    from_cells.add((m, n, s, big_n))
-        assert from_cells == set(enumerate_params(lam, box, box))
+        from_cells = {
+            (cell["m"], cell["n"], match["s"], match["N"])
+            for cell in classification_report(lam, box, box)["cells"]
+            for match in cell["family_matches"]
+        }
+        assert from_cells == set(family.enumerate_params(lam, box, box))
 
     def test_sn_tuples_equal_filtered_enumeration(self):
+        # each cell lists, in order of s, the tuples that the enumeration
+        # bounded by the cell itself lists for it
+        box = 10
         for lam in range(1, 5):
-            for n in range(13):
-                for m in range(13):
-                    listed = [
-                        (s, big_n)
-                        for m2, n2, s, big_n in family.enumerate_params(lam, m, n)
-                        if (m2, n2) == (m, n)
-                    ]
-                    assert valid_sn_tuples(lam, n, m) == listed, (lam, n, m)
+            for cell in classification_report(lam, box, box)["cells"]:
+                n, m = cell["n"], cell["m"]
+                listed = [
+                    (s, big_n)
+                    for m2, n2, s, big_n in family.enumerate_params(lam, m, n)
+                    if (m2, n2) == (m, n)
+                ]
+                got = [(match["s"], match["N"]) for match in cell["family_matches"]]
+                assert got == listed, (lam, n, m)
 
     @pytest.mark.parametrize("lam,n,m", [(0, 2, 2), (1, -1, 2), (1, 2, -1)])
     def test_sn_tuples_reject_what_enumeration_rejects(self, lam, n, m):
         with pytest.raises(ValueError) as expected:
             family.enumerate_params(lam, m, n)
         with pytest.raises(ValueError, match=str(expected.value)):
-            valid_sn_tuples(lam, n, m)
+            classification_report(lam, n, m)
 
     def test_notes_flag_free_scalars(self):
         report = classification_report(1, 1, 1)

@@ -546,11 +546,22 @@ _ONE_DIM_ALGEBRA = {"dim": 1, "labels": ["x"], "brackets": [], "levi": [],
                     "radical": [0], "nilradical": [0]}
 _ZERO_DIM_ALGEBRA = {"dim": 0, "labels": [], "brackets": [], "levi": [],
                      "radical": [], "nilradical": []}
+_SL2_BRACKETS = [[0, 1, [[0, "2"]]], [0, 2, [[1, "-1"]]], [1, 2, [[2, "2"]]]]
+
+
+def _sl2_algebra(**changes):
+    return {"dim": 3, "labels": ["f", "h", "e"], "brackets": _SL2_BRACKETS,
+            "levi": [0, 1, 2], "radical": [], "nilradical": [], **changes}
+
+
+_ZEROS_2X2 = [["0", "0"], ["0", "0"]]
 
 
 # each document was read without complaint: string rows character by
-# character, a string matrix as its characters, JSON true as 1, and a
-# bracket pair or target listed twice as its last value
+# character, a string matrix as its characters, JSON true as 1, a
+# bracket pair or target listed twice as its last value, a string list
+# field as its characters, and a string integer field through int(); the
+# error quotes a long value in bounded length
 @pytest.mark.parametrize(
     "verb,doc,message",
     [
@@ -573,12 +584,46 @@ _ZERO_DIM_ALGEBRA = {"dim": 0, "labels": [], "brackets": [], "levi": [],
                                 "levi": [], "radical": [0, 1], "nilradical": [1]},
                     "dims": [1], "images": {"a": [["0"]], "b": [["0"]]}},
          "bracket pair (0, 1) lists target 1 twice"),
+        ("verify", {"algebra": _ONE_DIM_ALGEBRA, "dims": "11", "images": {"x": _ZEROS_2X2}},
+         "dims must be a JSON array, got '11'"),
+        ("decompose", {"dims": "11", "matrix": _ZEROS_2X2},
+         "dims must be a JSON array, got '11'"),
+        ("decompose", {"dims": {"1": 0, "2": 0}, "matrix": [["0"] * 3] * 3},
+         "dims must be a JSON array, got {'1': 0, '2': 0}"),
+        ("check", _sl2_algebra(levi="012"), "levi must be a JSON array, got '012'"),
+        ("check", _sl2_algebra(levi=[], radical="012", nilradical="0"),
+         "radical must be a JSON array, got '012'"),
+        ("check", _sl2_algebra(levi=[], radical=[0, 1, 2], nilradical="0"),
+         "nilradical must be a JSON array, got '0'"),
+        ("check", _sl2_algebra(labels="fhe"), "labels must be a JSON array, got 'fhe'"),
+        ("verify --paper-literal",
+         {"family_params": {"lambda": 1, "m": 3, "n": 2, "s": 0, "N": 0, "a": "12"}},
+         "a must be a JSON array, got '12'"),
+        ("check", _sl2_algebra(dim="3"), "expected an integer, got '3'"),
+        ("check", _sl2_algebra(brackets=[[0, "0_1", [[0, "2"]]], *_SL2_BRACKETS[1:]]),
+         "expected an integer, got '0_1'"),
+        ("verify", {"algebra": _ZERO_DIM_ALGEBRA, "dims": ["1_0"], "images": {}},
+         "expected an integer, got '1_0'"),
+        ("check", _sl2_algebra(levi=[], radical=[0, 1, 2], nilradical=[0, 1, 2],
+                               brackets={}),
+         "brackets must be a JSON array, got {}"),
+        ("check", _sl2_algebra(brackets=[[0, 1, ""], *_SL2_BRACKETS[1:]]),
+         "the terms of bracket pair (0, 1) must be a JSON array, got ''"),
+        ("decompose", {"dims": "1" * 10**6, "matrix": []},
+         "dims must be a JSON array, got '111111111111...1111111111111'"),
     ],
     ids=["string-rows", "string-matrix", "verify-string-rows", "true-entry",
-         "verify-true-entry", "true-coefficient", "repeated-pair", "verify-repeated-target"],
+         "verify-true-entry", "true-coefficient", "repeated-pair", "verify-repeated-target",
+         "verify-string-dims", "decompose-string-dims", "decompose-object-dims",
+         "string-levi", "string-radical", "string-nilradical", "string-labels",
+         "paper-literal-string-a", "string-dim", "underscore-bracket-index",
+         "verify-underscore-dims", "object-brackets", "string-bracket-terms",
+         "long-string-dims"],
 )
 def test_documents_read_silently_before_exit_2(capsys, monkeypatch, verb, doc, message):
-    code, out, err = _run(capsys, [verb, "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    # verb may carry flags: "verify --paper-literal"
+    code, out, err = _run(capsys, [*verb.split(), "-"], stdin=json.dumps(doc),
+                          monkeypatch=monkeypatch)
     assert code == 2
     assert out == ""
     assert "error: " in err and message in err

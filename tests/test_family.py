@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from trilie.exact import RatMatrix, commutator, unit_vector
 from trilie.family import (
-    FamilyModule,
     ModuleParams,
     build_family_module,
     enumerate_params,
@@ -27,6 +26,11 @@ F = Fraction
 
 def params(lam, m, n, s, big_n, a=()):
     return ModuleParams(lam, m, n, s, big_n, tuple(F(x) for x in a))
+
+
+def z_block(rho, j):
+    """(m+1) x (n+1) block of the z_j action, w rows by u columns."""
+    return rho.images[3 + j].block(0, 1)
 
 
 class TestValidation:
@@ -93,30 +97,30 @@ class TestActionCoefficients:
     """Pinned values at (lam, m, n, s, N) = (1, 2, 1, 1, 1)."""
 
     @pytest.fixture()
-    def module(self):
+    def rho(self):
         return build_family_module(params(1, 2, 1, 1, 1))
 
-    def test_zero_range_cell(self, module):
+    def test_zero_range_cell(self, rho):
         # i = j = 0 is the only cell with s - 1 >= i + j
-        assert module.z_block(0).transpose().row(0) == (F(0), F(0), F(0))
+        assert z_block(rho, 0).transpose().row(0) == (F(0), F(0), F(0))
 
-    def test_middle_sum_cells(self, module):
+    def test_middle_sum_cells(self, rho):
         # z0·u1 = (1/2) w1,  z1·u0 = -(1/2) w1
-        assert module.z_block(0).transpose().row(1) == (F(0), F(1, 2), F(0))
-        assert module.z_block(1).transpose().row(0) == (F(0), F(-1, 2), F(0))
+        assert z_block(rho, 0).transpose().row(1) == (F(0), F(1, 2), F(0))
+        assert z_block(rho, 1).transpose().row(0) == (F(0), F(-1, 2), F(0))
 
-    def test_tail_sum_cell(self, module):
+    def test_tail_sum_cell(self, rho):
         # z1·u1 = (1/2) w2
-        assert module.z_block(1).transpose().row(1) == (F(0), F(0), F(1, 2))
+        assert z_block(rho, 1).transpose().row(1) == (F(0), F(0), F(1, 2))
 
-    def test_z_kills_w(self, module):
+    def test_z_kills_w(self, rho):
         for j in (0, 1):
-            img = module.representation.images[3 + j]
+            img = rho.images[3 + j]
             assert img.block(1, 1).is_zero()
             assert img.block(1, 0).is_zero()
 
-    def test_rules_cover_every_cell_without_conflict(self, module):
-        report = verify_family(module.params)
+    def test_rules_cover_every_cell_without_conflict(self):
+        report = verify_family(params(1, 2, 1, 1, 1))
         assert report["rule_conflicts"] == []
         assert report["uncovered_cells"] == []
 
@@ -161,8 +165,8 @@ class TestZBlocks:
 
     def test_module_is_built_from_the_blocks(self):
         p = params(2, 3, 3, 2, 1, (F(2, 3),))
-        module = build_family_module(p)
-        assert [module.z_block(j) for j in range(p.lam + 1)] == z_blocks(p, p.lam)
+        rho = build_family_module(p)
+        assert [z_block(rho, j) for j in range(p.lam + 1)] == z_blocks(p, p.lam)
 
     def test_rejects_invalid_params(self):
         with pytest.raises(ValueError):
@@ -179,9 +183,9 @@ class TestStraightModule:
 
     @pytest.mark.parametrize("lam", (1, 2, 3))
     def test_z_action_is_the_radical_string(self, lam):
-        module = build_family_module(params(lam, lam, 0, 0, 0))
+        rho = build_family_module(params(lam, lam, 0, 0, 0))
         for j in range(lam + 1):
-            col = module.z_block(j).transpose().row(0)
+            col = z_block(rho, j).transpose().row(0)
             assert col == tuple(
                 F(1) if k == j else F(0) for k in range(lam + 1)
             )
@@ -195,18 +199,17 @@ class TestStraightModule:
 
     @pytest.mark.parametrize("lam", (1, 2))
     def test_conjugation_stability(self, lam):
-        module = build_family_module(params(lam, lam, 0, 0, 0))
+        rho = build_family_module(params(lam, lam, 0, 0, 0))
         for j in range(lam + 1):
-            z = unit_vector(module.representation.algebra.dim, 3 + j)
-            report = conjugate_levi_check(module.representation, z)
+            z = unit_vector(rho.algebra.dim, 3 + j)
+            report = conjugate_levi_check(rho, z)
             assert report["all_pass"], (lam, j, report)
 
 
 class TestHomOracle:
     """Brute-force bracket check against the built matrices."""
 
-    def brute_check(self, module):
-        rho = module.representation
+    def brute_check(self, rho):
         L = rho.algebra
         failures = []
         for i in range(L.dim):
@@ -220,17 +223,17 @@ class TestHomOracle:
         return failures
 
     def test_straight_module_clean(self):
-        module = build_family_module(params(2, 2, 0, 0, 0))
-        assert self.brute_check(module) == []
+        rho = build_family_module(params(2, 2, 0, 0, 0))
+        assert self.brute_check(rho) == []
 
     def test_1_2_1_1_1_fails_at_f_z1(self):
         # the printed middle/tail coefficients violate [f, z1] = z2 here;
         # the checker must surface that, not hide it
-        module = build_family_module(params(1, 2, 1, 1, 1))
-        failures = self.brute_check(module)
+        rho = build_family_module(params(1, 2, 1, 1, 1))
+        failures = self.brute_check(rho)
         assert failures, "expected at least one bracket violation"
         assert failures[0] == (0, 4)
-        ok, witness = verify_homomorphism(module.representation)
+        ok, witness = verify_homomorphism(rho)
         assert not ok and witness == (0, 4)
 
     def test_report_shows_failure_without_gating_errors(self):
@@ -253,16 +256,16 @@ class TestHomOracle:
         assert "homomorphism" in report["witnesses"]["irreducibility"]
 
     def test_corrupted_coefficient_detected(self):
-        module = build_family_module(params(2, 2, 0, 0, 0))
-        images = list(module.representation.images)
+        rho = build_family_module(params(2, 2, 0, 0, 0))
+        images = list(rho.images)
         bad = list(images[3].matrix.data)
         bad[images[3].matrix.cols * 1 + 0] = F(7)  # z0·u0 += 7 w0 slot
         from trilie.rep import Representation
 
         spoiled = Representation(
-            module.representation.algebra,
-            module.representation.levi,
-            module.representation.space,
+            rho.algebra,
+            rho.levi,
+            rho.space,
             tuple(
                 images[k].matrix if k != 3
                 else RatMatrix(images[3].matrix.rows, images[3].matrix.cols, bad)
@@ -281,8 +284,8 @@ class TestWeightCompatibility:
     def test_targets_match_weights(self, tpl):
         lam, m, n, s, big_n = tpl
         a = (F(1),) * (n - s)
-        module = build_family_module(params(lam, m, n, s, big_n, a))
-        ok, witness = weight_compatibility(module)
+        p = params(lam, m, n, s, big_n, a)
+        ok, witness = weight_compatibility(p, build_family_module(p))
         assert ok, witness
 
     def test_witness_matches_dense_scan(self):
@@ -294,10 +297,10 @@ class TestWeightCompatibility:
                 a = tuple(F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n - s))
                 p = params(lam, m, n, s, big_n, a)
                 for paper_literal in (False, True):
-                    module = build_family_module(p, paper_literal=paper_literal)
-                    blocks = [module.z_block(j).to_lists() for j in range(lam + 1)]
+                    rho = build_family_module(p, paper_literal=paper_literal)
+                    blocks = [z_block(rho, j).to_lists() for j in range(lam + 1)]
                     expected = brute_weight_witness(lam, m, n, blocks)
-                    assert weight_compatibility(module) == (expected is None, expected)
+                    assert weight_compatibility(p, rho) == (expected is None, expected)
                 off_weight = [
                     (j, t, i)
                     for j in range(lam + 1)
@@ -315,7 +318,7 @@ class TestWeightCompatibility:
                 )
                 expected = brute_weight_witness(lam, m, n, blocks)
                 assert expected is not None
-                assert weight_compatibility(FamilyModule(p, rho)) == (False, expected)
+                assert weight_compatibility(p, rho) == (False, expected)
 
 
 class TestScalarDependence:
@@ -332,12 +335,12 @@ class TestPaperLiteralMode:
         p = params(1, 2, 1, 1, 1)
         default = build_family_module(p)
         literal = build_family_module(p, paper_literal=True)
-        assert default.representation.images[2] != literal.representation.images[2]
+        assert default.images[2] != literal.images[2]
 
     def test_literal_w_string_breaks_sl2_relations_when_m_ne_n(self):
         p = params(1, 2, 1, 1, 1)
         literal = build_family_module(p, paper_literal=True)
-        ok, witness = verify_homomorphism(literal.representation)
+        ok, witness = verify_homomorphism(literal)
         assert not ok
 
     def test_modes_agree_when_m_equals_n(self):
@@ -347,7 +350,7 @@ class TestPaperLiteralMode:
         assert validate_params(p)[0]
         default = build_family_module(p)
         literal = build_family_module(p, paper_literal=True)
-        assert default.representation.images == literal.representation.images
+        assert default.images == literal.images
 
     def test_radical_action_never_vanishes_on_valid_params(self):
         # the middle rule at theta = 0, j = 0 always writes
@@ -356,10 +359,8 @@ class TestPaperLiteralMode:
         for lam in (1, 2):
             for m, n, s, big_n in enumerate_params(lam, 3, 3):
                 p = params(lam, m, n, s, big_n, (F(1),) * (n - s))
-                module = build_family_module(p)
-                assert any(
-                    not module.z_block(j).is_zero() for j in range(lam + 1)
-                )
+                rho = build_family_module(p)
+                assert any(not z_block(rho, j).is_zero() for j in range(lam + 1))
 
     def test_n_gt_s_tuple_conflicts_with_equivariance(self):
         # m > lam + n leaves no room for a nonzero intertwiner, yet the

@@ -24,6 +24,7 @@ from trilie.liealg import (
 from helpers import (
     brute_bracket,
     brute_derived_series,
+    brute_extend_independent,
     brute_in_span,
     brute_jacobi_witness,
     brute_levi_witnesses,
@@ -429,21 +430,65 @@ class TestAdjointGrading:
     def test_sl2_lambda_degrees(self, lam):
         L, levi = build_sl2_lambda(lam)
         g = adjoint_grading(L, levi)
-        degs = [g.degree_of_basis[i] for i in range(L.dim)]
-        assert degs == [0, 0, 0] + [1] * (lam + 1)
+        assert [len(comp) for comp in g.component_bases] == [3, lam + 1]
         assert g.graded_basis() == [unit_vector(L.dim, i) for i in range(L.dim)]
 
     def test_sl2_all_degree_zero(self):
         L, levi = build_sl2()
         g = adjoint_grading(L, levi)
-        assert set(g.degree_of_basis.values()) == {0}
+        assert [len(comp) for comp in g.component_bases] == [3]
 
     def test_central_element_gets_degree_one(self):
         L, levi = central_extension_of_sl2()
         assert verify_levi_data(L, levi)["all_pass"]
         g = adjoint_grading(L, levi)
-        assert g.degree_of_basis[3] == 1
-        assert len(g.component_bases) == 2
+        assert [len(comp) for comp in g.component_bases] == [3, 1]
+        assert g.graded_basis()[3] == unit_vector(L.dim, 3)
+
+    @pytest.mark.parametrize(
+        "L,levi,radicals,nilradicals",
+        [
+            # [x1, y] = [x2, y] = y: the declared nilradical {y} leaves a
+            # two-vector complement, whose order follows the radical list
+            (LieAlgebra(3, ("x1", "x2", "y"), {(0, 2): {2: 1}, (1, 2): {2: 1}}), (),
+             [(0, 1, 2), (1, 2, 0, 1), (2, 1, 2, 0, 0), (1, 0)], [(2,), (2, 2)]),
+            # sl2 ⋉ doublet plus d acting on it by the identity
+            (LieAlgebra(6, ("f", "h", "e", "z0", "z1", "d"),
+                        {**build_sl2_lambda(1)[0].structure,
+                         (3, 5): {3: -1}, (4, 5): {4: -1}}), (0, 1, 2),
+             [(3, 4, 5), (5, 4, 3, 5), (4, 5, 5, 3)], [(3, 4), (4, 3, 4)]),
+        ],
+        ids=["solvable", "sl2-doublet-d"],
+    )
+    def test_degree_zero_complement_is_the_greedy_rank_choice(
+        self, L, levi, radicals, nilradicals
+    ):
+        # repeated, unsorted and overlapping declarations; each radical
+        # unit vector joins degree 0 iff it raises the rank
+        for radical in radicals:
+            for nilrad in nilradicals:
+                g = adjoint_grading(L, LeviData(levi, radical, nilrad))
+                complement = list(g.component_bases[0][len(levi):])
+                assert complement == brute_extend_independent(
+                    [unit_vector(L.dim, i) for i in nilrad],
+                    [unit_vector(L.dim, i) for i in radical],
+                ), (radical, nilrad)
+
+    @pytest.mark.parametrize(
+        "declared,bad",
+        [
+            (LeviData((0, 1, 2), (3, 4), (9,)), 9),
+            (LeviData((0, 1, 2), (3, 4, -1), (3, 4)), -1),
+            (LeviData((0, 1, 7), (3, 8), (9, 4)), 9),  # nilradical first
+            (LeviData((0, 1, 7), (3, 8), (4,)), 8),  # then radical, then Levi
+            (LeviData((0, 1, 7), (3, 4), (3, 4)), 7),
+        ],
+    )
+    def test_out_of_range_index_raises(self, declared, bad):
+        L, _ = build_sl2_lambda(1)
+        with pytest.raises(IndexError) as exc:
+            adjoint_grading(L, declared)
+        assert str(exc.value) == f"unit vector index {bad} out of range for dim 5"
 
     def test_two_step_nilradical_section_in_one_solve(self, monkeypatch):
         L, levi = sl2_heisenberg_skewed()
@@ -457,7 +502,7 @@ class TestAdjointGrading:
 
         monkeypatch.setattr(liealg, "solve", counted)
         g = adjoint_grading(L, levi)
-        assert [g.degree_of_basis[i] for i in range(L.dim)] == [0, 0, 0, 1, 1, 2]
+        assert [len(comp) for comp in g.component_bases] == [3, 2, 1]
         # the invariant section of N / [N, N] is x0 = b3 - c and x1 = b4
         assert g.component_bases[1] == (
             tuple(F(x) for x in (0, 0, 0, 1, 0, -1)),
