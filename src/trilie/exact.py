@@ -6,12 +6,13 @@ path. Matrices store one {column: nonzero entry} map per row, since
 triangular representations are mostly zero; arithmetic touches only
 the nonzero entries. Elimination runs row by row on the same sparse
 maps, cleared to primitive integer rows: it is fraction-free, and its
-pivots do not depend on the row order. Fractions appear only in rref's
-reduced rows, one per stored entry. For a family of equal-shape
-matrices M_k, `combination` sums c_k M_k and `entry_system` stacks the
-system sum_k x_k M_k = 0. Every sparse sum, products included, adds
+pivots do not depend on the row order; it stops once the rows seen
+reach full column rank. Fractions appear only in rref's reduced rows,
+one per stored entry. For a family of equal-shape matrices M_k,
+`combination` sums c_k M_k and `entry_system` stacks the system
+sum_k x_k M_k = 0. Every sparse sum, products included, adds
 scaled rows with `add_scaled_row`. Checks that only compare products
-read `native_rows`, where integral entries are plain ints.
+read `integral_rows`: integer row maps, one denominator per image.
 """
 
 from __future__ import annotations
@@ -355,13 +356,20 @@ def combination(mats: Sequence[RatMatrix], coeffs) -> RatMatrix:
     return RatMatrix._from_maps(rows, cols, acc)
 
 
-def native_rows(m: RatMatrix) -> dict[int, dict]:
-    """The nonempty rows of m as {row: {column: entry}}, each entry with
-    denominator 1 as a plain int and every other one as its Fraction.
-    int and Fraction compare and hash by value, so these maps compare as
-    the matrices do, and integral arithmetic on them builds no Fraction."""
-    return {
-        i: {j: x.numerator if x.denominator == 1 else x for j, x in row.items()}
+def integral_rows(m: RatMatrix) -> tuple[int, dict[int, dict[int, int]]]:
+    """(d, rows): d is the least common denominator of m's entries and
+    rows are the nonempty rows of d·m as {row: {column: int}}. Products
+    of these maps build no Fraction, and since each matrix is cleared by
+    its own d, an integral matrix keeps the size of its entries."""
+    d = math.lcm(*{x.denominator for row in m.maps for x in row.values()})
+    if d == 1:
+        return 1, {
+            i: {j: x.numerator for j, x in row.items()}
+            for i, row in enumerate(m.maps)
+            if row
+        }
+    return d, {
+        i: {j: x.numerator * (d // x.denominator) for j, x in row.items()}
         for i, row in enumerate(m.maps)
         if row
     }
@@ -439,6 +447,9 @@ def _echelon(a: RatMatrix) -> dict[int, dict[int, int]]:
     they are the leading columns of the row space's vectors."""
     echelon: dict[int, dict[int, int]] = {}
     for row in a.maps:
+        if len(echelon) == a.cols:
+            # full column rank: every remaining row lies in the span
+            break
         v = _primitive(row)
         while v:
             pc = min(v)

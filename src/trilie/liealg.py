@@ -23,11 +23,13 @@ appear only in the public return values. Both series start from a span
 of basis indices, shown to be an ideal by one scan of the table.
 
 One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
-brackets: it checks representations, and Jacobi is its check of ad.
+brackets: it checks representations, and Jacobi is its check of ad. It
+runs on integer row maps, one denominator per image.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -41,8 +43,8 @@ from .exact import (
     add_scaled_row,
     columns_matrix,
     combination,
+    integral_rows,
     invert,
-    native_rows,
     rank,
     rat,
     rref,
@@ -160,23 +162,39 @@ def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
 def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int, int] | None:
     """The first pair i < j, with the least column k, where images[i]
     images[j] - images[j] images[i] - sum_p c_ij^p images[p] is nonzero;
-    None when b_i ↦ images[i] respects every bracket. Summed on native
-    row maps (`native_rows`) over stored entries only: no matrix is
-    built, and no Fraction for an integral entry."""
-    rows = [native_rows(m) for m in images]
+    None when b_i ↦ images[i] respects every bracket.
+
+    Summed on integer row maps, one denominator per image: with
+    N_i = d_i images[i] (`integral_rows`), the pair's sum is
+        E (N_i N_j - N_j N_i) - sum_p E w_p N_p,  w_p = c_ij^p d_i d_j / d_p,
+    where E is the lcm of the w_p denominators: d_i d_j E times the
+    defect, so it has the same zero pattern. Only stored entries are
+    visited, no matrix is built, and no Fraction either."""
+    scaled = [integral_rows(m) for m in images]
     for i in range(L.dim):
-        a, coeffs = rows[i], native_rows(L.ad_rows[i])
+        d_i, a = scaled[i]
+        coeffs = L.ad_rows[i].maps
         for j in range(i + 1, L.dim):
-            b = rows[j]
+            d_j, b = scaled[j]
+            # each w_p as (numerator, denominator) in lowest terms
+            terms, e = [], 1
+            for p, c in coeffs[j].items():
+                d_p, rows_p = scaled[p]
+                if rows_p:
+                    num, den = c.numerator * d_i * d_j, c.denominator * d_p
+                    g = math.gcd(num, den)
+                    terms.append((num // g, den // g, rows_p))
+                    e = math.lcm(e, den // g)
             acc: dict = {}
-            for left, right, sign in ((a, b, 1), (b, a, -1)):
+            for left, right, sign in ((a, b, e), (b, a, -e)):
                 for r, row in left.items():
                     for k, x in row.items():
                         if k in right:
                             add_scaled_row(acc.setdefault(r, {}), right[k], sign * x)
-            for p, c in coeffs.get(j, {}).items():
-                for r, row in rows[p].items():
-                    add_scaled_row(acc.setdefault(r, {}), row, -c)
+            for num, den, rows_p in terms:
+                w = -num * (e // den)
+                for r, row in rows_p.items():
+                    add_scaled_row(acc.setdefault(r, {}), row, w)
             if any(acc.values()):
                 return i, j, min(k for row in acc.values() for k in row)
     return None
@@ -193,7 +211,7 @@ def check_axioms(L: LieAlgebra) -> dict:
     4. any other column of its defect is ±J of an earlier pair or has a
        repeated index, so all nonzero ones exceed j: the least is its k.
     Antisymmetry holds by (2); it is reported true with a None witness."""
-    # a generator: each ad b_i is kept only as its nonempty native rows
+    # a generator: each ad b_i is kept only as its integer row maps
     jacobi_witness = bracket_defect(L, (r.transpose() for r in L.ad_rows))
     return {
         "antisymmetry": True,
@@ -483,7 +501,9 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
         raise ValueError("empty grading")
 
     flat = [v for comp in components for v in comp]
-    if len(flat) != L.dim or rank(RatMatrix.from_rows([list(v) for v in flat])) != L.dim:
+    # the check's matrix holds the stored entries only, not dim² coercions
+    maps = [{j: x for j, x in enumerate(v) if x} for v in flat]
+    if len(flat) != L.dim or rank(RatMatrix._from_maps(len(flat), L.dim, maps)) != L.dim:
         raise RuntimeError("graded components do not form a basis")
     return GradingAssignment(tuple(tuple(comp) for comp in components), levi=D)
 

@@ -19,7 +19,8 @@ Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
 
 The homomorphism check is `liealg.bracket_defect`, the one scan that
-also decides Jacobi (for ρ = ad); it builds no matrix.
+also decides Jacobi (for ρ = ad); it builds no matrix and runs on
+integer row maps, one denominator per image.
 """
 
 from __future__ import annotations

@@ -94,6 +94,40 @@ def seeded_triangular_map(rng: random.Random, max_components: int = 5,
     return mask_triangular(space, raw)
 
 
+def primes_from(start: int, count: int) -> list[int]:
+    """The first `count` primes >= start, by Miller-Rabin over the first
+    twelve prime bases, which decides every n < 3.3e24 exactly."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+    def is_prime(n):
+        if n < 2:
+            return False
+        for p in bases:
+            if n % p == 0:
+                return n == p
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in bases:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    out, n = [], start
+    while len(out) < count:
+        if is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
 def brute_matrix_bracket(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     """Plain-list commutator, used to cross-check RatMatrix arithmetic;
     products with a zero factor are left out of each sum."""

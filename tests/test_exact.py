@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from trilie.exact import (
     commutator,
     entry_system,
     exp_nilpotent,
+    integral_rows,
     invert,
-    native_rows,
     nullspace_basis,
     rank,
     rat,
@@ -26,6 +27,7 @@ from trilie.exact import (
     sylvester_system,
     vector,
 )
+import trilie.exact as exact
 from trilie.sl2theory import string_action
 
 from helpers import (
@@ -410,19 +412,19 @@ class TestSparseStorage:
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
-    def test_native_rows_compare_as_the_matrices(self, r, c, data):
-        # b is a, with one entry redrawn at most
+    def test_integral_rows_clear_the_least_common_denominator(self, r, c, data):
         flat = data.draw(st.lists(wide_entries, min_size=r * c, max_size=r * c))
-        other = list(flat)
-        if other and data.draw(st.booleans()):
-            other[data.draw(st.integers(0, len(other) - 1))] = data.draw(wide_entries)
-        a, b = RatMatrix(r, c, flat), RatMatrix(r, c, other)
-        na, nb = native_rows(a), native_rows(b)
-        assert (na == nb) == (a == b)
-        assert na == {i: row for i, row in enumerate(a.maps) if row}
-        for row in na.values():
-            for x in row.values():
-                assert type(x) is (int if x.denominator == 1 else Fraction)
+        a = RatMatrix(r, c, flat)
+        d, rows = integral_rows(a)
+        assert d == math.lcm(*(x.denominator for x in flat))
+        assert sorted(rows) == [i for i, row in enumerate(a.maps) if row]
+        for i, row in rows.items():
+            assert all(type(x) is int for x in row.values())
+            assert {j: Fraction(x, d) for j, x in row.items()} == a.maps[i]
+        numerators = RatMatrix(r, c, [x.numerator for x in flat])
+        assert integral_rows(numerators) == (
+            1, {i: dict(row) for i, row in enumerate(numerators.maps) if row}
+        )
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
@@ -543,6 +545,31 @@ class TestSparseElimination:
         # a column is a pivot iff it lies outside the span of those before it
         columns = [a.transpose().row(j) for j in range(a.cols)]
         assert [columns[p] for p in pivots_a] == brute_extend_independent([], columns)
+
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_after_full_column_rank_are_not_reduced(self, c, data):
+        # c independent rows (a triangle with a nonzero diagonal, rows
+        # shuffled) reach full column rank; the rows after them change
+        # nothing, and none of them is even made primitive
+        nonzero = wide_entries.filter(bool)
+        head = [
+            [data.draw(nonzero) if q == p else data.draw(wide_entries) if q < p else ZERO
+             for q in range(c)]
+            for p in range(c)
+        ]
+        head = data.draw(st.permutations(head))
+        tail = data.draw(st.lists(st.lists(wide_entries, min_size=c, max_size=c), max_size=4))
+        rows = head + tail
+        a = RatMatrix(len(rows), c, [x for row in rows for x in row])
+        with mock.patch.object(exact, "_primitive", wraps=exact._primitive) as primitive:
+            assert rank(a) == brute_rank(rows) == c
+        assert primitive.call_count == c
+        reduced, pivots = rref(a)
+        assert pivots == tuple(range(c))
+        assert [list(reduced.row(q)) for q in range(c)] == brute_span(rows, c)
+        assert reduced.maps[c:] == [{} for _ in tail]
+        assert nullspace_basis(a) == [tuple(v) for v in brute_nullspace(rows, c)] == []
 
     def test_rank_of_long_weight_strings(self):
         # a 2000-dimensional string: h - wI is diagonal, e has one entry

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.liealg as liealg
-from trilie.exact import unit_vector
+from trilie.exact import RatMatrix, unit_vector
 from trilie.liealg import (
     LeviData,
     LieAlgebra,
@@ -473,6 +473,21 @@ class TestAdjointGrading:
                     [unit_vector(L.dim, i) for i in nilrad],
                     [unit_vector(L.dim, i) for i in radical],
                 ), (radical, nilrad)
+
+    def test_basis_check_reads_only_stored_entries(self, monkeypatch):
+        # the final rank check is built from the vectors' nonzero entries,
+        # with no dense coercion; declaring z0 in the Levi list too gives
+        # dim graded vectors of rank dim - 1, which it still refuses
+        def refuse(*args):
+            raise AssertionError("the basis check coerced dense rows")
+
+        monkeypatch.setattr(RatMatrix, "from_rows", refuse)
+        L, levi = build_sl2_lambda(16)
+        g = adjoint_grading(L, levi)
+        assert g.graded_basis() == [unit_vector(L.dim, i) for i in range(L.dim)]
+        L, _ = build_sl2_lambda(1)
+        with pytest.raises(RuntimeError, match="graded components do not form a basis"):
+            adjoint_grading(L, LeviData((0, 1, 3), (3, 4), (3, 4)))
 
     @pytest.mark.parametrize(
         "declared,bad",

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trilie.liealg as liealg
 import trilie.rep as rep
 from trilie.exact import RatMatrix, exp_nilpotent, invert, unit_vector
+from trilie.family import ModuleParams, build_family_module
 from trilie.graded import (
     GradedMap,
     GradedSpace,
@@ -49,6 +51,7 @@ from helpers import (
     is_weight_string,
     mask_triangular,
     mat_power,
+    primes_from,
     rebased,
     seeded_rational_matrix,
     seeded_triangular_map,
@@ -276,6 +279,108 @@ class TestHomomorphismOracle:
         monkeypatch.setattr(GradedMap, "bracket", refuse)
         assert verify_homomorphism(good) == (True, None)
         assert verify_homomorphism(bad) == (False, (0, 2))
+
+
+def refuse_fraction_arithmetic(patch):
+    """Make every arithmetic operator of Fraction raise, for the scope
+    of the monkeypatch context `patch`."""
+    def refuse(*args):
+        raise AssertionError("the scan did Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        patch.setattr(Fraction, name, refuse)
+
+
+def lower_conjugated(diagonal):
+    """P diag(D) P^-1 as plain lists, P the lower triangular all-ones
+    matrix: D_r on the diagonal, D_c - D_(c+1) at (r, c) below it, 0
+    above. Any two such matrices commute."""
+    n = len(diagonal)
+    return [
+        [diagonal[r] if c == r else diagonal[c] - diagonal[c + 1] if c < r else F(0)
+         for c in range(n)]
+        for r in range(n)
+    ]
+
+
+class TestIntegerScan:
+    def test_fractional_images_take_no_fraction_arithmetic(self, monkeypatch):
+        # a λ=2 family module with a = (1/2, -1/3), which fails, and the
+        # adjoint of sl2^3 in a basis rescaled by fractions, which holds
+        # until one image entry is changed
+        family = build_family_module(ModuleParams(2, 4, 2, 0, 0, (F(1, 2), F(-1, 3))))
+        family_lists = [im.matrix.to_lists() for im in family.images]
+        base, _ = build_sl2_lambda(3)
+        dim = base.dim
+        scales = [F(2, 3), F(-5, 7), 3, F(7, 4), F(-1, 6), F(11, 9), F(5, 2)]
+        table = rebased(base.structure, [6, 2, 0, 4, 1, 5, 3], scales)
+        good = adjoint_lists(dim, table)
+        bad = [[list(row) for row in image] for image in good]
+        bad[4][5][2] += F(1, 3)
+        cases = [
+            (family, brute_homomorphism_witness(family.algebra.dim,
+                                                dict(family.algebra.structure),
+                                                family_lists)),
+            (list_representation(dim, table, good),
+             brute_homomorphism_witness(dim, table, good)),
+            (list_representation(dim, table, bad),
+             brute_homomorphism_witness(dim, table, bad)),
+        ]
+        assert [want[0] for _, want in cases] == [False, True, False]
+        assert any(x.denominator > 1 for im in family.images
+                   for row in im.matrix.maps for x in row.values())
+        for rho, want in cases:
+            with monkeypatch.context() as patch:
+                refuse_fraction_arithmetic(patch)
+                got = verify_homomorphism(rho)
+            assert got == want
+
+    def test_dense_coprime_image_keeps_integral_pairs_small(self, monkeypatch):
+        # twelve commuting 40 x 40 images P D_k P^-1 (`lower_conjugated`);
+        # D_0 holds 1/p over forty 64-bit primes, so image 0 alone has a
+        # 2560-bit least common denominator, and the other D_k hold small
+        # integers. Image 0 comes first, so the pairs (0, j) are scanned
+        # before every pair of two integral images
+        n = 40
+        rng = random.Random(19)
+        diagonals = [[F(1, p) for p in primes_from(2**63, n)]]
+        diagonals += [[F(rng.randint(-9, 9)) for _ in range(n)] for _ in range(11)]
+        images = [lower_conjugated(d) for d in diagonals]
+        rho = list_representation(12, {}, images)
+
+        calls = []
+        real_add = liealg.add_scaled_row
+
+        def recording_add(out, row, c):
+            calls.append((row, c))
+            real_add(out, row, c)
+
+        monkeypatch.setattr(liealg, "add_scaled_row", recording_add)
+        # the images commute, so the oracle's answer is (True, None)
+        assert verify_homomorphism(rho) == (True, None)
+
+        # the last calls are the integral pairs', one per stored (r, k)
+        # of a factor whose row k of the other factor is stored
+        stored = [{r for r, row in enumerate(m) if any(row)} for m in images]
+
+        def terms(a, b):
+            return sum(1 for row in images[a] for k, x in enumerate(row) if x and k in stored[b])
+
+        count = sum(terms(i, j) + terms(j, i) for i in range(1, 12) for j in range(i + 1, 12))
+
+        def bits(call):
+            row, c = call
+            return max(c.bit_length(), *(x.bit_length() for x in row.values()))
+
+        assert max(map(bits, calls[-count:])) <= 64
+        # the call before them, in the pair (0, 11), carries image 0
+        assert bits(calls[-count - 1]) > 64
+
+        # one entry of image 1 changed: the first pair fails
+        images[1][0][n - 1] += 1
+        bad = list_representation(12, {}, images)
+        assert verify_homomorphism(bad) == brute_homomorphism_witness(12, {}, images)
 
 
 class TestTriangularConditions:
