@@ -65,9 +65,14 @@ def _read_json(path: str) -> dict:
 def _write(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        # a missing directory, a directory, a full disk: the report is
+        # not written, so this is no check result
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def _parse_scalars(raw: str) -> tuple:

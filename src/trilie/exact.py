@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import ne
 from typing import Sequence
 
 ZERO = Fraction(0)
@@ -110,9 +112,11 @@ class RatMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        """Matrix from a list of rows, each entry coerced by rat(); the
-        literal "0" that fills JSON artifacts is skipped unparsed."""
+    def from_rows(cls, rows: Sequence[Sequence], parse=None) -> "RatMatrix":
+        """Matrix from a list of rows, each entry coerced by `parse` (rat()
+        if None); the literal "0" that fills JSON artifacts is skipped
+        unparsed, found by C iterators without a Python step per entry."""
+        parse = parse or rat
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
@@ -120,11 +124,11 @@ class RatMatrix:
         maps = []
         for r in rows:
             row = {}
-            for j, x in enumerate(r):
-                if x != "0":
-                    x = rat(x)
-                    if x:
-                        row[j] = x
+            # the repeat is unbounded: a bounded one is used up by one row
+            for j in compress(count(), map(ne, r, repeat("0"))):
+                x = parse(r[j])
+                if x:
+                    row[j] = x
             maps.append(row)
         return cls._from_maps(nrows, ncols, maps)
 

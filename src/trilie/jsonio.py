@@ -4,7 +4,17 @@ Rationals serialize as strings "p/q" (or "p" when the denominator is
 1); matrices as row-major arrays of such strings; dictionaries are
 built in a fixed key order and never re-sorted, so identical inputs
 produce byte-identical files. Readers take an integer field only as a
-JSON integer and a list field only as a JSON array.
+JSON integer and a list field only as a JSON array, and parse each
+distinct entry string of a document once.
+
+Every artifact is written as `json.dumps(doc, indent=2)` writes it. On
+CPython up to 3.12 an indent switches json to its pure-Python encoder,
+which yields one small string per token; `encode_indented` writes the
+same bytes by returning one whole string per value and joining each
+container's members, with strings and keys through json's C
+`encode_basestring_ascii`, so it costs about half as much. CPython 3.13
+encodes indented output in C, faster than any Python writer, so there
+`dumps` keeps `json.dumps`. The choice is made once, at import.
 """
 
 from __future__ import annotations
@@ -13,8 +23,10 @@ import json
 import os
 import reprlib
 import stat
+import sys
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii as _ascii
+from typing import Any, Callable
 
 from .exact import RatMatrix, rat, rat_str
 from .graded import GradedMap, GradedSpace
@@ -41,21 +53,116 @@ def _array(value: Any, name: str) -> list:
     return value
 
 
-def dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _key(k: Any) -> str:
+    # a str subclass is a key as it is; the other key types json accepts
+    # are written as json writes them as values
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(k)
+
+
+def _encode(value: Any, nl: str) -> str:
+    """`value` as json.dumps(indent=2) writes it, where `nl` is the newline
+    and indent of the line `value` starts on. Exact str, int, list and
+    dict, None and the bools are written here; tuples and subclasses of
+    list and dict are containers, as in json's isinstance order; any
+    other value (a float, a str or int subclass, or what json refuses)
+    is written or refused by json.dumps, which indents no scalar."""
+    t = type(value)
+    if t is str:
+        return _ascii(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is not list and t is not dict:
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, (list, tuple)):
+            t = list
+        elif not isinstance(value, dict):
+            return json.dumps(value)
+    if not value:
+        return "[]" if t is list else "{}"
+    inner = nl + "  "
+    if t is list:
+        items = [_ascii(v) if type(v) is str else _encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    items = [
+        _ascii(k if type(k) is str else _key(k)) + ": " + _encode(v, inner)
+        for k, v in value.items()
+    ]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def encode_indented(doc: Any) -> str:
+    """json.dumps(doc, indent=2), written by joining whole strings. What
+    the writer refuses (a type json cannot encode, a bad key, a cycle or
+    nesting past the recursion limit) goes to json.dumps(indent=2), which
+    returns or raises as json does."""
+    try:
+        return _encode(doc, "\n")
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(doc, indent=2)
+
+
+if sys.version_info >= (3, 13):
+
+    def dumps(doc: Any) -> str:
+        return json.dumps(doc, indent=2) + "\n"
+
+else:
+
+    def dumps(doc: Any) -> str:
+        return encode_indented(doc) + "\n"
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
-    return [[rat_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    # "0" fills each row; only the stored entries are formatted, and
+    # str(Fraction) is rat_str's "p/q" or "p"
+    out = []
+    for row in m.maps:
+        line = ["0"] * m.cols
+        for j, x in row.items():
+            line[j] = str(x)
+        out.append(line)
+    return out
 
 
-def matrix_from_json(rows: list[list[str]], shape: tuple[int, int] | None = None) -> RatMatrix:
+def _parser() -> Callable[[Any], Fraction]:
+    """rat() for one document, parsing each distinct string once. Only
+    strings are kept: 1, 1.0 and True hash alike, and True must stay a
+    TypeError."""
+    memo: dict[str, Fraction] = {}
+
+    def parse(x: Any) -> Fraction:
+        if type(x) is not str:
+            return rat(x)
+        q = memo.get(x)
+        if q is None:
+            q = memo[x] = rat(x)
+        return q
+
+    return parse
+
+
+def matrix_from_json(
+    rows: list[list[str]],
+    shape: tuple[int, int] | None = None,
+    parse: Callable[[Any], Fraction] | None = None,
+) -> RatMatrix:
+    """A matrix from its row listing; `parse` reads the entries (a fresh
+    one-document parser if None)."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError("a matrix must be a list of rows, each a list of entries")
     if not rows and shape is not None and shape[0] == 0:
         # a 0-row listing carries no column count; only `shape` does
         return RatMatrix.zeros(*shape)
-    m = RatMatrix.from_rows(rows)
+    m = RatMatrix.from_rows(rows, parse or _parser())
     if shape is not None and (m.rows, m.cols) != shape:
         raise ValueError(f"matrix shape {m.rows}x{m.cols}, expected {shape}")
     return m
@@ -78,7 +185,12 @@ def algebra_to_json(L: LieAlgebra, D: LeviData) -> dict:
     }
 
 
-def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
+def algebra_from_json(
+    doc: dict, parse: Callable[[Any], Fraction] | None = None
+) -> tuple[LieAlgebra, LeviData]:
+    """An algebra and its Levi data; `parse` reads the bracket
+    coefficients (a fresh one-document parser if None)."""
+    parse = parse or _parser()
     structure = {}
     for entry in _array(doc["brackets"], "brackets"):
         i, j, coeffs = entry
@@ -90,7 +202,7 @@ def algebra_from_json(doc: dict) -> tuple[LieAlgebra, LeviData]:
             k = int_field(k)
             if k in terms:
                 raise ValueError(f"bracket pair {pair} lists target {k} twice")
-            terms[k] = rat(c)
+            terms[k] = parse(c)
     L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in _array(doc["labels"], "labels")], structure)
     index_lists = []
     for key in ("levi", "radical", "nilradical"):
@@ -131,7 +243,10 @@ def representation_from_json(doc: dict) -> Representation:
             raise ValueError(f"algebra path {algebra_doc!r} is not a regular file")
         with open(algebra_doc) as fh:
             algebra_doc = json.load(fh)
-    L, D = algebra_from_json(algebra_doc)
+    # one parser for the whole document: images repeat the algebra's
+    # coefficients and each other's entries
+    parse = _parser()
+    L, D = algebra_from_json(algebra_doc, parse)
     dims = tuple(int_field(d) for d in _array(doc["dims"], "dims"))
     seen = set(doc["images"])
     expected = set(L.basis_labels)
@@ -140,7 +255,9 @@ def representation_from_json(doc: dict) -> Representation:
             f"images keyed by {sorted(seen)}, algebra has {sorted(expected)}"
         )
     shape = (sum(dims), sum(dims))  # each image is checked against it
-    images = tuple(matrix_from_json(doc["images"][label], shape) for label in L.basis_labels)
+    images = tuple(
+        matrix_from_json(doc["images"][label], shape, parse) for label in L.basis_labels
+    )
     return Representation(L, D, GradedSpace(dims), images)
 
 

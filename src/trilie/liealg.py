@@ -87,7 +87,7 @@ class LieAlgebra:
                 raise ValueError(
                     f"store brackets for i < j only, got ({i}, {j})"
                 )
-            cleaned = {k: rat(c) for k, c in coeffs.items() if rat(c) != 0}
+            cleaned = {k: q for k, c in coeffs.items() if (q := rat(c))}
             for k in cleaned:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target index {k} out of range")

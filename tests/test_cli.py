@@ -228,6 +228,21 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert json.loads(path.read_text())["dim"] == 7
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "sl2l", "--lambda", "1"],
+    ["classify", "--lambda", "1", "--max-n", "2", "--max-m", "2"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, where):
+    # an output that cannot be written is an input error, not a failed check
+    path = tmp_path / "absent" / "out.json" if where == "missing directory" else tmp_path
+    code, out, err = _run(capsys, [*argv, "-o", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_gen_output_is_deterministic(capsys):
     argv = "gen family --lambda 2 --m 3 --n 1 --s 0 --bigN 0 --a=-1/2".split()
     _, first, _ = _run(capsys, argv)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.liealg as liealg
-from trilie.exact import RatMatrix, unit_vector
+from trilie.exact import RatMatrix, rat, unit_vector
 from trilie.liealg import (
     LeviData,
     LieAlgebra,
@@ -666,6 +666,18 @@ class TestReadOnlyAlgebra:
             L.structure[(2, 4)] = {3: F(2)}
         with pytest.raises(TypeError):
             L.structure[(0, 1)][0] = F(5)
+
+    def test_each_coefficient_is_coerced_once(self, monkeypatch):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return rat(value)
+
+        monkeypatch.setattr(liealg, "rat", counted)
+        L = LieAlgebra(3, ["a", "b", "c"], {(0, 1): {2: "1/2", 0: 0}, (1, 2): {0: F(3)}})
+        assert calls == ["1/2", 0, F(3)]
+        assert {k: dict(v) for k, v in L.structure.items()} == {(0, 1): {2: F(1, 2)}, (1, 2): {0: F(3)}}
 
     def test_unused_indices_share_one_zero_matrix(self):
         # one bracket in 1500 dimensions: no row list for the 1498 other
