@@ -7,6 +7,13 @@ representation pipeline), `enumerate` (valid parameter tuples),
 triangular map). `-` stands for stdin/stdout. Exit codes: 0 all checks
 pass, 1 a verification check failed (the report is still written),
 2 malformed input or arguments.
+
+A report that would hold a computed number too long to write is
+malformed input too. CPython converts no int of more than
+`sys.get_int_max_str_digits()` digits to text, and that bound is kept,
+since it also bounds int parsing, which is quadratic in the digits. The
+CLI catches the refusal where it turns a report into text, names the
+field, and writes nothing.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ import functools
 import json
 import reprlib
 import sys
+from typing import Any, Callable
 
 from .classify import classification_report
-from .exact import rat
+from .exact import RatMatrix, rat
 from .family import (
     ModuleParams,
     build_family_module,
@@ -75,6 +83,49 @@ def _write(text: str, path: str) -> None:
         raise InputError(f"cannot write {path}: {exc}")
 
 
+def _unprintable(value: Any, field: str = "") -> str | None:
+    """The field of the first number under `value` that is too long to
+    write, or None; a matrix is walked by its stored entries."""
+    if isinstance(value, dict):
+        items = ((f"{field}.{k}" if field else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{field}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, RatMatrix):
+        items = (
+            (f"{field}[{r}][{c}]", x)
+            for r, row in enumerate(value.maps)
+            for c, x in row.items()
+        )
+    else:
+        try:
+            str(value)
+        except ValueError:
+            return field
+        return None
+    return next(filter(None, (_unprintable(v, f) for f, v in items)), None)
+
+
+def _render(make: Callable[[], Any], locate: Callable[[], str | None]) -> Any:
+    """make(), which turns a report into text. If it meets a number too
+    long to write, that is exit 2 naming the field `locate()` finds;
+    `locate` runs only then, so a report pays nothing per entry."""
+    try:
+        return make()
+    except ValueError as exc:
+        # how CPython refuses str() of an int past the digit bound
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise InputError(
+            f"{locate() or 'the report'} holds a number of more than {limit} "
+            "digits, too long to write"
+        )
+
+
+def _report_text(report: dict) -> str:
+    return _render(lambda: dumps(jsonable(report)), lambda: _unprintable(report))
+
+
 def _parse_scalars(raw: str) -> tuple:
     if not raw:
         return ()
@@ -109,7 +160,13 @@ def _cmd_gen(args) -> int:
             "paper_literal": args.paper_literal,
         }
     }
-    _write(dumps(representation_to_json(rho, extra)), args.output)
+    text = _render(
+        lambda: dumps(representation_to_json(rho, extra)),
+        lambda: _unprintable(
+            {"images": {label: im.matrix for label, im in zip(rho.algebra.basis_labels, rho.images)}}
+        ),
+    )
+    _write(text, args.output)
     return 0
 
 
@@ -122,11 +179,11 @@ def _cmd_check(args) -> int:
     axioms = check_axioms(L)
     levi = verify_levi_data(L, D)
     report = {
-        "axioms": jsonable(axioms),
-        "levi_data": jsonable(levi),
+        "axioms": axioms,
+        "levi_data": levi,
         "all_pass": axioms["all_pass"] and levi["all_pass"],
     }
-    _write(dumps(report), args.output)
+    _write(_report_text(report), args.output)
     return 0 if report["all_pass"] else 1
 
 
@@ -164,7 +221,7 @@ def _cmd_verify(args) -> int:
         except (*_BAD_DOCUMENT, OSError, RecursionError) as exc:
             raise InputError(f"bad representation document: {exc}")
         report = verify_representation(rho)
-    _write(dumps(jsonable(report)), args.output)
+    _write(_report_text(report), args.output)
     return 0 if report["all_pass"] else 1
 
 
@@ -181,7 +238,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     if args.lam < 1 or args.max_n < 0 or args.max_m < 0:
         raise InputError("need --lambda >= 1 and nonnegative bounds")
-    report = classification_report(args.lam, args.max_n, args.max_m)
+    # the scalars are the report's only computed numbers, written as it
+    # is built
+    report = _render(
+        lambda: classification_report(args.lam, args.max_n, args.max_m),
+        lambda: "cells.family_matches.scalar",
+    )
     if args.table:
         width = 6
         header = "".join(
@@ -222,13 +284,16 @@ def _cmd_decompose(args) -> int:
         )
         return 1
     comps = degree_components(g)
-    report = {
-        "triangular": True,
-        "components": {
-            str(j): matrix_to_json(comps[j].matrix) for j in sorted(comps)
-        },
-    }
-    _write(dumps(report), args.output)
+    text = _render(
+        lambda: dumps({
+            "triangular": True,
+            "components": {
+                str(j): matrix_to_json(comps[j].matrix) for j in sorted(comps)
+            },
+        }),
+        lambda: _unprintable({"components": {str(j): comps[j].matrix for j in sorted(comps)}}),
+    )
+    _write(text, args.output)
     return 0
 
 

@@ -9,8 +9,7 @@ maps, cleared to primitive integer rows: it is fraction-free, and its
 pivots do not depend on the row order; it stops once the rows seen
 reach full column rank. Fractions appear only in rref's reduced rows,
 one per stored entry. For a family of equal-shape matrices M_k,
-`combination` sums c_k M_k and `entry_system` stacks the system
-sum_k x_k M_k = 0. Every sparse sum, products included, adds
+`combination` sums c_k M_k. Every sparse sum, products included, adds
 scaled rows with `add_scaled_row`. Checks that only compare products
 read `integral_rows`: integer row maps, one denominator per image.
 """
@@ -377,19 +376,6 @@ def integral_rows(m: RatMatrix) -> tuple[int, dict[int, dict[int, int]]]:
         for i, row in enumerate(m.maps)
         if row
     }
-
-
-def entry_system(mats: Sequence[RatMatrix]) -> tuple[list[tuple[int, int]], RatMatrix]:
-    """The sorted (r, c) entries stored by some matrix, and the system whose
-    column k holds mats[k] on them; its kernel is {x : sum x_k mats[k] = 0}."""
-    equations: dict[tuple[int, int], dict] = {}
-    for k, m in enumerate(mats):
-        for r, row in enumerate(m.maps):
-            for c, x in row.items():
-                equations.setdefault((r, c), {})[k] = x
-    entries = sorted(equations)
-    system = [equations[e] for e in entries]
-    return entries, RatMatrix._from_maps(len(entries), len(mats), system)
 
 
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:

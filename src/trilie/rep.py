@@ -21,6 +21,11 @@ each image's `graded.block_support`, computed once per image.
 The homomorphism check is `liealg.bracket_defect`, the one scan that
 also decides Jacobi (for ρ = ad); it builds no matrix and runs on
 integer row maps, one denominator per image.
+
+Faithfulness is read off the stored entries: a presolve drops every
+image that some stored position names alone, repeatedly, and only the
+residue is eliminated by rref. The family modules' images store
+pairwise disjoint positions, so they need no elimination at all.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .exact import (
     Vector,
     ZERO,
     combination,
-    entry_system,
     exp_nilpotent,
     nullspace_basis,
     rank,
@@ -155,10 +159,66 @@ def verify_triangular_conditions(rho: Representation) -> dict:
 
 
 def kernel(rho: Representation) -> list[Vector]:
-    """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty."""
-    if not rho.images:
-        return []  # the zero algebra, whose n^2 x 0 system would still be swept
-    return nullspace_basis(entry_system([im.matrix for im in rho.images])[1])
+    """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty.
+
+    The system has one equation per stored (r, c) position, naming the
+    images that store it. An equation naming one live image forces that
+    coefficient to 0, so the column is dropped; drops repeat until no
+    equation names exactly one live image (the singleton step of LP
+    presolve). Only the residue, equations naming two or more live
+    images, is eliminated. Every kernel vector is 0 on a dropped column,
+    so the free columns and the rref basis vectors are those of the
+    whole system."""
+    equations: dict[tuple[int, int], dict] = {}
+    for k, im in enumerate(rho.images):
+        for r, row in enumerate(im.matrix.maps):
+            for c, x in row.items():
+                equations.setdefault((r, c), {})[k] = x
+    dropped: set[int] = set()
+    shared = []
+    for eq in equations.values():
+        if len(eq) == 1:
+            dropped.update(eq)
+        else:
+            shared.append(eq)
+    live_count = []
+    touching: dict[int, list[int]] = {}
+    queue = []
+    for e, eq in enumerate(shared):
+        names = [k for k in eq if k not in dropped]
+        live_count.append(len(names))
+        if len(names) == 1:
+            queue.append(names[0])
+        elif names:
+            for k in names:
+                touching.setdefault(k, []).append(e)
+    while queue:
+        k = queue.pop()
+        if k in dropped:
+            continue
+        dropped.add(k)
+        for e in touching.get(k, ()):
+            live_count[e] -= 1
+            if live_count[e] == 1:
+                queue.extend(j for j in shared[e] if j not in dropped)
+    n = len(rho.images)
+    live = [k for k in range(n) if k not in dropped]
+    column = {k: i for i, k in enumerate(live)}
+    residue = [
+        {column[k]: x for k, x in eq.items() if k in column}
+        for eq, count in zip(shared, live_count)
+        if count > 1
+    ]
+    if not residue:
+        # nothing left to solve: each live column is a kernel vector
+        return [unit_vector(n, k) for k in live]
+    basis = []
+    for v in nullspace_basis(RatMatrix._from_maps(len(residue), len(live), residue)):
+        lifted = [ZERO] * n
+        for k, x in zip(live, v):
+            lifted[k] = x
+        basis.append(tuple(lifted))
+    return basis
 
 
 def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:

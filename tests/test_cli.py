@@ -16,12 +16,16 @@ import time
 import pytest
 
 import trilie
+import trilie.cli as cli
 import trilie.rep as rep
 import trilie.sl2theory as sl2theory
 from trilie.cli import run
+from trilie.exact import RatMatrix
+from trilie.family import ModuleParams, build_family_module
+from trilie.graded import GradedMap, GradedSpace
 from trilie.jsonio import algebra_to_json, matrix_to_json, representation_from_json
 from trilie.liealg import build_sl2
-from trilie.rep import verify_representation
+from trilie.rep import Representation, verify_representation
 from trilie.sl2theory import build_irreducible
 
 
@@ -428,9 +432,68 @@ def test_malformed_documents_exit_2(capsys, monkeypatch, verb, text):
     assert "error:" in err
 
 
+# two 1-dim images, 10^4000 and 10^-4000: the faithful witness is
+# (-1/10^8000, 1), and CPython writes no int of more than 4300 digits
+_LONG_WITNESS_DOC = {
+    "algebra": {"dim": 2, "labels": ["a", "b"], "brackets": [], "levi": [],
+                "radical": [0, 1], "nilradical": []},
+    "dims": [1],
+    "images": {"a": [["1" + "0" * 4000]], "b": [["1/1" + "0" * 4000]]},
+}
+
+
+def test_number_too_long_to_write_exits_2(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "report.json"
+    for argv in (["verify", "-"], ["verify", "-", "-o", str(target)]):
+        code, out, err = _run(capsys, argv, stdin=json.dumps(_LONG_WITNESS_DOC),
+                              monkeypatch=monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: witnesses.faithful[0] holds a number of more than")
+    assert not target.exists()
+
+
+_HUGE = 10**5000
+
+
+def _long_family_image(monkeypatch):
+    rho = build_family_module(ModuleParams(1, 2, 1, 0, 0, (1,)))
+    images = list(rho.images)
+    images[3] = images[3].matrix.scale(_HUGE)
+    long = Representation(rho.algebra, rho.levi, rho.space, tuple(images))
+    monkeypatch.setattr(cli, "build_family_module", lambda p, paper_literal: long)
+    return "gen family --lambda 1 --m 2 --n 1 --s 0 --bigN 0 --a 1".split(), "images.z0["
+
+
+def _long_component(monkeypatch):
+    big = GradedMap(GradedSpace((2,)), RatMatrix.from_rows([[0, _HUGE], [0, 0]]))
+    monkeypatch.setattr(cli, "degree_components", lambda g: {0: big})
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"dims": [2], "matrix": [["0", "1"], ["0", "0"]]})))
+    return ["decompose", "-"], "components.0[0][1]"
+
+
+def _long_scalar(monkeypatch):
+    # classify writes its scalars while it builds the report
+    monkeypatch.setattr(cli, "classification_report",
+                        lambda lam, n, m: {"cells": [{"scalar": str(_HUGE)}]})
+    return "classify --lambda 1 --max-n 1 --max-m 1".split(), "cells.family_matches.scalar"
+
+
+@pytest.mark.parametrize("setup", [_long_family_image, _long_component, _long_scalar],
+                         ids=["gen-family", "decompose", "classify"])
+def test_every_verb_refuses_a_number_too_long_to_write(capsys, monkeypatch, tmp_path, setup):
+    argv, field = setup(monkeypatch)
+    target = tmp_path / "out.json"
+    code, out, err = _run(capsys, argv + ["-o", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}")
+    assert not target.exists()
+
+
 def test_zero_algebra_on_large_space_returns_at_once(capsys, monkeypatch):
-    # no images means nothing to solve; the 10^12 x 0 kernel system of
-    # a 10^6-dimensional space must not be swept
+    # no images means no live column: kernel returns with no elimination
+    # and no sweep of the 10^12 positions of a 10^6-dimensional space
     swept = []
 
     def record(a):

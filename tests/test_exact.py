@@ -14,7 +14,6 @@ from trilie.exact import (
     columns_matrix,
     combination,
     commutator,
-    entry_system,
     exp_nilpotent,
     integral_rows,
     invert,
@@ -634,19 +633,3 @@ class TestFamilyHelpers:
     def test_combination_rejects_mixed_shapes(self):
         with pytest.raises(ShapeError):
             combination([RatMatrix.identity(2), RatMatrix.identity(3)], [(1, F(1))])
-
-    @given(st.integers(0, 3), st.integers(0, 3), st.data())
-    @settings(max_examples=80)
-    def test_entry_system_matches_plain_lists(self, r, c, data):
-        mats = sparse_family(data, r, c)
-        lists = [m.to_lists() for m in mats]
-        entries, system = entry_system(mats)
-        assert entries == [
-            (p, q) for p in range(r) for q in range(c) if any(m[p][q] for m in lists)
-        ]
-        assert (system.rows, system.cols) == (len(entries), len(mats))
-        assert system.to_lists() == [[m[p][q] for m in lists] for p, q in entries]
-        assert_clean(system)
-        # the kernel is that of the dense system, one row per entry
-        dense = [[m[p][q] for m in lists] for p in range(r) for q in range(c)]
-        assert [list(v) for v in nullspace_basis(system)] == brute_nullspace(dense, len(mats))

@@ -4,13 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trilie.liealg as liealg
 import trilie.rep as rep
 from trilie.exact import RatMatrix, exp_nilpotent, invert, unit_vector
-from trilie.family import ModuleParams, build_family_module
+from trilie.family import ModuleParams, build_family_module, enumerate_params
 from trilie.graded import (
     GradedMap,
     GradedSpace,
@@ -452,6 +452,62 @@ class TestTriangularConditions:
         assert not report["condition_ii"]
 
 
+def abelian_rep(n: int, images: list) -> Representation:
+    """The n x n images as a representation of the abelian algebra with
+    one basis element per image."""
+    k = len(images)
+    L = LieAlgebra(k, [f"b{i}" for i in range(k)], {})
+    return Representation(L, LeviData((), tuple(range(k)), ()), GradedSpace((n,)),
+                          tuple(images))
+
+
+def dense_kernel(n: int, images: list) -> list:
+    """brute_nullspace of the dense system, one row per (p, q) entry."""
+    dense = [[m[p, q] for m in images] for p in range(n) for q in range(n)]
+    return brute_nullspace(dense, len(images))
+
+
+# every image stores its own positions: all columns drop at once
+EMPTY_RESIDUE = (2, [RatMatrix.from_rows([[1, 0], [0, 0]]), RatMatrix.zeros(2, 2),
+                     RatMatrix.from_rows([[0, 2], [0, F(1, 3)]])])
+# every position is stored by at least two images: nothing drops
+NO_SINGLETON = (2, [RatMatrix.from_rows([[1, 0], [1, 0]]),
+                    RatMatrix.from_rows([[1, 0], [1, 3]]),
+                    RatMatrix.from_rows([[0, 0], [0, -3]])])
+# only (0, 1) is a singleton at first; dropping b_0 makes (0, 0) one,
+# dropping b_1 then makes (1, 1) one
+CASCADE = (2, [RatMatrix.from_rows([[1, 1], [0, 0]]),
+               RatMatrix.from_rows([[2, 0], [0, 1]]),
+               RatMatrix.from_rows([[0, 0], [0, -1]])])
+# (1, 1) drops b_2; (0, 0) then names b_0 and b_1, a 1 x 2 residue
+SHARED_PAIR = (2, [RatMatrix.from_rows([[1, 0], [0, 0]]),
+                   RatMatrix.from_rows([[-2, 0], [0, 0]]),
+                   RatMatrix.from_rows([[0, 0], [0, 5]])])
+
+
+@st.composite
+def sparse_families(draw):
+    """0-5 sparse n x n images, n <= 3: half-zero entries, with zero
+    images, repeated and rescaled images drawn in, and for three or more
+    the last one may be 2 rho(b_0) - rho(b_1)."""
+    n = draw(st.integers(0, 3))
+    entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2), F(2), F(-3, 2)])
+    images = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["sparse", "sparse", "zero", "rescaled"]))
+        if kind == "zero":
+            images.append(RatMatrix.zeros(n, n))
+        elif kind == "rescaled" and images:
+            scale = draw(st.sampled_from([F(1), F(-1), F(2), F(1, 3)]))
+            images.append(draw(st.sampled_from(images)).scale(scale))
+        else:
+            images.append(RatMatrix(n, n, draw(st.lists(entries, min_size=n * n,
+                                                        max_size=n * n))))
+    if len(images) > 2 and draw(st.booleans()):
+        images[-1] = images[0].scale(2) - images[1]
+    return n, images
+
+
 class TestKernel:
     @pytest.mark.parametrize("lam", range(1, 5))
     def test_adjoint_sl2_lambda_is_faithful(self, lam):
@@ -484,6 +540,56 @@ class TestKernel:
                              tuple(images))
         dense = [[m[p, q] for m in images] for p in range(n) for q in range(n)]
         assert [list(v) for v in kernel(rho)] == brute_nullspace(dense, k)
+
+    @given(sparse_families())
+    @example(EMPTY_RESIDUE)
+    @example(NO_SINGLETON)
+    @example(CASCADE)
+    @settings(max_examples=200)
+    def test_kernel_matches_dense_oracle_on_sparse_families(self, family):
+        n, images = family
+        assert [list(v) for v in kernel(abelian_rep(n, images))] == dense_kernel(n, images)
+
+    @pytest.mark.parametrize(
+        "family, residue",
+        [(EMPTY_RESIDUE, None), (NO_SINGLETON, (3, 3)), (CASCADE, None), (SHARED_PAIR, (1, 2))],
+        ids=["empty-residue", "no-singleton", "cascade", "shared-pair"],
+    )
+    def test_presolve_eliminates_only_the_residue(self, monkeypatch, family, residue):
+        # the residue is the equations naming two or more live images,
+        # over the live columns; None: nothing is eliminated
+        seen = []
+        real = rep.nullspace_basis
+
+        def record(a):
+            seen.append((a.rows, a.cols))
+            return real(a)
+
+        monkeypatch.setattr(rep, "nullspace_basis", record)
+        n, images = family
+        assert [list(v) for v in kernel(abelian_rep(n, images))] == dense_kernel(n, images)
+        assert seen == ([] if residue is None else [residue])
+
+    def test_family_modules_need_no_elimination(self, monkeypatch):
+        # h is diagonal, f and e are off by one and each z_j has its own
+        # weight diagonal, so every stored entry belongs to one image: the
+        # presolve drops every nonzero image and the zero ones are free
+        def forbidden(a):
+            raise AssertionError(f"eliminated a {a.rows}x{a.cols} residue")
+
+        monkeypatch.setattr(rep, "nullspace_basis", forbidden)
+        for lam in (1, 2):
+            for m, n, s, big_n in enumerate_params(lam, 4, 4):
+                for a in (F(1), F(-1, 2), F(0)):
+                    for paper_literal in (False, True):
+                        p = ModuleParams(lam, m, n, s, big_n, (a,) * (n - s))
+                        rho = build_family_module(p, paper_literal)
+                        dim = len(rho.images)
+                        assert kernel(rho) == [
+                            unit_vector(dim, k)
+                            for k, im in enumerate(rho.images)
+                            if im.matrix.is_zero()
+                        ]
 
 
 class TestRecognizeSl2:
