@@ -19,8 +19,10 @@ Spans (the terms of both series, and the layers a section is cut from)
 are kept as the rref row maps of a RatMatrix. With R_i = L.ad_rows[i],
 the matrix whose row j is [b_i, b_j], built once per algebra, [b_i, S]
 is spanned by the rows of the one sparse product S @ R_i; dense tuples
-appear only in the public return values. Both series start from a span
-of basis indices, shown to be an ideal by one scan of the table.
+appear only in the public return values; `bracket` is ad(x) applied to
+y. Both series start from a span of basis indices, shown to be an ideal
+by one scan of the table, so the first term's ad matrices are the R_i.
+The same scan, `span_escape`, decides Levi closure wherever it is asked.
 
 One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
 brackets: it checks representations, and Jacobi is its check of ad. It
@@ -37,7 +39,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     ONE,
-    ZERO,
     RatMatrix,
     Vector,
     add_scaled_row,
@@ -131,23 +132,11 @@ class GradingAssignment:
 
 
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """Bilinear extension of the structure constants."""
-    x = vector(x)
-    y = vector(y)
-    if len(x) != L.dim or len(y) != L.dim:
+    """[x, y] = ad(x) y, the bilinear extension of the structure constants."""
+    x, y = vector(x), vector(y)
+    if len(y) != L.dim:
         raise ValueError("vector length does not match algebra dim")
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    out = [ZERO] * L.dim
-    for xi, r_i in zip(x, L.ad_rows):
-        if not xi:
-            continue
-        for j, yj in ys:
-            coeffs = r_i.maps[j]
-            if coeffs:
-                w = xi * yj
-                for k, c in coeffs.items():
-                    out[k] += w * c
-    return tuple(out)
+    return ad_matrix(L, x).apply(y)
 
 
 def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
@@ -273,9 +262,18 @@ def _index_escape(L: LieAlgebra, pairs: Iterable[tuple[int, int]],
     return None
 
 
-def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix] | None:
+def span_escape(L: LieAlgebra, indices: Sequence[int]) -> tuple[int, int, int] | None:
+    """The first bracket of two listed basis elements that leaves their
+    span, as `_index_escape` over the pairs i < j in list order; None
+    when span{b_g : g in indices} is closed under the bracket."""
+    idx = list(indices)
+    return _index_escape(L, ((i, j) for i in idx for j in idx if i < j), idx)
+
+
+def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix]:
     """ad(b_g) restricted to span{b_g : g in indices}, one matrix per
-    index in the local basis order; None when the span is not closed."""
+    index in the local basis order, b_k at the last position of k in the
+    list. The span must be closed (`span_escape`)."""
     idx = list(indices)
     m = len(idx)
     pos = {g: p for p, g in enumerate(idx)}
@@ -285,8 +283,6 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
         maps: list[dict] = [{} for _ in range(m)]
         for q, g2 in enumerate(idx):
             for k, c in r_g[g2].items():
-                if k not in pos:
-                    return None
                 maps[pos[k]][q] = c
         ads.append(RatMatrix._from_maps(m, m, maps))
     return ads
@@ -323,10 +319,11 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
     """The derived series of span(first), or its lower central series
     when `lower`, as rref row maps.
 
-    Precondition: span(first) is an ideal, which callers check by an
-    `_index_escape` scan of an index span. Then each term lies in the
-    one before, so the series ends within dim steps."""
-    ads = [combination(L.ad_rows, a.items()) for a in first.maps]
+    Precondition: first is an `_index_span` that is an ideal, which
+    callers check by an `_index_escape` scan. Then each term lies in the
+    one before, so the series ends within dim steps. Row b_i of first
+    has the stored ad matrix L.ad_rows[i]."""
+    ads = [L.ad_rows[i] for row in first.maps for i in row]
     # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
     # term and a_i of first (lower) or of the last term (derived)
     brackets = [first @ ad for ad in ads]
@@ -361,57 +358,43 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
             "levi": levi, "radical": radical, "nilradical": nilrad
         }
 
-    w = _index_escape(L, ((i, j) for i in levi for j in levi if i < j), levi)
-    levi_closed = w is None
-    if not levi_closed:
+    w = span_escape(L, levi)
+    if w is not None:
         witnesses["levi_closed"] = w
-
-    if levi_closed:
-        killing_ok = _subalgebra_killing_rank(L, levi) == len(levi)
-    else:
-        killing_ok = False
+    killing_ok = w is None and _subalgebra_killing_rank(L, levi) == len(levi)
     if not killing_ok:
         witnesses["levi_killing_nondegenerate"] = "rank deficient"
 
-    # an index span is an ideal iff every [b_i, b_j], j in it, stays in
-    # it, so the series below run with their preconditions met
-    w = _index_escape(L, ((i, j) for i in range(L.dim) for j in radical), radical)
-    if w is None:
-        rad_solvable = not _series(L, _index_span(L, radical), lower=False)[-1].rows
-        if not rad_solvable:
-            witnesses["radical_solvable_ideal"] = "derived series stabilizes nonzero"
-    else:
-        rad_solvable = False
-        witnesses["radical_solvable_ideal"] = w
-
-    w = _index_escape(L, ((i, j) for i in range(L.dim) for j in nilrad), nilrad)
-    if w is None:
-        nil_nilpotent = not _series(L, _index_span(L, nilrad), lower=True)[-1].rows
-        if not nil_nilpotent:
-            witnesses["nilradical_nilpotent_ideal"] = "lower central series stabilizes nonzero"
-    else:
-        nil_nilpotent = False
-        witnesses["nilradical_nilpotent_ideal"] = w
-
     report = {
         "partition": partition,
-        "levi_closed": levi_closed,
+        "levi_closed": w is None,
         "levi_killing_nondegenerate": killing_ok,
-        "radical_solvable_ideal": rad_solvable,
-        "nilradical_nilpotent_ideal": nil_nilpotent,
     }
+    # an index span is an ideal iff every [b_i, b_j], j in it, stays in
+    # it, so each series runs with its precondition met
+    for key, span, lower, stuck in (
+        ("radical_solvable_ideal", radical, False, "derived series stabilizes nonzero"),
+        ("nilradical_nilpotent_ideal", nilrad, True,
+         "lower central series stabilizes nonzero"),
+    ):
+        w = _index_escape(L, ((i, j) for i in range(L.dim) for j in span), span)
+        if w is None and _series(L, _index_span(L, span), lower)[-1].rows:
+            w = stuck
+        report[key] = w is None
+        if w is not None:
+            witnesses[key] = w
     report["all_pass"] = all(report.values())
     report["witnesses"] = witnesses
     return report
 
 
 def _levi_invariant_section(
-    L: LieAlgebra, levi: Sequence[int], cur: RatMatrix, sub: RatMatrix
+    action: Sequence[RatMatrix], cur: RatMatrix, sub: RatMatrix
 ) -> list[Vector]:
-    """Complement of span(sub) inside span(cur), invariant under ad of
-    every Levi basis element.
+    """Complement of span(sub) inside span(cur), invariant under each
+    Levi action matrix a, acting on row vectors as v ↦ v @ a.
 
-    In a basis of cur adapted to sub, each ad(s) is block triangular
+    In a basis of cur adapted to sub, each a is block triangular
     [[A_s, B_s], [0, C_s]]; a projector onto sub commuting with all of
     them has the form [[I, X], [0, 0]] with A_s X - X C_s = B_s for all
     s, and its kernel is the section. In characteristic 0 the stacked
@@ -419,12 +402,12 @@ def _levi_invariant_section(
     is reported, not papered over.
     """
     r, width = sub.rows, sub.rows + cur.rows
-    # one elimination of the columns [sub | cur | ad(s)(sub) | ad(s)(cur)
-    # for every s]: sub is independent, so the pivots are sub followed by
+    # one elimination of the columns [sub | cur | sub @ a | cur @ a for
+    # every a]: sub is independent, so the pivots are sub followed by
     # the rows ext of cur that extend it (sub + ext is the adapted basis),
     # and each image's reduced column holds its adapted coordinates
     vectors = RatMatrix._from_maps(width, cur.cols, sub.maps + cur.maps)
-    rows = vectors.maps + [row for s in levi for row in (vectors @ L.ad_rows[s]).maps]
+    rows = vectors.maps + [row for a in action for row in (vectors @ a).maps]
     columns = RatMatrix._from_maps(len(rows), cur.cols, rows).transpose()
     reduced, pivots = rref(columns)
     ext = [p - r for p in pivots if r <= p < width]
@@ -440,12 +423,12 @@ def _levi_invariant_section(
         return [ext_rows.row(q) for q in range(c)]
     adapted = list(range(r)) + [r + q for q in ext]
     systems, rhs = [], []
-    for idx in range(len(levi)):
+    for idx in range(len(action)):
         base = width * (idx + 1)
         m = reduced.submatrix(range(k), [base + j for j in adapted])
         for q in range(r):
             for p in range(r, r + c):
-                assert m[p, q] == 0, "ad(levi) must preserve the deeper layer"
+                assert m[p, q] == 0, "the Levi action must preserve the deeper layer"
         a = m.submatrix(range(r), range(r))
         cc = m.submatrix(range(r, r + c), range(r, r + c))
         systems.append(sylvester_system(a, cc))
@@ -493,8 +476,9 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
             f"input span is not an ideal: [b_{i}, v] escapes for v={unit_vector(L.dim, j)}"
         )
     series = _series(L, span, lower=True)
+    action = [L.ad_rows[s] for s in D.levi_indices]  # b_j ↦ [b_s, b_j]
     components: list[list[Vector]] = [v0] + [
-        _levi_invariant_section(L, D.levi_indices, series[k], series[k + 1])
+        _levi_invariant_section(action, series[k], series[k + 1])
         for k in range(len(series) - 1)
     ]
     if len(components) == 1 and not components[0]:

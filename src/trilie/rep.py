@@ -9,11 +9,13 @@ exact kernel computation, and per-component irreducibility under the
 Levi action. Irreducibility is decided only for a homomorphism whose
 Levi images are homogeneous of degree 0 (condition (i)), since only
 then is each component a Levi module; there it takes one rank of the
-image of e per component. A separate conjugation check re-runs the
-structural conditions after moving both the Levi factor and the grading
-by the exponential of a nilpotent element, confirming that the
-triangular structure does not depend on the particular Levi factor
-chosen.
+image of e per component. The sl2 triple is recognized on the Levi
+span, whose closure is decided by `liealg.span_escape`, the one index
+scan that also decides it for the declaration checks. A separate
+conjugation check re-runs the structural conditions after moving both
+the Levi factor and the grading by the exponential of a nilpotent
+element, confirming that the triangular structure does not depend on
+the particular Levi factor chosen.
 
 Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
@@ -52,6 +54,7 @@ from .liealg import (
     bracket,
     bracket_defect,
     restricted_ad_matrices,
+    span_escape,
 )
 
 
@@ -227,21 +230,22 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
     no basis element acts with eigenvalues {2, 0, -2}.
 
     Candidates h = b_g are tried in Levi order; m is ad(h) on the Levi
-    span, which must be closed. Column g of m is [h, h] = 0, so when the
-    eigenspaces of m - 2I and m + 2I are both lines, m has the three
-    distinct eigenvalues 2, 0, -2 and needs no other test. Their vectors
-    e and f satisfy [h, e] = 2e and [h, f] = -2f in the ambient algebra,
-    and so does e / c for any c. Only [e, f] = c h is left: it follows
-    from Jacobi, which is not assumed, so it is the one bracket computed
-    (c is the h-coordinate of [e, f])."""
+    span, once `liealg.span_escape` finds it closed. Column g of m is
+    [h, h] = 0, so when the eigenspaces of m - 2I and m + 2I are both
+    lines, m has the three distinct eigenvalues 2, 0, -2 and needs no
+    other test. Their vectors e and f satisfy [h, e] = 2e and
+    [h, f] = -2f in the ambient algebra, and so does e / c for any c.
+    Only [e, f] = c h is left: it follows from Jacobi, which is not
+    assumed, so it is the one bracket computed (c is the h-coordinate of
+    [e, f])."""
     idx = list(levi_indices)
     if len(idx) != 3:
         raise UnsupportedLeviError(
             f"irreducibility test supports only 3-dimensional Levi factors, got {len(idx)}"
         )
-    ads = restricted_ad_matrices(L, idx)
-    if ads is None:
+    if span_escape(L, idx) is not None:
         raise UnsupportedLeviError("Levi span not closed")
+    ads = restricted_ad_matrices(L, idx)
 
     def to_ambient(v: Vector) -> Vector:
         out = [ZERO] * L.dim
@@ -367,8 +371,8 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
         exp_ad = exp_nilpotent(ad_z)
     except ValueError:
         raise ValueError("ad(z) is not nilpotent; conjugation undefined")
-    p = exp_nilpotent(rho.image_of(z).matrix)
-    p_inv = exp_nilpotent(rho.image_of(tuple(-c for c in z)).matrix)
+    a = rho.image_of(z).matrix
+    p, p_inv = exp_nilpotent(a), exp_nilpotent(-a)
     assert p @ p_inv == RatMatrix.identity(rho.space.total_dim)
 
     # exp(rho(-z)) rho(v) exp(rho(z)) is linear in v, so each moved Levi

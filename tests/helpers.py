@@ -496,6 +496,22 @@ def brute_index_escape(dim: int, structure: dict, pairs, span) -> tuple | None:
     return None
 
 
+def brute_restricted_ad(dim: int, structure: dict, indices) -> list:
+    """ad(b_g) on span{b_g : g in indices}, one plain len x len list per
+    listed g: column q holds [b_g, b_indices[q]], with each b_k written
+    at the last position of k in the list. The span must be closed."""
+    pos = {g: p for p, g in enumerate(indices)}
+    out = []
+    for g in indices:
+        m = [[Fraction(0)] * len(indices) for _ in indices]
+        for q, g2 in enumerate(indices):
+            for k, c in enumerate(brute_bracket(dim, structure, _unit(dim, g), _unit(dim, g2))):
+                if c != 0:
+                    m[pos[k]][q] = c
+        out.append(m)
+    return out
+
+
 def brute_levi_witnesses(dim: int, structure: dict, levi, radical, nilrad) -> dict:
     """The witness, or None when the check passes, of the three index
     checks of a Levi declaration, from plain lists:

@@ -743,6 +743,21 @@ def test_huge_declared_dims_without_images_verify_in_bounded_memory():
     assert "Traceback" not in proc.stderr
 
 
+def test_verify_levi_span_not_closed_is_a_witness():
+    # [a, b] = d leaves the declared Levi span {a, b, c}: sl2 recognition
+    # refuses it before it builds the restricted ad matrices, which need
+    # a closed span
+    algebra = {"dim": 4, "labels": ["a", "b", "c", "d"], "brackets": [[0, 1, [[3, "1"]]]],
+               "levi": [0, 1, 2], "radical": [3], "nilradical": [3]}
+    proc = _run_limited("verify", {"algebra": algebra, "dims": [1],
+                                   "images": {label: [["0"]] for label in "abcd"}})
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["witnesses"]["irreducibility"] == "Levi span not closed"
+    assert report["irreducible_components"] is None
+    assert "Traceback" not in proc.stderr
+
+
 def _run_limited(verb, doc):
     src = os.path.dirname(os.path.dirname(trilie.__file__))
     return subprocess.run(

@@ -18,6 +18,7 @@ from trilie.liealg import (
     build_sl2,
     build_sl2_lambda,
     check_axioms,
+    restricted_ad_matrices,
     verify_levi_data,
 )
 
@@ -26,9 +27,11 @@ from helpers import (
     brute_derived_series,
     brute_extend_independent,
     brute_in_span,
+    brute_index_escape,
     brute_jacobi_witness,
     brute_levi_witnesses,
     brute_lower_central_series,
+    brute_restricted_ad,
     corrupt_bracket,
     rebased,
 )
@@ -112,6 +115,14 @@ class TestBracket:
             F(1),
             F(0),
         )
+
+    def test_coerces_both_vectors_before_the_length_check(self):
+        L, _ = build_sl2()
+        with pytest.raises(ValueError, match="Invalid literal"):
+            bracket(L, (1,), ("q",))
+        for x, y in (((1, 2, 3), (1,)), ((1,), (1, 2, 3))):
+            with pytest.raises(ValueError, match="vector length does not match algebra dim"):
+                bracket(L, x, y)
 
     def test_bracket_with_itself_vanishes(self):
         L, _ = build_sl2()
@@ -412,6 +423,72 @@ class TestSeriesOracles:
         for L, levi in (build_sl2_lambda(8), sl2_heisenberg_skewed()):
             assert verify_levi_data(L, levi)["all_pass"]
             adjoint_grading(L, levi)
+
+    def test_index_span_series_use_the_stored_ad_rows(self, monkeypatch):
+        # every first term is an index span, whose rows' ad matrices are
+        # L.ad_rows; the derived series of an abelian radical has no later term
+        def forbidden(*args):
+            raise AssertionError("liealg.combination called")
+
+        monkeypatch.setattr(liealg, "combination", forbidden)
+        L, levi = build_sl2_lambda(8)
+        assert verify_levi_data(L, levi)["all_pass"]
+        assert [len(c) for c in adjoint_grading(L, levi).component_bases] == [3, 9]
+
+    def test_deeper_derived_terms_agree_with_oracle(self, monkeypatch):
+        # the radical of sl2 ⋉ Heisenberg has [R, R] = span{c}, a later term
+        # whose ad matrices are combinations of the stored rows
+        calls = []
+        real = liealg.combination
+        monkeypatch.setattr(liealg, "combination",
+                            lambda *args: calls.append(args) or real(*args))
+        L, levi = sl2_heisenberg_skewed()
+        report = verify_levi_data(L, levi)
+        expected = brute_levi_witnesses(L.dim, L.structure, levi.levi_indices,
+                                        levi.radical_indices, levi.nilrad_indices)
+        for field, witness in expected.items():
+            assert report[field] is (witness is None), field
+            assert report["witnesses"].get(field) == witness, field
+        derived = brute_derived_series(L.dim, L.structure,
+                                       [unit_vector(L.dim, i) for i in levi.radical_indices])
+        assert [len(term) for term in derived] == [3, 1, 0]
+        assert len(calls) == 1
+
+
+def restriction_cases():
+    """(name, algebra, index list) with a closed span: Levi, nilradical,
+    an h-stable pair and every index (also reversed) of sl2^lam, lam <= 4,
+    in its own and a shuffled basis; spans of the skewed sl2 ⋉
+    Heisenberg; and sl2 listed with a repeated index."""
+    cases = []
+    for lam in range(1, 5):
+        base = build_sl2_lambda(lam)
+        perm = list(range(base[0].dim))
+        random.Random(lam).shuffle(perm)
+        for tag, (L, levi) in (("", base), ("shuffled ", shuffled(*base, perm))):
+            h, z0 = levi.levi_indices[1], levi.nilrad_indices[0]
+            everything = tuple(range(L.dim))
+            for idx in (levi.levi_indices, levi.nilrad_indices, (z0, h),
+                        everything, everything[::-1]):
+                cases.append((f"{tag}sl2^{lam} {idx}", L, idx))
+    L, levi = sl2_heisenberg_skewed()
+    for idx in (levi.levi_indices, levi.nilrad_indices, (5,), (1, 3, 5), tuple(range(6))):
+        cases.append((f"sl2+heis {idx}", L, idx))
+    # h at positions 0 and 3: its coefficient goes to row 3 only, and
+    # row 0 of every matrix stays zero
+    L, _ = build_sl2()
+    cases.append(("sl2 (1, 0, 2, 1)", L, (1, 0, 2, 1)))
+    return cases
+
+
+class TestRestrictedAdMatrices:
+    @pytest.mark.parametrize("case", restriction_cases(), ids=lambda case: case[0])
+    def test_matches_plain_oracle(self, case):
+        name, L, idx = case
+        pairs = [(i, j) for i in idx for j in idx if i < j]
+        assert brute_index_escape(L.dim, L.structure, pairs, idx) is None, name
+        got = [m.to_lists() for m in restricted_ad_matrices(L, idx)]
+        assert got == brute_restricted_ad(L.dim, L.structure, idx), name
 
 
 class TestAdjointGrading:

@@ -651,6 +651,19 @@ class TestRecognizeSl2:
         recognize_sl2(L, levi.levi_indices)
         assert len(calls) == 1
 
+    def test_closure_is_one_index_scan(self, monkeypatch):
+        # the scan verify_levi_data runs; the matrices are built after it
+        calls = []
+        real = liealg._index_escape
+        monkeypatch.setattr(liealg, "_index_escape",
+                            lambda *args: calls.append(args) or real(*args))
+        L, levi = build_sl2_lambda(3)
+        recognize_sl2(L, levi.levi_indices)
+        assert len(calls) == 1
+        with pytest.raises(UnsupportedLeviError, match="Levi span not closed"):
+            recognize_sl2(L, (0, 1, 3))
+        assert len(calls) == 2
+
 
 def sl2_tables(seed, count):
     """(dim, table, Levi list) for sl2, sl2 plus one or two central
