@@ -17,11 +17,13 @@ diagonal t - i = (m - n - Λ)/2, and on it the second is a two-term
 recurrence between neighbouring cells. The diagonal is a line unless
 one of its ends is forced to 0 by the row just past it, and no
 elimination runs.
-The family is compared by testing its z_0 block, read straight from
-the z-rules, for membership in the solution span; the parameter tuples
-of a cell are those `family.enumerate_params` lists for it. Tensor-product
-multiplicities provide a second, character-theoretic prediction of
-each cell's dimension.
+The family's z_0 lies on the same diagonal, N - s = c, so its
+membership in the solution span is read on the line's stored cells
+alone, one z-rule entry per cell; the parameter tuples of a cell are
+those `family.enumerate_params` lists for it. Tensor-product
+multiplicities, counted in closed form, provide a second,
+character-theoretic prediction of each cell's dimension. Nothing in a
+cell costs in Λ.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ONE, RatMatrix, rat_str
-from .family import ModuleParams, enumerate_params, two_block_representation, z_blocks
+from .family import (
+    ModuleParams,
+    enumerate_params,
+    two_block_representation,
+    validate_params,
+    z0_entry,
+)
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
 
@@ -160,15 +168,42 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
 def match_family(
     p: ExtensionProblem, space: SolutionSpace, params: ModuleParams
 ) -> dict:
-    """Is the family module's z_0 block inside the solver's span?"""
+    """Is the family module's z_0 block inside the solver's span?
+
+    The answer is read on the line's stored cells alone, in row-major
+    order, up to the first mismatch: z_0 lies on the line's weight
+    diagonal (N - s = c), so a member is nonzero on each of those cells
+    and stores no other, and its scalar is its first entry over the
+    line's there. No block, matrix or module is built."""
     if (params.lam, params.n, params.m) != (p.lam, p.n, p.m):
         raise ValueError(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    (block,) = z_blocks(params, 0)
-    member, scalar = space.contains(block)
-    return {"member": member, "scalar": scalar, "block_is_zero": block.is_zero()}
+    ok, problems = validate_params(params)
+    if not ok:
+        raise ValueError("; ".join(problems))
+    # a_0 = 1 stores the cell (N, s), so z_0 is never the zero block
+    outside = {"member": False, "scalar": None, "block_is_zero": False}
+    if not space.basis:
+        return outside
+    (line,) = space.basis
+    scalar = None
+    for t, row in enumerate(line.maps):
+        for i, x in row.items():
+            z = z0_entry(params, t, i)
+            if not z:
+                return outside
+            if scalar is None:
+                scalar = z / x
+            elif z != scalar * x:
+                return outside
+    # every line cell holds z_0, so z_0 stores no other iff it stores
+    # as many: a_0 and each nonzero a_θ whose cell is in range
+    in_range = min(params.n - params.s, params.m - params.big_n)
+    if 1 + sum(map(bool, params.a[:in_range])) != sum(map(len, line.maps)):
+        return outside
+    return {"member": True, "scalar": scalar, "block_is_zero": False}
 
 
 def classification_report(lam: int, n_max: int, m_max: int) -> dict:

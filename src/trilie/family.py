@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
-from .exact import ONE, RatMatrix, rat, rat_str
+from .exact import ONE, ZERO, RatMatrix, rat, rat_str
 from .graded import GradedSpace
 from .liealg import build_sl2_lambda
 from .rep import Representation, verify_representation
@@ -165,6 +165,20 @@ def z_blocks(p: ModuleParams, last_j: int) -> list[RatMatrix]:
             if num:
                 maps[t][i] = Fraction(num, den * fact[t - lo] * fact[m])
     return [RatMatrix._from_maps(m + 1, n + 1, maps) for maps in z_maps]
+
+
+def z0_entry(p: ModuleParams, t: int, i: int) -> Fraction:
+    """Cell (t, i) of z_0, the z-rules at j = 0 for valid params p:
+    a_θ (m-t)! / (t! m!) where t = i - s + N with s <= i <= min(n,
+    m + s - N), θ = i - s and a_0 = 1, and 0 on every other cell."""
+    theta = i - p.s
+    if t != theta + p.big_n or not 0 <= theta <= min(p.n - p.s, p.m - p.big_n):
+        return ZERO
+    a = p.a[theta - 1] if theta else ONE
+    return Fraction(
+        a.numerator * math.factorial(p.m - t),
+        a.denominator * math.factorial(t) * math.factorial(p.m),
+    )
 
 
 def build_family_module(p: ModuleParams, paper_literal: bool = False) -> Representation:

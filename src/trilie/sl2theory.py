@@ -3,10 +3,10 @@
 Irreducible modules in the lowering-operator basis convention
 (f walks down the weight string, e walks back up with integer
 coefficients), exact weight decompositions, and Clebsch-Gordan
-multiplicities by character counting. The latter serves as an oracle
-that is independent of any matrix construction elsewhere in the
-package. Irreducibility of a module is decided by the verification
-gate, `rep.is_k_irreducible`.
+multiplicities by character counting, with the tensor weights counted
+in closed form. The latter serves as an oracle that is independent of
+any matrix construction elsewhere in the package. Irreducibility of a
+module is decided by the verification gate, `rep.is_k_irreducible`.
 """
 
 from __future__ import annotations
@@ -99,12 +99,17 @@ def weight_decomposition(h: RatMatrix) -> dict[int, int]:
 
 def tensor_multiplicity(a: int, b: int, c: int) -> int:
     """Multiplicity of V_c inside V_a ⊗ V_b by weight counting:
-    (# tensor weights equal to c) - (# equal to c + 2)."""
+    (# tensor weights equal to c) - (# equal to c + 2). The weight
+    a + b - 2k comes from the pairs (i, j) with i + j = k, i <= a and
+    j <= b, which number min(k, a, b, a + b - k) + 1 for 0 <= k <= a + b,
+    so the count costs nothing in a or b."""
     if min(a, b, c) < 0:
         raise ValueError("highest weights must be nonnegative")
-    counts: dict[int, int] = {}
-    for i in range(a + 1):
-        for j in range(b + 1):
-            w = (a - 2 * i) + (b - 2 * j)
-            counts[w] = counts.get(w, 0) + 1
-    return counts.get(c, 0) - counts.get(c + 2, 0)
+    k, odd = divmod(a + b - c, 2)
+    if odd:
+        return 0
+
+    def pairs(k: int) -> int:
+        return min(k, a, b, a + b - k) + 1 if 0 <= k <= a + b else 0
+
+    return pairs(k) - pairs(k - 1)

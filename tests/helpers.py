@@ -26,6 +26,17 @@ def clebsch_gordan_count(a: int, b: int, c: int) -> int:
     return 0
 
 
+def tensor_weight_counts(a: int, b: int) -> dict[int, int]:
+    """Weight → number of basis pairs (x_i, y_j) of V_a ⊗ V_b of that
+    weight, by visiting every pair."""
+    counts: dict[int, int] = {}
+    for i in range(a + 1):
+        for j in range(b + 1):
+            w = (a - 2 * i) + (b - 2 * j)
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
 def mask_triangular(space: GradedSpace, matrix: RatMatrix) -> GradedMap:
     """Zero out every degree-lowering block of `matrix`."""
     n = space.total_dim

@@ -310,6 +310,17 @@ class TestFamilyMatching:
         with pytest.raises(ValueError):
             match_family(problem, space, ModuleParams(1, 1, 0, 0, 0))
 
+    @pytest.mark.parametrize("s,big_n,a", [(0, 0, ()), (1, 0, ()), (0, 3, (F(1),))])
+    def test_invalid_params_rejected_as_z_blocks_rejects_them(self, s, big_n, a):
+        # a missing scalar, m + 2s != Λ + n + 2N, N > m
+        problem = ExtensionProblem(1, 1, 2)
+        params = ModuleParams(1, 2, 1, s, big_n, a)
+        with pytest.raises(ValueError) as expected:
+            family.z_blocks(params, 0)
+        with pytest.raises(ValueError) as got:
+            match_family(problem, solve_extensions(problem), params)
+        assert str(got.value) == str(expected.value)
+
 
 class TestMatchFamilyReadsZRules:
     def test_no_module_or_algebra_is_built(self, monkeypatch):
@@ -324,28 +335,76 @@ class TestMatchFamilyReadsZRules:
         )
         assert verdict["member"]
 
-    def test_evaluates_only_the_z0_rules(self, monkeypatch):
-        evaluated, tested = set(), []
-        builder = classify.z_blocks
-
-        def recording(params, last_j):
-            evaluated.add(last_j)
-            return builder(params, last_j)
-
-        def membership(self, block):
-            tested.append(block.to_lists())
-            return True, None
-
-        monkeypatch.setattr(classify, "z_blocks", recording)
-        monkeypatch.setattr(SolutionSpace, "contains", membership)
+    def test_builds_no_block_or_matrix(self, monkeypatch):
+        # the verdicts of the old path, the whole z_0 block tested by
+        # `contains`, with that path and every matrix constructor barred
+        cases = []
         for lam in (1, 2, 3):
             for m, n, s, big_n in family.enumerate_params(lam, 6, 5):
                 a = tuple(F(k + 2, 3) for k in range(n - s))
+                params = ModuleParams(lam, m, n, s, big_n, a)
                 problem = ExtensionProblem(lam, n, m)
-                match_family(problem, SolutionSpace(problem, ()),
-                             ModuleParams(lam, m, n, s, big_n, a))
-                assert tested.pop() == brute_z_blocks(lam, m, n, s, big_n, a)[0]
-        assert evaluated == {0}
+                space = solve_extensions(problem)
+                (block,) = family.z_blocks(params, 0)
+                member, scalar = space.contains(block)
+                want = {"member": member, "scalar": scalar,
+                        "block_is_zero": block.is_zero()}
+                cases.append((problem, space, params, want))
+
+        def forbidden(*args):
+            raise AssertionError("match_family built a block")
+
+        monkeypatch.setattr(family, "z_blocks", forbidden)
+        monkeypatch.setattr(SolutionSpace, "contains", forbidden)
+        monkeypatch.setattr(RatMatrix, "__init__", forbidden)
+        monkeypatch.setattr(RatMatrix, "_from_maps", forbidden)
+        for problem, space, params, want in cases:
+            assert match_family(problem, space, params) == want, params
+
+    def test_matches_brute_membership_on_grid(self):
+        # the solver's line, the line of its free cell alone, the empty
+        # span and the lines other λ give the same shape, each against
+        # the printed-rule z_0 at a = 1, at
+        # a*_θ = ((θ + s)! / s!) ((n - s)! / (n - s - θ)!), and at
+        # seeded samples with zeros
+        rng = random.Random(23)
+        members = 0
+        for lam in range(1, 6):
+            for m, n, s, big_n in family.enumerate_params(lam, 9, 9):
+                problem = ExtensionProblem(lam, n, m)
+                spaces = [solve_extensions(problem), SolutionSpace(problem, ())]
+                spaces += [
+                    SolutionSpace(problem, other.basis)
+                    for other in (solve_extensions(ExtensionProblem(k, n, m))
+                                  for k in range(1, 6) if k != lam)
+                    if other.basis
+                ]
+                if spaces[0].basis:
+                    rows = spaces[0].basis[0].to_lists()
+                    free = max((t, i) for t, row in enumerate(rows)
+                               for i, x in enumerate(row) if x)
+                    rows = [[F((t, i) == free) for i in range(n + 1)]
+                            for t in range(m + 1)]
+                    spaces.append(SolutionSpace(problem, (RatMatrix.from_rows(rows),)))
+                star = [F(1)]
+                for theta in range(1, n - s + 1):
+                    star.append(star[-1] * (theta + s) * (n - s - theta + 1))
+                samples = [(F(1),) * (n - s), tuple(star[1:])]
+                samples += [
+                    tuple(F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
+                          for _ in range(n - s))
+                    for _ in range(3)
+                ]
+                for a in samples:
+                    params = ModuleParams(lam, m, n, s, big_n, a)
+                    block = RatMatrix.from_rows(brute_z_blocks(lam, m, n, s, big_n, a)[0])
+                    for space in spaces:
+                        member, scalar = brute_contains(space.basis, block)
+                        got = match_family(problem, space, params)
+                        assert got == {"member": member, "scalar": scalar,
+                                       "block_is_zero": False}, (lam, params, space)
+                        members += member
+        assert members > 0
 
 
 # sha256 of `trilie classify` stdout: the first two recorded before the

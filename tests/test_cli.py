@@ -758,10 +758,25 @@ def test_verify_levi_span_not_closed_is_a_witness():
     assert "Traceback" not in proc.stderr
 
 
-def _run_limited(verb, doc):
+def test_classify_time_does_not_grow_with_lambda():
+    # no cell's work depends on Λ: the solver and the family tuples read
+    # the one weight diagonal, and the tensor weights are counted in
+    # closed form instead of pair by pair
+    proc = _run_limited("classify", argv=["--lambda", str(10**9), "--max-n", "2",
+                                          "--max-m", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    cells = json.loads(proc.stdout)["cells"]
+    assert len(cells) == 9
+    assert all((c["dim"], c["cg"], c["agree"]) == (0, 0, True) for c in cells)
+
+
+def _run_limited(verb, doc=None, argv=("-",)):
+    # `trilie verb argv` with doc as JSON on stdin, under the 1 GiB limit
     src = os.path.dirname(os.path.dirname(trilie.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "trilie", verb, "-"],
-        input=json.dumps(doc), capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_memory,
+        [sys.executable, "-m", "trilie", verb, *argv],
+        input="" if doc is None else json.dumps(doc), capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_limit_memory,
     )

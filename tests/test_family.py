@@ -14,6 +14,7 @@ from trilie.family import (
     validate_params,
     verify_family,
     weight_compatibility,
+    z0_entry,
     z_blocks,
 )
 from trilie.rep import conjugate_levi_check, verify_homomorphism
@@ -176,6 +177,26 @@ class TestZBlocks:
     def test_rejects_last_j_outside_zero_to_lambda(self, last_j):
         with pytest.raises(ValueError, match="last_j"):
             z_blocks(params(1, 2, 1, 0, 0, (F(1),)), last_j)
+
+
+class TestZ0Entry:
+    @pytest.mark.parametrize("sample", ("ones", "random"))
+    def test_every_cell_matches_printed_rules_on_grid(self, sample):
+        # off-diagonal cells and a ring of cells outside the block read 0
+        rng = random.Random(23)
+        for lam, m, n, s, big_n in TestZBlocks.GRID:
+            if sample == "ones":
+                a = (F(1),) * (n - s)
+            else:
+                a = tuple(F(rng.choice((0, 0, 1, -3, 5)), rng.randint(1, 6))
+                          for _ in range(n - s))
+            want = brute_z_blocks(lam, m, n, s, big_n, a)[0]
+            p = params(lam, m, n, s, big_n, a)
+            for t in range(-1, m + 2):
+                for i in range(-1, n + 2):
+                    inside = 0 <= t <= m and 0 <= i <= n
+                    assert z0_entry(p, t, i) == (want[t][i] if inside else 0), (
+                        lam, m, n, s, big_n, a, t, i)
 
 
 class TestStraightModule:

@@ -15,7 +15,7 @@ from trilie.sl2theory import (
     weight_decomposition,
 )
 
-from helpers import clebsch_gordan_count, is_weight_string
+from helpers import clebsch_gordan_count, is_weight_string, tensor_weight_counts
 
 F = Fraction
 
@@ -224,6 +224,21 @@ class TestTensorMultiplicity:
                     assert tensor_multiplicity(a, b, c) == clebsch_gordan_count(
                         a, b, c
                     )
+
+    @pytest.mark.parametrize("abc", [(-1, 2, 1), (2, -1, 1), (2, 2, -2)])
+    def test_rejects_negative_weights(self, abc):
+        with pytest.raises(ValueError, match="nonnegative"):
+            tensor_multiplicity(*abc)
+
+    def test_matches_weight_count_oracle(self):
+        # V_c's multiplicity is (# weights c) - (# weights c + 2), with
+        # the weights counted pair by pair
+        for a in range(31):
+            for b in range(31):
+                counts = tensor_weight_counts(a, b)
+                for c in range(71):
+                    want = counts.get(c, 0) - counts.get(c + 2, 0)
+                    assert tensor_multiplicity(a, b, c) == want, (a, b, c)
 
     def test_dimension_bookkeeping(self):
         for a in range(9):
