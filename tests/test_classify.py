@@ -335,6 +335,37 @@ class TestMatchFamilyReadsZRules:
         )
         assert verdict["member"]
 
+    def test_evaluates_only_the_z0_rules(self, monkeypatch):
+        # every entry read is z_0's, read through `z0_entry` on a cell
+        # the line stores; no z_j block of any j is built
+        reads = []
+        reader = classify.z0_entry
+
+        def recording(params, t, i):
+            z = reader(params, t, i)
+            reads.append((t, i, z))
+            return z
+
+        def forbidden(*args):
+            raise AssertionError("match_family built a z block")
+
+        monkeypatch.setattr(classify, "z0_entry", recording)
+        monkeypatch.setattr(family, "z_blocks", forbidden)
+        for lam in (1, 2, 3):
+            for m, n, s, big_n in family.enumerate_params(lam, 6, 5):
+                a = tuple(F(k + 2, 3) for k in range(n - s))
+                problem = ExtensionProblem(lam, n, m)
+                space = solve_extensions(problem)
+                match_family(problem, space, ModuleParams(lam, m, n, s, big_n, a))
+                z0 = brute_z_blocks(lam, m, n, s, big_n, a)[0]
+                stored = {(t, i) for t, row in enumerate(space.basis[0].maps)
+                          for i in row} if space.basis else set()
+                assert reads or not stored
+                for t, i, z in reads:
+                    assert (t, i) in stored
+                    assert z == z0[t][i]
+                reads.clear()
+
     def test_builds_no_block_or_matrix(self, monkeypatch):
         # the verdicts of the old path, the whole z_0 block tested by
         # `contains`, with that path and every matrix constructor barred
