@@ -513,17 +513,3 @@ def invert(a: RatMatrix) -> RatMatrix:
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")
     return reduced.submatrix(range(n), range(n, 2 * n))
-
-
-def columns_matrix(vectors: Sequence[Vector], dim: int) -> RatMatrix:
-    """dim x len(vectors) matrix whose columns are the given vectors."""
-    maps: list[dict] = [{} for _ in range(dim)]
-    for j, v in enumerate(vectors):
-        if len(v) != dim:
-            raise ShapeError("vector length does not match dim")
-        for i, x in enumerate(v):
-            x = rat(x)
-            if x:
-                maps[i][j] = x
-    return RatMatrix._from_maps(dim, len(vectors), maps)
-

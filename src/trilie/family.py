@@ -58,13 +58,6 @@ class ModuleParams:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(rat(x) for x in self.a))
 
-    def label(self) -> str:
-        a_part = ",".join(rat_str(x) for x in self.a)
-        return (
-            f"M[m={self.m},n={self.n};s={self.s},N={self.big_n}]"
-            f"({a_part})"
-        )
-
 
 def validate_params(p: ModuleParams) -> tuple[bool, list[str]]:
     problems = []
@@ -124,8 +117,8 @@ def two_block_representation(
     return Representation(algebra, levi, GradedSpace((n1, m1)), tuple(images))
 
 
-def z_blocks(p: ModuleParams, last_j: int) -> list[RatMatrix]:
-    """The (m+1) x (n+1) blocks z_0 … z_{last_j}, 0 <= last_j <= Λ.
+def z_blocks(p: ModuleParams) -> list[RatMatrix]:
+    """The (m+1) x (n+1) blocks z_0 … z_Λ.
 
     The printed ranges partition the (j, i) cells by i + j, and every
     rule lands z_j·u_i on w_t, t = i + j - s + N. Writing the middle
@@ -144,12 +137,10 @@ def z_blocks(p: ModuleParams, last_j: int) -> list[RatMatrix]:
     ok, problems = validate_params(p)
     if not ok:
         raise ValueError("; ".join(problems))
-    if not 0 <= last_j <= p.lam:
-        raise ValueError(f"need 0 <= last_j <= lam = {p.lam}, got {last_j}")
     m, n, s, big_n = p.m, p.n, p.s, p.big_n
     a = (ONE, *p.a)
     fact = list(accumulate(range(1, m + 1), mul, initial=1))
-    z_maps = [[{} for _ in range(m + 1)] for _ in range(last_j + 1)]
+    z_maps = [[{} for _ in range(m + 1)] for _ in range(p.lam + 1)]
     for j, maps in enumerate(z_maps):
         for i in range(max(s - j, 0), min(n, m + s - big_n - j) + 1):
             t = i + j - s + big_n
@@ -188,7 +179,7 @@ def build_family_module(p: ModuleParams, paper_literal: bool = False) -> Represe
         p.lam,
         string_action(p.n, p.n),
         string_action(p.m, p.n if paper_literal else p.m),
-        z_blocks(p, p.lam),
+        z_blocks(p),
     )
 
 

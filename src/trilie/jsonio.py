@@ -12,9 +12,12 @@ CPython up to 3.12 an indent switches json to its pure-Python encoder,
 which yields one small string per token; `encode_indented` writes the
 same bytes by returning one whole string per value and joining each
 container's members, with strings and keys through json's C
-`encode_basestring_ascii`, so it costs about half as much. CPython 3.13
-encodes indented output in C, faster than any Python writer, so there
-`dumps` keeps `json.dumps`. The choice is made once, at import.
+`encode_basestring_ascii`, so it costs about half as much. The writer
+handles the JSON types the verbs emit (str, int, list, dict with str
+keys, None and the bools); `json.dumps` handles every other document.
+CPython 3.13 encodes indented output in C, faster than any Python
+writer, so there `dumps` keeps `json.dumps`. The choice is made once,
+at import.
 """
 
 from __future__ import annotations
@@ -53,23 +56,12 @@ def _array(value: Any, name: str) -> list:
     return value
 
 
-def _key(k: Any) -> str:
-    # a str subclass is a key as it is; the other key types json accepts
-    # are written as json writes them as values
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(k)
-
-
 def _encode(value: Any, nl: str) -> str:
     """`value` as json.dumps(indent=2) writes it, where `nl` is the newline
-    and indent of the line `value` starts on. Exact str, int, list and
-    dict, None and the bools are written here; tuples and subclasses of
-    list and dict are containers, as in json's isinstance order; any
-    other value (a float, a str or int subclass, or what json refuses)
-    is written or refused by json.dumps, which indents no scalar."""
+    and indent of the line `value` starts on. Only the JSON types the
+    verbs emit are written here: exact str, int, list, and dict with str
+    keys, None and the bools. Anything else raises TypeError, and
+    `encode_indented` leaves the document to json.dumps."""
     t = type(value)
     if t is str:
         return _ascii(value)
@@ -82,28 +74,24 @@ def _encode(value: Any, nl: str) -> str:
             return "true"
         if value is False:
             return "false"
-        if isinstance(value, (list, tuple)):
-            t = list
-        elif not isinstance(value, dict):
-            return json.dumps(value)
+        raise TypeError(f"{t.__name__} is left to json.dumps")
     if not value:
         return "[]" if t is list else "{}"
     inner = nl + "  "
     if t is list:
         items = [_ascii(v) if type(v) is str else _encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
-    items = [
-        _ascii(k if type(k) is str else _key(k)) + ": " + _encode(v, inner)
-        for k, v in value.items()
-    ]
+    # encode_basestring_ascii raises TypeError for a key that is not a str
+    items = [_ascii(k) + ": " + _encode(v, inner) for k, v in value.items()]
     return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 def encode_indented(doc: Any) -> str:
     """json.dumps(doc, indent=2), written by joining whole strings. What
-    the writer refuses (a type json cannot encode, a bad key, a cycle or
-    nesting past the recursion limit) goes to json.dumps(indent=2), which
-    returns or raises as json does."""
+    the writer refuses (a type the verbs do not emit, a key that is not a
+    str, an int too long to write, a cycle or nesting past the recursion
+    limit) goes to json.dumps(indent=2), which returns or raises as json
+    does."""
     try:
         return _encode(doc, "\n")
     except (TypeError, ValueError, RecursionError):

@@ -42,7 +42,6 @@ from .exact import (
     RatMatrix,
     Vector,
     add_scaled_row,
-    columns_matrix,
     combination,
     integral_rows,
     invert,
@@ -498,7 +497,7 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
     from .rep import Representation
 
     basis = G.graded_basis()
-    p = columns_matrix(basis, L.dim)
+    p = RatMatrix(len(basis), L.dim, [x for v in basis for x in v]).transpose()
     p_inv = invert(p)
     images = [p_inv @ r_i.transpose() @ p for r_i in L.ad_rows]
     space = GradedSpace(tuple(len(c) for c in G.component_bases))

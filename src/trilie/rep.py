@@ -24,10 +24,11 @@ The homomorphism check is `liealg.bracket_defect`, the one scan that
 also decides Jacobi (for ρ = ad); it builds no matrix and runs on
 integer row maps, one denominator per image.
 
-Faithfulness is read off the stored entries: a presolve drops every
-image that some stored position names alone, repeatedly, and only the
-residue is eliminated by rref. The family modules' images store
-pairwise disjoint positions, so they need no elimination at all.
+Faithfulness is read off the stored entries: one singleton pass drops
+every image that some stored position names alone, and the elimination
+takes the rest, the positions that name two or more live images. The
+family modules' images store pairwise disjoint positions, so they need
+no elimination at all.
 """
 
 from __future__ import annotations
@@ -165,13 +166,13 @@ def kernel(rho: Representation) -> list[Vector]:
     """Basis of {x : sum_i x_i rho(b_i) = 0}; faithful iff empty.
 
     The system has one equation per stored (r, c) position, naming the
-    images that store it. An equation naming one live image forces that
-    coefficient to 0, so the column is dropped; drops repeat until no
-    equation names exactly one live image (the singleton step of LP
-    presolve). Only the residue, equations naming two or more live
-    images, is eliminated. Every kernel vector is 0 on a dropped column,
-    so the free columns and the rref basis vectors are those of the
-    whole system."""
+    images that store it. An equation naming one image forces that
+    coefficient to 0, so the column is dropped. The equations naming
+    two or more images, over the live columns, are eliminated; there a
+    row left with one live entry is that column's pivot row, so any
+    further singletons drop in the elimination. Every kernel vector is
+    0 on a dropped column, so the free columns and the rref basis
+    vectors are those of the whole system."""
     equations: dict[tuple[int, int], dict] = {}
     for k, im in enumerate(rho.images):
         for r, row in enumerate(im.matrix.maps):
@@ -184,34 +185,14 @@ def kernel(rho: Representation) -> list[Vector]:
             dropped.update(eq)
         else:
             shared.append(eq)
-    live_count = []
-    touching: dict[int, list[int]] = {}
-    queue = []
-    for e, eq in enumerate(shared):
-        names = [k for k in eq if k not in dropped]
-        live_count.append(len(names))
-        if len(names) == 1:
-            queue.append(names[0])
-        elif names:
-            for k in names:
-                touching.setdefault(k, []).append(e)
-    while queue:
-        k = queue.pop()
-        if k in dropped:
-            continue
-        dropped.add(k)
-        for e in touching.get(k, ()):
-            live_count[e] -= 1
-            if live_count[e] == 1:
-                queue.extend(j for j in shared[e] if j not in dropped)
     n = len(rho.images)
     live = [k for k in range(n) if k not in dropped]
     column = {k: i for i, k in enumerate(live)}
-    residue = [
-        {column[k]: x for k, x in eq.items() if k in column}
-        for eq, count in zip(shared, live_count)
-        if count > 1
-    ]
+    residue = []
+    for eq in shared:
+        row = {column[k]: x for k, x in eq.items() if k in column}
+        if row:
+            residue.append(row)
     if not residue:
         # nothing left to solve: each live column is a kernel vector
         return [unit_vector(n, k) for k in live]

@@ -11,7 +11,6 @@ from trilie.exact import (
     ZERO,
     RatMatrix,
     ShapeError,
-    columns_matrix,
     combination,
     commutator,
     exp_nilpotent,
@@ -380,7 +379,7 @@ class TestSparseStorage:
         # a times a basis of its kernel: every product term cancels
         kernel = nullspace_basis(a)
         if kernel:
-            product = a @ columns_matrix(kernel, c)
+            product = a @ RatMatrix.from_rows(kernel).transpose()
             assert product.maps == [{} for _ in range(r)]
 
     def test_product_with_cancelling_terms_stores_no_zero(self):

@@ -140,7 +140,7 @@ class TestZBlocks:
             data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
             for _ in range(n - s)
         )
-        blocks = z_blocks(params(lam, m, n, s, big_n, a), lam)
+        blocks = z_blocks(params(lam, m, n, s, big_n, a))
         assert [b.to_lists() for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
 
     GRID = [(lam,) + t for lam in (1, 2, 3, 4) for t in enumerate_params(lam, 10, 10)]
@@ -159,24 +159,17 @@ class TestZBlocks:
             else:
                 a = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n - s))
             want = brute_z_blocks(lam, m, n, s, big_n, a)
-            p = params(lam, m, n, s, big_n, a)
-            for last_j in range(lam + 1):
-                got = [b.to_lists() for b in z_blocks(p, last_j)]
-                assert got == want[: last_j + 1], (lam, m, n, s, big_n, a, last_j)
+            got = [b.to_lists() for b in z_blocks(params(lam, m, n, s, big_n, a))]
+            assert got == want, (lam, m, n, s, big_n, a)
 
     def test_module_is_built_from_the_blocks(self):
         p = params(2, 3, 3, 2, 1, (F(2, 3),))
         rho = build_family_module(p)
-        assert [z_block(rho, j) for j in range(p.lam + 1)] == z_blocks(p, p.lam)
+        assert [z_block(rho, j) for j in range(p.lam + 1)] == z_blocks(p)
 
     def test_rejects_invalid_params(self):
         with pytest.raises(ValueError):
-            z_blocks(params(1, 0, 0, 0, 0), 1)
-
-    @pytest.mark.parametrize("last_j", (-1, 2))
-    def test_rejects_last_j_outside_zero_to_lambda(self, last_j):
-        with pytest.raises(ValueError, match="last_j"):
-            z_blocks(params(1, 2, 1, 0, 0, (F(1),)), last_j)
+            z_blocks(params(1, 0, 0, 0, 0))
 
 
 class TestZ0Entry:

@@ -474,8 +474,8 @@ EMPTY_RESIDUE = (2, [RatMatrix.from_rows([[1, 0], [0, 0]]), RatMatrix.zeros(2, 2
 NO_SINGLETON = (2, [RatMatrix.from_rows([[1, 0], [1, 0]]),
                     RatMatrix.from_rows([[1, 0], [1, 3]]),
                     RatMatrix.from_rows([[0, 0], [0, -3]])])
-# only (0, 1) is a singleton at first; dropping b_0 makes (0, 0) one,
-# dropping b_1 then makes (1, 1) one
+# only (0, 1) is a singleton: it drops b_0, and (0, 0) then names b_1
+# alone among the live images, so the elimination drops b_1 and b_2
 CASCADE = (2, [RatMatrix.from_rows([[1, 1], [0, 0]]),
                RatMatrix.from_rows([[2, 0], [0, 1]]),
                RatMatrix.from_rows([[0, 0], [0, -1]])])
@@ -483,6 +483,26 @@ CASCADE = (2, [RatMatrix.from_rows([[1, 1], [0, 0]]),
 SHARED_PAIR = (2, [RatMatrix.from_rows([[1, 0], [0, 0]]),
                    RatMatrix.from_rows([[-2, 0], [0, 0]]),
                    RatMatrix.from_rows([[0, 0], [0, 5]])])
+
+
+def chain(k: int, dependent: bool = False) -> tuple[int, list]:
+    """k images of size k + 1 where image j stores (j, j) and (j + 1,
+    j + 1), so images j - 1 and j share position (j, j) and only the ends
+    are singletons. With `dependent`, the last image is the combination
+    sum_j (j + 1) image j of the others, a kernel vector."""
+    n = k + 1
+    images = []
+    for j in range(k):
+        maps = [{} for _ in range(n)]
+        maps[j][j] = F(1)
+        maps[j + 1][j + 1] = F(j + 2, 3)
+        images.append(RatMatrix._from_maps(n, n, maps))
+    if dependent and k > 1:
+        last = RatMatrix.zeros(n, n)
+        for j, im in enumerate(images[:-1]):
+            last = last + im.scale(j + 1)
+        images[-1] = last
+    return n, images
 
 
 @st.composite
@@ -552,12 +572,13 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "family, residue",
-        [(EMPTY_RESIDUE, None), (NO_SINGLETON, (3, 3)), (CASCADE, None), (SHARED_PAIR, (1, 2))],
-        ids=["empty-residue", "no-singleton", "cascade", "shared-pair"],
+        [(EMPTY_RESIDUE, None), (NO_SINGLETON, (3, 3)), (CASCADE, (2, 2)), (SHARED_PAIR, (1, 2)),
+         (chain(4), (3, 2))],
+        ids=["empty-residue", "no-singleton", "cascade", "shared-pair", "chain"],
     )
     def test_presolve_eliminates_only_the_residue(self, monkeypatch, family, residue):
-        # the residue is the equations naming two or more live images,
-        # over the live columns; None: nothing is eliminated
+        # the residue is the equations naming two or more images, over the
+        # live columns, with empty rows skipped; None: nothing is eliminated
         seen = []
         real = rep.nullspace_basis
 
@@ -569,6 +590,19 @@ class TestKernel:
         n, images = family
         assert [list(v) for v in kernel(abelian_rep(n, images))] == dense_kernel(n, images)
         assert seen == ([] if residue is None else [residue])
+
+    @pytest.mark.parametrize("dependent", (False, True), ids=["faithful", "dependent"])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_chain_matches_dense_oracle(self, k, dependent):
+        n, images = chain(k, dependent)
+        got = [list(v) for v in kernel(abelian_rep(n, images))]
+        assert got == dense_kernel(n, images)
+        assert bool(got) == (dependent and k > 1)
+
+    def test_long_chain_is_faithful(self):
+        # the elimination drops the chain one image at a time, as a
+        # singleton cascade would
+        assert kernel(abelian_rep(*chain(1000))) == []
 
     def test_family_modules_need_no_elimination(self, monkeypatch):
         # h is diagonal, f and e are off by one and each z_j has its own

@@ -14,7 +14,10 @@ pins the same at dimension 68, beyond the benchmark decks: `check` on
 sl2^64 in a permuted and rescaled basis, `verify` of its adjoint
 representation, and one altered-bracket variant of each. A third deck
 pins `decompose` on about 300 seeded graded maps, triangular and
-lowering, over graded spaces with empty and single components.
+lowering, over graded spaces with empty and single components. A last
+test writes the three decks, and one output of `gen`, `check` and
+`classify`, through `jsonio.encode_indented` with `json.dumps` barred,
+so no verb's output depends on the writer's `json.dumps` fallback.
 """
 
 import contextlib
@@ -25,9 +28,15 @@ import json
 import random
 from fractions import Fraction
 
+from trilie import cli
 from trilie.cli import run
 from trilie.exact import rat_str
-from trilie.jsonio import algebra_to_json, matrix_to_json, representation_to_json
+from trilie.jsonio import (
+    algebra_to_json,
+    encode_indented,
+    matrix_to_json,
+    representation_to_json,
+)
 from trilie.liealg import (
     LeviData,
     LieAlgebra,
@@ -168,12 +177,16 @@ def large_deck(seed=64):
     yield "verify", verify
 
 
-def _run_document(monkeypatch, verb, doc):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+def _run_text(monkeypatch, argv, text=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = run([verb, "-"])
+        code = run(argv)
     return code, out.getvalue()
+
+
+def _run_document(monkeypatch, verb, doc):
+    return _run_text(monkeypatch, [verb, "-"], json.dumps(doc))
 
 
 def test_failing_reports_match_golden(monkeypatch):
@@ -233,4 +246,46 @@ def test_decompose_reports_match_golden(monkeypatch):
         codes.append(code)
         digest.update(f"{code}\n{out}".encode())
     assert codes.count(0) > 100 and codes.count(1) > 50
+    assert digest.hexdigest() == DECOMPOSE_DECK_SHA256
+
+
+# one artifact or report of each verb that writes one from its arguments
+# or from the sl2^2 algebra on stdin
+SINGLE_OUTPUTS = [
+    ["gen", "sl2l", "--lambda", "2"],
+    ["gen", "family", "--lambda", "2", "--m", "3", "--n", "3", "--s", "2", "--bigN", "1",
+     "--a", "2/3"],
+    ["check", "-"],
+    ["classify", "--lambda", "2", "--max-n", "6", "--max-m", "6"],
+]
+
+
+def test_no_verb_output_reaches_the_json_fallback(monkeypatch):
+    # every output written by `encode_indented` on any CPython, with
+    # json.dumps barred once the inputs are serialized: a document the
+    # writer refused would raise instead of matching its golden
+    sl2 = json.dumps(algebra_to_json(*build_sl2_lambda(2)))
+    docs = [(verb, json.dumps(doc)) for verb, doc in deck()]
+    large = [(verb, json.dumps(doc)) for verb, doc in large_deck()]
+    maps = [json.dumps(doc) for doc in decompose_deck()]
+    monkeypatch.setattr(cli, "dumps", lambda doc: json.dumps(doc, indent=2) + "\n")
+    expected = [_run_text(monkeypatch, argv, sl2) for argv in SINGLE_OUTPUTS]
+    assert [code for code, _ in expected] == [0, 0, 0, 0]
+
+    def barred(*args, **kwargs):
+        raise AssertionError("an output reached json.dumps")
+
+    monkeypatch.setattr(cli, "dumps", lambda doc: encode_indented(doc) + "\n")
+    monkeypatch.setattr(json, "dumps", barred)
+    assert [_run_text(monkeypatch, argv, sl2) for argv in SINGLE_OUTPUTS] == expected
+    for texts, want in ((docs, DECK_SHA256), (large, LARGE_DECK_SHA256)):
+        digest = hashlib.sha256()
+        for verb, text in texts:
+            code, out = _run_text(monkeypatch, [verb, "-"], text)
+            digest.update(f"{verb} {code}\n{out}".encode())
+        assert digest.hexdigest() == want
+    digest = hashlib.sha256()
+    for text in maps:
+        code, out = _run_text(monkeypatch, ["decompose", "-"], text)
+        digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == DECOMPOSE_DECK_SHA256
