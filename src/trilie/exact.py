@@ -10,8 +10,13 @@ pivots do not depend on the row order; it stops once the rows seen
 reach full column rank. Fractions appear only in rref's reduced rows,
 one per stored entry. For a family of equal-shape matrices M_k,
 `combination` sums c_k M_k. Every sparse sum, products included, adds
-scaled rows with `add_scaled_row`. Checks that only compare products
-read `integral_rows`: integer row maps, one denominator per image.
+scaled rows with `add_scaled_row`, except where a row is reused as it
+stands: a sum shares the rows the other operand leaves empty, and a
+product shares the right factor's row for a left row that is one entry
+equal to 1, since rows are never changed after construction. So a
+change of basis by unit vectors multiplies no Fraction. Checks that
+only compare products read `integral_rows`: integer row maps, one
+denominator per image.
 """
 
 from __future__ import annotations
@@ -260,6 +265,12 @@ class RatMatrix:
         b = other.maps
         maps = []
         for arow in self.maps:
+            if len(arow) == 1:
+                (k, x), = arow.items()
+                if x == 1:
+                    # a unit row picks b[k]: shared, as rows never change
+                    maps.append(b[k])
+                    continue
             row: dict[int, Fraction] = {}
             # an empty left row gives an empty product row at once
             for k, x in arow.items():

@@ -23,6 +23,10 @@ appear only in the public return values; `bracket` is ad(x) applied to
 y. Both series start from a span of basis indices, shown to be an ideal
 by one scan of the table, so the first term's ad matrices are the R_i.
 The same scan, `span_escape`, decides Levi closure wherever it is asked.
+It reads the stored bracket keys with an index in the span, and walks
+the caller's index pairs only to name the first escape, so a passing
+check costs the stored brackets. The adjoint representation changes
+basis through the stored entries of the graded basis vectors.
 
 One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
 brackets: it checks representations, and Jacobi is its check of ad. It
@@ -34,12 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     ONE,
     RatMatrix,
+    ShapeError,
     Vector,
     add_scaled_row,
     combination,
@@ -252,12 +258,25 @@ def _index_escape(L: LieAlgebra, pairs: Iterable[tuple[int, int]],
                   span: Sequence[int]) -> tuple[int, int, int] | None:
     """The first (i, j, k), over the pairs in order and k ascending, for
     which [b_i, b_j] has a b_k term with k outside `span`; None if none.
-    Read off the table, so indices it does not store pass."""
+    Every pair must have an index in `span`.
+
+    Decided from the stored brackets: each key with an index in the
+    span that has a term outside it keeps its least such k. When there
+    is none the pairs are not walked; otherwise the first pair with such
+    a key names the witness. Unstored pairs pass."""
     inside = set(span)
+    escapes = {}
+    for (a, b), coeffs in L.structure.items():
+        if a in inside or b in inside:
+            outside = [k for k in coeffs if k not in inside]
+            if outside:
+                escapes[a, b] = min(outside)
+    if not escapes:
+        return None
     for i, j in pairs:
-        for k in sorted(L.structure.get((min(i, j), max(i, j)), ())):
-            if k not in inside:
-                return i, j, k
+        k = escapes.get((i, j) if i < j else (j, i))
+        if k is not None:
+            return i, j, k
     return None
 
 
@@ -496,9 +515,16 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
     from .graded import GradedSpace
     from .rep import Representation
 
-    basis = G.graded_basis()
-    p = RatMatrix(len(basis), L.dim, [x for v in basis for x in v]).transpose()
-    p_inv = invert(p)
-    images = [p_inv @ r_i.transpose() @ p for r_i in L.ad_rows]
+    # row j of q holds the stored entries of basis vector v_j, so row j
+    # of q @ R_i is [b_i, v_j], and ad(b_i) in the graded basis is
+    # P^-1 (q @ R_i)^T with P = q^T; a unit row shares R_i's row
+    rows = []
+    for v in G.graded_basis():
+        if len(v) != L.dim:
+            raise ShapeError(f"basis vector of length {len(v)} for dim {L.dim}")
+        rows.append({j: c for j, x in compress(enumerate(v), v) if (c := rat(x))})
+    q = RatMatrix._from_maps(len(rows), L.dim, rows)
+    p_inv = invert(q.transpose())
+    images = [p_inv @ (q @ r_i).transpose() for r_i in L.ad_rows]
     space = GradedSpace(tuple(len(c) for c in G.component_bases))
     return Representation(L, G.levi, space, tuple(images))

@@ -15,7 +15,9 @@ scan that also decides it for the declaration checks. A separate
 conjugation check re-runs the structural conditions after moving both
 the Levi factor and the grading by the exponential of a nilpotent
 element, confirming that the triangular structure does not depend on
-the particular Levi factor chosen.
+the particular Levi factor chosen. It multiplies only by the nilpotent
+parts of exp(rho(z)) and its inverse, and reads each moved Levi vector
+as a column of exp(ad z).
 
 Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
@@ -34,6 +36,7 @@ no elimination at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .exact import (
@@ -175,7 +178,9 @@ def kernel(rho: Representation) -> list[Vector]:
     vectors are those of the whole system."""
     equations: dict[tuple[int, int], dict] = {}
     for k, im in enumerate(rho.images):
-        for r, row in enumerate(im.matrix.maps):
+        maps = im.matrix.maps
+        # empty rows name nothing and are skipped without a Python step
+        for r, row in compress(enumerate(maps), maps):
             for c, x in row.items():
                 equations.setdefault((r, c), {})[k] = x
     dropped: set[int] = set()
@@ -354,24 +359,33 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
         raise ValueError("ad(z) is not nilpotent; conjugation undefined")
     a = rho.image_of(z).matrix
     p, p_inv = exp_nilpotent(a), exp_nilpotent(-a)
-    assert p @ p_inv == RatMatrix.identity(rho.space.total_dim)
+    identity = RatMatrix.identity(rho.space.total_dim)
+    assert p @ p_inv == identity
 
-    # exp(rho(-z)) rho(v) exp(rho(z)) is linear in v, so each moved Levi
-    # image is the same combination of the conjugated images
-    conjugated = [p_inv @ im.matrix @ p for im in rho.images]
-    new_levi_vectors = [
-        exp_ad.apply(unit_vector(L.dim, s)) for s in rho.levi.levi_indices
-    ]
+    # with P = I + N and P^-1 = I + N', P^-1 M P = M' + M'N for
+    # M' = M + N'M: only the nilpotent parts are multiplied
+    n, n_inv = p - identity, p_inv - identity
+    conjugated = []
+    for im in rho.images:
+        m = im.matrix + n_inv @ im.matrix
+        conjugated.append(m + m @ n)
+    # exp(ad z) b_s is column s of exp(ad z); exp(rho(-z)) rho(v)
+    # exp(rho(z)) is linear in v, so each moved Levi image is the same
+    # combination of the conjugated images, over the column's entries
+    columns = exp_ad.transpose()
+    for s in rho.levi.levi_indices:
+        if not 0 <= s < L.dim:
+            raise IndexError(f"unit vector index {s} out of range for dim {L.dim}")
     levi_supports = [
-        (s, block_support(GradedMap(rho.space, combination(conjugated, enumerate(v)))))
-        for s, v in zip(rho.levi.levi_indices, new_levi_vectors)
+        (s, block_support(GradedMap(rho.space, combination(conjugated, columns.maps[s].items()))))
+        for s in rho.levi.levi_indices
     ]
     report, witnesses = _structure_conditions(
         [block_support(GradedMap(rho.space, m)) for m in conjugated],
         levi_supports,
         rho.levi.nilrad_indices,
     )
-    report["conjugated_levi_basis"] = tuple(new_levi_vectors)
+    report["conjugated_levi_basis"] = tuple(columns.row(s) for s in rho.levi.levi_indices)
     report["all_pass"] = (
         report["triangular_all"] and report["condition_i"] and report["condition_ii"]
     )

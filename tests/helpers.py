@@ -14,6 +14,7 @@ from fractions import Fraction
 from trilie.exact import RatMatrix, ShapeError, combination, rank
 from trilie.graded import GradedMap, GradedSpace
 from trilie.jsonio import matrix_to_json
+from trilie.liealg import LeviData, LieAlgebra
 from trilie.sl2theory import build_irreducible
 
 
@@ -275,6 +276,38 @@ def _brute_reduce(rows: list[list[Fraction]], ncols: int):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
+
+
+def brute_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Plain-list matrix product; b needs a row to fix the column count."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((r[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
+        for r in a
+    ]
+
+
+def brute_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Plain-list inverse of a square matrix, by Gauss-Jordan on [A | I]."""
+    n = len(a)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = _brute_reduce(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[x / row[i] for x in row[n:]] for i, row in enumerate(reduced[:n])]
+
+
+def brute_exp_nilpotent(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """sum_k A^k / k! over plain lists; ValueError when A^n != 0."""
+    n = len(a)
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    power = [row[:] for row in out]
+    for k in range(1, n + 1):
+        power = brute_product(power, a)
+        out = [[x + y / math.factorial(k) for x, y in zip(u, v)] for u, v in zip(out, power)]
+    if any(x for row in power for x in row):
+        raise ValueError("matrix is not nilpotent")
+    return out
 
 
 def brute_rank(rows: list[list[Fraction]]) -> int:
@@ -616,3 +649,15 @@ def is_weight_string(h: RatMatrix, e: RatMatrix) -> bool:
         rank(h - RatMatrix.diagonal([Fraction(d - 1 - 2 * i)] * d)) == d - 1
         for i in range(d)
     ) and rank(e) == d - 1
+
+
+def sl2_heisenberg_skewed():
+    """sl2 ⋉ Heisenberg: x0, x1 a doublet with [x0, x1] = c central, in
+    the basis f, h, e, x0 + c, x1, c, where x0 + c spans no invariant line."""
+    structure = {
+        (0, 1): {0: 2}, (0, 2): {1: -1}, (1, 2): {2: 2},
+        (0, 3): {4: 1}, (1, 3): {3: 1, 5: -1}, (1, 4): {4: -1},
+        (2, 4): {3: 1, 5: -1}, (3, 4): {5: 1},
+    }
+    L = LieAlgebra(6, ("f", "h", "e", "b3", "b4", "c"), structure)
+    return L, LeviData((0, 1, 2), (3, 4, 5), (3, 4, 5))

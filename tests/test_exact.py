@@ -408,6 +408,29 @@ class TestSparseStorage:
         zero = a @ RatMatrix.from_blocks(2 * c, k, [(0, 0, d), (c, 0, -d)])
         assert zero.maps == [{} for _ in range(r)]
 
+    @given(st.integers(0, 5), st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=100)
+    def test_matmul_shares_the_right_row_for_a_unit_row(self, r, c, k, data):
+        # left rows: empty, one entry equal to 1 in three spellings, one
+        # entry -1 or 2, or a random sparse row
+        one_entry = st.tuples(
+            st.integers(0, c - 1),
+            st.sampled_from([ONE, rat("1"), rat("2/2"), F(-1), F(2)]),
+        ).map(lambda t: {t[0]: t[1]})
+        dense = st.lists(sparse_entries, min_size=c, max_size=c).map(
+            lambda v: {j: x for j, x in enumerate(v) if x})
+        row = st.one_of(st.just({}), one_entry, dense) if c else st.just({})
+        a = RatMatrix._from_maps(r, c, data.draw(st.lists(row, min_size=r, max_size=r)))
+        b = data.draw(sparse_matrices(c, k))
+        before = ([dict(x) for x in a.maps], [dict(x) for x in b.maps])
+        got = a @ b
+        assert got.to_lists() == plain_product(a.to_lists(), b.to_lists(), k)
+        assert_clean(got)
+        assert (a.maps, b.maps) == before
+        for arow, prow in zip(a.maps, got.maps):
+            if len(arow) == 1 and list(arow.values()) == [1]:
+                assert prow is b.maps[next(iter(arow))]
+
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
     def test_integral_rows_clear_the_least_common_denominator(self, r, c, data):

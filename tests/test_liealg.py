@@ -1,26 +1,31 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trilie.liealg as liealg
-from trilie.exact import RatMatrix, rat, unit_vector
+from trilie.exact import RatMatrix, ShapeError, rat, unit_vector
 from trilie.liealg import (
+    GradingAssignment,
     LeviData,
     LieAlgebra,
     ad_matrix,
     adjoint_grading,
+    adjoint_representation,
     bracket,
     bracket_defect,
     build_sl2,
     build_sl2_lambda,
     check_axioms,
     restricted_ad_matrices,
+    span_escape,
     verify_levi_data,
 )
+from trilie.rep import conjugate_levi_check, verify_representation
 
 from helpers import (
     brute_bracket,
@@ -28,12 +33,15 @@ from helpers import (
     brute_extend_independent,
     brute_in_span,
     brute_index_escape,
+    brute_inverse,
     brute_jacobi_witness,
     brute_levi_witnesses,
     brute_lower_central_series,
+    brute_product,
     brute_restricted_ad,
     corrupt_bracket,
     rebased,
+    sl2_heisenberg_skewed,
 )
 
 F = Fraction
@@ -52,18 +60,6 @@ def central_extension_of_sl2():
     structure = dict(L_sl2.structure)
     L = LieAlgebra(4, ("f", "h", "e", "c"), structure)
     return L, LeviData((0, 1, 2), (3,), (3,))
-
-
-def sl2_heisenberg_skewed():
-    """sl2 ⋉ Heisenberg: x0, x1 a doublet with [x0, x1] = c central, in
-    the basis f, h, e, x0 + c, x1, c, where x0 + c spans no invariant line."""
-    structure = {
-        (0, 1): {0: 2}, (0, 2): {1: -1}, (1, 2): {2: 2},
-        (0, 3): {4: 1}, (1, 3): {3: 1, 5: -1}, (1, 4): {4: -1},
-        (2, 4): {3: 1, 5: -1}, (3, 4): {5: 1},
-    }
-    L = LieAlgebra(6, ("f", "h", "e", "b3", "b4", "c"), structure)
-    return L, LeviData((0, 1, 2), (3, 4, 5), (3, 4, 5))
 
 
 def shuffled(L, levi, perm):
@@ -491,6 +487,62 @@ class TestRestrictedAdMatrices:
         assert got == brute_restricted_ad(L.dim, L.structure, idx), name
 
 
+small_coeffs = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def escape_cases(draw):
+    """A random table on 2-7 basis elements, zero coefficients included,
+    and a span list in any order with repeats."""
+    dim = draw(st.integers(2, 7))
+    keys = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    table = draw(st.dictionaries(
+        st.sampled_from(keys),
+        st.dictionaries(st.integers(0, dim - 1), small_coeffs, max_size=3),
+        max_size=6,
+    ))
+    span = draw(st.lists(st.integers(0, dim - 1), max_size=dim + 2))
+    return dim, table, span
+
+
+def refusing_pairs():
+    raise AssertionError("a pair was walked")
+    yield  # pragma: no cover
+
+
+class TestIndexEscape:
+    @given(escape_cases())
+    @settings(max_examples=300)
+    def test_matches_plain_oracle_in_each_callers_order(self, case):
+        dim, table, span = case
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        orders = {
+            # verify_levi_data's ideal checks
+            "ideal": [(i, j) for i in range(dim) for j in span],
+            # adjoint_grading's precondition, on the raw list and on the
+            # sorted distinct indices it passes
+            "grading": [(i, j) for j in span for i in range(dim)],
+            "grading sorted": [(i, j) for j in sorted(set(span)) for i in range(dim)],
+            # span_escape
+            "closure": [(i, j) for i in span for j in span if i < j],
+        }
+        for name, pairs in orders.items():
+            want = brute_index_escape(dim, table, pairs, span)
+            assert liealg._index_escape(L, iter(pairs), span) == want, name
+        assert span_escape(L, span) == brute_index_escape(dim, table, orders["closure"], span)
+
+    def test_a_passing_ideal_check_walks_no_pair(self):
+        cases = [build_sl2_lambda(lam) for lam in (1, 4)]
+        cases += [sl2_heisenberg_skewed(), central_extension_of_sl2()]
+        for L, levi in cases:
+            for span in (levi.radical_indices, levi.nilrad_indices, range(L.dim)):
+                assert liealg._index_escape(L, refusing_pairs(), span) is None
+        # an ideal that fails walks the pairs to name its witness
+        L, _ = build_sl2_lambda(2)
+        with pytest.raises(AssertionError, match="a pair was walked"):
+            liealg._index_escape(L, refusing_pairs(), (4, 5))
+
+
 class TestAdjointGrading:
     def test_non_ideal_nilradical_names_first_escape(self):
         # on sl2^2 (z_j = b_{3+j}), span{z1, z2} is no ideal: for v = z1,
@@ -631,6 +683,35 @@ class TestAdjointGrading:
                     assert brute_in_span(higher, img)
 
 
+class TestAdjointRepresentation:
+    @pytest.mark.parametrize("perm", [(0, 1, 2, 3, 4, 5), (5, 3, 0, 4, 1, 2), (2, 4, 1, 5, 0, 3)])
+    def test_matches_dense_change_of_basis(self, perm):
+        # the skewed Heisenberg grading has section vectors that are not
+        # unit vectors; image i must be P^-1 ad(b_i) P with the graded
+        # basis as the columns of P
+        L, levi = shuffled(*sl2_heisenberg_skewed(), perm)
+        grading = adjoint_grading(L, levi)
+        basis = grading.graded_basis()
+        assert any(sum(1 for x in v if x) > 1 for v in basis)
+        dim = L.dim
+        p = [[v[r] for v in basis] for r in range(dim)]
+        p_inv = brute_inverse(p)
+        units = [[F(int(q == i)) for q in range(dim)] for i in range(dim)]
+        rho = adjoint_representation(L, grading)
+        for i in range(dim):
+            columns = [brute_bracket(dim, L.structure, units[i], units[k]) for k in range(dim)]
+            ad = [[columns[k][r] for k in range(dim)] for r in range(dim)]
+            want = brute_product(brute_product(p_inv, ad), p)
+            assert rho.images[i].matrix.to_lists() == want, i
+
+    def test_basis_vector_of_wrong_length_is_a_shape_error(self):
+        L, levi = build_sl2()
+        u = [unit_vector(3, i) for i in range(3)]
+        for bad in ((u[0], u[1], u[2][:2]), (u[0][:2], u[1] + (F(0),), u[2])):
+            with pytest.raises(ShapeError):
+                adjoint_representation(L, GradingAssignment((bad,), levi=levi))
+
+
 class TestAdjointHomomorphism:
     @pytest.mark.parametrize("lam", (1, 2, 3))
     def test_ad_bracket_equals_matrix_commutator(self, lam):
@@ -648,9 +729,6 @@ class TestAdjointHomomorphism:
                     ad_matrix(L, unit_vector(L.dim, j)),
                 )
                 assert lhs == rhs
-
-
-small_coeffs = st.integers(-3, 3).map(Fraction)
 
 
 @st.composite
@@ -755,6 +833,37 @@ class TestReadOnlyAlgebra:
         L = LieAlgebra(3, ["a", "b", "c"], {(0, 1): {2: "1/2", 0: 0}, (1, 2): {0: F(3)}})
         assert calls == ["1/2", 0, F(3)]
         assert {k: dict(v) for k, v in L.structure.items()} == {(0, 1): {2: F(1, 2)}, (1, 2): {0: F(3)}}
+
+    def test_read_only_rows_leave_every_report_unchanged(self, monkeypatch):
+        # with every row of every matrix built by _from_maps read-only, an
+        # in-place write to a row that a product or a sum shares raises
+        def reports():
+            out = []
+            for L, levi in [build_sl2_lambda(lam) for lam in range(1, 5)] + [sl2_heisenberg_skewed()]:
+                grading = adjoint_grading(L, levi)
+                rho = adjoint_representation(L, grading)
+                nil = levi.nilrad_indices
+                zs = [unit_vector(L.dim, nil[0]),
+                      tuple(F(k % 3 - 1, 2) if k in nil else F(0) for k in range(L.dim))]
+                out.append((
+                    check_axioms(L), verify_levi_data(L, levi), grading.component_bases,
+                    [im.matrix.to_lists() for im in rho.images], verify_representation(rho),
+                    [conjugate_levi_check(rho, z) for z in zs],
+                ))
+            return out
+
+        plain = reports()
+        real = RatMatrix._from_maps.__func__
+
+        def read_only(cls, rows, cols, maps):
+            return real(cls, rows, cols, [MappingProxyType(m) for m in maps])
+
+        monkeypatch.setattr(RatMatrix, "_from_maps", classmethod(read_only))
+        product = RatMatrix.identity(2) @ RatMatrix.identity(2)
+        with pytest.raises(TypeError):
+            product.maps[0][1] = F(1)
+        assert isinstance(build_sl2()[0].ad_rows[0].maps[1], MappingProxyType)
+        assert reports() == plain
 
     def test_unused_indices_share_one_zero_matrix(self):
         # one bracket in 1500 dimensions: no row list for the 1498 other

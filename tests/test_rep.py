@@ -44,8 +44,11 @@ from trilie.sl2theory import build_irreducible, weight_decomposition
 from helpers import (
     brute_block_support,
     brute_bracket,
+    brute_exp_nilpotent,
     brute_homomorphism_witness,
+    brute_inverse,
     brute_nullspace,
+    brute_product,
     brute_sl2_triple,
     corrupt_bracket,
     is_weight_string,
@@ -55,6 +58,7 @@ from helpers import (
     rebased,
     seeded_rational_matrix,
     seeded_triangular_map,
+    sl2_heisenberg_skewed,
 )
 
 F = Fraction
@@ -892,6 +896,93 @@ class TestFullReport:
         assert report["irreducible_components"] == [True, True]
 
 
+def dense_conjugation_report(rho, z):
+    """conjugate_levi_check from plain lists: exp(ad z) and P = exp(rho(z))
+    as series, P^-1 by elimination, P^-1 M P for every image, each moved
+    Levi image as column s of exp(ad z) applied to the conjugated images,
+    and every block support by a dense scan; the gate on those supports
+    is `_structure_conditions`. Raises ValueError when ad z is not
+    nilpotent."""
+    L, dims = rho.algebra, list(rho.space.component_dims)
+    dim, n = L.dim, rho.space.total_dim
+    z = [F(c) for c in z]
+    units = [[F(int(p == q)) for p in range(dim)] for q in range(dim)]
+    ad_z = [brute_bracket(dim, L.structure, z, units[k]) for k in range(dim)]
+    exp_ad = brute_exp_nilpotent([[ad_z[k][r] for k in range(dim)] for r in range(dim)])
+    mats = [im.matrix.to_lists() for im in rho.images]
+
+    def combine(coeffs, family):
+        return [[sum((c * m[r][q] for c, m in zip(coeffs, family)), F(0))
+                 for q in range(n)] for r in range(n)]
+
+    p = brute_exp_nilpotent(combine(z, mats))
+    p_inv = brute_inverse(p)
+    conjugated = [brute_product(brute_product(p_inv, m), p) for m in mats]
+    moved = [tuple(exp_ad[r][s] for r in range(dim)) for s in rho.levi.levi_indices]
+    levi_supports = [
+        (s, brute_block_support(dims, combine(v, conjugated)))
+        for s, v in zip(rho.levi.levi_indices, moved)
+    ]
+    flags, witnesses = _structure_conditions(
+        [brute_block_support(dims, m) for m in conjugated], levi_supports,
+        rho.levi.nilrad_indices,
+    )
+    report = {**flags, "conjugated_levi_basis": tuple(moved), "all_pass": all(flags.values())}
+    if witnesses:
+        report["witnesses"] = witnesses
+    return report
+
+
+def sl2_plus_affine():
+    """sl2 ⊕ span(x, y) with [x, y] = y: the radical {x, y} is solvable,
+    its nilradical is {y}, and ad x is not nilpotent."""
+    L = LieAlgebra(5, ("f", "h", "e", "x", "y"),
+                   {**build_sl2()[0].structure, (3, 4): {4: F(1)}})
+    return L, LeviData((0, 1, 2), (3, 4), (4,))
+
+
+def conjugation_cases():
+    """(name, rho, z, raises): z random in the nilradical, in the radical
+    with a part outside the nilradical, or with an h part (ad z is then
+    not nilpotent), for adjoint representations, a family module, and a
+    non-homomorphism."""
+    rng = random.Random(2025)
+    coeff = lambda: rng.choice([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)])  # noqa: E731
+    reps = []
+    for lam in (1, 2, 3):
+        reps.append((f"ad sl2^{lam}", adjoint_of_sl2_lambda(lam)))
+    for name, (L, levi) in (("ad sl2+heis", sl2_heisenberg_skewed()),
+                            ("ad sl2+aff", sl2_plus_affine())):
+        reps.append((name, adjoint_representation(L, adjoint_grading(L, levi))))
+    reps.append(("family", build_family_module(ModuleParams(2, 2, 0, 0, 0))))
+    reps.append(("family, not a homomorphism",
+                 build_family_module(ModuleParams(2, 4, 2, 0, 0, (F(1, 2), F(-1, 3))))))
+    bad = adjoint_of_sl2_lambda(2)
+    images = [im.matrix for im in bad.images]
+    images[4] = images[4] + RatMatrix.from_blocks(6, 6, [(3, 0, RatMatrix.identity(3))])
+    images[1] = images[1] + RatMatrix.diagonal([0, 0, 0, 1, 0, 0])
+    reps.append(("not a homomorphism", Representation(bad.algebra, bad.levi, bad.space, tuple(images))))
+    cases = []
+    for name, rho in reps:
+        levi, dim = rho.levi, rho.algebra.dim
+        for t in range(4):
+            z = [F(0)] * dim
+            for k in levi.nilrad_indices:
+                z[k] = coeff()
+            cases.append((f"{name} nilradical {t}", rho, tuple(z), False))
+        outside = [k for k in levi.radical_indices if k not in levi.nilrad_indices]
+        if outside:
+            z = [F(0)] * dim
+            for k in levi.radical_indices:
+                z[k] = coeff()
+            z[outside[0]] = F(2)
+            cases.append((f"{name} radical", rho, tuple(z), True))
+        z = [coeff() for _ in range(dim)]
+        z[levi.levi_indices[1]] = F(-1, 2)  # h
+        cases.append((f"{name} levi part", rho, tuple(z), True))
+    return cases
+
+
 class TestConjugation:
     @pytest.mark.parametrize("lam", (1, 2, 3))
     @pytest.mark.parametrize("zi", (0, 1))
@@ -900,6 +991,26 @@ class TestConjugation:
         z = unit_vector(rho.algebra.dim, 3 + zi)
         report = conjugate_levi_check(rho, z)
         assert report["all_pass"], report
+
+    @pytest.mark.parametrize("case", conjugation_cases(), ids=lambda case: case[0])
+    def test_matches_dense_oracle(self, case):
+        name, rho, z, raises = case
+        if raises:
+            with pytest.raises(ValueError):
+                dense_conjugation_report(rho, z)
+            with pytest.raises(ValueError, match="ad\\(z\\) is not nilpotent"):
+                conjugate_levi_check(rho, z)
+            return
+        assert conjugate_levi_check(rho, z) == dense_conjugation_report(rho, z), name
+
+    def test_out_of_range_levi_index_raises(self):
+        # column s of exp(ad z) is read by index: -1 must not wrap around
+        rho = adjoint_of_sl2_lambda(1)
+        for s in (-1, 5):
+            levi = LeviData((0, 1, s), rho.levi.radical_indices, rho.levi.nilrad_indices)
+            moved = Representation(rho.algebra, levi, rho.space, rho.images)
+            with pytest.raises(IndexError, match=f"index {s} out of range"):
+                conjugate_levi_check(moved, unit_vector(5, 3))
 
     def test_zero_element_reproduces_original_verdict(self):
         rho = adjoint_of_sl2_lambda(2)
