@@ -24,12 +24,24 @@ those `family.enumerate_params` lists for it. Tensor-product
 multiplicities, counted in closed form, provide a second,
 character-theoretic prediction of each cell's dimension. Nothing in a
 cell costs in Λ.
+
+The survey is written cell by cell. `classification_cells` yields each
+cell's plain values, and `render_classification` turns them into the
+report text, byte for byte `json.dumps(report, indent=2)`, with one
+%-template per report level; no report dict is built on the way, so the
+text is the only thing that grows with the Θ(N⁴) sample lists. The text
+is built whole before anything is written: a scalar too long for str()
+raises while it is rendered, and the CLI then writes nothing and exits
+2, on stdout as on `-o`. `classification_report` reads the text back
+into the dict it encodes, so the schema lives in the templates alone.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact import ONE, RatMatrix, rat_str
 from .family import (
@@ -206,70 +218,104 @@ def match_family(
     return {"member": True, "scalar": scalar, "block_is_zero": False}
 
 
-def classification_report(lam: int, n_max: int, m_max: int) -> dict:
-    """Cell-by-cell survey of the (n, m) grid.
+class Cell(NamedTuple):
+    """One (n, m) cell of the survey: the solver dimension, the tensor
+    count, and for each parameter tuple of the cell, in order of s, the
+    record (s, N, n - s, member, scalar), the verdict of `match_family`
+    on the family block at the all-ones sample a of length n - s."""
 
-    Each cell records the solver dimension, the character-theoretic
-    prediction, the parameter tuples landing on the cell (those of
-    `enumerate_params` with that (n, m), in order of s), and the
-    membership verdict of the family block at the all-ones scalar
-    sample. Mismatches in either direction are flagged per cell."""
+    n: int
+    m: int
+    dim: int
+    cg: int
+    matches: tuple[tuple[int, int, int, bool, Fraction | None], ...]
+
+
+def classification_cells(lam: int, n_max: int, m_max: int) -> Iterator[Cell]:
+    """The cells of the (n, m) grid, n and then m ascending. A cell's
+    parameter tuples are those of `enumerate_params` with its (n, m)."""
     tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
         tuples.setdefault((n, m), []).append((s, big_n))
-    cells = []
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             problem = ExtensionProblem(lam, n, m)
             space = solve_extensions(problem)
-            cg = tensor_multiplicity(lam, n, m)
             matches = []
-            any_nonzero_member = False
-            any_family_outside = False
             for s, big_n in tuples.get((n, m), ()):
-                a = tuple(ONE for _ in range(n - s))
-                params = ModuleParams(lam, m, n, s, big_n, a)
+                params = ModuleParams(lam, m, n, s, big_n, (ONE,) * (n - s))
                 verdict = match_family(problem, space, params)
-                matches.append(
-                    {
-                        "s": s,
-                        "N": big_n,
-                        "a": [rat_str(x) for x in a],
-                        "member": verdict["member"],
-                        "scalar": None
-                        if verdict["scalar"] is None
-                        else rat_str(verdict["scalar"]),
-                    }
-                )
-                if verdict["member"] and not verdict["block_is_zero"]:
-                    any_nonzero_member = True
-                if not verdict["member"]:
-                    any_family_outside = True
-            flags = []
-            if space.dimension != cg:
-                flags.append("solver-vs-character-mismatch")
-            if space.dimension > 0 and matches and not any_nonzero_member:
-                flags.append("solution-unreached-by-family-sample")
-            if any_family_outside:
-                flags.append("family-block-outside-solution-space")
-            cells.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "dim": space.dimension,
-                    "cg": cg,
-                    "agree": space.dimension == cg,
-                    "family_matches": matches,
-                    "flags": flags,
-                }
-            )
-    return {
-        "lam": lam,
-        "n_max": n_max,
-        "m_max": m_max,
-        "cells": cells,
-        "notes": [
-            "family blocks sampled at a_i = 1; free scalars a_1..a_{n-s} "
-            "exceed the <= 1-dimensional solution space per cell",
-        ],
-    }
+                matches.append((s, big_n, n - s, verdict["member"], verdict["scalar"]))
+            yield Cell(n, m, space.dimension, tensor_multiplicity(lam, n, m), tuple(matches))
+
+
+# The report, one %-template per level, as json.dumps(report, indent=2)
+# writes it: the cells go between _HEAD and _TAIL, each at indent 4.
+_HEAD = '{\n  "lam": %d,\n  "n_max": %d,\n  "m_max": %d,\n  "cells": ['
+_TAIL = (
+    '\n  ],\n  "notes": [\n    "family blocks sampled at a_i = 1; free scalars '
+    'a_1..a_{n-s} exceed the <= 1-dimensional solution space per cell"\n  ]\n}\n'
+)
+_CELL = (
+    '{\n      "n": %d,\n      "m": %d,\n      "dim": %d,\n      "cg": %d,\n'
+    '      "agree": %s,\n      "family_matches": %s,\n      "flags": %s\n    }'
+)
+_MATCH = (
+    '{\n          "s": %d,\n          "N": %d,\n          "a": %s,\n'
+    '          "member": %s,\n          "scalar": %s\n        }'
+)
+
+
+def _listing(items: list[str]) -> str:
+    # a list valued key of a cell, its members at indent 8
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def render_classification(lam: int, n_max: int, m_max: int, cells: Iterable[Cell]) -> str:
+    """The classify report of `cells` as text, byte for byte
+    `json.dumps(report, indent=2) + "\\n"`. The grid holds at least one
+    cell. Each scalar goes through `rat_str`, so a numerator or
+    denominator too long for str() raises its ValueError here."""
+    ones = {0: "[]"}  # the "a" listing of k "1" entries, built once per k
+    out = [_HEAD % (lam, n_max, m_max)]
+    sep = "\n    "
+    for n, m, dim, cg, matches in cells:
+        texts = []
+        for s, big_n, k, member, scalar in matches:
+            a = ones.get(k)
+            if a is None:
+                a = ones[k] = "[\n" + ",\n".join(['            "1"'] * k) + "\n          ]"
+            texts.append(_MATCH % (
+                s, big_n, a, "true" if member else "false",
+                "null" if scalar is None else '"' + rat_str(scalar) + '"',
+            ))
+        flags = []
+        if dim != cg:
+            flags.append('"solver-vs-character-mismatch"')
+        # a_0 = 1, so no family block is zero: a member reaches the line
+        if dim > 0 and matches and not any(match[3] for match in matches):
+            flags.append('"solution-unreached-by-family-sample"')
+        if not all(match[3] for match in matches):
+            flags.append('"family-block-outside-solution-space"')
+        out.append(sep)
+        out.append(_CELL % (
+            n, m, dim, cg, "true" if dim == cg else "false",
+            _listing(texts), _listing(flags),
+        ))
+        sep = ",\n    "
+    out.append(_TAIL)
+    return "".join(out)
+
+
+def classification_report(lam: int, n_max: int, m_max: int) -> dict:
+    """Cell-by-cell survey of the (n, m) grid, as the dict the classify
+    text encodes.
+
+    Each cell records the solver dimension, the character-theoretic
+    prediction, the parameter tuples landing on the cell, and the
+    membership verdict of the family block at the all-ones scalar
+    sample. Mismatches in either direction are flagged per cell."""
+    cells = classification_cells(lam, n_max, m_max)
+    return json.loads(render_classification(lam, n_max, m_max, cells))

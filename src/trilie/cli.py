@@ -25,7 +25,7 @@ import reprlib
 import sys
 from typing import Any, Callable
 
-from .classify import classification_report
+from .classify import classification_cells, render_classification
 from .exact import RatMatrix, rat
 from .family import (
     ModuleParams,
@@ -238,36 +238,23 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classify(args) -> int:
     if args.lam < 1 or args.max_n < 0 or args.max_m < 0:
         raise InputError("need --lambda >= 1 and nonnegative bounds")
-    # the scalars are the report's only computed numbers, written as it
-    # is built
-    report = _render(
-        lambda: classification_report(args.lam, args.max_n, args.max_m),
-        lambda: "cells.family_matches.scalar",
-    )
+    cells = list(classification_cells(args.lam, args.max_n, args.max_m))
     if args.table:
         width = 6
-        header = "".join(
-            h.rjust(width) for h in ("n", "m", "dim", "cg", "agree")
-        )
-        lines = [header]
-        for cell in report["cells"]:
-            lines.append(
-                "".join(
-                    str(v).rjust(width)
-                    for v in (
-                        cell["n"],
-                        cell["m"],
-                        cell["dim"],
-                        cell["cg"],
-                        cell["agree"],
-                    )
-                )
-            )
+        lines = ["".join(h.rjust(width) for h in ("n", "m", "dim", "cg", "agree"))]
+        for cell in cells:
+            row = (cell.n, cell.m, cell.dim, cell.cg, cell.dim == cell.cg)
+            lines.append("".join(str(v).rjust(width) for v in row))
         _write("\n".join(lines) + "\n", args.output)
     else:
-        _write(dumps(report), args.output)
-    agree = all(cell["agree"] for cell in report["cells"])
-    return 0 if agree else 1
+        # the scalars are the report's only computed numbers, written as
+        # the text is built
+        text = _render(
+            lambda: render_classification(args.lam, args.max_n, args.max_m, cells),
+            lambda: "cells.family_matches.scalar",
+        )
+        _write(text, args.output)
+    return 0 if all(cell.dim == cell.cg for cell in cells) else 1
 
 
 def _cmd_decompose(args) -> int:

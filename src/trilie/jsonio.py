@@ -17,7 +17,9 @@ handles the JSON types the verbs emit (str, int, list, dict with str
 keys, None and the bools); `json.dumps` handles every other document.
 CPython 3.13 encodes indented output in C, faster than any Python
 writer, so there `dumps` keeps `json.dumps`. The choice is made once,
-at import.
+at import. Classify reports still equal `json.dumps(report, indent=2)`,
+but are written by the template renderer of `trilie.classify`, from the
+cells, with no report dict and no call here.
 """
 
 from __future__ import annotations

@@ -22,10 +22,11 @@ is spanned by the rows of the one sparse product S @ R_i; dense tuples
 appear only in the public return values; `bracket` is ad(x) applied to
 y. Both series start from a span of basis indices, shown to be an ideal
 by one scan of the table, so the first term's ad matrices are the R_i.
-The same scan, `span_escape`, decides Levi closure wherever it is asked.
-It reads the stored bracket keys with an index in the span, and walks
-the caller's index pairs only to name the first escape, so a passing
-check costs the stored brackets. The adjoint representation changes
+That scan reads the stored bracket keys with an index in the span, and
+walks the caller's index pairs only to name the first escape, so a
+passing check costs the stored brackets. Levi closure, wherever it is
+asked, is `span_escape`: only keys with both indices in the span can
+escape, so it costs the fewer of the |span|² pairs and the stored keys. The adjoint representation changes
 basis through the stored entries of the graded basis vectors.
 
 One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
@@ -282,10 +283,28 @@ def _index_escape(L: LieAlgebra, pairs: Iterable[tuple[int, int]],
 
 def span_escape(L: LieAlgebra, indices: Sequence[int]) -> tuple[int, int, int] | None:
     """The first bracket of two listed basis elements that leaves their
-    span, as `_index_escape` over the pairs i < j in list order; None
-    when span{b_g : g in indices} is closed under the bracket."""
+    span: the first (i, j, k), over the pairs i < j in list order and k
+    ascending, for which [b_i, b_j] has a b_k term with k outside it;
+    None when span{b_g : g in indices} is closed under the bracket.
+
+    Only a stored key with both indices in the span can escape, so the
+    scan reads whichever is fewer: the pairs, each looked up in the
+    table, or the stored keys, which decide a passing check before any
+    pair is walked."""
     idx = list(indices)
-    return _index_escape(L, ((i, j) for i in idx for j in idx if i < j), idx)
+    inside = set(idx)
+    table = L.structure
+    if len(idx) * (len(idx) - 1) // 2 > len(table) and not any(
+        a in inside and b in inside and not inside.issuperset(coeffs)
+        for (a, b), coeffs in table.items()
+    ):
+        return None
+    for i in idx:
+        for j in idx:
+            coeffs = table.get((i, j)) if i < j else None
+            if coeffs and not inside.issuperset(coeffs):
+                return i, j, min(k for k in coeffs if k not in inside)
+    return None
 
 
 def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix]:

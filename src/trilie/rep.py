@@ -10,7 +10,7 @@ Levi action. Irreducibility is decided only for a homomorphism whose
 Levi images are homogeneous of degree 0 (condition (i)), since only
 then is each component a Levi module; there it takes one rank of the
 image of e per component. The sl2 triple is recognized on the Levi
-span, whose closure is decided by `liealg.span_escape`, the one index
+span, whose closure is decided by `liealg.span_escape`, the one closure
 scan that also decides it for the declaration checks. A separate
 conjugation check re-runs the structural conditions after moving both
 the Levi factor and the grading by the exponential of a nilpotent

@@ -11,11 +11,17 @@ import math
 import random
 from fractions import Fraction
 
-from trilie.exact import RatMatrix, ShapeError, combination, rank
+from trilie.classify import (
+    ExtensionProblem,
+    match_family,
+    solve_extensions,
+)
+from trilie.exact import ONE, RatMatrix, ShapeError, combination, rank, rat_str
+from trilie.family import ModuleParams, enumerate_params
 from trilie.graded import GradedMap, GradedSpace
 from trilie.jsonio import matrix_to_json
 from trilie.liealg import LeviData, LieAlgebra
-from trilie.sl2theory import build_irreducible
+from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
 
 def clebsch_gordan_count(a: int, b: int, c: int) -> int:
@@ -661,3 +667,74 @@ def sl2_heisenberg_skewed():
     }
     L = LieAlgebra(6, ("f", "h", "e", "b3", "b4", "c"), structure)
     return L, LeviData((0, 1, 2), (3, 4, 5), (3, 4, 5))
+
+
+def brute_classification_report(lam: int, n_max: int, m_max: int) -> dict:
+    """The classify report as a dict, built field by field from the
+    solver, the tensor count and `match_family`: the oracle for the
+    classify text renderer.
+
+    Each cell records the solver dimension, the character-theoretic
+    prediction, the parameter tuples landing on the cell (those of
+    `enumerate_params` with that (n, m), in order of s), and the
+    membership verdict of the family block at the all-ones scalar
+    sample. Mismatches in either direction are flagged per cell."""
+    tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
+        tuples.setdefault((n, m), []).append((s, big_n))
+    cells = []
+    for n in range(n_max + 1):
+        for m in range(m_max + 1):
+            problem = ExtensionProblem(lam, n, m)
+            space = solve_extensions(problem)
+            cg = tensor_multiplicity(lam, n, m)
+            matches = []
+            any_nonzero_member = False
+            any_family_outside = False
+            for s, big_n in tuples.get((n, m), ()):
+                a = tuple(ONE for _ in range(n - s))
+                params = ModuleParams(lam, m, n, s, big_n, a)
+                verdict = match_family(problem, space, params)
+                matches.append(
+                    {
+                        "s": s,
+                        "N": big_n,
+                        "a": [rat_str(x) for x in a],
+                        "member": verdict["member"],
+                        "scalar": None
+                        if verdict["scalar"] is None
+                        else rat_str(verdict["scalar"]),
+                    }
+                )
+                if verdict["member"] and not verdict["block_is_zero"]:
+                    any_nonzero_member = True
+                if not verdict["member"]:
+                    any_family_outside = True
+            flags = []
+            if space.dimension != cg:
+                flags.append("solver-vs-character-mismatch")
+            if space.dimension > 0 and matches and not any_nonzero_member:
+                flags.append("solution-unreached-by-family-sample")
+            if any_family_outside:
+                flags.append("family-block-outside-solution-space")
+            cells.append(
+                {
+                    "n": n,
+                    "m": m,
+                    "dim": space.dimension,
+                    "cg": cg,
+                    "agree": space.dimension == cg,
+                    "family_matches": matches,
+                    "flags": flags,
+                }
+            )
+    return {
+        "lam": lam,
+        "n_max": n_max,
+        "m_max": m_max,
+        "cells": cells,
+        "notes": [
+            "family blocks sampled at a_i = 1; free scalars a_1..a_{n-s} "
+            "exceed the <= 1-dimensional solution space per cell",
+        ],
+    }

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -26,6 +27,7 @@ from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
 from helpers import (
+    brute_classification_report,
     brute_contains,
     brute_extension_basis,
     brute_in_span,
@@ -439,8 +441,9 @@ class TestMatchFamilyReadsZRules:
 
 
 # sha256 of `trilie classify` stdout: the first two recorded before the
-# solver was weight-blocked, the last two before it walked the diagonal;
-# a box "N" is N x N, "NxM" is n <= N, m <= M
+# solver was weight-blocked, the next two before it walked the diagonal,
+# the last before the report was written from templates; a box "N" is
+# N x N, "NxM" is n <= N, m <= M
 @pytest.mark.parametrize(
     "lam,box,digest",
     [
@@ -448,6 +451,7 @@ class TestMatchFamilyReadsZRules:
         ("4", "10", "2081dd72c040d2110130f74c3d5292bd310178a8b8553aa4010ea1ada8aae737"),
         ("3", "24", "96a4df8900bb00975c3634b741ca23d58eb23e04355e3957c212a66376f957e4"),
         ("1", "40x41", "d6baab74e50768afd26641b3d632caa0184589608702a798262d647cf724f33c"),
+        ("2", "100", "d8225ea0e751d5eff0289f827c049b0ddd5f1a790c2591b09bd1809c982247ba"),
     ],
 )
 def test_classify_output_matches_golden_digest(capsys, lam, box, digest):
@@ -456,6 +460,32 @@ def test_classify_output_matches_golden_digest(capsys, lam, box, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _oracle_boxes():
+    # every box up to 12 x 12 for lam <= 4, and seeded ones up to lam = 8
+    # and 30 x 30, with the boxes of one row and of one column among them
+    boxes = [(lam, n, m) for lam in range(1, 5) for n in range(13) for m in range(13)]
+    rng = random.Random(26)
+    for _ in range(12):
+        boxes.append((rng.randint(1, 8), rng.randint(0, 30), rng.randint(0, 30)))
+    for _ in range(4):
+        lam, size = rng.randint(1, 8), rng.randint(13, 30)
+        boxes += [(lam, 0, size), (lam, size, 0)]
+    return boxes
+
+
+def test_classify_text_and_report_match_the_dict_oracle(capsys):
+    # the template renderer writes exactly what json.dumps writes of the
+    # report built field by field, and the report reads back to it
+    for lam, n_max, m_max in _oracle_boxes():
+        brute = brute_classification_report(lam, n_max, m_max)
+        code = run(["classify", "--lambda", str(lam), "--max-n", str(n_max),
+                    "--max-m", str(m_max)])
+        out = capsys.readouterr().out
+        assert code == 0, (lam, n_max, m_max)
+        assert out == json.dumps(brute, indent=2) + "\n", (lam, n_max, m_max)
+        assert classification_report(lam, n_max, m_max) == brute, (lam, n_max, m_max)
 
 
 class TestReport:

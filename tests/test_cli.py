@@ -12,10 +12,12 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import trilie
+import trilie.classify as classify
 import trilie.cli as cli
 import trilie.rep as rep
 import trilie.sl2theory as sl2theory
@@ -473,10 +475,17 @@ def _long_component(monkeypatch):
 
 
 def _long_scalar(monkeypatch):
-    # classify writes its scalars while it builds the report
-    monkeypatch.setattr(cli, "classification_report",
-                        lambda lam, n, m: {"cells": [{"scalar": str(_HUGE)}]})
-    return "classify --lambda 1 --max-n 1 --max-m 1".split(), "cells.family_matches.scalar"
+    # a 5001-digit scalar on the last cell (1, 2) only: every cell before
+    # it is rendered, and still nothing is written
+    real = classify.match_family
+
+    def long_on_last_cell(p, space, params):
+        if (p.n, p.m) == (1, 2):
+            return {"member": True, "scalar": Fraction(_HUGE), "block_is_zero": False}
+        return real(p, space, params)
+
+    monkeypatch.setattr(classify, "match_family", long_on_last_cell)
+    return "classify --lambda 1 --max-n 1 --max-m 2".split(), "cells.family_matches.scalar"
 
 
 @pytest.mark.parametrize("setup", [_long_family_image, _long_component, _long_scalar],
@@ -489,6 +498,13 @@ def test_every_verb_refuses_a_number_too_long_to_write(capsys, monkeypatch, tmp_
     assert out == ""
     assert err.startswith(f"error: {field}")
     assert not target.exists()
+
+
+def test_classify_builds_its_whole_text_before_writing(capsys, monkeypatch):
+    argv, field = _long_scalar(monkeypatch)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} holds a number of more than")
 
 
 def test_zero_algebra_on_large_space_returns_at_once(capsys, monkeypatch):

@@ -236,9 +236,10 @@ class TestLeviData:
         assert not report["all_pass"]
 
     def test_each_ideal_is_checked_once(self, monkeypatch):
-        # one index scan each decides Levi closure and the two ideal
-        # checks; each series then runs once, with no closure test of its own
-        calls = {"_index_escape": 0, "_series": 0}
+        # one closure scan decides Levi closure and one index scan each
+        # ideal check; each series then runs once, with no closure test
+        # of its own
+        calls = {"span_escape": 0, "_index_escape": 0, "_series": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -249,7 +250,7 @@ class TestLeviData:
         for name in calls:
             monkeypatch.setattr(liealg, name, counted(name, getattr(liealg, name)))
         assert verify_levi_data(*build_sl2_lambda(8))["all_pass"]
-        assert calls == {"_index_escape": 3, "_series": 2}
+        assert calls == {"span_escape": 1, "_index_escape": 2, "_series": 2}
 
 
 def levi_declarations(seed, count):
@@ -797,6 +798,27 @@ class TestStructureConstantOracles:
             assert report["witnesses"]["jacobi"] == witness, seed
             witnesses.append(witness)
         assert witnesses.count(None) >= 20 and witnesses.count(None) < 35
+
+    @given(corrupted_tables(), st.data())
+    @settings(max_examples=150)
+    def test_span_escape_matches_plain_pair_walk(self, case, data):
+        # small spans walk their pairs, large ones read the stored keys;
+        # half the time one bracket of two span elements is made to leave
+        # the span in one to three terms
+        dim, table = case
+        span = data.draw(st.one_of(
+            st.just([0, 1, 2]),
+            st.lists(st.integers(0, dim - 1), max_size=dim + 2),
+        ))
+        pairs = [(i, j) for i in span for j in span if i < j]
+        outside = [k for k in range(dim) if k not in span]
+        if pairs and outside and data.draw(st.booleans()):
+            targets = st.lists(st.sampled_from(outside), min_size=1, max_size=3)
+            table[data.draw(st.sampled_from(pairs))] = {
+                k: F(data.draw(st.integers(1, 3))) for k in data.draw(targets)
+            }
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        assert span_escape(L, span) == brute_index_escape(dim, table, pairs, span)
 
     @given(corrupted_tables(), st.data())
     @settings(max_examples=60)

@@ -692,8 +692,8 @@ class TestRecognizeSl2:
     def test_closure_is_one_index_scan(self, monkeypatch):
         # the scan verify_levi_data runs; the matrices are built after it
         calls = []
-        real = liealg._index_escape
-        monkeypatch.setattr(liealg, "_index_escape",
+        real = liealg.span_escape
+        monkeypatch.setattr(rep, "span_escape",
                             lambda *args: calls.append(args) or real(*args))
         L, levi = build_sl2_lambda(3)
         recognize_sl2(L, levi.levi_indices)

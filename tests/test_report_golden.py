@@ -16,7 +16,8 @@ representation, and one altered-bracket variant of each. A third deck
 pins `decompose` on about 300 seeded graded maps, triangular and
 lowering, over graded spaces with empty and single components. A last
 test writes the three decks, and one output of `gen`, `check` and
-`classify`, through `jsonio.encode_indented` with `json.dumps` barred,
+`classify`, with `json.dumps` barred, all but `classify` through
+`jsonio.encode_indented` (`classify` has its own template renderer),
 so no verb's output depends on the writer's `json.dumps` fallback.
 """
 
