@@ -186,7 +186,10 @@ def match_family(
     order, up to the first mismatch: z_0 lies on the line's weight
     diagonal (N - s = c), so a member is nonzero on each of those cells
     and stores no other, and its scalar is its first entry over the
-    line's there. No block, matrix or module is built."""
+    line's there. No block, matrix or module is built. The verdict is
+    {"member": bool, "scalar": Fraction | None}; a_0 = 1 stores the
+    cell (N, s), so z_0 is never the zero block and a member is
+    nonzero."""
     if (params.lam, params.n, params.m) != (p.lam, p.n, p.m):
         raise ValueError(
             f"params {(params.lam, params.n, params.m)} do not match "
@@ -195,8 +198,7 @@ def match_family(
     ok, problems = validate_params(params)
     if not ok:
         raise ValueError("; ".join(problems))
-    # a_0 = 1 stores the cell (N, s), so z_0 is never the zero block
-    outside = {"member": False, "scalar": None, "block_is_zero": False}
+    outside = {"member": False, "scalar": None}
     if not space.basis:
         return outside
     (line,) = space.basis
@@ -215,7 +217,7 @@ def match_family(
     in_range = min(params.n - params.s, params.m - params.big_n)
     if 1 + sum(map(bool, params.a[:in_range])) != sum(map(len, line.maps)):
         return outside
-    return {"member": True, "scalar": scalar, "block_is_zero": False}
+    return {"member": True, "scalar": scalar}
 
 
 class Cell(NamedTuple):
@@ -294,7 +296,7 @@ def render_classification(lam: int, n_max: int, m_max: int, cells: Iterable[Cell
         flags = []
         if dim != cg:
             flags.append('"solver-vs-character-mismatch"')
-        # a_0 = 1, so no family block is zero: a member reaches the line
+        # a member is a nonzero block: a_0 = 1 stores z_0's cell (N, s)
         if dim > 0 and matches and not any(match[3] for match in matches):
             flags.append('"solution-unreached-by-family-sample"')
         if not all(match[3] for match in matches):

@@ -25,9 +25,10 @@ by one scan of the table, so the first term's ad matrices are the R_i.
 That scan reads the stored bracket keys with an index in the span, and
 walks the caller's index pairs only to name the first escape, so a
 passing check costs the stored brackets. Levi closure, wherever it is
-asked, is `span_escape`: only keys with both indices in the span can
-escape, so it costs the fewer of the |span|² pairs and the stored keys. The adjoint representation changes
-basis through the stored entries of the graded basis vectors.
+asked, is `span_escape`: only a pair with both indices in the span can
+escape, so it looks up the span's pairs in the table and reads no other
+key. The adjoint representation changes basis through the stored
+entries of the graded basis vectors.
 
 One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
 brackets: it checks representations, and Jacobi is its check of ad. It
@@ -286,24 +287,17 @@ def span_escape(L: LieAlgebra, indices: Sequence[int]) -> tuple[int, int, int] |
     span: the first (i, j, k), over the pairs i < j in list order and k
     ascending, for which [b_i, b_j] has a b_k term with k outside it;
     None when span{b_g : g in indices} is closed under the bracket.
-
-    Only a stored key with both indices in the span can escape, so the
-    scan reads whichever is fewer: the pairs, each looked up in the
-    table, or the stored keys, which decide a passing check before any
-    pair is walked."""
+    Each pair is one table lookup, so the scan costs |span|² lookups
+    and reads no stored key outside the span."""
     idx = list(indices)
     inside = set(idx)
     table = L.structure
-    if len(idx) * (len(idx) - 1) // 2 > len(table) and not any(
-        a in inside and b in inside and not inside.issuperset(coeffs)
-        for (a, b), coeffs in table.items()
-    ):
-        return None
     for i in idx:
         for j in idx:
-            coeffs = table.get((i, j)) if i < j else None
-            if coeffs and not inside.issuperset(coeffs):
-                return i, j, min(k for k in coeffs if k not in inside)
+            if i < j:
+                coeffs = table.get((i, j))
+                if coeffs and not inside.issuperset(coeffs):
+                    return i, j, min(k for k in coeffs if k not in inside)
     return None
 
 

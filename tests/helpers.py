@@ -706,7 +706,7 @@ def brute_classification_report(lam: int, n_max: int, m_max: int) -> dict:
                         else rat_str(verdict["scalar"]),
                     }
                 )
-                if verdict["member"] and not verdict["block_is_zero"]:
+                if verdict["member"]:
                     any_nonzero_member = True
                 if not verdict["member"]:
                     any_family_outside = True

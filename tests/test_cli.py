@@ -481,7 +481,7 @@ def _long_scalar(monkeypatch):
 
     def long_on_last_cell(p, space, params):
         if (p.n, p.m) == (1, 2):
-            return {"member": True, "scalar": Fraction(_HUGE), "block_is_zero": False}
+            return {"member": True, "scalar": Fraction(_HUGE)}
         return real(p, space, params)
 
     monkeypatch.setattr(classify, "match_family", long_on_last_cell)

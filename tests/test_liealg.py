@@ -802,9 +802,9 @@ class TestStructureConstantOracles:
     @given(corrupted_tables(), st.data())
     @settings(max_examples=150)
     def test_span_escape_matches_plain_pair_walk(self, case, data):
-        # small spans walk their pairs, large ones read the stored keys;
-        # half the time one bracket of two span elements is made to leave
-        # the span in one to three terms
+        # spans with fewer and with more pairs than stored keys; half the
+        # time one bracket of two span elements is made to leave the span
+        # in one to three terms
         dim, table = case
         span = data.draw(st.one_of(
             st.just([0, 1, 2]),
