@@ -20,7 +20,11 @@ elimination runs.
 The family's z_0 lies on the same diagonal, N - s = c, so its
 membership in the solution span is read on the line's stored cells
 alone, one z-rule entry per cell; the parameter tuples of a cell are
-those `family.enumerate_params` lists for it. Tensor-product
+those `family.enumerate_params` lists for it. `match_family` checks
+the tuple it is given, then walks; the survey hands its own tuples to
+the walk as plain integers, unchecked, since `enumerate_params` yields
+only tuples with m = Λ + n + 2N - 2s, 0 <= s <= n and 0 <= N <= m, and
+so builds no `ModuleParams` per tuple. Tensor-product
 multiplicities, counted in closed form, provide a second,
 character-theoretic prediction of each cell's dimension. Nothing in a
 cell costs in Λ.
@@ -41,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ONE, RatMatrix, rat_str
 from .family import (
@@ -182,14 +186,11 @@ def match_family(
 ) -> dict:
     """Is the family module's z_0 block inside the solver's span?
 
-    The answer is read on the line's stored cells alone, in row-major
-    order, up to the first mismatch: z_0 lies on the line's weight
-    diagonal (N - s = c), so a member is nonzero on each of those cells
-    and stores no other, and its scalar is its first entry over the
-    line's there. No block, matrix or module is built. The verdict is
-    {"member": bool, "scalar": Fraction | None}; a_0 = 1 stores the
-    cell (N, s), so z_0 is never the zero block and a member is
-    nonzero."""
+    params must have p's (Λ, n, m) and pass `validate_params`; either
+    failure raises ValueError. The verdict is then that of
+    `_family_verdict`, as {"member": bool, "scalar": Fraction | None}.
+    `classification_cells` calls `_family_verdict` itself, on tuples
+    that `enumerate_params` lists and so are valid by construction."""
     if (params.lam, params.n, params.m) != (p.lam, p.n, p.m):
         raise ValueError(
             f"params {(params.lam, params.n, params.m)} do not match "
@@ -198,33 +199,52 @@ def match_family(
     ok, problems = validate_params(params)
     if not ok:
         raise ValueError("; ".join(problems))
-    outside = {"member": False, "scalar": None}
+    member, scalar = _family_verdict(
+        space, params.m, params.n, params.s, params.big_n, params.a
+    )
+    return {"member": member, "scalar": scalar}
+
+
+def _family_verdict(
+    space: SolutionSpace, m: int, n: int, s: int, big_n: int, a: Sequence[Fraction]
+) -> tuple[bool, Fraction | None]:
+    """(member, scalar) of the z_0 block of the valid tuple (m, n, s, N)
+    with scalars a_1 … a_{n-s}, the first n - s entries of a.
+
+    The answer is read on the line's stored cells alone, in row-major
+    order, up to the first mismatch: z_0 lies on the line's weight
+    diagonal (N - s = c), so a member is nonzero on each of those cells
+    and stores no other, and its scalar is its first entry over the
+    line's there. No block, matrix or module is built. a_0 = 1 stores
+    the cell (N, s), so z_0 is never the zero block and a member is
+    nonzero."""
     if not space.basis:
-        return outside
+        return False, None
     (line,) = space.basis
     scalar = None
     for t, row in enumerate(line.maps):
         for i, x in row.items():
-            z = z0_entry(params, t, i)
+            z = z0_entry(m, n, s, big_n, a, t, i)
             if not z:
-                return outside
+                return False, None
             if scalar is None:
                 scalar = z / x
             elif z != scalar * x:
-                return outside
+                return False, None
     # every line cell holds z_0, so z_0 stores no other iff it stores
     # as many: a_0 and each nonzero a_θ whose cell is in range
-    in_range = min(params.n - params.s, params.m - params.big_n)
-    if 1 + sum(map(bool, params.a[:in_range])) != sum(map(len, line.maps)):
-        return outside
-    return {"member": True, "scalar": scalar}
+    in_range = min(n - s, m - big_n)
+    if 1 + sum(map(bool, a[:in_range])) != sum(map(len, line.maps)):
+        return False, None
+    return True, scalar
 
 
 class Cell(NamedTuple):
     """One (n, m) cell of the survey: the solver dimension, the tensor
     count, and for each parameter tuple of the cell, in order of s, the
-    record (s, N, n - s, member, scalar), the verdict of `match_family`
-    on the family block at the all-ones sample a of length n - s."""
+    record (s, N, n - s, member, scalar), the verdict of
+    `_family_verdict` on the family block at the all-ones sample a_1 …
+    a_{n-s}."""
 
     n: int
     m: int
@@ -235,20 +255,21 @@ class Cell(NamedTuple):
 
 def classification_cells(lam: int, n_max: int, m_max: int) -> Iterator[Cell]:
     """The cells of the (n, m) grid, n and then m ascending. A cell's
-    parameter tuples are those of `enumerate_params` with its (n, m)."""
+    parameter tuples are those of `enumerate_params` with its (n, m),
+    valid by construction, so each goes to `_family_verdict` as its
+    integers, with one all-ones sample for the whole grid."""
     tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
         tuples.setdefault((n, m), []).append((s, big_n))
+    ones = (ONE,) * n_max  # a_1 … a_{n-s}, read up to n - s <= n_max
     for n in range(n_max + 1):
         for m in range(m_max + 1):
-            problem = ExtensionProblem(lam, n, m)
-            space = solve_extensions(problem)
-            matches = []
-            for s, big_n in tuples.get((n, m), ()):
-                params = ModuleParams(lam, m, n, s, big_n, (ONE,) * (n - s))
-                verdict = match_family(problem, space, params)
-                matches.append((s, big_n, n - s, verdict["member"], verdict["scalar"]))
-            yield Cell(n, m, space.dimension, tensor_multiplicity(lam, n, m), tuple(matches))
+            space = solve_extensions(ExtensionProblem(lam, n, m))
+            matches = tuple(
+                (s, big_n, n - s, *_family_verdict(space, m, n, s, big_n, ones))
+                for s, big_n in tuples.get((n, m), ())
+            )
+            yield Cell(n, m, space.dimension, tensor_multiplicity(lam, n, m), matches)
 
 
 # The report, one %-template per level, as json.dumps(report, indent=2)

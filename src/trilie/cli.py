@@ -4,9 +4,11 @@ Verbs: `gen` (emit algebra / family-module JSON), `check` (Lie axioms
 plus declared-decomposition certificates), `verify` (full
 representation pipeline), `enumerate` (valid parameter tuples),
 `classify` (solution-space survey), `decompose` (degree stripes of a
-triangular map). `-` stands for stdin/stdout. Exit codes: 0 all checks
-pass, 1 a verification check failed (the report is still written),
-2 malformed input or arguments.
+triangular map). `-` stands for stdin/stdout; any other input path
+must name a regular file, since a device such as /dev/zero could be
+read without end. Exit codes: 0 all checks pass, 1 a verification check
+failed (the report is still written), 2 malformed input or arguments,
+or an input that needs more memory than the process has.
 
 A report that would hold a computed number too long to write is
 malformed input too. CPython converts no int of more than
@@ -21,7 +23,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import reprlib
+import stat
 import sys
 from typing import Any, Callable
 
@@ -63,6 +67,9 @@ def _read_json(path: str) -> dict:
     try:
         if path == "-":
             return json.load(sys.stdin)
+        # a device or a pipe (/dev/zero) could be read without end
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise InputError(f"cannot read JSON from {path}: not a regular file")
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
@@ -354,8 +361,13 @@ def run(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        # a valid input may still ask for more than the process has (a
+        # family module of dimension 10^8): no report, nothing written
+        message = "the input needs more memory than this process has"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

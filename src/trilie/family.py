@@ -158,17 +158,21 @@ def z_blocks(p: ModuleParams) -> list[RatMatrix]:
     return [RatMatrix._from_maps(m + 1, n + 1, maps) for maps in z_maps]
 
 
-def z0_entry(p: ModuleParams, t: int, i: int) -> Fraction:
-    """Cell (t, i) of z_0, the z-rules at j = 0 for valid params p:
-    a_θ (m-t)! / (t! m!) where t = i - s + N with s <= i <= min(n,
-    m + s - N), θ = i - s and a_0 = 1, and 0 on every other cell."""
-    theta = i - p.s
-    if t != theta + p.big_n or not 0 <= theta <= min(p.n - p.s, p.m - p.big_n):
+def z0_entry(
+    m: int, n: int, s: int, big_n: int, a: Sequence[Fraction], t: int, i: int
+) -> Fraction:
+    """Cell (t, i) of z_0 for the valid tuple (m, n, s, N) with scalars
+    a_1 … a_{n-s} = a[0] … a[n-s-1], the z-rules at j = 0: a_θ (m-t)! /
+    (t! m!) where t = i - s + N with s <= i <= min(n, m + s - N), θ =
+    i - s and a_0 = 1, and 0 on every other cell. a may run past n - s;
+    only its first n - s entries are read."""
+    theta = i - s
+    if t != theta + big_n or not 0 <= theta <= min(n - s, m - big_n):
         return ZERO
-    a = p.a[theta - 1] if theta else ONE
+    x = a[theta - 1] if theta else ONE
     return Fraction(
-        a.numerator * math.factorial(p.m - t),
-        a.denominator * math.factorial(t) * math.factorial(p.m),
+        x.numerator * math.factorial(m - t),
+        x.denominator * math.factorial(t) * math.factorial(m),
     )
 
 

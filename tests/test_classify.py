@@ -22,7 +22,7 @@ from trilie.classify import (
 )
 from trilie.cli import run
 from trilie.exact import RatMatrix
-from trilie.family import build_family_module
+from trilie.family import build_family_module, validate_params
 from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
@@ -343,8 +343,8 @@ class TestMatchFamilyReadsZRules:
         reads = []
         reader = classify.z0_entry
 
-        def recording(params, t, i):
-            z = reader(params, t, i)
+        def recording(m, n, s, big_n, a, t, i):
+            z = reader(m, n, s, big_n, a, t, i)
             reads.append((t, i, z))
             return z
 
@@ -484,6 +484,34 @@ def test_classify_text_and_report_match_the_dict_oracle(capsys):
         assert code == 0, (lam, n_max, m_max)
         assert out == json.dumps(brute, indent=2) + "\n", (lam, n_max, m_max)
         assert classification_report(lam, n_max, m_max) == brute, (lam, n_max, m_max)
+
+
+def test_classify_hands_the_verdict_walk_only_valid_tuples(monkeypatch):
+    # classification_cells skips match_family's checks: each (s, N) it
+    # lists for a cell reaches the walk as that cell's valid tuple with
+    # the all-ones sample, and the walk's verdict is match_family's
+    walk = classify._family_verdict
+    calls = []
+
+    def recording(space, m, n, s, big_n, a):
+        got = walk(space, m, n, s, big_n, a)
+        calls.append((space, m, n, s, big_n, a, got))
+        return got
+
+    monkeypatch.setattr(classify, "_family_verdict", recording)
+    for lam, n_max, m_max in _oracle_boxes():
+        for cell in classify.classification_cells(lam, n_max, m_max):
+            problem = ExtensionProblem(lam, cell.n, cell.m)
+            assert len(calls) == len(cell.matches), (lam, cell)
+            for (s, big_n, k, member, scalar), (space, *tup, a, got) in zip(cell.matches, calls):
+                assert (space.problem, *tup) == (problem, cell.m, cell.n, s, big_n)
+                ones = (F(1),) * (cell.n - s)
+                assert (k, tuple(a[:cell.n - s])) == (cell.n - s, ones), (lam, cell)
+                params = ModuleParams(lam, cell.m, cell.n, s, big_n, ones)
+                assert validate_params(params) == (True, []), params
+                verdict = match_family(problem, space, params)
+                assert got == (member, scalar) == (verdict["member"], verdict["scalar"]), params
+            calls.clear()
 
 
 class TestReport:

@@ -19,6 +19,7 @@ import pytest
 import trilie
 import trilie.classify as classify
 import trilie.cli as cli
+import trilie.family as family
 import trilie.rep as rep
 import trilie.sl2theory as sl2theory
 from trilie.cli import run
@@ -322,6 +323,47 @@ def test_verify_rejects_algebra_path_to_a_device(capsys, monkeypatch):
     assert time.monotonic() - t0 < 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("verb", ["check", "verify", "decompose"])
+def test_input_path_to_a_device_is_refused_unread(capsys, monkeypatch, verb):
+    # /dev/zero never ends: an input path must name a regular file
+    real_open = builtins.open
+
+    def guarded(path, *args, **kwargs):
+        assert path != "/dev/zero", "opened /dev/zero"
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded)
+    t0 = time.monotonic()
+    code, out, err = _run(capsys, [verb, "/dev/zero"])
+    assert time.monotonic() - t0 < 2
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read JSON from /dev/zero: not a regular file\n"
+
+
+_ONE_CELL = {"family_params": {"lambda": 1, "m": 1, "n": 0, "s": 0, "N": 0, "a": []}}
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    ("gen family --lambda 1 --m 1 --n 0 --s 0 --bigN 0".split(), None),
+    (["verify", "--paper-literal", "-"], json.dumps(_ONE_CELL)),
+], ids=["gen-family", "verify-paper-literal"])
+def test_running_out_of_memory_is_exit_2_and_writes_nothing(
+        capsys, monkeypatch, tmp_path, argv, stdin):
+    # a valid tuple with m = 10^8 asks for a module of that dimension;
+    # the string builder raising stands in for that allocation
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(family, "string_action", exhausted)
+    target = tmp_path / "out.json"
+    code, out, err = _run(capsys, argv + ["-o", str(target)], stdin=stdin,
+                          monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "error: the input needs more memory than this process has\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("verb", ["check", "verify"])
 def test_duplicate_basis_labels_exit_2(capsys, monkeypatch, verb):
     # images are keyed by label, so ["a", "a"] would give both basis
@@ -477,14 +519,14 @@ def _long_component(monkeypatch):
 def _long_scalar(monkeypatch):
     # a 5001-digit scalar on the last cell (1, 2) only: every cell before
     # it is rendered, and still nothing is written
-    real = classify.match_family
+    real = classify._family_verdict
 
-    def long_on_last_cell(p, space, params):
-        if (p.n, p.m) == (1, 2):
-            return {"member": True, "scalar": Fraction(_HUGE)}
-        return real(p, space, params)
+    def long_on_last_cell(space, m, n, s, big_n, a):
+        if (n, m) == (1, 2):
+            return True, Fraction(_HUGE)
+        return real(space, m, n, s, big_n, a)
 
-    monkeypatch.setattr(classify, "match_family", long_on_last_cell)
+    monkeypatch.setattr(classify, "_family_verdict", long_on_last_cell)
     return "classify --lambda 1 --max-n 1 --max-m 2".split(), "cells.family_matches.scalar"
 
 

@@ -184,11 +184,11 @@ class TestZ0Entry:
                 a = tuple(F(rng.choice((0, 0, 1, -3, 5)), rng.randint(1, 6))
                           for _ in range(n - s))
             want = brute_z_blocks(lam, m, n, s, big_n, a)[0]
-            p = params(lam, m, n, s, big_n, a)
             for t in range(-1, m + 2):
                 for i in range(-1, n + 2):
                     inside = 0 <= t <= m and 0 <= i <= n
-                    assert z0_entry(p, t, i) == (want[t][i] if inside else 0), (
+                    want_z = want[t][i] if inside else 0
+                    assert z0_entry(m, n, s, big_n, a, t, i) == want_z, (
                         lam, m, n, s, big_n, a, t, i)
 
 
