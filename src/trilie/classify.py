@@ -16,18 +16,22 @@ diagonally, so the first equation confines Z_0 to the one weight
 diagonal t - i = (m - n - Λ)/2, and on it the second is a two-term
 recurrence between neighbouring cells. The diagonal is a line unless
 one of its ends is forced to 0 by the row just past it, and no
-elimination runs.
+elimination runs. `_diagonal_line` walks that recurrence once, in
+integers: it lists the line's cells (t, i, X, Y), the cell holding
+X/Y, and `solve_extensions` turns each into one Fraction.
 The family's z_0 lies on the same diagonal, N - s = c, so its
-membership in the solution span is read on the line's stored cells
-alone, one z-rule entry per cell; the parameter tuples of a cell are
-those `family.enumerate_params` lists for it. `match_family` checks
-the tuple it is given, then walks; the survey hands its own tuples to
-the walk as plain integers, unchecked, since `enumerate_params` yields
-only tuples with m = Λ + n + 2N - 2s, 0 <= s <= n and 0 <= N <= m, and
-so builds no `ModuleParams` per tuple. Tensor-product
-multiplicities, counted in closed form, provide a second,
-character-theoretic prediction of each cell's dimension. Nothing in a
-cell costs in Λ.
+membership in the solution span is read on the line's cells alone,
+one z-rule entry per cell, compared with the first cell's by
+cross-multiplying integers. `match_family` checks the tuple it is
+given, then walks the cells stored by the space it is given. The
+survey walks the cells `_diagonal_line` lists, with the tuples
+`family.enumerate_params` lists for the cell as plain integers: they
+have m = Λ + n + 2N - 2s, 0 <= s <= n and 0 <= N <= m by
+construction, so they go unchecked, and no `ModuleParams`,
+`ExtensionProblem`, `SolutionSpace` or matrix is built per cell or
+tuple. Tensor-product multiplicities, counted in closed form, provide
+a second, character-theoretic prediction of each cell's dimension.
+Nothing in a cell costs in Λ.
 
 The survey is written cell by cell. `classification_cells` yields each
 cell's plain values, and `render_classification` turns them into the
@@ -113,8 +117,10 @@ class SolutionSpace:
         return True, scalar
 
 
-def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
-    """Exact basis of the highest-weight-Λ intertwiner space.
+def _diagonal_line(lam: int, n: int, m: int) -> list[tuple[int, int, int, int]]:
+    """The solution line of the cell (Λ, n, m), Λ >= 1 and n, m >= 0, as
+    its cells (t, i, X, Y) in row-major order, the cell (t, i) holding
+    X/Y; [] when the cell has none.
 
     h is diagonal, so the h-equation leaves Z_0 free only on the one
     weight diagonal t - i = c, c = (m - n - Λ)/2. There the e-equation
@@ -127,19 +133,33 @@ def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     at t = m with i < n by the row (m, i+1). So the space is a line
     exactly when m - n - Λ is even, c <= 0 and 0 <= n + c <= m. Its
     vector is 1 at (n+c, n), the last cell in row-major order, as in
-    the rref kernel of the dense system."""
-    lam, n, m = p.lam, p.n, p.m
+    the rref kernel of the dense system, and the recurrence walks down
+    from there, X and Y the unreduced products of its two coefficients."""
     c, odd = divmod(m - n - lam, 2)
     if odd or c > 0 or not 0 <= n + c <= m:
-        return SolutionSpace(p, ())
-    block: list[dict] = [{} for _ in range(m + 1)]
-    t, i, x = n + c, n, ONE
-    block[t][i] = x
+        return []
+    t, i, x, y = n + c, n, 1, 1
+    line = [(t, i, x, y)]
     while t:
-        x *= Fraction(t * (m - t + 1), i * (n - i + 1))
+        x *= t * (m - t + 1)
+        y *= i * (n - i + 1)
         t, i = t - 1, i - 1
-        block[t][i] = x
-    return SolutionSpace(p, (RatMatrix._from_maps(m + 1, n + 1, block),))
+        line.append((t, i, x, y))
+    line.reverse()
+    return line
+
+
+def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
+    """Exact basis of the highest-weight-Λ intertwiner space: the line
+    `_diagonal_line` lists for p, one Fraction per cell, or no basis
+    when p has none."""
+    line = _diagonal_line(p.lam, p.n, p.m)
+    if not line:
+        return SolutionSpace(p, ())
+    block: list[dict] = [{} for _ in range(p.m + 1)]
+    for t, i, x, y in line:
+        block[t][i] = Fraction(x, y)
+    return SolutionSpace(p, (RatMatrix._from_maps(p.m + 1, p.n + 1, block),))
 
 
 def _f_tower(u: Sl2Module, w: Sl2Module, z0: RatMatrix, length: int) -> list[RatMatrix]:
@@ -184,11 +204,12 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
 def match_family(
     p: ExtensionProblem, space: SolutionSpace, params: ModuleParams
 ) -> dict:
-    """Is the family module's z_0 block inside the solver's span?
+    """Is the family module's z_0 block inside the span of `space`?
 
     params must have p's (Λ, n, m) and pass `validate_params`; either
     failure raises ValueError. The verdict is then that of
-    `_family_verdict`, as {"member": bool, "scalar": Fraction | None}.
+    `_family_verdict` on the cells space stores, whether or not the
+    solver built it, as {"member": bool, "scalar": Fraction | None}.
     `classification_cells` calls `_family_verdict` itself, on tuples
     that `enumerate_params` lists and so are valid by construction."""
     if (params.lam, params.n, params.m) != (p.lam, p.n, p.m):
@@ -199,44 +220,54 @@ def match_family(
     ok, problems = validate_params(params)
     if not ok:
         raise ValueError("; ".join(problems))
+    line = []
+    if space.basis:
+        (block,) = space.basis
+        line = [
+            (t, i, x.numerator, x.denominator)
+            for t, row in enumerate(block.maps)
+            for i, x in row.items()
+        ]
     member, scalar = _family_verdict(
-        space, params.m, params.n, params.s, params.big_n, params.a
+        line, params.m, params.n, params.s, params.big_n, params.a
     )
     return {"member": member, "scalar": scalar}
 
 
 def _family_verdict(
-    space: SolutionSpace, m: int, n: int, s: int, big_n: int, a: Sequence[Fraction]
+    line: Sequence[tuple[int, int, int, int]],
+    m: int, n: int, s: int, big_n: int, a: Sequence[Fraction],
 ) -> tuple[bool, Fraction | None]:
     """(member, scalar) of the z_0 block of the valid tuple (m, n, s, N)
-    with scalars a_1 … a_{n-s}, the first n - s entries of a.
+    with scalars a_1 … a_{n-s}, the first n - s entries of a, in the
+    span of the line whose cells are `line`: (t, i, X, Y) in row-major
+    order, the cell (t, i) holding X/Y, and no cell for the zero span.
 
-    The answer is read on the line's stored cells alone, in row-major
-    order, up to the first mismatch: z_0 lies on the line's weight
-    diagonal (N - s = c), so a member is nonzero on each of those cells
-    and stores no other, and its scalar is its first entry over the
-    line's there. No block, matrix or module is built. a_0 = 1 stores
-    the cell (N, s), so z_0 is never the zero block and a member is
-    nonzero."""
-    if not space.basis:
+    A member is nonzero on each of the line's cells, z/x is the same on
+    all of them, and it stores no other cell. The cells are read in
+    order up to the first zero or mismatch, comparing z/x with the
+    first cell's by cross-multiplying integers: with z = P/Q, z/x is
+    PY/(QX). The scalar, z/x on the first cell, is built as one
+    Fraction for a member alone. No block, matrix or module is built.
+    a_0 = 1 stores the cell (N, s), so z_0 is never the zero block and
+    a member is nonzero."""
+    if not line:
         return False, None
-    (line,) = space.basis
-    scalar = None
-    for t, row in enumerate(line.maps):
-        for i, x in row.items():
-            z = z0_entry(m, n, s, big_n, a, t, i)
-            if not z:
-                return False, None
-            if scalar is None:
-                scalar = z / x
-            elif z != scalar * x:
-                return False, None
+    num = den = 0
+    for t, i, x, y in line:
+        z = z0_entry(m, n, s, big_n, a, t, i)
+        if not z:
+            return False, None
+        if not den:
+            num, den = z.numerator * y, z.denominator * x
+        elif z.numerator * y * den != num * z.denominator * x:
+            return False, None
     # every line cell holds z_0, so z_0 stores no other iff it stores
     # as many: a_0 and each nonzero a_θ whose cell is in range
     in_range = min(n - s, m - big_n)
-    if 1 + sum(map(bool, a[:in_range])) != sum(map(len, line.maps)):
+    if 1 + sum(map(bool, a[:in_range])) != len(line):
         return False, None
-    return True, scalar
+    return True, Fraction(num, den)
 
 
 class Cell(NamedTuple):
@@ -255,21 +286,23 @@ class Cell(NamedTuple):
 
 def classification_cells(lam: int, n_max: int, m_max: int) -> Iterator[Cell]:
     """The cells of the (n, m) grid, n and then m ascending. A cell's
+    dimension is whether `_diagonal_line` lists a line for it, and its
     parameter tuples are those of `enumerate_params` with its (n, m),
     valid by construction, so each goes to `_family_verdict` as its
-    integers, with one all-ones sample for the whole grid."""
+    integers, with that line and one all-ones sample for the whole
+    grid. No problem, space or matrix is built."""
     tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
         tuples.setdefault((n, m), []).append((s, big_n))
     ones = (ONE,) * n_max  # a_1 … a_{n-s}, read up to n - s <= n_max
     for n in range(n_max + 1):
         for m in range(m_max + 1):
-            space = solve_extensions(ExtensionProblem(lam, n, m))
+            line = _diagonal_line(lam, n, m)
             matches = tuple(
-                (s, big_n, n - s, *_family_verdict(space, m, n, s, big_n, ones))
+                (s, big_n, n - s, *_family_verdict(line, m, n, s, big_n, ones))
                 for s, big_n in tuples.get((n, m), ())
             )
-            yield Cell(n, m, space.dimension, tensor_multiplicity(lam, n, m), matches)
+            yield Cell(n, m, 1 if line else 0, tensor_multiplicity(lam, n, m), matches)
 
 
 # The report, one %-template per level, as json.dumps(report, indent=2)

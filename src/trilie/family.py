@@ -83,18 +83,27 @@ def validate_params(p: ModuleParams) -> tuple[bool, list[str]]:
 
 def enumerate_params(lam: int, m_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
     """All (m, n, s, N) within bounds satisfying the constraint, ordered
-    by n, then s, then N (m is determined by the other three)."""
+    by n, then s, then N (m is determined by the other three).
+
+    With k = Λ + n - 2s, m = k + 2N is at least N exactly when
+    N >= -k, and at most m_max exactly when N <= (m_max - k)/2; that
+    range of N holds a value exactly when |k| <= m_max. So each n
+    visits only the at most m_max + 1 values of s with |k| <= m_max,
+    and each (n, s) lists its range of N directly."""
     if lam < 1:
         raise ValueError(f"lam must be >= 1, got {lam}")
     if m_max < 0 or n_max < 0:
         raise ValueError("bounds must be nonnegative")
     out = []
     for n in range(n_max + 1):
-        for s in range(n + 1):
-            for big_n in range(m_max + 1):
-                m = lam + n + 2 * big_n - 2 * s
-                if 0 <= m <= m_max and m >= big_n:
-                    out.append((m, n, s, big_n))
+        # |Λ + n - 2s| <= m_max
+        s_lo = max(0, (lam + n - m_max + 1) // 2)
+        for s in range(s_lo, min(n, (lam + n + m_max) // 2) + 1):
+            k = lam + n - 2 * s
+            out += [
+                (k + 2 * big_n, n, s, big_n)
+                for big_n in range(max(0, -k), (m_max - k) // 2 + 1)
+            ]
     return out
 
 

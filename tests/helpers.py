@@ -17,7 +17,7 @@ from trilie.classify import (
     solve_extensions,
 )
 from trilie.exact import ONE, RatMatrix, ShapeError, combination, rank, rat_str
-from trilie.family import ModuleParams, enumerate_params
+from trilie.family import ModuleParams, enumerate_params, z0_entry
 from trilie.graded import GradedMap, GradedSpace
 from trilie.jsonio import matrix_to_json
 from trilie.liealg import LeviData, LieAlgebra
@@ -267,7 +267,8 @@ def brute_fill_blocks(rows: int, cols: int, blocks) -> list[list[Fraction]]:
 
 
 def _brute_reduce(rows: list[list[Fraction]], ncols: int):
-    """Plain-list Gauss-Jordan over Fractions: (reduced rows, pivot columns)."""
+    """Plain-list Gauss-Jordan over Fractions: (reduced rows, pivot
+    columns). A pivot row is subtracted on its nonzero entries only."""
     rows = [list(r) for r in rows]
     pivots = []
     for c in range(ncols):
@@ -276,10 +277,12 @@ def _brute_reduce(rows: list[list[Fraction]], ncols: int):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        support = [k for k, y in enumerate(rows[r]) if y != 0]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                for k in support:
+                    rows[i][k] -= f * rows[r][k]
         pivots.append(c)
     return rows, pivots
 
@@ -388,6 +391,45 @@ def brute_contains(basis, block: RatMatrix) -> tuple:
     if combination(basis, enumerate(coeffs)) != block:
         return False, None
     return True, coeffs[0] if len(coeffs) == 1 else None
+
+
+def brute_family_verdict(space, m: int, n: int, s: int, big_n: int, a) -> tuple:
+    """(member, scalar) of the z_0 block of the valid tuple (m, n, s, N)
+    with scalars a_1 … a_{n-s} in the span of `space`, walked in
+    Fractions over the line's stored cells: the scalar is the first
+    cell's z over the line's there, each later z must be that multiple,
+    and z_0 may store no cell off the line."""
+    if not space.basis:
+        return False, None
+    (line,) = space.basis
+    scalar = None
+    for t, row in enumerate(line.maps):
+        for i, x in row.items():
+            z = z0_entry(m, n, s, big_n, a, t, i)
+            if not z:
+                return False, None
+            if scalar is None:
+                scalar = z / x
+            elif z != scalar * x:
+                return False, None
+    in_range = min(n - s, m - big_n)
+    if 1 + sum(map(bool, a[:in_range])) != sum(map(len, line.maps)):
+        return False, None
+    return True, scalar
+
+
+def brute_enumerate_params(lam: int, m_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
+    """Every (m, n, s, N) of the box n <= n_max, s <= n, N <= m_max that
+    the family constraint admits with m <= m_max, filtered one by one,
+    in order of n, then s, then N."""
+    out = []
+    for n in range(n_max + 1):
+        for s in range(n + 1):
+            for big_n in range(m_max + 1):
+                m = lam + n + 2 * big_n - 2 * s
+                if 0 <= m <= m_max and m >= big_n:
+                    out.append((m, n, s, big_n))
+    return out
 
 
 def z_tower(p, z0: RatMatrix) -> list[RatMatrix]:

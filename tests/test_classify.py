@@ -30,6 +30,7 @@ from helpers import (
     brute_classification_report,
     brute_contains,
     brute_extension_basis,
+    brute_family_verdict,
     brute_in_span,
     brute_z_blocks,
     clebsch_gordan_count,
@@ -37,6 +38,17 @@ from helpers import (
 )
 
 F = Fraction
+
+
+def _line_data(line, n, m):
+    # the cells (t, i, X, Y) of a line as the solver's basis list: one
+    # dense row-major (m+1) x (n+1) block of the X/Y, or none
+    if not line:
+        return []
+    data = [F(0)] * ((m + 1) * (n + 1))
+    for t, i, x, y in line:
+        data[t * (n + 1) + i] = F(x, y)
+    return [data]
 
 
 class TestSolutionSpaces:
@@ -89,6 +101,27 @@ class TestWeightBlockedSolver:
     def test_basis_matches_dense_oracle(self, lam, n, m):
         basis = solve_extensions(ExtensionProblem(lam, n, m)).basis
         assert [b.data for b in basis] == brute_extension_basis(lam, n, m)
+
+    def test_diagonal_line_matches_solver_and_dense_oracle(self):
+        # the integer line, in row-major order, against the solver's
+        # Fractions on every cell with n, m <= 20, and against the dense
+        # kernel on every cell up to 8 x 8 and on seeded cells beyond it,
+        # since the dense kernel of the whole grid takes minutes
+        rng = random.Random(28)
+        for lam in range(1, 7):
+            for n in range(21):
+                for m in range(21):
+                    line = classify._diagonal_line(lam, n, m)
+                    rows = [t for t, *_ in line]
+                    assert rows == list(range(len(line))), (lam, n, m)
+                    solved = solve_extensions(ExtensionProblem(lam, n, m)).basis
+                    assert _line_data(line, n, m) == [b.data for b in solved], (lam, n, m)
+            dense = [(n, m) for n in range(9) for m in range(9)]
+            dense += [(rng.randint(9, 20), rng.randint(0, 20)),
+                      (rng.randint(0, 20), rng.randint(9, 20))]
+            for n, m in dense:
+                line = classify._diagonal_line(lam, n, m)
+                assert _line_data(line, n, m) == brute_extension_basis(lam, n, m), (lam, n, m)
 
     def test_runs_no_elimination(self, monkeypatch):
         lam, n, m = 1, 24, 25
@@ -398,7 +431,8 @@ class TestMatchFamilyReadsZRules:
         # span and the lines other λ give the same shape, each against
         # the printed-rule z_0 at a = 1, at
         # a*_θ = ((θ + s)! / s!) ((n - s)! / (n - s - θ)!), and at
-        # seeded samples with zeros
+        # seeded samples with zeros and negatives; match_family's integer
+        # walk against the block's membership and the Fraction walk
         rng = random.Random(23)
         members = 0
         for lam in range(1, 6):
@@ -427,6 +461,7 @@ class TestMatchFamilyReadsZRules:
                           for _ in range(n - s))
                     for _ in range(3)
                 ]
+                line = classify._diagonal_line(lam, n, m)
                 for a in samples:
                     params = ModuleParams(lam, m, n, s, big_n, a)
                     block = RatMatrix.from_rows(brute_z_blocks(lam, m, n, s, big_n, a)[0])
@@ -434,7 +469,13 @@ class TestMatchFamilyReadsZRules:
                         member, scalar = brute_contains(space.basis, block)
                         got = match_family(problem, space, params)
                         assert got == {"member": member, "scalar": scalar}, (lam, params, space)
+                        walked = brute_family_verdict(space, m, n, s, big_n, a)
+                        assert walked == (member, scalar), (lam, params, space)
                         members += member
+                    # the survey's call: the solver's line as integers, and
+                    # scalars read only up to n - s
+                    got = classify._family_verdict(line, m, n, s, big_n, a + (F(-9),))
+                    assert got == brute_contains(spaces[0].basis, block), (lam, params)
         assert members > 0
 
 
@@ -486,25 +527,47 @@ def test_classify_text_and_report_match_the_dict_oracle(capsys):
         assert classification_report(lam, n_max, m_max) == brute, (lam, n_max, m_max)
 
 
+def test_classify_builds_no_problem_space_or_matrix(monkeypatch):
+    # each survey cell is read in integers on its weight diagonal: with
+    # the solver, its types and both matrix constructors barred, the
+    # report is still the dict oracle's
+    boxes = _oracle_boxes()
+    want = [brute_classification_report(*box) for box in boxes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the survey built a problem, space or matrix")
+
+    for name in ("ExtensionProblem", "solve_extensions", "SolutionSpace"):
+        monkeypatch.setattr(classify, name, forbidden)
+    monkeypatch.setattr(RatMatrix, "__init__", forbidden)
+    monkeypatch.setattr(RatMatrix, "_from_maps", forbidden)
+    for box, report in zip(boxes, want):
+        assert classification_report(*box) == report, box
+
+
 def test_classify_hands_the_verdict_walk_only_valid_tuples(monkeypatch):
     # classification_cells skips match_family's checks: each (s, N) it
     # lists for a cell reaches the walk as that cell's valid tuple with
-    # the all-ones sample, and the walk's verdict is match_family's
+    # the all-ones sample and the solver's line, and the walk's verdict
+    # is match_family's
     walk = classify._family_verdict
     calls = []
 
-    def recording(space, m, n, s, big_n, a):
-        got = walk(space, m, n, s, big_n, a)
-        calls.append((space, m, n, s, big_n, a, got))
+    def recording(line, m, n, s, big_n, a):
+        got = walk(line, m, n, s, big_n, a)
+        calls.append((line, m, n, s, big_n, a, got))
         return got
 
     monkeypatch.setattr(classify, "_family_verdict", recording)
     for lam, n_max, m_max in _oracle_boxes():
         for cell in classify.classification_cells(lam, n_max, m_max):
             problem = ExtensionProblem(lam, cell.n, cell.m)
+            space = solve_extensions(problem)
+            solved = [b.data for b in space.basis]
             assert len(calls) == len(cell.matches), (lam, cell)
-            for (s, big_n, k, member, scalar), (space, *tup, a, got) in zip(cell.matches, calls):
-                assert (space.problem, *tup) == (problem, cell.m, cell.n, s, big_n)
+            for (s, big_n, k, member, scalar), (line, *tup, a, got) in zip(cell.matches, calls):
+                assert tup == [cell.m, cell.n, s, big_n], (lam, cell)
+                assert _line_data(line, cell.n, cell.m) == solved, (lam, cell)
                 ones = (F(1),) * (cell.n - s)
                 assert (k, tuple(a[:cell.n - s])) == (cell.n - s, ones), (lam, cell)
                 params = ModuleParams(lam, cell.m, cell.n, s, big_n, ones)

@@ -521,10 +521,10 @@ def _long_scalar(monkeypatch):
     # it is rendered, and still nothing is written
     real = classify._family_verdict
 
-    def long_on_last_cell(space, m, n, s, big_n, a):
+    def long_on_last_cell(line, m, n, s, big_n, a):
         if (n, m) == (1, 2):
             return True, Fraction(_HUGE)
-        return real(space, m, n, s, big_n, a)
+        return real(line, m, n, s, big_n, a)
 
     monkeypatch.setattr(classify, "_family_verdict", long_on_last_cell)
     return "classify --lambda 1 --max-n 1 --max-m 2".split(), "cells.family_matches.scalar"

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,13 @@ from trilie.family import (
 from trilie.rep import conjugate_levi_check, verify_homomorphism
 from trilie.sl2theory import string_action
 
-from helpers import brute_bracket, brute_weight_witness, brute_z_blocks, z_rule_cover_counts
+from helpers import (
+    brute_bracket,
+    brute_enumerate_params,
+    brute_weight_witness,
+    brute_z_blocks,
+    z_rule_cover_counts,
+)
 
 F = Fraction
 
@@ -76,6 +83,24 @@ class TestEnumeration:
         for lam in (1, 2, 3):
             for m, n, s, big_n in enumerate_params(lam, 5, 5):
                 assert (m - lam - n) % 2 == 0
+
+    def test_matches_brute_filter(self):
+        # both bounds in 0..15, skewed pairs among them
+        for lam in range(1, 6):
+            for m_max in range(16):
+                for n_max in range(16):
+                    got = enumerate_params(lam, m_max, n_max)
+                    assert got == brute_enumerate_params(lam, m_max, n_max), (lam, m_max, n_max)
+
+    def test_skewed_bounds_cost_the_tuples_listed(self):
+        # m_max = 0 leaves one s per odd n, where the filter over every
+        # (n, s, N) would visit 2 * 10^10 triples
+        start = time.perf_counter()
+        got = enumerate_params(1, 0, 200000)
+        assert time.perf_counter() - start < 2
+        assert len(got) == 100000
+        assert got[:2] == [(0, 1, 1, 0), (0, 3, 2, 0)]
+        assert got[-1] == (0, 199999, 100000, 0)
 
     def test_agrees_with_validator(self):
         # independent filter over the full parameter box
