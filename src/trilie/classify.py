@@ -19,19 +19,20 @@ one of its ends is forced to 0 by the row just past it, and no
 elimination runs. `_diagonal_line` walks that recurrence once, in
 integers: it lists the line's cells (t, i, X, Y), the cell holding
 X/Y, and `solve_extensions` turns each into one Fraction.
-The family's z_0 lies on the same diagonal, N - s = c, so its
-membership in the solution span is read on the line's cells alone,
-one z-rule entry per cell, compared with the first cell's by
-cross-multiplying integers. `match_family` checks the tuple it is
-given, then walks the cells stored by the space it is given. The
-survey walks the cells `_diagonal_line` lists, with the tuples
-`family.enumerate_params` lists for the cell as plain integers: they
-have m = Λ + n + 2N - 2s, 0 <= s <= n and 0 <= N <= m by
-construction, so they go unchecked, and no `ModuleParams`,
-`ExtensionProblem`, `SolutionSpace` or matrix is built per cell or
-tuple. Tensor-product multiplicities, counted in closed form, provide
-a second, character-theoretic prediction of each cell's dimension.
-Nothing in a cell costs in Λ.
+Membership in a line is decided by one walk, `_line_verdict`, over
+the line's cells: a block's entry on each cell is compared with the
+first cell's by cross-multiplying integers. `SolutionSpace.contains`
+reads the block's stored entries. The family's z_0 lies on the same
+diagonal, N - s = c, so `_family_verdict` reads one z-rule entry per
+cell. `match_family` checks the tuple it is given, then walks the
+cells stored by the space it is given. The survey walks the cells
+`_diagonal_line` lists, with the cell's tuples read off the same
+diagonal as plain integers: N = s + c for each s with 0 <= s <= n and
+0 <= N <= m, valid by construction, so they go unchecked, and no
+`ModuleParams`, `ExtensionProblem`, `SolutionSpace` or matrix is built
+per cell or tuple. Tensor-product multiplicities, counted in closed
+form, provide a second, character-theoretic prediction of each cell's
+dimension. Nothing in a cell costs in Λ.
 
 The survey is written cell by cell. `classification_cells` yields each
 cell's plain values, and `render_classification` turns them into the
@@ -49,12 +50,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ONE, RatMatrix, rat_str
 from .family import (
     ModuleParams,
-    enumerate_params,
+    check_bounds,
     two_block_representation,
     validate_params,
     z0_entry,
@@ -91,9 +93,9 @@ class SolutionSpace:
 
     def contains(self, block: RatMatrix) -> tuple[bool, Fraction | None]:
         """Membership of an (m+1) x (n+1) block in the span, and the
-        proportionality scalar (0 for the zero block). A member is its
-        free-cell entry times the line, so one pass compares the block
-        with that multiple row by row, up to the first mismatch."""
+        proportionality scalar (0 for the zero block): the verdict of
+        `_line_verdict` on the cells of the basis, reading the block's
+        stored entries."""
         p = self.problem
         if block.rows != p.m + 1 or block.cols != p.n + 1:
             raise ValueError(
@@ -102,19 +104,21 @@ class SolutionSpace:
             )
         if block.is_zero():
             return True, Fraction(0)
-        if not self.basis:
-            return False, None
-        (line,) = self.basis
-        t = max(r for r, row in enumerate(line.maps) if row)
-        scalar = block.maps[t].get(max(line.maps[t]))
-        if scalar is None:
-            return False, None
-        for want, got in zip(line.maps, block.maps):
-            if len(want) != len(got) or any(
-                got.get(i) != scalar * x for i, x in want.items()
-            ):
-                return False, None
-        return True, scalar
+        maps = block.maps
+        return _line_verdict(
+            _line_cells(self), lambda t, i: maps[t].get(i), lambda: sum(map(len, maps))
+        )
+
+
+def _line_cells(space: SolutionSpace) -> list[tuple[int, int, int, int]]:
+    """The cells (t, i, X, Y) the basis of `space` stores, row by row,
+    the cell (t, i) holding X/Y; [] for the zero span."""
+    return [
+        (t, i, x.numerator, x.denominator)
+        for block in space.basis
+        for t, row in enumerate(block.maps)
+        for i, x in row.items()
+    ]
 
 
 def _diagonal_line(lam: int, n: int, m: int) -> list[tuple[int, int, int, int]]:
@@ -211,7 +215,7 @@ def match_family(
     `_family_verdict` on the cells space stores, whether or not the
     solver built it, as {"member": bool, "scalar": Fraction | None}.
     `classification_cells` calls `_family_verdict` itself, on tuples
-    that `enumerate_params` lists and so are valid by construction."""
+    read off each cell's diagonal and so valid by construction."""
     if (params.lam, params.n, params.m) != (p.lam, p.n, p.m):
         raise ValueError(
             f"params {(params.lam, params.n, params.m)} do not match "
@@ -220,16 +224,8 @@ def match_family(
     ok, problems = validate_params(params)
     if not ok:
         raise ValueError("; ".join(problems))
-    line = []
-    if space.basis:
-        (block,) = space.basis
-        line = [
-            (t, i, x.numerator, x.denominator)
-            for t, row in enumerate(block.maps)
-            for i, x in row.items()
-        ]
     member, scalar = _family_verdict(
-        line, params.m, params.n, params.s, params.big_n, params.a
+        _line_cells(space), params.m, params.n, params.s, params.big_n, params.a
     )
     return {"member": member, "scalar": scalar}
 
@@ -238,34 +234,45 @@ def _family_verdict(
     line: Sequence[tuple[int, int, int, int]],
     m: int, n: int, s: int, big_n: int, a: Sequence[Fraction],
 ) -> tuple[bool, Fraction | None]:
-    """(member, scalar) of the z_0 block of the valid tuple (m, n, s, N)
-    with scalars a_1 … a_{n-s}, the first n - s entries of a, in the
-    span of the line whose cells are `line`: (t, i, X, Y) in row-major
-    order, the cell (t, i) holding X/Y, and no cell for the zero span.
-
-    A member is nonzero on each of the line's cells, z/x is the same on
-    all of them, and it stores no other cell. The cells are read in
-    order up to the first zero or mismatch, comparing z/x with the
-    first cell's by cross-multiplying integers: with z = P/Q, z/x is
-    PY/(QX). The scalar, z/x on the first cell, is built as one
-    Fraction for a member alone. No block, matrix or module is built.
-    a_0 = 1 stores the cell (N, s), so z_0 is never the zero block and
-    a member is nonzero."""
-    if not line:
+    """`_line_verdict` on the z_0 block of the valid tuple (m, n, s, N)
+    with scalars a_1 … a_{n-s}, the first n - s entries of a, read
+    through `z0_entry`; no block, matrix or module is built."""
+    if not line:  # the zero span, before a reader is made: a third of a survey
         return False, None
+    return _line_verdict(
+        line,
+        partial(z0_entry, m, n, s, big_n, a),
+        # the cell of a_0 = 1 and of each nonzero a_θ in range
+        lambda: 1 + sum(map(bool, a[:min(n - s, m - big_n)])),
+    )
+
+
+def _line_verdict(
+    line: Sequence[tuple[int, int, int, int]],
+    entry: Callable[[int, int], Fraction | None],
+    stored: Callable[[], int],
+) -> tuple[bool, Fraction | None]:
+    """(member, scalar) of a nonzero block, which stores `stored()` cells
+    and whose cell (t, i) is `entry(t, i)` (falsy if not stored), in the
+    span of the line whose cells are `line`: (t, i, X, Y), the cell
+    holding X/Y, and no cell for the zero span.
+
+    A member is nonzero on each line cell, z/x is the same on all of
+    them, and it stores no other cell, so no nonzero block is a member
+    of the zero span. The cells are read in order up
+    to the first zero or mismatch, comparing z/x with the first cell's
+    by cross-multiplying integers: with z = P/Q, z/x is PY/(QX). The
+    scalar, z/x on the first cell, is one Fraction, for a member alone."""
     num = den = 0
     for t, i, x, y in line:
-        z = z0_entry(m, n, s, big_n, a, t, i)
+        z = entry(t, i)
         if not z:
             return False, None
         if not den:
             num, den = z.numerator * y, z.denominator * x
         elif z.numerator * y * den != num * z.denominator * x:
             return False, None
-    # every line cell holds z_0, so z_0 stores no other iff it stores
-    # as many: a_0 and each nonzero a_θ whose cell is in range
-    in_range = min(n - s, m - big_n)
-    if 1 + sum(map(bool, a[:in_range])) != len(line):
+    if stored() != len(line):
         return False, None
     return True, Fraction(num, den)
 
@@ -287,20 +294,19 @@ class Cell(NamedTuple):
 def classification_cells(lam: int, n_max: int, m_max: int) -> Iterator[Cell]:
     """The cells of the (n, m) grid, n and then m ascending. A cell's
     dimension is whether `_diagonal_line` lists a line for it, and its
-    parameter tuples are those of `enumerate_params` with its (n, m),
-    valid by construction, so each goes to `_family_verdict` as its
-    integers, with that line and one all-ones sample for the whole
-    grid. No problem, space or matrix is built."""
-    tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
-        tuples.setdefault((n, m), []).append((s, big_n))
+    parameter tuples lie on the same diagonal: N = s + c, c = (m - n -
+    Λ)/2, for each s with 0 <= s <= n and 0 <= N <= m, none when c is
+    not whole. Valid by construction, each goes to `_family_verdict` as
+    its integers, with that line and one all-ones sample for the grid."""
+    check_bounds(lam, m_max, n_max)
     ones = (ONE,) * n_max  # a_1 … a_{n-s}, read up to n - s <= n_max
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             line = _diagonal_line(lam, n, m)
-            matches = tuple(
-                (s, big_n, n - s, *_family_verdict(line, m, n, s, big_n, ones))
-                for s, big_n in tuples.get((n, m), ())
+            c, odd = divmod(m - n - lam, 2)
+            matches = () if odd else tuple(
+                (s, s + c, n - s, *_family_verdict(line, m, n, s, s + c, ones))
+                for s in range(max(0, -c), min(n, m - c) + 1)
             )
             yield Cell(n, m, 1 if line else 0, tensor_multiplicity(lam, n, m), matches)
 

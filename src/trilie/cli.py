@@ -23,9 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import reprlib
-import stat
 import sys
 from typing import Any, Callable
 
@@ -46,6 +44,7 @@ from .jsonio import (
     graded_map_from_json,
     int_field,
     jsonable,
+    load_json,
     matrix_to_json,
     representation_from_json,
     representation_to_json,
@@ -65,15 +64,10 @@ _BAD_DOCUMENT = (KeyError, TypeError, ValueError, OverflowError)
 
 def _read_json(path: str) -> dict:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        # a device or a pipe (/dev/zero) could be read without end
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise InputError(f"cannot read JSON from {path}: not a regular file")
-        with open(path) as fh:
-            return json.load(fh)
+        return json.load(sys.stdin) if path == "-" else load_json(path)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and over-long integer literals
+        # ValueError covers JSONDecodeError, over-long integer literals
+        # and a path that names no regular file
         raise InputError(f"cannot read JSON from {path}: {exc}")
 
 

@@ -81,6 +81,14 @@ def validate_params(p: ModuleParams) -> tuple[bool, list[str]]:
     return not problems, problems
 
 
+def check_bounds(lam: int, m_max: int, n_max: int) -> None:
+    """Raise ValueError unless Λ >= 1 and both bounds are nonnegative."""
+    if lam < 1:
+        raise ValueError(f"lam must be >= 1, got {lam}")
+    if m_max < 0 or n_max < 0:
+        raise ValueError("bounds must be nonnegative")
+
+
 def enumerate_params(lam: int, m_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
     """All (m, n, s, N) within bounds satisfying the constraint, ordered
     by n, then s, then N (m is determined by the other three).
@@ -90,10 +98,7 @@ def enumerate_params(lam: int, m_max: int, n_max: int) -> list[tuple[int, int, i
     range of N holds a value exactly when |k| <= m_max. So each n
     visits only the at most m_max + 1 values of s with |k| <= m_max,
     and each (n, s) lists its range of N directly."""
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
-    if m_max < 0 or n_max < 0:
-        raise ValueError("bounds must be nonnegative")
+    check_bounds(lam, m_max, n_max)
     out = []
     for n in range(n_max + 1):
         # |Λ + n - 2s| <= m_max

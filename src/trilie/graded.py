@@ -12,6 +12,9 @@ in one pass over the stored entries; the predicates read it, and no
 predicate copies a block. Rows are walked component by component; a
 column's degree is the last component whose offset does not exceed it
 (`bisect_right`), so zero-dimensional components are never chosen.
+
+Triangularity is a block condition, so a map keeps no arithmetic but
+its bracket; sums and products are those of its `RatMatrix`.
 """
 
 from __future__ import annotations
@@ -90,34 +93,15 @@ class GradedMap:
 
     __hash__ = None
 
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        self._require_same_space(other)
-        return GradedMap(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "GradedMap") -> "GradedMap":
-        self._require_same_space(other)
-        return GradedMap(self.space, self.matrix - other.matrix)
-
-    def scale(self, c) -> "GradedMap":
-        return GradedMap(self.space, self.matrix.scale(c))
-
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
-        self._require_same_space(other)
-        return GradedMap(self.space, self.matrix @ other.matrix)
-
     def bracket(self, other: "GradedMap") -> "GradedMap":
-        self._require_same_space(other)
-        return GradedMap(self.space, commutator(self.matrix, other.matrix))
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
-
-    def _require_same_space(self, other: "GradedMap") -> None:
         if self.space != other.space:
             raise ShapeError(
                 f"maps live on different spaces {self.space} vs {other.space}"
             )
+        return GradedMap(self.space, commutator(self.matrix, other.matrix))
+
+    def is_zero(self) -> bool:
+        return self.matrix.is_zero()
 
     def __repr__(self) -> str:
         return f"GradedMap({self.space}, {self.matrix})"
@@ -164,52 +148,3 @@ def is_homogeneous(f: GradedMap, j: int) -> bool:
     """True iff f is supported entirely on the stripe (k -> k+j); j may
     be negative."""
     return all(k_to - k_from == j for k_from, k_to in block_support(f))
-
-
-def positive_degree_part(f: GradedMap) -> GradedMap:
-    """f minus its degree-0 stripe; requires triangular input."""
-    comps = degree_components(f)
-    return f - comps[0]
-
-
-def nilpotency_index(f: GradedMap) -> int | None:
-    """Smallest p with f^p = 0, or None when no power vanishes.
-
-    A nilpotent endomorphism of an n-dimensional space has index at most
-    n, so checking powers up to total_dim is exhaustive.
-    """
-    n = f.space.total_dim
-    power = RatMatrix.identity(n)
-    for p in range(n + 1):
-        if power.is_zero():
-            return p
-        power = power @ f.matrix
-    return None
-
-
-def triangular_closure_check(f: GradedMap, g: GradedMap) -> dict:
-    """Confirm gl-triangular closure under +, composition, and bracket,
-    plus additivity of degrees on homogeneous stripes."""
-    f._require_same_space(g)
-    report: dict = {
-        "inputs_triangular": is_triangular(f)[0] and is_triangular(g)[0],
-        "sum_triangular": is_triangular(f + g)[0],
-        "composition_triangular": is_triangular(f.compose(g))[0],
-        "commutator_triangular": is_triangular(f.bracket(g))[0],
-    }
-    additive = True
-    if report["inputs_triangular"]:
-        fc = degree_components(f)
-        gc = degree_components(g)
-        for j, fj in fc.items():
-            for k, gk in gc.items():
-                comp = fj.compose(gk)
-                target = j + k
-                if target >= f.space.num_components:
-                    if not comp.is_zero():
-                        additive = False
-                elif not is_homogeneous(comp, target):
-                    additive = False
-    report["degree_additivity"] = additive
-    report["all_pass"] = all(report.values())
-    return report

@@ -7,19 +7,17 @@ produce byte-identical files. Readers take an integer field only as a
 JSON integer and a list field only as a JSON array, and parse each
 distinct entry string of a document once.
 
-Every artifact is written as `json.dumps(doc, indent=2)` writes it. On
-CPython up to 3.12 an indent switches json to its pure-Python encoder,
-which yields one small string per token; `encode_indented` writes the
-same bytes by returning one whole string per value and joining each
-container's members, with strings and keys through json's C
-`encode_basestring_ascii`, so it costs about half as much. The writer
-handles the JSON types the verbs emit (str, int, list, dict with str
-keys, None and the bools); `json.dumps` handles every other document.
-CPython 3.13 encodes indented output in C, faster than any Python
-writer, so there `dumps` keeps `json.dumps`. The choice is made once,
-at import. Classify reports still equal `json.dumps(report, indent=2)`,
-but are written by the template renderer of `trilie.classify`, from the
-cells, with no report dict and no call here.
+Every artifact is written as `json.dumps(doc, indent=2)` writes it, by
+`encode_indented` on every CPython. Up to 3.12 an indent switches json
+to its pure-Python encoder, which yields one small string per token;
+`encode_indented` writes the same bytes by returning one whole string
+per value and joining each container's members, with strings and keys
+through json's C `encode_basestring_ascii`, so it costs about half as
+much. The writer handles the JSON types the verbs emit (str, int, list,
+dict with str keys, None and the bools); `json.dumps` handles every
+other document. Classify reports still equal `json.dumps(report,
+indent=2)`, but are written by the template renderer of
+`trilie.classify`, from the cells, with no report dict and no call here.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import json
 import os
 import reprlib
 import stat
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Callable
@@ -100,15 +97,18 @@ def encode_indented(doc: Any) -> str:
         return json.dumps(doc, indent=2)
 
 
-if sys.version_info >= (3, 13):
+def dumps(doc: Any) -> str:
+    return encode_indented(doc) + "\n"
 
-    def dumps(doc: Any) -> str:
-        return json.dumps(doc, indent=2) + "\n"
 
-else:
-
-    def dumps(doc: Any) -> str:
-        return encode_indented(doc) + "\n"
+def load_json(path: str) -> Any:
+    """The JSON document in the file at `path`. A device or a pipe
+    (/dev/zero) could be read without end, so a path that names no
+    regular file raises ValueError("not a regular file"), unopened."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError("not a regular file")
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
@@ -228,11 +228,10 @@ def representation_to_json(rho: Representation, extra: dict | None = None) -> di
 def representation_from_json(doc: dict) -> Representation:
     algebra_doc = doc["algebra"]
     if isinstance(algebra_doc, str):
-        # a device or a pipe (/dev/zero) could be read without end
-        if not stat.S_ISREG(os.stat(algebra_doc).st_mode):
-            raise ValueError(f"algebra path {algebra_doc!r} is not a regular file")
-        with open(algebra_doc) as fh:
-            algebra_doc = json.load(fh)
+        try:
+            algebra_doc = load_json(algebra_doc)
+        except ValueError as exc:
+            raise ValueError(f"algebra path {algebra_doc!r}: {exc}") from None
     # one parser for the whole document: images repeat the algebra's
     # coefficients and each other's entries
     parse = _parser()

@@ -319,8 +319,13 @@ def test_verify_rejects_algebra_path_to_a_device(capsys, monkeypatch):
     doc = json.loads(out)
     doc["algebra"] = "/dev/zero"
     t0 = time.monotonic()
-    _assert_input_error(capsys, monkeypatch, ["verify", "-"], doc)
+    code, out, err = _run(capsys, ["verify", "-"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert time.monotonic() - t0 < 2
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad representation document: algebra path '/dev/zero': "
+        "not a regular file\n"
+    )
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")

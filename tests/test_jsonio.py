@@ -264,10 +264,11 @@ def test_writer_hands_deep_nesting_to_json():
         assert encode_indented(doc) == expected
 
 
-def test_dumps_uses_the_writer_below_python_3_13(monkeypatch):
+def test_dumps_uses_the_writer(monkeypatch):
+    doc = {"a": [1, "b"], "c": {}}
+    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
     monkeypatch.setattr(jsonio, "encode_indented", lambda doc: "joined")
-    below = sys.version_info < (3, 13)
-    assert dumps({"a": 1}) == ("joined\n" if below else '{\n  "a": 1\n}\n')
+    assert dumps(doc) == "joined\n"
 
 
 # --- matrices out: stored entries only ----------------------------------
