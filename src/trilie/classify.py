@@ -57,6 +57,7 @@ from .exact import ONE, RatMatrix, rat_str
 from .family import (
     ModuleParams,
     check_bounds,
+    lambda_error,
     two_block_representation,
     validate_params,
     z0_entry,
@@ -72,8 +73,8 @@ class ExtensionProblem:
     m: int
 
     def __post_init__(self):
-        if self.lam < 1:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
+        if lam_error := lambda_error(self.lam):
+            raise ValueError(lam_error)
         if self.n < 0 or self.m < 0:
             raise ValueError("component weights must be nonnegative")
 

@@ -61,8 +61,8 @@ class ModuleParams:
 
 def validate_params(p: ModuleParams) -> tuple[bool, list[str]]:
     problems = []
-    if p.lam < 1:
-        problems.append(f"lam must be >= 1, got {p.lam}")
+    if lam_error := lambda_error(p.lam):
+        problems.append(lam_error)
     if min(p.m, p.n, p.s, p.big_n) < 0:
         problems.append("m, n, s, N must be nonnegative")
     if p.m + 2 * p.s != p.lam + p.n + 2 * p.big_n:
@@ -81,10 +81,16 @@ def validate_params(p: ModuleParams) -> tuple[bool, list[str]]:
     return not problems, problems
 
 
+def lambda_error(lam: int) -> str | None:
+    """The one text of the Λ >= 1 check, or None when Λ passes it; the
+    parameter, bound and extension-problem checks all report it."""
+    return f"lam must be >= 1, got {lam}" if lam < 1 else None
+
+
 def check_bounds(lam: int, m_max: int, n_max: int) -> None:
     """Raise ValueError unless Λ >= 1 and both bounds are nonnegative."""
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
+    if lam_error := lambda_error(lam):
+        raise ValueError(lam_error)
     if m_max < 0 or n_max < 0:
         raise ValueError("bounds must be nonnegative")
 

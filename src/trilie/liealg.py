@@ -21,18 +21,20 @@ the matrix whose row j is [b_i, b_j], built once per algebra, [b_i, S]
 is spanned by the rows of the one sparse product S @ R_i; dense tuples
 appear only in the public return values; `bracket` is ad(x) applied to
 y. Both series start from a span of basis indices, shown to be an ideal
-by one scan of the table, so the first term's ad matrices are the R_i.
-That scan reads the stored bracket keys with an index in the span, and
-walks the caller's index pairs only to name the first escape, so a
-passing check costs the stored brackets. Levi closure, wherever it is
-asked, is `span_escape`: only a pair with both indices in the span can
-escape, so it looks up the span's pairs in the table and reads no other
-key. The adjoint representation changes basis through the stored
-entries of the graded basis vectors.
+by one scan of the table, so the first term's ad matrices are the R_i,
+and its first step reads the stored keys with both indices inside the
+span, with no product. That scan reads the stored bracket keys with an
+index in the span, and walks the caller's index pairs only to name the
+first escape, so a passing check costs the stored brackets. Levi
+closure, wherever it is asked, is `span_escape`: only a pair with both
+indices in the span can escape, so it looks up the span's pairs in the
+table and reads no other key. The adjoint representation changes basis
+through the stored entries of the graded basis vectors.
 
-One defect scan, `bracket_defect`, decides whether b_i ↦ M_i respects
-brackets: it checks representations, and Jacobi is its check of ad. It
-runs on integer row maps, one denominator per image.
+`check_axioms` sums each Jacobi triple from the stored brackets alone,
+so it too costs the stored brackets, not dim³. One defect scan,
+`bracket_defect`, decides whether b_i ↦ M_i respects brackets, for
+representations. It runs on integer row maps, one denominator per image.
 """
 
 from __future__ import annotations
@@ -197,18 +199,42 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
 
 
 def check_axioms(L: LieAlgebra) -> dict:
-    """Jacobi as the statement that ad is a representation, by the
-    `bracket_defect` of the ad b_i; the witness is the lexicographically
-    first triple i < j < k whose Jacobi sum J(i, j, k) is nonzero:
-    1. column k of the defect of (ad b_i, ad b_j) is -J(i, j, k);
-    2. J is alternating: brackets are stored for i < j only, and
-       [b_j, b_i] is read back as -[b_i, b_j];
-    3. so the first failing pair is the first failing triple's (i, j);
-    4. any other column of its defect is ±J of an earlier pair or has a
-       repeated index, so all nonzero ones exceed j: the least is its k.
-    Antisymmetry holds by (2); it is reported true with a None witness."""
-    # a generator: each ad b_i is kept only as its integer row maps
-    jacobi_witness = bracket_defect(L, (r.transpose() for r in L.ad_rows))
+    """Jacobi from the stored triples; the witness is the
+    lexicographically first triple i < j < k whose Jacobi sum
+    J(i, j, k) = [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
+    is nonzero.
+
+    Brackets are stored for i < j only and [b_j, b_i] is read back as
+    -[b_i, b_j], so J is alternating, and J(i, j, k) is the sum of the
+    three terms [[b_u, b_v], b_w] over its pairs u < v, each with a
+    sign. Such a term is nonzero only if (u, v) is stored and some b_p
+    in [b_u, b_v] has [b_p, b_w] stored. So each stored pair (a, b),
+    each of its terms c b_p, and each x outside {a, b} with [b_p, b_x]
+    stored adds ±c [b_p, b_x] to J of the sorted triple: + when x > b
+    (J(a, b, x) starts with it) or x < a (J(x, a, b) has it second),
+    - when a < x < b (J(a, x, b) has [[b_b, b_a], b_x]). A triple no
+    walk reaches has J = 0; the cost is the stored brackets, not dim³.
+    Antisymmetry holds by construction; it is reported true with a None
+    witness."""
+    partners: dict[int, list[int]] = {}  # p -> each x with [b_p, b_x] stored
+    for i, j in L.structure:
+        partners.setdefault(i, []).append(j)
+        partners.setdefault(j, []).append(i)
+    sums: dict[tuple[int, int, int], dict] = {}
+    for (a, b), coeffs in L.structure.items():
+        for p, c in coeffs.items():
+            r_p = L.ad_rows[p].maps
+            for x in partners.get(p, ()):
+                if x > b:
+                    triple, w = (a, b, x), c
+                elif x < a:
+                    triple, w = (x, a, b), c
+                elif a < x < b:
+                    triple, w = (a, x, b), -c
+                else:
+                    continue
+                add_scaled_row(sums.setdefault(triple, {}), r_p[x], w)
+    jacobi_witness = min((t for t, acc in sums.items() if acc), default=None)
     return {
         "antisymmetry": True,
         "jacobi": jacobi_witness is None,
@@ -352,23 +378,26 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
 
     Precondition: first is an `_index_span` that is an ideal, which
     callers check by an `_index_escape` scan. Then each term lies in the
-    one before, so the series ends within dim steps. Row b_i of first
-    has the stored ad matrix L.ad_rows[i]."""
-    ads = [L.ad_rows[i] for row in first.maps for i in row]
-    # row p of brackets[i] is [a_i, v_p] for the rows v_p of the last
-    # term and a_i of first (lower) or of the last term (derived)
-    brackets = [first @ ad for ad in ads]
+    one before, so the series ends within dim steps. The first step,
+    [S, S] for both series, is spanned by the [b_i, b_j] with i < j in
+    the span: the stored keys inside it, read without a product. Row b_i
+    of first has the stored ad matrix L.ad_rows[i]."""
+    inside = {i for row in first.maps for i in row}
+    rows = [L.ad_rows[i].maps[j] for i, j in L.structure if i in inside and j in inside]
+    ads = [L.ad_rows[i] for i in sorted(inside)]
     series = [first]
-    while series[-1].rows:
-        rows = [row for m in brackets for row in m.maps if row]
+    while True:
         nxt = _row_span(RatMatrix._from_maps(len(rows), first.cols, rows))
         if nxt == series[-1]:
-            break
+            return series
         series.append(nxt)
+        if not nxt.rows:
+            return series
         if not lower:
             ads = [combination(L.ad_rows, a.items()) for a in nxt.maps]
-        brackets = [nxt @ ad for ad in ads]
-    return series
+        # [a, v_p] for the rows v_p of the last term, a running over
+        # first (lower) or over the last term (derived)
+        rows = [row for ad in ads for row in (nxt @ ad).maps if row]
 
 
 def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:

@@ -9,22 +9,21 @@ exact kernel computation, and per-component irreducibility under the
 Levi action. Irreducibility is decided only for a homomorphism whose
 Levi images are homogeneous of degree 0 (condition (i)), since only
 then is each component a Levi module; there it takes one rank of the
-image of e per component. The sl2 triple is recognized on the Levi
-span, whose closure is decided by `liealg.span_escape`, the one closure
-scan that also decides it for the declaration checks. A separate
-conjugation check re-runs the structural conditions after moving both
-the Levi factor and the grading by the exponential of a nilpotent
-element, confirming that the triangular structure does not depend on
-the particular Levi factor chosen. It multiplies only by the nilpotent
-parts of exp(rho(z)) and its inverse, and reads each moved Levi vector
-as a column of exp(ad z).
+image of e per component. The sl2 triple is recognized on the 3×3
+block of ad on the Levi span, whose closure is decided by
+`liealg.span_escape`, the one closure scan that also decides it for the
+declaration checks. A separate conjugation check re-runs the structural
+conditions after moving both the Levi factor and the grading by the
+exponential of a nilpotent element, confirming that the triangular
+structure does not depend on the particular Levi factor chosen. It
+multiplies only by the nilpotent parts of exp(rho(z)) and its inverse,
+and reads each moved Levi vector as a column of exp(ad z).
 
 Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
 
-The homomorphism check is `liealg.bracket_defect`, the one scan that
-also decides Jacobi (for ρ = ad); it builds no matrix and runs on
-integer row maps, one denominator per image.
+The homomorphism check is `liealg.bracket_defect`; it builds no matrix
+and runs on integer row maps, one denominator per image.
 
 Faithfulness is read off the stored entries: one singleton pass drops
 every image that some stored position names alone, and the elimination
@@ -43,6 +42,7 @@ from .exact import (
     RatMatrix,
     Vector,
     ZERO,
+    add_scaled_row,
     combination,
     exp_nilpotent,
     nullspace_basis,
@@ -55,7 +55,6 @@ from .liealg import (
     LeviData,
     LieAlgebra,
     ad_matrix,
-    bracket,
     bracket_defect,
     restricted_ad_matrices,
     span_escape,
@@ -217,13 +216,15 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
 
     Candidates h = b_g are tried in Levi order; m is ad(h) on the Levi
     span, once `liealg.span_escape` finds it closed. Column g of m is
-    [h, h] = 0, so when the eigenspaces of m - 2I and m + 2I are both
-    lines, m has the three distinct eigenvalues 2, 0, -2 and needs no
-    other test. Their vectors e and f satisfy [h, e] = 2e and
+    [h, h] = 0, so its characteristic polynomial is x³ - tr(m) x² + s x
+    with s the sum of its principal 2×2 minors, and m has the three
+    distinct eigenvalues 2, 0, -2 exactly when tr(m) = 0 and s = -4.
+    Only then are the eigenspaces of m - 2I and m + 2I computed: both
+    are lines, and their vectors e and f satisfy [h, e] = 2e and
     [h, f] = -2f in the ambient algebra, and so does e / c for any c.
     Only [e, f] = c h is left: it follows from Jacobi, which is not
     assumed, so it is the one bracket computed (c is the h-coordinate of
-    [e, f])."""
+    [e, f]), from the stored brackets of the Levi indices."""
     idx = list(levi_indices)
     if len(idx) != 3:
         raise UnsupportedLeviError(
@@ -233,7 +234,7 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
         raise UnsupportedLeviError("Levi span not closed")
     ads = restricted_ad_matrices(L, idx)
 
-    def to_ambient(v: Vector) -> Vector:
+    def to_ambient(v) -> Vector:
         out = [ZERO] * L.dim
         for p, c in enumerate(v):
             out[idx[p]] += c
@@ -241,19 +242,24 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
 
     two = RatMatrix.diagonal((2, 2, 2))
     for g, m in zip(idx, ads):
-        plus = nullspace_basis(m - two)
-        minus = nullspace_basis(m + two)
-        if len(plus) != 1 or len(minus) != 1:
+        a = [[row.get(q, ZERO) for q in range(3)] for row in m.maps]
+        minors = sum(a[p][p] * a[q][q] - a[p][q] * a[q][p]
+                     for p, q in ((0, 1), (0, 2), (1, 2)))
+        if a[0][0] + a[1][1] + a[2][2] != 0 or minors != -4:
             continue
-        e_amb, f_amb = to_ambient(plus[0]), to_ambient(minus[0])
-        ef = bracket(L, e_amb, f_amb)
-        scal = ef[g]
-        if scal == 0:
+        (e,), (f,) = nullspace_basis(m - two), nullspace_basis(m + two)
+        # [e, f] summed over the Levi pairs; row v of ad_rows[u] is [b_u, b_v]
+        ef: dict = {}
+        for p, x in enumerate(e):
+            if x:
+                r_u = L.ad_rows[idx[p]].maps
+                for q, y in enumerate(f):
+                    if y:
+                        add_scaled_row(ef, r_u[idx[q]], x * y)
+        scal = ef.get(g)
+        if scal is None or len(ef) != 1:
             continue
-        h_amb = unit_vector(L.dim, g)
-        if tuple(c / scal for c in ef) != h_amb:
-            continue
-        return f_amb, h_amb, tuple(c / scal for c in e_amb)
+        return to_ambient(f), unit_vector(L.dim, g), to_ambient(x / scal for x in e)
     raise UnsupportedLeviError(
         "no Levi basis element acts with eigenvalues {2, 0, -2}"
     )

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trilie.classify import ExtensionProblem, classification_cells
 from trilie.exact import RatMatrix, commutator, unit_vector
 from trilie.family import (
     ModuleParams,
     build_family_module,
     enumerate_params,
+    lambda_error,
     two_block_representation,
     validate_params,
     verify_family,
@@ -62,6 +64,20 @@ class TestValidation:
     def test_builder_rejects_invalid(self):
         with pytest.raises(ValueError):
             build_family_module(params(1, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize("lam", (0, -3))
+    def test_lambda_below_one_has_one_text(self, lam):
+        # the tuple, the bounds and the extension problem report the same
+        # bytes, from one source
+        text = f"lam must be >= 1, got {lam}"
+        assert lambda_error(lam) == text and lambda_error(1) is None
+        assert validate_params(params(lam, 0, 0, 0, 0))[1][0] == text
+        for call in (lambda: enumerate_params(lam, 3, 3),
+                     lambda: list(classification_cells(lam, 3, 3)),
+                     lambda: ExtensionProblem(lam, 1, 1)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == text
 
 
 class TestEnumeration:

@@ -432,6 +432,20 @@ class TestSeriesOracles:
         assert verify_levi_data(L, levi)["all_pass"]
         assert [len(c) for c in adjoint_grading(L, levi).component_bases] == [3, 9]
 
+    @pytest.mark.parametrize("k", (1, 4, 16))
+    def test_first_step_reads_the_stored_keys(self, k, monkeypatch):
+        # [N, N] of sl2^k's abelian nilradical is read off the stored keys
+        # inside it (there are none), so neither series multiplies; a
+        # product per index would be k + 1 of them
+        def forbidden(*args):
+            raise AssertionError("RatMatrix.__matmul__ called")
+
+        monkeypatch.setattr(RatMatrix, "__matmul__", forbidden)
+        L, levi = build_sl2_lambda(k)
+        for lower in (False, True):
+            series = index_series(L, levi.nilrad_indices, lower)
+            assert [term.rows for term in series] == [k + 1, 0]
+
     def test_deeper_derived_terms_agree_with_oracle(self, monkeypatch):
         # the radical of sl2 ⋉ Heisenberg has [R, R] = span{c}, a later term
         # whose ad matrices are combinations of the stored rows
@@ -798,6 +812,78 @@ class TestStructureConstantOracles:
             assert report["witnesses"]["jacobi"] == witness, seed
             witnesses.append(witness)
         assert witnesses.count(None) >= 20 and witnesses.count(None) < 35
+
+    @pytest.mark.parametrize("table, expected", [
+        # one term [[b_a, b_b], b_x] = [b_2, b_3] = b_4 with x above b
+        ({(0, 1): {2: 1}, (2, 3): {4: 1}}, (0, 1, 3)),
+        # [[b_1, b_2], b_0] = [b_3, b_0] = -b_4 with x below a
+        ({(1, 2): {3: 1}, (0, 3): {4: 1}}, (0, 1, 2)),
+        # [[b_2, b_0], b_1] = -[b_3, b_1] = b_4 with x between a and b
+        ({(0, 2): {3: 1}, (1, 3): {4: 1}}, (0, 1, 2)),
+        # the x-above term b_4 cancelled by an x-below one, [[b_1, b_3], b_0]
+        # = [b_5, b_0] = -b_4: right only if the two signs differ as shown
+        ({(0, 1): {2: 1}, (2, 3): {4: 1}, (1, 3): {5: 1}, (0, 5): {4: 1}}, None),
+        # the x-between term b_4 cancelled by an x-above one, [[b_0, b_1], b_2]
+        # = [b_5, b_2] = -b_4
+        ({(0, 2): {3: 1}, (1, 3): {4: 1}, (0, 1): {5: 1}, (2, 5): {4: 1}}, None),
+        # the same with the x-above term doubled: 2 [b_5, b_2] + b_4 = -b_4
+        ({(0, 2): {3: 1}, (1, 3): {4: 1}, (0, 1): {5: 2}, (2, 5): {4: 1}}, (0, 1, 2)),
+    ])
+    def test_jacobi_sign_of_each_branch(self, table, expected):
+        L = LieAlgebra(6, [f"b{i}" for i in range(6)], table)
+        assert brute_jacobi_witness(6, table) == expected
+        assert check_axioms(L)["witnesses"]["jacobi"] == expected
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_jacobi_on_sparse_tables_fails_late(self, data):
+        # every index of 1-4 stored brackets is at least lo, so each of the
+        # C(dim, 3) - C(dim - lo, 3) triples below lo has J = 0, and the
+        # first failing triple, if any, comes after all of them
+        dim = data.draw(st.integers(3, 16))
+        lo = data.draw(st.integers(0, dim - 3))
+        index = st.integers(lo, dim - 1)
+        pairs = st.lists(index, min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+        table = data.draw(st.dictionaries(
+            pairs, st.dictionaries(index, small_coeffs.filter(bool), min_size=1, max_size=2),
+            min_size=1, max_size=4,
+        ))
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        witness = brute_jacobi_witness(dim, table)
+        assert witness is None or witness[0] >= lo
+        assert check_axioms(L)["witnesses"]["jacobi"] == witness
+
+    @pytest.mark.parametrize("table, expected", [
+        ({(700, 1300): {20: 3}}, None),
+        # [[b_700, b_1300], b_1400] = 3 [b_20, b_1400] = 3 b_5
+        ({(700, 1300): {20: 3}, (20, 1400): {5: 1}}, (700, 1300, 1400)),
+    ])
+    def test_jacobi_reads_the_stored_rows_only(self, table, expected):
+        # a triple with an index in no stored key has J = 0, so the witness
+        # is the oracle's on the touched indices, relabelled in order;
+        # reading every row of every ad matrix would count dim² = 2.25e6
+        dim = 1500
+        touched = sorted({i for key, coeffs in table.items() for i in (*key, *coeffs)})
+        rank = {i: r for r, i in enumerate(touched)}
+        small = {(rank[i], rank[j]): {rank[k]: c for k, c in coeffs.items()}
+                 for (i, j), coeffs in table.items()}
+        small_witness = brute_jacobi_witness(len(touched), small)
+        assert (small_witness and tuple(touched[r] for r in small_witness)) == expected
+
+        class CountingRows(list):
+            def __getitem__(self, key):
+                reads[0] += 1
+                return super().__getitem__(key)
+
+        reads = [0]
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        counted = {id(m): RatMatrix._from_maps(m.rows, m.cols, CountingRows(m.maps))
+                   for m in L.ad_rows}
+        L.ad_rows = tuple(counted[id(m)] for m in L.ad_rows)
+        report = check_axioms(L)
+        assert report["witnesses"]["jacobi"] == expected
+        assert report["jacobi"] is (expected is None)
+        assert reads[0] <= 4 * len(table)
 
     @given(corrupted_tables(), st.data())
     @settings(max_examples=150)
