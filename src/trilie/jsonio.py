@@ -5,7 +5,9 @@ Rationals serialize as strings "p/q" (or "p" when the denominator is
 built in a fixed key order and never re-sorted, so identical inputs
 produce byte-identical files. Readers take an integer field only as a
 JSON integer and a list field only as a JSON array, and parse each
-distinct entry string of a document once.
+distinct entry string of a document once: an optional "-" and ASCII
+digits by int(), any other spelling through Fraction. A matrix row that
+is all "0" costs one C count; other rows one str compare per entry.
 
 Every artifact is written as `json.dumps(doc, indent=2)` writes it, by
 `encode_indented` on every CPython. Up to 3.12 an indent switches json
@@ -182,14 +184,21 @@ def algebra_from_json(
     coefficients (a fresh one-document parser if None)."""
     parse = parse or _parser()
     structure = {}
+    # a field of exact type int is taken as it stands; any other goes to
+    # int_field, and an error text is built only when it is raised
     for entry in _array(doc["brackets"], "brackets"):
         i, j, coeffs = entry
-        pair = (int_field(i), int_field(j))
+        if type(i) is not int or type(j) is not int:
+            i, j = int_field(i), int_field(j)
+        pair = (i, j)
         if pair in structure:
             raise ValueError(f"bracket pair {pair} listed twice")
+        if type(coeffs) is not list:
+            _array(coeffs, f"the terms of bracket pair {pair}")
         terms = structure[pair] = {}
-        for k, c in _array(coeffs, f"the terms of bracket pair {pair}"):
-            k = int_field(k)
+        for k, c in coeffs:
+            if type(k) is not int:
+                k = int_field(k)
             if k in terms:
                 raise ValueError(f"bracket pair {pair} lists target {k} twice")
             terms[k] = parse(c)

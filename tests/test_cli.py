@@ -743,6 +743,10 @@ _ZEROS_2X2 = [["0", "0"], ["0", "0"]]
         ("check", _sl2_algebra(dim="3"), "expected an integer, got '3'"),
         ("check", _sl2_algebra(brackets=[[0, "0_1", [[0, "2"]]], *_SL2_BRACKETS[1:]]),
          "expected an integer, got '0_1'"),
+        ("check", _sl2_algebra(brackets=[[0, 1, [[0.0, "2"]]], *_SL2_BRACKETS[1:]]),
+         "expected an integer, got 0.0"),
+        ("check", _sl2_algebra(brackets=[[0, 1, [[True, "2"]]], *_SL2_BRACKETS[1:]]),
+         "expected an integer, got True"),
         ("verify", {"algebra": _ZERO_DIM_ALGEBRA, "dims": ["1_0"], "images": {}},
          "expected an integer, got '1_0'"),
         ("check", _sl2_algebra(levi=[], radical=[0, 1, 2], nilradical=[0, 1, 2],
@@ -758,6 +762,7 @@ _ZEROS_2X2 = [["0", "0"], ["0", "0"]]
          "verify-string-dims", "decompose-string-dims", "decompose-object-dims",
          "string-levi", "string-radical", "string-nilradical", "string-labels",
          "paper-literal-string-a", "string-dim", "underscore-bracket-index",
+         "float-bracket-target", "true-bracket-target",
          "verify-underscore-dims", "object-brackets", "string-bracket-terms",
          "long-string-dims"],
 )

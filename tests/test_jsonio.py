@@ -297,13 +297,42 @@ def test_matrix_to_json_is_the_dense_listing(m):
 # --- matrices and documents in: one parse per distinct string -----------
 
 # canonical and non-canonical spellings; "1_0" only where Fraction reads
-# it (CPython 3.11+)
+# it (CPython 3.11+). rat reads an optional "-" and ASCII digits by int();
+# the spellings after "-2" sit next to that form: a sign alone or doubled,
+# "+", non-ASCII digits (int() reads "\u0663" but not "\u00b2"), hex,
+# exponent notation, and 5000 digits, past CPython's bound. rat raises
+# for those in _REFUSED
+_BIG = "9" * 5000
 _SPELLINGS = [
     s for s in ["0", "1", "-1", "1/2", "2/4", "-0", "+3", " 5 ", "1_0", "0/7", "00",
-                "-3/9", "7", "12345678901234567890/3", "-2"]
+                "-3/9", "7", "12345678901234567890/3", "-2", "-", "--1", "-00", "+0",
+                "\u0663", "\u00b2", "0x10", "1e3", _BIG, "-" + _BIG]
     if not (s == "1_0" and sys.version_info < (3, 11))
 ]
-_ENTRIES = st.sampled_from(_SPELLINGS)
+_REFUSED = {"-", "--1", "\u00b2", "0x10", "1e3", _BIG, "-" + _BIG}
+_ENTRIES = st.sampled_from([s for s in _SPELLINGS if s not in _REFUSED])
+
+
+@pytest.mark.parametrize(
+    "s", _SPELLINGS, ids=lambda s: repr(s) if len(s) <= 40 else f"{s[:3]}...{len(s)}chars"
+)
+def test_rat_reads_each_spelling_as_fraction_does(s):
+    # Fraction(str) is the oracle: the same value, or the same exception
+    # type and text; exponent notation alone is refused by rat itself
+    if s == "1e3":
+        with pytest.raises(ValueError, match="exponent notation"):
+            rat(s)
+        return
+    try:
+        want = Fraction(s)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            rat(s)
+        assert str(got.value) == str(exc)
+        assert s in _REFUSED
+    else:
+        assert rat(s) == want and type(rat(s)) is Fraction
+        assert s not in _REFUSED
 
 
 def _plain(rows):
@@ -323,6 +352,49 @@ def _listings(draw, rows=None, cols=None):
 @given(_listings())
 def test_matrix_from_json_matches_plain_parse(rows):
     m = matrix_from_json(rows)
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
+    assert m.maps == _plain(rows)
+
+
+class _Unwalkable(list):
+    """A row that fails if it is iterated entry by entry."""
+
+    def __iter__(self):
+        raise AssertionError("an all-zero row was iterated")
+
+
+def test_all_zero_rows_are_never_iterated():
+    # 50 rows of 1000 entries with one stored entry: only that row is
+    # scanned, and only its stored entry is parsed
+    rows = [_Unwalkable(["0"] * 1000) for _ in range(50)]
+    rows[7] = ["0"] * 999 + ["3/4"]
+    parsed = []
+
+    def parse(x):
+        parsed.append(x)
+        return rat(x)
+
+    m = RatMatrix.from_rows(rows, parse)
+    assert m.maps == [{}] * 7 + [{999: Fraction(3, 4)}] + [{}] * 42
+    assert parsed == ["3/4"]
+    assert matrix_from_json(rows, (50, 1000)).maps == m.maps
+
+
+@st.composite
+def _sparse_listings(draw):
+    """Mostly all-"0" rows, with a few entries of any spelling anywhere."""
+    rows, cols = draw(st.integers(0, 60)), draw(st.integers(0, 40))
+    listing = [["0"] * cols for _ in range(rows)]
+    if rows and cols:
+        for _ in range(draw(st.integers(0, 5))):
+            listing[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_ENTRIES)
+    return listing
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_listings())
+def test_sparse_listing_matches_plain_parse(rows):
+    m = RatMatrix.from_rows(rows)
     assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
     assert m.maps == _plain(rows)
 
@@ -416,6 +488,7 @@ _BAD_ENTRIES = [
     ("1e3", ValueError, "exponent notation in '1e3'; write p/q"),
     ("1/0", ValueError, "zero denominator in '1/0'"),
     ("x", ValueError, "Invalid literal for Fraction: 'x'"),
+    ("-", ValueError, "Invalid literal for Fraction: '-'"),
 ]
 
 
