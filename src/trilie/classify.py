@@ -24,8 +24,9 @@ the line's cells: a block's entry on each cell is compared with the
 first cell's by cross-multiplying integers. `SolutionSpace.contains`
 reads the block's stored entries. The family's z_0 lies on the same
 diagonal, N - s = c, so `_family_verdict` reads one z-rule entry per
-cell. `match_family` checks the tuple it is given, then walks the
-cells stored by the space it is given. The survey walks the cells
+cell. `match_family` checks that the tuple it is given, a `ModuleParams`
+and so valid, has the problem's (Λ, n, m), then walks the cells stored
+by the space it is given. The survey walks the cells
 `_diagonal_line` lists, with the cell's tuples read off the same
 diagonal as plain integers: N = s + c for each s with 0 <= s <= n and
 0 <= N <= m, valid by construction, so they go unchecked, and no
@@ -54,14 +55,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ONE, RatMatrix, rat_str
-from .family import (
-    ModuleParams,
-    check_bounds,
-    lambda_error,
-    two_block_representation,
-    validate_params,
-    z0_entry,
-)
+from .family import ModuleParams, check_bounds, two_block_representation, z0_entry
+from .liealg import lambda_error
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
 from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
 
@@ -211,8 +206,8 @@ def match_family(
 ) -> dict:
     """Is the family module's z_0 block inside the span of `space`?
 
-    params must have p's (Λ, n, m) and pass `validate_params`; either
-    failure raises ValueError. The verdict is then that of
+    params, valid since it was built, must have p's (Λ, n, m), or
+    ValueError is raised. The verdict is then that of
     `_family_verdict` on the cells space stores, whether or not the
     solver built it, as {"member": bool, "scalar": Fraction | None}.
     `classification_cells` calls `_family_verdict` itself, on tuples
@@ -222,9 +217,6 @@ def match_family(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    ok, problems = validate_params(params)
-    if not ok:
-        raise ValueError("; ".join(problems))
     member, scalar = _family_verdict(
         _line_cells(space), params.m, params.n, params.s, params.big_n, params.a
     )

@@ -33,7 +33,6 @@ from .family import (
     ModuleParams,
     build_family_module,
     enumerate_params,
-    validate_params,
     verify_family,
 )
 from .graded import degree_components, is_triangular
@@ -49,7 +48,7 @@ from .jsonio import (
     representation_from_json,
     representation_to_json,
 )
-from .liealg import build_sl2_lambda, check_axioms, verify_levi_data
+from .liealg import build_sl2_lambda, check_axioms, lambda_error, verify_levi_data
 from .rep import verify_representation
 
 
@@ -138,17 +137,16 @@ def _parse_scalars(raw: str) -> tuple:
 
 def _cmd_gen(args) -> int:
     if args.what == "sl2l":
-        if args.lam < 1:
-            raise InputError("--lambda must be >= 1")
+        if lam_error := lambda_error(args.lam):
+            raise InputError(lam_error)
         L, D = build_sl2_lambda(args.lam)
         _write(dumps(algebra_to_json(L, D)), args.output)
         return 0
-    params = ModuleParams(
-        args.lam, args.m, args.n, args.s, args.big_n, _parse_scalars(args.a)
-    )
-    ok, problems = validate_params(params)
-    if not ok:
-        raise InputError("invalid parameters: " + "; ".join(problems))
+    a = _parse_scalars(args.a)
+    try:
+        params = ModuleParams(args.lam, args.m, args.n, args.s, args.big_n, a)
+    except ValueError as exc:
+        raise InputError(f"invalid parameters: {exc}")
     rho = build_family_module(params, paper_literal=args.paper_literal)
     extra = {
         "family_params": {
@@ -193,20 +191,14 @@ def _family_params_from_doc(doc: dict) -> ModuleParams:
         fp = doc["family_params"]
         if not isinstance(fp["a"], list):
             raise ValueError(f"a must be a JSON array, got {reprlib.repr(fp['a'])}")
-        params = ModuleParams(
-            int_field(fp["lambda"]),
-            int_field(fp["m"]),
-            int_field(fp["n"]),
-            int_field(fp["s"]),
-            int_field(fp["N"]),
-            tuple(rat(x) for x in fp["a"]),
-        )
+        fields = [int_field(fp[key]) for key in ("lambda", "m", "n", "s", "N")]
+        a = tuple(rat(x) for x in fp["a"])
     except _BAD_DOCUMENT as exc:
         raise InputError(f"document carries no usable family_params: {exc}")
-    ok, problems = validate_params(params)
-    if not ok:
-        raise InputError("invalid family_params: " + "; ".join(problems))
-    return params
+    try:
+        return ModuleParams(*fields, a)
+    except ValueError as exc:
+        raise InputError(f"invalid family_params: {exc}")
 
 
 def _cmd_verify(args) -> int:
@@ -237,9 +229,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.lam < 1 or args.max_n < 0 or args.max_m < 0:
-        raise InputError("need --lambda >= 1 and nonnegative bounds")
-    cells = list(classification_cells(args.lam, args.max_n, args.max_m))
+    try:
+        cells = list(classification_cells(args.lam, args.max_n, args.max_m))
+    except ValueError as exc:
+        raise InputError(str(exc))
     if args.table:
         width = 6
         lines = ["".join(h.rjust(width) for h in ("n", "m", "dim", "cg", "agree"))]

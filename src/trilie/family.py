@@ -2,7 +2,7 @@
 
 A parameter tuple (Λ, m, n, s, N) subject to
 
-    m + 2s = Λ + n + 2N,   n >= s >= 0,   m >= N >= 0,
+    m + 2s = Λ + n + 2N,   n >= s >= 0,   m >= N >= 0,   Λ >= 1,
 
 together with n-s free scalars a_1 … a_{n-s} (a_0 fixed at 1) defines a
 module on u_0 … u_n (degree 0) and w_0 … w_m (degree 1): the sl2 triple
@@ -25,6 +25,11 @@ the unique coefficient satisfying [e, f] = h on an (m+1)-dimensional
 string, and `paper_literal=True` keeps the printed one for fidelity
 experiments.
 
+A `ModuleParams` is such a tuple: it refuses any other when it is
+built, with one ValueError naming every broken condition, so no
+function here checks its params again. The survey lists its tuples as
+plain integers, valid by construction, and builds none.
+
 `build_family_module` returns the module as a plain `Representation`:
 z_j acts by block (0, 1) of images[3 + j], and `weight_compatibility`
 reads its witnesses off those blocks, given the params.
@@ -41,7 +46,7 @@ from typing import Sequence
 
 from .exact import ONE, ZERO, RatMatrix, rat, rat_str
 from .graded import GradedSpace
-from .liealg import build_sl2_lambda
+from .liealg import build_sl2_lambda, lambda_error
 from .rep import Representation, verify_representation
 from .sl2theory import string_action
 
@@ -56,35 +61,26 @@ class ModuleParams:
     a: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(rat(x) for x in self.a))
-
-
-def validate_params(p: ModuleParams) -> tuple[bool, list[str]]:
-    problems = []
-    if lam_error := lambda_error(p.lam):
-        problems.append(lam_error)
-    if min(p.m, p.n, p.s, p.big_n) < 0:
-        problems.append("m, n, s, N must be nonnegative")
-    if p.m + 2 * p.s != p.lam + p.n + 2 * p.big_n:
-        problems.append(
-            f"m + 2s = {p.m + 2 * p.s} but lam + n + 2N = "
-            f"{p.lam + p.n + 2 * p.big_n}"
-        )
-    if not (p.n >= p.s >= 0):
-        problems.append(f"need n >= s >= 0, got n={p.n}, s={p.s}")
-    if not (p.m >= p.big_n >= 0):
-        problems.append(f"need m >= N >= 0, got m={p.m}, N={p.big_n}")
-    if len(p.a) != max(p.n - p.s, 0):
-        problems.append(
-            f"need {max(p.n - p.s, 0)} scalars a_1..a_(n-s), got {len(p.a)}"
-        )
-    return not problems, problems
-
-
-def lambda_error(lam: int) -> str | None:
-    """The one text of the Λ >= 1 check, or None when Λ passes it; the
-    parameter, bound and extension-problem checks all report it."""
-    return f"lam must be >= 1, got {lam}" if lam < 1 else None
+        """Refuse a tuple outside the family: one ValueError, every
+        problem found, joined by "; "."""
+        a = tuple(rat(x) for x in self.a)
+        object.__setattr__(self, "a", a)
+        lam, m, n, s, big_n = self.lam, self.m, self.n, self.s, self.big_n
+        problems = []
+        if lam_error := lambda_error(lam):
+            problems.append(lam_error)
+        if min(m, n, s, big_n) < 0:
+            problems.append("m, n, s, N must be nonnegative")
+        if m + 2 * s != lam + n + 2 * big_n:
+            problems.append(f"m + 2s = {m + 2 * s} but lam + n + 2N = {lam + n + 2 * big_n}")
+        if not (n >= s >= 0):
+            problems.append(f"need n >= s >= 0, got n={n}, s={s}")
+        if not (m >= big_n >= 0):
+            problems.append(f"need m >= N >= 0, got m={m}, N={big_n}")
+        if len(a) != max(n - s, 0):
+            problems.append(f"need {max(n - s, 0)} scalars a_1..a_(n-s), got {len(a)}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def check_bounds(lam: int, m_max: int, n_max: int) -> None:
@@ -154,9 +150,6 @@ def z_blocks(p: ModuleParams) -> list[RatMatrix]:
     common denominator (t - lo)! m! and the denominators of the a's, so
     each stored cell costs one Fraction. At j = 0 a cell is the single
     term a_θ (m-N-θ)! / ((N+θ)! m!)."""
-    ok, problems = validate_params(p)
-    if not ok:
-        raise ValueError("; ".join(problems))
     m, n, s, big_n = p.m, p.n, p.s, p.big_n
     a = (ONE, *p.a)
     fact = list(accumulate(range(1, m + 1), mul, initial=1))

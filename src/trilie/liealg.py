@@ -6,7 +6,9 @@ is read-only, validated once at construction. A LeviData record
 *declares* a decomposition into a semisimple part and a (solvable)
 radical with its nilradical; the declaration is verified check by check
 rather than computed, since every algebra handled here arrives with its
-decomposition spelled out.
+decomposition spelled out. `LeviData.check` is the one range check of
+its indices: `rep.Representation`, `verify_levi_data` and
+`adjoint_grading` call it before reading any index.
 
 The grading construction splits the algebra along the nilradical's
 lower central series: degree 0 holds the Levi part plus the radical's
@@ -127,6 +129,15 @@ class LeviData:
     radical_indices: tuple[int, ...]
     nilrad_indices: tuple[int, ...]
 
+    def check(self, dim: int) -> None:
+        """The one range check of a declaration: raise IndexError naming
+        the first index outside 0..dim-1, nilradical first, then
+        radical, then Levi."""
+        for indices in (self.nilrad_indices, self.radical_indices, self.levi_indices):
+            for i in indices:
+                if not 0 <= i < dim:
+                    raise IndexError(f"unit vector index {i} out of range for dim {dim}")
+
 
 @dataclass(frozen=True)
 class GradingAssignment:
@@ -134,7 +145,7 @@ class GradingAssignment:
     basis lists them in ascending degree."""
 
     component_bases: tuple[tuple[Vector, ...], ...]
-    levi: LeviData | None = field(default=None, compare=False)
+    levi: LeviData = field(compare=False)
 
     def graded_basis(self) -> list[Vector]:
         return [v for comp in self.component_bases for v in comp]
@@ -257,6 +268,11 @@ def build_sl2() -> tuple[LieAlgebra, LeviData]:
     return L, LeviData((0, 1, 2), (), ())
 
 
+def lambda_error(lam: int) -> str | None:
+    """The one text of the Λ >= 1 check, or None when Λ passes it."""
+    return f"lam must be >= 1, got {lam}" if lam < 1 else None
+
+
 def build_sl2_lambda(lam: int) -> tuple[LieAlgebra, LeviData]:
     """sl2 extended by an abelian ideal spanned by z_0 … z_lam, the
     highest-weight-(lam) module under the adjoint-style action:
@@ -268,8 +284,8 @@ def build_sl2_lambda(lam: int) -> tuple[LieAlgebra, LeviData]:
     [b_g, z_j] is column j of b_g's action on the string x_0 … x_lam
     (`sl2theory.string_action`).
     """
-    if lam < 1:
-        raise ValueError(f"need lam >= 1, got {lam}")
+    if lam_error := lambda_error(lam):
+        raise ValueError(lam_error)
     labels = ["f", "h", "e"] + [f"z{j}" for j in range(lam + 1)]
     columns = [image.transpose().maps for image in string_action(lam, lam)]
     structure = dict(_SL2_STRUCTURE)
@@ -364,9 +380,6 @@ def _row_span(m: RatMatrix) -> RatMatrix:
 
 
 def _index_span(L: LieAlgebra, indices: Sequence[int]) -> RatMatrix:
-    for i in indices:
-        if not 0 <= i < L.dim:
-            raise IndexError(f"unit vector index {i} out of range for dim {L.dim}")
     # distinct unit rows in ascending order are already in rref
     units = [{i: ONE} for i in sorted(set(indices))]
     return RatMatrix._from_maps(len(units), L.dim, units)
@@ -402,6 +415,7 @@ def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
 
 def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
     """Run the five declaration checks; failures carry witnesses."""
+    D.check(L.dim)
     witnesses: dict = {}
 
     levi = list(D.levi_indices)
@@ -515,8 +529,7 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     once, in first-seen order; degree k >= 1 = a Levi-invariant section
     of N^k / N^{k+1}.
     """
-    # _index_span, then unit_vector, refuse an out-of-range index:
-    # nilradical first, then radical, then Levi
+    D.check(L.dim)
     span = _index_span(L, D.nilrad_indices)
     nilrad = sorted(set(D.nilrad_indices))
     complement = [

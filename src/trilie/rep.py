@@ -1,7 +1,9 @@
 """Representations as matrix assignments on a graded space.
 
 A representation pairs an algebra (with declared Levi data) with one
-graded map per basis element. Verification is split into independent
+graded map per basis element; it refuses, when it is built, a
+declaration with an index outside the algebra (`LeviData.check`), so no
+check below meets one. Verification is split into independent
 checks: the homomorphism property, triangularity of every image, the
 two structural conditions (Levi images homogeneous of degree 0,
 nilradical images of strictly positive degree), faithfulness via an
@@ -75,6 +77,7 @@ class Representation:
     def __post_init__(self):
         if len(self.images) != self.algebra.dim:
             raise ValueError("one image per basis element required")
+        self.levi.check(self.algebra.dim)
         wrapped = tuple(
             im if isinstance(im, GradedMap) else GradedMap(self.space, im)
             for im in self.images
@@ -379,9 +382,6 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
     # exp(rho(z)) is linear in v, so each moved Levi image is the same
     # combination of the conjugated images, over the column's entries
     columns = exp_ad.transpose()
-    for s in rho.levi.levi_indices:
-        if not 0 <= s < L.dim:
-            raise IndexError(f"unit vector index {s} out of range for dim {L.dim}")
     levi_supports = [
         (s, block_support(GradedMap(rho.space, combination(conjugated, columns.maps[s].items()))))
         for s in rho.levi.levi_indices

@@ -418,6 +418,26 @@ def brute_family_verdict(space, m: int, n: int, s: int, big_n: int, a) -> tuple:
     return True, scalar
 
 
+def brute_param_problems(lam: int, m: int, n: int, s: int, big_n: int, a) -> list[str]:
+    """Every condition of the family that the tuple (Λ, m, n, s, N) with
+    scalars a breaks, one text each, in a fixed order; [] for a tuple of
+    the family."""
+    problems = []
+    if lam < 1:
+        problems.append(f"lam must be >= 1, got {lam}")
+    if min(m, n, s, big_n) < 0:
+        problems.append("m, n, s, N must be nonnegative")
+    if m + 2 * s != lam + n + 2 * big_n:
+        problems.append(f"m + 2s = {m + 2 * s} but lam + n + 2N = {lam + n + 2 * big_n}")
+    if not (n >= s >= 0):
+        problems.append(f"need n >= s >= 0, got n={n}, s={s}")
+    if not (m >= big_n >= 0):
+        problems.append(f"need m >= N >= 0, got m={m}, N={big_n}")
+    if len(a) != max(n - s, 0):
+        problems.append(f"need {max(n - s, 0)} scalars a_1..a_(n-s), got {len(a)}")
+    return problems
+
+
 def brute_enumerate_params(lam: int, m_max: int, n_max: int) -> list[tuple[int, int, int, int]]:
     """Every (m, n, s, N) of the box n <= n_max, s <= n, N <= m_max that
     the family constraint admits with m <= m_max, filtered one by one,

@@ -22,7 +22,7 @@ from trilie.classify import (
 )
 from trilie.cli import run
 from trilie.exact import RatMatrix
-from trilie.family import build_family_module, validate_params
+from trilie.family import build_family_module
 from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
@@ -32,6 +32,7 @@ from helpers import (
     brute_extension_basis,
     brute_family_verdict,
     brute_in_span,
+    brute_param_problems,
     brute_z_blocks,
     clebsch_gordan_count,
     z_tower,
@@ -347,14 +348,12 @@ class TestFamilyMatching:
 
     @pytest.mark.parametrize("s,big_n,a", [(0, 0, ()), (1, 0, ()), (0, 3, (F(1),))])
     def test_invalid_params_rejected_as_z_blocks_rejects_them(self, s, big_n, a):
-        # a missing scalar, m + 2s != Λ + n + 2N, N > m
-        problem = ExtensionProblem(1, 1, 2)
-        params = ModuleParams(1, 2, 1, s, big_n, a)
-        with pytest.raises(ValueError) as expected:
-            family.z_blocks(params)[0]
+        # a missing scalar, m + 2s != Λ + n + 2N, N > m: the tuple is
+        # refused where it is built, with the oracle's text, so neither
+        # z_blocks nor match_family is ever handed it
         with pytest.raises(ValueError) as got:
-            match_family(problem, solve_extensions(problem), params)
-        assert str(got.value) == str(expected.value)
+            ModuleParams(1, 2, 1, s, big_n, a)
+        assert str(got.value) == "; ".join(brute_param_problems(1, 2, 1, s, big_n, a))
 
 
 class TestMatchFamilyReadsZRules:
@@ -570,8 +569,8 @@ def test_classify_hands_the_verdict_walk_only_valid_tuples(monkeypatch):
                 assert _line_data(line, cell.n, cell.m) == solved, (lam, cell)
                 ones = (F(1),) * (cell.n - s)
                 assert (k, tuple(a[:cell.n - s])) == (cell.n - s, ones), (lam, cell)
+                assert not brute_param_problems(lam, cell.m, cell.n, s, big_n, ones)
                 params = ModuleParams(lam, cell.m, cell.n, s, big_n, ones)
-                assert validate_params(params) == (True, []), params
                 verdict = match_family(problem, space, params)
                 assert got == (member, scalar) == (verdict["member"], verdict["scalar"]), params
             calls.clear()

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -12,20 +13,21 @@ from trilie.family import (
     ModuleParams,
     build_family_module,
     enumerate_params,
-    lambda_error,
     two_block_representation,
-    validate_params,
     verify_family,
     weight_compatibility,
     z0_entry,
     z_blocks,
 )
+from trilie.cli import run
+from trilie.liealg import build_sl2_lambda, lambda_error
 from trilie.rep import conjugate_levi_check, verify_homomorphism
 from trilie.sl2theory import string_action
 
 from helpers import (
     brute_bracket,
     brute_enumerate_params,
+    brute_param_problems,
     brute_weight_witness,
     brute_z_blocks,
     z_rule_cover_counts,
@@ -45,39 +47,73 @@ def z_block(rho, j):
 
 class TestValidation:
     def test_known_good_tuple(self):
-        ok, problems = validate_params(params(1, 2, 1, 1, 1))
-        assert ok and not problems
+        p = params(1, 2, 1, 1, 1)
+        assert (p.lam, p.m, p.n, p.s, p.big_n, p.a) == (1, 2, 1, 1, 1, ())
 
     def test_sum_mismatch(self):
-        ok, problems = validate_params(params(1, 0, 0, 0, 0))
-        assert not ok
-        assert any("m + 2s" in msg for msg in problems)
+        with pytest.raises(ValueError, match=r"m \+ 2s"):
+            params(1, 0, 0, 0, 0)
 
     def test_another_good_tuple(self):
-        assert validate_params(params(2, 2, 0, 0, 0))[0]
+        assert params(2, 2, 0, 0, 0).a == ()
 
     def test_scalar_count_enforced(self):
-        ok, problems = validate_params(params(1, 2, 1, 0, 0))  # needs one a
-        assert not ok
-        assert any("scalars" in msg for msg in problems)
+        with pytest.raises(ValueError, match="scalars"):
+            params(1, 2, 1, 0, 0)  # needs one a
+
+    def test_construction_matches_oracle(self):
+        # a tuple is built exactly when Λ >= 1, the brute filter lists
+        # it and it carries n - s scalars; otherwise the one ValueError
+        # holds every problem the oracle names, in its order
+        for lam in (-1, 0, 1, 2, 3):
+            listed = set(brute_enumerate_params(lam, 6, 6))
+            for m, n, s, big_n in itertools.product(range(-1, 7), repeat=4):
+                for k in sorted({max(d, 0) for d in (n - s - 1, n - s, n - s + 1)}):
+                    a = (F(1),) * k
+                    problems = brute_param_problems(lam, m, n, s, big_n, a)
+                    valid = lam >= 1 and (m, n, s, big_n) in listed and k == n - s
+                    assert (not problems) == valid, (lam, m, n, s, big_n, k)
+                    if valid:
+                        assert ModuleParams(lam, m, n, s, big_n, a).a == a
+                        continue
+                    with pytest.raises(ValueError) as exc:
+                        ModuleParams(lam, m, n, s, big_n, a)
+                    assert str(exc.value) == "; ".join(problems), (lam, m, n, s, big_n, k)
 
     def test_builder_rejects_invalid(self):
         with pytest.raises(ValueError):
             build_family_module(params(1, 0, 0, 0, 0))
 
     @pytest.mark.parametrize("lam", (0, -3))
-    def test_lambda_below_one_has_one_text(self, lam):
-        # the tuple, the bounds and the extension problem report the same
-        # bytes, from one source
+    def test_lambda_below_one_has_one_text(self, lam, capsys):
+        # the tuple, the bounds, the extension problem, the algebra and
+        # the CLI verbs report the same bytes, from one source; a negative
+        # bound has its own one text
         text = f"lam must be >= 1, got {lam}"
         assert lambda_error(lam) == text and lambda_error(1) is None
-        assert validate_params(params(lam, 0, 0, 0, 0))[1][0] == text
+        with pytest.raises(ValueError) as exc:
+            params(lam, 0, 0, 0, 0)
+        assert str(exc.value).split("; ")[0] == text
         for call in (lambda: enumerate_params(lam, 3, 3),
                      lambda: list(classification_cells(lam, 3, 3)),
-                     lambda: ExtensionProblem(lam, 1, 1)):
+                     lambda: ExtensionProblem(lam, 1, 1),
+                     lambda: build_sl2_lambda(lam)):
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == text
+        for argv, err in (
+            (["gen", "sl2l", "--lambda", str(lam)], text),
+            (["gen", "family", "--lambda", str(lam), "--m", "0", "--n", "0",
+              "--s", "0", "--bigN", "0"],
+             "invalid parameters: " + "; ".join(brute_param_problems(lam, 0, 0, 0, 0, ()))),
+            (["enumerate", "--lambda", str(lam), "--max-m", "1", "--max-n", "1"], text),
+            (["classify", "--lambda", str(lam), "--max-n", "1", "--max-m", "1"], text),
+            (["classify", "--lambda", "1", "--max-n", "-1", "--max-m", "1"],
+             "bounds must be nonnegative"),
+        ):
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {err}\n"), argv
 
 
 class TestEnumeration:
@@ -119,19 +155,17 @@ class TestEnumeration:
         assert got[-1] == (0, 199999, 100000, 0)
 
     def test_agrees_with_validator(self):
-        # independent filter over the full parameter box
+        # independent filter over the full parameter box: a tuple is
+        # listed exactly when its ModuleParams can be built
         for lam in (1, 2):
             listed = set(enumerate_params(lam, 4, 4))
             brute = set()
-            for m in range(5):
-                for n in range(5):
-                    for s in range(5):
-                        for big_n in range(5):
-                            p = ModuleParams(
-                                lam, m, n, s, big_n, (F(1),) * max(n - s, 0)
-                            )
-                            if validate_params(p)[0]:
-                                brute.add((m, n, s, big_n))
+            for m, n, s, big_n in itertools.product(range(5), repeat=4):
+                try:
+                    ModuleParams(lam, m, n, s, big_n, (F(1),) * max(n - s, 0))
+                except ValueError:
+                    continue
+                brute.add((m, n, s, big_n))
             assert listed == brute
 
 
@@ -399,10 +433,7 @@ class TestPaperLiteralMode:
         assert not ok
 
     def test_modes_agree_when_m_equals_n(self):
-        p = params(2, 1, 1, 1, 1, (F(0),) * 0)
-        # m + 2s = 3, lam + n + 2N = 5 -> invalid; pick a valid m = n tuple
-        p = params(2, 2, 2, 1, 0, (F(1),))
-        assert validate_params(p)[0]
+        p = params(2, 2, 2, 1, 0, (F(1),))  # a valid m = n tuple
         default = build_family_module(p)
         literal = build_family_module(p, paper_literal=True)
         assert default.images == literal.images
@@ -420,8 +451,7 @@ class TestPaperLiteralMode:
     def test_n_gt_s_tuple_conflicts_with_equivariance(self):
         # m > lam + n leaves no room for a nonzero intertwiner, yet the
         # formulas still emit one; the bracket check must fail
-        p = params(1, 3, 0, 0, 1)
-        assert validate_params(p)[0]
+        p = params(1, 3, 0, 0, 1)  # valid: building it raises nothing
         report = verify_family(p)
         assert report["radical_acts_nonzero"]
         assert not report["homomorphism"]

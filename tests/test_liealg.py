@@ -719,6 +719,16 @@ class TestAdjointRepresentation:
             want = brute_product(brute_product(p_inv, ad), p)
             assert rho.images[i].matrix.to_lists() == want, i
 
+    def test_grading_names_its_levi_data(self):
+        # a grading without its declaration would build a representation
+        # that no check could read
+        L, levi = build_sl2_lambda(1)
+        bases = adjoint_grading(L, levi).component_bases
+        with pytest.raises(TypeError):
+            GradingAssignment(bases)
+        rho = adjoint_representation(L, GradingAssignment(bases, levi))
+        assert verify_representation(rho)["all_pass"]
+
     def test_basis_vector_of_wrong_length_is_a_shape_error(self):
         L, levi = build_sl2()
         u = [unit_vector(3, i) for i in range(3)]

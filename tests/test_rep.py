@@ -69,6 +69,69 @@ def adjoint_of_sl2_lambda(lam):
     return adjoint_representation(L, adjoint_grading(L, levi))
 
 
+class TestDeclarationRange:
+    """`LeviData.check` refuses an index outside 0..dim-1 for every way a
+    declaration reaches the checks, before any index is read."""
+
+    @staticmethod
+    def _entry_points(L, declared):
+        rho = adjoint_of_sl2_lambda(1)
+        return (
+            lambda: verify_representation(Representation(L, declared, rho.space, rho.images)),
+            lambda: liealg.verify_levi_data(L, declared),
+            lambda: adjoint_grading(L, declared),
+        )
+
+    @pytest.mark.parametrize("bad", (-1, -5, 5))
+    @pytest.mark.parametrize("position", (0, 1, 2))
+    def test_each_list_refuses_each_bad_index(self, position, bad):
+        # -1, -dim and dim at sl2^1 (dim 5), as the last index of the
+        # Levi, radical or nilradical list
+        L, levi = build_sl2_lambda(1)
+        lists = [levi.levi_indices, levi.radical_indices, levi.nilrad_indices]
+        lists[position] = lists[position][:-1] + (bad,)
+        for call in self._entry_points(L, LeviData(*lists)):
+            with pytest.raises(IndexError) as exc:
+                call()
+            assert str(exc.value) == f"unit vector index {bad} out of range for dim 5"
+
+    @pytest.mark.parametrize(
+        "declared,bad",
+        [
+            (LeviData((0, 1, 7), (3, 6), (5, 4)), 5),  # nilradical first
+            (LeviData((0, 1, 7), (3, 6), (3, 4)), 6),  # then radical
+            (LeviData((0, 1, 7), (3, 4), (3, 4)), 7),  # then Levi
+        ],
+    )
+    def test_nilradical_is_named_first(self, declared, bad):
+        L, _ = build_sl2_lambda(1)
+        for call in self._entry_points(L, declared):
+            with pytest.raises(IndexError) as exc:
+                call()
+            assert str(exc.value) == f"unit vector index {bad} out of range for dim 5"
+
+    @pytest.mark.parametrize(
+        "levi",
+        [
+            pytest.param((0, 1, -5), id="certified all_pass true"),
+            pytest.param((1, 2, -5), id="KeyError 0 in restricted_ad_matrices"),
+        ],
+    )
+    def test_wrapped_levi_index_is_refused(self, levi):
+        # -5 was read as index 0 of the sl2^1 adjoint
+        rho = adjoint_of_sl2_lambda(1)
+        with pytest.raises(IndexError) as exc:
+            Representation(rho.algebra, LeviData(levi, (3, 4), (3, 4)), rho.space, rho.images)
+        assert str(exc.value) == "unit vector index -5 out of range for dim 5"
+
+    def test_declaration_check_no_longer_raises_key_error(self):
+        # the wrapped -1 made verify_levi_data raise KeyError: 4
+        L, _ = build_sl2_lambda(1)
+        with pytest.raises(IndexError) as exc:
+            liealg.verify_levi_data(L, LeviData((0, 1, -1), (3, 4), (3, 4)))
+        assert str(exc.value) == "unit vector index -1 out of range for dim 5"
+
+
 def gate_reference(m):
     """(flags, witnesses) of the gate on the one image m, at basis index
     0, Levi index 9 and nilradical index 0, read off the oracle's dense
@@ -1017,12 +1080,13 @@ class TestConjugation:
         assert conjugate_levi_check(rho, z) == dense_conjugation_report(rho, z), name
 
     def test_out_of_range_levi_index_raises(self):
-        # column s of exp(ad z) is read by index: -1 must not wrap around
+        # column s of exp(ad z) is read by index: -1 must not wrap around,
+        # so no representation with it reaches the conjugation check
         rho = adjoint_of_sl2_lambda(1)
         for s in (-1, 5):
             levi = LeviData((0, 1, s), rho.levi.radical_indices, rho.levi.nilrad_indices)
-            moved = Representation(rho.algebra, levi, rho.space, rho.images)
             with pytest.raises(IndexError, match=f"index {s} out of range"):
+                moved = Representation(rho.algebra, levi, rho.space, rho.images)
                 conjugate_levi_check(moved, unit_vector(5, 3))
 
     def test_zero_element_reproduces_original_verdict(self):
