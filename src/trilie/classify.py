@@ -41,8 +41,9 @@ report text, byte for byte `json.dumps(report, indent=2)`, with one
 %-template per report level; no report dict is built on the way, so the
 text is the only thing that grows with the Θ(N⁴) sample lists. The text
 is built whole before anything is written: a scalar too long for str()
-raises while it is rendered, and the CLI then writes nothing and exits
-2, on stdout as on `-o`. `classification_report` reads the text back
+raises `jsonio.NumberTooLong` naming `cells.family_matches.scalar`
+while it is rendered, and the CLI then writes nothing and exits 2, on
+stdout as on `-o`. `classification_report` reads the text back
 into the dict it encodes, so the schema lives in the templates alone.
 """
 
@@ -56,9 +57,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ONE, RatMatrix, rat_str
 from .family import ModuleParams, check_bounds, two_block_representation, z0_entry
+from .jsonio import NumberTooLong
 from .liealg import lambda_error
 from .rep import Representation, verify_homomorphism, verify_triangular_conditions
-from .sl2theory import Sl2Module, build_irreducible, tensor_multiplicity
+from .sl2theory import string_action, tensor_multiplicity
 
 
 @dataclass(frozen=True)
@@ -162,12 +164,12 @@ def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     return SolutionSpace(p, (RatMatrix._from_maps(p.m + 1, p.n + 1, block),))
 
 
-def _f_tower(u: Sl2Module, w: Sl2Module, z0: RatMatrix, length: int) -> list[RatMatrix]:
+def _f_tower(f_n: RatMatrix, f_m: RatMatrix, z0: RatMatrix, length: int) -> list[RatMatrix]:
     # Z_0 … Z_{length-1}, Z_{j+1} = F_m Z_j - Z_j F_n
     tower = [z0]
     for _ in range(length - 1):
         zj = tower[-1]
-        tower.append(w.f_mat @ zj - zj @ u.f_mat)
+        tower.append(f_m @ zj - zj @ f_n)
     return tower
 
 
@@ -182,14 +184,9 @@ def assemble_representation(p: ExtensionProblem, z0: RatMatrix) -> Representatio
         raise ValueError(
             f"z0 is {z0.rows}x{z0.cols}, expected {p.m + 1}x{p.n + 1}"
         )
-    u = build_irreducible(p.n)
-    w = build_irreducible(p.m)
-    rho = two_block_representation(
-        p.lam,
-        (u.f_mat, u.h_mat, u.e_mat),
-        (w.f_mat, w.h_mat, w.e_mat),
-        _f_tower(u, w, z0, p.lam + 1),
-    )
+    u = string_action(p.n, p.n)
+    w = string_action(p.m, p.m)
+    rho = two_block_representation(p.lam, u, w, _f_tower(u[0], w[0], z0, p.lam + 1))
 
     hom_ok, hom_witness = verify_homomorphism(rho)
     if not hom_ok:
@@ -332,7 +329,8 @@ def render_classification(lam: int, n_max: int, m_max: int, cells: Iterable[Cell
     """The classify report of `cells` as text, byte for byte
     `json.dumps(report, indent=2) + "\\n"`. The grid holds at least one
     cell. Each scalar goes through `rat_str`, so a numerator or
-    denominator too long for str() raises its ValueError here."""
+    denominator too long for str() raises NumberTooLong here, naming
+    the field `cells.family_matches.scalar`."""
     ones = {0: "[]"}  # the "a" listing of k "1" entries, built once per k
     out = [_HEAD % (lam, n_max, m_max)]
     sep = "\n    "
@@ -342,10 +340,11 @@ def render_classification(lam: int, n_max: int, m_max: int, cells: Iterable[Cell
             a = ones.get(k)
             if a is None:
                 a = ones[k] = "[\n" + ",\n".join(['            "1"'] * k) + "\n          ]"
-            texts.append(_MATCH % (
-                s, big_n, a, "true" if member else "false",
-                "null" if scalar is None else '"' + rat_str(scalar) + '"',
-            ))
+            try:
+                scalar = "null" if scalar is None else '"' + rat_str(scalar) + '"'
+            except ValueError:
+                raise NumberTooLong("cells.family_matches.scalar") from None
+            texts.append(_MATCH % (s, big_n, a, "true" if member else "false", scalar))
         flags = []
         if dim != cg:
             flags.append('"solver-vs-character-mismatch"')

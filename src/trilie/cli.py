@@ -14,8 +14,11 @@ A report that would hold a computed number too long to write is
 malformed input too. CPython converts no int of more than
 `sys.get_int_max_str_digits()` digits to text, and that bound is kept,
 since it also bounds int parsing, which is quadratic in the digits. The
-CLI catches the refusal where it turns a report into text, names the
-field, and writes nothing.
+walk that writes a report names the field of such a number: `jsonio`'s
+`jsonable` and `matrix_to_json`, or `render_classification` for the
+classify scalars, raise `jsonio.NumberTooLong`. Each report's text is
+built whole before it is written, so `run` turns that into exit 2 with
+nothing written, on stdout as on `-o`.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import functools
 import json
 import reprlib
 import sys
-from typing import Any, Callable
 
 from .classify import classification_cells, render_classification
-from .exact import RatMatrix, rat
+from .exact import rat
 from .family import (
     ModuleParams,
     build_family_module,
@@ -37,6 +39,7 @@ from .family import (
 )
 from .graded import degree_components, is_triangular
 from .jsonio import (
+    NumberTooLong,
     algebra_to_json,
     algebra_from_json,
     dumps,
@@ -44,7 +47,6 @@ from .jsonio import (
     int_field,
     jsonable,
     load_json,
-    matrix_to_json,
     representation_from_json,
     representation_to_json,
 )
@@ -83,49 +85,6 @@ def _write(text: str, path: str) -> None:
         raise InputError(f"cannot write {path}: {exc}")
 
 
-def _unprintable(value: Any, field: str = "") -> str | None:
-    """The field of the first number under `value` that is too long to
-    write, or None; a matrix is walked by its stored entries."""
-    if isinstance(value, dict):
-        items = ((f"{field}.{k}" if field else str(k), v) for k, v in value.items())
-    elif isinstance(value, (list, tuple)):
-        items = ((f"{field}[{i}]", v) for i, v in enumerate(value))
-    elif isinstance(value, RatMatrix):
-        items = (
-            (f"{field}[{r}][{c}]", x)
-            for r, row in enumerate(value.maps)
-            for c, x in row.items()
-        )
-    else:
-        try:
-            str(value)
-        except ValueError:
-            return field
-        return None
-    return next(filter(None, (_unprintable(v, f) for f, v in items)), None)
-
-
-def _render(make: Callable[[], Any], locate: Callable[[], str | None]) -> Any:
-    """make(), which turns a report into text. If it meets a number too
-    long to write, that is exit 2 naming the field `locate()` finds;
-    `locate` runs only then, so a report pays nothing per entry."""
-    try:
-        return make()
-    except ValueError as exc:
-        # how CPython refuses str() of an int past the digit bound
-        if "integer string conversion" not in str(exc):
-            raise
-        limit = sys.get_int_max_str_digits()
-        raise InputError(
-            f"{locate() or 'the report'} holds a number of more than {limit} "
-            "digits, too long to write"
-        )
-
-
-def _report_text(report: dict) -> str:
-    return _render(lambda: dumps(jsonable(report)), lambda: _unprintable(report))
-
-
 def _parse_scalars(raw: str) -> tuple:
     if not raw:
         return ()
@@ -155,17 +114,11 @@ def _cmd_gen(args) -> int:
             "n": params.n,
             "s": params.s,
             "N": params.big_n,
-            "a": [jsonable(x) for x in params.a],
+            "a": params.a,
             "paper_literal": args.paper_literal,
         }
     }
-    text = _render(
-        lambda: dumps(representation_to_json(rho, extra)),
-        lambda: _unprintable(
-            {"images": {label: im.matrix for label, im in zip(rho.algebra.basis_labels, rho.images)}}
-        ),
-    )
-    _write(text, args.output)
+    _write(dumps(representation_to_json(rho, extra)), args.output)
     return 0
 
 
@@ -182,7 +135,7 @@ def _cmd_check(args) -> int:
         "levi_data": levi,
         "all_pass": axioms["all_pass"] and levi["all_pass"],
     }
-    _write(_report_text(report), args.output)
+    _write(dumps(jsonable(report)), args.output)
     return 0 if report["all_pass"] else 1
 
 
@@ -214,7 +167,7 @@ def _cmd_verify(args) -> int:
         except (*_BAD_DOCUMENT, OSError, RecursionError) as exc:
             raise InputError(f"bad representation document: {exc}")
         report = verify_representation(rho)
-    _write(_report_text(report), args.output)
+    _write(dumps(jsonable(report)), args.output)
     return 0 if report["all_pass"] else 1
 
 
@@ -241,13 +194,7 @@ def _cmd_classify(args) -> int:
             lines.append("".join(str(v).rjust(width) for v in row))
         _write("\n".join(lines) + "\n", args.output)
     else:
-        # the scalars are the report's only computed numbers, written as
-        # the text is built
-        text = _render(
-            lambda: render_classification(args.lam, args.max_n, args.max_m, cells),
-            lambda: "cells.family_matches.scalar",
-        )
-        _write(text, args.output)
+        _write(render_classification(args.lam, args.max_n, args.max_m, cells), args.output)
     return 0 if all(cell.dim == cell.cg for cell in cells) else 1
 
 
@@ -265,16 +212,8 @@ def _cmd_decompose(args) -> int:
         )
         return 1
     comps = degree_components(g)
-    text = _render(
-        lambda: dumps({
-            "triangular": True,
-            "components": {
-                str(j): matrix_to_json(comps[j].matrix) for j in sorted(comps)
-            },
-        }),
-        lambda: _unprintable({"components": {str(j): comps[j].matrix for j in sorted(comps)}}),
-    )
-    _write(text, args.output)
+    components = {j: comps[j].matrix for j in sorted(comps)}
+    _write(dumps(jsonable({"triangular": True, "components": components})), args.output)
     return 0
 
 
@@ -349,6 +288,11 @@ def run(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except InputError as exc:
         message = str(exc)
+    except NumberTooLong as exc:
+        message = (
+            f"{exc.field or 'the report'} holds a number of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to write"
+        )
     except MemoryError:
         # a valid input may still ask for more than the process has (a
         # family module of dimension 10^8): no report, nothing written

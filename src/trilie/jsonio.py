@@ -20,6 +20,10 @@ dict with str keys, None and the bools); `json.dumps` handles every
 other document. Classify reports still equal `json.dumps(report,
 indent=2)`, but are written by the template renderer of
 `trilie.classify`, from the cells, with no report dict and no call here.
+
+`jsonable` and `matrix_to_json` raise `NumberTooLong` at a Fraction too
+long to write, and name its field as they unwind. A report's ints are
+indices and dimensions, and go unchecked.
 """
 
 from __future__ import annotations
@@ -55,6 +59,23 @@ def _array(value: Any, name: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a JSON array, got {reprlib.repr(value)}")
     return value
+
+
+class NumberTooLong(ValueError):
+    """A number of more digits than CPython writes as text
+    (`sys.get_int_max_str_digits()`). Its args are the dict keys (str)
+    and list indices (int) above it, top down, each added by the walk
+    as it unwinds; `field` joins them as `witnesses.faithful[0]`."""
+
+    @property
+    def field(self) -> str:
+        field = ""
+        for part in self.args:
+            if type(part) is int:
+                field += f"[{part}]"
+            else:
+                field = f"{field}.{part}" if field else part
+        return field
 
 
 def _encode(value: Any, nl: str) -> str:
@@ -115,13 +136,17 @@ def load_json(path: str) -> Any:
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
     # "0" fills each row; only the stored entries are formatted, and
-    # str(Fraction) is rat_str's "p/q" or "p"
+    # str(Fraction) is rat_str's "p/q" or "p". The row being built when
+    # an entry is too long to write is row len(out)
     out = []
-    for row in m.maps:
-        line = ["0"] * m.cols
-        for j, x in row.items():
-            line[j] = str(x)
-        out.append(line)
+    try:
+        for row in m.maps:
+            line = ["0"] * m.cols
+            for j, x in row.items():
+                line[j] = str(x)
+            out.append(line)
+    except ValueError:
+        raise NumberTooLong(len(out), j) from None
     return out
 
 
@@ -225,13 +250,13 @@ def representation_to_json(rho: Representation, extra: dict | None = None) -> di
         "algebra": algebra_to_json(rho.algebra, rho.levi),
         "dims": list(rho.space.component_dims),
         "images": {
-            rho.algebra.basis_labels[i]: matrix_to_json(rho.images[i].matrix)
+            rho.algebra.basis_labels[i]: rho.images[i].matrix
             for i in range(rho.algebra.dim)
         },
     }
     if extra:
         doc.update(extra)
-    return doc
+    return jsonable(doc)
 
 
 def representation_from_json(doc: dict) -> Representation:
@@ -260,12 +285,33 @@ def representation_from_json(doc: dict) -> Representation:
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert report structures (Fractions, tuples, dict
-    keys) into plain JSON-serializable values, preserving key order."""
+    """Report structures (Fractions, tuples, dict keys, `RatMatrix` as
+    its row listing) as plain JSON-serializable values, preserving key
+    order. A Fraction too long to write raises NumberTooLong, and each
+    dict key and list index it lies under is added on the way up."""
     if isinstance(value, Fraction):
-        return rat_str(value)
+        try:
+            return rat_str(value)
+        except ValueError:
+            raise NumberTooLong() from None
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        out = {}
+        try:
+            for k, v in value.items():
+                out[str(k)] = jsonable(v)
+        except NumberTooLong as exc:
+            exc.args = (str(k), *exc.args)
+            raise
+        return out
     if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        items = []
+        try:
+            for v in value:
+                items.append(jsonable(v))
+        except NumberTooLong as exc:
+            exc.args = (len(items), *exc.args)
+            raise
+        return items
+    if isinstance(value, RatMatrix):
+        return matrix_to_json(value)
     return value

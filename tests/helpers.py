@@ -393,6 +393,30 @@ def brute_contains(basis, block: RatMatrix) -> tuple:
     return True, coeffs[0] if len(coeffs) == 1 else None
 
 
+def brute_unprintable(value, field: str = "") -> str | None:
+    """The field of the first leaf under `value` that str() refuses, or
+    None: dict keys joined by ".", list indices as "[i]", and a matrix
+    walked by its stored entries as "[r][c]". "" names `value` itself."""
+    if isinstance(value, dict):
+        items = ((f"{field}.{k}" if field else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{field}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, RatMatrix):
+        items = (
+            (f"{field}[{r}][{c}]", x)
+            for r, row in enumerate(value.maps)
+            for c, x in row.items()
+        )
+    else:
+        try:
+            str(value)
+        except ValueError:
+            return field
+        return None
+    found = (brute_unprintable(v, f) for f, v in items)
+    return next((f for f in found if f is not None), None)
+
+
 def brute_family_verdict(space, m: int, n: int, s: int, big_n: int, a) -> tuple:
     """(member, scalar) of the z_0 block of the valid tuple (m, n, s, N)
     with scalars a_1 … a_{n-s} in the span of `space`, walked in

@@ -132,7 +132,7 @@ class TestWeightBlockedSolver:
 
         monkeypatch.setattr(exact, "rref", forbidden)
         monkeypatch.setattr(exact, "nullspace_basis", forbidden)
-        monkeypatch.setattr(classify, "build_irreducible", forbidden)
+        monkeypatch.setattr(classify, "string_action", forbidden)
         space = solve_extensions(ExtensionProblem(lam, n, m))
         assert space.dimension == 1
         assert [b.data for b in space.basis] == brute_extension_basis(lam, n, m)
@@ -294,16 +294,16 @@ class TestAssembly:
             assemble_representation(ExtensionProblem(1, 1, 2), RatMatrix.zeros(2, 3))
 
     def test_builds_each_component_once(self, monkeypatch):
-        real, built = classify.build_irreducible, []
+        real, built = classify.string_action, []
 
-        def counting(d):
-            built.append(d)
-            return real(d)
+        def counting(d, e_top):
+            built.append((d, e_top))
+            return real(d, e_top)
 
-        monkeypatch.setattr(classify, "build_irreducible", counting)
+        monkeypatch.setattr(classify, "string_action", counting)
         problem = ExtensionProblem(1, 1, 2)
         assemble_representation(problem, solve_extensions(problem).basis[0])
-        assert built == [1, 2]
+        assert built == [(1, 1), (2, 2)]
 
     @pytest.mark.parametrize("lam,n,m", [(1, 1, 2), (2, 1, 1), (2, 2, 2), (3, 0, 3)])
     def test_assembled_is_2_irreducible(self, lam, n, m):

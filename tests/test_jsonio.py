@@ -17,6 +17,7 @@ from trilie.exact import RatMatrix, rat, rat_str
 from trilie.family import ModuleParams, build_family_module
 from trilie.graded import GradedMap, GradedSpace
 from trilie.jsonio import (
+    NumberTooLong,
     algebra_from_json,
     algebra_to_json,
     dumps,
@@ -30,7 +31,7 @@ from trilie.jsonio import (
 )
 from trilie.liealg import adjoint_grading, adjoint_representation, build_sl2_lambda
 
-from helpers import graded_map_to_json
+from helpers import brute_unprintable, graded_map_to_json
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,92 @@ def test_jsonable_converts_nested_values():
         "plain": [True, None, "s", 4],
     }
     json.dumps(out)  # must be serializable as-is
+
+
+# --- a number too long to write: jsonable names its field ---------------
+
+_LONG = 10**4999  # times 1..9: 5000 digits, past CPython's 4300
+
+
+def _too_long(value):
+    with pytest.raises(NumberTooLong) as caught:
+        jsonable(value)
+    return caught.value.field
+
+
+def test_too_long_number_is_named_by_its_path():
+    big = Fraction(_LONG)
+    assert _too_long(big) == ""
+    assert _too_long([0, [big]]) == "[1][0]"
+    assert _too_long([0, {"key": big}]) == "[1].key"
+    assert _too_long({"witnesses": {"faithful": (Fraction(1, _LONG), 1)}}) == (
+        "witnesses.faithful[0]")
+    matrix = RatMatrix.from_rows([[0, 0, 0], [0, 0, big]])
+    assert _too_long({"components": {0: matrix}}) == "components.0[1][2]"
+    with pytest.raises(NumberTooLong) as caught:
+        matrix_to_json(matrix)
+    assert caught.value.field == "[1][2]"
+
+
+_SMALL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def _small_matrices(draw):
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    data = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(-2, 3)]),
+                         min_size=rows * cols, max_size=rows * cols))
+    return RatMatrix(rows, cols, data)
+
+
+_REPORTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.text(max_size=2),
+              _SMALL, _small_matrices()),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)), kids, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _plant(value, slot, big):
+    """value with its Fraction number slot[0] (counting a matrix's stored
+    entries, in walk order) replaced by big. Each Fraction visited lowers
+    slot[0] by one, so from 0 it ends at minus their count."""
+    if isinstance(value, Fraction):
+        slot[0] -= 1
+        return big if slot[0] == -1 else value
+    if isinstance(value, dict):
+        return {k: _plant(v, slot, big) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plant(v, slot, big) for v in value)
+    if isinstance(value, RatMatrix):
+        data = [_plant(value[r, c], slot, big) if value[r, c] else 0
+                for r in range(value.rows) for c in range(value.cols)]
+        return RatMatrix(value.rows, value.cols, data)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORTS, st.data())
+def test_jsonable_names_the_field_the_oracle_finds(value, data):
+    """At most one numerator or denominator of 5000 digits, planted in a
+    Fraction leaf or a stored matrix entry: jsonable names the field the
+    plain walk finds, and returns normally where that finds none."""
+    visited = [0]
+    _plant(value, visited, Fraction(0))
+    slot = data.draw(st.integers(0, -visited[0]))  # the last value plants nothing
+    long = data.draw(st.integers(1, 9)) * _LONG
+    small = data.draw(st.integers(1, 9))
+    big = data.draw(st.sampled_from([Fraction(long, small), Fraction(-small, long)]))
+    value = _plant(value, [slot], big)
+    expected = brute_unprintable(value)
+    if expected is None:
+        json.dumps(jsonable(value))
+    else:
+        assert _too_long(value) == expected
 
 
 # --- the writer: byte for byte what json.dumps(indent=2) writes ---------
