@@ -50,7 +50,7 @@ from .jsonio import (
     representation_from_json,
     representation_to_json,
 )
-from .liealg import build_sl2_lambda, check_axioms, lambda_error, verify_levi_data
+from .liealg import build_sl2_lambda, check_axioms, verify_levi_data
 from .rep import verify_representation
 
 
@@ -96,9 +96,10 @@ def _parse_scalars(raw: str) -> tuple:
 
 def _cmd_gen(args) -> int:
     if args.what == "sl2l":
-        if lam_error := lambda_error(args.lam):
-            raise InputError(lam_error)
-        L, D = build_sl2_lambda(args.lam)
+        try:
+            L, D = build_sl2_lambda(args.lam)
+        except ValueError as exc:
+            raise InputError(str(exc))
         _write(dumps(algebra_to_json(L, D)), args.output)
         return 0
     a = _parse_scalars(args.a)

@@ -298,11 +298,6 @@ class RatMatrix:
                 maps[j][i] = x
         return RatMatrix._from_maps(self.cols, self.rows, maps)
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ShapeError("trace of a non-square matrix")
-        return sum((row.get(i, ZERO) for i, row in enumerate(self.maps)), ZERO)
-
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "RatMatrix":
         for i in row_indices:
             if not 0 <= i < self.rows:

@@ -28,9 +28,9 @@ and its first step reads the stored keys with both indices inside the
 span, with no product. That scan reads the stored bracket keys with an
 index in the span, and walks the caller's index pairs only to name the
 first escape, so a passing check costs the stored brackets. Levi
-closure, wherever it is asked, is `span_escape`: only a pair with both
-indices in the span can escape, so it looks up the span's pairs in the
-table and reads no other key. The adjoint representation changes basis
+closure, wherever it is asked, is `span_escape`, that scan over the
+span's pairs i < j, and its Killing form is summed from the stored
+brackets with no product. The adjoint representation changes basis
 through the stored entries of the graded basis vectors.
 
 `check_axioms` sums each Jacobi triple from the stored brackets alone,
@@ -329,18 +329,10 @@ def span_escape(L: LieAlgebra, indices: Sequence[int]) -> tuple[int, int, int] |
     span: the first (i, j, k), over the pairs i < j in list order and k
     ascending, for which [b_i, b_j] has a b_k term with k outside it;
     None when span{b_g : g in indices} is closed under the bracket.
-    Each pair is one table lookup, so the scan costs |span|² lookups
-    and reads no stored key outside the span."""
+    It is the `_index_escape` scan over the span's own pairs, so a
+    closed span costs the stored brackets and walks no pair."""
     idx = list(indices)
-    inside = set(idx)
-    table = L.structure
-    for i in idx:
-        for j in idx:
-            if i < j:
-                coeffs = table.get((i, j))
-                if coeffs and not inside.issuperset(coeffs):
-                    return i, j, min(k for k in coeffs if k not in inside)
-    return None
+    return _index_escape(L, ((i, j) for i in idx for j in idx if i < j), idx)
 
 
 def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix]:
@@ -363,14 +355,29 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
 
 def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
     """Rank of the Killing form of the subalgebra spanned by the given
-    basis indices (computed intrinsically, not by ambient restriction);
-    the span must be closed."""
-    ads = restricted_ad_matrices(L, indices)
-    m = len(ads)
-    killing = RatMatrix(
-        m, m, [(ads[p] @ ads[q]).trace() for p in range(m) for q in range(m)]
-    )
-    return rank(killing)
+    basis indices, computed intrinsically; the span must be closed. A
+    repeated index would repeat a row and a column, which leaves the
+    rank alone, so each index is taken once, row p keeping column q at q.
+
+    tr(ad b_p ad b_q) on the span sums [b_p, b_b]_a [b_q, b_a]_b over its
+    a, b: each stored entry [b_p, b_b]_a meets the stored entries at
+    (b, a), so no matrix is built or multiplied, and the cost is at most
+    |span| times the stored brackets inside the span."""
+    inside = set(indices)
+    # (a, b) -> each (p, [b_p, b_b]_a), over the stored pairs in the span
+    at: dict[tuple[int, int], list] = {}
+    for i, j in L.structure:
+        if i in inside and j in inside:
+            for p, b in ((i, j), (j, i)):
+                for a, c in L.ad_rows[p].maps[b].items():
+                    at.setdefault((a, b), []).append((p, c))
+    kappa: dict[int, dict] = {p: {} for p in inside}
+    for (a, b), left in at.items():
+        for q, y in at.get((b, a), ()):
+            for p, x in left:
+                kappa[p][q] = kappa[p].get(q, 0) + x * y
+    rows = [{q: v for q, v in row.items() if v} for row in kappa.values()]
+    return rank(RatMatrix._from_maps(len(rows), L.dim, rows))
 
 
 def _row_span(m: RatMatrix) -> RatMatrix:
@@ -379,23 +386,18 @@ def _row_span(m: RatMatrix) -> RatMatrix:
     return RatMatrix._from_maps(len(pivots), m.cols, reduced.maps[: len(pivots)])
 
 
-def _index_span(L: LieAlgebra, indices: Sequence[int]) -> RatMatrix:
-    # distinct unit rows in ascending order are already in rref
-    units = [{i: ONE} for i in sorted(set(indices))]
-    return RatMatrix._from_maps(len(units), L.dim, units)
+def _series(L: LieAlgebra, indices: Sequence[int], lower: bool) -> list[RatMatrix]:
+    """The derived series of span{b_i : i in indices}, or its lower
+    central series when `lower`, as rref row maps; the first term is the
+    distinct unit rows in ascending order, with ad matrices L.ad_rows.
 
-
-def _series(L: LieAlgebra, first: RatMatrix, lower: bool) -> list[RatMatrix]:
-    """The derived series of span(first), or its lower central series
-    when `lower`, as rref row maps.
-
-    Precondition: first is an `_index_span` that is an ideal, which
-    callers check by an `_index_escape` scan. Then each term lies in the
-    one before, so the series ends within dim steps. The first step,
-    [S, S] for both series, is spanned by the [b_i, b_j] with i < j in
-    the span: the stored keys inside it, read without a product. Row b_i
-    of first has the stored ad matrix L.ad_rows[i]."""
-    inside = {i for row in first.maps for i in row}
+    Precondition: the span is an ideal, which callers check by an
+    `_index_escape` scan. Then each term lies in the one before, so the
+    series ends within dim steps. The first step, [S, S] for both
+    series, is spanned by the [b_i, b_j] with i < j in the span: the
+    stored keys inside it, read without a product."""
+    inside = set(indices)
+    first = RatMatrix._from_maps(len(inside), L.dim, [{i: ONE} for i in sorted(inside)])
     rows = [L.ad_rows[i].maps[j] for i, j in L.structure if i in inside and j in inside]
     ads = [L.ad_rows[i] for i in sorted(inside)]
     series = [first]
@@ -452,7 +454,7 @@ def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
          "lower central series stabilizes nonzero"),
     ):
         w = _index_escape(L, ((i, j) for i in range(L.dim) for j in span), span)
-        if w is None and _series(L, _index_span(L, span), lower)[-1].rows:
+        if w is None and _series(L, span, lower)[-1].rows:
             w = stuck
         report[key] = w is None
         if w is not None:
@@ -530,7 +532,6 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
     of N^k / N^{k+1}.
     """
     D.check(L.dim)
-    span = _index_span(L, D.nilrad_indices)
     nilrad = sorted(set(D.nilrad_indices))
     complement = [
         unit_vector(L.dim, i)
@@ -548,7 +549,7 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
         raise ValueError(
             f"input span is not an ideal: [b_{i}, v] escapes for v={unit_vector(L.dim, j)}"
         )
-    series = _series(L, span, lower=True)
+    series = _series(L, nilrad, lower=True)
     action = [L.ad_rows[s] for s in D.levi_indices]  # b_j ↦ [b_s, b_j]
     components: list[list[Vector]] = [v0] + [
         _levi_invariant_section(action, series[k], series[k + 1])

@@ -648,11 +648,28 @@ def brute_restricted_ad(dim: int, structure: dict, indices) -> list:
     return out
 
 
+def brute_killing_rank(dim: int, structure: dict, indices) -> int:
+    """Rank of the Killing form of span{b_g : g in indices}, one row and
+    one column per listed index: tr(ad_p ad_q) over the
+    brute_restricted_ad matrices, multiplied by brute_product. The span
+    must be closed."""
+    ads = brute_restricted_ad(dim, structure, indices)
+    return brute_rank([
+        [sum((row[t] for t, row in enumerate(brute_product(p, q))), Fraction(0)) for q in ads]
+        for p in ads
+    ])
+
+
 def brute_levi_witnesses(dim: int, structure: dict, levi, radical, nilrad) -> dict:
-    """The witness, or None when the check passes, of the three index
-    checks of a Levi declaration, from plain lists:
+    """The witness, or None when the check passes, of the five checks of
+    a Levi declaration, from plain lists:
+    - partition: the three lists, when the Levi and radical lists
+      together are not each index once, or the nilradical holds an
+      index outside the radical;
     - levi_closed: the index escape over pairs i < j, both taken from
       the Levi list in its order;
+    - levi_killing_nondegenerate: "rank deficient", unless the Levi span
+      is closed and brute_killing_rank is the length of the Levi list;
     - radical_solvable_ideal and nilradical_nilpotent_ideal: the index
       escape over i in range(dim) and j in the list, then the derived
       (lower central) series of the span of the listed unit vectors,
@@ -665,10 +682,17 @@ def brute_levi_witnesses(dim: int, structure: dict, levi, radical, nilrad) -> di
     nil = brute_index_escape(dim, structure, ideal(nilrad), nilrad)
     if nil is None and brute_lower_central_series(dim, structure, units(nilrad))[-1]:
         nil = "lower central series stabilizes nonzero"
+    closed = brute_index_escape(
+        dim, structure, [(i, j) for i in levi for j in levi if i < j], levi
+    )
+    full = closed is None and brute_killing_rank(dim, structure, levi) == len(levi)
+    each_once = sorted(list(levi) + list(radical)) == list(range(dim))
     return {
-        "levi_closed": brute_index_escape(
-            dim, structure, [(i, j) for i in levi for j in levi if i < j], levi
-        ),
+        "partition": None if each_once and set(nilrad) <= set(radical) else {
+            "levi": list(levi), "radical": list(radical), "nilradical": list(nilrad)
+        },
+        "levi_closed": closed,
+        "levi_killing_nondegenerate": None if full else "rank deficient",
         "radical_solvable_ideal": rad,
         "nilradical_nilpotent_ideal": nil,
     }

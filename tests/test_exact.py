@@ -342,7 +342,6 @@ class TestSparseStorage:
             assert_clean(got)
         assert list(a.apply(x)) == [sum((p * q for p, q in zip(u, x)), F(0)) for u in al]
         if r == c:
-            assert a.trace() == sum((al[i][i] for i in range(r)), F(0))
             assert commutator(a, b).to_lists() == brute_matrix_bracket(al, bl)
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())

@@ -35,6 +35,7 @@ from helpers import (
     brute_index_escape,
     brute_inverse,
     brute_jacobi_witness,
+    brute_killing_rank,
     brute_levi_witnesses,
     brute_lower_central_series,
     brute_product,
@@ -237,8 +238,8 @@ class TestLeviData:
 
     def test_each_ideal_is_checked_once(self, monkeypatch):
         # one closure scan decides Levi closure and one index scan each
-        # ideal check; each series then runs once, with no closure test
-        # of its own
+        # ideal check, and the closure scan is an index scan too; each
+        # series then runs once, with no closure test of its own
         calls = {"span_escape": 0, "_index_escape": 0, "_series": 0}
 
         def counted(name, real):
@@ -250,7 +251,7 @@ class TestLeviData:
         for name in calls:
             monkeypatch.setattr(liealg, name, counted(name, getattr(liealg, name)))
         assert verify_levi_data(*build_sl2_lambda(8))["all_pass"]
-        assert calls == {"span_escape": 1, "_index_escape": 2, "_series": 2}
+        assert calls == {"span_escape": 1, "_index_escape": 3, "_series": 2}
 
 
 def levi_declarations(seed, count):
@@ -281,7 +282,8 @@ def levi_declarations(seed, count):
 
 
 class TestLeviWitnessOracle:
-    FIELDS = ("levi_closed", "radical_solvable_ideal", "nilradical_nilpotent_ideal")
+    FIELDS = ("partition", "levi_closed", "levi_killing_nondegenerate",
+              "radical_solvable_ideal", "nilradical_nilpotent_ideal")
 
     def test_witnesses_match_plain_oracle(self):
         seen = set()
@@ -297,7 +299,10 @@ class TestLeviWitnessOracle:
         # each check both passes and fails, and each series check fails
         # both at its index scan and at its series
         assert seen == {
+            ("partition", "NoneType"), ("partition", "dict"),
             ("levi_closed", "NoneType"), ("levi_closed", "tuple"),
+            ("levi_killing_nondegenerate", "NoneType"),
+            ("levi_killing_nondegenerate", "str"),
             ("radical_solvable_ideal", "NoneType"), ("radical_solvable_ideal", "tuple"),
             ("radical_solvable_ideal", "str"),
             ("nilradical_nilpotent_ideal", "NoneType"),
@@ -305,24 +310,57 @@ class TestLeviWitnessOracle:
         }
 
 
-def index_series(L, indices, lower):
-    return liealg._series(L, liealg._index_span(L, indices), lower)
+def direct_sum_of_sl2(k):
+    """sl2^⊕k on the basis (f_0, h_0, e_0, f_1, …), declared with every
+    index as its Levi factor."""
+    sl2, _ = build_sl2()
+    structure = {
+        (3 * c + i, 3 * c + j): {3 * c + t: x for t, x in coeffs.items()}
+        for c in range(k) for (i, j), coeffs in sl2.structure.items()
+    }
+    L = LieAlgebra(3 * k, [f"{x}{c}" for c in range(k) for x in "fhe"], structure)
+    return L, LeviData(tuple(range(3 * k)), (), ())
+
+
+class TestKillingForm:
+    def test_matches_plain_oracle_on_closed_levi_spans(self):
+        seen = set()
+        for L, D in levi_declarations(seed=7, count=400):
+            levi = D.levi_indices
+            pairs = [(i, j) for i in levi for j in levi if i < j]
+            if brute_index_escape(L.dim, L.structure, pairs, levi) is not None:
+                continue
+            want = brute_killing_rank(L.dim, L.structure, levi)
+            assert liealg._subalgebra_killing_rank(L, levi) == want, (L.structure, levi)
+            seen.add((len(set(levi)) < len(levi), want == len(levi)))
+        # lists with and without a repeated index, and of the latter both
+        # full and deficient ranks (a repeated index repeats its row)
+        assert seen == {(False, True), (False, False), (True, False)}
+
+    def test_levi_checks_multiply_no_matrix(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("matrix product or restricted ad matrix built")
+
+        monkeypatch.setattr(RatMatrix, "__matmul__", forbidden)
+        monkeypatch.setattr(liealg, "restricted_ad_matrices", forbidden)
+        for L, levi in (build_sl2_lambda(16), direct_sum_of_sl2(4)):
+            assert verify_levi_data(L, levi)["all_pass"]
 
 
 class TestSeries:
     def test_abelian_nilradical_terminates_immediately(self):
         for lam in (1, 3):
             L, levi = build_sl2_lambda(lam)
-            series = index_series(L, levi.nilrad_indices, lower=True)
+            series = liealg._series(L, levi.nilrad_indices, lower=True)
             assert [term.rows for term in series] == [lam + 1, 0]
 
     def test_zero_ideal(self):
         L, _ = build_sl2()
-        assert [term.rows for term in index_series(L, (), lower=True)] == [0]
+        assert [term.rows for term in liealg._series(L, (), lower=True)] == [0]
 
     def test_full_sl2_stabilizes_nonzero(self):
         L, _ = build_sl2()
-        series = index_series(L, range(3), lower=True)
+        series = liealg._series(L, range(3), lower=True)
         assert [term.rows for term in series] == [3]  # constant at the whole algebra
 
     def test_non_ideal_rejected(self):
@@ -342,7 +380,7 @@ class TestSeries:
 
     def test_derived_series_of_solvable_span(self):
         L, levi = build_sl2_lambda(2)
-        assert not index_series(L, levi.radical_indices, lower=False)[-1].rows
+        assert not liealg._series(L, levi.radical_indices, lower=False)[-1].rows
 
 
 def series_cases():
@@ -387,7 +425,7 @@ class TestSeriesOracles:
                                  (True, brute_lower_central_series)):
                 oracle[lower] = brute(L.dim, L.structure, units)
                 terms = [[list(s.row(t)) for t in range(s.rows)]
-                         for s in index_series(L, ideal, lower)]
+                         for s in liealg._series(L, ideal, lower)]
                 assert terms == oracle[lower], (name, ideal, lower)
             # the ideal as radical and nilradical runs both series on it
             report = verify_levi_data(L, LeviData(levi, ideal, ideal))
@@ -443,7 +481,7 @@ class TestSeriesOracles:
         monkeypatch.setattr(RatMatrix, "__matmul__", forbidden)
         L, levi = build_sl2_lambda(k)
         for lower in (False, True):
-            series = index_series(L, levi.nilrad_indices, lower)
+            series = liealg._series(L, levi.nilrad_indices, lower)
             assert [term.rows for term in series] == [k + 1, 0]
 
     def test_deeper_derived_terms_agree_with_oracle(self, monkeypatch):
