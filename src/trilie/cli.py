@@ -14,11 +14,12 @@ A report that would hold a computed number too long to write is
 malformed input too. CPython converts no int of more than
 `sys.get_int_max_str_digits()` digits to text, and that bound is kept,
 since it also bounds int parsing, which is quadratic in the digits. The
-walk that writes a report names the field of such a number: `jsonio`'s
-`jsonable` and `matrix_to_json`, or `render_classification` for the
-classify scalars, raise `jsonio.NumberTooLong`. Each report's text is
-built whole before it is written, so `run` turns that into exit 2 with
-nothing written, on stdout as on `-o`.
+walk that writes a report names the field of such a number:
+`jsonio.dumps`, which writes every report but classify's in one walk
+from its values, or `render_classification` for the classify scalars,
+raises `jsonio.NumberTooLong`. Each report's text is built whole before
+it is written, so `run` turns that into exit 2 with nothing written, on
+stdout as on `-o`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import reprlib
 import sys
 
 from .classify import classification_cells, render_classification
@@ -42,10 +42,10 @@ from .jsonio import (
     NumberTooLong,
     algebra_to_json,
     algebra_from_json,
+    array_field,
     dumps,
     graded_map_from_json,
     int_field,
-    jsonable,
     load_json,
     representation_from_json,
     representation_to_json,
@@ -136,17 +136,16 @@ def _cmd_check(args) -> int:
         "levi_data": levi,
         "all_pass": axioms["all_pass"] and levi["all_pass"],
     }
-    _write(dumps(jsonable(report)), args.output)
+    _write(dumps(report), args.output)
     return 0 if report["all_pass"] else 1
 
 
 def _family_params_from_doc(doc: dict) -> ModuleParams:
     try:
         fp = doc["family_params"]
-        if not isinstance(fp["a"], list):
-            raise ValueError(f"a must be a JSON array, got {reprlib.repr(fp['a'])}")
+        a = array_field(fp["a"], "a")
         fields = [int_field(fp[key]) for key in ("lambda", "m", "n", "s", "N")]
-        a = tuple(rat(x) for x in fp["a"])
+        a = tuple(rat(x) for x in a)
     except _BAD_DOCUMENT as exc:
         raise InputError(f"document carries no usable family_params: {exc}")
     try:
@@ -168,7 +167,7 @@ def _cmd_verify(args) -> int:
         except (*_BAD_DOCUMENT, OSError, RecursionError) as exc:
             raise InputError(f"bad representation document: {exc}")
         report = verify_representation(rho)
-    _write(dumps(jsonable(report)), args.output)
+    _write(dumps(report), args.output)
     return 0 if report["all_pass"] else 1
 
 
@@ -214,7 +213,7 @@ def _cmd_decompose(args) -> int:
         return 1
     comps = degree_components(g)
     components = {j: comps[j].matrix for j in sorted(comps)}
-    _write(dumps(jsonable({"triangular": True, "components": components})), args.output)
+    _write(dumps({"triangular": True, "components": components}), args.output)
     return 0
 
 

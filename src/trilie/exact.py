@@ -284,13 +284,6 @@ class RatMatrix:
             maps.append(row)
         return RatMatrix._from_maps(self.rows, other.cols, maps)
 
-    def apply(self, x: Vector) -> Vector:
-        if len(x) != self.cols:
-            raise ShapeError("vector length does not match matrix columns")
-        return tuple(
-            sum((a * x[j] for j, a in row.items()), ZERO) for row in self.maps
-        )
-
     def transpose(self) -> "RatMatrix":
         maps: list[dict] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.maps):

@@ -9,21 +9,24 @@ distinct entry string of a document once: an optional "-" and ASCII
 digits by int(), any other spelling through Fraction. A matrix row that
 is all "0" costs one C count; other rows one str compare per entry.
 
-Every artifact is written as `json.dumps(doc, indent=2)` writes it, by
-`encode_indented` on every CPython. Up to 3.12 an indent switches json
-to its pure-Python encoder, which yields one small string per token;
-`encode_indented` writes the same bytes by returning one whole string
-per value and joining each container's members, with strings and keys
-through json's C `encode_basestring_ascii`, so it costs about half as
-much. The writer handles the JSON types the verbs emit (str, int, list,
-dict with str keys, None and the bools); `json.dumps` handles every
-other document. Classify reports still equal `json.dumps(report,
-indent=2)`, but are written by the template renderer of
-`trilie.classify`, from the cells, with no report dict and no call here.
+Every artifact and report is written by `dumps`, in one walk from the
+report value to its text: byte for byte `json.dumps(jsonable(value),
+indent=2)` and a newline. The walk takes exactly the values the verbs
+emit: str, exact int, bool, None, Fraction (as `rat_str` writes it),
+list, tuple, dict with str or int keys, and `RatMatrix` (its
+stored-entry listing, `matrix_to_json`). Any other type raises
+TypeError. It returns one whole string per value and joins each
+container's members, with strings and keys through json's C
+`encode_basestring_ascii`; an indent would switch json to its
+pure-Python encoder, one small string per token. `jsonable` is the
+plain JSON document of a value, read back from that text. Classify
+reports equal `json.dumps(report, indent=2)` too, but are written by
+the template renderer of `trilie.classify`, from the cells, with no
+report dict and no call here.
 
-`jsonable` and `matrix_to_json` raise `NumberTooLong` at a Fraction too
-long to write, and name its field as they unwind. A report's ints are
-indices and dimensions, and go unchecked.
+The walk raises `NumberTooLong` at a Fraction too long to write, and
+names its field as it unwinds. A report's ints are indices and
+dimensions, and go unchecked.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def int_field(value: Any) -> int:
     return value
 
 
-def _array(value: Any, name: str) -> list:
+def array_field(value: Any, name: str) -> list:
     """A list field of a JSON document, which must be a JSON array: a
     string would be read character by character, and an object key by
     key."""
@@ -78,50 +81,67 @@ class NumberTooLong(ValueError):
         return field
 
 
-def _encode(value: Any, nl: str) -> str:
-    """`value` as json.dumps(indent=2) writes it, where `nl` is the newline
-    and indent of the line `value` starts on. Only the JSON types the
-    verbs emit are written here: exact str, int, list, and dict with str
-    keys, None and the bools. Anything else raises TypeError, and
-    `encode_indented` leaves the document to json.dumps."""
+def _key(k: Any) -> str:
+    if type(k) is str:
+        return _ascii(k)
+    if type(k) is int:
+        return '"' + int.__repr__(k) + '"'
+    raise TypeError(f"a report key is a str or an int, not {type(k).__name__}")
+
+
+def _write(value: Any, nl: str) -> str:
+    """`value` as json.dumps(jsonable(value), indent=2) writes it, where
+    `nl` is the newline and indent of the line `value` starts on."""
     t = type(value)
     if t is str:
         return _ascii(value)
     if t is int:
         return int.__repr__(value)
-    if t is not list and t is not dict:
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        raise TypeError(f"{t.__name__} is left to json.dumps")
-    if not value:
-        return "[]" if t is list else "{}"
-    inner = nl + "  "
-    if t is list:
-        items = [_ascii(v) if type(v) is str else _encode(v, inner) for v in value]
+    if t is Fraction:
+        # str(Fraction) is rat_str's "p/q" or "p"
+        try:
+            return '"' + str(value) + '"'
+        except ValueError:
+            raise NumberTooLong() from None
+    if t is RatMatrix:
+        value, t = matrix_to_json(value), list
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        items: list[str] = []
+        try:
+            for v in value:
+                items.append(_ascii(v) if type(v) is str else _write(v, inner))
+        except NumberTooLong as exc:
+            exc.args = (len(items), *exc.args)
+            raise
         return "[" + inner + ("," + inner).join(items) + nl + "]"
-    # encode_basestring_ascii raises TypeError for a key that is not a str
-    items = [_ascii(k) + ": " + _encode(v, inner) for k, v in value.items()]
-    return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        try:
+            for k, v in value.items():
+                items.append(_key(k) + ": " + _write(v, inner))
+        except NumberTooLong as exc:
+            exc.args = (str(k), *exc.args)
+            raise
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"a report holds no {t.__name__}")
 
 
-def encode_indented(doc: Any) -> str:
-    """json.dumps(doc, indent=2), written by joining whole strings. What
-    the writer refuses (a type the verbs do not emit, a key that is not a
-    str, an int too long to write, a cycle or nesting past the recursion
-    limit) goes to json.dumps(indent=2), which returns or raises as json
-    does."""
-    try:
-        return _encode(doc, "\n")
-    except (TypeError, ValueError, RecursionError):
-        return json.dumps(doc, indent=2)
-
-
-def dumps(doc: Any) -> str:
-    return encode_indented(doc) + "\n"
+def dumps(value: Any) -> str:
+    """The text of a report value: json.dumps(jsonable(value), indent=2)
+    and a newline, written in one walk."""
+    return _write(value, "\n") + "\n"
 
 
 def load_json(path: str) -> Any:
@@ -211,7 +231,7 @@ def algebra_from_json(
     structure = {}
     # a field of exact type int is taken as it stands; any other goes to
     # int_field, and an error text is built only when it is raised
-    for entry in _array(doc["brackets"], "brackets"):
+    for entry in array_field(doc["brackets"], "brackets"):
         i, j, coeffs = entry
         if type(i) is not int or type(j) is not int:
             i, j = int_field(i), int_field(j)
@@ -219,7 +239,7 @@ def algebra_from_json(
         if pair in structure:
             raise ValueError(f"bracket pair {pair} listed twice")
         if type(coeffs) is not list:
-            _array(coeffs, f"the terms of bracket pair {pair}")
+            array_field(coeffs, f"the terms of bracket pair {pair}")
         terms = structure[pair] = {}
         for k, c in coeffs:
             if type(k) is not int:
@@ -227,10 +247,10 @@ def algebra_from_json(
             if k in terms:
                 raise ValueError(f"bracket pair {pair} lists target {k} twice")
             terms[k] = parse(c)
-    L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in _array(doc["labels"], "labels")], structure)
+    L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in array_field(doc["labels"], "labels")], structure)
     index_lists = []
     for key in ("levi", "radical", "nilradical"):
-        indices = tuple(int_field(x) for x in _array(doc[key], key))
+        indices = tuple(int_field(x) for x in array_field(doc[key], key))
         for x in indices:
             if not 0 <= x < L.dim:
                 raise ValueError(f"{key} index {x} out of range for dim {L.dim}")
@@ -240,12 +260,14 @@ def algebra_from_json(
 
 def graded_map_from_json(doc: dict) -> GradedMap:
     # the declared dims fix the shape, and name it when the matrix differs
-    dims = tuple(int_field(d) for d in _array(doc["dims"], "dims"))
+    dims = tuple(int_field(d) for d in array_field(doc["dims"], "dims"))
     m = matrix_from_json(doc["matrix"], (sum(dims), sum(dims)))
     return GradedMap(GradedSpace(dims), m)
 
 
 def representation_to_json(rho: Representation, extra: dict | None = None) -> dict:
+    """The document of rho as a report value, images as `RatMatrix`:
+    `dumps` writes it, and `jsonable` of it is the plain document."""
     doc = {
         "algebra": algebra_to_json(rho.algebra, rho.levi),
         "dims": list(rho.space.component_dims),
@@ -256,7 +278,7 @@ def representation_to_json(rho: Representation, extra: dict | None = None) -> di
     }
     if extra:
         doc.update(extra)
-    return jsonable(doc)
+    return doc
 
 
 def representation_from_json(doc: dict) -> Representation:
@@ -270,7 +292,7 @@ def representation_from_json(doc: dict) -> Representation:
     # coefficients and each other's entries
     parse = _parser()
     L, D = algebra_from_json(algebra_doc, parse)
-    dims = tuple(int_field(d) for d in _array(doc["dims"], "dims"))
+    dims = tuple(int_field(d) for d in array_field(doc["dims"], "dims"))
     seen = set(doc["images"])
     expected = set(L.basis_labels)
     if seen != expected:
@@ -285,33 +307,5 @@ def representation_from_json(doc: dict) -> Representation:
 
 
 def jsonable(value: Any) -> Any:
-    """Report structures (Fractions, tuples, dict keys, `RatMatrix` as
-    its row listing) as plain JSON-serializable values, preserving key
-    order. A Fraction too long to write raises NumberTooLong, and each
-    dict key and list index it lies under is added on the way up."""
-    if isinstance(value, Fraction):
-        try:
-            return rat_str(value)
-        except ValueError:
-            raise NumberTooLong() from None
-    if isinstance(value, dict):
-        out = {}
-        try:
-            for k, v in value.items():
-                out[str(k)] = jsonable(v)
-        except NumberTooLong as exc:
-            exc.args = (str(k), *exc.args)
-            raise
-        return out
-    if isinstance(value, (list, tuple)):
-        items = []
-        try:
-            for v in value:
-                items.append(jsonable(v))
-        except NumberTooLong as exc:
-            exc.args = (len(items), *exc.args)
-            raise
-        return items
-    if isinstance(value, RatMatrix):
-        return matrix_to_json(value)
-    return value
+    """A report value as plain JSON values: the document `dumps` writes."""
+    return json.loads(dumps(value))

@@ -21,17 +21,19 @@ Spans (the terms of both series, and the layers a section is cut from)
 are kept as the rref row maps of a RatMatrix. With R_i = L.ad_rows[i],
 the matrix whose row j is [b_i, b_j], built once per algebra, [b_i, S]
 is spanned by the rows of the one sparse product S @ R_i; dense tuples
-appear only in the public return values; `bracket` is ad(x) applied to
-y. Both series start from a span of basis indices, shown to be an ideal
-by one scan of the table, so the first term's ad matrices are the R_i,
-and its first step reads the stored keys with both indices inside the
-span, with no product. That scan reads the stored bracket keys with an
-index in the span, and walks the caller's index pairs only to name the
-first escape, so a passing check costs the stored brackets. Levi
-closure, wherever it is asked, is `span_escape`, that scan over the
-span's pairs i < j, and its Killing form is summed from the stored
-brackets with no product. The adjoint representation changes basis
-through the stored entries of the graded basis vectors.
+appear only in the public return values; `bracket` sums the stored
+brackets over the nonzero coordinates of x and y. Both series start
+from a span of basis indices, shown to be an ideal by one scan of the
+table, so the first term's ad matrices are the R_i, and its first step
+reads the stored keys with both indices inside the span, with no
+product. That scan reads the stored bracket keys with an index in the
+span, and walks the caller's index pairs only to name the first escape,
+so a passing check costs the stored brackets. Levi closure, wherever it
+is asked, is `span_escape`, that scan over the span's pairs i < j,
+reading only the keys with both indices inside, and its Killing form is
+summed from the stored brackets with no product. The adjoint
+representation changes basis through the stored entries of the graded
+basis vectors.
 
 `check_axioms` sums each Jacobi triple from the stored brackets alone,
 so it too costs the stored brackets, not dim³. One defect scan,
@@ -50,6 +52,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     ONE,
+    ZERO,
     RatMatrix,
     ShapeError,
     Vector,
@@ -152,11 +155,20 @@ class GradingAssignment:
 
 
 def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
-    """[x, y] = ad(x) y, the bilinear extension of the structure constants."""
+    """[x, y], the bilinear extension of the structure constants: the sum
+    of x_i y_j [b_i, b_j] over the nonzero coordinates of x and y, read
+    from the stored brackets (row j of ad_rows[i] is [b_i, b_j])."""
     x, y = vector(x), vector(y)
-    if len(y) != L.dim:
+    if len(x) != L.dim or len(y) != L.dim:
         raise ValueError("vector length does not match algebra dim")
-    return ad_matrix(L, x).apply(y)
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    out: dict = {}
+    for i, a in enumerate(x):
+        if a:
+            rows = L.ad_rows[i].maps
+            for j, b in ys:
+                add_scaled_row(out, rows[j], a * b)
+    return tuple(out.get(k, ZERO) for k in range(L.dim))
 
 
 def ad_matrix(L: LieAlgebra, x: Sequence) -> RatMatrix:
@@ -299,19 +311,20 @@ def build_sl2_lambda(lam: int) -> tuple[LieAlgebra, LeviData]:
 
 
 def _index_escape(L: LieAlgebra, pairs: Iterable[tuple[int, int]],
-                  span: Sequence[int]) -> tuple[int, int, int] | None:
+                  span: Sequence[int], within: bool = False) -> tuple[int, int, int] | None:
     """The first (i, j, k), over the pairs in order and k ascending, for
     which [b_i, b_j] has a b_k term with k outside `span`; None if none.
-    Every pair must have an index in `span`.
+    Every pair must have an index in `span`, and with `within` both.
 
-    Decided from the stored brackets: each key with an index in the
-    span that has a term outside it keeps its least such k. When there
-    is none the pairs are not walked; otherwise the first pair with such
-    a key names the witness. Unstored pairs pass."""
+    Decided from the stored brackets: each key the pairs can name (an
+    index in the span, or with `within` both) that has a term outside it
+    keeps its least such k. When there is none the pairs are not walked;
+    otherwise the first pair with such a key names the witness. Unstored
+    pairs pass."""
     inside = set(span)
     escapes = {}
     for (a, b), coeffs in L.structure.items():
-        if a in inside or b in inside:
+        if (a in inside and b in inside) if within else (a in inside or b in inside):
             outside = [k for k in coeffs if k not in inside]
             if outside:
                 escapes[a, b] = min(outside)
@@ -329,10 +342,11 @@ def span_escape(L: LieAlgebra, indices: Sequence[int]) -> tuple[int, int, int] |
     span: the first (i, j, k), over the pairs i < j in list order and k
     ascending, for which [b_i, b_j] has a b_k term with k outside it;
     None when span{b_g : g in indices} is closed under the bracket.
-    It is the `_index_escape` scan over the span's own pairs, so a
-    closed span costs the stored brackets and walks no pair."""
+    It is the `_index_escape` scan over the span's own pairs, which can
+    name only keys with both indices in the span, so a closed span costs
+    the stored brackets and walks no pair."""
     idx = list(indices)
-    return _index_escape(L, ((i, j) for i in idx for j in idx if i < j), idx)
+    return _index_escape(L, ((i, j) for i in idx for j in idx if i < j), idx, within=True)
 
 
 def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMatrix]:

@@ -44,7 +44,6 @@ from .exact import (
     RatMatrix,
     Vector,
     ZERO,
-    add_scaled_row,
     combination,
     exp_nilpotent,
     nullspace_basis,
@@ -57,6 +56,7 @@ from .liealg import (
     LeviData,
     LieAlgebra,
     ad_matrix,
+    bracket,
     bracket_defect,
     restricted_ad_matrices,
     span_escape,
@@ -227,7 +227,7 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
     [h, f] = -2f in the ambient algebra, and so does e / c for any c.
     Only [e, f] = c h is left: it follows from Jacobi, which is not
     assumed, so it is the one bracket computed (c is the h-coordinate of
-    [e, f]), from the stored brackets of the Levi indices."""
+    [e, f]), by `liealg.bracket` from the stored brackets."""
     idx = list(levi_indices)
     if len(idx) != 3:
         raise UnsupportedLeviError(
@@ -251,18 +251,12 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
         if a[0][0] + a[1][1] + a[2][2] != 0 or minors != -4:
             continue
         (e,), (f,) = nullspace_basis(m - two), nullspace_basis(m + two)
-        # [e, f] summed over the Levi pairs; row v of ad_rows[u] is [b_u, b_v]
-        ef: dict = {}
-        for p, x in enumerate(e):
-            if x:
-                r_u = L.ad_rows[idx[p]].maps
-                for q, y in enumerate(f):
-                    if y:
-                        add_scaled_row(ef, r_u[idx[q]], x * y)
-        scal = ef.get(g)
-        if scal is None or len(ef) != 1:
+        e, f = to_ambient(e), to_ambient(f)
+        ef = bracket(L, e, f)
+        scal = ef[g]
+        if not scal or ef.count(ZERO) != L.dim - 1:
             continue
-        return to_ambient(f), unit_vector(L.dim, g), to_ambient(x / scal for x in e)
+        return f, unit_vector(L.dim, g), tuple(x / scal for x in e)
     raise UnsupportedLeviError(
         "no Levi basis element acts with eigenvalues {2, 0, -2}"
     )

@@ -76,6 +76,13 @@ def mat_power(a: RatMatrix, k: int) -> RatMatrix:
     return out
 
 
+def mat_vec(a: RatMatrix, x) -> tuple[Fraction, ...]:
+    """A x over the dense rows of A."""
+    if len(x) != a.cols:
+        raise ShapeError("vector length does not match matrix columns")
+    return tuple(sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in a.to_lists())
+
+
 def brute_block_support(dims: list[int], rows: list[list]) -> set[tuple[int, int]]:
     """The (from_degree, to_degree) pairs of blocks with a nonzero entry,
     scanning the dense rows block by block against the component ranges."""
@@ -391,6 +398,21 @@ def brute_contains(basis, block: RatMatrix) -> tuple:
     if combination(basis, enumerate(coeffs)) != block:
         return False, None
     return True, coeffs[0] if len(coeffs) == 1 else None
+
+
+def brute_jsonable(value):
+    """A report value as plain JSON values, by a walk of its own:
+    Fractions as rat_str, tuples as lists, dict keys through str(), and a
+    RatMatrix as its dense row listing."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, dict):
+        return {str(k): brute_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [brute_jsonable(v) for v in value]
+    if isinstance(value, RatMatrix):
+        return [[rat_str(value[r, c]) for c in range(value.cols)] for r in range(value.rows)]
+    return value
 
 
 def brute_unprintable(value, field: str = "") -> str | None:

@@ -2,7 +2,6 @@
 
 import enum
 import json
-import math
 import sys
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
@@ -21,7 +20,6 @@ from trilie.jsonio import (
     algebra_from_json,
     algebra_to_json,
     dumps,
-    encode_indented,
     graded_map_from_json,
     jsonable,
     matrix_from_json,
@@ -31,7 +29,7 @@ from trilie.jsonio import (
 )
 from trilie.liealg import adjoint_grading, adjoint_representation, build_sl2_lambda
 
-from helpers import brute_unprintable, graded_map_to_json
+from helpers import brute_jsonable, brute_unprintable, graded_map_to_json
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +104,7 @@ def test_graded_map_round_trip():
 
 
 def test_representation_round_trip(adjoint_1):
-    doc = representation_to_json(adjoint_1)
+    doc = jsonable(representation_to_json(adjoint_1))
     rho = representation_from_json(doc)
     assert rho.algebra.structure == adjoint_1.algebra.structure
     assert rho.space.component_dims == adjoint_1.space.component_dims
@@ -114,14 +112,14 @@ def test_representation_round_trip(adjoint_1):
 
 
 def test_representation_extra_fields_survive(adjoint_1):
-    doc = representation_to_json(adjoint_1, extra={"family_params": {"m": 1}})
+    doc = jsonable(representation_to_json(adjoint_1, extra={"family_params": {"m": 1}}))
     assert doc["family_params"] == {"m": 1}
     # extras don't confuse the loader
     representation_from_json(doc)
 
 
 def test_representation_label_mismatch_rejected(adjoint_1):
-    doc = representation_to_json(adjoint_1)
+    doc = jsonable(representation_to_json(adjoint_1))
     doc["images"]["bogus"] = doc["images"].pop("f")
     with pytest.raises(ValueError):
         representation_from_json(doc)
@@ -156,14 +154,17 @@ def test_jsonable_converts_nested_values():
     json.dumps(out)  # must be serializable as-is
 
 
-# --- a number too long to write: jsonable names its field ---------------
+# --- a number too long to write: the walk names its field --------------
 
 _LONG = 10**4999  # times 1..9: 5000 digits, past CPython's 4300
 
 
 def _too_long(value):
     with pytest.raises(NumberTooLong) as caught:
+        dumps(value)
+    with pytest.raises(NumberTooLong) as again:
         jsonable(value)
+    assert again.value.field == caught.value.field
     return caught.value.field
 
 
@@ -192,13 +193,23 @@ def _small_matrices(draw):
     return RatMatrix(rows, cols, data)
 
 
+# text with non-ASCII and surrogate-free code points, control characters,
+# quotes and backslashes
+_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀')),
+    max_size=8,
+)
+_KEYS = st.one_of(st.text(max_size=2), _TEXT, st.integers(0, 3))
+
+# the values a report holds; a dict's keys are distinct as text, as in
+# every report (json.dumps writes {1: x, "1": y} with the key twice)
 _REPORTS = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.text(max_size=2),
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.text(max_size=2), _TEXT,
               _SMALL, _small_matrices()),
     lambda kids: st.one_of(
         st.lists(kids, max_size=3),
         st.lists(kids, max_size=3).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)), kids, max_size=3),
+        st.lists(st.tuples(_KEYS, kids), max_size=3, unique_by=lambda kv: str(kv[0])).map(dict),
     ),
     max_leaves=12,
 )
@@ -226,8 +237,9 @@ def _plant(value, slot, big):
 @given(_REPORTS, st.data())
 def test_jsonable_names_the_field_the_oracle_finds(value, data):
     """At most one numerator or denominator of 5000 digits, planted in a
-    Fraction leaf or a stored matrix entry: jsonable names the field the
-    plain walk finds, and returns normally where that finds none."""
+    Fraction leaf or a stored matrix entry: dumps, and jsonable through
+    it, name the field the plain walk finds, and return normally where
+    that finds none."""
     visited = [0]
     _plant(value, visited, Fraction(0))
     slot = data.draw(st.integers(0, -visited[0]))  # the last value plants nothing
@@ -237,43 +249,20 @@ def test_jsonable_names_the_field_the_oracle_finds(value, data):
     value = _plant(value, [slot], big)
     expected = brute_unprintable(value)
     if expected is None:
-        json.dumps(jsonable(value))
+        assert dumps(value) == json.dumps(brute_jsonable(value), indent=2) + "\n"
     else:
         assert _too_long(value) == expected
 
 
-# --- the writer: byte for byte what json.dumps(indent=2) writes ---------
-
-# text with non-ASCII and surrogate-free code points, control characters,
-# quotes and backslashes
-_TEXT = st.text(
-    st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀')),
-    max_size=8,
-)
-_FLOATS = st.one_of(
-    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324])
-)
-_INTS = st.one_of(st.integers(-5, 5), st.integers(-(2**200), 2**200))
-_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
-_KEYS = st.one_of(_TEXT, _INTS, _FLOATS, st.booleans(), st.none())
-_TREES = st.recursive(
-    _SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(_KEYS, children, max_size=4),
-    ),
-    max_leaves=24,
-)
+# --- the writer: one walk, byte for byte json.dumps of the plain form ----
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TREES)
-def test_writer_matches_json_dumps(doc):
-    expected = json.dumps(doc, indent=2)
-    # called directly too: on CPython 3.13+ dumps does not select it
-    assert encode_indented(doc) == expected
-    assert dumps(doc) == expected + "\n"
+@given(_REPORTS)
+def test_writer_matches_json_dumps(value):
+    # brute_jsonable is the old first walk; json.dumps the old second
+    assert dumps(value) == json.dumps(brute_jsonable(value), indent=2) + "\n"
+    assert jsonable(value) == brute_jsonable(value)
 
 
 class _Level(enum.IntEnum):
@@ -293,20 +282,28 @@ _Pair = namedtuple("_Pair", "x y")
 
 
 @pytest.mark.parametrize("doc", [
-    {"level": _Level.LOW, _Level.LOW: [_Level.LOW]},
-    [_Str("a\"b"), {_Str("k"): _Str("\u00e9")}],
-    [_Float(1.5), {_Float(2.5): _Float(-0.0)}],
-    OrderedDict([("b", 1), ("a", OrderedDict())]),
-    _Pair(1, [_Pair((), {})]),
-    [[[[]]], {}, [{}], ((),)],
-    {True: 1, None: 2, 3.0: 4, 10**30: 5, "": ""},
+    # (a document json.dumps writes but the walk refuses, the same
+    # document in the exact types the verbs emit), or a plain value
+    ({"level": _Level.LOW, _Level.LOW: [_Level.LOW]}, {"level": 1, 1: [1]}),
+    ([_Str("a\"b"), {_Str("k"): _Str("\u00e9")}], ["a\"b", {"k": "\u00e9"}]),
+    ([_Float(1.5), {"x": _Float(-0.0)}], [Fraction(3, 2), {"x": Fraction(0)}]),
+    (OrderedDict([("b", 1), ("a", OrderedDict())]), {"b": 1, "a": {}}),
+    (_Pair(1, [_Pair((), {})]), (1, [((), {})])),
+    ([[[[]]], {}, [{}], ((), 0.5)], [[[[]]], {}, [{}], ((),)]),
+    ({True: 1, None: 2, 3.0: 4, 10**30: 5, "": ""}, {1: 1, 0: 2, 3: 4, 10**30: 5, "": ""}),
     "top-level string",
     7,
     None,
 ])
 def test_writer_encodes_subclasses_and_keys_as_json(doc):
-    assert encode_indented(doc) == json.dumps(doc, indent=2)
-    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
+    # a subclass of a JSON type, a float or a key that is neither str nor
+    # int is refused; int and str keys are written as json.dumps writes
+    # the plain form
+    refused, plain = doc if type(doc) is tuple else (None, doc)
+    assert dumps(plain) == json.dumps(brute_jsonable(plain), indent=2) + "\n"
+    if refused is not None:
+        with pytest.raises(TypeError):
+            dumps(refused)
 
 
 def _cycle():
@@ -315,47 +312,35 @@ def _cycle():
     return loop
 
 
-def _deep(depth):
-    doc = []
-    for _ in range(depth):
-        doc = [doc]
-    return doc
-
-
 @pytest.mark.parametrize("make", [
-    lambda: Fraction(1, 2),
-    lambda: {"scalar": [Fraction(1, 3)]},
+    lambda: b"bytes",
+    lambda: {"scalar": [object()]},
     lambda: [1, {2, 3}],
     lambda: {(1, 2): "tuple key"},
     lambda: {"nested": {frozenset(): 0}},
     _cycle,
 ])
-@pytest.mark.parametrize("encode", [dumps, encode_indented])
+@pytest.mark.parametrize("encode", [dumps, jsonable])
 def test_writer_refuses_what_json_refuses(make, encode):
-    with pytest.raises(Exception) as expected:
+    # there is no fallback: a cycle runs out of recursion, anything else
+    # json.dumps refuses is a TypeError
+    with pytest.raises((TypeError, ValueError)):
         json.dumps(make(), indent=2)
-    with pytest.raises(type(expected.value)) as got:
+    with pytest.raises(RecursionError if make is _cycle else TypeError):
         encode(make())
-    assert str(got.value) == str(expected.value)
-
-
-def test_writer_hands_deep_nesting_to_json():
-    # past the writer's own recursion limit json.dumps takes over
-    doc = _deep(sys.getrecursionlimit() // 2 + 50)
-    try:
-        expected = json.dumps(doc, indent=2)
-    except RecursionError:
-        with pytest.raises(RecursionError):
-            encode_indented(doc)
-    else:
-        assert encode_indented(doc) == expected
 
 
 def test_dumps_uses_the_writer(monkeypatch):
-    doc = {"a": [1, "b"], "c": {}}
-    assert dumps(doc) == json.dumps(doc, indent=2) + "\n"
-    monkeypatch.setattr(jsonio, "encode_indented", lambda doc: "joined")
-    assert dumps(doc) == "joined\n"
+    # dumps is the one walk and a newline, with json.dumps barred; jsonable
+    # reads back what dumps writes
+    def barred(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", barred)
+    doc = {"a": [1, "b"], "c": {}, "q": (Fraction(1, 3),)}
+    assert dumps(doc) == '{\n  "a": [\n    1,\n    "b"\n  ],\n  "c": {},\n  "q": [\n    "1/3"\n  ]\n}\n'
+    monkeypatch.setattr(jsonio, "dumps", lambda value: '{"joined": 1}')
+    assert jsonable(doc) == {"joined": 1}
 
 
 # --- matrices out: stored entries only ----------------------------------

@@ -563,6 +563,18 @@ def refusing_pairs():
     yield  # pragma: no cover
 
 
+class TestBracketOnTables:
+    @given(escape_cases(), st.data())
+    @settings(max_examples=200)
+    def test_matches_plain_oracle(self, case, data):
+        # the stored brackets summed over the nonzero coordinates
+        dim, table, _ = case
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        vectors = st.lists(small_coeffs, min_size=dim, max_size=dim)
+        x, y = data.draw(vectors), data.draw(vectors)
+        assert list(bracket(L, x, y)) == brute_bracket(dim, L.structure, x, y)
+
+
 class TestIndexEscape:
     @given(escape_cases())
     @settings(max_examples=300)
@@ -582,7 +594,9 @@ class TestIndexEscape:
         for name, pairs in orders.items():
             want = brute_index_escape(dim, table, pairs, span)
             assert liealg._index_escape(L, iter(pairs), span) == want, name
-        assert span_escape(L, span) == brute_index_escape(dim, table, orders["closure"], span)
+        want = brute_index_escape(dim, table, orders["closure"], span)
+        assert liealg._index_escape(L, iter(orders["closure"]), span, within=True) == want
+        assert span_escape(L, span) == want
 
     def test_a_passing_ideal_check_walks_no_pair(self):
         cases = [build_sl2_lambda(lam) for lam in (1, 4)]
@@ -594,6 +608,33 @@ class TestIndexEscape:
         L, _ = build_sl2_lambda(2)
         with pytest.raises(AssertionError, match="a pair was walked"):
             liealg._index_escape(L, refusing_pairs(), (4, 5))
+
+    def test_a_closed_span_walks_no_pair_when_a_bracket_leaves_it(self, monkeypatch):
+        # sl2^⊕1000 with Levi = all 3000 indices, plus z and [h_0, z] = 2z:
+        # that key leaves the span, but no pair of span indices names it
+        structure = {}
+        for c in range(1000):
+            f, h, e = 3 * c, 3 * c + 1, 3 * c + 2
+            structure.update({(f, h): {f: F(2)}, (f, e): {h: F(-1)}, (h, e): {e: F(2)}})
+        structure[1, 3000] = {3000: F(2)}
+        L = LieAlgebra(3001, [f"b{i}" for i in range(3001)], structure)
+        visits = []
+        real = liealg._index_escape
+
+        def counting(L, pairs, *args, **kwargs):
+            def counted():
+                for pair in pairs:
+                    visits.append(pair)
+                    yield pair
+            return real(L, counted(), *args, **kwargs)
+
+        monkeypatch.setattr(liealg, "_index_escape", counting)
+        assert span_escape(L, range(3000)) is None
+        assert visits == []
+        # a key inside the span that leaves it is still found by its pair
+        L = LieAlgebra(3001, L.basis_labels, {**structure, (0, 2): {1: F(-1), 3000: F(1)}})
+        assert span_escape(L, range(3000)) == (0, 2, 3000)
+        assert visits == [(0, 1), (0, 2)]
 
 
 class TestAdjointGrading:

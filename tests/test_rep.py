@@ -749,21 +749,25 @@ class TestRecognizeSl2:
     def test_standard_basis_reads_only_the_levi_block(self, monkeypatch):
         # with h last, f and e fail the trace and 2x2-minor test on the
         # 3x3 block, so only h's two eigenspaces are computed; [e, f] is
-        # summed from the stored brackets, with no ambient ad matrix
+        # the one `bracket`, summed from the stored brackets, and no
+        # ambient ad matrix (the dense path) is built
         def forbidden(*args):
-            raise AssertionError("ambient bracket or ad matrix built")
+            raise AssertionError("ambient ad matrix built")
 
-        calls = []
-        real = rep.nullspace_basis
+        calls, brackets = [], []
+        real, real_bracket = rep.nullspace_basis, rep.bracket
         monkeypatch.setattr(rep, "nullspace_basis",
                             lambda *args: calls.append(args) or real(*args))
-        for module, name in ((liealg, "bracket"), (liealg, "ad_matrix"), (rep, "ad_matrix")):
+        monkeypatch.setattr(rep, "bracket",
+                            lambda *args: brackets.append(args) or real_bracket(*args))
+        for module, name in ((liealg, "ad_matrix"), (rep, "ad_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         L, _ = build_sl2()
         assert recognize_sl2(L, (0, 2, 1)) == (
             unit_vector(3, 0), unit_vector(3, 1), unit_vector(3, 2)
         )
         assert len(calls) == 2
+        assert len(brackets) == 1
 
     def test_closure_is_one_index_scan(self, monkeypatch):
         # the scan verify_levi_data runs; the matrices are built after it

@@ -16,11 +16,11 @@ representation, and one altered-bracket variant of each. A third deck
 pins `decompose` on about 300 seeded graded maps, triangular and
 lowering, over graded spaces with empty and single components. A last
 test writes the three decks, and one output of `gen`, `check` and
-`classify`, with `json.dumps` barred, all but `classify` through
-`jsonio.encode_indented`, so no verb's output depends on the writer's
-`json.dumps` fallback; `classify` writes through its own template
-renderer and is held to `json.dumps` of the dict oracle
-`brute_classification_report`.
+`classify`, with `json.dumps` barred: every verb but `classify` writes
+its report value through `jsonio.dumps`, the one walk, and each output
+equals `json.dumps` of the plain form the oracle `brute_jsonable` makes
+of that value; `classify` writes through its own template renderer and
+is held to `json.dumps` of the dict oracle `brute_classification_report`.
 """
 
 import contextlib
@@ -36,7 +36,8 @@ from trilie.cli import run
 from trilie.exact import rat_str
 from trilie.jsonio import (
     algebra_to_json,
-    encode_indented,
+    dumps,
+    jsonable,
     matrix_to_json,
     representation_to_json,
 )
@@ -50,7 +51,7 @@ from trilie.liealg import (
 )
 from trilie.sl2theory import build_irreducible
 
-from helpers import brute_classification_report, rebased
+from helpers import brute_classification_report, brute_jsonable, rebased
 
 DECK_SHA256 = "13ab282c3173a4111f06bf724f8d5ebaf1e072df6ce762937c33361deadf4685"
 LARGE_DECK_SHA256 = "100a8a73ae6bd221ae67a906145011f3f3fdd36b79eb8fb23f8f921e9b905206"
@@ -170,7 +171,7 @@ def large_deck(seed=64):
     check = algebra_to_json(
         moved, LeviData(move(D.levi_indices), move(D.radical_indices), move(D.nilrad_indices))
     )
-    verify = representation_to_json(adjoint_representation(L, adjoint_grading(L, D)))
+    verify = jsonable(representation_to_json(adjoint_representation(L, adjoint_grading(L, D))))
     yield "check", check
     yield "verify", verify
     check, verify = copy.deepcopy(check), copy.deepcopy(verify)
@@ -264,14 +265,16 @@ SINGLE_OUTPUTS = [
 
 
 def test_no_verb_output_reaches_the_json_fallback(monkeypatch):
-    # every output written by `encode_indented` on any CPython, with
-    # json.dumps barred once the inputs are serialized: a document the
-    # writer refused would raise instead of matching its golden
+    # every output written by the one walk `dumps`, with json.dumps barred
+    # once the inputs are serialized: a report value the walk refused
+    # would raise instead of matching its golden. The expected outputs
+    # are json.dumps of each report's plain form, made by brute_jsonable
     sl2 = json.dumps(algebra_to_json(*build_sl2_lambda(2)))
     docs = [(verb, json.dumps(doc)) for verb, doc in deck()]
     large = [(verb, json.dumps(doc)) for verb, doc in large_deck()]
     maps = [json.dumps(doc) for doc in decompose_deck()]
-    monkeypatch.setattr(cli, "dumps", lambda doc: json.dumps(doc, indent=2) + "\n")
+    monkeypatch.setattr(
+        cli, "dumps", lambda value: json.dumps(brute_jsonable(value), indent=2) + "\n")
     expected = [_run_text(monkeypatch, argv, sl2) for argv in SINGLE_OUTPUTS[:-1]]
     # classify does not call cli.dumps: its text is the oracle's json.dumps
     expected.append((0, json.dumps(brute_classification_report(2, 6, 6), indent=2) + "\n"))
@@ -280,7 +283,7 @@ def test_no_verb_output_reaches_the_json_fallback(monkeypatch):
     def barred(*args, **kwargs):
         raise AssertionError("an output reached json.dumps")
 
-    monkeypatch.setattr(cli, "dumps", lambda doc: encode_indented(doc) + "\n")
+    monkeypatch.setattr(cli, "dumps", dumps)
     monkeypatch.setattr(json, "dumps", barred)
     assert [_run_text(monkeypatch, argv, sl2) for argv in SINGLE_OUTPUTS] == expected
     for texts, want in ((docs, DECK_SHA256), (large, LARGE_DECK_SHA256)):
