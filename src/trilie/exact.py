@@ -15,8 +15,10 @@ stands: a sum shares the rows the other operand leaves empty, and a
 product shares the right factor's row for a left row that is one entry
 equal to 1, since rows are never changed after construction. So a
 change of basis by unit vectors multiplies no Fraction. Checks that
-only compare products read `integral_rows`: integer row maps, one
-denominator per image.
+read only zero patterns, which a positive scale keeps, run on integer
+row maps (`add_product`), each image or bracket cleared by its own
+denominator; `exp_nilpotent_rows` gives E exp(±A) over one integer E,
+and `exp_nilpotent` is built on it.
 """
 
 from __future__ import annotations
@@ -200,9 +202,6 @@ class RatMatrix:
         row = self.maps[i]
         return tuple(row.get(j, ZERO) for j in range(self.cols))
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -348,6 +347,22 @@ def add_scaled_row(out: dict, row: dict, c) -> None:
             out[j] = y
 
 
+def add_scaled_rows(out: dict, rows: dict, c) -> None:
+    """out += c * rows on {row: {column: entry}} maps, in place, row by
+    row with `add_scaled_row`; a row that cancels stays, empty."""
+    for r, row in rows.items():
+        add_scaled_row(out.setdefault(r, {}), row, c)
+
+
+def add_product(out: dict, a: dict, b: dict, c) -> None:
+    """out += c * a b on {row: {column: entry}} maps, in place, visiting
+    only the entries a stores; a row that cancels stays, empty."""
+    for r, row in a.items():
+        for k, x in row.items():
+            if k in b:
+                add_scaled_row(out.setdefault(r, {}), b[k], c * x)
+
+
 def combination(mats: Sequence[RatMatrix], coeffs) -> RatMatrix:
     """sum c * mats[i] over the (i, c) pairs, in one pass over the stored
     entries, dropping sums that cancel; an empty family is 0 x 0."""
@@ -383,21 +398,39 @@ def integral_rows(m: RatMatrix) -> tuple[int, dict[int, dict[int, int]]]:
     }
 
 
-def exp_nilpotent(a: RatMatrix) -> RatMatrix:
-    """exp(A) as the finite sum sum_k A^k / k!; A must be nilpotent."""
+def exp_nilpotent_rows(a: RatMatrix) -> tuple[int, dict, dict]:
+    """(E, N, N') with E exp(A) = E I + N and E exp(-A) = E I + N', both
+    as integer row maps. With A = M / d (`integral_rows`) and A^(K+1) = 0,
+    E = d^K K! and N = sum_k d^(K-k) K!/k! M^k for k = 1..K; N' flips the
+    sign of the odd powers. Raises ValueError if A is not nilpotent."""
     if a.rows != a.cols:
         raise ShapeError("exp of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return RatMatrix.identity(0)
-    out = RatMatrix.identity(n)
-    power = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        power = power @ a
-        if power.is_zero():
-            return out
-        out = out + power.scale(Fraction(1, math.factorial(k)))
-    raise ValueError("matrix is not nilpotent")
+    d, m = integral_rows(a)
+    powers, power = [], m
+    while any(power.values()):
+        powers.append(power)
+        if len(powers) == a.rows:
+            raise ValueError("matrix is not nilpotent")
+        power = {}
+        add_product(power, powers[-1], m, 1)
+    e = w = d ** len(powers) * math.factorial(len(powers))
+    plus, minus = {}, {}
+    for k, power in enumerate(powers, 1):
+        w //= d * k
+        add_scaled_rows(plus, power, w)
+        add_scaled_rows(minus, power, -w if k % 2 else w)
+    return e, plus, minus
+
+
+def exp_nilpotent(a: RatMatrix) -> RatMatrix:
+    """exp(A) as the finite sum sum_k A^k / k!; A must be nilpotent."""
+    e, plus, _ = exp_nilpotent_rows(a)
+    maps = []
+    for i in range(a.rows):
+        row = dict(plus.get(i, ()))
+        row[i] = row.get(i, 0) + e
+        maps.append({j: Fraction(x, e) for j, x in row.items() if x})
+    return RatMatrix._from_maps(a.rows, a.cols, maps)
 
 
 def _primitive(row: dict) -> dict[int, int]:

@@ -7,11 +7,12 @@ A map is *triangular* when it never lowers degree, which in this basis
 order reads as block-lower-triangular. Triangular maps split uniquely
 into degree-homogeneous stripes f_j with f_j(V_k) ⊆ V_{k+j}.
 
-Which blocks a map touches is decided in one place, `block_support`,
-in one pass over the stored entries; the predicates read it, and no
-predicate copies a block. Rows are walked component by component; a
-column's degree is the last component whose offset does not exceed it
-(`bisect_right`), so zero-dimensional components are never chosen.
+Which blocks a map touches is decided in one place, `row_support`, in
+one pass over the stored entries of its nonempty rows; `block_support`
+reads it for a map, the conjugation check for integer rows, and no
+predicate copies a block. An index's degree is the last component whose
+offset does not exceed it (`bisect_right`), so zero-dimensional
+components are never chosen.
 
 Triangularity is a block condition, so a map keeps no arithmetic but
 its bracket; sums and products are those of its `RatMatrix`.
@@ -20,7 +21,8 @@ its bracket; sums and products are those of its `RatMatrix`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
 from .exact import RatMatrix, ShapeError, commutator
 
@@ -110,14 +112,17 @@ class GradedMap:
 def block_support(f: GradedMap) -> set[tuple[int, int]]:
     """The (from_degree, to_degree) pairs of the blocks that hold a
     stored entry, in one pass over the row maps."""
-    space, maps = f.space, f.matrix.maps
+    maps = f.matrix.maps
+    return row_support(f.space, compress(enumerate(maps), maps))
+
+
+def row_support(space: GradedSpace, rows: Iterable[tuple]) -> set[tuple[int, int]]:
+    """`block_support` of a map given as (row, stored columns) pairs, such
+    as the integer row maps of `exact.integral_rows`: only the column keys
+    are read, so the entries may be of any type."""
     offsets = space.offsets
-    return {
-        (bisect_right(offsets, c) - 1, k)
-        for k, (start, d) in enumerate(zip(offsets, space.component_dims))
-        for row in maps[start:start + d]
-        for c in row
-    }
+    return {(bisect_right(offsets, c) - 1, bisect_right(offsets, r) - 1)
+            for r, row in rows for c in row}
 
 
 def is_triangular(f: GradedMap) -> tuple[bool, tuple[int, int] | None]:

@@ -38,7 +38,9 @@ basis vectors.
 `check_axioms` sums each Jacobi triple from the stored brackets alone,
 so it too costs the stored brackets, not dim³. One defect scan,
 `bracket_defect`, decides whether b_i ↦ M_i respects brackets, for
-representations. It runs on integer row maps, one denominator per image.
+representations. Both read only zero patterns, which a positive scale
+keeps, so both run on integer row maps: Jacobi with one denominator per
+stored bracket, the defect scan with one per image.
 """
 
 from __future__ import annotations
@@ -237,17 +239,25 @@ def check_axioms(L: LieAlgebra) -> dict:
     (J(a, b, x) starts with it) or x < a (J(x, a, b) has it second),
     - when a < x < b (J(a, x, b) has [[b_b, b_a], b_x]). A triple no
     walk reaches has J = 0; the cost is the stored brackets, not dim³.
-    Antisymmetry holds by construction; it is reported true with a None
-    witness."""
-    partners: dict[int, list[int]] = {}  # p -> each x with [b_p, b_x] stored
-    for i, j in L.structure:
-        partners.setdefault(i, []).append(j)
-        partners.setdefault(j, []).append(i)
-    sums: dict[tuple[int, int, int], dict] = {}
-    for (a, b), coeffs in L.structure.items():
+
+    Only zero patterns are read, and a positive scale keeps them, so
+    each stored bracket is cleared once by its own denominator,
+    [b_u, b_v] = N_uv / d_uv, and a triple keeps one integer sum per
+    term denominator d_ab d_px; only a triple with two or more such sums
+    is brought to their lcm. Antisymmetry holds by construction; it is
+    reported true with a None witness."""
+    cleared = {}  # (u, v) -> (d_uv, N_uv)
+    partners: dict[int, list] = {}  # p -> each (x, ±1, d, N) with [b_p, b_x] = ±N/d
+    for (i, j), coeffs in L.structure.items():
+        d = math.lcm(*(c.denominator for c in coeffs.values()))
+        row = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
+        cleared[i, j] = d, row
+        partners.setdefault(i, []).append((j, 1, d, row))
+        partners.setdefault(j, []).append((i, -1, d, row))
+    sums: dict[tuple[int, int, int], dict[int, dict]] = {}  # triple -> {denominator: sum}
+    for (a, b), (d_ab, coeffs) in cleared.items():
         for p, c in coeffs.items():
-            r_p = L.ad_rows[p].maps
-            for x in partners.get(p, ()):
+            for x, sign, d_px, row in partners.get(p, ()):
                 if x > b:
                     triple, w = (a, b, x), c
                 elif x < a:
@@ -256,8 +266,18 @@ def check_axioms(L: LieAlgebra) -> dict:
                     triple, w = (a, x, b), -c
                 else:
                     continue
-                add_scaled_row(sums.setdefault(triple, {}), r_p[x], w)
-    jacobi_witness = min((t for t, acc in sums.items() if acc), default=None)
+                terms = sums.setdefault(triple, {})
+                add_scaled_row(terms.setdefault(d_ab * d_px, {}), row, sign * w)
+
+    def nonzero(terms: dict[int, dict]) -> bool:
+        if len(terms) == 1:
+            return any(terms.values())
+        lcd, total = math.lcm(*terms), {}
+        for d, acc in terms.items():
+            add_scaled_row(total, acc, lcd // d)
+        return bool(total)
+
+    jacobi_witness = min((t for t, terms in sums.items() if nonzero(terms)), default=None)
     return {
         "antisymmetry": True,
         "jacobi": jacobi_witness is None,

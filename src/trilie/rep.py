@@ -18,8 +18,9 @@ declaration checks. A separate conjugation check re-runs the structural
 conditions after moving both the Levi factor and the grading by the
 exponential of a nilpotent element, confirming that the triangular
 structure does not depend on the particular Levi factor chosen. It
-multiplies only by the nilpotent parts of exp(rho(z)) and its inverse,
-and reads each moved Levi vector as a column of exp(ad z).
+reads only zero patterns, which a positive scale keeps, so it runs on
+integer row maps, one denominator per image, and the nilpotent parts
+of exp(±rho(z)) over one integer E.
 
 Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
@@ -36,6 +37,7 @@ no elimination at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -44,14 +46,18 @@ from .exact import (
     RatMatrix,
     Vector,
     ZERO,
+    add_product,
+    add_scaled_rows,
     combination,
     exp_nilpotent,
+    exp_nilpotent_rows,
+    integral_rows,
     nullspace_basis,
     rank,
     unit_vector,
     vector,
 )
-from .graded import GradedMap, GradedSpace, block_support
+from .graded import GradedMap, GradedSpace, block_support, row_support
 from .liealg import (
     LeviData,
     LieAlgebra,
@@ -355,33 +361,43 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
     """
     L = rho.algebra
     z = vector(z)
-    ad_z = ad_matrix(L, z)
     try:
-        exp_ad = exp_nilpotent(ad_z)
+        exp_ad = exp_nilpotent(ad_matrix(L, z))
     except ValueError:
         raise ValueError("ad(z) is not nilpotent; conjugation undefined")
-    a = rho.image_of(z).matrix
-    p, p_inv = exp_nilpotent(a), exp_nilpotent(-a)
-    identity = RatMatrix.identity(rho.space.total_dim)
-    assert p @ p_inv == identity
+    # P = I + N/E and P^-1 = I + N'/E, so P P^-1 = I reads E(N + N') + N N' = 0
+    e, n, n_inv = exp_nilpotent_rows(rho.image_of(z).matrix)
+    identity_defect: dict = {}
+    add_product(identity_defect, n, n_inv, 1)
+    add_scaled_rows(identity_defect, n, e)
+    add_scaled_rows(identity_defect, n_inv, e)
+    assert not any(identity_defect.values())
 
-    # with P = I + N and P^-1 = I + N', P^-1 M P = M' + M'N for
-    # M' = M + N'M: only the nilpotent parts are multiplied
-    n, n_inv = p - identity, p_inv - identity
-    conjugated = []
-    for im in rho.images:
-        m = im.matrix + n_inv @ im.matrix
-        conjugated.append(m + m @ n)
-    # exp(ad z) b_s is column s of exp(ad z); exp(rho(-z)) rho(v)
-    # exp(rho(z)) is linear in v, so each moved Levi image is the same
-    # combination of the conjugated images, over the column's entries
+    def conjugated_support(rows: dict) -> set:
+        # E² P^-1 M P = (E M + N'M)(E I + N) for integer rows M: only the
+        # nilpotent parts are multiplied
+        left, out = {}, {}
+        add_product(left, n_inv, rows, 1)
+        add_scaled_rows(left, rows, e)
+        add_product(out, left, n, 1)
+        add_scaled_rows(out, left, e)
+        return row_support(rho.space, out.items())
+
+    scaled = [integral_rows(im.matrix) for im in rho.images]
     columns = exp_ad.transpose()
-    levi_supports = [
-        (s, block_support(GradedMap(rho.space, combination(conjugated, columns.maps[s].items()))))
-        for s in rho.levi.levi_indices
-    ]
+    levi_supports = []
+    for s in rho.levi.levi_indices:
+        # exp(ad z) b_s is column s of exp(ad z), and P^-1 rho(v) P is
+        # linear in v: the moved image is the column's combination of the
+        # images, cleared by the lcm of its weights' denominators
+        weights = [(c / scaled[t][0], scaled[t][1]) for t, c in columns.maps[s].items()]
+        lcd = math.lcm(*(w.denominator for w, _ in weights))
+        combined: dict = {}
+        for w, rows in weights:
+            add_scaled_rows(combined, rows, w.numerator * (lcd // w.denominator))
+        levi_supports.append((s, conjugated_support(combined)))
     report, witnesses = _structure_conditions(
-        [block_support(GradedMap(rho.space, m)) for m in conjugated],
+        [conjugated_support(rows) for _, rows in scaled],
         levi_supports,
         rho.levi.nilrad_indices,
     )

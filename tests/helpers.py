@@ -76,11 +76,16 @@ def mat_power(a: RatMatrix, k: int) -> RatMatrix:
     return out
 
 
+def dense_rows(m: RatMatrix) -> list[list[Fraction]]:
+    """The entries of m as plain lists, one per row, zeros included."""
+    return [[row.get(j, Fraction(0)) for j in range(m.cols)] for row in m.maps]
+
+
 def mat_vec(a: RatMatrix, x) -> tuple[Fraction, ...]:
     """A x over the dense rows of A."""
     if len(x) != a.cols:
         raise ShapeError("vector length does not match matrix columns")
-    return tuple(sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in a.to_lists())
+    return tuple(sum((p * q for p, q in zip(row, x)), Fraction(0)) for row in dense_rows(a))
 
 
 def brute_block_support(dims: list[int], rows: list[list]) -> set[tuple[int, int]]:

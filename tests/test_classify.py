@@ -35,6 +35,7 @@ from helpers import (
     brute_param_problems,
     brute_z_blocks,
     clebsch_gordan_count,
+    dense_rows,
     z_tower,
 )
 
@@ -166,7 +167,7 @@ class TestContains:
         for n in range(9):
             for m in range(9):
                 space = solve_extensions(ExtensionProblem(lam, n, m))
-                basis = [[x for row in b.to_lists() for x in row] for b in space.basis]
+                basis = [[x for row in dense_rows(b) for x in row] for b in space.basis]
                 size = (m + 1) * (n + 1)
                 support = [q for q in range(size) if any(v[q] for v in basis)]
                 off = [q for q in range(size) if q not in support]
@@ -215,7 +216,7 @@ class TestContainsAgainstCombination:
         line = solve_extensions(ExtensionProblem(1, 1, 2))
         empty = solve_extensions(ExtensionProblem(1, 0, 0))
         (base,) = line.basis
-        assert base.to_lists() == [[2, 0], [0, 1], [0, 0]]  # free cell (1, 1)
+        assert dense_rows(base) == [[2, 0], [0, 1], [0, 0]]  # free cell (1, 1)
         # nonzero, but 0 on the free cell: on the line's support, and off it
         on_support = RatMatrix.from_rows([[1, 0], [0, 0], [0, 0]])
         off_support = RatMatrix.from_rows([[0, 0], [0, 0], [5, 0]])
@@ -445,7 +446,7 @@ class TestMatchFamilyReadsZRules:
                     if other.basis
                 ]
                 if spaces[0].basis:
-                    rows = spaces[0].basis[0].to_lists()
+                    rows = dense_rows(spaces[0].basis[0])
                     free = max((t, i) for t, row in enumerate(rows)
                                for i, x in enumerate(row) if x)
                     rows = [[F((t, i) == free) for i in range(n + 1)]

@@ -36,6 +36,7 @@ from helpers import (
     brute_rank,
     brute_span,
     brute_sylvester,
+    dense_rows,
     mat_power,
     mat_vec,
 )
@@ -268,7 +269,7 @@ class TestKernels:
     def test_sylvester_system_matches_oracle(self, a, c, data):
         x = data.draw(matrices(a.rows, c.rows))
         got = mat_vec(sylvester_system(a, c), x.data)
-        assert list(got) == brute_sylvester(a.to_lists(), c.to_lists(), x.to_lists())
+        assert list(got) == brute_sylvester(dense_rows(a), dense_rows(c), dense_rows(x))
 
     def test_sylvester_system_rejects_non_square(self):
         with pytest.raises(ShapeError):
@@ -279,9 +280,9 @@ class TestKernels:
     def test_from_blocks_matches_oracle(self, rows, cols, data):
         blocks = data.draw(placed_blocks(rows, cols))
         expected = brute_fill_blocks(
-            rows, cols, [(r0, c0, b.to_lists()) for r0, c0, b in blocks]
+            rows, cols, [(r0, c0, dense_rows(b)) for r0, c0, b in blocks]
         )
-        assert RatMatrix.from_blocks(rows, cols, blocks).to_lists() == expected
+        assert dense_rows(RatMatrix.from_blocks(rows, cols, blocks)) == expected
 
     @pytest.mark.parametrize("r0,c0", [(2, 0), (0, 2), (-1, 0), (0, -1)])
     def test_from_blocks_rejects_overflow(self, r0, c0):
@@ -325,7 +326,7 @@ class TestSparseStorage:
         b = data.draw(sparse_matrices(r, c))
         d = data.draw(sparse_matrices(c, k))
         s = data.draw(sparse_entries)
-        al, bl, dl = a.to_lists(), b.to_lists(), d.to_lists()
+        al, bl, dl = dense_rows(a), dense_rows(b), dense_rows(d)
         assert a.data == [v for row in al for v in row]
         assert a.is_zero() == all(v == 0 for row in al for v in row)
         assert (a == b) == (al == bl)
@@ -341,16 +342,16 @@ class TestSparseStorage:
             "transpose": (a.transpose(), [[u[j] for u in al] for j in range(c)]),
         }
         for name, (got, expected) in results.items():
-            assert got.to_lists() == expected, name
+            assert dense_rows(got) == expected, name
             assert_clean(got)
         if r == c:
-            assert commutator(a, b).to_lists() == brute_matrix_bracket(al, bl)
+            assert dense_rows(commutator(a, b)) == brute_matrix_bracket(al, bl)
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
     def test_submatrix_matches_plain_lists(self, r, c, data):
         a = data.draw(sparse_matrices(r, c))
-        al = a.to_lists()
+        al = dense_rows(a)
         rows = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
         if c and data.draw(st.booleans()):
             lo = data.draw(st.integers(0, c))
@@ -359,7 +360,7 @@ class TestSparseStorage:
             # arbitrary order, repeats allowed
             cols = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
         got = a.submatrix(rows, cols)
-        assert got.to_lists() == [[al[i][j] for j in cols] for i in rows]
+        assert dense_rows(got) == [[al[i][j] for j in cols] for i in rows]
         assert_clean(got)
 
     def test_submatrix_rejects_out_of_range(self):
@@ -395,7 +396,7 @@ class TestSparseStorage:
     def test_matmul_with_empty_rows_and_cancelling_terms(self, r, c, k, data):
         # a = [a0 | a0] with most rows of a0 emptied and b = [d; e - d]:
         # every term through d cancels exactly, so a @ b = a0 @ e
-        a0 = data.draw(sparse_matrices(r, c)).to_lists()
+        a0 = dense_rows(data.draw(sparse_matrices(r, c)))
         kept = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
         a0 = [row if q == 0 else [F(0)] * c for row, q in zip(a0, kept)]
         a0 = RatMatrix(r, c, [x for row in a0 for x in row])
@@ -403,7 +404,7 @@ class TestSparseStorage:
         e = data.draw(sparse_matrices(c, k))
         a = RatMatrix.from_blocks(r, 2 * c, [(0, 0, a0), (0, c, a0)])
         got = a @ RatMatrix.from_blocks(2 * c, k, [(0, 0, d), (c, 0, e - d)])
-        assert got.to_lists() == plain_product(a0.to_lists(), e.to_lists(), k)
+        assert dense_rows(got) == plain_product(dense_rows(a0), dense_rows(e), k)
         assert_clean(got)
         assert all(not p for p, q in zip(got.maps, a0.maps) if not q)
         zero = a @ RatMatrix.from_blocks(2 * c, k, [(0, 0, d), (c, 0, -d)])
@@ -425,7 +426,7 @@ class TestSparseStorage:
         b = data.draw(sparse_matrices(c, k))
         before = ([dict(x) for x in a.maps], [dict(x) for x in b.maps])
         got = a @ b
-        assert got.to_lists() == plain_product(a.to_lists(), b.to_lists(), k)
+        assert dense_rows(got) == plain_product(dense_rows(a), dense_rows(b), k)
         assert_clean(got)
         assert (a.maps, b.maps) == before
         for arow, prow in zip(a.maps, got.maps):
@@ -466,7 +467,7 @@ class TestSparseStorage:
             (1, 1, RatMatrix.zeros(2, 1)),  # zeros over nonzeros
             (0, 2, RatMatrix.from_rows([[0], [F(1, 2)]])),
         ])
-        assert got.to_lists() == [[1, 2, 0], [4, 0, F(1, 2)], [7, 0, 9]]
+        assert dense_rows(got) == [[1, 2, 0], [4, 0, F(1, 2)], [7, 0, 9]]
         assert_clean(got)
         assert got == RatMatrix.from_rows([[1, 2, 0], [4, 0, F(1, 2)], [7, 0, 9]])
 
@@ -474,7 +475,7 @@ class TestSparseStorage:
     @settings(max_examples=60)
     def test_elimination_matches_plain_lists(self, r, c, data):
         a = data.draw(sparse_matrices(r, c))
-        al = a.to_lists()
+        al = dense_rows(a)
         assert rank(a) == brute_rank(al)
         assert [list(v) for v in nullspace_basis(a)] == brute_nullspace(al, c)
         reduced, pivots = rref(a)
@@ -491,7 +492,7 @@ class TestSparseStorage:
     @settings(max_examples=60)
     def test_invert_matches_rank(self, a):
         n = a.rows
-        if brute_rank(a.to_lists()) < n:
+        if brute_rank(dense_rows(a)) < n:
             with pytest.raises(ValueError):
                 invert(a)
         else:
@@ -543,7 +544,7 @@ class TestSparseElimination:
     @settings(max_examples=80, deadline=None)
     def test_rref_rows_match_brute_span(self, a):
         reduced, pivots = rref(a)
-        expected = brute_span(a.to_lists(), a.cols)
+        expected = brute_span(dense_rows(a), a.cols)
         k = len(expected)
         assert [list(reduced.row(r)) for r in range(k)] == expected
         assert reduced.maps[k:] == [{} for _ in range(a.rows - k)]
@@ -635,8 +636,8 @@ class TestFamilyHelpers:
         if not mats:
             assert (got.rows, got.cols) == (0, 0)
             return
-        lists = [m.to_lists() for m in mats]
-        assert got.to_lists() == [
+        lists = [dense_rows(m) for m in mats]
+        assert dense_rows(got) == [
             [sum((x * lists[i][p][q] for i, x in pairs), F(0)) for q in range(c)]
             for p in range(r)
         ]

@@ -30,6 +30,7 @@ from helpers import (
     brute_param_problems,
     brute_weight_witness,
     brute_z_blocks,
+    dense_rows,
     z_rule_cover_counts,
 )
 
@@ -216,7 +217,7 @@ class TestZBlocks:
             for _ in range(n - s)
         )
         blocks = z_blocks(params(lam, m, n, s, big_n, a))
-        assert [b.to_lists() for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
+        assert [dense_rows(b) for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
 
     GRID = [(lam,) + t for lam in (1, 2, 3, 4) for t in enumerate_params(lam, 10, 10)]
 
@@ -234,7 +235,7 @@ class TestZBlocks:
             else:
                 a = tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n - s))
             want = brute_z_blocks(lam, m, n, s, big_n, a)
-            got = [b.to_lists() for b in z_blocks(params(lam, m, n, s, big_n, a))]
+            got = [dense_rows(b) for b in z_blocks(params(lam, m, n, s, big_n, a))]
             assert got == want, (lam, m, n, s, big_n, a)
 
     def test_module_is_built_from_the_blocks(self):
@@ -387,7 +388,7 @@ class TestWeightCompatibility:
                 p = params(lam, m, n, s, big_n, a)
                 for paper_literal in (False, True):
                     rho = build_family_module(p, paper_literal=paper_literal)
-                    blocks = [z_block(rho, j).to_lists() for j in range(lam + 1)]
+                    blocks = [dense_rows(z_block(rho, j)) for j in range(lam + 1)]
                     expected = brute_weight_witness(lam, m, n, blocks)
                     assert weight_compatibility(p, rho) == (expected is None, expected)
                 off_weight = [

@@ -16,7 +16,13 @@ from trilie.graded import (
     is_triangular,
 )
 
-from helpers import brute_block_support, mask_triangular, mat_power, seeded_triangular_map
+from helpers import (
+    brute_block_support,
+    dense_rows,
+    mask_triangular,
+    mat_power,
+    seeded_triangular_map,
+)
 
 F = Fraction
 
@@ -254,7 +260,7 @@ class TestBlockSupportOracle:
     @settings(max_examples=150)
     def test_predicates_match_dense_scan(self, f):
         dims = list(f.space.component_dims)
-        rows = f.matrix.to_lists()
+        rows = dense_rows(f.matrix)
         support = brute_block_support(dims, rows)
         assert block_support(f) == support
         lowering = sorted(p for p in support if p[1] < p[0])
@@ -272,7 +278,7 @@ class TestBlockSupportOracle:
         degree = [k for k, d in enumerate(dims) for _ in range(d)]
         for j, stripe in comps.items():
             assert stripe.space == f.space
-            assert stripe.matrix.to_lists() == [
+            assert dense_rows(stripe.matrix) == [
                 [x if degree[r] - degree[q] == j else 0 for q, x in enumerate(row)]
                 for r, row in enumerate(rows)
             ]

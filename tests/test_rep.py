@@ -51,6 +51,7 @@ from helpers import (
     brute_product,
     brute_sl2_triple,
     corrupt_bracket,
+    dense_rows,
     is_weight_string,
     mask_triangular,
     mat_power,
@@ -138,7 +139,7 @@ def gate_reference(m):
     block scan: the least lowering pair is the triangularity witness, (i)
     keeps to the degree-0 pairs, and (ii) has no lowering and no degree-0
     pair."""
-    support = brute_block_support(list(m.space.component_dims), m.matrix.to_lists())
+    support = brute_block_support(list(m.space.component_dims), dense_rows(m.matrix))
     lowering = sorted(p for p in support if p[1] < p[0])
     witnesses = {}
     if lowering:
@@ -377,7 +378,7 @@ class TestIntegerScan:
         # adjoint of sl2^3 in a basis rescaled by fractions, which holds
         # until one image entry is changed
         family = build_family_module(ModuleParams(2, 4, 2, 0, 0, (F(1, 2), F(-1, 3))))
-        family_lists = [im.matrix.to_lists() for im in family.images]
+        family_lists = [dense_rows(im.matrix) for im in family.images]
         base, _ = build_sl2_lambda(3)
         dim = base.dim
         scales = [F(2, 3), F(-5, 7), 3, F(7, 4), F(-1, 6), F(11, 9), F(5, 2)]
@@ -989,7 +990,7 @@ def dense_conjugation_report(rho, z):
     units = [[F(int(p == q)) for p in range(dim)] for q in range(dim)]
     ad_z = [brute_bracket(dim, L.structure, z, units[k]) for k in range(dim)]
     exp_ad = brute_exp_nilpotent([[ad_z[k][r] for k in range(dim)] for r in range(dim)])
-    mats = [im.matrix.to_lists() for im in rho.images]
+    mats = [dense_rows(im.matrix) for im in rho.images]
 
     def combine(coeffs, family):
         return [[sum((c * m[r][q] for c, m in zip(coeffs, family)), F(0))
@@ -1021,13 +1022,9 @@ def sl2_plus_affine():
     return L, LeviData((0, 1, 2), (3, 4), (4,))
 
 
-def conjugation_cases():
-    """(name, rho, z, raises): z random in the nilradical, in the radical
-    with a part outside the nilradical, or with an h part (ad z is then
-    not nilpotent), for adjoint representations, a family module, and a
+def conjugation_reps():
+    """(name, rho): adjoint representations, family modules, and a
     non-homomorphism."""
-    rng = random.Random(2025)
-    coeff = lambda: rng.choice([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)])  # noqa: E731
     reps = []
     for lam in (1, 2, 3):
         reps.append((f"ad sl2^{lam}", adjoint_of_sl2_lambda(lam)))
@@ -1042,8 +1039,17 @@ def conjugation_cases():
     images[4] = images[4] + RatMatrix.from_blocks(6, 6, [(3, 0, RatMatrix.identity(3))])
     images[1] = images[1] + RatMatrix.diagonal([0, 0, 0, 1, 0, 0])
     reps.append(("not a homomorphism", Representation(bad.algebra, bad.levi, bad.space, tuple(images))))
+    return reps
+
+
+def conjugation_cases():
+    """(name, rho, z, raises): z random in the nilradical, in the radical
+    with a part outside the nilradical, or with an h part (ad z is then
+    not nilpotent), for each of `conjugation_reps`."""
+    rng = random.Random(2025)
+    coeff = lambda: rng.choice([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)])  # noqa: E731
     cases = []
-    for name, rho in reps:
+    for name, rho in conjugation_reps():
         levi, dim = rho.levi, rho.algebra.dim
         for t in range(4):
             z = [F(0)] * dim
@@ -1061,6 +1067,19 @@ def conjugation_cases():
         z[levi.levi_indices[1]] = F(-1, 2)  # h
         cases.append((f"{name} levi part", rho, tuple(z), True))
     return cases
+
+
+SCALE_PRIMES = primes_from(11, 40)
+
+
+def nilpotent_image_plus_identity():
+    """The adjoint representation of sl2^1 with I added to the image of
+    z0: a non-homomorphism whose rho(z) is not nilpotent when z has a
+    z0 part, though ad z is."""
+    rho = adjoint_of_sl2_lambda(1)
+    images = [im.matrix for im in rho.images]
+    images[3] = images[3] + RatMatrix.identity(5)
+    return Representation(rho.algebra, rho.levi, rho.space, tuple(images))
 
 
 class TestConjugation:
@@ -1083,6 +1102,43 @@ class TestConjugation:
             return
         assert conjugate_levi_check(rho, z) == dense_conjugation_report(rho, z), name
 
+    @given(st.sampled_from(conjugation_reps() + [("ad sl2^1, z0 image plus I", nilpotent_image_plus_identity())]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_oracle_on_rescaled_images(self, named, data):
+        # image i is rescaled by s_i = ±k / q_i, each q_i its own prime, so
+        # no two images share a denominator. Rescaling the table to the
+        # basis s_i b_i as well keeps a homomorphism one; keeping the table
+        # makes most of them non-homomorphisms. z is fractional in the
+        # nilradical, plus an h part half the time: ad z is then not
+        # nilpotent. Where z0's image has I added, rho(z) is not nilpotent
+        # once z0's coefficient is nonzero.
+        name, rho = named
+        L, levi, dim = rho.algebra, rho.levi, rho.algebra.dim
+        primes = data.draw(st.lists(st.sampled_from(SCALE_PRIMES), min_size=dim,
+                                    max_size=dim, unique=True))
+        scales = [F(data.draw(st.integers(-9, 9).filter(bool)), q) for q in primes]
+        if data.draw(st.booleans()):
+            L = LieAlgebra(dim, L.basis_labels, rebased(L.structure, range(dim), scales))
+        images = tuple(im.matrix.scale(c) for im, c in zip(rho.images, scales))
+        rho = Representation(L, levi, rho.space, images)
+        fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 6))
+        z = [F(0)] * dim
+        for k in levi.nilrad_indices:
+            z[k] = data.draw(fractions)
+        h_part = data.draw(fractions.filter(bool) | st.just(F(0)))
+        z[levi.levi_indices[1]] = h_part
+        try:
+            expected = dense_conjugation_report(rho, z)
+        except ValueError:
+            with pytest.raises(ValueError) as info:
+                conjugate_levi_check(rho, z)
+            want = "ad(z) is not nilpotent; conjugation undefined" if h_part else "matrix is not nilpotent"
+            assert str(info.value) == want, name
+            return
+        assert not h_part
+        assert conjugate_levi_check(rho, z) == expected, name
+
     def test_out_of_range_levi_index_raises(self):
         # column s of exp(ad z) is read by index: -1 must not wrap around,
         # so no representation with it reaches the conjugation check
@@ -1103,10 +1159,7 @@ class TestConjugation:
         assert report["condition_ii"] == base["condition_ii"]
 
     def test_failure_witnesses_match_direct_check(self):
-        rho = adjoint_of_sl2_lambda(1)
-        images = list(rho.images)
-        images[3] = images[3].matrix + RatMatrix.identity(5)
-        bad = Representation(rho.algebra, rho.levi, rho.space, tuple(images))
+        bad = nilpotent_image_plus_identity()
         report = conjugate_levi_check(bad, tuple(F(0) for _ in range(5)))
         assert not report["all_pass"]
         base = verify_triangular_conditions(bad)
@@ -1125,8 +1178,11 @@ class TestConjugation:
 
     def test_non_nilpotent_element_rejected(self):
         rho = adjoint_of_sl2_lambda(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ad\(z\) is not nilpotent; conjugation undefined$"):
             conjugate_levi_check(rho, unit_vector(5, 1))  # ad(h) semisimple
+        # ad z0 is nilpotent, but z0's image plus I is not
+        with pytest.raises(ValueError, match="^matrix is not nilpotent$"):
+            conjugate_levi_check(nilpotent_image_plus_identity(), unit_vector(5, 3))
 
     def test_exp_restores_after_negation(self):
         rho = adjoint_of_sl2_lambda(2)
