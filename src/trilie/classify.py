@@ -22,18 +22,18 @@ X/Y, and `solve_extensions` turns each into one Fraction.
 Membership in a line is decided by one walk, `_line_verdict`, over
 the line's cells: a block's entry on each cell is compared with the
 first cell's by cross-multiplying integers. `SolutionSpace.contains`
-reads the block's stored entries. The family's z_0 lies on the same
-diagonal, N - s = c, so `_family_verdict` reads one z-rule entry per
-cell. `match_family` checks that the tuple it is given, a `ModuleParams`
-and so valid, has the problem's (Λ, n, m), then walks the cells stored
-by the space it is given. The survey walks the cells
-`_diagonal_line` lists, with the cell's tuples read off the same
-diagonal as plain integers: N = s + c for each s with 0 <= s <= n and
-0 <= N <= m, valid by construction, so they go unchecked, and no
-`ModuleParams`, `ExtensionProblem`, `SolutionSpace` or matrix is built
-per cell or tuple. Tensor-product multiplicities, counted in closed
-form, provide a second, character-theoretic prediction of each cell's
-dimension. Nothing in a cell costs in Λ.
+reads the block's stored entries, and `match_family`, for any span,
+reads the family's z_0 through `z0_entry` after checking that its
+valid `ModuleParams` has the problem's (Λ, n, m). The survey walks
+nothing: the family's z_0 lies on the same diagonal, N - s = c, so a
+cell's tuples are read off it as plain integers, N = s + c for each s
+with 0 <= s <= n and 0 <= N <= m, valid by construction and unchecked.
+`_has_line` decides whether the cell has a line, `_closed_verdict`
+decides each tuple on it, and no `ModuleParams`, `ExtensionProblem`,
+`SolutionSpace`, line or matrix is built per cell or tuple.
+Tensor-product multiplicities, counted in closed form, provide a
+second, character-theoretic prediction of each cell's dimension.
+Nothing in a cell costs in Λ.
 
 The survey is written cell by cell. `classification_cells` yields each
 cell's plain values, and `render_classification` turns them into the
@@ -50,6 +50,7 @@ into the dict it encodes, so the schema lives in the templates alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -119,6 +120,11 @@ def _line_cells(space: SolutionSpace) -> list[tuple[int, int, int, int]]:
     ]
 
 
+def _has_line(n: int, m: int, c: int) -> bool:
+    # the cell (n, m) whose diagonal t - i = c is whole holds a line (`_diagonal_line`)
+    return c <= 0 and 0 <= n + c <= m
+
+
 def _diagonal_line(lam: int, n: int, m: int) -> list[tuple[int, int, int, int]]:
     """The solution line of the cell (Λ, n, m), Λ >= 1 and n, m >= 0, as
     its cells (t, i, X, Y) in row-major order, the cell (t, i) holding
@@ -133,12 +139,12 @@ def _diagonal_line(lam: int, n: int, m: int) -> list[tuple[int, int, int, int]]:
     both coefficients nonzero inside the block. A diagonal starting at
     i = 0 with t > 0 is forced to 0 by the row (t-1, 0), and one ending
     at t = m with i < n by the row (m, i+1). So the space is a line
-    exactly when m - n - Λ is even, c <= 0 and 0 <= n + c <= m. Its
+    exactly when m - n - Λ is even and `_has_line` holds. Its
     vector is 1 at (n+c, n), the last cell in row-major order, as in
     the rref kernel of the dense system, and the recurrence walks down
     from there, X and Y the unreduced products of its two coefficients."""
     c, odd = divmod(m - n - lam, 2)
-    if odd or c > 0 or not 0 <= n + c <= m:
+    if odd or not _has_line(n, m, c):
         return []
     t, i, x, y = n + c, n, 1, 1
     line = [(t, i, x, y)]
@@ -204,37 +210,48 @@ def match_family(
     """Is the family module's z_0 block inside the span of `space`?
 
     params, valid since it was built, must have p's (Λ, n, m), or
-    ValueError is raised. The verdict is then that of
-    `_family_verdict` on the cells space stores, whether or not the
-    solver built it, as {"member": bool, "scalar": Fraction | None}.
-    `classification_cells` calls `_family_verdict` itself, on tuples
-    read off each cell's diagonal and so valid by construction."""
+    ValueError is raised. The verdict is `_line_verdict`'s on the cells
+    space stores, solver's or not, reading z_0 through `z0_entry`, as
+    {"member": bool, "scalar": Fraction | None}; nothing is built."""
     if (params.lam, params.n, params.m) != (p.lam, p.n, p.m):
         raise ValueError(
             f"params {(params.lam, params.n, params.m)} do not match "
             f"problem {(p.lam, p.n, p.m)}"
         )
-    member, scalar = _family_verdict(
-        _line_cells(space), params.m, params.n, params.s, params.big_n, params.a
-    )
-    return {"member": member, "scalar": scalar}
-
-
-def _family_verdict(
-    line: Sequence[tuple[int, int, int, int]],
-    m: int, n: int, s: int, big_n: int, a: Sequence[Fraction],
-) -> tuple[bool, Fraction | None]:
-    """`_line_verdict` on the z_0 block of the valid tuple (m, n, s, N)
-    with scalars a_1 … a_{n-s}, the first n - s entries of a, read
-    through `z0_entry`; no block, matrix or module is built."""
-    if not line:  # the zero span, before a reader is made: a third of a survey
-        return False, None
-    return _line_verdict(
-        line,
+    m, n, s, big_n, a = params.m, params.n, params.s, params.big_n, params.a
+    member, scalar = _line_verdict(
+        _line_cells(space),
         partial(z0_entry, m, n, s, big_n, a),
         # the cell of a_0 = 1 and of each nonzero a_θ in range
         lambda: 1 + sum(map(bool, a[:min(n - s, m - big_n)])),
     )
+    return {"member": member, "scalar": scalar}
+
+
+def _closed_verdict(
+    m: int, n: int, s: int, big_n: int, a: Sequence[Fraction]
+) -> tuple[bool, Fraction | None]:
+    """`match_family`'s verdict for the valid tuple (m, n, s, N), scalars
+    a_1 … a_{n-s} = a[0] … a[n-s-1], on a cell with a line (N = s + c,
+    c <= 0): a member iff N = 0 and a_θ = Π_{t=1..θ} (s+t)(n-s-t+1) for
+    θ = 1 … n-s, scalar n!(m-n+s)!/(s! m!); else (False, None).
+
+    - For N > 0, the line's first cell (0, s-N) is one where z_0 stores
+      nothing, as z_0's cells have t = θ + N > 0.
+    - For N = 0, the recurrence t(m-t+1) Z[t][i] = i(n-i+1) Z[t-1][i-1],
+      applied to z_0 = a_θ (m-θ)!/(θ! m!) on the line's cells (θ, s+θ),
+      forces a_θ = a_{θ-1} (s+θ)(n-s-θ+1), a_0 = 1.
+    - z_0 then stores exactly the n-s+1 cells of the line; the scalar
+      is its entry on the last, (n-s, n), where the line holds 1."""
+    if big_n:
+        return False, None
+    x = 1
+    for theta in range(1, n - s + 1):
+        x *= (s + theta) * (n - s - theta + 1)
+        if a[theta - 1] != x:
+            return False, None
+    f = math.factorial
+    return True, Fraction(f(n) * f(m - n + s), f(s) * f(m))
 
 
 def _line_verdict(
@@ -271,8 +288,8 @@ class Cell(NamedTuple):
     """One (n, m) cell of the survey: the solver dimension, the tensor
     count, and for each parameter tuple of the cell, in order of s, the
     record (s, N, n - s, member, scalar), the verdict of
-    `_family_verdict` on the family block at the all-ones sample a_1 …
-    a_{n-s}."""
+    `_closed_verdict` on the family block at the all-ones sample a_1 …
+    a_{n-s}, or (False, None) on a cell with no line."""
 
     n: int
     m: int
@@ -283,22 +300,22 @@ class Cell(NamedTuple):
 
 def classification_cells(lam: int, n_max: int, m_max: int) -> Iterator[Cell]:
     """The cells of the (n, m) grid, n and then m ascending. A cell's
-    dimension is whether `_diagonal_line` lists a line for it, and its
-    parameter tuples lie on the same diagonal: N = s + c, c = (m - n -
-    Λ)/2, for each s with 0 <= s <= n and 0 <= N <= m, none when c is
-    not whole. Valid by construction, each goes to `_family_verdict` as
-    its integers, with that line and one all-ones sample for the grid."""
+    dimension is whether `_has_line` holds, and its parameter tuples lie
+    on its diagonal: N = s + c, c = (m - n - Λ)/2, for each s with 0 <= s
+    <= n and 0 <= N <= m, none when c is not whole. Valid by construction,
+    on a cell with a line each goes to `_closed_verdict` as its integers."""
     check_bounds(lam, m_max, n_max)
     ones = (ONE,) * n_max  # a_1 … a_{n-s}, read up to n - s <= n_max
     for n in range(n_max + 1):
         for m in range(m_max + 1):
-            line = _diagonal_line(lam, n, m)
             c, odd = divmod(m - n - lam, 2)
+            line = not odd and _has_line(n, m, c)
             matches = () if odd else tuple(
-                (s, s + c, n - s, *_family_verdict(line, m, n, s, s + c, ones))
+                (s, s + c, n - s,
+                 *(_closed_verdict(m, n, s, s + c, ones) if line else (False, None)))
                 for s in range(max(0, -c), min(n, m - c) + 1)
             )
-            yield Cell(n, m, 1 if line else 0, tensor_multiplicity(lam, n, m), matches)
+            yield Cell(n, m, int(line), tensor_multiplicity(lam, n, m), matches)
 
 
 # The report, one %-template per level, as json.dumps(report, indent=2)

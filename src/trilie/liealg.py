@@ -192,12 +192,16 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
         E (N_i N_j - N_j N_i) - sum_p E w_p N_p,  w_p = c_ij^p d_i d_j / d_p,
     where E is the lcm of the w_p denominators: d_i d_j E times the
     defect, so it has the same zero pattern. Only stored entries are
-    visited, no matrix is built, and no Fraction either."""
+    visited, no matrix is built, and no Fraction either. Every product
+    with an empty images[i] vanishes: only its stored partners j > i can fail."""
     scaled = [integral_rows(m) for m in images]
+    partners: dict[int, list[int]] = {}
+    for i, j in sorted(L.structure):
+        partners.setdefault(i, []).append(j)
     for i in range(L.dim):
         d_i, a = scaled[i]
         coeffs = L.ad_rows[i].maps
-        for j in range(i + 1, L.dim):
+        for j in range(i + 1, L.dim) if a else partners.get(i, ()):
             d_j, b = scaled[j]
             # each w_p as (numerator, denominator) in lowest terms
             terms, e = [], 1

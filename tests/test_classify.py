@@ -53,6 +53,15 @@ def _line_data(line, n, m):
     return [data]
 
 
+def _a_star(n, s):
+    # a*_θ = ((θ + s)! / s!) ((n - s)! / (n - s - θ)!), θ = 1 … n - s, the
+    # scalars at which the family's z_0 lies on the solver's line
+    star = [F(1)]
+    for theta in range(1, n - s + 1):
+        star.append(star[-1] * (theta + s) * (n - s - theta + 1))
+    return tuple(star[1:])
+
+
 class TestSolutionSpaces:
     def test_lambda1_n1_m2_is_a_line(self):
         assert solve_extensions(ExtensionProblem(1, 1, 2)).dimension == 1
@@ -452,16 +461,12 @@ class TestMatchFamilyReadsZRules:
                     rows = [[F((t, i) == free) for i in range(n + 1)]
                             for t in range(m + 1)]
                     spaces.append(SolutionSpace(problem, (RatMatrix.from_rows(rows),)))
-                star = [F(1)]
-                for theta in range(1, n - s + 1):
-                    star.append(star[-1] * (theta + s) * (n - s - theta + 1))
-                samples = [(F(1),) * (n - s), tuple(star[1:])]
+                samples = [(F(1),) * (n - s), _a_star(n, s)]
                 samples += [
                     tuple(F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
                           for _ in range(n - s))
                     for _ in range(3)
                 ]
-                line = classify._diagonal_line(lam, n, m)
                 for a in samples:
                     params = ModuleParams(lam, m, n, s, big_n, a)
                     block = RatMatrix.from_rows(brute_z_blocks(lam, m, n, s, big_n, a)[0])
@@ -472,11 +477,66 @@ class TestMatchFamilyReadsZRules:
                         walked = brute_family_verdict(space, m, n, s, big_n, a)
                         assert walked == (member, scalar), (lam, params, space)
                         members += member
-                    # the survey's call: the solver's line as integers, and
-                    # scalars read only up to n - s
-                    got = classify._family_verdict(line, m, n, s, big_n, a + (F(-9),))
+                    # the survey's call: the closed form on a cell with a
+                    # line, scalars read only up to n - s, and no call on one
+                    # without
+                    got = (classify._closed_verdict(m, n, s, big_n, a + (F(-9),))
+                           if spaces[0].basis else (False, None))
                     assert got == brute_contains(spaces[0].basis, block), (lam, params)
         assert members > 0
+
+
+class TestClosedVerdict:
+    def test_matches_the_walk_and_the_oracle_on_grid(self):
+        # every valid tuple on a cell with a line, n, m <= 14, for λ <= 8
+        # and Λ = 10^9, whose diagonals all start outside the block; at the
+        # all-ones sample, at a*_θ = Π_{t<=θ} (s+t)(n-s-t+1), at a* with
+        # each entry in turn raised by 1, negated or set to 0, at 2·a*, and
+        # at seeded samples with zeros: the closed form against the
+        # Fraction walk over the solver's line and against match_family
+        rng = random.Random(37)
+        members, ones_members, with_line = set(), set(), set()
+        for lam in (*range(1, 9), 10**9):
+            for n in range(15):
+                for m in range(15):
+                    c, odd = divmod(m - n - lam, 2)
+                    problem = ExtensionProblem(lam, n, m)
+                    space = solve_extensions(problem)
+                    assert bool(space.basis) == (not odd and classify._has_line(n, m, c))
+                    if not space.basis:
+                        continue
+                    with_line.add(lam)
+                    for s in range(max(0, -c), min(n, m - c) + 1):
+                        big_n = s + c
+                        star = _a_star(n, s)
+                        samples = [(F(1),) * (n - s), star, tuple(2 * x for x in star)]
+                        for k in range(n - s):
+                            for x in (star[k] + 1, -star[k], F(0)):
+                                samples.append(star[:k] + (x,) + star[k + 1:])
+                        samples += [
+                            tuple(F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 4))
+                                  for _ in range(n - s))
+                            for _ in range(3)
+                        ]
+                        for a in samples:
+                            got = classify._closed_verdict(m, n, s, big_n, a)
+                            assert got == brute_family_verdict(space, m, n, s, big_n, a), (
+                                lam, n, m, s, a)
+                            params = ModuleParams(lam, m, n, s, big_n, a)
+                            verdict = match_family(problem, space, params)
+                            assert got == (verdict["member"], verdict["scalar"]), params
+                            if got[0]:
+                                members.add((s < n, a == star))
+                                if a == (F(1),) * (n - s):
+                                    ones_members.add((n, s, m, got[1]))
+        assert with_line == set(range(1, 9))
+        # every member is at a*, some with s < n and some with s = n
+        assert members == {(True, True), (False, True)}
+        # the all-ones members: s = n, scalar 1, and s = 0 with n = 1,
+        # scalar 1/m
+        assert {(n, s) for n, s, _, _ in ones_members} >= {(1, 0), (0, 0), (3, 3)}
+        for n, s, m, scalar in ones_members:
+            assert s == n and scalar == 1 or (s, n) == (0, 1) and scalar == F(1, m)
 
 
 # sha256 of `trilie classify` stdout: the first two recorded before the
@@ -547,34 +607,51 @@ def test_classify_builds_no_problem_space_or_matrix(monkeypatch):
 
 def test_classify_hands_the_verdict_walk_only_valid_tuples(monkeypatch):
     # classification_cells skips match_family's checks: each (s, N) it
-    # lists for a cell reaches the walk as that cell's valid tuple with
-    # the all-ones sample and the solver's line, and the walk's verdict
-    # is match_family's
-    walk = classify._family_verdict
+    # lists for a cell with a line reaches the closed form as that cell's
+    # valid tuple with the all-ones sample, a cell with no line makes no
+    # call, and every verdict is match_family's
+    closed = classify._closed_verdict
     calls = []
 
-    def recording(line, m, n, s, big_n, a):
-        got = walk(line, m, n, s, big_n, a)
-        calls.append((line, m, n, s, big_n, a, got))
+    def recording(m, n, s, big_n, a):
+        got = closed(m, n, s, big_n, a)
+        calls.append((m, n, s, big_n, a, got))
         return got
 
-    monkeypatch.setattr(classify, "_family_verdict", recording)
+    monkeypatch.setattr(classify, "_closed_verdict", recording)
     for lam, n_max, m_max in _oracle_boxes():
         for cell in classify.classification_cells(lam, n_max, m_max):
             problem = ExtensionProblem(lam, cell.n, cell.m)
             space = solve_extensions(problem)
-            solved = [b.data for b in space.basis]
-            assert len(calls) == len(cell.matches), (lam, cell)
-            for (s, big_n, k, member, scalar), (line, *tup, a, got) in zip(cell.matches, calls):
-                assert tup == [cell.m, cell.n, s, big_n], (lam, cell)
-                assert _line_data(line, cell.n, cell.m) == solved, (lam, cell)
+            assert cell.dim == space.dimension, (lam, cell)
+            assert len(calls) == (len(cell.matches) if space.basis else 0), (lam, cell)
+            for s, big_n, k, member, scalar in cell.matches:
                 ones = (F(1),) * (cell.n - s)
-                assert (k, tuple(a[:cell.n - s])) == (cell.n - s, ones), (lam, cell)
+                assert k == cell.n - s, (lam, cell)
                 assert not brute_param_problems(lam, cell.m, cell.n, s, big_n, ones)
                 params = ModuleParams(lam, cell.m, cell.n, s, big_n, ones)
                 verdict = match_family(problem, space, params)
-                assert got == (member, scalar) == (verdict["member"], verdict["scalar"]), params
+                assert (member, scalar) == (verdict["member"], verdict["scalar"]), params
+            for (s, big_n, k, member, scalar), (*tup, a, got) in zip(cell.matches, calls):
+                assert tup == [cell.m, cell.n, s, big_n], (lam, cell)
+                assert tuple(a[:cell.n - s]) == (F(1),) * (cell.n - s), (lam, cell)
+                assert got == (member, scalar), (lam, cell)
             calls.clear()
+
+
+def test_classify_report_reads_no_line_and_walks_nothing(monkeypatch):
+    # with the line, the z-rule reader and the verdict walk barred, the
+    # survey's report is still the dict oracle's
+    boxes = _oracle_boxes()
+    want = [brute_classification_report(*box) for box in boxes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the survey read a line, a z-rule entry or walked a line")
+
+    for name in ("_diagonal_line", "z0_entry", "_line_verdict"):
+        monkeypatch.setattr(classify, name, forbidden)
+    for box, report in zip(boxes, want):
+        assert classification_report(*box) == report, box
 
 
 class TestReport:

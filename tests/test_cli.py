@@ -524,14 +524,14 @@ def _long_component(monkeypatch):
 def _long_scalar(monkeypatch):
     # a 5001-digit scalar on the last cell (1, 2) only: every cell before
     # it is rendered, and still nothing is written
-    real = classify._family_verdict
+    real = classify._closed_verdict
 
-    def long_on_last_cell(line, m, n, s, big_n, a):
+    def long_on_last_cell(m, n, s, big_n, a):
         if (n, m) == (1, 2):
             return True, Fraction(_HUGE)
-        return real(line, m, n, s, big_n, a)
+        return real(m, n, s, big_n, a)
 
-    monkeypatch.setattr(classify, "_family_verdict", long_on_last_cell)
+    monkeypatch.setattr(classify, "_closed_verdict", long_on_last_cell)
     return "classify --lambda 1 --max-n 1 --max-m 2".split(), "cells.family_matches.scalar"
 
 

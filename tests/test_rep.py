@@ -302,6 +302,27 @@ def homomorphism_cases(draw):
     return dim, table, images
 
 
+@st.composite
+def sparse_image_cases(draw):
+    """(dim, table, images): up to 24 basis elements whose n x n images
+    (n <= 3) are zero but for the last four, and up to four stored
+    brackets, each with up to two terms, anywhere in the table. A pair
+    of two empty images can fail only by a bracket onto a nonzero image,
+    so the first failing pair, if any, tends to come after many empty
+    pairs."""
+    dim = draw(st.integers(5, 24))
+    n = draw(st.integers(1, 3))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2)))
+    images = [[[F(0)] * n for _ in range(n)] for _ in range(dim - 4)]
+    images += [[[F(draw(entries)) for _ in range(n)] for _ in range(n)] for _ in range(4)]
+    pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)).filter(
+        lambda key: key[0] < key[1])
+    coeffs = st.dictionaries(st.integers(0, dim - 1), st.sampled_from((1, -1, 2)),
+                             min_size=1, max_size=2)
+    table = draw(st.dictionaries(pairs, coeffs, max_size=4))
+    return dim, {key: {k: F(c) for k, c in terms.items()} for key, terms in table.items()}, images
+
+
 class TestHomomorphismOracle:
     @given(homomorphism_cases())
     @settings(max_examples=60, deadline=None)
@@ -309,6 +330,44 @@ class TestHomomorphismOracle:
         dim, table, images = case
         rho = list_representation(dim, table, images)
         assert verify_homomorphism(rho) == brute_homomorphism_witness(dim, table, images)
+
+    @given(sparse_image_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_images_match_plain_oracle(self, case):
+        dim, table, images = case
+        rho = list_representation(dim, table, images)
+        assert verify_homomorphism(rho) == brute_homomorphism_witness(dim, table, images)
+
+    def test_empty_images_visit_only_stored_partners(self):
+        # 3000 basis elements, one stored bracket [b_2998, b_2999] = b_0,
+        # and 1 x 1 images. Every product with an empty image vanishes, so
+        # with all images zero the scan visits the stored pair alone, and
+        # with image 0 = [[1]] also the pairs (0, j), before the stored
+        # pair fails in column 0; a scan of every pair visits 4.5e6
+        dim = 3000
+        table = {(dim - 2, dim - 1): {0: F(1)}}
+        visits = [0]
+
+        class CountingRows(list):
+            # row j of ad_rows[i] is read once per visited pair (i, j)
+            def __getitem__(self, j):
+                visits[0] += 1
+                if visits[0] > 2 * dim:
+                    raise AssertionError("the scan visited pairs that cannot fail")
+                return super().__getitem__(j)
+
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        counted = {id(m): RatMatrix._from_maps(m.rows, m.cols, CountingRows(m.maps))
+                   for m in L.ad_rows}
+        L.ad_rows = tuple(counted[id(m)] for m in L.ad_rows)
+        zero, one = RatMatrix.from_rows([[0]]), RatMatrix.from_rows([[1]])
+        for first, want, pairs in ((zero, (True, None), 1),
+                                   (one, (False, (dim - 2, dim - 1)), dim)):
+            visits[0] = 0
+            rho = Representation(L, LeviData((), (), ()), GradedSpace((1,)),
+                                 (first,) + (zero,) * (dim - 1))
+            assert verify_homomorphism(rho) == want
+            assert visits[0] == pairs
 
     @pytest.mark.parametrize("corrupt", (False, True))
     def test_huge_coprime_rescaling_matches_plain_oracle(self, corrupt):
