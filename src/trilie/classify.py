@@ -103,9 +103,8 @@ class SolutionSpace:
             )
         if block.is_zero():
             return True, Fraction(0)
-        maps = block.maps
         return _line_verdict(
-            _line_cells(self), lambda t, i: maps[t].get(i), lambda: sum(map(len, maps))
+            _line_cells(self), lambda t, i: block[t, i], lambda: sum(map(len, block.maps.values()))
         )
 
 
@@ -115,8 +114,8 @@ def _line_cells(space: SolutionSpace) -> list[tuple[int, int, int, int]]:
     return [
         (t, i, x.numerator, x.denominator)
         for block in space.basis
-        for t, row in enumerate(block.maps)
-        for i, x in row.items()
+        for t, row in sorted(block.maps.items())
+        for i, x in sorted(row.items())
     ]
 
 
@@ -164,9 +163,8 @@ def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     line = _diagonal_line(p.lam, p.n, p.m)
     if not line:
         return SolutionSpace(p, ())
-    block: list[dict] = [{} for _ in range(p.m + 1)]
-    for t, i, x, y in line:
-        block[t][i] = Fraction(x, y)
+    # the line holds one cell per row
+    block = {t: {i: Fraction(x, y)} for t, i, x, y in line}
     return SolutionSpace(p, (RatMatrix._from_maps(p.m + 1, p.n + 1, block),))
 
 

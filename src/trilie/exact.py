@@ -2,23 +2,24 @@
 
 Everything downstream runs on `fractions.Fraction`: results are exact,
 equality tests are exact, and there is deliberately no floating-point
-path. Matrices store one {column: nonzero entry} map per row, since
-triangular representations are mostly zero; arithmetic touches only
-the nonzero entries. Elimination runs row by row on the same sparse
-maps, cleared to primitive integer rows: it is fraction-free, and its
-pivots do not depend on the row order; it stops once the rows seen
-reach full column rank. Fractions appear only in rref's reduced rows,
-one per stored entry. For a family of equal-shape matrices M_k,
+path. A matrix stores only its nonempty rows, as {row: {column: nonzero
+entry}}, since triangular representations are mostly zero; arithmetic
+touches only the stored entries, and a row that cancels is dropped, so
+equal matrices have equal maps. Elimination runs row by row on the same
+sparse maps, cleared to primitive integer rows: it is fraction-free,
+and its pivots do not depend on the row order; it stops once the rows
+seen reach full column rank. Fractions appear only in rref's reduced
+rows, one per stored entry. For a family of equal-shape matrices M_k,
 `combination` sums c_k M_k. Every sparse sum, products included, adds
 scaled rows with `add_scaled_row`, except where a row is reused as it
-stands: a sum shares the rows the other operand leaves empty, and a
+stands: a sum shares the rows the other operand does not store, and a
 product shares the right factor's row for a left row that is one entry
 equal to 1, since rows are never changed after construction. So a
 change of basis by unit vectors multiplies no Fraction. Checks that
 read only zero patterns, which a positive scale keeps, run on integer
-row maps (`add_product`), each image or bracket cleared by its own
-denominator; `exp_nilpotent_rows` gives E exp(±A) over one integer E,
-and `exp_nilpotent` is built on it.
+row maps of the same shape (`add_product`), each image or bracket
+cleared by its own denominator; `exp_nilpotent_rows` gives E exp(±A)
+over one integer E, and `exp_nilpotent` is built on it.
 """
 
 from __future__ import annotations
@@ -81,15 +82,15 @@ def unit_vector(dim: int, i: int) -> Vector:
 
 
 class RatMatrix:
-    """Sparse matrix of Fractions: one {column: nonzero Fraction} map per
-    row, in `maps`.
+    """Sparse matrix of Fractions: `maps` is {row: {column: nonzero
+    Fraction}}, holding the nonempty rows alone.
 
-    The maps never hold a zero, so equality is map equality and every
-    operation costs time in the number of nonzero entries, not in the
-    shape. Instances are treated as immutable (row maps are never
-    changed after construction); all operations return new matrices.
-    Zero-row and zero-column shapes are allowed. `data` is a dense
-    row-major copy, for callers that want plain entries.
+    The maps never hold a zero or an empty row, so equality is map
+    equality and every operation costs time in the number of nonzero
+    entries, not in the shape. Instances are treated as immutable (row
+    maps are never changed after construction); all operations return
+    new matrices. Zero-row and zero-column shapes are allowed. `data`
+    is a dense row-major copy, for callers that want plain entries.
     """
 
     __slots__ = ("rows", "cols", "maps")
@@ -104,16 +105,18 @@ class RatMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self.maps = [
-            {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x}
+        self.maps = {
+            i: row
             for i in range(rows)
-        ]
+            if (row := {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x})
+        }
 
     @classmethod
-    def _from_maps(cls, rows: int, cols: int, maps: list[dict]) -> "RatMatrix":
-        """Trusted constructor: `maps` must be `rows` dicts whose keys lie
-        in range(cols) and whose values are nonzero Fractions; nothing is
-        coerced or checked."""
+    def _from_maps(cls, rows: int, cols: int, maps: dict) -> "RatMatrix":
+        """Trusted constructor: `maps` must be {row: {column: entry}} with
+        rows in range(rows), columns in range(cols), no empty row, and
+        nonzero Fraction entries; a row that cancelled must have been
+        dropped. Nothing is coerced or checked."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
@@ -134,39 +137,41 @@ class RatMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ShapeError("ragged rows")
-        maps = []
-        for r in rows:
-            row = {}
+        maps = {}
+        for i, r in enumerate(rows):
             if r.count("0") != ncols:
+                row = {}
                 for j, x in enumerate(r):
                     if x != "0" and (x := parse(x)):
                         row[j] = x
-            maps.append(row)
+                if row:
+                    maps[i] = row
         return cls._from_maps(nrows, ncols, maps)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         if rows < 0 or cols < 0:
             raise ShapeError(f"negative matrix shape {rows}x{cols}")
-        return cls._from_maps(rows, cols, [{} for _ in range(rows)])
+        return cls._from_maps(rows, cols, {})
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         if n < 0:
             raise ShapeError(f"negative matrix shape {n}x{n}")
-        return cls._from_maps(n, n, [{i: ONE} for i in range(n)])
+        return cls._from_maps(n, n, {i: {i: ONE} for i in range(n)})
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RatMatrix":
         n = len(entries)
         diag = [rat(x) for x in entries]
-        return cls._from_maps(n, n, [{i: x} if x else {} for i, x in enumerate(diag)])
+        return cls._from_maps(n, n, {i: {i: x} for i, x in enumerate(diag) if x})
 
     @classmethod
     def from_blocks(cls, rows: int, cols: int, blocks) -> "RatMatrix":
         """rows x cols matrix, zero except for each (r0, c0, block) placed
-        with its top-left entry at (r0, c0); later blocks overwrite."""
-        maps: list[dict] = [{} for _ in range(rows)]
+        with its top-left entry at (r0, c0); later blocks overwrite, also
+        where they store nothing."""
+        maps: dict[int, dict] = {}
         for r0, c0, block in blocks:
             if min(r0, c0) < 0 or r0 + block.rows > rows or c0 + block.cols > cols:
                 raise ShapeError(
@@ -174,32 +179,35 @@ class RatMatrix:
                     f"overflows {rows}x{cols}"
                 )
             c1 = c0 + block.cols
-            for i, src in enumerate(block.maps):
-                old = maps[r0 + i]
+            for i in range(block.rows):
+                old = maps.pop(r0 + i, None)
                 row = {j: x for j, x in old.items() if not c0 <= j < c1} if old else {}
-                for j, x in src.items():
+                for j, x in block.maps.get(i, {}).items():
                     row[c0 + j] = x
-                maps[r0 + i] = row
+                if row:
+                    maps[r0 + i] = row
         return cls._from_maps(rows, cols, maps)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) out of range")
-        return self.maps[i].get(j, ZERO)
+        return self.maps.get(i, {}).get(j, ZERO)
 
     @property
     def data(self) -> list[Fraction]:
         """Dense row-major copy of the entries."""
         out = [ZERO] * (self.rows * self.cols)
-        for i, row in enumerate(self.maps):
+        for i, row in self.maps.items():
             base = i * self.cols
             for j, x in row.items():
                 out[base + j] = x
         return out
 
     def row(self, i: int) -> Vector:
-        row = self.maps[i]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range")
+        row = self.maps.get(i, {})
         return tuple(row.get(j, ZERO) for j in range(self.cols))
 
     def __eq__(self, other) -> bool:
@@ -220,27 +228,25 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
     def is_zero(self) -> bool:
-        return not any(self.maps)
+        return not self.maps
 
     def _combine(self, other: "RatMatrix", sign: int, op: str) -> "RatMatrix":
-        # self + sign * other, row map by row map; rows that other leaves
-        # empty are shared, not copied
+        # self + sign * other, row map by row map; rows that other does
+        # not store are shared, not copied
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(
                 f"{op} shape mismatch {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}"
             )
-        maps = []
-        for a, b in zip(self.maps, other.maps):
-            if not b:
-                maps.append(a)
-                continue
-            row = dict(a)
+        maps = dict(self.maps)
+        for i, b in other.maps.items():
+            row = dict(maps.pop(i, ()))
             for j, x in b.items():
                 y = row.pop(j, ZERO) + x if sign > 0 else row.pop(j, ZERO) - x
                 if y:
                     row[j] = y
-            maps.append(row)
+            if row:
+                maps[i] = row
         return RatMatrix._from_maps(self.rows, self.cols, maps)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
@@ -250,17 +256,15 @@ class RatMatrix:
         return self._combine(other, -1, "sub")
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._from_maps(
-            self.rows, self.cols, [{j: -x for j, x in row.items()} for row in self.maps]
-        )
+        maps = {i: {j: -x for j, x in row.items()} for i, row in self.maps.items()}
+        return RatMatrix._from_maps(self.rows, self.cols, maps)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
         if not c:
             return RatMatrix.zeros(self.rows, self.cols)
-        return RatMatrix._from_maps(
-            self.rows, self.cols, [{j: c * x for j, x in row.items()} for row in self.maps]
-        )
+        maps = {i: {j: c * x for j, x in row.items()} for i, row in self.maps.items()}
+        return RatMatrix._from_maps(self.rows, self.cols, maps)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -268,26 +272,28 @@ class RatMatrix:
                 f"matmul shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
         b = other.maps
-        maps = []
-        for arow in self.maps:
+        maps = {}
+        for i, arow in self.maps.items():
             if len(arow) == 1:
                 (k, x), = arow.items()
                 if x == 1:
                     # a unit row picks b[k]: shared, as rows never change
-                    maps.append(b[k])
+                    if k in b:
+                        maps[i] = b[k]
                     continue
             row: dict[int, Fraction] = {}
-            # an empty left row gives an empty product row at once
             for k, x in arow.items():
-                add_scaled_row(row, b[k], x)
-            maps.append(row)
+                if k in b:
+                    add_scaled_row(row, b[k], x)
+            if row:
+                maps[i] = row
         return RatMatrix._from_maps(self.rows, other.cols, maps)
 
     def transpose(self) -> "RatMatrix":
-        maps: list[dict] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.maps):
+        maps: dict[int, dict] = {}
+        for i, row in self.maps.items():
             for j, x in row.items():
-                maps[j][i] = x
+                maps.setdefault(j, {})[i] = x
         return RatMatrix._from_maps(self.cols, self.rows, maps)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "RatMatrix":
@@ -297,16 +303,14 @@ class RatMatrix:
         for j in col_indices:
             if not 0 <= j < self.cols:
                 raise IndexError(f"column {j} out of range")
-        rows = [self.maps[i] for i in row_indices]
+        stored = [(p, self.maps[i]) for p, i in enumerate(row_indices) if i in self.maps]
         if isinstance(col_indices, range) and col_indices.step == 1:
             c0, c1 = col_indices.start, col_indices.stop
-            maps = [{j - c0: x for j, x in row.items() if c0 <= j < c1} for row in rows]
+            cut = ({j - c0: x for j, x in row.items() if c0 <= j < c1} for _, row in stored)
         else:
-            maps = [
-                {q: row[j] for q, j in enumerate(col_indices) if j in row}
-                for row in rows
-            ]
-        return RatMatrix._from_maps(len(rows), len(col_indices), maps)
+            cut = ({q: row[j] for q, j in enumerate(col_indices) if j in row} for _, row in stored)
+        maps = {p: row for (p, _), row in zip(stored, cut) if row}
+        return RatMatrix._from_maps(len(row_indices), len(col_indices), maps)
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -322,19 +326,18 @@ def sylvester_system(a: RatMatrix, c: RatMatrix) -> RatMatrix:
     if a.rows != a.cols or c.rows != c.cols:
         raise ShapeError("Sylvester system needs square matrices")
     r, k = a.rows, c.rows
-    c_cols: list[list] = [[] for _ in range(k)]
-    for t, row in enumerate(c.maps):
-        for q, x in row.items():
-            c_cols[q].append((t, x))
-    maps = []
+    c_cols = c.transpose().maps
+    maps = {}
     for p in range(r):
+        a_row = a.maps.get(p, {})
         for q in range(k):
-            row = {t * k + q: x for t, x in a.maps[p].items()}
-            for t, x in c_cols[q]:
+            row = {t * k + q: x for t, x in a_row.items()}
+            for t, x in c_cols.get(q, {}).items():
                 y = row.pop(p * k + t, ZERO) - x
                 if y:
                     row[p * k + t] = y
-            maps.append(row)
+            if row:
+                maps[p * k + q] = row
     return RatMatrix._from_maps(r * k, r * k, maps)
 
 
@@ -349,52 +352,56 @@ def add_scaled_row(out: dict, row: dict, c) -> None:
 
 def add_scaled_rows(out: dict, rows: dict, c) -> None:
     """out += c * rows on {row: {column: entry}} maps, in place, row by
-    row with `add_scaled_row`; a row that cancels stays, empty."""
+    row with `add_scaled_row`; a row that cancels is dropped."""
     for r, row in rows.items():
-        add_scaled_row(out.setdefault(r, {}), row, c)
+        acc = out.setdefault(r, {})
+        add_scaled_row(acc, row, c)
+        if not acc:
+            del out[r]
 
 
 def add_product(out: dict, a: dict, b: dict, c) -> None:
     """out += c * a b on {row: {column: entry}} maps, in place, visiting
-    only the entries a stores; a row that cancels stays, empty."""
+    only the entries a stores; a row that cancels is dropped."""
     for r, row in a.items():
+        acc = None
         for k, x in row.items():
             if k in b:
-                add_scaled_row(out.setdefault(r, {}), b[k], c * x)
+                if acc is None:
+                    acc = out.setdefault(r, {})
+                add_scaled_row(acc, b[k], c * x)
+        if acc is not None and not acc:
+            del out[r]
 
 
 def combination(mats: Sequence[RatMatrix], coeffs) -> RatMatrix:
     """sum c * mats[i] over the (i, c) pairs, in one pass over the stored
     entries, dropping sums that cancel; an empty family is 0 x 0."""
     rows, cols = (mats[0].rows, mats[0].cols) if mats else (0, 0)
-    acc: list[dict] = [{} for _ in range(rows)]
+    acc: dict[int, dict] = {}
     for i, c in coeffs:
         if not c:
             continue
         m = mats[i]
         if (m.rows, m.cols) != (rows, cols):
             raise ShapeError(f"combination of {rows}x{cols} and {m.rows}x{m.cols}")
-        for out, row in zip(acc, m.maps):
-            add_scaled_row(out, row, c)
+        add_scaled_rows(acc, m.maps, c)
     return RatMatrix._from_maps(rows, cols, acc)
 
 
 def integral_rows(m: RatMatrix) -> tuple[int, dict[int, dict[int, int]]]:
     """(d, rows): d is the least common denominator of m's entries and
-    rows are the nonempty rows of d·m as {row: {column: int}}. Products
-    of these maps build no Fraction, and since each matrix is cleared by
-    its own d, an integral matrix keeps the size of its entries."""
-    d = math.lcm(*{x.denominator for row in m.maps for x in row.values()})
+    rows are the rows of d·m as {row: {column: int}}. Products of these
+    maps build no Fraction, and since each matrix is cleared by its own
+    d, an integral matrix keeps the size of its entries."""
+    d = math.lcm(*{x.denominator for row in m.maps.values() for x in row.values()})
     if d == 1:
         return 1, {
-            i: {j: x.numerator for j, x in row.items()}
-            for i, row in enumerate(m.maps)
-            if row
+            i: {j: x.numerator for j, x in row.items()} for i, row in m.maps.items()
         }
     return d, {
         i: {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-        for i, row in enumerate(m.maps)
-        if row
+        for i, row in m.maps.items()
     }
 
 
@@ -407,7 +414,7 @@ def exp_nilpotent_rows(a: RatMatrix) -> tuple[int, dict, dict]:
         raise ShapeError("exp of a non-square matrix")
     d, m = integral_rows(a)
     powers, power = [], m
-    while any(power.values()):
+    while power:
         powers.append(power)
         if len(powers) == a.rows:
             raise ValueError("matrix is not nilpotent")
@@ -425,11 +432,8 @@ def exp_nilpotent_rows(a: RatMatrix) -> tuple[int, dict, dict]:
 def exp_nilpotent(a: RatMatrix) -> RatMatrix:
     """exp(A) as the finite sum sum_k A^k / k!; A must be nilpotent."""
     e, plus, _ = exp_nilpotent_rows(a)
-    maps = []
-    for i in range(a.rows):
-        row = dict(plus.get(i, ()))
-        row[i] = row.get(i, 0) + e
-        maps.append({j: Fraction(x, e) for j, x in row.items() if x})
+    add_scaled_rows(plus, {i: {i: 1} for i in range(a.rows)}, e)  # E exp(A) = E I + N
+    maps = {i: {j: Fraction(x, e) for j, x in row.items()} for i, row in plus.items()}
     return RatMatrix._from_maps(a.rows, a.cols, maps)
 
 
@@ -474,7 +478,7 @@ def _echelon(a: RatMatrix) -> dict[int, dict[int, int]]:
     column is new. The pivot columns are rref's whatever the row order:
     they are the leading columns of the row space's vectors."""
     echelon: dict[int, dict[int, int]] = {}
-    for row in a.maps:
+    for row in a.maps.values():
         if len(echelon) == a.cols:
             # full column rank: every remaining row lies in the span
             break
@@ -495,15 +499,14 @@ def rref(a: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     pivots = sorted(echelon)
     # clear the other pivot columns from each pivot row, last pivot
     # first, so every row it is cleared with is already reduced
-    maps = []
-    for pc in reversed(pivots):
+    maps = {}
+    for r in reversed(range(len(pivots))):
+        pc = pivots[r]
         v = echelon[pc]
         for q in [q for q in v if q != pc and q in echelon]:
             v = _cancel(v, echelon[q], q)
         echelon[pc] = v
-        maps.append({j: Fraction(x, v[pc]) for j, x in v.items()})
-    maps.reverse()
-    maps.extend({} for _ in range(a.rows - len(pivots)))
+        maps[r] = {j: Fraction(x, v[pc]) for j, x in v.items()}
     return RatMatrix._from_maps(a.rows, a.cols, maps), tuple(pivots)
 
 
@@ -532,7 +535,10 @@ def solve(a: RatMatrix, b: Sequence) -> Vector | None:
     b = vector(b)
     if len(b) != a.rows:
         raise ShapeError("right-hand side length does not match matrix rows")
-    maps = [{**row, a.cols: x} if x else row for row, x in zip(a.maps, b)]
+    maps = dict(a.maps)
+    for i, x in enumerate(b):
+        if x:
+            maps[i] = {**maps.get(i, {}), a.cols: x}
     reduced, pivots = rref(RatMatrix._from_maps(a.rows, a.cols + 1, maps))
     if a.cols in pivots:
         return None
@@ -546,7 +552,7 @@ def invert(a: RatMatrix) -> RatMatrix:
     if a.rows != a.cols:
         raise ShapeError("inverse of a non-square matrix")
     n = a.rows
-    maps = [{**row, n + i: ONE} for i, row in enumerate(a.maps)]
+    maps = {i: {**a.maps.get(i, {}), n + i: ONE} for i in range(n)}
     reduced, pivots = rref(RatMatrix._from_maps(n, 2 * n, maps))
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")

@@ -153,7 +153,7 @@ def z_blocks(p: ModuleParams) -> list[RatMatrix]:
     m, n, s, big_n = p.m, p.n, p.s, p.big_n
     a = (ONE, *p.a)
     fact = list(accumulate(range(1, m + 1), mul, initial=1))
-    z_maps = [[{} for _ in range(m + 1)] for _ in range(p.lam + 1)]
+    z_maps = [{} for _ in range(p.lam + 1)]
     for j, maps in enumerate(z_maps):
         for i in range(max(s - j, 0), min(n, m + s - big_n - j) + 1):
             t = i + j - s + big_n
@@ -167,7 +167,7 @@ def z_blocks(p: ModuleParams) -> list[RatMatrix]:
                 den *= x.denominator
                 scale *= t - q
             if num:
-                maps[t][i] = Fraction(num, den * fact[t - lo] * fact[m])
+                maps.setdefault(t, {})[i] = Fraction(num, den * fact[t - lo] * fact[m])
     return [RatMatrix._from_maps(m + 1, n + 1, maps) for maps in z_maps]
 
 
@@ -204,7 +204,7 @@ def weight_compatibility(p: ModuleParams, rho: Representation) -> tuple[bool, tu
     """Every nonzero z_j·u_i of the family module rho of p must land on
     the w of matching h-weight: m - 2t = (Λ - 2j) + (n - 2i)."""
     for j in range(p.lam + 1):
-        for t, row in enumerate(rho.images[3 + j].block(0, 1).maps):
+        for t, row in sorted(rho.images[3 + j].block(0, 1).maps.items()):
             for i in sorted(row):
                 if p.m - 2 * t != (p.lam - 2 * j) + (p.n - 2 * i):
                     return False, (j, i, t)

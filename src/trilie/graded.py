@@ -8,11 +8,11 @@ order reads as block-lower-triangular. Triangular maps split uniquely
 into degree-homogeneous stripes f_j with f_j(V_k) ⊆ V_{k+j}.
 
 Which blocks a map touches is decided in one place, `row_support`, in
-one pass over the stored entries of its nonempty rows; `block_support`
-reads it for a map, the conjugation check for integer rows, and no
-predicate copies a block. An index's degree is the last component whose
-offset does not exceed it (`bisect_right`), so zero-dimensional
-components are never chosen.
+one pass over its stored entries; `block_support` reads it for a map,
+the conjugation check for integer rows, and no predicate copies a
+block. An index's degree is the last component whose offset does not
+exceed it (`bisect_right`), so zero-dimensional components are never
+chosen.
 
 Triangularity is a block condition, so a map keeps no arithmetic but
 its bracket; sums and products are those of its `RatMatrix`.
@@ -21,8 +21,7 @@ its bracket; sums and products are those of its `RatMatrix`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import RatMatrix, ShapeError, commutator
 
@@ -112,17 +111,16 @@ class GradedMap:
 def block_support(f: GradedMap) -> set[tuple[int, int]]:
     """The (from_degree, to_degree) pairs of the blocks that hold a
     stored entry, in one pass over the row maps."""
-    maps = f.matrix.maps
-    return row_support(f.space, compress(enumerate(maps), maps))
+    return row_support(f.space, f.matrix.maps)
 
 
-def row_support(space: GradedSpace, rows: Iterable[tuple]) -> set[tuple[int, int]]:
-    """`block_support` of a map given as (row, stored columns) pairs, such
-    as the integer row maps of `exact.integral_rows`: only the column keys
+def row_support(space: GradedSpace, rows: dict) -> set[tuple[int, int]]:
+    """`block_support` of a map given as its {row: {column: entry}} maps,
+    such as the integer row maps of `exact.integral_rows`: only the keys
     are read, so the entries may be of any type."""
     offsets = space.offsets
     return {(bisect_right(offsets, c) - 1, bisect_right(offsets, r) - 1)
-            for r, row in rows for c in row}
+            for r, row in rows.items() for c in row}
 
 
 def is_triangular(f: GradedMap) -> tuple[bool, tuple[int, int] | None]:
@@ -139,13 +137,13 @@ def degree_components(f: GradedMap) -> dict[int, GradedMap]:
         raise TriangularityError(
             f"map lowers degree at block {witness[0]} -> {witness[1]}"
         )
-    space, maps, n = f.space, f.matrix.maps, f.space.total_dim
+    space, n = f.space, f.space.total_dim
     offsets = space.offsets
-    stripes = {j: [{} for _ in range(n)] for j in range(space.num_components)}
-    for k, (start, d) in enumerate(zip(offsets, space.component_dims)):
-        for r in range(start, start + d):
-            for c, x in maps[r].items():
-                stripes[k + 1 - bisect_right(offsets, c)][r][c] = x
+    stripes: dict[int, dict] = {j: {} for j in range(space.num_components)}
+    for r, row in f.matrix.maps.items():
+        k = bisect_right(offsets, r)
+        for c, x in row.items():
+            stripes[k - bisect_right(offsets, c)].setdefault(r, {})[c] = x
     return {j: GradedMap(space, RatMatrix._from_maps(n, n, m)) for j, m in stripes.items()}
 
 

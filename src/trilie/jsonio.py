@@ -160,9 +160,9 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
     # an entry is too long to write is row len(out)
     out = []
     try:
-        for row in m.maps:
+        for i in range(m.rows):
             line = ["0"] * m.cols
-            for j, x in row.items():
+            for j, x in m.maps.get(i, {}).items():
                 line[j] = str(x)
             out.append(line)
     except ValueError:

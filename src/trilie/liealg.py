@@ -58,7 +58,9 @@ from .exact import (
     RatMatrix,
     ShapeError,
     Vector,
+    add_product,
     add_scaled_row,
+    add_scaled_rows,
     combination,
     integral_rows,
     invert,
@@ -75,7 +77,8 @@ from .sl2theory import string_action
 
 class LieAlgebra:
     """dim, basis labels, the sparse bracket table [b_i, b_j] (i < j) as a
-    read-only mapping, and ad_rows: row j of ad_rows[i] is [b_i, b_j]."""
+    read-only mapping, and ad_rows: row j of ad_rows[i] is [b_i, b_j],
+    stored for the stored brackets alone, two rows each."""
 
     __slots__ = ("dim", "basis_labels", "structure", "ad_rows")
 
@@ -93,10 +96,7 @@ class LieAlgebra:
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
         table: dict[tuple[int, int], Mapping[int, Fraction]] = {}
-        # maps that store nothing share one empty dict, and indices in no
-        # bracket one zero matrix; neither is ever written to
-        empty: dict = {}
-        rows: dict[int, list[dict]] = {}
+        rows: dict[int, dict[int, dict]] = {}
         for (i, j), coeffs in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket indices ({i}, {j}) out of range")
@@ -110,13 +110,12 @@ class LieAlgebra:
                     raise ValueError(f"bracket target index {k} out of range")
             if cleaned:
                 table[(i, j)] = MappingProxyType(cleaned)
-                for a in (i, j):
-                    if a not in rows:
-                        rows[a] = [empty] * dim
-                rows[i][j] = cleaned
-                rows[j][i] = {k: -c for k, c in cleaned.items()}
+                rows.setdefault(i, {})[j] = cleaned
+                rows.setdefault(j, {})[i] = {k: -c for k, c in cleaned.items()}
         self.structure = MappingProxyType(table)
-        zero = RatMatrix._from_maps(dim, dim, [empty] * dim)
+        # indices in no bracket share one zero matrix: an object each took
+        # 2.3 s and 140 MB more at dim 10^6 with no brackets
+        zero = RatMatrix.zeros(dim, dim)
         self.ad_rows = tuple(
             RatMatrix._from_maps(dim, dim, rows[a]) if a in rows else zero
             for a in range(dim)
@@ -169,7 +168,8 @@ def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
         if a:
             rows = L.ad_rows[i].maps
             for j, b in ys:
-                add_scaled_row(out, rows[j], a * b)
+                if j in rows:
+                    add_scaled_row(out, rows[j], a * b)
     return tuple(out.get(k, ZERO) for k in range(L.dim))
 
 
@@ -191,9 +191,11 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
     N_i = d_i images[i] (`integral_rows`), the pair's sum is
         E (N_i N_j - N_j N_i) - sum_p E w_p N_p,  w_p = c_ij^p d_i d_j / d_p,
     where E is the lcm of the w_p denominators: d_i d_j E times the
-    defect, so it has the same zero pattern. Only stored entries are
-    visited, no matrix is built, and no Fraction either. Every product
-    with an empty images[i] vanishes: only its stored partners j > i can fail."""
+    defect, so it has the same zero pattern. It is summed by
+    `add_product` and `add_scaled_rows`, which visit only stored
+    entries and drop a row that cancels; no matrix is built, and no
+    Fraction either. Every product with a zero images[i] vanishes: only
+    its stored partners j > i can fail."""
     scaled = [integral_rows(m) for m in images]
     partners: dict[int, list[int]] = {}
     for i, j in sorted(L.structure):
@@ -205,7 +207,7 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
             d_j, b = scaled[j]
             # each w_p as (numerator, denominator) in lowest terms
             terms, e = [], 1
-            for p, c in coeffs[j].items():
+            for p, c in coeffs.get(j, {}).items():
                 d_p, rows_p = scaled[p]
                 if rows_p:
                     num, den = c.numerator * d_i * d_j, c.denominator * d_p
@@ -213,16 +215,11 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
                     terms.append((num // g, den // g, rows_p))
                     e = math.lcm(e, den // g)
             acc: dict = {}
-            for left, right, sign in ((a, b, e), (b, a, -e)):
-                for r, row in left.items():
-                    for k, x in row.items():
-                        if k in right:
-                            add_scaled_row(acc.setdefault(r, {}), right[k], sign * x)
+            add_product(acc, a, b, e)
+            add_product(acc, b, a, -e)
             for num, den, rows_p in terms:
-                w = -num * (e // den)
-                for r, row in rows_p.items():
-                    add_scaled_row(acc.setdefault(r, {}), row, w)
-            if any(acc.values()):
+                add_scaled_rows(acc, rows_p, -num * (e // den))
+            if acc:
                 return i, j, min(k for row in acc.values() for k in row)
     return None
 
@@ -327,7 +324,7 @@ def build_sl2_lambda(lam: int) -> tuple[LieAlgebra, LeviData]:
     structure = dict(_SL2_STRUCTURE)
     for j in range(lam + 1):
         for g, cols in enumerate(columns):
-            if cols[j]:
+            if j in cols:
                 structure[(g, 3 + j)] = {3 + k: x for k, x in cols[j].items()}
     L = LieAlgebra(lam + 4, labels, structure)
     levi = LeviData((0, 1, 2), tuple(range(3, lam + 4)), tuple(range(3, lam + 4)))
@@ -383,10 +380,10 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
     ads = []
     for g in idx:
         r_g = L.ad_rows[g].maps
-        maps: list[dict] = [{} for _ in range(m)]
+        maps: dict[int, dict] = {}
         for q, g2 in enumerate(idx):
-            for k, c in r_g[g2].items():
-                maps[pos[k]][q] = c
+            for k, c in r_g.get(g2, {}).items():
+                maps.setdefault(pos[k], {})[q] = c
         ads.append(RatMatrix._from_maps(m, m, maps))
     return ads
 
@@ -414,14 +411,9 @@ def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
         for q, y in at.get((b, a), ()):
             for p, x in left:
                 kappa[p][q] = kappa[p].get(q, 0) + x * y
-    rows = [{q: v for q, v in row.items() if v} for row in kappa.values()]
-    return rank(RatMatrix._from_maps(len(rows), L.dim, rows))
-
-
-def _row_span(m: RatMatrix) -> RatMatrix:
-    """The nonzero rows of rref(m): equal row spans give equal matrices."""
-    reduced, pivots = rref(m)
-    return RatMatrix._from_maps(len(pivots), m.cols, reduced.maps[: len(pivots)])
+    rows = {p: nonzero for p, row in kappa.items()
+            if (nonzero := {q: v for q, v in row.items() if v})}
+    return rank(RatMatrix._from_maps(L.dim, L.dim, rows))
 
 
 def _series(L: LieAlgebra, indices: Sequence[int], lower: bool) -> list[RatMatrix]:
@@ -435,22 +427,26 @@ def _series(L: LieAlgebra, indices: Sequence[int], lower: bool) -> list[RatMatri
     series, is spanned by the [b_i, b_j] with i < j in the span: the
     stored keys inside it, read without a product."""
     inside = set(indices)
-    first = RatMatrix._from_maps(len(inside), L.dim, [{i: ONE} for i in sorted(inside)])
+    first = RatMatrix._from_maps(
+        len(inside), L.dim, {p: {i: ONE} for p, i in enumerate(sorted(inside))}
+    )
     rows = [L.ad_rows[i].maps[j] for i, j in L.structure if i in inside and j in inside]
     ads = [L.ad_rows[i] for i in sorted(inside)]
     series = [first]
     while True:
-        nxt = _row_span(RatMatrix._from_maps(len(rows), first.cols, rows))
+        # the rref rows of the span: equal spans give equal matrices
+        reduced, pivots = rref(RatMatrix._from_maps(len(rows), L.dim, dict(enumerate(rows))))
+        nxt = RatMatrix._from_maps(len(pivots), L.dim, reduced.maps)
         if nxt == series[-1]:
             return series
         series.append(nxt)
         if not nxt.rows:
             return series
         if not lower:
-            ads = [combination(L.ad_rows, a.items()) for a in nxt.maps]
+            ads = [combination(L.ad_rows, a.items()) for a in nxt.maps.values()]
         # [a, v_p] for the rows v_p of the last term, a running over
         # first (lower) or over the last term (derived)
-        rows = [row for ad in ads for row in (nxt @ ad).maps if row]
+        rows = [row for ad in ads for row in (nxt @ ad).maps.values()]
 
 
 def verify_levi_data(L: LieAlgebra, D: LeviData) -> dict:
@@ -520,9 +516,12 @@ def _levi_invariant_section(
     # every a]: sub is independent, so the pivots are sub followed by
     # the rows ext of cur that extend it (sub + ext is the adapted basis),
     # and each image's reduced column holds its adapted coordinates
-    vectors = RatMatrix._from_maps(width, cur.cols, sub.maps + cur.maps)
-    rows = vectors.maps + [row for a in action for row in (vectors @ a).maps]
-    columns = RatMatrix._from_maps(len(rows), cur.cols, rows).transpose()
+    rows = {**sub.maps, **{r + q: row for q, row in cur.maps.items()}}
+    vectors = RatMatrix._from_maps(width, cur.cols, dict(rows))
+    for s, a in enumerate(action, 1):
+        # rows width*s onwards hold vectors @ action[s - 1]
+        rows.update((width * s + q, row) for q, row in (vectors @ a).maps.items())
+    columns = RatMatrix._from_maps(width * (len(action) + 1), cur.cols, rows).transpose()
     reduced, pivots = rref(columns)
     ext = [p - r for p in pivots if r <= p < width]
     if not ext:
@@ -531,7 +530,7 @@ def _levi_invariant_section(
     k = r + c
     if len(pivots) > k:
         raise RuntimeError("vector not in claimed span")
-    ext_rows = RatMatrix._from_maps(c, cur.cols, [cur.maps[q] for q in ext])
+    ext_rows = RatMatrix._from_maps(c, cur.cols, {p: cur.maps[q] for p, q in enumerate(ext)})
     if r == 0:
         # no deeper layer to project away: ext spans the section
         return [ext_rows.row(q) for q in range(c)]
@@ -598,7 +597,8 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
 
     flat = [v for comp in components for v in comp]
     # the check's matrix holds the stored entries only, not dim² coercions
-    maps = [{j: x for j, x in enumerate(v) if x} for v in flat]
+    maps = {p: row for p, v in enumerate(flat)
+            if (row := {j: x for j, x in enumerate(v) if x})}
     if len(flat) != L.dim or rank(RatMatrix._from_maps(len(flat), L.dim, maps)) != L.dim:
         raise RuntimeError("graded components do not form a basis")
     return GradingAssignment(tuple(tuple(comp) for comp in components), levi=D)
@@ -617,7 +617,7 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
         if len(v) != L.dim:
             raise ShapeError(f"basis vector of length {len(v)} for dim {L.dim}")
         rows.append({j: c for j, x in compress(enumerate(v), v) if (c := rat(x))})
-    q = RatMatrix._from_maps(len(rows), L.dim, rows)
+    q = RatMatrix._from_maps(len(rows), L.dim, {p: row for p, row in enumerate(rows) if row})
     p_inv = invert(q.transpose())
     images = [p_inv @ (q @ r_i).transpose() for r_i in L.ad_rows]
     space = GradedSpace(tuple(len(c) for c in G.component_bases))

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 from .exact import (
@@ -186,9 +185,7 @@ def kernel(rho: Representation) -> list[Vector]:
     vectors are those of the whole system."""
     equations: dict[tuple[int, int], dict] = {}
     for k, im in enumerate(rho.images):
-        maps = im.matrix.maps
-        # empty rows name nothing and are skipped without a Python step
-        for r, row in compress(enumerate(maps), maps):
+        for r, row in im.matrix.maps.items():
             for c, x in row.items():
                 equations.setdefault((r, c), {})[k] = x
     dropped: set[int] = set()
@@ -201,11 +198,11 @@ def kernel(rho: Representation) -> list[Vector]:
     n = len(rho.images)
     live = [k for k in range(n) if k not in dropped]
     column = {k: i for i, k in enumerate(live)}
-    residue = []
+    residue = {}
     for eq in shared:
         row = {column[k]: x for k, x in eq.items() if k in column}
         if row:
-            residue.append(row)
+            residue[len(residue)] = row
     if not residue:
         # nothing left to solve: each live column is a kernel vector
         return [unit_vector(n, k) for k in live]
@@ -251,7 +248,7 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
 
     two = RatMatrix.diagonal((2, 2, 2))
     for g, m in zip(idx, ads):
-        a = [[row.get(q, ZERO) for q in range(3)] for row in m.maps]
+        a = [m.row(p) for p in range(3)]
         minors = sum(a[p][p] * a[q][q] - a[p][q] * a[q][p]
                      for p, q in ((0, 1), (0, 2), (1, 2)))
         if a[0][0] + a[1][1] + a[2][2] != 0 or minors != -4:
@@ -371,7 +368,7 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
     add_product(identity_defect, n, n_inv, 1)
     add_scaled_rows(identity_defect, n, e)
     add_scaled_rows(identity_defect, n_inv, e)
-    assert not any(identity_defect.values())
+    assert not identity_defect
 
     def conjugated_support(rows: dict) -> set:
         # E² P^-1 M P = (E M + N'M)(E I + N) for integer rows M: only the
@@ -381,7 +378,7 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
         add_scaled_rows(left, rows, e)
         add_product(out, left, n, 1)
         add_scaled_rows(out, left, e)
-        return row_support(rho.space, out.items())
+        return row_support(rho.space, out)
 
     scaled = [integral_rows(im.matrix) for im in rho.images]
     columns = exp_ad.transpose()

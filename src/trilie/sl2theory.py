@@ -34,11 +34,8 @@ def string_action(d: int, e_top: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     f·x_i = x_{i+1}, e·x_i = i(e_top-i+1)x_{i-1}. Only e_top = d gives
     an sl2 module; other values serve fidelity experiments."""
     n = d + 1
-    f = [{i - 1: ONE} if i else {} for i in range(n)]
-    e = [{} for _ in range(n)]
-    for i in range(1, n):
-        if i * (e_top - i + 1):
-            e[i - 1] = {i: Fraction(i * (e_top - i + 1))}
+    f = {i: {i - 1: ONE} for i in range(1, n)}
+    e = {i - 1: {i: Fraction(c)} for i in range(1, n) if (c := i * (e_top - i + 1))}
     h = RatMatrix.diagonal([d - 2 * i for i in range(n)])
     return RatMatrix._from_maps(n, n, f), h, RatMatrix._from_maps(n, n, e)
 

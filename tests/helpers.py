@@ -78,7 +78,21 @@ def mat_power(a: RatMatrix, k: int) -> RatMatrix:
 
 def dense_rows(m: RatMatrix) -> list[list[Fraction]]:
     """The entries of m as plain lists, one per row, zeros included."""
-    return [[row.get(j, Fraction(0)) for j in range(m.cols)] for row in m.maps]
+    return [[m.maps.get(i, {}).get(j, Fraction(0)) for j in range(m.cols)]
+            for i in range(m.rows)]
+
+
+def assert_clean(m: RatMatrix) -> None:
+    """m has the one row-map shape: `maps` is {row: {column: nonzero
+    Fraction}} with each row key in range(rows) and each column key in
+    range(cols), and no row is empty (a row that cancelled is dropped)."""
+    assert type(m.maps) is dict
+    for i, row in m.maps.items():
+        assert type(i) is int and 0 <= i < m.rows, i
+        assert row, f"row {i} is stored empty"
+        for j, x in row.items():
+            assert type(j) is int and 0 <= j < m.cols, (i, j)
+            assert type(x) is Fraction and x != 0, (i, j, x)
 
 
 def mat_vec(a: RatMatrix, x) -> tuple[Fraction, ...]:
@@ -398,7 +412,7 @@ def brute_contains(basis, block: RatMatrix) -> tuple:
         return True, Fraction(0)
     coeffs = []
     for b in basis:
-        t = max(r for r, row in enumerate(b.maps) if row)
+        t = max(b.maps)
         coeffs.append(block[t, max(b.maps[t])])
     if combination(basis, enumerate(coeffs)) != block:
         return False, None
@@ -431,7 +445,7 @@ def brute_unprintable(value, field: str = "") -> str | None:
     elif isinstance(value, RatMatrix):
         items = (
             (f"{field}[{r}][{c}]", x)
-            for r, row in enumerate(value.maps)
+            for r, row in sorted(value.maps.items())
             for c, x in row.items()
         )
     else:
@@ -454,7 +468,7 @@ def brute_family_verdict(space, m: int, n: int, s: int, big_n: int, a) -> tuple:
         return False, None
     (line,) = space.basis
     scalar = None
-    for t, row in enumerate(line.maps):
+    for t, row in sorted(line.maps.items()):
         for i, x in row.items():
             z = z0_entry(m, n, s, big_n, a, t, i)
             if not z:
@@ -464,7 +478,7 @@ def brute_family_verdict(space, m: int, n: int, s: int, big_n: int, a) -> tuple:
             elif z != scalar * x:
                 return False, None
     in_range = min(n - s, m - big_n)
-    if 1 + sum(map(bool, a[:in_range])) != sum(map(len, line.maps)):
+    if 1 + sum(map(bool, a[:in_range])) != sum(map(len, line.maps.values())):
         return False, None
     return True, scalar
 

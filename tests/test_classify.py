@@ -402,7 +402,7 @@ class TestMatchFamilyReadsZRules:
                 space = solve_extensions(problem)
                 match_family(problem, space, ModuleParams(lam, m, n, s, big_n, a))
                 z0 = brute_z_blocks(lam, m, n, s, big_n, a)[0]
-                stored = {(t, i) for t, row in enumerate(space.basis[0].maps)
+                stored = {(t, i) for t, row in space.basis[0].maps.items()
                           for i in row} if space.basis else set()
                 assert reads or not stored
                 for t, i, z in reads:

@@ -25,6 +25,7 @@ from trilie.rep import conjugate_levi_check, verify_homomorphism
 from trilie.sl2theory import string_action
 
 from helpers import (
+    assert_clean,
     brute_bracket,
     brute_enumerate_params,
     brute_param_problems,
@@ -218,6 +219,10 @@ class TestZBlocks:
         )
         blocks = z_blocks(params(lam, m, n, s, big_n, a))
         assert [dense_rows(b) for b in blocks] == brute_z_blocks(lam, m, n, s, big_n, a)
+        # the strings the module is built from, the printed e on w included
+        strings = [g for d, top in ((n, n), (m, m), (m, n)) for g in string_action(d, top)]
+        for block in blocks + strings:
+            assert_clean(block)
 
     GRID = [(lam,) + t for lam in (1, 2, 3, 4) for t in enumerate_params(lam, 10, 10)]
 

@@ -17,6 +17,7 @@ from trilie.graded import (
 )
 
 from helpers import (
+    assert_clean,
     brute_block_support,
     dense_rows,
     mask_triangular,
@@ -277,6 +278,7 @@ class TestBlockSupportOracle:
         assert sorted(comps) == list(range(c))
         degree = [k for k, d in enumerate(dims) for _ in range(d)]
         for j, stripe in comps.items():
+            assert_clean(stripe.matrix)
             assert stripe.space == f.space
             assert dense_rows(stripe.matrix) == [
                 [x if degree[r] - degree[q] == j else 0 for q, x in enumerate(row)]

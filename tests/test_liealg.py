@@ -28,6 +28,7 @@ from trilie.liealg import (
 from trilie.rep import conjugate_levi_check, verify_representation
 
 from helpers import (
+    assert_clean,
     brute_bracket,
     brute_derived_series,
     brute_extend_independent,
@@ -985,12 +986,7 @@ class TestStructureConstantOracles:
         small_witness = brute_jacobi_witness(len(touched), small)
         assert (small_witness and tuple(touched[r] for r in small_witness)) == expected
 
-        class CountingRows(list):
-            def __getitem__(self, key):
-                reads[0] += 1
-                return super().__getitem__(key)
-
-        class CountingTable(dict):
+        class CountingReads(dict):
             def __getitem__(self, key):
                 reads[0] += 1
                 return super().__getitem__(key)
@@ -1021,10 +1017,10 @@ class TestStructureConstantOracles:
 
         reads = [0]
         L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
-        counted = {id(m): RatMatrix._from_maps(m.rows, m.cols, CountingRows(m.maps))
+        counted = {id(m): RatMatrix._from_maps(m.rows, m.cols, CountingReads(m.maps))
                    for m in L.ad_rows}
         L.ad_rows = tuple(counted[id(m)] for m in L.ad_rows)
-        L.structure = CountingTable(L.structure)
+        L.structure = CountingReads(L.structure)
         report = check_axioms(L)
         assert report["witnesses"]["jacobi"] == expected
         assert report["jacobi"] is (expected is None)
@@ -1056,6 +1052,8 @@ class TestStructureConstantOracles:
     def test_bracket_and_ad_match_plain_oracle(self, case, data):
         dim, table = case
         L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        for m in L.ad_rows:
+            assert_clean(m)
         vectors = st.lists(st.one_of(st.just(F(0)), small_coeffs),
                            min_size=dim, max_size=dim)
         x, y = data.draw(vectors), data.draw(vectors)
@@ -1109,12 +1107,15 @@ class TestReadOnlyAlgebra:
         real = RatMatrix._from_maps.__func__
 
         def read_only(cls, rows, cols, maps):
-            return real(cls, rows, cols, [MappingProxyType(m) for m in maps])
+            return real(cls, rows, cols, MappingProxyType(
+                {i: MappingProxyType(m) for i, m in maps.items()}))
 
         monkeypatch.setattr(RatMatrix, "_from_maps", classmethod(read_only))
         product = RatMatrix.identity(2) @ RatMatrix.identity(2)
         with pytest.raises(TypeError):
             product.maps[0][1] = F(1)
+        with pytest.raises(TypeError):
+            product.maps[1] = {}
         assert isinstance(build_sl2()[0].ad_rows[0].maps[1], MappingProxyType)
         assert reports() == plain
 
@@ -1131,17 +1132,23 @@ class TestReadOnlyAlgebra:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        stored = [
-            (i, j)
-            for i, m in enumerate(L.ad_rows) if any(m.maps)
-            for j, row in enumerate(m.maps) if row
-        ]
+        stored = [(i, j) for i, m in enumerate(L.ad_rows) for j in m.maps]
         assert stored == [(3, 1200), (1200, 3)]
+        assert len({id(m) for m in L.ad_rows}) == 3
         # each brute bracket scans all dim^2 index pairs
         for i, j in stored + [(0, 1499)]:
             units = [[F(int(p == q)) for p in range(dim)] for q in (i, j)]
             want = brute_bracket(dim, table, *units)
-            assert L.ad_rows[i].maps[j] == {k: c for k, c in enumerate(want) if c}
+            assert L.ad_rows[i].maps.get(j, {}) == {k: c for k, c in enumerate(want) if c}
+
+    def test_sl2_lambda_stores_two_rows_per_bracket(self):
+        # ad_rows hold [b_i, b_j] and [b_j, b_i] for each stored bracket
+        # and nothing else: 24,582 rows for sl2^4096, where a dim-long row
+        # list per bracketed index held 16,810,000 row slots
+        L, _ = build_sl2_lambda(4096)
+        assert sum(len(m.maps) for m in L.ad_rows) == 2 * len(L.structure) == 24_582
+        for m in L.ad_rows:
+            assert_clean(m)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_ad_rows_match_plain_oracle(self, seed):
@@ -1158,6 +1165,7 @@ class TestReadOnlyAlgebra:
         L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
         units = [[F(int(p == i)) for p in range(dim)] for i in range(dim)]
         for i in range(dim):
+            assert_clean(L.ad_rows[i])
             for j in range(dim):
                 want = brute_bracket(dim, table, units[i], units[j])
-                assert L.ad_rows[i].maps[j] == {k: c for k, c in enumerate(want) if c}
+                assert L.ad_rows[i].maps.get(j, {}) == {k: c for k, c in enumerate(want) if c}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trilie.exact as exact
 import trilie.liealg as liealg
 import trilie.rep as rep
 from trilie.exact import RatMatrix, exp_nilpotent, invert, unit_vector
@@ -42,6 +43,7 @@ from trilie.rep import (
 from trilie.sl2theory import build_irreducible, weight_decomposition
 
 from helpers import (
+    assert_clean,
     brute_block_support,
     brute_bracket,
     brute_exp_nilpotent,
@@ -348,13 +350,13 @@ class TestHomomorphismOracle:
         table = {(dim - 2, dim - 1): {0: F(1)}}
         visits = [0]
 
-        class CountingRows(list):
-            # row j of ad_rows[i] is read once per visited pair (i, j)
-            def __getitem__(self, j):
+        class CountingRows(dict):
+            # row j of ad_rows[i] is looked up once per visited pair (i, j)
+            def get(self, j, default=None):
                 visits[0] += 1
                 if visits[0] > 2 * dim:
                     raise AssertionError("the scan visited pairs that cannot fail")
-                return super().__getitem__(j)
+                return super().get(j, default)
 
         L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
         counted = {id(m): RatMatrix._from_maps(m.rows, m.cols, CountingRows(m.maps))
@@ -456,7 +458,7 @@ class TestIntegerScan:
         ]
         assert [want[0] for _, want in cases] == [False, True, False]
         assert any(x.denominator > 1 for im in family.images
-                   for row in im.matrix.maps for x in row.values())
+                   for row in im.matrix.maps.values() for x in row.values())
         for rho, want in cases:
             with monkeypatch.context() as patch:
                 refuse_fraction_arithmetic(patch)
@@ -477,13 +479,14 @@ class TestIntegerScan:
         rho = list_representation(12, {}, images)
 
         calls = []
-        real_add = liealg.add_scaled_row
+        real_add = exact.add_scaled_row
 
         def recording_add(out, row, c):
             calls.append((row, c))
             real_add(out, row, c)
 
-        monkeypatch.setattr(liealg, "add_scaled_row", recording_add)
+        # bracket_defect sums through exact.add_product and add_scaled_rows
+        monkeypatch.setattr(exact, "add_scaled_row", recording_add)
         # the images commute, so the oracle's answer is (True, None)
         assert verify_homomorphism(rho) == (True, None)
 
@@ -622,9 +625,7 @@ def chain(k: int, dependent: bool = False) -> tuple[int, list]:
     n = k + 1
     images = []
     for j in range(k):
-        maps = [{} for _ in range(n)]
-        maps[j][j] = F(1)
-        maps[j + 1][j + 1] = F(j + 2, 3)
+        maps = {j: {j: F(1)}, j + 1: {j + 1: F(j + 2, 3)}}
         images.append(RatMatrix._from_maps(n, n, maps))
     if dependent and k > 1:
         last = RatMatrix.zeros(n, n)
@@ -1250,6 +1251,8 @@ class TestConjugation:
         z = unit_vector(rho.algebra.dim, 4)
         forward = exp_nilpotent(ad_matrix(rho.algebra, z))
         back = exp_nilpotent(ad_matrix(rho.algebra, tuple(-c for c in z)))
+        assert_clean(forward)
+        assert_clean(back)
         assert forward @ back == RatMatrix.identity(rho.algebra.dim)
 
     @pytest.mark.parametrize("lam", (1, 2, 3))
