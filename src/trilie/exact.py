@@ -297,13 +297,21 @@ class RatMatrix:
         return RatMatrix._from_maps(self.cols, self.rows, maps)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "RatMatrix":
-        for i in row_indices:
-            if not 0 <= i < self.rows:
-                raise IndexError(f"row {i} out of range")
-        for j in col_indices:
-            if not 0 <= j < self.cols:
-                raise IndexError(f"column {j} out of range")
-        stored = [(p, self.maps[i]) for p, i in enumerate(row_indices) if i in self.maps]
+        """The rows and columns at the given indices, in their order; the
+        first index out of range, rows before columns, raises IndexError.
+        A step-1 range is checked by its ends, and a row range longer
+        than the stored rows is cut from the stored rows inside it."""
+        for indices, n, name in ((row_indices, self.rows, "row"),
+                                 (col_indices, self.cols, "column")):
+            bad = _first_outside(indices, n)
+            if bad is not None:
+                raise IndexError(f"{name} {bad} out of range")
+        if (isinstance(row_indices, range) and row_indices.step == 1
+                and len(row_indices) > len(self.maps)):
+            r0, r1 = row_indices.start, row_indices.stop
+            stored = [(i - r0, row) for i, row in self.maps.items() if r0 <= i < r1]
+        else:
+            stored = [(p, self.maps[i]) for p, i in enumerate(row_indices) if i in self.maps]
         if isinstance(col_indices, range) and col_indices.step == 1:
             c0, c1 = col_indices.start, col_indices.stop
             cut = ({j - c0: x for j, x in row.items() if c0 <= j < c1} for _, row in stored)
@@ -311,6 +319,16 @@ class RatMatrix:
             cut = ({q: row[j] for q, j in enumerate(col_indices) if j in row} for _, row in stored)
         maps = {p: row for (p, _), row in zip(stored, cut) if row}
         return RatMatrix._from_maps(len(row_indices), len(col_indices), maps)
+
+
+def _first_outside(indices: Sequence[int], n: int) -> int | None:
+    """The first index outside range(n), or None; a step-1 range is read
+    by its ends."""
+    if isinstance(indices, range) and indices.step == 1:
+        if not indices or (indices.start >= 0 and indices.stop <= n):
+            return None
+        return indices.start if not 0 <= indices.start < n else n
+    return next((i for i in indices if not 0 <= i < n), None)
 
 
 def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:

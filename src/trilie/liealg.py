@@ -194,16 +194,30 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
     defect, so it has the same zero pattern. It is summed by
     `add_product` and `add_scaled_rows`, which visit only stored
     entries and drop a row that cancels; no matrix is built, and no
-    Fraction either. Every product with a zero images[i] vanishes: only
-    its stored partners j > i can fail."""
+    Fraction either. Every product with a zero image vanishes, so a pair
+    with one can fail only by a stored bracket: an empty images[i] visits
+    its stored partners j > i, and a nonempty one the nonempty images
+    j > i and, among them in ascending order, its stored partners with an
+    empty image."""
     scaled = [integral_rows(m) for m in images]
-    partners: dict[int, list[int]] = {}
+    nonempty = [i for i, (_, rows) in enumerate(scaled) if rows]
+    partners: dict[int, list[int]] = {}  # i -> its stored partners j > i
+    quiet: dict[int, list[int]] = {}  # i -> those with an empty image
     for i, j in sorted(L.structure):
         partners.setdefault(i, []).append(j)
+        if not scaled[j][1]:
+            quiet.setdefault(i, []).append(j)
+    seen = 0  # nonempty images up to i
     for i in range(L.dim):
         d_i, a = scaled[i]
         coeffs = L.ad_rows[i].maps
-        for j in range(i + 1, L.dim) if a else partners.get(i, ()):
+        if a:
+            seen += 1
+            extra = quiet.get(i)
+            visit = sorted(nonempty[seen:] + extra) if extra else nonempty[seen:]
+        else:
+            visit = partners.get(i, ())
+        for j in visit:
             d_j, b = scaled[j]
             # each w_p as (numerator, denominator) in lowest terms
             terms, e = [], 1

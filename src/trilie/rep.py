@@ -14,7 +14,14 @@ then is each component a Levi module; there it takes one rank of the
 image of e per component. The sl2 triple is recognized on the 3×3
 block of ad on the Levi span, whose closure is decided by
 `liealg.span_escape`, the one closure scan that also decides it for the
-declaration checks. A separate conjugation check re-runs the structural
+declaration checks. The block is read in integers: each eigenline of
+ad(h) is the cross product of two rows, scaled as `nullspace_basis`
+would scale it (1 at its last nonzero coordinate, the free column), and
+[e, f] is read on the block itself, which the closed span makes hold
+every bracket of two of its vectors. The image of e is the combination
+of the three Levi images alone, and each diagonal block is cut from its
+stored rows (`RatMatrix.submatrix` of a row range), so irreducibility costs the Levi block and the Levi
+images, not the dimension of the algebra. A separate conjugation check re-runs the structural
 conditions after moving both the Levi factor and the grading by the
 exponential of a nilpotent element, confirming that the triangular
 structure does not depend on the particular Levi factor chosen. It
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
@@ -61,7 +69,6 @@ from .liealg import (
     LeviData,
     LieAlgebra,
     ad_matrix,
-    bracket,
     bracket_defect,
     restricted_ad_matrices,
     span_escape,
@@ -215,22 +222,41 @@ def kernel(rho: Representation) -> list[Vector]:
     return basis
 
 
+def _eigenline(a: list[list[int]], shift: int) -> tuple[int, int, int]:
+    """A vector spanning the kernel of a - shift·I, an integer 3×3 matrix
+    of rank 2: the cross product of its first two independent rows."""
+    r0, r1, r2 = ([x - shift * (p == q) for q, x in enumerate(row)] for p, row in enumerate(a))
+    crosses = (
+        (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        for u, v in ((r0, r1), (r0, r2), (r1, r2))
+    )
+    return next(w for w in crosses if any(w))
+
+
 def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:
     """Normalize a 3-dimensional Levi factor to an (F, H, E) triple with
     [H,E] = 2E, [H,F] = -2F, [E,F] = H; raises UnsupportedLeviError when
     no basis element acts with eigenvalues {2, 0, -2}.
 
-    Candidates h = b_g are tried in Levi order; m is ad(h) on the Levi
-    span, once `liealg.span_escape` finds it closed. Column g of m is
-    [h, h] = 0, so its characteristic polynomial is x³ - tr(m) x² + s x
-    with s the sum of its principal 2×2 minors, and m has the three
-    distinct eigenvalues 2, 0, -2 exactly when tr(m) = 0 and s = -4.
-    Only then are the eigenspaces of m - 2I and m + 2I computed: both
-    are lines, and their vectors e and f satisfy [h, e] = 2e and
-    [h, f] = -2f in the ambient algebra, and so does e / c for any c.
-    Only [e, f] = c h is left: it follows from Jacobi, which is not
-    assumed, so it is the one bracket computed (c is the h-coordinate of
-    [e, f]), by `liealg.bracket` from the stored brackets."""
+    Everything is decided on the 3×3 block of ad on the Levi span, once
+    `liealg.span_escape` finds it closed, in integers: each restricted
+    ad(b_p) is cleared by its own denominator, M_p = d_p m_p
+    (`integral_rows`). Candidates h = b_g are tried in Levi order; column
+    g of m = m_g is [h, h] = 0, so its characteristic polynomial is
+    x³ - tr(m) x² + s x with s the sum of its principal 2×2 minors, and
+    m has the three distinct eigenvalues 2, 0, -2 exactly when
+    tr(M) = 0 and the minors of M sum to -4d². Then M ∓ 2dI has rank 2,
+    and its kernel, the eigenline of m for ±2, is spanned by the cross
+    product of two independent rows. The one kernel vector that
+    `nullspace_basis` returns holds 1 at the free column, the first
+    column that depends on the ones before it, which is the last nonzero
+    coordinate of any kernel vector; f is scaled so. Any e on its line
+    serves: [h, e] = 2e and [h, f] = -2f hold in the ambient algebra,
+    and e / c, with c the h-coordinate of [e, f], does not change when e
+    is scaled. Only [e, f] = c h is left: it follows from Jacobi, which
+    is not assumed, so it is computed, as sum_p e_p m_p f on the block:
+    the span is closed, so the block holds every bracket of two of its
+    vectors. Only the three returned vectors are built from Fractions."""
     idx = list(levi_indices)
     if len(idx) != 3:
         raise UnsupportedLeviError(
@@ -238,28 +264,43 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
         )
     if span_escape(L, idx) is not None:
         raise UnsupportedLeviError("Levi span not closed")
-    ads = restricted_ad_matrices(L, idx)
+    cleared = []
+    for m in restricted_ad_matrices(L, idx):
+        d, rows = integral_rows(m)
+        cleared.append((d, [[rows.get(r, {}).get(c, 0) for c in range(3)] for r in range(3)]))
+    lcd = math.lcm(*(d for d, _ in cleared))
+    pos = {g: q for q, g in enumerate(idx)}
 
-    def to_ambient(v) -> Vector:
+    def ambient(v, num: int, den: int) -> Vector:
+        # b_k sits at the last position of k in the list; a repeated
+        # index sums its positions
+        sums: dict[int, int] = {}
+        for g, x in zip(idx, v):
+            sums[g] = sums.get(g, 0) + x
         out = [ZERO] * L.dim
-        for p, c in enumerate(v):
-            out[idx[p]] += c
+        for g, x in sums.items():
+            if x:
+                out[g] = Fraction(x * num, den)
         return tuple(out)
 
-    two = RatMatrix.diagonal((2, 2, 2))
-    for g, m in zip(idx, ads):
-        a = [m.row(p) for p in range(3)]
-        minors = sum(a[p][p] * a[q][q] - a[p][q] * a[q][p]
-                     for p, q in ((0, 1), (0, 2), (1, 2)))
-        if a[0][0] + a[1][1] + a[2][2] != 0 or minors != -4:
+    for g, (d, a) in zip(idx, cleared):
+        minors = sum(a[s][s] * a[t][t] - a[s][t] * a[t][s]
+                     for s, t in ((0, 1), (0, 2), (1, 2)))
+        if a[0][0] + a[1][1] + a[2][2] or minors != -4 * d * d:
             continue
-        (e,), (f,) = nullspace_basis(m - two), nullspace_basis(m + two)
-        e, f = to_ambient(e), to_ambient(f)
-        ef = bracket(L, e, f)
-        scal = ef[g]
-        if not scal or ef.count(ZERO) != L.dim - 1:
+        e, f = _eigenline(a, 2 * d), _eigenline(a, -2 * d)
+        f_last = f[2] or f[1] or f[0]
+        # w = lcd [e, f] f_last: lcd / d_q clears each e_q m_q
+        w = [0, 0, 0]
+        for x, (d_q, m_q) in zip(e, cleared):
+            if x:
+                x *= lcd // d_q
+                for r in range(3):
+                    w[r] += x * (m_q[r][0] * f[0] + m_q[r][1] * f[1] + m_q[r][2] * f[2])
+        h = pos[g]
+        if not w[h] or any(w[r] for r in range(3) if r != h):
             continue
-        return f, unit_vector(L.dim, g), tuple(x / scal for x in e)
+        return ambient(f, 1, f_last), unit_vector(L.dim, g), ambient(e, lcd * f_last, w[h])
     raise UnsupportedLeviError(
         "no Levi basis element acts with eigenvalues {2, 0, -2}"
     )
@@ -280,8 +321,13 @@ def is_k_irreducible(
     image of h is never needed. When `e_kernel_dims` is a list, d_k -
     rank(rho(e)_kk), the number of irreducible summands, is appended to
     it for each component."""
-    _, _, e_amb = recognize_sl2(rho.algebra, rho.levi.levi_indices)
-    e_map = rho.image_of(e_amb)
+    _, _, e = recognize_sl2(rho.algebra, rho.levi.levi_indices)
+    e_rows: dict = {}
+    for g in sorted(set(rho.levi.levi_indices)):
+        if e[g]:
+            add_scaled_rows(e_rows, rho.images[g].matrix.maps, e[g])
+    n = rho.space.total_dim
+    e_map = GradedMap(rho.space, RatMatrix._from_maps(n, n, e_rows))
     kernels = [
         d - rank(e_map.block(k, k)) if d else 0
         for k, d in enumerate(rho.space.component_dims)

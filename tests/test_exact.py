@@ -254,16 +254,25 @@ class TestProperties:
 
 
 def placed_blocks(rows, cols):
-    """(r0, c0, block) triples that fit inside a rows x cols matrix."""
+    """(r0, c0, block) triples that fit inside a rows x cols matrix. Half
+    the lists start with a block that stores every entry, and half the
+    later blocks have an empty row, so that a later block's empty rows
+    often lie over stored ones and must overwrite them."""
     def one(draw):
         r0 = draw(st.integers(0, rows))
         c0 = draw(st.integers(0, cols))
         h = draw(st.integers(0, rows - r0))
         w = draw(st.integers(0, cols - c0))
-        # half-zero blocks, so that a later block's empty rows overwrite
-        return r0, c0, draw(sparse_matrices(h, w))
+        block = draw(sparse_matrices(h, w))
+        if h and draw(st.booleans()):
+            cut = draw(st.integers(0, h - 1))
+            block = RatMatrix._from_maps(h, w, {i: row for i, row in block.maps.items() if i != cut})
+        return r0, c0, block
 
-    return st.lists(st.composite(one)(), max_size=3)
+    full = st.lists(rationals.filter(bool), min_size=rows * cols, max_size=rows * cols).map(
+        lambda d: [(0, 0, RatMatrix(rows, cols, d))])
+    return st.tuples(st.one_of(st.just([]), full), st.lists(st.composite(one)(), max_size=3)).map(
+        lambda parts: parts[0] + parts[1])
 
 
 class TestKernels:
@@ -369,6 +378,28 @@ class TestSparseStorage:
         got = a.submatrix(rows, cols)
         assert dense_rows(got) == [[al[i][j] for j in cols] for i in rows]
         assert_clean(got)
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=80)
+    def test_submatrix_ranges_match_index_lists(self, r, c, data):
+        # ranges read by their ends and, when longer than the stored rows,
+        # cut from those; empty and out-of-range ranges too, where the
+        # first index out of range, rows before columns, names the error
+        a = data.draw(st.one_of(sparse_matrices(r, c), st.just(RatMatrix.zeros(r, c))))
+        bounds = st.integers(-2, 6)
+        rows = range(data.draw(bounds), data.draw(bounds))
+        cols = range(data.draw(bounds), data.draw(bounds))
+
+        def outcome(row_indices, col_indices):
+            try:
+                got = a.submatrix(row_indices, col_indices)
+            except IndexError as exc:
+                return str(exc)
+            assert_clean(got)
+            return got
+
+        want = outcome(list(rows), list(cols))
+        assert outcome(rows, cols) == outcome(rows, list(cols)) == outcome(list(rows), cols) == want
 
     def test_submatrix_rejects_out_of_range(self):
         a = RatMatrix.identity(2)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import trilie.exact as exact
@@ -307,16 +307,27 @@ def homomorphism_cases(draw):
 @st.composite
 def sparse_image_cases(draw):
     """(dim, table, images): up to 24 basis elements whose n x n images
-    (n <= 3) are zero but for the last four, and up to four stored
-    brackets, each with up to two terms, anywhere in the table. A pair
-    of two empty images can fail only by a bracket onto a nonzero image,
-    so the first failing pair, if any, tends to come after many empty
-    pairs."""
+    (n <= 3) are zero but for the last four, or for the first four, and
+    up to four stored brackets, each with up to two terms, anywhere in
+    the table. A pair with an empty image can fail only by a stored
+    bracket, so the first failing pair, if any, tends to come after many
+    pairs that cannot fail: pairs of two empty images when those come
+    first, pairs of a nonempty image and an empty one when they come
+    last. There, in a third of the cases, the four images are multiples
+    of one matrix, so that they commute and the first failure is a
+    stored bracket of a nonempty image with an empty one."""
     dim = draw(st.integers(5, 24))
     n = draw(st.integers(1, 3))
     entries = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2)))
     images = [[[F(0)] * n for _ in range(n)] for _ in range(dim - 4)]
     images += [[[F(draw(entries)) for _ in range(n)] for _ in range(n)] for _ in range(4)]
+    layout = draw(st.sampled_from(("nonzero last", "nonzero first", "commuting first")))
+    if layout != "nonzero last":
+        front = images[-4:]
+        if layout == "commuting first":
+            front = [[[F(c) * x for x in row] for row in front[0]]
+                     for c in draw(st.lists(entries, min_size=4, max_size=4))]
+        images = front + images[:-4]
     pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)).filter(
         lambda key: key[0] < key[1])
     coeffs = st.dictionaries(st.integers(0, dim - 1), st.sampled_from((1, -1, 2)),
@@ -335,6 +346,9 @@ class TestHomomorphismOracle:
 
     @given(sparse_image_cases())
     @settings(max_examples=80, deadline=None)
+    # the nonempty b_0 fails only with its stored partner b_4, whose
+    # image is empty
+    @example((6, {(0, 4): {0: F(1)}}, [[[F(1)]]] * 4 + [[[F(0)]]] * 2))
     def test_sparse_images_match_plain_oracle(self, case):
         dim, table, images = case
         rho = list_representation(dim, table, images)
@@ -344,8 +358,9 @@ class TestHomomorphismOracle:
         # 3000 basis elements, one stored bracket [b_2998, b_2999] = b_0,
         # and 1 x 1 images. Every product with an empty image vanishes, so
         # with all images zero the scan visits the stored pair alone, and
-        # with image 0 = [[1]] also the pairs (0, j), before the stored
-        # pair fails in column 0; a scan of every pair visits 4.5e6
+        # with image 0 = [[1]] too, since b_0 has no stored partner and no
+        # other image is nonempty: then the stored pair fails in column 0;
+        # a scan of every pair visits 4.5e6
         dim = 3000
         table = {(dim - 2, dim - 1): {0: F(1)}}
         visits = [0]
@@ -364,12 +379,37 @@ class TestHomomorphismOracle:
         L.ad_rows = tuple(counted[id(m)] for m in L.ad_rows)
         zero, one = RatMatrix.from_rows([[0]]), RatMatrix.from_rows([[1]])
         for first, want, pairs in ((zero, (True, None), 1),
-                                   (one, (False, (dim - 2, dim - 1)), dim)):
+                                   (one, (False, (dim - 2, dim - 1)), 1)):
             visits[0] = 0
             rho = Representation(L, LeviData((), (), ()), GradedSpace((1,)),
                                  (first,) + (zero,) * (dim - 1))
             assert verify_homomorphism(rho) == want
             assert visits[0] == pairs
+
+    def test_nonempty_images_skip_empty_ones_without_a_stored_bracket(self):
+        # 3000 basis elements and no stored bracket; 1 x 1 images, the
+        # first 1500 [[1]] and the last 1500 zero. A pair with a zero
+        # image and no stored bracket cannot fail, so the scan visits the
+        # pairs of two nonempty images alone: 1500 * 1499 / 2, against
+        # 3.4e6 when every later image is visited
+        dim, half = 3000, 1500
+        visits = [0]
+
+        class CountingRows(dict):
+            def get(self, j, default=None):
+                visits[0] += 1
+                if visits[0] > half * (half - 1) // 2:
+                    raise AssertionError("the scan visited pairs that cannot fail")
+                return super().get(j, default)
+
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], {})
+        L.ad_rows = tuple(RatMatrix._from_maps(m.rows, m.cols, CountingRows(m.maps))
+                          for m in L.ad_rows)
+        zero, one = RatMatrix.from_rows([[0]]), RatMatrix.from_rows([[1]])
+        rho = Representation(L, LeviData((), (), ()), GradedSpace((1,)),
+                             (one,) * half + (zero,) * half)
+        assert verify_homomorphism(rho) == (True, None)
+        assert visits[0] == half * (half - 1) // 2
 
     @pytest.mark.parametrize("corrupt", (False, True))
     def test_huge_coprime_rescaling_matches_plain_oracle(self, corrupt):
@@ -809,26 +849,21 @@ class TestRecognizeSl2:
 
     def test_standard_basis_reads_only_the_levi_block(self, monkeypatch):
         # with h last, f and e fail the trace and 2x2-minor test on the
-        # 3x3 block, so only h's two eigenspaces are computed; [e, f] is
-        # the one `bracket`, summed from the stored brackets, and no
-        # ambient ad matrix (the dense path) is built
+        # 3x3 block; h's two eigenlines are cross products of integer
+        # rows and [e, f] is read on the block, so no ambient ad matrix
+        # (the dense path) is built, no kernel is eliminated and no
+        # ambient bracket is summed
         def forbidden(*args):
-            raise AssertionError("ambient ad matrix built")
+            raise AssertionError("left the 3x3 block")
 
-        calls, brackets = [], []
-        real, real_bracket = rep.nullspace_basis, rep.bracket
-        monkeypatch.setattr(rep, "nullspace_basis",
-                            lambda *args: calls.append(args) or real(*args))
-        monkeypatch.setattr(rep, "bracket",
-                            lambda *args: brackets.append(args) or real_bracket(*args))
-        for module, name in ((liealg, "ad_matrix"), (rep, "ad_matrix")):
+        for module, name in ((liealg, "ad_matrix"), (rep, "ad_matrix"),
+                             (liealg, "bracket"), (exact, "nullspace_basis"),
+                             (rep, "nullspace_basis"), (exact, "rref")):
             monkeypatch.setattr(module, name, forbidden)
         L, _ = build_sl2()
         assert recognize_sl2(L, (0, 2, 1)) == (
             unit_vector(3, 0), unit_vector(3, 1), unit_vector(3, 2)
         )
-        assert len(calls) == 2
-        assert len(brackets) == 1
 
     def test_closure_is_one_index_scan(self, monkeypatch):
         # the scan verify_levi_data runs; the matrices are built after it
@@ -875,6 +910,41 @@ def sl2_tables(seed, count):
         yield dim, table, levi
 
 
+@st.composite
+def levi_basis_changes(draw):
+    """(dim, table, Levi list): sl2 plus up to two central elements, its
+    Levi block moved to the basis of the columns of a random invertible
+    rational 3x3 matrix, the whole basis permuted and the Levi list in
+    random order. A column (a, b, c) in the (f, h, e) coordinates acts
+    with eigenvalues 2, 0, -2 exactly when b² + ac = 1, so half the
+    columns are drawn on that quadric, where the triple can be found."""
+    entries = st.sampled_from((-2, -1, F(-1, 2), 0, F(1, 3), 1, 2, 3))
+    cols = []
+    for _ in range(3):
+        if draw(st.booleans()):
+            a, b = F(draw(entries.filter(bool))), F(draw(entries))
+            cols.append([a, b, (1 - b * b) / a])
+        else:
+            cols.append([F(draw(entries)) for _ in range(3)])
+    try:
+        inverse = brute_inverse([[col[r] for col in cols] for r in range(3)])
+    except ValueError:
+        assume(False)
+    base, _ = build_sl2()
+    table = {}
+    for p in range(3):
+        for q in range(p + 1, 3):
+            v = brute_bracket(3, base.structure, cols[p], cols[q])
+            terms = {r: x for r in range(3) if (x := sum(inverse[r][k] * v[k] for k in range(3)))}
+            if terms:
+                table[p, q] = terms
+    dim = 3 + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(dim)))
+    where = {old: q for q, old in enumerate(perm)}
+    levi = draw(st.permutations([where[0], where[1], where[2]]))
+    return dim, rebased(table, perm, [1] * dim), list(levi)
+
+
 class TestRecognizeSl2Oracle:
     def test_matches_plain_oracle_on_seeded_grid(self):
         outcomes = {}
@@ -890,6 +960,18 @@ class TestRecognizeSl2Oracle:
             outcomes[key] = outcomes.get(key, 0) + 1
         # every branch is taken, each many times
         assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
+
+
+    @given(levi_basis_changes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_oracle_on_changed_levi_bases(self, case):
+        dim, table, levi = case
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+        try:
+            got = recognize_sl2(L, levi)
+        except UnsupportedLeviError as exc:
+            got = str(exc)
+        assert got == brute_sl2_triple(dim, L.structure, levi)
 
 
 def graded_sl2_module(components, moves=(), perm=(0, 1, 2), scales=(1, 1, 1)):
@@ -965,6 +1047,19 @@ class TestIrreducibility:
 
     def test_trivial_component_accepted(self):
         assert is_k_irreducible(zero_rep_of_sl2()) == [True]
+
+    def test_reads_no_image_outside_the_levi_factor(self):
+        # rho(e) is the combination of the three Levi images alone
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"read {name} of an image outside the Levi factor")
+
+        rho = adjoint_of_sl2_lambda(3)
+        levi = set(rho.levi.levi_indices)
+        assert len(levi) == 3 < len(rho.images)
+        object.__setattr__(rho, "images", tuple(
+            im if g in levi else Unreadable() for g, im in enumerate(rho.images)))
+        assert is_k_irreducible(rho) == [True, True]
 
     @pytest.mark.parametrize(
         "rho",
