@@ -18,7 +18,7 @@ recurrence between neighbouring cells. The diagonal is a line unless
 one of its ends is forced to 0 by the row just past it, and no
 elimination runs. `_diagonal_line` walks that recurrence once, in
 integers: it lists the line's cells (t, i, X, Y), the cell holding
-X/Y, and `solve_extensions` turns each into one Fraction.
+X/Y, and `solve_extensions` stores each as the integer X over Y.
 Membership in a line is decided by one walk, `_line_verdict`, over
 the line's cells: a block's entry on each cell is compared with the
 first cell's by cross-multiplying integers. `SolutionSpace.contains`
@@ -112,7 +112,7 @@ def _line_cells(space: SolutionSpace) -> list[tuple[int, int, int, int]]:
     """The cells (t, i, X, Y) the basis of `space` stores, row by row,
     the cell (t, i) holding X/Y; [] for the zero span."""
     return [
-        (t, i, x.numerator, x.denominator)
+        (t, i, x, block.dens.get(t, 1))
         for block in space.basis
         for t, row in sorted(block.maps.items())
         for i, x in sorted(row.items())
@@ -158,14 +158,16 @@ def _diagonal_line(lam: int, n: int, m: int) -> list[tuple[int, int, int, int]]:
 
 def solve_extensions(p: ExtensionProblem) -> SolutionSpace:
     """Exact basis of the highest-weight-Λ intertwiner space: the line
-    `_diagonal_line` lists for p, one Fraction per cell, or no basis
+    `_diagonal_line` lists for p, one stored integer per cell, or no basis
     when p has none."""
     line = _diagonal_line(p.lam, p.n, p.m)
     if not line:
         return SolutionSpace(p, ())
-    # the line holds one cell per row
-    block = {t: {i: Fraction(x, y)} for t, i, x, y in line}
-    return SolutionSpace(p, (RatMatrix._from_maps(p.m + 1, p.n + 1, block),))
+    # the line holds one cell per row, X/Y stored over Y
+    block = RatMatrix.from_int_rows(
+        p.m + 1, p.n + 1, {t: {i: x} for t, i, x, _ in line}, {t: y for t, _, _, y in line}
+    )
+    return SolutionSpace(p, (block,))
 
 
 def _f_tower(f_n: RatMatrix, f_m: RatMatrix, z0: RatMatrix, length: int) -> list[RatMatrix]:

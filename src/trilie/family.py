@@ -147,14 +147,17 @@ def z_blocks(p: ModuleParams) -> list[RatMatrix]:
     - s <= i + j <= n: the middle sum, θ = i + j - s, lo = 0;
     - i + j >= n + 1: the tail sum, θ = i + j - n, lo = θ.
     A target t > m is zero. The terms are summed as integers over the
-    common denominator (t - lo)! m! and the denominators of the a's, so
-    each stored cell costs one Fraction. At j = 0 a cell is the single
-    term a_θ (m-N-θ)! / ((N+θ)! m!)."""
+    common denominator (t - lo)! m! and the denominators of the a's. For
+    a fixed j, t grows with i, so each row of z_j holds one cell, stored
+    in lowest terms as an integer over its own denominator; no Fraction
+    is built. At j = 0 a cell is the single term
+    a_θ (m-N-θ)! / ((N+θ)! m!)."""
     m, n, s, big_n = p.m, p.n, p.s, p.big_n
     a = (ONE, *p.a)
     fact = list(accumulate(range(1, m + 1), mul, initial=1))
-    z_maps = [{} for _ in range(p.lam + 1)]
-    for j, maps in enumerate(z_maps):
+    blocks = []
+    for j in range(p.lam + 1):
+        maps, dens = {}, {}
         for i in range(max(s - j, 0), min(n, m + s - big_n - j) + 1):
             t = i + j - s + big_n
             lo = max(0, i + j - n)
@@ -167,8 +170,13 @@ def z_blocks(p: ModuleParams) -> list[RatMatrix]:
                 den *= x.denominator
                 scale *= t - q
             if num:
-                maps.setdefault(t, {})[i] = Fraction(num, den * fact[t - lo] * fact[m])
-    return [RatMatrix._from_maps(m + 1, n + 1, maps) for maps in z_maps]
+                den *= fact[t - lo] * fact[m]
+                g = math.gcd(num, den)
+                maps[t] = {i: num // g}
+                if den > g:
+                    dens[t] = den // g
+        blocks.append(RatMatrix._from_maps(m + 1, n + 1, maps, dens))
+    return blocks
 
 
 def z0_entry(

@@ -116,8 +116,8 @@ def block_support(f: GradedMap) -> set[tuple[int, int]]:
 
 def row_support(space: GradedSpace, rows: dict) -> set[tuple[int, int]]:
     """`block_support` of a map given as its {row: {column: entry}} maps,
-    such as the integer row maps of `exact.integral_rows`: only the keys
-    are read, so the entries may be of any type."""
+    such as a matrix's stored rows or those of `exact.integral_rows`:
+    only the keys are read, so no scale matters."""
     offsets = space.offsets
     return {(bisect_right(offsets, c) - 1, bisect_right(offsets, r) - 1)
             for r, row in rows.items() for c in row}
@@ -144,7 +144,9 @@ def degree_components(f: GradedMap) -> dict[int, GradedMap]:
         k = bisect_right(offsets, r)
         for c, x in row.items():
             stripes[k - bisect_right(offsets, c)].setdefault(r, {})[c] = x
-    return {j: GradedMap(space, RatMatrix._from_maps(n, n, m)) for j, m in stripes.items()}
+    dens = f.matrix.dens
+    return {j: GradedMap(space, RatMatrix.from_int_rows(n, n, m, dens))
+            for j, m in stripes.items()}
 
 
 def is_homogeneous(f: GradedMap, j: int) -> bool:

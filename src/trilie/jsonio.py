@@ -32,6 +32,7 @@ dimensions, and go unchecked.
 from __future__ import annotations
 
 import json
+import math
 import os
 import reprlib
 import stat
@@ -39,7 +40,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Callable
 
-from .exact import RatMatrix, rat, rat_str
+from .exact import RatMatrix, rat, rat_str, scalar
 from .graded import GradedMap, GradedSpace
 from .liealg import LeviData, LieAlgebra
 from .rep import Representation
@@ -155,33 +156,42 @@ def load_json(path: str) -> Any:
 
 
 def matrix_to_json(m: RatMatrix) -> list[list[str]]:
-    # "0" fills each row; only the stored entries are formatted, and
-    # str(Fraction) is rat_str's "p/q" or "p". The row being built when
-    # an entry is too long to write is row len(out)
+    # "0" fills each row; only the stored entries are formatted, as
+    # rat_str's "p/q" or "p" of x over the row's denominator d. The row
+    # being built when an entry is too long to write is row len(out)
     out = []
     try:
         for i in range(m.rows):
             line = ["0"] * m.cols
+            d = m.dens.get(i)
             for j, x in m.maps.get(i, {}).items():
-                line[j] = str(x)
+                if d is None:
+                    line[j] = str(x)
+                else:
+                    g = math.gcd(x, d)
+                    line[j] = str(x // g) if g == d else f"{x // g}/{d // g}"
             out.append(line)
     except ValueError:
         raise NumberTooLong(len(out), j) from None
     return out
 
 
-def _parser() -> Callable[[Any], Fraction]:
-    """rat() for one document, parsing each distinct string once. Only
-    strings are kept: 1, 1.0 and True hash alike, and True must stay a
-    TypeError."""
-    memo: dict[str, Fraction] = {}
+def _parser(read: Callable[[Any], int | Fraction] | None = None) -> Callable[[Any], int | Fraction]:
+    """`read` (scalar() if None) for one document, reading each distinct
+    string once. With scalar(), for matrix entries, an integer spelling
+    gives an int, which a row stores as it is; with rat(), for bracket
+    coefficients, each distinct coefficient is one Fraction of the
+    algebra's table. Only strings are kept: 1, 1.0 and True hash alike,
+    and True must stay a TypeError."""
+    read = read or scalar
+    memo: dict[str, int | Fraction] = {}
 
-    def parse(x: Any) -> Fraction:
+    def parse(x: Any) -> int | Fraction:
         if type(x) is not str:
-            return rat(x)
+            return read(x)
         q = memo.get(x)
         if q is None:
-            q = memo[x] = rat(x)
+            q = memo[x] = read(x)
         return q
 
     return parse
@@ -190,7 +200,7 @@ def _parser() -> Callable[[Any], Fraction]:
 def matrix_from_json(
     rows: list[list[str]],
     shape: tuple[int, int] | None = None,
-    parse: Callable[[Any], Fraction] | None = None,
+    parse: Callable[[Any], int | Fraction] | None = None,
 ) -> RatMatrix:
     """A matrix from its row listing; `parse` reads the entries (a fresh
     one-document parser if None)."""
@@ -223,11 +233,11 @@ def algebra_to_json(L: LieAlgebra, D: LeviData) -> dict:
 
 
 def algebra_from_json(
-    doc: dict, parse: Callable[[Any], Fraction] | None = None
+    doc: dict, parse: Callable[[Any], int | Fraction] | None = None
 ) -> tuple[LieAlgebra, LeviData]:
     """An algebra and its Levi data; `parse` reads the bracket
-    coefficients (a fresh one-document parser if None)."""
-    parse = parse or _parser()
+    coefficients (a fresh one-document parser of Fractions if None)."""
+    parse = parse or _parser(rat)
     structure = {}
     # a field of exact type int is taken as it stands; any other goes to
     # int_field, and an error text is built only when it is raised
@@ -288,10 +298,9 @@ def representation_from_json(doc: dict) -> Representation:
             algebra_doc = load_json(algebra_doc)
         except ValueError as exc:
             raise ValueError(f"algebra path {algebra_doc!r}: {exc}") from None
-    # one parser for the whole document: images repeat the algebra's
-    # coefficients and each other's entries
+    # one parser for all the images, which repeat each other's entries
     parse = _parser()
-    L, D = algebra_from_json(algebra_doc, parse)
+    L, D = algebra_from_json(algebra_doc)
     dims = tuple(int_field(d) for d in array_field(doc["dims"], "dims"))
     seen = set(doc["images"])
     expected = set(L.basis_labels)

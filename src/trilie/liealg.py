@@ -39,8 +39,12 @@ basis vectors.
 so it too costs the stored brackets, not dim³. One defect scan,
 `bracket_defect`, decides whether b_i ↦ M_i respects brackets, for
 representations. Both read only zero patterns, which a positive scale
-keeps, so both run on integer row maps: Jacobi with one denominator per
-stored bracket, the defect scan with one per image.
+keeps, so both run on integer rows as the matrices store them, with no
+conversion: a bracket [b_i, b_j] is cleared once, when the algebra is
+built, to an integer row over its own denominator, which ad_rows[i] and
+ad_rows[j] store and Jacobi reads; the defect scan brings each image to
+one denominator with `exact.integral_rows`, which returns an integral
+image as it is stored.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
-    ONE,
     ZERO,
     RatMatrix,
     ShapeError,
@@ -62,6 +65,7 @@ from .exact import (
     add_scaled_row,
     add_scaled_rows,
     combination,
+    integer_row,
     integral_rows,
     invert,
     rank,
@@ -77,8 +81,9 @@ from .sl2theory import string_action
 
 class LieAlgebra:
     """dim, basis labels, the sparse bracket table [b_i, b_j] (i < j) as a
-    read-only mapping, and ad_rows: row j of ad_rows[i] is [b_i, b_j],
-    stored for the stored brackets alone, two rows each."""
+    read-only mapping of Fractions, and ad_rows: row j of ad_rows[i] is
+    [b_i, b_j], stored for the stored brackets alone, two rows each, as
+    integers over the bracket's own denominator."""
 
     __slots__ = ("dim", "basis_labels", "structure", "ad_rows")
 
@@ -97,6 +102,7 @@ class LieAlgebra:
         self.basis_labels = tuple(basis_labels)
         table: dict[tuple[int, int], Mapping[int, Fraction]] = {}
         rows: dict[int, dict[int, dict]] = {}
+        dens: dict[int, dict[int, int]] = {}
         for (i, j), coeffs in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket indices ({i}, {j}) out of range")
@@ -110,14 +116,18 @@ class LieAlgebra:
                     raise ValueError(f"bracket target index {k} out of range")
             if cleaned:
                 table[(i, j)] = MappingProxyType(cleaned)
-                rows.setdefault(i, {})[j] = cleaned
-                rows.setdefault(j, {})[i] = {k: -c for k, c in cleaned.items()}
+                # [b_i, b_j] and [b_j, b_i], cleared by their one denominator
+                ints, d = integer_row(cleaned)
+                rows.setdefault(i, {})[j] = ints
+                rows.setdefault(j, {})[i] = {k: -c for k, c in ints.items()}
+                if d > 1:
+                    dens.setdefault(i, {})[j] = dens.setdefault(j, {})[i] = d
         self.structure = MappingProxyType(table)
         # indices in no bracket share one zero matrix: an object each took
         # 2.3 s and 140 MB more at dim 10^6 with no brackets
         zero = RatMatrix.zeros(dim, dim)
         self.ad_rows = tuple(
-            RatMatrix._from_maps(dim, dim, rows[a]) if a in rows else zero
+            RatMatrix._from_maps(dim, dim, rows[a], dens.get(a)) if a in rows else zero
             for a in range(dim)
         )
 
@@ -166,10 +176,10 @@ def bracket(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     out: dict = {}
     for i, a in enumerate(x):
         if a:
-            rows = L.ad_rows[i].maps
+            rows, dens = L.ad_rows[i].maps, L.ad_rows[i].dens
             for j, b in ys:
                 if j in rows:
-                    add_scaled_row(out, rows[j], a * b)
+                    add_scaled_row(out, rows[j], a * b / dens[j] if j in dens else a * b)
     return tuple(out.get(k, ZERO) for k in range(L.dim))
 
 
@@ -188,43 +198,44 @@ def bracket_defect(L: LieAlgebra, images: Iterable[RatMatrix]) -> tuple[int, int
     None when b_i ↦ images[i] respects every bracket.
 
     Summed on integer row maps, one denominator per image: with
-    N_i = d_i images[i] (`integral_rows`), the pair's sum is
-        E (N_i N_j - N_j N_i) - sum_p E w_p N_p,  w_p = c_ij^p d_i d_j / d_p,
+    N_i = d_i images[i] (`integral_rows`, which copies nothing for an
+    integral image) and the stored bracket [b_i, b_j] = C / d_c, the
+    pair's sum is
+        E (N_i N_j - N_j N_i) - sum_p E w_p N_p,  w_p = C_p d_i d_j / (d_c d_p),
     where E is the lcm of the w_p denominators: d_i d_j E times the
     defect, so it has the same zero pattern. It is summed by
     `add_product` and `add_scaled_rows`, which visit only stored
     entries and drop a row that cancels; no matrix is built, and no
     Fraction either. Every product with a zero image vanishes, so a pair
     with one can fail only by a stored bracket: an empty images[i] visits
-    its stored partners j > i, and a nonempty one the nonempty images
-    j > i and, among them in ascending order, its stored partners with an
-    empty image."""
+    its stored partners j > i, read from the keys of L.ad_rows[i], and a
+    nonempty one the nonempty images j > i and, among them in ascending
+    order, its stored partners with an empty image. The list of nonempty
+    images is built when the scan meets the first one, so a scan that
+    fails there has paid for nothing past it."""
     scaled = [integral_rows(m) for m in images]
-    nonempty = [i for i, (_, rows) in enumerate(scaled) if rows]
-    partners: dict[int, list[int]] = {}  # i -> its stored partners j > i
-    quiet: dict[int, list[int]] = {}  # i -> those with an empty image
-    for i, j in sorted(L.structure):
-        partners.setdefault(i, []).append(j)
-        if not scaled[j][1]:
-            quiet.setdefault(i, []).append(j)
+    nonempty = None  # the nonempty images from the first one on
     seen = 0  # nonempty images up to i
     for i in range(L.dim):
         d_i, a = scaled[i]
-        coeffs = L.ad_rows[i].maps
+        coeffs, c_dens = L.ad_rows[i].maps, L.ad_rows[i].dens
         if a:
+            if nonempty is None:
+                nonempty = [k for k in range(i, L.dim) if scaled[k][1]]
             seen += 1
-            extra = quiet.get(i)
+            extra = [j for j in coeffs if j > i and not scaled[j][1]]
             visit = sorted(nonempty[seen:] + extra) if extra else nonempty[seen:]
         else:
-            visit = partners.get(i, ())
+            visit = sorted(j for j in coeffs if j > i)
         for j in visit:
             d_j, b = scaled[j]
             # each w_p as (numerator, denominator) in lowest terms
             terms, e = [], 1
+            d_c = c_dens.get(j, 1)
             for p, c in coeffs.get(j, {}).items():
                 d_p, rows_p = scaled[p]
                 if rows_p:
-                    num, den = c.numerator * d_i * d_j, c.denominator * d_p
+                    num, den = c * d_i * d_j, d_c * d_p
                     g = math.gcd(num, den)
                     terms.append((num // g, den // g, rows_p))
                     e = math.lcm(e, den // g)
@@ -256,16 +267,16 @@ def check_axioms(L: LieAlgebra) -> dict:
     walk reaches has J = 0; the cost is the stored brackets, not dim³.
 
     Only zero patterns are read, and a positive scale keeps them, so
-    each stored bracket is cleared once by its own denominator,
-    [b_u, b_v] = N_uv / d_uv, and a triple keeps one integer sum per
-    term denominator d_ab d_px; only a triple with two or more such sums
-    is brought to their lcm. Antisymmetry holds by construction; it is
-    reported true with a None witness."""
+    each stored bracket is read as L.ad_rows stores it, cleared by its
+    own denominator, [b_u, b_v] = N_uv / d_uv, and a triple keeps one
+    integer sum per term denominator d_ab d_px; only a triple with two
+    or more such sums is brought to their lcm. Antisymmetry holds by
+    construction; it is reported true with a None witness."""
     cleared = {}  # (u, v) -> (d_uv, N_uv)
     partners: dict[int, list] = {}  # p -> each (x, ±1, d, N) with [b_p, b_x] = ±N/d
-    for (i, j), coeffs in L.structure.items():
-        d = math.lcm(*(c.denominator for c in coeffs.values()))
-        row = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
+    for i, j in L.structure:
+        ad = L.ad_rows[i]
+        d, row = ad.dens.get(j, 1), ad.maps[j]
         cleared[i, j] = d, row
         partners.setdefault(i, []).append((j, 1, d, row))
         partners.setdefault(j, []).append((i, -1, d, row))
@@ -393,12 +404,11 @@ def restricted_ad_matrices(L: LieAlgebra, indices: Sequence[int]) -> list[RatMat
     pos = {g: p for p, g in enumerate(idx)}
     ads = []
     for g in idx:
-        r_g = L.ad_rows[g].maps
-        maps: dict[int, dict] = {}
-        for q, g2 in enumerate(idx):
-            for k, c in r_g.get(g2, {}).items():
-                maps.setdefault(pos[k], {})[q] = c
-        ads.append(RatMatrix._from_maps(m, m, maps))
+        # row q of the transpose is [b_g, b_g2] in the local basis
+        r_g, d_g = L.ad_rows[g].maps, L.ad_rows[g].dens
+        maps = {q: {pos[k]: c for k, c in r_g[g2].items()} for q, g2 in enumerate(idx) if g2 in r_g}
+        dens = {q: d_g[g2] for q, g2 in enumerate(idx) if g2 in d_g}
+        ads.append(RatMatrix._from_maps(m, m, maps, dens).transpose())
     return ads
 
 
@@ -411,22 +421,33 @@ def _subalgebra_killing_rank(L: LieAlgebra, indices: Sequence[int]) -> int:
     tr(ad b_p ad b_q) on the span sums [b_p, b_b]_a [b_q, b_a]_b over its
     a, b: each stored entry [b_p, b_b]_a meets the stored entries at
     (b, a), so no matrix is built or multiplied, and the cost is at most
-    |span| times the stored brackets inside the span."""
+    |span| times the stored brackets inside the span. Entries are read
+    as stored, x / d, and row p keeps one integer sum per product of two
+    denominators; the rank reads each row up to scale, so the sums are
+    brought to their lcm."""
     inside = set(indices)
-    # (a, b) -> each (p, [b_p, b_b]_a), over the stored pairs in the span
+    # (a, b) -> each (p, x, d) with [b_p, b_b]_a = x / d, over the stored
+    # pairs in the span
     at: dict[tuple[int, int], list] = {}
     for i, j in L.structure:
         if i in inside and j in inside:
             for p, b in ((i, j), (j, i)):
+                d = L.ad_rows[p].dens.get(b, 1)
                 for a, c in L.ad_rows[p].maps[b].items():
-                    at.setdefault((a, b), []).append((p, c))
-    kappa: dict[int, dict] = {p: {} for p in inside}
+                    at.setdefault((a, b), []).append((p, c, d))
+    kappa: dict[int, dict] = {p: {} for p in inside}  # p -> {denominator: {q: sum}}
     for (a, b), left in at.items():
-        for q, y in at.get((b, a), ()):
-            for p, x in left:
-                kappa[p][q] = kappa[p].get(q, 0) + x * y
-    rows = {p: nonzero for p, row in kappa.items()
-            if (nonzero := {q: v for q, v in row.items() if v})}
+        for q, y, d_y in at.get((b, a), ()):
+            for p, x, d_x in left:
+                sums = kappa[p].setdefault(d_x * d_y, {})
+                sums[q] = sums.get(q, 0) + x * y
+    rows = {}
+    for p, by_den in kappa.items():
+        lcd, row = math.lcm(*by_den), {}
+        for d, sums in by_den.items():
+            add_scaled_row(row, sums, lcd // d)
+        if row:
+            rows[p] = row
     return rank(RatMatrix._from_maps(L.dim, L.dim, rows))
 
 
@@ -442,15 +463,18 @@ def _series(L: LieAlgebra, indices: Sequence[int], lower: bool) -> list[RatMatri
     stored keys inside it, read without a product."""
     inside = set(indices)
     first = RatMatrix._from_maps(
-        len(inside), L.dim, {p: {i: ONE} for p, i in enumerate(sorted(inside))}
+        len(inside), L.dim, {p: {i: 1} for p, i in enumerate(sorted(inside))}
     )
     rows = [L.ad_rows[i].maps[j] for i, j in L.structure if i in inside and j in inside]
     ads = [L.ad_rows[i] for i in sorted(inside)]
     series = [first]
     while True:
-        # the rref rows of the span: equal spans give equal matrices
+        # the rref rows of the span: equal spans give equal matrices. A
+        # span reads its rows up to scale, so rows are passed without
+        # their denominators, and the ad of a row is summed from its
+        # integers
         reduced, pivots = rref(RatMatrix._from_maps(len(rows), L.dim, dict(enumerate(rows))))
-        nxt = RatMatrix._from_maps(len(pivots), L.dim, reduced.maps)
+        nxt = RatMatrix._from_maps(len(pivots), L.dim, reduced.maps, reduced.dens)
         if nxt == series[-1]:
             return series
         series.append(nxt)
@@ -531,11 +555,14 @@ def _levi_invariant_section(
     # the rows ext of cur that extend it (sub + ext is the adapted basis),
     # and each image's reduced column holds its adapted coordinates
     rows = {**sub.maps, **{r + q: row for q, row in cur.maps.items()}}
-    vectors = RatMatrix._from_maps(width, cur.cols, dict(rows))
+    dens = {**sub.dens, **{r + q: d for q, d in cur.dens.items()}}
+    vectors = RatMatrix._from_maps(width, cur.cols, dict(rows), dict(dens))
     for s, a in enumerate(action, 1):
         # rows width*s onwards hold vectors @ action[s - 1]
-        rows.update((width * s + q, row) for q, row in (vectors @ a).maps.items())
-    columns = RatMatrix._from_maps(width * (len(action) + 1), cur.cols, rows).transpose()
+        image = vectors @ a
+        rows.update((width * s + q, row) for q, row in image.maps.items())
+        dens.update((width * s + q, d) for q, d in image.dens.items())
+    columns = RatMatrix._from_maps(width * (len(action) + 1), cur.cols, rows, dens).transpose()
     reduced, pivots = rref(columns)
     ext = [p - r for p in pivots if r <= p < width]
     if not ext:
@@ -544,7 +571,8 @@ def _levi_invariant_section(
     k = r + c
     if len(pivots) > k:
         raise RuntimeError("vector not in claimed span")
-    ext_rows = RatMatrix._from_maps(c, cur.cols, {p: cur.maps[q] for p, q in enumerate(ext)})
+    ext_rows = RatMatrix._from_maps(c, cur.cols, {p: cur.maps[q] for p, q in enumerate(ext)},
+                                    {p: cur.dens[q] for p, q in enumerate(ext) if q in cur.dens})
     if r == 0:
         # no deeper layer to project away: ext spans the section
         return [ext_rows.row(q) for q in range(c)]
@@ -610,9 +638,10 @@ def adjoint_grading(L: LieAlgebra, D: LeviData) -> GradingAssignment:
         raise ValueError("empty grading")
 
     flat = [v for comp in components for v in comp]
-    # the check's matrix holds the stored entries only, not dim² coercions
-    maps = {p: row for p, v in enumerate(flat)
-            if (row := {j: x for j, x in enumerate(v) if x})}
+    # the check's matrix holds the stored entries only, not dim² coercions;
+    # a rank reads each row up to scale, so its denominator is dropped
+    maps = {p: integer_row(row)[0] for p, v in enumerate(flat)
+            if (row := {j: x for j, x in compress(enumerate(v), v)})}
     if len(flat) != L.dim or rank(RatMatrix._from_maps(len(flat), L.dim, maps)) != L.dim:
         raise RuntimeError("graded components do not form a basis")
     return GradingAssignment(tuple(tuple(comp) for comp in components), levi=D)
@@ -626,12 +655,17 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
     # row j of q holds the stored entries of basis vector v_j, so row j
     # of q @ R_i is [b_i, v_j], and ad(b_i) in the graded basis is
     # P^-1 (q @ R_i)^T with P = q^T; a unit row shares R_i's row
-    rows = []
-    for v in G.graded_basis():
+    maps, dens = {}, {}
+    basis = G.graded_basis()
+    for p, v in enumerate(basis):
         if len(v) != L.dim:
             raise ShapeError(f"basis vector of length {len(v)} for dim {L.dim}")
-        rows.append({j: c for j, x in compress(enumerate(v), v) if (c := rat(x))})
-    q = RatMatrix._from_maps(len(rows), L.dim, {p: row for p, row in enumerate(rows) if row})
+        row = {j: c for j, x in compress(enumerate(v), v) if (c := rat(x))}
+        if row:
+            maps[p], d = integer_row(row)
+            if d > 1:
+                dens[p] = d
+    q = RatMatrix._from_maps(len(basis), L.dim, maps, dens)
     p_inv = invert(q.transpose())
     images = [p_inv @ (q @ r_i).transpose() for r_i in L.ad_rows]
     space = GradedSpace(tuple(len(c) for c in G.component_bases))

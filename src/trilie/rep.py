@@ -26,20 +26,23 @@ conditions after moving both the Levi factor and the grading by the
 exponential of a nilpotent element, confirming that the triangular
 structure does not depend on the particular Levi factor chosen. It
 reads only zero patterns, which a positive scale keeps, so it runs on
-integer row maps, one denominator per image, and the nilpotent parts
-of exp(±rho(z)) over one integer E.
+the images' integer rows, each image brought to one denominator by
+`exact.integral_rows` (an integral image as it is stored), and on the
+nilpotent parts of exp(±rho(z)) over one integer E.
 
 Triangularity and conditions (i) and (ii) are one gate that reads only
 each image's `graded.block_support`, computed once per image.
 
 The homomorphism check is `liealg.bracket_defect`; it builds no matrix
-and runs on integer row maps, one denominator per image.
+and no Fraction, and runs on the images' integer rows, one denominator
+per image.
 
 Faithfulness is read off the stored entries: one singleton pass drops
 every image that some stored position names alone, and the elimination
-takes the rest, the positions that name two or more live images. The
-family modules' images store pairwise disjoint positions, so they need
-no elimination at all.
+takes the rest, the positions that name two or more live images, each
+equation scaled by the lcm of its images' row denominators. The family
+modules' images store pairwise disjoint positions, so they need no
+elimination at all.
 """
 
 from __future__ import annotations
@@ -197,19 +200,23 @@ def kernel(rho: Representation) -> list[Vector]:
                 equations.setdefault((r, c), {})[k] = x
     dropped: set[int] = set()
     shared = []
-    for eq in equations.values():
+    for (r, _), eq in equations.items():
         if len(eq) == 1:
             dropped.update(eq)
         else:
-            shared.append(eq)
+            shared.append((r, eq))
     n = len(rho.images)
     live = [k for k in range(n) if k not in dropped]
     column = {k: i for i, k in enumerate(live)}
+    dens = [im.matrix.dens for im in rho.images]
     residue = {}
-    for eq in shared:
-        row = {column[k]: x for k, x in eq.items() if k in column}
-        if row:
-            residue[len(residue)] = row
+    for r, eq in shared:
+        # entry k is stored over image k's row-r denominator, so the
+        # equation is scaled by their lcm, which keeps its solutions
+        terms = [(k, x, dens[k].get(r, 1)) for k, x in eq.items() if k in column]
+        if terms:
+            d = math.lcm(*(q for _, _, q in terms))
+            residue[len(residue)] = {column[k]: x * (d // q) for k, x, q in terms}
     if not residue:
         # nothing left to solve: each live column is a kernel vector
         return [unit_vector(n, k) for k in live]
@@ -233,30 +240,10 @@ def _eigenline(a: list[list[int]], shift: int) -> tuple[int, int, int]:
     return next(w for w in crosses if any(w))
 
 
-def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:
-    """Normalize a 3-dimensional Levi factor to an (F, H, E) triple with
-    [H,E] = 2E, [H,F] = -2F, [E,F] = H; raises UnsupportedLeviError when
-    no basis element acts with eigenvalues {2, 0, -2}.
-
-    Everything is decided on the 3×3 block of ad on the Levi span, once
-    `liealg.span_escape` finds it closed, in integers: each restricted
-    ad(b_p) is cleared by its own denominator, M_p = d_p m_p
-    (`integral_rows`). Candidates h = b_g are tried in Levi order; column
-    g of m = m_g is [h, h] = 0, so its characteristic polynomial is
-    x³ - tr(m) x² + s x with s the sum of its principal 2×2 minors, and
-    m has the three distinct eigenvalues 2, 0, -2 exactly when
-    tr(M) = 0 and the minors of M sum to -4d². Then M ∓ 2dI has rank 2,
-    and its kernel, the eigenline of m for ±2, is spanned by the cross
-    product of two independent rows. The one kernel vector that
-    `nullspace_basis` returns holds 1 at the free column, the first
-    column that depends on the ones before it, which is the last nonzero
-    coordinate of any kernel vector; f is scaled so. Any e on its line
-    serves: [h, e] = 2e and [h, f] = -2f hold in the ambient algebra,
-    and e / c, with c the h-coordinate of [e, f], does not change when e
-    is scaled. Only [e, f] = c h is left: it follows from Jacobi, which
-    is not assumed, so it is computed, as sum_p e_p m_p f on the block:
-    the span is closed, so the block holds every bracket of two of its
-    vectors. Only the three returned vectors are built from Fractions."""
+def _sl2_lines(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple:
+    """(f, g, e, f_last, (num, den)) for `recognize_sl2`'s triple, in
+    integers: H = b_g, F = f / f_last and E = e num / den, with f and e
+    the ambient integer coordinates {index: nonzero int}."""
     idx = list(levi_indices)
     if len(idx) != 3:
         raise UnsupportedLeviError(
@@ -271,17 +258,13 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
     lcd = math.lcm(*(d for d, _ in cleared))
     pos = {g: q for q, g in enumerate(idx)}
 
-    def ambient(v, num: int, den: int) -> Vector:
+    def ambient(v) -> dict[int, int]:
         # b_k sits at the last position of k in the list; a repeated
         # index sums its positions
         sums: dict[int, int] = {}
         for g, x in zip(idx, v):
             sums[g] = sums.get(g, 0) + x
-        out = [ZERO] * L.dim
-        for g, x in sums.items():
-            if x:
-                out[g] = Fraction(x * num, den)
-        return tuple(out)
+        return {g: x for g, x in sums.items() if x}
 
     for g, (d, a) in zip(idx, cleared):
         minors = sum(a[s][s] * a[t][t] - a[s][t] * a[t][s]
@@ -300,10 +283,46 @@ def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, V
         h = pos[g]
         if not w[h] or any(w[r] for r in range(3) if r != h):
             continue
-        return ambient(f, 1, f_last), unit_vector(L.dim, g), ambient(e, lcd * f_last, w[h])
+        return ambient(f), g, ambient(e), f_last, (lcd * f_last, w[h])
     raise UnsupportedLeviError(
         "no Levi basis element acts with eigenvalues {2, 0, -2}"
     )
+
+
+def recognize_sl2(L: LieAlgebra, levi_indices: Sequence[int]) -> tuple[Vector, Vector, Vector]:
+    """Normalize a 3-dimensional Levi factor to an (F, H, E) triple with
+    [H,E] = 2E, [H,F] = -2F, [E,F] = H; raises UnsupportedLeviError when
+    no basis element acts with eigenvalues {2, 0, -2}.
+
+    Everything is decided on the 3×3 block of ad on the Levi span, once
+    `liealg.span_escape` finds it closed, in integers (`_sl2_lines`):
+    each restricted ad(b_p) is cleared by its own denominator,
+    M_p = d_p m_p (`integral_rows`). Candidates h = b_g are tried in
+    Levi order; column g of m = m_g is [h, h] = 0, so its characteristic
+    polynomial is x³ - tr(m) x² + s x with s the sum of its principal
+    2×2 minors, and m has the three distinct eigenvalues 2, 0, -2
+    exactly when tr(M) = 0 and the minors of M sum to -4d². Then
+    M ∓ 2dI has rank 2, and its kernel, the eigenline of m for ±2, is
+    spanned by the cross product of two independent rows. The one kernel
+    vector that `nullspace_basis` returns holds 1 at the free column,
+    the first column that depends on the ones before it, which is the
+    last nonzero coordinate of any kernel vector; f is scaled so. Any e
+    on its line serves: [h, e] = 2e and [h, f] = -2f hold in the ambient
+    algebra, and e / c, with c the h-coordinate of [e, f], does not
+    change when e is scaled. Only [e, f] = c h is left: it follows from
+    Jacobi, which is not assumed, so it is computed, as sum_p e_p m_p f
+    on the block: the span is closed, so the block holds every bracket
+    of two of its vectors. Only the three returned vectors are built
+    from Fractions."""
+    f, g, e, f_last, (num, den) = _sl2_lines(L, levi_indices)
+
+    def ambient(v: dict[int, int], num: int, den: int) -> Vector:
+        out = [ZERO] * L.dim
+        for k, x in v.items():
+            out[k] = Fraction(x * num, den)
+        return tuple(out)
+
+    return ambient(f, 1, f_last), unit_vector(L.dim, g), ambient(e, num, den)
 
 
 def is_k_irreducible(
@@ -318,16 +337,15 @@ def is_k_irreducible(
     irreducibles (Weyl; Humphreys §6.3), each with a 1-dimensional
     e-kernel (Humphreys §7.2), so V_k is irreducible iff
     rank(rho(e)_kk) = d_k - 1: one rank per nonzero component, and the
-    image of h is never needed. When `e_kernel_dims` is a list, d_k -
+    image of h is never needed. A rank does not see a nonzero scale, so
+    rho(e) is summed from e's integer coordinates (`_sl2_lines`), and
+    no Fraction is built. When `e_kernel_dims` is a list, d_k -
     rank(rho(e)_kk), the number of irreducible summands, is appended to
     it for each component."""
-    _, _, e = recognize_sl2(rho.algebra, rho.levi.levi_indices)
-    e_rows: dict = {}
-    for g in sorted(set(rho.levi.levi_indices)):
-        if e[g]:
-            add_scaled_rows(e_rows, rho.images[g].matrix.maps, e[g])
-    n = rho.space.total_dim
-    e_map = GradedMap(rho.space, RatMatrix._from_maps(n, n, e_rows))
+    _, _, e, _, _ = _sl2_lines(rho.algebra, rho.levi.levi_indices)
+    levi = sorted(e)
+    mats = [rho.images[g].matrix for g in levi]
+    e_map = GradedMap(rho.space, combination(mats, [(p, e[g]) for p, g in enumerate(levi)]))
     kernels = [
         d - rank(e_map.block(k, k)) if d else 0
         for k, d in enumerate(rho.space.component_dims)
@@ -432,12 +450,15 @@ def conjugate_levi_check(rho: Representation, z: Sequence) -> dict:
     for s in rho.levi.levi_indices:
         # exp(ad z) b_s is column s of exp(ad z), and P^-1 rho(v) P is
         # linear in v: the moved image is the column's combination of the
-        # images, cleared by the lcm of its weights' denominators
-        weights = [(c / scaled[t][0], scaled[t][1]) for t, c in columns.maps[s].items()]
-        lcd = math.lcm(*(w.denominator for w, _ in weights))
+        # images. The column is stored as C / d and image t as N_t / d_t,
+        # so d lcd times it is sum_t C_t (lcd / d_t) N_t, lcd the lcm of
+        # the d_t it meets
+        column = columns.maps[s]
+        lcd = math.lcm(*(scaled[t][0] for t in column))
         combined: dict = {}
-        for w, rows in weights:
-            add_scaled_rows(combined, rows, w.numerator * (lcd // w.denominator))
+        for t, c in column.items():
+            d_t, rows = scaled[t]
+            add_scaled_rows(combined, rows, c * (lcd // d_t))
         levi_supports.append((s, conjugated_support(combined)))
     report, witnesses = _structure_conditions(
         [conjugated_support(rows) for _, rows in scaled],

@@ -12,9 +12,8 @@ module is decided by the verification gate, `rep.is_k_irreducible`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import ONE, RatMatrix, commutator, rank
+from .exact import RatMatrix, commutator, rank
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ def string_action(d: int, e_top: int) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
     f·x_i = x_{i+1}, e·x_i = i(e_top-i+1)x_{i-1}. Only e_top = d gives
     an sl2 module; other values serve fidelity experiments."""
     n = d + 1
-    f = {i: {i - 1: ONE} for i in range(1, n)}
-    e = {i - 1: {i: Fraction(c)} for i in range(1, n) if (c := i * (e_top - i + 1))}
+    f = {i: {i - 1: 1} for i in range(1, n)}
+    e = {i - 1: {i: c} for i in range(1, n) if (c := i * (e_top - i + 1))}
     h = RatMatrix.diagonal([d - 2 * i for i in range(n)])
     return RatMatrix._from_maps(n, n, f), h, RatMatrix._from_maps(n, n, e)
 

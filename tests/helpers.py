@@ -78,21 +78,32 @@ def mat_power(a: RatMatrix, k: int) -> RatMatrix:
 
 def dense_rows(m: RatMatrix) -> list[list[Fraction]]:
     """The entries of m as plain lists, one per row, zeros included."""
-    return [[m.maps.get(i, {}).get(j, Fraction(0)) for j in range(m.cols)]
-            for i in range(m.rows)]
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def rational_maps(m: RatMatrix) -> dict[int, dict[int, Fraction]]:
+    """m's stored entries as {row: {column: Fraction}}."""
+    return {i: {j: Fraction(x, m.dens.get(i, 1)) for j, x in row.items()}
+            for i, row in m.maps.items()}
 
 
 def assert_clean(m: RatMatrix) -> None:
-    """m has the one row-map shape: `maps` is {row: {column: nonzero
-    Fraction}} with each row key in range(rows) and each column key in
-    range(cols), and no row is empty (a row that cancelled is dropped)."""
-    assert type(m.maps) is dict
+    """m has the one stored shape: `maps` is {row: {column: nonzero
+    int}} with each row key in range(rows) and each column key in
+    range(cols), no row is empty (a row that cancelled is dropped),
+    `dens` holds a denominator > 1 for stored rows alone, and each row
+    is in lowest terms, gcd(denominator, row) = 1."""
+    assert type(m.maps) is dict and type(m.dens) is dict
     for i, row in m.maps.items():
         assert type(i) is int and 0 <= i < m.rows, i
         assert row, f"row {i} is stored empty"
         for j, x in row.items():
             assert type(j) is int and 0 <= j < m.cols, (i, j)
-            assert type(x) is Fraction and x != 0, (i, j, x)
+            assert type(x) is int and x != 0, (i, j, x)
+        d = m.dens.get(i, 1)
+        assert math.gcd(d, *row.values()) == 1, (i, d, row)
+    for i, d in m.dens.items():
+        assert i in m.maps and type(d) is int and d > 1, (i, d)
 
 
 def mat_vec(a: RatMatrix, x) -> tuple[Fraction, ...]:
@@ -444,9 +455,9 @@ def brute_unprintable(value, field: str = "") -> str | None:
         items = ((f"{field}[{i}]", v) for i, v in enumerate(value))
     elif isinstance(value, RatMatrix):
         items = (
-            (f"{field}[{r}][{c}]", x)
+            (f"{field}[{r}][{c}]", value[r, c])
             for r, row in sorted(value.maps.items())
-            for c, x in row.items()
+            for c in row
         )
     else:
         try:
@@ -469,7 +480,8 @@ def brute_family_verdict(space, m: int, n: int, s: int, big_n: int, a) -> tuple:
     (line,) = space.basis
     scalar = None
     for t, row in sorted(line.maps.items()):
-        for i, x in row.items():
+        for i in row:
+            x = line[t, i]
             z = z0_entry(m, n, s, big_n, a, t, i)
             if not z:
                 return False, None

@@ -4,15 +4,16 @@ Each mutant is (name, file under src/trilie, exact old text,
 replacement, test ids that must fail). For each one the runner copies
 src/ and tests/ to a temporary directory, replaces the old text in the
 copy, and runs the named tests there with PYTHONPATH at the copied
-src/. The mutant is killed when pytest reports a failed test. The old
-text must occur exactly once, or the run fails: a refactor that removes
-or repeats it must update this list. A mutant leaves the list only
-together with the code it mutates.
+src/ and the Hypothesis profile "mutants" (tests/conftest.py), which
+skips shrinking: any failing example kills. The mutant is killed when
+pytest reports a failed test. The old text must occur exactly once, or
+the run fails: a refactor that removes or repeats it must update this
+list. A mutant leaves the list only together with the code it mutates.
 
 Run from the repository root:
 
     python tests/mutants.py                    # every mutant
-    python tests/mutants.py --budget 900       # fail past 900 s in total
+    python tests/mutants.py --budget 90        # fail past 90 s in total
     python tests/mutants.py rep.minor_threshold liealg.jacobi_middle_sign
 
 Pytest does not collect this file: its name has no test_ prefix.
@@ -48,9 +49,13 @@ MUTANTS = [
      ["tests/test_rep.py::TestRecognizeSl2Oracle"]),
     # is_k_irreducible: rho(e) misses the first Levi image
     ("rep.levi_image_dropped", "rep.py",
-     "for g in sorted(set(rho.levi.levi_indices)):",
-     "for g in sorted(set(rho.levi.levi_indices))[1:]:",
+     "[(p, e[g]) for p, g in enumerate(levi)]",
+     "[(p, e[g]) for p, g in enumerate(levi)][1:]",
      ["tests/test_rep.py::TestOneRankOracle", "tests/test_rep.py::TestIrreducibility"]),
+    # kernel: a shared equation drops its entries' row denominators
+    ("rep.kernel_equation_scale", "rep.py",
+     "{column[k]: x * (d // q) for k, x, q in terms}", "{column[k]: x for k, x, q in terms}",
+     ["tests/test_rep.py::TestKernel"]),
     # kernel: a position that one image stores alone no longer drops it
     ("rep.kernel_keeps_singletons", "rep.py",
      "        if len(eq) == 1:\n            dropped.update(eq)",
@@ -60,6 +65,32 @@ MUTANTS = [
     ("exact.submatrix_range_end", "exact.py",
      "indices.stop <= n)", "indices.stop <= n + 1)",
      ["tests/test_exact.py::TestSparseStorage::test_submatrix_ranges_match_index_lists"]),
+    # the stored form: a row's gcd with its denominator is not divided
+    # out, so 1/2 + 1/2 is stored as 2/2
+    ("exact.put_skips_gcd", "exact.py",
+     "g = math.gcd(den, *row.values())", "g = 1",
+     ["tests/test_exact.py::TestSparseStorage::test_ops_match_plain_lists"]),
+    # the stored form: an entry is read without its row's denominator
+    ("exact.getitem_ignores_den", "exact.py",
+     "ZERO if x is None else Fraction(x, self.dens.get(i, 1))", "ZERO if x is None else Fraction(x)",
+     ["tests/test_exact.py::TestSparseStorage::test_ops_match_plain_lists"]),
+    # transpose: a new row keeps each entry as its source row stores it,
+    # not over the lcm of their denominators
+    ("exact.transpose_keeps_row_scale", "exact.py",
+     "row[i] = x * (d // src.get(i, 1))", "row[i] = x",
+     ["tests/test_exact.py::TestSparseStorage::test_ops_match_plain_lists"]),
+    # integral_rows: every row is scaled by the lcm, not by lcm / its own
+    ("exact.integral_rows_whole_lcm", "exact.py",
+     "row if (s := d // dens.get(i, 1)) == 1", "row if (s := d) == 1",
+     ["tests/test_exact.py::TestSparseStorage::test_integral_rows_clear_the_least_common_denominator"]),
+    # integer_row: a row takes its first fractional entry's denominator
+    ("exact.integer_row_first_den", "exact.py",
+     "d = math.lcm(d, q)", "d = d if d > 1 else q",
+     ["tests/test_exact.py::TestSparseStorage::test_integer_row_clears_to_the_least_common_denominator"]),
+    # matmul: a row 1/d is taken for a unit row and shares the right row
+    ("exact.matmul_unit_row_over_den", "exact.py",
+     "if len(arow) == 1 and i not in a_dens:", "if len(arow) == 1:",
+     ["tests/test_exact.py::TestSparseStorage::test_matmul_shares_the_right_row_for_a_unit_row"]),
     # from_blocks: a later block's empty rows no longer overwrite
     ("exact.from_blocks_stored_rows", "exact.py",
      "for i in range(block.rows):\n                old = maps.pop(r0 + i, None)",
@@ -74,12 +105,17 @@ MUTANTS = [
     ("exact.rat_lstrip", "exact.py",
      'value.removeprefix("-").isdigit()', 'value.lstrip("-").isdigit()',
      ["tests/test_jsonio.py::test_rat_reads_each_spelling_as_fraction_does"]),
-    # bracket_defect: a nonempty image skips its first stored partner with
-    # an empty image
+    # bracket_defect: a nonempty image skips one stored partner with an
+    # empty image
     ("liealg.defect_skips_stored_partner", "liealg.py",
-     "extra = quiet.get(i)",
-     "extra = quiet.get(i, [])[1:]",
+     "extra = [j for j in coeffs if j > i and not scaled[j][1]]",
+     "extra = [j for j in coeffs if j > i and not scaled[j][1]][1:]",
      ["tests/test_rep.py::TestHomomorphismOracle::test_sparse_images_match_plain_oracle"]),
+    # LieAlgebra: the row [b_j, b_i] is stored without its denominator
+    ("liealg.ad_row_den_one_sided", "liealg.py",
+     "dens.setdefault(i, {})[j] = dens.setdefault(j, {})[i] = d",
+     "dens.setdefault(i, {})[j] = d",
+     ["tests/test_liealg.py::TestReadOnlyAlgebra::test_ad_rows_match_plain_oracle"]),
     # bracket_defect: [a, b] summed as ab + ba
     ("liealg.defect_commutator_sign", "liealg.py",
      "add_product(acc, b, a, -e)", "add_product(acc, b, a, e)",
@@ -116,7 +152,8 @@ def run_mutant(name: str, file: str, old: str, new: str, tests: list[str]) -> st
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "--hypothesis-profile", "mutants", *tests],
                 cwd=tmp, env=env, capture_output=True, text=True, timeout=PER_MUTANT_S)
         except subprocess.TimeoutExpired:
             return "killed"

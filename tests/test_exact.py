@@ -31,7 +31,9 @@ from trilie.sl2theory import string_action
 from helpers import (
     assert_clean,
     brute_extend_independent,
+    brute_exp_nilpotent,
     brute_fill_blocks,
+    brute_inverse,
     brute_matrix_bracket,
     brute_nullspace,
     brute_rank,
@@ -40,6 +42,7 @@ from helpers import (
     dense_rows,
     mat_power,
     mat_vec,
+    rational_maps,
 )
 
 rationals = st.fractions(
@@ -266,7 +269,8 @@ def placed_blocks(rows, cols):
         block = draw(sparse_matrices(h, w))
         if h and draw(st.booleans()):
             cut = draw(st.integers(0, h - 1))
-            block = RatMatrix._from_maps(h, w, {i: row for i, row in block.maps.items() if i != cut})
+            block = RatMatrix._from_maps(h, w, {i: row for i, row in block.maps.items() if i != cut},
+                                         {i: d for i, d in block.dens.items() if i != cut})
         return r0, c0, block
 
     full = st.lists(rationals.filter(bool), min_size=rows * cols, max_size=rows * cols).map(
@@ -364,6 +368,60 @@ class TestSparseStorage:
             assert_clean(bracket)
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=100)
+    def test_every_operation_returns_the_stored_form(self, r, c, data):
+        # each result equals its plain-list oracle and is stored as
+        # `assert_clean` states: int entries, a denominator only where it
+        # is > 1, each row in lowest terms, no empty row. Entries over
+        # 1..6 make rows such as [1/2, 1], which a cut column, a sum or a
+        # product leaves over a smaller denominator
+        a, b = data.draw(sparse_matrices(r, c)), data.draw(sparse_matrices(r, c))
+        sq, x = data.draw(sparse_matrices(c, c)), data.draw(sparse_matrices(c, c))
+        s, t = data.draw(sparse_entries), data.draw(sparse_entries)
+        al, bl, sl = dense_rows(a), dense_rows(b), dense_rows(sq)
+        cols = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
+        off = data.draw(st.integers(0, c))
+        upper = [[v if j > i else F(0) for j, v in enumerate(row)] for i, row in enumerate(sl)]
+        scaled = {i: {j: 6 * v for j, v in row.items()} for i, row in a.maps.items()}
+        xl = dense_rows(x)
+        results = {
+            "dense": (RatMatrix(r, c, a.data), al),
+            "identity": (RatMatrix.identity(c), [[F(int(i == j)) for j in range(c)] for i in range(c)]),
+            "add": (a + b, [[p + q for p, q in zip(u, v)] for u, v in zip(al, bl)]),
+            "sub": (a - b, [[p - q for p, q in zip(u, v)] for u, v in zip(al, bl)]),
+            "neg": (-a, [[-p for p in u] for u in al]),
+            "scale": (a.scale(s), [[s * p for p in u] for u in al]),
+            "matmul": (a @ sq, plain_product(al, sl, c)),
+            "transpose": (a.transpose(), [[row[j] for row in al] for j in range(c)]),
+            "commutator": (commutator(sq, x), brute_matrix_bracket(sl, xl)),
+            "from_rows": (RatMatrix.from_rows([[rat_str(v) for v in row] for row in al]), al),
+            "from_int_rows": (RatMatrix.from_int_rows(
+                r, c, scaled, {i: 6 * a.dens.get(i, 1) for i in a.maps}), al),
+            "diagonal": (RatMatrix.diagonal([s, t] * c), [
+                [[s, t][i % 2] if i == j else F(0) for j in range(2 * c)] for i in range(2 * c)]),
+            "combination": (combination([a, b], [(0, s), (1, t)]),
+                            [[s * p + t * q for p, q in zip(u, v)] for u, v in zip(al, bl)]),
+            "submatrix": (a.submatrix(range(r), cols), [[row[j] for j in cols] for row in al]),
+            "from_blocks": (RatMatrix.from_blocks(r, c + off, [(0, 0, a), (0, off, b)]),
+                            brute_fill_blocks(r, c + off, [(0, 0, al), (0, off, bl)])),
+            "exp_nilpotent": (exp_nilpotent(RatMatrix.from_rows(upper)) if c else
+                              RatMatrix.zeros(0, 0), brute_exp_nilpotent(upper)),
+            "sylvester": (sylvester_system(sq, x), None),
+        }
+        if c and brute_rank(sl) == c:
+            results["invert"] = (invert(sq), brute_inverse(sl))
+        reduced, pivots = rref(a)
+        # a reduced form is its own: its rows are canonical for the span
+        assert rref(reduced) == (reduced, pivots) and len(pivots) == brute_rank(al)
+        results["rref"] = (reduced, None)
+        for name, (got, expected) in results.items():
+            assert_clean(got)
+            if expected is not None:
+                assert dense_rows(got) == expected, name
+        got = mat_vec(results["sylvester"][0], sq.data)
+        assert list(got) == brute_sylvester(sl, xl, sl)
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
     def test_submatrix_matches_plain_lists(self, r, c, data):
         a = data.draw(sparse_matrices(r, c))
@@ -453,26 +511,44 @@ class TestSparseStorage:
     @settings(max_examples=100)
     def test_matmul_shares_the_right_row_for_a_unit_row(self, r, c, k, data):
         # left rows: empty, one entry equal to 1 in three spellings, one
-        # entry -1 or 2, or a random sparse row
+        # entry -1, 2 or 1/2 (stored as 1 over 2, which is no unit row),
+        # or a random sparse row
         one_entry = st.tuples(
             st.integers(0, c - 1),
-            st.sampled_from([ONE, rat("1"), rat("2/2"), F(-1), F(2)]),
+            st.sampled_from([ONE, rat("1"), rat("2/2"), F(-1), F(2), F(1, 2)]),
         ).map(lambda t: {t[0]: t[1]})
         dense = st.lists(sparse_entries, min_size=c, max_size=c).map(
             lambda v: {j: x for j, x in enumerate(v) if x})
         row = st.one_of(st.just({}), one_entry, dense) if c else st.just({})
+        # the row 1/2 stores the int 1 too, over 2: it halves the row it picks
+        half = RatMatrix.from_rows([["1/2", "0"]]) @ RatMatrix.from_rows([[2, 4], [0, 1]])
+        assert half == RatMatrix.from_rows([[1, 2]])
         drawn = data.draw(st.lists(row, min_size=r, max_size=r))
-        a = RatMatrix._from_maps(r, c, {i: arow for i, arow in enumerate(drawn) if arow})
+        a = RatMatrix(r, c, [arow.get(j, 0) for arow in drawn for j in range(c)])
         b = data.draw(sparse_matrices(c, k))
-        before = ({i: dict(x) for i, x in a.maps.items()}, {i: dict(x) for i, x in b.maps.items()})
+        before = (rational_maps(a), rational_maps(b))
         got = a @ b
         assert dense_rows(got) == plain_product(dense_rows(a), dense_rows(b), k)
         assert_clean(got)
-        assert (a.maps, b.maps) == before
-        for i, arow in a.maps.items():
+        assert (rational_maps(a), rational_maps(b)) == before
+        for i, arow in enumerate(drawn):
             if len(arow) == 1 and list(arow.values()) == [1]:
                 (j,) = arow
                 assert got.maps.get(i) is b.maps.get(j)
+                assert got.dens.get(i) == b.dens.get(j)
+
+    @given(st.data())
+    def test_integer_row_clears_to_the_least_common_denominator(self, data):
+        # a row's stored form: integers over the lcm of its entries'
+        # denominators, in lowest terms; [1/3, 1/2] needs 6, not 3
+        entries = st.one_of(wide_entries, st.integers(-9, 9)).filter(bool)
+        row = data.draw(st.dictionaries(st.integers(0, 9), entries, min_size=1))
+        ints, d = exact.integer_row(row)
+        assert d == math.lcm(*(F(x).denominator for x in row.values()))
+        assert all(type(x) is int for x in ints.values())
+        assert {j: Fraction(x, d) for j, x in ints.items()} == row
+        assert math.gcd(d, *ints.values()) == 1
+        assert exact.integer_row({0: F(1, 3), 1: F(1, 2), 2: 4}) == ({0: 2, 1: 3, 2: 24}, 6)
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
@@ -484,11 +560,11 @@ class TestSparseStorage:
         assert sorted(rows) == sorted(a.maps)
         for i, row in rows.items():
             assert all(type(x) is int for x in row.values())
-            assert {j: Fraction(x, d) for j, x in row.items()} == a.maps[i]
+            assert {j: Fraction(x, d) for j, x in row.items()} == rational_maps(a)[i]
+        # an integral matrix is returned as it is stored, with no copy
         numerators = RatMatrix(r, c, [x.numerator for x in flat])
-        assert integral_rows(numerators) == (
-            1, {i: dict(row) for i, row in numerators.maps.items()}
-        )
+        assert integral_rows(numerators) == (1, numerators.maps)
+        assert integral_rows(numerators)[1] is numerators.maps
 
     @given(st.integers(0, 4), st.integers(0, 4), st.data())
     @settings(max_examples=60)
@@ -542,7 +618,9 @@ class TestSparseStorage:
             assert inv @ a == RatMatrix.identity(n) == a @ inv
 
     def test_public_constructor_keeps_coercion_and_errors(self):
-        assert RatMatrix(1, 2, ["1/2", 3]).maps == {0: {0: F(1, 2), 1: F(3)}}
+        m = RatMatrix(1, 2, ["1/2", 3])
+        assert rational_maps(m) == {0: {0: F(1, 2), 1: F(3)}}
+        assert (m.maps, m.dens) == ({0: {0: 1, 1: 6}}, {0: 2})
         with pytest.raises(ShapeError):
             RatMatrix(2, 2, [1, 2, 3])
         with pytest.raises(ShapeError):

@@ -29,7 +29,13 @@ from trilie.jsonio import (
 )
 from trilie.liealg import adjoint_grading, adjoint_representation, build_sl2_lambda
 
-from helpers import assert_clean, brute_jsonable, brute_unprintable, graded_map_to_json
+from helpers import (
+    assert_clean,
+    brute_jsonable,
+    brute_unprintable,
+    graded_map_to_json,
+    rational_maps,
+)
 
 
 @pytest.fixture(scope="module")
@@ -426,7 +432,7 @@ def _listings(draw, rows=None, cols=None):
 def test_matrix_from_json_matches_plain_parse(rows):
     m = matrix_from_json(rows)
     assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
-    assert m.maps == _plain(rows)
+    assert rational_maps(m) == _plain(rows)
     assert_clean(m)
 
 
@@ -449,9 +455,9 @@ def test_all_zero_rows_are_never_iterated():
         return rat(x)
 
     m = RatMatrix.from_rows(rows, parse)
-    assert m.maps == {7: {999: Fraction(3, 4)}}
+    assert rational_maps(m) == {7: {999: Fraction(3, 4)}}
     assert parsed == ["3/4"]
-    assert matrix_from_json(rows, (50, 1000)).maps == m.maps
+    assert matrix_from_json(rows, (50, 1000)) == m
 
 
 @st.composite
@@ -470,7 +476,7 @@ def _sparse_listings(draw):
 def test_sparse_listing_matches_plain_parse(rows):
     m = RatMatrix.from_rows(rows)
     assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
-    assert m.maps == _plain(rows)
+    assert rational_maps(m) == _plain(rows)
     assert_clean(m)
 
 
@@ -502,15 +508,19 @@ def _plain_structure(brackets):
     return table
 
 
-def _counting_rat(monkeypatch):
+def _counting_parse(monkeypatch):
+    # a document's entries are read by jsonio's one-document memos,
+    # which call scalar() for images and rat() for coefficients
     calls = []
 
-    def counted(value):
-        calls.append(value)
-        return rat(value)
+    def counting(read):
+        def counted(value):
+            calls.append(value)
+            return read(value)
+        return counted
 
-    monkeypatch.setattr(exact, "rat", counted)
-    monkeypatch.setattr(jsonio, "rat", counted)
+    monkeypatch.setattr(jsonio, "scalar", counting(exact.scalar))
+    monkeypatch.setattr(jsonio, "rat", counting(exact.rat))
     return calls
 
 
@@ -522,7 +532,7 @@ def test_representation_from_json_matches_plain_parse(doc):
         doc["algebra"]["brackets"]
     )
     for label, image in zip(rho.algebra.basis_labels, rho.images):
-        assert image.matrix.maps == _plain(doc["images"][label])
+        assert rational_maps(image.matrix) == _plain(doc["images"][label])
         assert_clean(image.matrix)
 
 
@@ -530,13 +540,14 @@ def test_representation_from_json_matches_plain_parse(doc):
 @given(_documents())
 def test_each_distinct_entry_string_is_parsed_once(doc):
     # image listings skip the literal "0" unparsed; coefficients list
-    # only what the bracket stores, so each is parsed
+    # only what the bracket stores, so each is parsed. The images share
+    # one memo, and the coefficients have their own
     strings = {x for rows in doc["images"].values() for r in rows for x in r} - {"0"}
-    strings |= {c for _, _, terms in doc["algebra"]["brackets"] for _, c in terms}
+    coefficients = {c for _, _, terms in doc["algebra"]["brackets"] for _, c in terms}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = _counting_rat(monkeypatch)
+        calls = _counting_parse(monkeypatch)
         representation_from_json(doc)
-    assert sorted(calls) == sorted(strings)
+    assert sorted(calls) == sorted([*strings, *coefficients])
 
 
 def test_repeated_entries_parse_once_per_document(monkeypatch):
@@ -546,11 +557,12 @@ def test_repeated_entries_parse_once_per_document(monkeypatch):
         "dims": [3],
         "images": {"x": [["1/2", "0", "1/2"]] * 3, "y": [["0", "-1", "0"]] * 3},
     }
-    calls = _counting_rat(monkeypatch)
+    calls = _counting_parse(monkeypatch)
     representation_from_json(doc)
     representation_from_json(doc)
-    # the memo lives for one document: the second read parses again
-    assert sorted(calls) == ["-1", "-1", "1/2", "1/2"]
+    # the memos live for one document: the second read parses again;
+    # "1/2" is read once for the table and once for the images
+    assert sorted(calls) == ["-1", "-1", "1/2", "1/2", "1/2", "1/2"]
 
 
 # what the reader raised for each bad entry before the memo and the C

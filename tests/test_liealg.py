@@ -43,6 +43,8 @@ from helpers import (
     brute_restricted_ad,
     corrupt_bracket,
     dense_rows,
+    primes_from,
+    rational_maps,
     rebased,
     sl2_heisenberg_skewed,
 )
@@ -1106,9 +1108,9 @@ class TestReadOnlyAlgebra:
         plain = reports()
         real = RatMatrix._from_maps.__func__
 
-        def read_only(cls, rows, cols, maps):
+        def read_only(cls, rows, cols, maps, dens=None):
             return real(cls, rows, cols, MappingProxyType(
-                {i: MappingProxyType(m) for i, m in maps.items()}))
+                {i: MappingProxyType(m) for i, m in maps.items()}), MappingProxyType(dens or {}))
 
         monkeypatch.setattr(RatMatrix, "_from_maps", classmethod(read_only))
         product = RatMatrix.identity(2) @ RatMatrix.identity(2)
@@ -1139,7 +1141,7 @@ class TestReadOnlyAlgebra:
         for i, j in stored + [(0, 1499)]:
             units = [[F(int(p == q)) for p in range(dim)] for q in (i, j)]
             want = brute_bracket(dim, table, *units)
-            assert L.ad_rows[i].maps.get(j, {}) == {k: c for k, c in enumerate(want) if c}
+            assert rational_maps(L.ad_rows[i]).get(j, {}) == {k: c for k, c in enumerate(want) if c}
 
     def test_sl2_lambda_stores_two_rows_per_bracket(self):
         # ad_rows hold [b_i, b_j] and [b_j, b_i] for each stored bracket
@@ -1149,6 +1151,28 @@ class TestReadOnlyAlgebra:
         assert sum(len(m.maps) for m in L.ad_rows) == 2 * len(L.structure) == 24_582
         for m in L.ad_rows:
             assert_clean(m)
+
+    def test_coprime_rescaled_ad_rows_keep_the_size_of_the_table(self):
+        # sl2^256 in the basis b_t / q_t over distinct 64-bit primes q_t,
+        # so each bracket has its own denominator: each is stored twice,
+        # [b_i, b_j] and [b_j, b_i], over that denominator alone. One
+        # denominator per ad(b_i) would be the product of about 256
+        # coprime ones for f, h and e, and would scale every entry by it
+        lam = 256
+        base, _ = build_sl2_lambda(lam)
+        dim = base.dim
+        q = primes_from(2**63, dim)
+        table = rebased(base.structure, range(dim), [F(1, p) for p in q])
+        L = LieAlgebra(dim, [f"b{i}" for i in range(dim)], table)
+
+        def bits(x):
+            return x.numerator.bit_length() + x.denominator.bit_length()
+
+        parsed = sum(bits(c) for coeffs in L.structure.values() for c in coeffs.values())
+        stored = sum(sum(x.bit_length() for x in row.values()) + m.dens.get(i, 1).bit_length()
+                     for m in L.ad_rows for i, row in m.maps.items())
+        assert stored <= 2 * parsed
+        assert max(d.bit_length() for m in L.ad_rows for d in m.dens.values()) <= 3 * 64
 
     @pytest.mark.parametrize("seed", range(16))
     def test_ad_rows_match_plain_oracle(self, seed):
@@ -1168,4 +1192,4 @@ class TestReadOnlyAlgebra:
             assert_clean(L.ad_rows[i])
             for j in range(dim):
                 want = brute_bracket(dim, table, units[i], units[j])
-                assert L.ad_rows[i].maps.get(j, {}) == {k: c for k, c in enumerate(want) if c}
+                assert rational_maps(L.ad_rows[i]).get(j, {}) == {k: c for k, c in enumerate(want) if c}

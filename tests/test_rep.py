@@ -11,6 +11,7 @@ import trilie.exact as exact
 import trilie.liealg as liealg
 import trilie.rep as rep
 from trilie.exact import RatMatrix, exp_nilpotent, invert, unit_vector
+from trilie.jsonio import jsonable, matrix_from_json, representation_from_json, representation_to_json
 from trilie.family import ModuleParams, build_family_module, enumerate_params
 from trilie.graded import (
     GradedMap,
@@ -51,6 +52,7 @@ from helpers import (
     brute_inverse,
     brute_nullspace,
     brute_product,
+    brute_rank,
     brute_sl2_triple,
     corrupt_bracket,
     dense_rows,
@@ -451,14 +453,17 @@ class TestHomomorphismOracle:
 
 
 def refuse_fraction_arithmetic(patch):
-    """Make every arithmetic operator of Fraction raise, for the scope
-    of the monkeypatch context `patch`."""
-    def refuse(*args):
-        raise AssertionError("the scan did Fraction arithmetic")
+    """Make every arithmetic operator of Fraction raise, and building a
+    Fraction too, for the scope of the monkeypatch context `patch`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built or combined")
 
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
-                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__new__"):
         patch.setattr(Fraction, name, refuse)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # CPython 3.12 on builds arithmetic results past __new__
+        patch.setattr(Fraction, "_from_coprime_ints", classmethod(refuse))
 
 
 def lower_conjugated(diagonal):
@@ -497,13 +502,55 @@ class TestIntegerScan:
              brute_homomorphism_witness(dim, table, bad)),
         ]
         assert [want[0] for _, want in cases] == [False, True, False]
-        assert any(x.denominator > 1 for im in family.images
-                   for row in im.matrix.maps.values() for x in row.values())
+        assert any(im.matrix.dens for im in family.images)
         for rho, want in cases:
             with monkeypatch.context() as patch:
                 refuse_fraction_arithmetic(patch)
                 got = verify_homomorphism(rho)
             assert got == want
+
+    def test_reading_rank_and_irreducibility_build_no_fraction(self, monkeypatch):
+        # an integral document is read with one Fraction per distinct
+        # bracket coefficient, for the algebra's read-only table, and none
+        # for its images; rank and is_k_irreducible build none, also on a
+        # module in a basis rescaled by fractions
+        doc = jsonable(representation_to_json(adjoint_of_sl2_lambda(3)))
+        built = []
+        real_new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counted)
+            rho = representation_from_json(doc)
+        coefficients = {c for _, _, terms in doc["algebra"]["brackets"] for _, c in terms}
+        assert len(built) == len(coefficients) > 0
+        with monkeypatch.context() as patch:
+            refuse_fraction_arithmetic(patch)
+            images = [matrix_from_json(doc["images"][label]) for label in rho.algebra.basis_labels]
+        assert images == [im.matrix for im in rho.images]
+
+        base, _ = build_sl2_lambda(3)
+        perm = [6, 2, 0, 4, 1, 5, 3]  # f, h, e land on 2, 4, 1; h is negated
+        scales = [F(2, 3), F(-5, 7), 3, F(7, 4), -1, F(11, 9), F(5, 2)]
+        table = rebased(base.structure, perm, scales)
+        L = LieAlgebra(7, [f"b{i}" for i in range(7)], table)
+        rest = (0, 3, 5, 6)
+        rescaled = Representation(L, LeviData((2, 4, 1), rest, rest), GradedSpace((7,)),
+                                  tuple(RatMatrix.from_rows(m) for m in adjoint_lists(7, table)))
+        assert any(im.matrix.dens for im in rescaled.images)
+        kernels: list[int] = []
+        want = (is_k_irreducible(rescaled, kernels), kernels,
+                [brute_rank(dense_rows(im.matrix)) for im in rescaled.images])
+        assert want[:2] == ([False], [2])  # V(2) + V(3)
+        with monkeypatch.context() as patch:
+            refuse_fraction_arithmetic(patch)
+            kernels = []
+            got = (is_k_irreducible(rescaled, kernels), kernels,
+                   [exact.rank(im.matrix) for im in rescaled.images])
+        assert got == want
 
     def test_dense_coprime_image_keeps_integral_pairs_small(self, monkeypatch):
         # twelve commuting 40 x 40 images P D_k P^-1 (`lower_conjugated`);
@@ -665,8 +712,8 @@ def chain(k: int, dependent: bool = False) -> tuple[int, list]:
     n = k + 1
     images = []
     for j in range(k):
-        maps = {j: {j: F(1)}, j + 1: {j + 1: F(j + 2, 3)}}
-        images.append(RatMatrix._from_maps(n, n, maps))
+        maps = {j: {j: 1}, j + 1: {j + 1: j + 2}}
+        images.append(RatMatrix.from_int_rows(n, n, maps, {j + 1: 3}))
     if dependent and k > 1:
         last = RatMatrix.zeros(n, n)
         for j, im in enumerate(images[:-1]):
