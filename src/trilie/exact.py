@@ -143,6 +143,14 @@ def _put(maps: dict, dens: dict, i: int, row: dict[int, int], den: int) -> None:
     maps[i] = row
 
 
+def put_row(maps: dict, dens: dict, i: int, row: dict) -> None:
+    """Store the nonempty map of rationals `row` at i in the stored form,
+    cleared by `integer_row`."""
+    maps[i], d = integer_row(row)
+    if d > 1:
+        dens[i] = d
+
+
 class RatMatrix:
     """Sparse matrix of rationals, stored in integers: `maps` is {row:
     {column: nonzero int}}, holding the nonempty rows alone, and `dens`
@@ -175,9 +183,7 @@ class RatMatrix:
         for i in range(rows):
             row = {j: x for j, x in enumerate(data[i * cols : (i + 1) * cols]) if x}
             if row:
-                self.maps[i], d = integer_row(row)
-                if d > 1:
-                    self.dens[i] = d
+                put_row(self.maps, self.dens, i, row)
 
     @classmethod
     def _from_maps(cls, rows: int, cols: int, maps: dict, dens: dict | None = None) -> "RatMatrix":
@@ -213,8 +219,8 @@ class RatMatrix:
         other entries are parsed. Per entry, on rows of width 128 down to
         8 (CPython 3.11): count 1-10 ns, the loop 23-42 ns, against 34-87
         ns for the C iterator chain compress(count(), map(ne, ...)). A
-        row of ints is stored as it is read; a row with a Fraction is
-        cleared by `integer_row`."""
+        row of ints is stored as it is read; a row with a Fraction goes
+        to `put_row`."""
         parse = parse or scalar
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -233,9 +239,7 @@ class RatMatrix:
                     if ints:
                         maps[i] = row
                     else:
-                        maps[i], d = integer_row(row)
-                        if d > 1:
-                            dens[i] = d
+                        put_row(maps, dens, i, row)
         return cls._from_maps(nrows, ncols, maps, dens)
 
     @classmethod

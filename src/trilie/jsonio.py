@@ -177,12 +177,10 @@ def matrix_to_json(m: RatMatrix) -> list[list[str]]:
 
 
 def _parser(read: Callable[[Any], int | Fraction] | None = None) -> Callable[[Any], int | Fraction]:
-    """`read` (scalar() if None) for one document, reading each distinct
-    string once. With scalar(), for matrix entries, an integer spelling
-    gives an int, which a row stores as it is; with rat(), for bracket
-    coefficients, each distinct coefficient is one Fraction of the
-    algebra's table. Only strings are kept: 1, 1.0 and True hash alike,
-    and True must stay a TypeError."""
+    """`read` (scalar() if None) for one document, called once per
+    distinct string. With scalar() an integer spelling gives an int,
+    which a matrix row stores as it is. Only strings are kept: 1, 1.0
+    and True hash alike, and True must stay a TypeError."""
     read = read or scalar
     memo: dict[str, int | Fraction] = {}
 
@@ -236,8 +234,9 @@ def algebra_from_json(
     doc: dict, parse: Callable[[Any], int | Fraction] | None = None
 ) -> tuple[LieAlgebra, LeviData]:
     """An algebra and its Levi data; `parse` reads the bracket
-    coefficients (a fresh one-document parser of Fractions if None)."""
-    parse = parse or _parser(rat)
+    coefficients (rat() if None). Each distinct coefficient string is
+    read once and made one Fraction of the table."""
+    coefficient = _parser(rat if parse is None else lambda x: rat(parse(x)))
     structure = {}
     # a field of exact type int is taken as it stands; any other goes to
     # int_field, and an error text is built only when it is raised
@@ -256,7 +255,7 @@ def algebra_from_json(
                 k = int_field(k)
             if k in terms:
                 raise ValueError(f"bracket pair {pair} lists target {k} twice")
-            terms[k] = parse(c)
+            terms[k] = coefficient(c)
     L = LieAlgebra(int_field(doc["dim"]), [str(x) for x in array_field(doc["labels"], "labels")], structure)
     index_lists = []
     for key in ("levi", "radical", "nilradical"):
@@ -298,9 +297,10 @@ def representation_from_json(doc: dict) -> Representation:
             algebra_doc = load_json(algebra_doc)
         except ValueError as exc:
             raise ValueError(f"algebra path {algebra_doc!r}: {exc}") from None
-    # one parser for all the images, which repeat each other's entries
+    # one parser for the whole document: images repeat the algebra's
+    # coefficients and each other's entries
     parse = _parser()
-    L, D = algebra_from_json(algebra_doc)
+    L, D = algebra_from_json(algebra_doc, parse)
     dims = tuple(int_field(d) for d in array_field(doc["dims"], "dims"))
     seen = set(doc["images"])
     expected = set(L.basis_labels)

@@ -68,6 +68,7 @@ from .exact import (
     integer_row,
     integral_rows,
     invert,
+    put_row,
     rank,
     rat,
     rref,
@@ -662,9 +663,7 @@ def adjoint_representation(L: LieAlgebra, G: GradingAssignment):
             raise ShapeError(f"basis vector of length {len(v)} for dim {L.dim}")
         row = {j: c for j, x in compress(enumerate(v), v) if (c := rat(x))}
         if row:
-            maps[p], d = integer_row(row)
-            if d > 1:
-                dens[p] = d
+            put_row(maps, dens, p, row)
     q = RatMatrix._from_maps(len(basis), L.dim, maps, dens)
     p_inv = invert(q.transpose())
     images = [p_inv @ (q @ r_i).transpose() for r_i in L.ad_rows]

@@ -308,6 +308,12 @@ class TestKernels:
         assert dense_rows(got) == expected
         assert_clean(got)
 
+    def test_a_later_block_clears_its_empty_rows(self):
+        # the zero row of the second block overwrites row 0 of the first
+        m = RatMatrix.from_blocks(2, 2, [(0, 0, RatMatrix.identity(2)), (0, 0, RatMatrix.zeros(1, 2))])
+        assert dense_rows(m) == [[0, 0], [0, 1]]
+        assert_clean(m)
+
     @pytest.mark.parametrize("r0,c0", [(2, 0), (0, 2), (-1, 0), (0, -1)])
     def test_from_blocks_rejects_overflow(self, r0, c0):
         with pytest.raises(ShapeError):
@@ -459,10 +465,18 @@ class TestSparseStorage:
         want = outcome(list(rows), list(cols))
         assert outcome(rows, cols) == outcome(rows, list(cols)) == outcome(list(rows), cols) == want
 
+    def test_transpose_brings_a_column_to_one_denominator(self):
+        # rows over 2 and 3 make column 0 a row over 6
+        t = RatMatrix(2, 2, [Fraction(1, 2), 1, Fraction(1, 3), 0]).transpose()
+        assert dense_rows(t) == [[Fraction(1, 2), Fraction(1, 3)], [1, 0]]
+        assert_clean(t)
+
     def test_submatrix_rejects_out_of_range(self):
         a = RatMatrix.identity(2)
         with pytest.raises(IndexError):
             a.submatrix([0], range(1, 3))
+        with pytest.raises(IndexError, match="row 2 out of range"):
+            a.submatrix(range(3), [0])
         with pytest.raises(IndexError):
             a.submatrix([2], [0])
 

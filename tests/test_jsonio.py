@@ -508,19 +508,16 @@ def _plain_structure(brackets):
     return table
 
 
-def _counting_parse(monkeypatch):
-    # a document's entries are read by jsonio's one-document memos,
-    # which call scalar() for images and rat() for coefficients
+def _counting_scalar(monkeypatch):
+    # a document's strings are read by scalar() in jsonio's one-document
+    # memo; the coefficients' Fractions are built from what it returns
     calls = []
 
-    def counting(read):
-        def counted(value):
-            calls.append(value)
-            return read(value)
-        return counted
+    def counted(value):
+        calls.append(value)
+        return exact.scalar(value)
 
-    monkeypatch.setattr(jsonio, "scalar", counting(exact.scalar))
-    monkeypatch.setattr(jsonio, "rat", counting(exact.rat))
+    monkeypatch.setattr(jsonio, "scalar", counted)
     return calls
 
 
@@ -540,14 +537,13 @@ def test_representation_from_json_matches_plain_parse(doc):
 @given(_documents())
 def test_each_distinct_entry_string_is_parsed_once(doc):
     # image listings skip the literal "0" unparsed; coefficients list
-    # only what the bracket stores, so each is parsed. The images share
-    # one memo, and the coefficients have their own
+    # only what the bracket stores, so each is parsed
     strings = {x for rows in doc["images"].values() for r in rows for x in r} - {"0"}
-    coefficients = {c for _, _, terms in doc["algebra"]["brackets"] for _, c in terms}
+    strings |= {c for _, _, terms in doc["algebra"]["brackets"] for _, c in terms}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = _counting_parse(monkeypatch)
+        calls = _counting_scalar(monkeypatch)
         representation_from_json(doc)
-    assert sorted(calls) == sorted([*strings, *coefficients])
+    assert sorted(calls) == sorted(strings)
 
 
 def test_repeated_entries_parse_once_per_document(monkeypatch):
@@ -557,12 +553,11 @@ def test_repeated_entries_parse_once_per_document(monkeypatch):
         "dims": [3],
         "images": {"x": [["1/2", "0", "1/2"]] * 3, "y": [["0", "-1", "0"]] * 3},
     }
-    calls = _counting_parse(monkeypatch)
+    calls = _counting_scalar(monkeypatch)
     representation_from_json(doc)
     representation_from_json(doc)
-    # the memos live for one document: the second read parses again;
-    # "1/2" is read once for the table and once for the images
-    assert sorted(calls) == ["-1", "-1", "1/2", "1/2", "1/2", "1/2"]
+    # the memo lives for one document: the second read parses again
+    assert sorted(calls) == ["-1", "-1", "1/2", "1/2"]
 
 
 # what the reader raised for each bad entry before the memo and the C
