@@ -28,9 +28,10 @@ valid `ModuleParams` has the problem's (Λ, n, m). The survey walks
 nothing: the family's z_0 lies on the same diagonal, N - s = c, so a
 cell's tuples are read off it as plain integers, N = s + c for each s
 with 0 <= s <= n and 0 <= N <= m, valid by construction and unchecked.
-`_has_line` decides whether the cell has a line, `_closed_verdict`
-decides each tuple on it, and no `ModuleParams`, `ExtensionProblem`,
-`SolutionSpace`, line or matrix is built per cell or tuple.
+A cell whose c is not whole has no tuple and builds none. `_has_line`
+decides whether the cell has a line, `_closed_verdict` decides each
+tuple on it, and no `ModuleParams`, `ExtensionProblem`, `SolutionSpace`,
+line or matrix is built per cell or tuple.
 Tensor-product multiplicities, counted in closed form, provide a
 second, character-theoretic prediction of each cell's dimension.
 Nothing in a cell costs in Λ.
@@ -39,7 +40,8 @@ The survey is written cell by cell. `classification_cells` yields each
 cell's plain values, and `render_classification` turns them into the
 report text, byte for byte `json.dumps(report, indent=2)`, with one
 %-template per report level; no report dict is built on the way, so the
-text is the only thing that grows with the Θ(N⁴) sample lists. The text
+text is the only thing that grows with the Θ(N⁴) sample lists. A cell's
+two sample flags come from the loop that renders its matches. The text
 is built whole before anything is written: a scalar too long for str()
 raises `jsonio.NumberTooLong` naming `cells.family_matches.scalar`
 while it is rendered, and the CLI then writes nothing and exits 2, on
@@ -302,19 +304,23 @@ def classification_cells(lam: int, n_max: int, m_max: int) -> Iterator[Cell]:
     """The cells of the (n, m) grid, n and then m ascending. A cell's
     dimension is whether `_has_line` holds, and its parameter tuples lie
     on its diagonal: N = s + c, c = (m - n - Λ)/2, for each s with 0 <= s
-    <= n and 0 <= N <= m, none when c is not whole. Valid by construction,
-    on a cell with a line each goes to `_closed_verdict` as its integers."""
+    <= n and 0 <= N <= m. A cell with c not whole has no tuple and builds
+    none; the others list theirs in one pass. Valid by construction, on a
+    cell with a line each goes to `_closed_verdict` as its integers."""
     check_bounds(lam, m_max, n_max)
     ones = (ONE,) * n_max  # a_1 … a_{n-s}, read up to n - s <= n_max
     for n in range(n_max + 1):
         for m in range(m_max + 1):
             c, odd = divmod(m - n - lam, 2)
-            line = not odd and _has_line(n, m, c)
-            matches = () if odd else tuple(
+            if odd:
+                yield Cell(n, m, 0, tensor_multiplicity(lam, n, m), ())
+                continue
+            line = _has_line(n, m, c)
+            matches = tuple([
                 (s, s + c, n - s,
                  *(_closed_verdict(m, n, s, s + c, ones) if line else (False, None)))
                 for s in range(max(0, -c), min(n, m - c) + 1)
-            )
+            ])
             yield Cell(n, m, int(line), tensor_multiplicity(lam, n, m), matches)
 
 
@@ -345,14 +351,17 @@ def _listing(items: list[str]) -> str:
 def render_classification(lam: int, n_max: int, m_max: int, cells: Iterable[Cell]) -> str:
     """The classify report of `cells` as text, byte for byte
     `json.dumps(report, indent=2) + "\\n"`. The grid holds at least one
-    cell. Each scalar goes through `rat_str`, so a numerator or
-    denominator too long for str() raises NumberTooLong here, naming
-    the field `cells.family_matches.scalar`."""
+    cell. The loop that renders a cell's matches also notes whether some
+    match is a member and whether some is not, and the two sample flags
+    are read from those notes. Each scalar goes through `rat_str`, so a
+    numerator or denominator too long for str() raises NumberTooLong
+    here, naming the field `cells.family_matches.scalar`."""
     ones = {0: "[]"}  # the "a" listing of k "1" entries, built once per k
     out = [_HEAD % (lam, n_max, m_max)]
     sep = "\n    "
     for n, m, dim, cg, matches in cells:
         texts = []
+        reached = outside = False  # some match is a member; some is not
         for s, big_n, k, member, scalar in matches:
             a = ones.get(k)
             if a is None:
@@ -361,14 +370,18 @@ def render_classification(lam: int, n_max: int, m_max: int, cells: Iterable[Cell
                 scalar = "null" if scalar is None else '"' + rat_str(scalar) + '"'
             except ValueError:
                 raise NumberTooLong("cells.family_matches.scalar") from None
+            if member:
+                reached = True
+            else:
+                outside = True
             texts.append(_MATCH % (s, big_n, a, "true" if member else "false", scalar))
         flags = []
         if dim != cg:
             flags.append('"solver-vs-character-mismatch"')
         # a member is a nonzero block: a_0 = 1 stores z_0's cell (N, s)
-        if dim > 0 and matches and not any(match[3] for match in matches):
+        if dim > 0 and outside and not reached:
             flags.append('"solution-unreached-by-family-sample"')
-        if not all(match[3] for match in matches):
+        if outside:
             flags.append('"family-block-outside-solution-space"')
         out.append(sep)
         out.append(_CELL % (

@@ -98,14 +98,12 @@ def tensor_multiplicity(a: int, b: int, c: int) -> int:
     (# tensor weights equal to c) - (# equal to c + 2). The weight
     a + b - 2k comes from the pairs (i, j) with i + j = k, i <= a and
     j <= b, which number min(k, a, b, a + b - k) + 1 for 0 <= k <= a + b,
-    so the count costs nothing in a or b."""
+    so the count costs nothing in a or b. Both counts are read inline:
+    c >= 0 puts k at most a + b, and k - 1 is past the range only at k = 0."""
     if min(a, b, c) < 0:
         raise ValueError("highest weights must be nonnegative")
     k, odd = divmod(a + b - c, 2)
-    if odd:
+    if odd or k < 0:
         return 0
-
-    def pairs(k: int) -> int:
-        return min(k, a, b, a + b - k) + 1 if 0 <= k <= a + b else 0
-
-    return pairs(k) - pairs(k - 1)
+    below = min(k - 1, a, b, a + b - k + 1) + 1 if k else 0
+    return min(k, a, b, a + b - k) + 1 - below

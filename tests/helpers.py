@@ -841,7 +841,7 @@ def brute_classification_report(lam: int, n_max: int, m_max: int) -> dict:
     prediction, the parameter tuples landing on the cell (those of
     `enumerate_params` with that (n, m), in order of s), and the
     membership verdict of the family block at the all-ones scalar
-    sample. Mismatches in either direction are flagged per cell."""
+    sample; `brute_cells_report` writes and flags them."""
     tuples: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for m, n, s, big_n in enumerate_params(lam, m_max, n_max):
         tuples.setdefault((n, m), []).append((s, big_n))
@@ -850,52 +850,56 @@ def brute_classification_report(lam: int, n_max: int, m_max: int) -> dict:
         for m in range(m_max + 1):
             problem = ExtensionProblem(lam, n, m)
             space = solve_extensions(problem)
-            cg = tensor_multiplicity(lam, n, m)
             matches = []
-            any_nonzero_member = False
-            any_family_outside = False
             for s, big_n in tuples.get((n, m), ()):
-                a = tuple(ONE for _ in range(n - s))
-                params = ModuleParams(lam, m, n, s, big_n, a)
+                params = ModuleParams(lam, m, n, s, big_n, tuple(ONE for _ in range(n - s)))
                 verdict = match_family(problem, space, params)
-                matches.append(
+                matches.append((s, big_n, n - s, verdict["member"], verdict["scalar"]))
+            cells.append((n, m, space.dimension, tensor_multiplicity(lam, n, m), matches))
+    return brute_cells_report(lam, n_max, m_max, cells)
+
+
+def brute_cells_report(lam: int, n_max: int, m_max: int, cells) -> dict:
+    """The classify report of any cells (n, m, dim, cg, matches), each
+    match (s, N, k, member, scalar) with the sample a_1 … a_k all 1, as
+    a plain dict: the oracle for `render_classification` on cells the
+    survey never yields. Mismatches in either direction are flagged per
+    cell, from the members listed with any() and all()."""
+    out = []
+    for n, m, dim, cg, matches in cells:
+        members = [match[3] for match in matches]
+        flags = []
+        if dim != cg:
+            flags.append("solver-vs-character-mismatch")
+        if dim > 0 and members and not any(members):
+            flags.append("solution-unreached-by-family-sample")
+        if not all(members):
+            flags.append("family-block-outside-solution-space")
+        out.append(
+            {
+                "n": n,
+                "m": m,
+                "dim": dim,
+                "cg": cg,
+                "agree": dim == cg,
+                "family_matches": [
                     {
                         "s": s,
                         "N": big_n,
-                        "a": [rat_str(x) for x in a],
-                        "member": verdict["member"],
-                        "scalar": None
-                        if verdict["scalar"] is None
-                        else rat_str(verdict["scalar"]),
+                        "a": ["1"] * k,
+                        "member": member,
+                        "scalar": None if scalar is None else rat_str(scalar),
                     }
-                )
-                if verdict["member"]:
-                    any_nonzero_member = True
-                if not verdict["member"]:
-                    any_family_outside = True
-            flags = []
-            if space.dimension != cg:
-                flags.append("solver-vs-character-mismatch")
-            if space.dimension > 0 and matches and not any_nonzero_member:
-                flags.append("solution-unreached-by-family-sample")
-            if any_family_outside:
-                flags.append("family-block-outside-solution-space")
-            cells.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "dim": space.dimension,
-                    "cg": cg,
-                    "agree": space.dimension == cg,
-                    "family_matches": matches,
-                    "flags": flags,
-                }
-            )
+                    for s, big_n, k, member, scalar in matches
+                ],
+                "flags": flags,
+            }
+        )
     return {
         "lam": lam,
         "n_max": n_max,
         "m_max": m_max,
-        "cells": cells,
+        "cells": out,
         "notes": [
             "family blocks sampled at a_i = 1; free scalars a_1..a_{n-s} "
             "exceed the <= 1-dimensional solution space per cell",

@@ -136,6 +136,22 @@ MUTANTS = [
      "partners.setdefault(j, []).append((i, -1, d, row))",
      "partners.setdefault(j, []).append((i, 1, d, row))",
      ["tests/test_liealg.py::TestStructureConstantOracles"]),
+    # render_classification: a cell with no solution is flagged unreached
+    ("classify.unreached_without_dim", "classify.py",
+     "if dim > 0 and outside and not reached:", "if outside and not reached:",
+     ["tests/test_classify.py::test_render_matches_the_dict_oracle_on_any_cells",
+      "tests/test_classify.py::test_classify_text_and_report_match_the_dict_oracle"]),
+    # render_classification: "outside" is read from the first match only
+    ("classify.outside_first_match_only", "classify.py",
+     "            else:\n                outside = True",
+     "            else:\n                outside = outside or not texts",
+     ["tests/test_classify.py::test_render_matches_the_dict_oracle_on_any_cells",
+      "tests/test_classify.py::test_classify_text_and_report_match_the_dict_oracle"]),
+    # tensor_multiplicity: the lower count is read at k, not at k - 1
+    ("sl2theory.lower_count_at_k", "sl2theory.py",
+     "min(k - 1, a, b, a + b - k + 1)", "min(k, a, b, a + b - k)",
+     ["tests/test_sl2theory.py::TestTensorMultiplicity::test_known_values",
+      "tests/test_sl2theory.py::TestTensorMultiplicity::test_matches_weight_count_oracle"]),
 ]
 
 

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trilie.classify as classify
@@ -27,6 +27,7 @@ from trilie.rep import is_k_irreducible, verify_representation
 from trilie.sl2theory import build_irreducible, tensor_multiplicity
 
 from helpers import (
+    brute_cells_report,
     brute_classification_report,
     brute_contains,
     brute_extension_basis,
@@ -585,6 +586,43 @@ def test_classify_text_and_report_match_the_dict_oracle(capsys):
         assert code == 0, (lam, n_max, m_max)
         assert out == json.dumps(brute, indent=2) + "\n", (lam, n_max, m_max)
         assert classification_report(lam, n_max, m_max) == brute, (lam, n_max, m_max)
+
+
+_C = classify.Cell
+_MATCHES = st.lists(
+    st.tuples(
+        st.integers(0, 40), st.integers(0, 40), st.integers(0, 3), st.booleans(),
+        st.none() | st.fractions(max_denominator=10**12),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(0, 40),
+    st.integers(0, 40),
+    st.lists(
+        st.builds(_C, st.integers(0, 40), st.integers(0, 40), st.integers(0, 2),
+                  st.integers(0, 2), _MATCHES),
+        min_size=1, max_size=6,
+    ),
+)
+# two members; a member before a non-member; a member on a dim 0 cell and
+# non-members on another; a non-member with a scalar on a dim 2 cell
+@example(1, 1, 1, [_C(0, 1, 1, 1, ((0, 0, 1, True, F(2)), (1, 1, 0, True, F(-1, 3))))])
+@example(1, 1, 1, [_C(1, 0, 1, 1, ((0, 0, 1, True, F(1)), (1, 1, 0, False, None)))])
+@example(2, 3, 3, [_C(3, 1, 0, 2, ((1, 0, 2, True, F(5, 7)),)),
+                   _C(2, 2, 0, 0, ((0, 1, 2, False, None),))])
+@example(1, 2, 2, [_C(2, 2, 2, 2, ((0, 1, 2, False, F(3)), (2, 0, 0, False, None)))])
+@settings(max_examples=60, deadline=None)
+def test_render_matches_the_dict_oracle_on_any_cells(lam, n_max, m_max, cells):
+    # the renderer on any cells, also on flag cases classification_cells
+    # never yields (two members, a member on a dim 0 cell, a scalar on a
+    # non-member, dim or cg 2), handed as a one-shot iterator, writes
+    # what json.dumps writes of the plain dict
+    text = classify.render_classification(lam, n_max, m_max, iter(cells))
+    assert text == json.dumps(brute_cells_report(lam, n_max, m_max, cells), indent=2) + "\n"
 
 
 def test_classify_builds_no_problem_space_or_matrix(monkeypatch):
